@@ -1033,7 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--id",
         default=None,
         metavar="WORKER_ID",
-        help="lease identity written into claimed rows (default: host:pid)",
+        help="lease identity written into claimed rows (default: host:pid#n)",
     )
     campaign_worker.add_argument(
         "--serial",

@@ -66,7 +66,10 @@ class StoreBackend(Protocol):
         owner: Optional[str] = None,
         stale_after_s: float = DEFAULT_STALE_AFTER_S,
         now: Optional[float] = None,
+        digests: Optional[Sequence[str]] = None,
     ) -> Optional[ClaimedPoint]: ...
+
+    def requeue(self, campaign: str, digests: Sequence[str]) -> int: ...
 
     def mark_running(
         self, campaign: str, digest: str, lease_owner: Optional[str] = None
@@ -114,6 +117,10 @@ class StoreBackend(Protocol):
     ) -> List[PointRecord]: ...
 
     def status_counts(self, campaign: str) -> Dict[str, int]: ...
+
+    def queue_depth(self, campaign: str, digests: Optional[Sequence[str]] = None) -> int: ...
+
+    def warm_hint(self, record: PointRecord) -> Optional[Dict[str, Any]]: ...
 
     def fleet(
         self, campaign: str, now: Optional[float] = None

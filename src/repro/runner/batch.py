@@ -1,67 +1,58 @@
-"""Parallel batch execution of scenario fleets, with durable campaigns.
+"""Batch execution of scenario fleets through one store claim loop.
 
-The batch runner executes a list of :class:`~repro.scenario.ScenarioSpec`
-in a :class:`~concurrent.futures.ProcessPoolExecutor` and appends one JSON
-record per scenario to a JSONL results store.  The worker transport is
-zero-copy by construction: each submission carries only the scenario's
-declarative dictionary plus the cache *location* (a directory path -- the
-content keys are recomputed inside the worker), never a pickled irradiance
-array or any other bulk simulation object; workers attach to the shared
-on-disk stage cache, whose bulk arrays they memory-map read-only (see
-:mod:`repro.runner.cache`).  The first scenario that needs a given solar
-field computes and publishes it, all later scenarios -- in this run or the
-next -- hit the cache.
+Every point runs through :func:`run_claim_loop`, the single execution
+engine: it claims leases from a :class:`~repro.runner.store.ResultStore`,
+runs each point in-process or in a
+:class:`~concurrent.futures.ProcessPoolExecutor`, heartbeats what it holds
+and writes lease-fenced terminal marks.  :func:`run_batch` is enroll +
+loop + summary; the fleet daemon (:func:`~repro.runner.worker.run_worker`)
+is the same loop over a whole campaign.
 
-Submission is chunked and completion-streamed: at most a small multiple of
-the worker count is in flight at any moment (so huge fleets do not pile up
-thousands of pending futures) and finished results are collected with
-``concurrent.futures.wait`` as they complete instead of the ``executor.map``
-barrier.  Results are still returned in input order regardless of completion
-order, and all scenario inputs are seeded, so a parallel batch is
-bit-for-bit identical to a serial one.
+The worker transport is zero-copy by construction: each submission
+carries only the scenario's declarative dictionary plus the cache
+*location* (a directory path -- the content keys are recomputed inside the
+worker), never a pickled irradiance array or any other bulk simulation
+object; workers attach to the shared on-disk stage cache, whose bulk
+arrays they memory-map read-only (see :mod:`repro.runner.cache`).  The
+first scenario that needs a given solar field computes and publishes it,
+all later scenarios -- in this run or the next -- hit the cache.  Results
+come back in input order regardless of completion order, and all scenario
+inputs are seeded, so a parallel batch is bit-for-bit identical to a
+serial one.
 
 Campaigns
 ---------
 Passing ``store=`` turns the batch into a *campaign*: every point is first
-enrolled in a SQLite-backed :class:`~repro.runner.store.ResultStore` (keyed
-by its scenario content digest), points already ``done`` from a previous
-run are skipped, failures are recorded per-point -- a worker exception or
-even a worker *death* fails only its own point, never the whole run -- and
-failed points are retried up to ``retries`` times.  The returned
-:class:`BatchResult` then carries a
+enrolled (keyed by its scenario content digest), points already ``done``
+from a previous run are skipped, failures are recorded per-point -- a
+worker exception or even a worker *death* fails only its own point, never
+the whole run -- and failed points are retried up to ``retries`` times.
+The returned :class:`BatchResult` then carries a
 :class:`~repro.runner.store.CampaignSummary` with done/computed/skipped/
 failed/retried accounting plus the per-stage cache provenance of the
-points computed by this invocation.  Without a store the behaviour is the
-classic in-memory pass, where the first scenario failure raises a
-:class:`~repro.errors.ScenarioExecutionError` naming the failing point.
+points computed by this invocation.  Without a store the batch runs the
+same way against a throwaway store, then raises a
+:class:`~repro.errors.ScenarioExecutionError` naming the first failed
+point in input order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
+import tempfile
 import threading
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .. import faults
 from ..errors import ConfigurationError, ScenarioExecutionError
@@ -70,7 +61,7 @@ from ..scenario.spec import ScenarioSpec
 from ..telemetry import MetricStats, configure_from_env, merge_active_trace, span, trace_event
 from .cache import PathLike, StageCache, resolve_cache
 from .solvers import WarmStart
-from .stages import ScenarioResult, run_scenario, scenario_content_digest
+from .stages import ScenarioResult, run_scenario
 from .store import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_STALE_AFTER_S,
@@ -82,25 +73,24 @@ from .store import (
     STATUS_DONE,
     STATUS_TIMED_OUT,
     CampaignSummary,
+    PointRecord,
     ResultStore,
+    new_lease_owner,
     resolve_store,
 )
 
-#: In-flight submissions per worker process: enough to keep every worker
-#: busy while results stream back, small enough that a 10k-scenario fleet
-#: does not materialise 10k pending futures up front.
+#: Leases a pooled batch holds per worker process: enough to keep every
+#: worker busy while results stream back, small enough that a 10k-scenario
+#: fleet does not materialise 10k pending futures up front.
 INFLIGHT_PER_WORKER = 2
 
 #: Campaign name used when ``run_batch`` gets a store but no explicit name.
 DEFAULT_CAMPAIGN = "batch"
 
-#: How long the parallel driver blocks in ``wait`` per loop tick.  Bounded
-#: so deadlines, heartbeats, stale-lease reclamation and stop signals are
-#: all checked at this cadence even while every worker is busy.
+#: How long the claim loop blocks in ``wait`` per tick.  Bounded so
+#: deadlines, heartbeats, retry backoffs and stop signals are all checked
+#: at this cadence even while every worker is busy.
 WAIT_TICK_S = 0.25
-
-# DEFAULT_HEARTBEAT_S / DEFAULT_STALE_AFTER_S now live in .store (shared
-# with the worker daemon) and are re-exported above for compatibility.
 
 
 def retry_backoff_delay(base_s: float, attempt: int, key: str) -> float:
@@ -119,12 +109,11 @@ def retry_backoff_delay(base_s: float, attempt: int, key: str) -> float:
 
 
 class _StopRequested(BaseException):
-    """Internal: a SIGTERM/SIGINT asked the driver to wind down cleanly.
+    """Internal: a SIGTERM/SIGINT asked the claim loop to wind down cleanly.
 
     Derives from ``BaseException`` (like ``KeyboardInterrupt``) so no
-    worker-error handler can swallow it; the driver converts it to a
-    ``KeyboardInterrupt`` once in-flight points are marked and the pool is
-    down.
+    worker-error handler can swallow it; the loop catches it, kills the
+    pool, settles its held points and reports the signal to its caller.
     """
 
     def __init__(self, signum: int) -> None:
@@ -138,7 +127,7 @@ def _worker_init() -> None:
     Forked workers inherit the parent's stop handlers, which must not run
     in a worker: a worker has to die promptly on ``terminate()`` (SIGTERM)
     and leave Ctrl-C -- SIGINT, delivered to the whole process group -- to
-    the parent driver, which marks in-flight points and shuts down cleanly.
+    the parent's claim loop, which settles held points and shuts down cleanly.
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -147,22 +136,18 @@ def _worker_init() -> None:
         pass
 
 
-def _terminate_worker_processes(executor: ProcessPoolExecutor) -> int:
+def _terminate_worker_processes(executor: ProcessPoolExecutor) -> None:
     """Hard-terminate every worker process of a pool (watchdog/stop path).
 
     ``ProcessPoolExecutor`` has no per-task kill, so a hung worker is
-    evicted by terminating the pool's processes and rebuilding; returns the
-    number of processes signalled.
+    evicted by terminating the pool's processes and rebuilding.
     """
     processes = getattr(executor, "_processes", None) or {}
-    count = 0
     for process in list(processes.values()):
         try:
             process.terminate()
-            count += 1
         except Exception:
             pass
-    return count
 
 
 def count_stage_flags(
@@ -252,7 +237,7 @@ class BatchResult:
 
 
 def _worker_payload(
-    spec: ScenarioSpec,
+    spec: Union[ScenarioSpec, Mapping[str, Any]],
     cache_dir: Optional[str],
     use_cache: bool,
     mmap_arrays: bool = True,
@@ -268,7 +253,8 @@ def _worker_payload(
     any other numpy payload -- ever crosses the process boundary.  A test
     asserts the serialised size stays in the kilobytes.
     """
-    return (spec.to_dict(), cache_dir, use_cache, mmap_arrays, warm_hint)
+    spec_dict = spec.to_dict() if isinstance(spec, ScenarioSpec) else dict(spec)
+    return (spec_dict, cache_dir, use_cache, mmap_arrays, warm_hint)
 
 
 def _warm_start_from_hint(
@@ -301,10 +287,9 @@ def execute_point(
 ) -> Tuple[str, dict]:
     """Run one campaign point and classify the outcome in-process.
 
-    The shared per-point execution path of every driver: the batch pool
-    worker, the serial campaign driver and the
-    :mod:`~repro.runner.worker` fleet daemon all route through here, so a
-    point behaves identically no matter which process model executes it.
+    The per-point execution path of :func:`run_claim_loop`, in-process or
+    inside a pool worker, so a point behaves identically no matter which
+    process model executes it.
 
     Fires the ``worker.crash`` / ``worker.hang`` chaos sites (keyed by the
     scenario name) before touching the scenario, then returns
@@ -387,258 +372,296 @@ def _point_error_message(name: str, digest: str, error: str) -> str:
     return f"scenario {name!r} (digest {digest[:12]}) failed: {error}"
 
 
-def _drive_points(
-    indices: Sequence[int],
-    specs: Sequence[ScenarioSpec],
-    stage_cache: StageCache,
-    use_cache: bool,
-    jobs: int,
-    on_start: Callable[[int], None],
-    on_done: Callable[[int, dict, float], None],
-    on_error: Callable[[int, str, str], Optional[float]],
-    on_interrupted: Callable[[int, str], Optional[float]],
-    on_timeout: Optional[Callable[[int], Optional[float]]] = None,
-    on_stop: Optional[Callable[[int], None]] = None,
-    on_tick: Optional[Callable[[Set[int]], Sequence[int]]] = None,
-    timeout_s: Optional[float] = None,
-    warm_hint_for: Optional[Callable[[int], Optional[dict]]] = None,
-) -> None:
-    """Execute the points at ``indices``, serially or in worker processes.
+@contextmanager
+def _stop_signals() -> Iterator[None]:
+    """Turn SIGINT/SIGTERM into :class:`_StopRequested` while the loop runs.
 
-    ``warm_hint_for(index)`` (optional) is consulted at *submit* time and
-    may return a transportable warm-start hint dict for the point -- the
-    campaign layer resolves each point's designated neighbour against
-    what has already finished, so hints are best-effort by construction: a
-    neighbour still in flight simply yields a cold solve, never a stall.
-
-    ``on_done`` receives the point's wall time as measured *inside* the
-    worker (``runtime_s`` of the result record), so queueing delay behind
-    other in-flight points is never billed to the point itself.
-
-    ``on_error(index, error, traceback_text)`` handles a point whose own
-    code raised.  Retry contract (shared by ``on_error``,
-    ``on_interrupted`` and ``on_timeout``): return ``None`` to give the
-    point up, or a delay in seconds >= 0 to re-enqueue it -- the driver
-    will not start it again before the delay elapses (retry backoff).
-
-    ``on_interrupted(index, error)`` handles a point that was in flight
-    when a worker process *died* (OOM kill, segfault -- which breaks the
-    whole pool and poisons every pending future, so the casualties include
-    innocent points that merely shared the pool with the culprit).  The
-    driver rebuilds the executor and keeps going.  One crashing worker can
-    never take down the campaign.
-
-    ``on_timeout(index)`` handles a point that exceeded ``timeout_s``.  In
-    parallel mode this is a real parent-side watchdog: the pool's worker
-    processes are terminated (a hung worker cannot be cancelled any other
-    way) and the pool is rebuilt; innocent in-flight points go through
-    ``on_interrupted``.  In serial mode the check is necessarily post hoc
-    -- the parent *is* the worker -- so an overlong point is reported
-    against ``on_timeout`` after it finishes and its result is discarded.
-
-    ``on_tick(inflight_indices)`` runs every driver tick (bounded by
-    ``WAIT_TICK_S``) and may return extra point indices to enqueue -- the
-    campaign layer uses it to heartbeat its own leases and adopt stale
-    points reclaimed from dead drivers.
-
-    ``on_stop(index)`` marks one in-flight point when a stop signal
-    (:class:`_StopRequested`, raised by the SIGINT/SIGTERM handlers that
-    ``run_batch`` installs) lands: the driver kills the workers, reports
-    every in-flight point to ``on_stop``, and re-raises -- no point is ever
-    left looking ``running`` in a store after a clean shutdown.
+    Signals can only be installed from the main thread; elsewhere (batches
+    driven from threads) the process keeps its existing handlers.
     """
-    queue = deque(indices)
-    not_before: Dict[int, float] = {}
+    installed: List[Tuple[int, Any]] = []
+    if threading.current_thread() is threading.main_thread():
 
-    def requeue(index: int, delay: Optional[float]) -> bool:
-        """Apply one callback verdict; True when the point was re-enqueued."""
-        if delay is None:
-            return False
-        if delay > 0.0:
-            not_before[index] = time.monotonic() + delay
-        queue.append(index)
-        return True
+        def handler(signum: int, frame: object) -> None:
+            raise _StopRequested(signum)
 
-    def pop_eligible() -> Optional[int]:
-        """Next queued index whose backoff delay has elapsed, if any."""
-        now = time.monotonic()
-        for _ in range(len(queue)):
-            index = queue.popleft()
-            if not_before.get(index, 0.0) <= now:
-                not_before.pop(index, None)
-                return index
-            queue.append(index)
-        return None
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            installed.append((signum, signal.signal(signum, handler)))
+    try:
+        yield
+    finally:
+        for signum, previous in installed:
+            signal.signal(signum, previous)
 
-    def run_tick(inflight: Set[int]) -> None:
-        if on_tick is None:
-            return
-        for extra in on_tick(inflight) or ():
-            if extra not in inflight and extra not in queue:
-                queue.append(extra)
 
-    if jobs == 1:
-        while queue:
-            run_tick(set())
-            index = pop_eligible()
-            if index is None:
-                time.sleep(min(WAIT_TICK_S, 0.05))
-                continue
-            on_start(index)
-            start = time.perf_counter()
-            try:
-                # Serial mode has no worker processes -- the driver is the
-                # worker, so the worker.* chaos sites fire right here,
-                # inside execute_point (a crash kills the driver, leaving
-                # the running rows a later resume must reclaim; a hang
-                # trips the post-hoc timeout).  The existing stage_cache
-                # handle is passed through so its hit/miss counters keep
-                # accumulating across the run.
-                status, record = execute_point(
-                    specs[index],
-                    cache=stage_cache,
-                    use_cache=use_cache,
-                    warm_hint=warm_hint_for(index) if warm_hint_for else None,
-                )
-            except _StopRequested:
-                if on_stop is not None:
-                    on_stop(index)
-                raise
-            if status != "ok":
-                requeue(
-                    index,
-                    on_error(index, record["error"], record.get("traceback", "")),
-                )
-                continue
-            elapsed = time.perf_counter() - start
-            if timeout_s is not None and on_timeout is not None and elapsed > timeout_s:
-                requeue(index, on_timeout(index))
-                continue
-            on_done(index, record, elapsed)
-        return
+@dataclass
+class LoopTally:
+    """What one :func:`run_claim_loop` did; both callers report from it."""
 
-    cache_dir = str(stage_cache.root) if stage_cache.enabled else None
-    max_inflight = jobs * INFLIGHT_PER_WORKER
-    executor = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
-    pending: Dict[object, int] = {}
-    deadlines: Dict[object, float] = {}
+    claimed: int = 0
+    #: Claims that adopted a stale ``running`` row of a dead owner.
+    adopted: int = 0
+    failed: int = 0
+    timed_out: int = 0
+    retried: int = 0
+    #: Held points handed back to ``pending`` on a stop signal.
+    released: int = 0
+    #: Finished attempts discarded because another owner took the lease.
+    lost_leases: int = 0
+    stopped_by_signal: Optional[int] = None
+    #: Result records of the points this loop marked ``done``, by digest.
+    results: Dict[str, dict] = field(default_factory=dict)
 
-    def consume(index: int, future: object) -> None:
-        """Harvest one settled future into on_done / on_error."""
-        try:
-            status, record = future.result()
-        except Exception as exc:  # transport failures (unpicklable, ...)
-            requeue(index, on_error(index, f"{type(exc).__name__}: {exc}", ""))
-            return
-        if status == "ok":
-            on_done(index, record, float(record.get("runtime_s", 0.0)))
+
+@dataclass
+class _Lease:
+    """One held point: its row, warm hint, retry accounting and attempt."""
+
+    point: PointRecord
+    hint: Optional[dict]
+    errors: int = 0
+    passes: int = 0
+    future: Optional[Future] = None
+    deadline: float = math.inf
+    not_before: float = 0.0
+
+
+def run_claim_loop(
+    store: ResultStore,
+    campaign: str,
+    stage_cache: StageCache,
+    *,
+    owner: str,
+    pool_size: int,
+    max_leases: int,
+    retries: int,
+    timeout_s: Optional[float],
+    retry_backoff_s: float,
+    heartbeat_s: float,
+    stale_after_s: float,
+    poll_s: float,
+    digests: Optional[Sequence[str]] = None,
+    max_points: Optional[int] = None,
+    wait_for_stragglers: bool = True,
+    warm_start: bool = True,
+    release_on_stop: bool = False,
+) -> LoopTally:
+    """The execution engine behind :func:`run_batch` and ``run_worker``.
+
+    Holds up to ``max_leases`` points, each taken with
+    :meth:`~repro.runner.store.ResultStore.claim_next_pending` (only among
+    ``digests`` when given), and runs them through :func:`execute_point`:
+    in-process when ``pool_size`` is 0, else in a process pool of that
+    size.  Held points are heartbeated every ``heartbeat_s``, and every
+    terminal mark is fenced on ``owner`` still holding the lease: a result
+    that arrives after another owner adopted the point is dropped and
+    counted in ``lost_leases``.  Warm hints resolve at claim time through
+    :meth:`~repro.runner.store.ResultStore.warm_hint`.
+
+    The execution policy lives here and nowhere else:
+
+    * A point whose code raised, or that overran ``timeout_s``, re-runs
+      under its lease up to ``retries`` times, after
+      :func:`retry_backoff_delay`; every re-run counts one more attempt.
+    * Pooled points past ``timeout_s`` are killed by tearing the pool down
+      (a hung worker cannot be cancelled any other way); in-process the
+      check is necessarily post hoc.
+    * Points in flight when a worker process died or was torn down re-run
+      without charging ``retries``, at most ``retries + 1`` times, so a
+      point that always kills its worker still ends ``failed``.
+    * SIGINT/SIGTERM (from the main thread) kill the pool and either hand
+      the held points back to ``pending`` (``release_on_stop``) or mark
+      them ``failed ("interrupted: terminated by signal")``.
+
+    With nothing claimable the loop returns once it holds no lease and no
+    ``pending``/``running`` row is left in scope; while other owners still
+    hold rows it sleeps ``poll_s`` between claims, ready to adopt them
+    should their owners die (unless ``wait_for_stragglers`` is off).
+    ``max_points`` caps the number of claims.
+    """
+    tally = LoopTally()
+    held: Dict[str, _Lease] = {}
+    use_cache = stage_cache.enabled
+    cache_dir = str(stage_cache.root) if use_cache else None
+    timeout_text = "" if timeout_s is None else (
+        f"timed out: exceeded wall-clock budget of {timeout_s:g}s (timeout_s)"
+    )
+
+    def new_pool() -> Optional[ProcessPoolExecutor]:
+        if not pool_size:
+            return None
+        return ProcessPoolExecutor(max_workers=pool_size, initializer=_worker_init)
+
+    def settle(lease: _Lease, status: str, record: dict) -> None:
+        """Apply one attempt's outcome: a fenced mark, or a retry under the lease."""
+        digest = lease.point.digest
+        if status == "interrupted" and lease.passes <= retries:
+            lease.passes += 1
+        elif status in ("error", "timeout") and lease.errors < retries:
+            lease.errors += 1
         else:
-            requeue(index, on_error(index, record["error"], record.get("traceback", "")))
+            del held[digest]
+            if status == "ok":
+                runtime_s = float(record.get("runtime_s", 0.0))
+                marked = store.mark_done(campaign, digest, record, runtime_s, require_owner=owner)
+                if marked:
+                    tally.results[digest] = record
+            else:
+                message = _point_error_message(lease.point.name, digest, record["error"])
+                if record.get("traceback"):
+                    message = f"{message}\n{record['traceback']}"
+                mark = store.mark_timed_out if status == "timeout" else store.mark_failed
+                marked = mark(campaign, digest, message, require_owner=owner)
+                if marked and status == "timeout":
+                    tally.timed_out += 1
+                elif marked:
+                    tally.failed += 1
+            tally.lost_leases += not marked
+            return
+        tally.retried += 1
+        lease.future = None
+        attempt = lease.errors + lease.passes - 1
+        lease.not_before = time.monotonic() + retry_backoff_delay(retry_backoff_s, attempt, digest)
 
-    def settled_ok(future: object) -> bool:
-        """Finished with a transportable outcome (not pool death/cancel)."""
-        return (
+    def launch(lease: _Lease) -> None:
+        """Start one attempt of a held point; a re-run re-stamps ``attempts``."""
+        if lease.errors or lease.passes:
+            store.mark_running(campaign, lease.point.digest, lease_owner=owner)
+        spec_dict = lease.point.spec_dict
+        if pool is None:
+            # The loop is the worker: the existing cache handle keeps
+            # counting hits, and the worker.* chaos sites fire right here.
+            start = time.perf_counter()
+            status, record = execute_point(
+                spec_dict, cache=stage_cache, use_cache=use_cache, warm_hint=lease.hint
+            )
+            elapsed = time.perf_counter() - start
+            if status == "ok" and timeout_s is not None and elapsed > timeout_s:
+                status, record = "timeout", {"error": timeout_text}
+            settle(lease, status, record)
+            return
+        payload = _worker_payload(
+            spec_dict, cache_dir, use_cache, stage_cache.mmap_arrays, lease.hint
+        )
+        lease.future = pool.submit(_run_scenario_worker, payload)
+        if timeout_s is not None:
+            lease.deadline = time.monotonic() + timeout_s
+
+    def harvest(lease: _Lease, reason: str = "", overdue: bool = False) -> None:
+        """Settle a pooled attempt: its outcome, or a timeout or casualty verdict."""
+        future = lease.future
+        if (
             future.done()
             and not future.cancelled()
             and not isinstance(future.exception(), BrokenProcessPool)
-        )
+        ):
+            error = future.exception()
+            if error is None:
+                settle(lease, *future.result())
+            else:  # transport failures (unpicklable, ...)
+                settle(lease, "error", {"error": f"{type(error).__name__}: {error}"})
+        elif overdue:
+            settle(lease, "timeout", {"error": timeout_text})
+        else:
+            settle(lease, "interrupted", {"error": reason})
 
-    def rebuild_pool(reason: str, overdue: Set[object]) -> None:
-        """Watchdog / pool-death recovery: kill, reclassify, restart.
+    def rebuild_pool(reason: str, overdue: Set[str] = frozenset()) -> None:
+        """Kill the pool, start a fresh one, and settle every pooled attempt."""
+        nonlocal pool
+        _terminate_worker_processes(pool)
+        pool.shutdown(wait=False, cancel_futures=True)
+        pool = new_pool()
+        for lease in [lease for lease in held.values() if lease.future is not None]:
+            harvest(lease, reason, lease.point.digest in overdue)
 
-        Every in-flight future is classified exactly once: finished ones
-        are consumed normally, overdue ones go to ``on_timeout``, the rest
-        are innocent casualties of the teardown and go to
-        ``on_interrupted``.
-        """
-        nonlocal executor
-        _terminate_worker_processes(executor)
-        executor.shutdown(wait=False, cancel_futures=True)
-        casualties = dict(pending)
-        pending.clear()
-        deadlines.clear()
-        executor = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
-        for future, index in casualties.items():
-            if settled_ok(future):
-                consume(index, future)
-            elif future in overdue and on_timeout is not None:
-                requeue(index, on_timeout(index))
-            else:
-                requeue(index, on_interrupted(index, reason))
-
+    pool = new_pool()
     clean = False
-    try:
-        while queue or pending:
-            run_tick(set(pending.values()))
-            while len(pending) < max_inflight:
-                index = pop_eligible()
-                if index is None:
-                    break
-                on_start(index)
-                payload = _worker_payload(
-                    specs[index],
-                    cache_dir,
-                    use_cache,
-                    stage_cache.mmap_arrays,
-                    warm_hint=warm_hint_for(index) if warm_hint_for else None,
-                )
-                future = executor.submit(_run_scenario_worker, payload)
-                pending[future] = index
-                if timeout_s is not None:
-                    deadlines[future] = time.monotonic() + timeout_s
-            if not pending:
-                # Everything queued is backing off; idle one tick.
-                time.sleep(min(WAIT_TICK_S, 0.05))
-                continue
-            done, _ = wait(pending, timeout=WAIT_TICK_S, return_when=FIRST_COMPLETED)
-            pool_broken = False
-            for future in done:
-                index = pending.pop(future)
-                deadlines.pop(future, None)
-                if not isinstance(future.exception(), BrokenProcessPool):
-                    consume(index, future)
-                    continue
-                # A worker process died.  The pool is now unusable: the
-                # culprit cannot be identified, so treat this future and
-                # everything still in flight as casualties, harvest what
-                # finished before the death, and rebuild the pool so the
-                # remaining queue keeps running.
-                exc = future.exception()
-                requeue(index, on_interrupted(index, f"worker process died: {exc}"))
-                rebuild_pool(f"worker process died: {exc}", overdue=set())
-                pool_broken = True
-                break
-            if pool_broken:
-                continue
-            if timeout_s is not None and deadlines:
+    last_beat = time.monotonic()
+    with _stop_signals():
+        try:
+            while True:
+                while len(held) < max_leases and (
+                    max_points is None or tally.claimed < max_points
+                ):
+                    claimed = store.claim_next_pending(
+                        campaign, owner=owner, stale_after_s=stale_after_s, digests=digests
+                    )
+                    if claimed is None:
+                        break
+                    tally.claimed += 1
+                    tally.adopted += claimed.adopted
+                    point = claimed.point
+                    hint = store.warm_hint(point) if warm_start else None
+                    held[point.digest] = lease = _Lease(point, hint)
+                    launch(lease)
                 now = time.monotonic()
-                overdue = {
-                    future
-                    for future, deadline in deadlines.items()
-                    if deadline <= now and not future.done()
-                }
-                if overdue:
-                    names = ", ".join(
-                        repr(specs[pending[future]].name) for future in sorted(
-                            overdue, key=lambda f: pending[f]
-                        )
+                for lease in [x for x in held.values() if x.future is None]:
+                    if lease.not_before <= now:
+                        launch(lease)
+                if not held:
+                    capped = max_points is not None and tally.claimed >= max_points
+                    if capped or not wait_for_stragglers:
+                        break
+                    if not store.queue_depth(campaign, digests):
+                        break
+                    time.sleep(poll_s)
+                    continue
+                inflight = {x.future: x for x in held.values() if x.future is not None}
+                if not inflight:
+                    # Every held point is backing off before its retry.
+                    wake = min(lease.not_before for lease in held.values())
+                    time.sleep(min(WAIT_TICK_S, max(0.0, wake - time.monotonic())))
+                else:
+                    finished, _ = wait(inflight, timeout=WAIT_TICK_S, return_when=FIRST_COMPLETED)
+                    died = [
+                        future.exception()
+                        for future in finished
+                        if isinstance(future.exception(), BrokenProcessPool)
+                    ]
+                    if died:
+                        # The culprit cannot be identified: every pooled
+                        # attempt is settled (finished ones normally) and
+                        # the rest re-run on a fresh pool.
+                        rebuild_pool(f"worker process died: {died[0]}")
+                    else:
+                        for future in finished:
+                            harvest(inflight[future])
+                        now = time.monotonic()
+                        overdue = [
+                            lease
+                            for lease in held.values()
+                            if lease.future is not None
+                            and not lease.future.done()
+                            and lease.deadline <= now
+                        ]
+                        if overdue:
+                            names = ", ".join(repr(lease.point.name) for lease in overdue)
+                            trace_event("batch.watchdog", overdue=len(overdue), points=names)
+                            rebuild_pool(
+                                "worker evicted by watchdog "
+                                f"(pool torn down to kill overdue point(s) {names})",
+                                {lease.point.digest for lease in overdue},
+                            )
+                if held and time.monotonic() - last_beat >= heartbeat_s:
+                    store.heartbeat(campaign, list(held))
+                    last_beat = time.monotonic()
+            clean = True
+        except _StopRequested as stop:
+            tally.stopped_by_signal = stop.signum
+            if pool is not None:
+                _terminate_worker_processes(pool)
+            for digest, lease in held.items():
+                if release_on_stop:
+                    tally.released += store.release(campaign, digest, owner)
+                else:
+                    message = _point_error_message(
+                        lease.point.name, digest, "interrupted: terminated by signal"
                     )
-                    trace_event("batch.watchdog", overdue=len(overdue), points=names)
-                    rebuild_pool(
-                        "worker evicted by watchdog "
-                        f"(pool torn down to kill overdue point(s) {names})",
-                        overdue=overdue,
-                    )
-        clean = True
-    except _StopRequested:
-        _terminate_worker_processes(executor)
-        if on_stop is not None:
-            for index in pending.values():
-                on_stop(index)
-        pending.clear()
-        raise
-    finally:
-        executor.shutdown(wait=clean, cancel_futures=not clean)
+                    store.mark_failed(campaign, digest, message, require_owner=owner)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=clean, cancel_futures=not clean)
+    return tally
 
 
 def run_batch(
@@ -677,12 +700,13 @@ def run_batch(
     store:
         A :class:`~repro.runner.store.ResultStore` (or database path) that
         turns the batch into a durable, resumable *campaign*; ``None`` (or
-        the string ``"none"``) keeps the pure in-memory path.
+        the string ``"none"``) runs it against a throwaway store and raises
+        :class:`~repro.errors.ScenarioExecutionError` for the first failed
+        point (in input order) once every point has run.
     campaign:
         Campaign name within the store (default ``"batch"``).
     retries:
-        How often a failed point is re-attempted within this run
-        (store-backed campaigns only).
+        How often a failed point is re-attempted within this run.
     timeout_s:
         Per-point wall-clock budget.  In parallel runs a parent-side
         watchdog terminates workers whose point overruns it (status
@@ -692,23 +716,21 @@ def run_batch(
         attempt with deterministic jitter (:func:`retry_backoff_delay`).
         ``0`` (default) retries immediately, preserving prior behaviour.
     heartbeat_s:
-        Campaign-mode cadence for refreshing this driver's ``running``-row
-        heartbeats and scanning for stale rows abandoned by dead drivers.
+        Cadence for refreshing the heartbeats of this run's leases.
     stale_after_s:
-        Heartbeat age beyond which another driver's ``running`` row counts
-        as abandoned and is reclaimed (then re-enqueued if it belongs to
-        this fleet).
+        Heartbeat age beyond which another owner's ``running`` row of this
+        fleet counts as abandoned and is adopted by this run.
     warm_hints:
         Optional warm-start wiring: maps a scenario name to
         ``(neighbour_name, exact_prefix)`` -- when the point starts, its
-        neighbour's finished placement (from this run or, in campaigns,
-        from done store rows of earlier runs) is offered to the solver as
-        a warm start.  Strictly best-effort and out-of-band: hints never
-        enter spec digests, a missing neighbour means a cold solve, and
+        neighbour's finished placement (from this run or from done store
+        rows of earlier runs) is offered to the solver as a warm start.
+        Strictly best-effort and out-of-band: hints never enter spec
+        digests, a missing neighbour means a cold solve, and
         ``exact_prefix`` must only be set when the neighbour differs
         solely by a smaller ``n_modules`` (the greedy replay contract).
-        In campaigns the wiring is also persisted on the enrolled rows so
-        detached fleet workers pick the same hints up.
+        The wiring is persisted on the enrolled rows, so detached fleet
+        workers pick the same hints up.
 
     Example
     -------
@@ -755,10 +777,6 @@ def run_batch(
     faults.configure_from_env()
 
     stage_cache = resolve_cache(cache, enabled=use_cache)
-    # Workers reconstruct their cache handle from (dir, flag); the effective
-    # flag honours both the handle's own state and the use_cache argument so
-    # a disabled handle can never resurrect as an enabled default-dir cache.
-    use_cache = stage_cache.enabled
 
     if jobs is None:
         jobs = min(len(specs), os.cpu_count() or 1)
@@ -766,81 +784,62 @@ def run_batch(
     if not parallel:
         jobs = 1
 
+    name = campaign if campaign else DEFAULT_CAMPAIGN
     result_store = resolve_store(store)
-    owns_store = result_store is not None and not isinstance(store, ResultStore)
-
-    # Graceful-shutdown handlers: SIGTERM (orchestrators, `timeout`, k8s)
-    # and SIGINT raise _StopRequested in the main thread, the driver marks
-    # every in-flight point ``failed ("interrupted...")`` and kills its
-    # workers, and the finally block below still closes the store and
-    # merges trace shards -- so a terminated campaign resumes cleanly with
-    # no orphaned ``running`` rows.  Signals can only be installed from the
-    # main thread; elsewhere (tests driving batches from threads) the
-    # process keeps its existing handlers.
-    installed_handlers: List[Tuple[int, object]] = []
-    if threading.current_thread() is threading.main_thread():
-
-        def _stop_handler(signum: int, frame: object) -> None:
-            raise _StopRequested(signum)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed_handlers.append((signum, signal.signal(signum, _stop_handler)))
-            except (ValueError, OSError):  # pragma: no cover - exotic platforms
-                pass
-
+    throwaway: Optional[tempfile.TemporaryDirectory] = None
+    if result_store is None:
+        throwaway = tempfile.TemporaryDirectory(prefix="repro-batch-")
+        result_store = ResultStore(Path(throwaway.name) / "batch.sqlite")
     try:
         batch_attrs = {"n_scenarios": len(specs), "jobs": jobs}
-        if result_store is not None:
-            batch_attrs["campaign"] = campaign if campaign else DEFAULT_CAMPAIGN
+        if throwaway is None:
+            batch_attrs["campaign"] = name
         with span("batch", **batch_attrs):
             start = time.perf_counter()
-            if result_store is None:
-                results = _run_in_memory(
-                    specs,
-                    stage_cache,
-                    use_cache,
-                    jobs,
-                    timeout_s,
-                    retry_backoff_s,
-                    warm_hints=warm_hints,
+            enrolled = result_store.enroll(name, specs, warm_hints=warm_hints)
+            digests = [record.digest for record in enrolled]
+            result_store.requeue(name, digests)
+            tally = run_claim_loop(
+                result_store,
+                name,
+                stage_cache,
+                owner=new_lease_owner(),
+                pool_size=0 if jobs == 1 else jobs,
+                # Enough leases to keep every worker busy while the parent
+                # writes to the store, few enough that a huge fleet does not
+                # pile up thousands of pending futures.
+                max_leases=1 if jobs == 1 else jobs * INFLIGHT_PER_WORKER,
+                retries=retries,
+                timeout_s=timeout_s,
+                retry_backoff_s=retry_backoff_s,
+                heartbeat_s=heartbeat_s,
+                stale_after_s=stale_after_s,
+                poll_s=WAIT_TICK_S,
+                digests=digests,
+                warm_start=bool(warm_hints),
+            )
+            if tally.stopped_by_signal is not None:
+                # Surface as the interruption Python users expect; the CLI
+                # maps it to exit code 130.
+                raise KeyboardInterrupt(
+                    f"batch interrupted by signal {tally.stopped_by_signal}; "
+                    "in-flight points marked failed ('interrupted')"
                 )
-                summary: Optional[CampaignSummary] = None
-            else:
-                results, summary = _run_campaign(
-                    specs,
-                    stage_cache,
-                    use_cache,
-                    jobs,
-                    result_store,
-                    campaign if campaign else DEFAULT_CAMPAIGN,
-                    retries,
-                    timeout_s=timeout_s,
-                    retry_backoff_s=retry_backoff_s,
-                    heartbeat_s=heartbeat_s,
-                    stale_after_s=stale_after_s,
-                    warm_hints=warm_hints,
-                )
+            results, summary, failures = _collect(result_store, enrolled, tally)
             runtime = time.perf_counter() - start
-    except _StopRequested as stop:
-        # Surface as the interruption Python users expect; the CLI maps it
-        # to exit code 130.
-        raise KeyboardInterrupt(
-            f"batch interrupted by signal {stop.signum}; "
-            "in-flight points marked failed ('interrupted')"
-        ) from None
     finally:
-        for signum, previous in installed_handlers:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        if owns_store:
+        if not isinstance(store, ResultStore):
             result_store.close()
+        if throwaway is not None:
+            throwaway.cleanup()
         # Fold worker trace shards into the single merged trace; a no-op
-        # while tracing is disabled.  The pool has drained by now (the
-        # drivers shut their executors down), so every shard is complete.
+        # while tracing is disabled.  The pool has drained by now, so every
+        # shard is complete.
         merge_active_trace()
+
+    if throwaway is not None and failures:
+        first = failures[0]
+        raise ScenarioExecutionError(first.error, scenario=first.name, digest=first.digest)
 
     path: Optional[Path] = None
     if results_path is not None:
@@ -853,287 +852,60 @@ def run_batch(
         jobs=jobs,
         results_path=path,
         cache_dir=stage_cache.root if stage_cache.enabled else None,
-        campaign=summary,
+        campaign=summary if throwaway is None else None,
     )
 
 
-def _run_in_memory(
-    specs: Sequence[ScenarioSpec],
-    stage_cache: StageCache,
-    use_cache: bool,
-    jobs: int,
-    timeout_s: Optional[float] = None,
-    retry_backoff_s: float = 0.0,
-    warm_hints: Optional[Mapping[str, Tuple[str, bool]]] = None,
-) -> List[ScenarioResult]:
-    """The classic one-pass batch: any scenario failure aborts the run.
+def _collect(
+    store: ResultStore, enrolled: Sequence[PointRecord], tally: LoopTally
+) -> Tuple[List[ScenarioResult], CampaignSummary, List[PointRecord]]:
+    """A batch's results in input order, its summary, and its failed rows.
 
-    The failure is wrapped in a :class:`ScenarioExecutionError` naming the
-    point (scenario name + content digest) instead of surfacing a bare
-    worker traceback.  A point exceeding ``timeout_s`` is a failure too --
-    without a store there is nothing to retry against.
+    Points this run computed come from the loop's tally, the rest from the
+    store.  Counts cover *this fleet's* digests only (a campaign may hold
+    further points; `repro campaign status` shows those).  ``degraded``
+    counts done points answered by a fallback solver, computed or not.
     """
-    del retry_backoff_s  # no retries without a store; accepted for symmetry
-    records: List[Optional[dict]] = [None] * len(specs)
-    index_by_name = {spec.name: index for index, spec in enumerate(specs)}
-
-    def warm_hint_for(index: int) -> Optional[dict]:
-        if not warm_hints:
-            return None
-        target = warm_hints.get(specs[index].name)
-        if target is None:
-            return None
-        neighbour_name, exact_prefix = target
-        neighbour = index_by_name.get(neighbour_name)
-        record = records[neighbour] if neighbour is not None else None
-        if not record or not record.get("placement"):
-            return None
-        return {
-            "placement": dict(record["placement"]),
-            "exact_prefix": bool(exact_prefix),
-            "source": neighbour_name,
-        }
-
-    def on_start(index: int) -> None:
-        pass
-
-    def on_done(index: int, record: dict, wall_time_s: float) -> None:
-        records[index] = record
-
-    def on_error(index: int, error: str, traceback_text: str) -> Optional[float]:
-        name = specs[index].name
-        digest = scenario_content_digest(specs[index])
-        message = _point_error_message(name, digest, error)
-        if traceback_text:
-            message = f"{message}\n{traceback_text}"
-        raise ScenarioExecutionError(message, scenario=name, digest=digest)
-
-    def on_interrupted(index: int, error: str) -> Optional[float]:
-        return on_error(index, error, "")
-
-    def on_timeout(index: int) -> Optional[float]:
-        return on_error(
-            index, f"timed out: exceeded wall-clock budget of {timeout_s:g}s", ""
-        )
-
-    _drive_points(
-        range(len(specs)),
-        specs,
-        stage_cache,
-        use_cache,
-        jobs,
-        on_start,
-        on_done,
-        on_error,
-        on_interrupted,
-        on_timeout=on_timeout,
-        timeout_s=timeout_s,
-        warm_hint_for=warm_hint_for if warm_hints else None,
-    )
-    return [ScenarioResult.from_dict(record) for record in records]
-
-
-def _run_campaign(
-    specs: Sequence[ScenarioSpec],
-    stage_cache: StageCache,
-    use_cache: bool,
-    jobs: int,
-    store: ResultStore,
-    campaign: str,
-    retries: int,
-    timeout_s: Optional[float] = None,
-    retry_backoff_s: float = 0.0,
-    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    stale_after_s: float = DEFAULT_STALE_AFTER_S,
-    warm_hints: Optional[Mapping[str, Tuple[str, bool]]] = None,
-) -> Tuple[List[ScenarioResult], CampaignSummary]:
-    """Store-backed execution: enroll, skip done, retry failures, account."""
-    enrolled = store.enroll(campaign, specs, warm_hints=warm_hints)
-    store.reset_running(campaign)
-    digests = [record.digest for record in enrolled]
-    index_by_digest = {digest: index for index, digest in enumerate(digests)}
-    index_by_name = {spec.name: index for index, spec in enumerate(specs)}
-
-    def warm_hint_for(index: int) -> Optional[dict]:
-        if not warm_hints:
-            return None
-        target = warm_hints.get(specs[index].name)
-        if target is None:
-            return None
-        neighbour_name, exact_prefix = target
-        neighbour = index_by_name.get(neighbour_name)
-        if neighbour is None:
-            return None
-        placement: Optional[dict] = None
-        if neighbour in computed:
-            placement = dict(computed[neighbour].placement)
-        else:
-            # A resumed campaign may hold the neighbour from an earlier run.
-            record = store.find_done(digests[neighbour])
-            if record is not None:
-                placement = dict(record.result().placement)
-        if not placement:
-            return None
-        return {
-            "placement": placement,
-            "exact_prefix": bool(exact_prefix),
-            "source": neighbour_name,
-        }
-
-    todo = [i for i, record in enumerate(enrolled) if record.status != STATUS_DONE]
+    campaign = enrolled[0].campaign
+    computed = {
+        record.digest: ScenarioResult.from_dict(tally.results[record.digest])
+        for record in enrolled
+        if record.digest in tally.results
+    }
+    computed_results = list(computed.values())
     summary = CampaignSummary(
         campaign=campaign,
-        n_points=len(specs),
-        skipped=len(specs) - len(todo),
+        n_points=len(enrolled),
+        computed=len(computed),
+        skipped=sum(record.status == STATUS_DONE for record in enrolled),
+        retried=tally.retried,
+        reclaimed=tally.adopted,
+        stage_hits=count_stage_flags(computed_results, cached=True),
+        stage_recomputes=count_stage_flags(computed_results, cached=False),
+        stage_hit_time_s={
+            stage: round(seconds, 6)
+            for stage, seconds in sum_stage_times(computed_results, cached=True).items()
+        },
+        stage_recompute_time_s={
+            stage: round(seconds, 6)
+            for stage, seconds in sum_stage_times(computed_results, cached=False).items()
+        },
     )
-    attempts_this_run: Dict[int, int] = {}
-    interruptions: Dict[int, int] = {}
-    computed: Dict[int, ScenarioResult] = {}
-
-    def backoff(index: int) -> float:
-        return retry_backoff_delay(
-            retry_backoff_s, attempts_this_run.get(index, 1) - 1, digests[index]
-        )
-
-    def on_start(index: int) -> None:
-        store.mark_running(campaign, digests[index])
-
-    def on_done(index: int, record: dict, wall_time_s: float) -> None:
-        store.mark_done(campaign, digests[index], record, wall_time_s)
-        computed[index] = ScenarioResult.from_dict(record)
-
-    def on_error(index: int, error: str, traceback_text: str) -> Optional[float]:
-        message = _point_error_message(specs[index].name, digests[index], error)
-        if traceback_text:
-            message = f"{message}\n{traceback_text}"
-        store.mark_failed(campaign, digests[index], message)
-        attempt = attempts_this_run.get(index, 0)
-        if attempt < retries:
-            attempts_this_run[index] = attempt + 1
-            summary.retried += 1
-            return backoff(index)
-        return None
-
-    def on_timeout(index: int) -> Optional[float]:
-        # Terminal state is ``timed_out`` (distinct from ``failed``), but a
-        # timed-out point still draws on the same retry budget -- transient
-        # load spikes deserve another attempt.
-        message = _point_error_message(
-            specs[index].name,
-            digests[index],
-            f"timed out: exceeded wall-clock budget of {timeout_s:g}s",
-        )
-        store.mark_timed_out(campaign, digests[index], message)
-        attempt = attempts_this_run.get(index, 0)
-        if attempt < retries:
-            attempts_this_run[index] = attempt + 1
-            summary.retried += 1
-            return backoff(index)
-        return None
-
-    def on_interrupted(index: int, error: str) -> Optional[float]:
-        # A worker death poisons every in-flight future, so most casualties
-        # are innocent bystanders of the culprit point (which cannot be
-        # identified).  Re-enqueue them without charging the error-retry
-        # budget, but bound the free passes so a point that deterministically
-        # kills its worker (e.g. per-point OOM) cannot loop forever.
-        message = _point_error_message(specs[index].name, digests[index], error)
-        store.mark_failed(campaign, digests[index], message)
-        count = interruptions.get(index, 0) + 1
-        interruptions[index] = count
-        if count <= retries + 1:
-            summary.retried += 1
-            return retry_backoff_delay(retry_backoff_s, count - 1, digests[index])
-        return None
-
-    def on_stop(index: int) -> None:
-        # Signal-time marking: the point was in flight when SIGTERM/SIGINT
-        # landed.  The literal "interrupted" makes these rows discoverable
-        # (and reclaimable by `campaign doctor` / the next resume).
-        store.mark_failed(
-            campaign,
-            digests[index],
-            _point_error_message(
-                specs[index].name, digests[index], "interrupted: terminated by signal"
-            ),
-        )
-
-    last_beat = [float("-inf")]
-
-    def on_tick(inflight: Set[int]) -> Sequence[int]:
-        # Liveness bookkeeping, rate-limited to the heartbeat cadence: (1)
-        # refresh our own running rows so concurrent drivers never reclaim
-        # them, (2) reclaim rows whose owner went silent and adopt the ones
-        # that belong to this fleet.
-        now = time.monotonic()
-        if now - last_beat[0] < heartbeat_s:
-            return ()
-        last_beat[0] = now
-        if inflight:
-            store.heartbeat(campaign, [digests[index] for index in inflight])
-        adopted: List[int] = []
-        for digest in store.reclaim_stale(campaign, stale_after_s):
-            index = index_by_digest.get(digest)
-            if index is None or index in computed or index in inflight:
-                continue
-            summary.reclaimed += 1
-            adopted.append(index)
-        return adopted
-
-    _drive_points(
-        todo,
-        specs,
-        stage_cache,
-        use_cache,
-        jobs,
-        on_start,
-        on_done,
-        on_error,
-        on_interrupted,
-        on_timeout=on_timeout,
-        on_stop=on_stop,
-        on_tick=on_tick,
-        timeout_s=timeout_s,
-        warm_hint_for=warm_hint_for if warm_hints else None,
-    )
-
-    summary.computed = len(computed)
-    computed_results = [computed[i] for i in sorted(computed)]
-    summary.stage_hits = count_stage_flags(computed_results, cached=True)
-    summary.stage_recomputes = count_stage_flags(computed_results, cached=False)
-    summary.stage_hit_time_s = {
-        stage: round(seconds, 6)
-        for stage, seconds in sum_stage_times(computed_results, cached=True).items()
-    }
-    summary.stage_recompute_time_s = {
-        stage: round(seconds, 6)
-        for stage, seconds in sum_stage_times(computed_results, cached=False).items()
-    }
-
-    # Assemble results in input order -- freshly computed points from this
-    # run, previously-done points reloaded from the store -- and count
-    # done/timed_out/failed over *this fleet's* digests (a campaign may
-    # hold further points from earlier enrollments; `repro campaign status`
-    # shows those).  ``degraded`` counts done points answered by a fallback
-    # solver, whether computed now or reloaded.
     results: List[ScenarioResult] = []
-    for index, digest in enumerate(digests):
-        if index in computed:
-            summary.done += 1
-            if computed[index].degraded:
-                summary.degraded += 1
-            results.append(computed[index])
-            continue
-        record = store.point(campaign, digest)
-        if record.status == STATUS_DONE:
-            summary.done += 1
-            if record.degraded:
-                summary.degraded += 1
-            results.append(record.result())
-        elif record.status == STATUS_TIMED_OUT:
-            summary.timed_out += 1
-        else:
-            summary.failed += 1
+    failures: List[PointRecord] = []
+    for record in enrolled:
+        result = computed.get(record.digest)
+        if result is None:
+            row = store.point(campaign, record.digest)
+            if row.status != STATUS_DONE:
+                failures.append(row)
+                continue
+            result = row.result()
+        results.append(result)
+    summary.done = len(results)
+    summary.degraded = sum(1 for result in results if result.degraded)
+    summary.timed_out = sum(1 for row in failures if row.status == STATUS_TIMED_OUT)
+    summary.failed = len(failures) - summary.timed_out
 
     # Persist this run's latency rollups so `repro campaign status` can
     # render a per-stage p50/p90/p99 table long after the run finished.
@@ -1141,7 +913,7 @@ def _run_campaign(
     # samples, and the previous run's rows stay the latest.
     if computed_results:
         store.record_metrics(campaign, _campaign_metric_rows(computed_results, summary))
-    return results, summary
+    return results, summary, failures
 
 
 def _campaign_metric_rows(

@@ -17,12 +17,11 @@ plus the scenario's stage-cache content digest
     Per-point accounting: how often the point was started, how long the
     successful run took, and the last failure text.
 ``lease_owner`` / ``heartbeat_ts``
-    Liveness of ``running`` rows: which driver (``host:pid``) claimed the
-    point and when that driver last proved it was still alive.  A row whose
-    heartbeat goes stale is *reclaimed* -- flipped to ``failed`` so it
-    retries -- both at enroll time and periodically during execution
-    (:meth:`ResultStore.reclaim_stale`), the groundwork for the ROADMAP's
-    multi-host campaign execution.
+    Liveness of ``running`` rows: which claim loop (``host:pid#n``) holds
+    the point and when that loop last proved it was still alive.  A row
+    whose heartbeat goes stale is *adopted* by the next
+    :meth:`ResultStore.claim_next_pending` (``campaign doctor`` can also
+    demote it to ``failed``).
 ``degraded`` / ``fallback_solver``
     Result provenance mirrored out of the ``done`` payload: whether the
     point's configured solver failed and a fallback chain produced a
@@ -32,11 +31,11 @@ plus the scenario's stage-cache content digest
     dictionary, so ``repro campaign resume`` can rebuild the work list from
     the store alone -- no original command line or plan file needed.
 
-Within one driver, the store is written only by the parent (campaign-
-driving) process; worker *pool* processes never touch it, so a dying
-worker cannot corrupt campaign state.  Across drivers the store doubles as
-a shared work queue: every write runs in its own ``BEGIN IMMEDIATE``
-transaction (the write lock is taken up front, so a read-modify-write like
+Within one claim loop, the store is written only by the loop's own
+process; worker *pool* processes never touch it, so a dying worker cannot
+corrupt campaign state.  Across loops the store is the shared work queue:
+every write runs in its own ``BEGIN IMMEDIATE`` transaction (the write
+lock is taken up front, so a read-modify-write like
 :meth:`ResultStore.claim_next_pending` or
 :meth:`ResultStore.reclaim_stale` can never interleave with a competing
 driver's), every connection sets ``PRAGMA busy_timeout``, and contended
@@ -51,6 +50,7 @@ consumer (sweep aggregation, reports) works unchanged.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -112,8 +112,7 @@ BUSY_TIMEOUT_MS = 5000
 DEFAULT_HEARTBEAT_S = 5.0
 
 #: Default age after which a ``running`` row with no heartbeat counts as
-#: abandoned by a dead driver/worker and becomes eligible for reclamation
-#: (:meth:`ResultStore.reclaim_stale`) or adoption
+#: abandoned by a dead claim loop and becomes eligible for adoption
 #: (:meth:`ResultStore.claim_next_pending`).
 DEFAULT_STALE_AFTER_S = 60.0
 
@@ -145,6 +144,7 @@ CREATE TABLE IF NOT EXISTS points (
     PRIMARY KEY (campaign, digest)
 );
 CREATE INDEX IF NOT EXISTS idx_points_status ON points (campaign, status);
+CREATE INDEX IF NOT EXISTS idx_points_digest ON points (digest, status);
 CREATE TABLE IF NOT EXISTS metrics (
     campaign TEXT NOT NULL,
     run_id INTEGER NOT NULL,
@@ -160,6 +160,15 @@ CREATE TABLE IF NOT EXISTS metrics (
     created_at REAL NOT NULL,
     PRIMARY KEY (campaign, run_id, kind, name)
 );
+"""
+
+#: The content-digest memo lookup behind :meth:`ResultStore.find_done`,
+#: served by ``idx_points_digest`` rather than a table scan.
+_FIND_DONE_SQL = """
+SELECT * FROM points
+WHERE digest=? AND status='done'
+ORDER BY updated_at DESC
+LIMIT 1
 """
 
 #: Metric row kinds persisted by the campaign runner.  ``stage_time`` rows
@@ -184,8 +193,31 @@ def default_store_path() -> Path:
 
 
 def default_lease_owner() -> str:
-    """The ``host:pid`` identity this driver writes into ``lease_owner``."""
+    """This process's bare ``host:pid`` identity (no claim loop leases under it)."""
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+_LOOP_IDS = itertools.count(1)
+
+
+def new_lease_owner() -> str:
+    """A lease owner unique to one claim loop: ``host:pid#n``.
+
+    Two loops in one process (say, batches run from two threads) must not
+    share an owner, or the lease fence could not tell their marks apart.
+    """
+    return f"{default_lease_owner()}#{next(_LOOP_IDS)}"
+
+
+def _digest_scope(digests: Optional[Sequence[str]]) -> Tuple[str, Tuple[str, ...]]:
+    """SQL restricting a ``points`` query to ``digests`` (``None``: no filter).
+
+    The digests travel as one JSON parameter read through ``json_each``, so
+    a large sweep never hits SQLite's bound-parameter limit.
+    """
+    if digests is None:
+        return "", ()
+    return " AND digest IN (SELECT value FROM json_each(?))", (json.dumps(list(digests)),)
 
 
 @dataclass(frozen=True)
@@ -644,11 +676,11 @@ class ResultStore:
     def mark_running(
         self, campaign: str, digest: str, lease_owner: Optional[str] = None
     ) -> None:
-        """Claim a point for execution (increments its attempt count).
+        """Stamp a point ``running`` for one more attempt (``attempts + 1``).
 
-        Stamps the claiming driver's identity and a fresh heartbeat so the
-        row's liveness is observable (:meth:`heartbeat`,
-        :meth:`reclaim_stale`).
+        Records the owner's identity and a fresh heartbeat so the row's
+        liveness is observable (:meth:`heartbeat`); the claim loop re-stamps
+        a point this way before each retry under its lease.
         """
         now = time.time()
         owner = lease_owner if lease_owner is not None else default_lease_owner()
@@ -675,6 +707,7 @@ class ResultStore:
         owner: Optional[str] = None,
         stale_after_s: float = DEFAULT_STALE_AFTER_S,
         now: Optional[float] = None,
+        digests: Optional[Sequence[str]] = None,
     ) -> Optional[ClaimedPoint]:
         """Atomically claim the next runnable point for ``owner``.
 
@@ -693,25 +726,27 @@ class ResultStore:
         points (enqueued by ``repro serve`` for a waiting caller) ahead of
         ``batch`` ones — and by enrollment ``position`` within a tier, so a
         store whose rows all share one priority claims in exactly the
-        pre-priority order.
+        pre-priority order.  ``digests`` restricts the claim to those
+        points (a batch claims only its own; a fleet worker takes any).
         """
         now = time.time() if now is None else now
         owner = owner if owner is not None else default_lease_owner()
         cutoff = now - stale_after_s
+        scope, scope_params = _digest_scope(digests)
 
         def operate(conn: sqlite3.Connection) -> Optional[ClaimedPoint]:
             row = conn.execute(
-                """
+                f"""
                 SELECT digest, status FROM points
                 WHERE campaign=?
                   AND (status='pending'
                        OR (status='running'
-                           AND COALESCE(heartbeat_ts, updated_at) < ?))
+                           AND COALESCE(heartbeat_ts, updated_at) < ?)){scope}
                 ORDER BY (CASE priority WHEN 'interactive' THEN 0 ELSE 1 END),
                          position
                 LIMIT 1
                 """,
-                (campaign, cutoff),
+                (campaign, cutoff, *scope_params),
             ).fetchone()
             if row is None:
                 return None
@@ -733,6 +768,32 @@ class ResultStore:
 
         with span("store.claim", campaign=campaign, owner=owner):
             return self._write(operate, key=campaign)
+
+    def requeue(self, campaign: str, digests: Sequence[str]) -> int:
+        """Return ``digests``' unfinished rows to ``pending``; a run's resume step.
+
+        ``failed`` and ``timed_out`` rows go back to the queue, and so do
+        ``running`` rows leased under this process's bare
+        :func:`default_lease_owner` identity: no claim loop leases under
+        it, so such a row is an orphan.  Rows leased by anyone else are left
+        alone -- a live owner finishes them, a dead one's lease goes stale
+        and the next claim adopts it.  Returns the number of rows requeued.
+        """
+        scope, scope_params = _digest_scope(digests)
+        cursor = self._write(
+            lambda conn: conn.execute(
+                f"""
+                UPDATE points
+                SET status='pending', lease_owner=NULL, heartbeat_ts=NULL, updated_at=?
+                WHERE campaign=?{scope}
+                  AND (status IN ('failed', 'timed_out')
+                       OR (status='running' AND lease_owner=?))
+                """,
+                (time.time(), campaign, *scope_params, default_lease_owner()),
+            ),
+            key=campaign,
+        )
+        return cursor.rowcount
 
     def release(self, campaign: str, digest: str, owner: str) -> bool:
         """Hand an in-flight claim back to the queue (``running -> pending``).
@@ -759,11 +820,10 @@ class ResultStore:
         return cursor.rowcount > 0
 
     def heartbeat(self, campaign: str, digests: Sequence[str]) -> int:
-        """Refresh the heartbeat of this driver's in-flight ``running`` rows.
+        """Refresh the heartbeat of a claim loop's ``running`` rows.
 
         Returns the number of rows touched.  Called periodically by the
-        campaign driver so its claims never look stale to
-        :meth:`reclaim_stale` (its own or a sibling driver's).
+        claim loop so its leases never look stale to another loop's claim.
         """
         digests = list(digests)
         if not digests:
@@ -989,15 +1049,7 @@ class ResultStore:
         *any* campaign that ever completed a semantically identical scenario
         can answer for it -- a pure read, the pipeline is never touched.
         """
-        row = self._conn.execute(
-            """
-            SELECT * FROM points
-            WHERE digest=? AND status='done'
-            ORDER BY updated_at DESC
-            LIMIT 1
-            """,
-            (digest,),
-        ).fetchone()
+        row = self._conn.execute(_FIND_DONE_SQL, (digest,)).fetchone()
         return None if row is None else self._record(row)
 
     def warm_hint(self, record: PointRecord) -> Optional[dict]:
@@ -1026,18 +1078,21 @@ class ResultStore:
             "source": neighbour.name,
         }
 
-    def queue_depth(self, campaign: str) -> int:
+    def queue_depth(self, campaign: str, digests: Optional[Sequence[str]] = None) -> int:
         """Number of not-yet-terminal rows (``pending`` + ``running``).
 
         The admission-control figure: ``repro serve`` rejects new work
-        (``429``) while this exceeds its ``--max-queue``.
+        (``429``) while this exceeds its ``--max-queue``.  A claim loop
+        with nothing left to claim waits while it is nonzero (``digests``
+        restricts the count to a batch's own points).
         """
+        scope, scope_params = _digest_scope(digests)
         row = self._conn.execute(
-            """
+            f"""
             SELECT COUNT(*) AS n FROM points
-            WHERE campaign=? AND status IN ('pending', 'running')
+            WHERE campaign=? AND status IN ('pending', 'running'){scope}
             """,
-            (campaign,),
+            (campaign, *scope_params),
         ).fetchone()
         return int(row["n"])
 
@@ -1321,7 +1376,7 @@ class ResultStore:
     def export(self, campaign: str, path: PathLike) -> int:
         """Write the campaign's completed results as a JSONL store.
 
-        The output goes through the exact writer the in-memory batch runner
+        The output goes through the exact writer the batch runner
         uses, so it is byte-compatible with :func:`run_batch`'s
         ``results_path`` output and consumable by every downstream reader.
         Returns the number of records written.
@@ -1344,7 +1399,7 @@ def resolve_store(
 ) -> Optional[ResultStore]:
     """Normalise the ``store`` argument of the campaign entry points.
 
-    ``None`` or the string ``"none"`` select the pure in-memory path; a
+    ``None`` or the string ``"none"`` select no store (returns ``None``); a
     path opens (or creates) a store there; a backend URL such as
     ``sqlite:///results.sqlite`` is dispatched through the scheme registry
     in :mod:`repro.runner.backend`; an existing :class:`ResultStore` is

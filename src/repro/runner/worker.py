@@ -7,70 +7,50 @@ store file — cooperate with no coordinator: the store *is* the queue, and
 :meth:`~repro.runner.store.ResultStore.claim_next_pending` hands each
 point to exactly one owner per attempt.
 
-The loop per worker is claim → run → heartbeat → mark:
+A worker is :func:`~repro.runner.batch.run_claim_loop` -- the same engine
+:func:`~repro.runner.batch.run_batch` drives -- over the whole campaign
+with one lease:
 
 * **claim** — one atomic transaction takes the oldest ``pending`` row
   (``interactive``-priority rows — points enqueued by ``repro serve`` for
   a waiting caller — ahead of ``batch`` ones), or *adopts* a ``running``
-  row whose heartbeat went stale (a sibling died mid-point; no separate
-  reclaim step is needed on this path).
-* **run** — the point executes through the same
-  :func:`~repro.runner.batch.execute_point` path as every other driver.
-  By default it runs in a single-process pool so the daemon can refresh
-  its heartbeat mid-point and watchdog-kill a hung child
+  row whose heartbeat went stale (a sibling died mid-point).
+* **run** — by default in a single-process pool, so the daemon can
+  refresh its heartbeat mid-point and watchdog-kill a hung child
   (``timeout_s``); ``serial=True`` runs in-process, where the timeout is
   necessarily post hoc and no mid-point heartbeats are possible (keep
   ``stale_after_s`` comfortably above the longest point).
 * **mark** — terminal writes are *fenced* on the worker still holding the
-  lease (``require_owner``).  If a sibling adopted the point while we ran
-  it — always possible after a stall — our late result is discarded and
-  counted in ``lost_leases``.  Execution is therefore at-least-once, but
+  lease.  If a sibling adopted the point while we ran it — always possible
+  after a stall — our late result is discarded and counted in
+  ``lost_leases``.  Execution is therefore at-least-once, but
   completion-marking is at-most-once: no point ever reaches ``done``
   twice, and the merged results are identical to a serial run.
 
-Failures honour the same per-point semantics as :func:`run_batch`:
-``retries`` re-attempts with :func:`retry_backoff_delay`, ``timeout_s``
-bounds each attempt, and a *crashed* child (the ``worker.crash`` chaos
-site, an OOM kill) gets ``retries + 1`` free passes since the point's own
-code never raised.  On SIGTERM/SIGINT the worker releases its in-flight
-claim back to ``pending`` — a sibling picks it up immediately — and
-returns its summary with ``stopped_by_signal`` set.
+Failures honour the same per-point policy as :func:`run_batch`: retries
+with backoff, per-attempt timeouts, and free passes after a crashed
+child.  On SIGTERM/SIGINT the worker releases its in-flight claim back to
+``pending`` — a sibling picks it up immediately — and returns its summary
+with ``stopped_by_signal`` set.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from .. import faults
 from ..errors import ConfigurationError
-from ..scenario.spec import ScenarioSpec
 from ..telemetry import configure_from_env, merge_active_trace, span
-from .batch import (
-    WAIT_TICK_S,
-    _point_error_message,
-    _run_scenario_worker,
-    _StopRequested,
-    _terminate_worker_processes,
-    _worker_init,
-    _worker_payload,
-    execute_point,
-    retry_backoff_delay,
-)
+from .batch import run_claim_loop
 from .cache import PathLike, StageCache, resolve_cache
 from .store import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_STALE_AFTER_S,
-    ClaimedPoint,
     ResultStore,
-    default_lease_owner,
     default_store_path,
+    new_lease_owner,
     resolve_store,
 )
 
@@ -143,292 +123,6 @@ class WorkerSummary:
         }
 
 
-class _Worker:
-    """Internal driver object holding one worker's loop state."""
-
-    def __init__(
-        self,
-        campaign: str,
-        store: ResultStore,
-        worker_id: str,
-        stage_cache: StageCache,
-        use_cache: bool,
-        serial: bool,
-        retries: int,
-        timeout_s: Optional[float],
-        retry_backoff_s: float,
-        heartbeat_s: float,
-        stale_after_s: float,
-        poll_s: float,
-        max_points: Optional[int],
-        wait_for_stragglers: bool,
-        warm_start: bool = True,
-    ) -> None:
-        self.campaign = campaign
-        self.store = store
-        self.worker_id = worker_id
-        self.stage_cache = stage_cache
-        self.use_cache = use_cache
-        self.serial = serial
-        self.retries = retries
-        self.timeout_s = timeout_s
-        self.retry_backoff_s = retry_backoff_s
-        self.heartbeat_s = heartbeat_s
-        self.stale_after_s = stale_after_s
-        self.poll_s = poll_s
-        self.max_points = max_points
-        self.wait_for_stragglers = wait_for_stragglers
-        self.warm_start = warm_start
-        self.summary = WorkerSummary(campaign=campaign, worker_id=worker_id)
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    # -- pool management ----------------------------------------------------------
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=1, initializer=_worker_init
-            )
-        return self._executor
-
-    def _kill_pool(self) -> None:
-        if self._executor is not None:
-            _terminate_worker_processes(self._executor)
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def shutdown(self, terminate: bool) -> None:
-        if self._executor is None:
-            return
-        if terminate:
-            self._kill_pool()
-        else:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    # -- the loop -----------------------------------------------------------------
-
-    def run(self) -> None:
-        while True:
-            if (
-                self.max_points is not None
-                and self.summary.claimed >= self.max_points
-            ):
-                return
-            claimed = self.store.claim_next_pending(
-                self.campaign,
-                owner=self.worker_id,
-                stale_after_s=self.stale_after_s,
-            )
-            if claimed is None:
-                counts = self.store.status_counts(self.campaign)
-                if counts.get("pending", 0) == 0 and counts.get("running", 0) == 0:
-                    return  # drained: every point is terminal
-                if not self.wait_for_stragglers:
-                    return
-                # Siblings still hold running rows; wait so we can adopt
-                # their leases if they die.  A plain sleep: the SIGTERM
-                # handler interrupts it.
-                time.sleep(self.poll_s)
-                continue
-            self.summary.claimed += 1
-            if claimed.adopted:
-                self.summary.adopted += 1
-            self._run_point(claimed)
-
-    def _run_point(self, claimed: ClaimedPoint) -> None:
-        point = claimed.point
-        spec = ScenarioSpec.from_dict(point.spec_dict)
-        # Warm-start pickup: the wiring was written at enrollment, the
-        # neighbour's placement is read now -- a fleet worker claiming a
-        # point late automatically sees more finished neighbours than an
-        # eager one.  Resolved once per point: retries reuse the same hint.
-        warm_hint = self.store.warm_hint(point) if self.warm_start else None
-        error_attempts = 0
-        interrupted_passes = 0
-        try:
-            while True:
-                outcome, payload, elapsed = self._attempt(spec, point.digest, warm_hint)
-                if outcome == "ok":
-                    if self.store.mark_done(
-                        self.campaign,
-                        point.digest,
-                        payload,
-                        wall_time_s=elapsed,
-                        require_owner=self.worker_id,
-                    ):
-                        self.summary.done += 1
-                        self._account_stages(payload)
-                    else:
-                        self.summary.lost_leases += 1
-                    return
-                if outcome == "interrupted":
-                    # The child process died under the point (crash chaos
-                    # site, OOM kill).  The point's own code never raised,
-                    # so it gets retries + 1 free passes like run_batch's
-                    # pool-death recovery.
-                    if interrupted_passes < self.retries + 1:
-                        interrupted_passes += 1
-                        self._retry(point.digest, error_attempts + interrupted_passes)
-                        continue
-                    marked = self.store.mark_failed(
-                        self.campaign,
-                        point.digest,
-                        _point_error_message(
-                            point.name, point.digest, payload["error"]
-                        ),
-                        require_owner=self.worker_id,
-                    )
-                    self.summary.failed += marked
-                    self.summary.lost_leases += not marked
-                    return
-                # "error" / "timeout": charge the shared retry budget.
-                if error_attempts < self.retries:
-                    error_attempts += 1
-                    self._retry(point.digest, error_attempts + interrupted_passes)
-                    continue
-                message = _point_error_message(
-                    point.name, point.digest, payload["error"]
-                )
-                if outcome == "timeout":
-                    marked = self.store.mark_timed_out(
-                        self.campaign,
-                        point.digest,
-                        message,
-                        require_owner=self.worker_id,
-                    )
-                    self.summary.timed_out += marked
-                else:
-                    marked = self.store.mark_failed(
-                        self.campaign,
-                        point.digest,
-                        message,
-                        require_owner=self.worker_id,
-                    )
-                    self.summary.failed += marked
-                self.summary.lost_leases += not marked
-                return
-        except _StopRequested:
-            # Graceful shutdown mid-point: hand the claim straight back to
-            # the queue so a sibling picks it up without waiting for the
-            # lease to go stale.
-            if self.store.release(self.campaign, point.digest, self.worker_id):
-                self.summary.released += 1
-            raise
-
-    def _retry(self, digest: str, attempt: int) -> None:
-        """Book one re-attempt: backoff, then re-stamp the running row."""
-        self.summary.retried += 1
-        delay = retry_backoff_delay(self.retry_backoff_s, attempt - 1, digest)
-        if delay > 0.0:
-            time.sleep(delay)
-        # Re-stamping increments ``attempts`` (one row per started attempt,
-        # same accounting as run_batch) and refreshes the heartbeat.
-        self.store.mark_running(self.campaign, digest, lease_owner=self.worker_id)
-
-    def _account_stages(self, record: Dict[str, Any]) -> None:
-        for stage, hit in dict(record.get("stage_cached", {})).items():
-            bucket = self.summary.stage_hits if hit else self.summary.stage_recomputes
-            bucket[stage] = bucket.get(stage, 0) + 1
-
-    # -- one attempt --------------------------------------------------------------
-
-    def _attempt(
-        self, spec: ScenarioSpec, digest: str, warm_hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[str, Dict[str, Any], float]:
-        """Execute one attempt; returns ``(outcome, payload, elapsed_s)``.
-
-        Outcomes: ``"ok"`` (payload = result record), ``"error"`` (payload
-        = ``{"error", "traceback"}``), ``"timeout"`` (payload names the
-        budget), ``"interrupted"`` (the child process died).
-        """
-        if self.serial:
-            return self._attempt_serial(spec, warm_hint)
-        return self._attempt_pooled(spec, digest, warm_hint)
-
-    def _attempt_serial(
-        self, spec: ScenarioSpec, warm_hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[str, Dict[str, Any], float]:
-        start = time.perf_counter()
-        status, record = execute_point(
-            spec, cache=self.stage_cache, use_cache=self.use_cache, warm_hint=warm_hint
-        )
-        elapsed = time.perf_counter() - start
-        if (
-            status == "ok"
-            and self.timeout_s is not None
-            and elapsed > self.timeout_s
-        ):
-            # Post hoc by necessity: serially, the worker IS the point.
-            return (
-                "timeout",
-                {"error": f"exceeded timeout_s={self.timeout_s:g} ({elapsed:.2f}s)"},
-                elapsed,
-            )
-        return (status, record, elapsed)
-
-    def _attempt_pooled(
-        self, spec: ScenarioSpec, digest: str, warm_hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[str, Dict[str, Any], float]:
-        cache_dir = str(self.stage_cache.root) if self.stage_cache.enabled else None
-        payload = _worker_payload(
-            spec,
-            cache_dir,
-            self.use_cache,
-            self.stage_cache.mmap_arrays,
-            warm_hint=warm_hint,
-        )
-        future = self._pool().submit(_run_scenario_worker, payload)
-        start = time.monotonic()
-        deadline = None if self.timeout_s is None else start + self.timeout_s
-        last_beat = start
-        while True:
-            finished, _ = wait([future], timeout=WAIT_TICK_S)
-            now = time.monotonic()
-            if now - last_beat >= self.heartbeat_s:
-                # Mid-point proof of life so siblings never adopt a row
-                # whose worker is merely slow.
-                self.store.heartbeat(self.campaign, [digest])
-                last_beat = now
-            if finished:
-                elapsed = now - start
-                try:
-                    status, record = future.result()
-                except BrokenProcessPool:
-                    self._kill_pool()
-                    return (
-                        "interrupted",
-                        {"error": "worker process died while the point was running"},
-                        elapsed,
-                    )
-                except Exception as exc:  # transport failures (unpicklable, ...)
-                    return (
-                        "error",
-                        {
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "traceback": traceback.format_exc(),
-                        },
-                        elapsed,
-                    )
-                if status == "ok":
-                    elapsed = float(record.get("runtime_s", elapsed))
-                return (status, record, elapsed)
-            if deadline is not None and now > deadline:
-                # Real watchdog: a hung child cannot be cancelled, so the
-                # single-process pool is terminated and rebuilt lazily.
-                self._kill_pool()
-                return (
-                    "timeout",
-                    {
-                        "error": (
-                            f"exceeded timeout_s={self.timeout_s:g} "
-                            "(worker terminated)"
-                        )
-                    },
-                    now - start,
-                )
-
-
 def run_worker(
     campaign: str,
     store: Union[ResultStore, PathLike, None] = None,
@@ -454,15 +148,15 @@ def run_worker(
     module docstring for the exactly-once semantics.  Unlike
     :func:`~repro.runner.batch.run_batch` the worker never enrolls points
     (use ``repro campaign enroll`` / :meth:`ResultStore.enroll` first) and
-    never resets or reclaims rows wholesale at startup — fleets rely on
-    per-row lease adoption instead, so a late worker can join a running
-    campaign without disturbing its siblings.
+    never requeues ``failed`` rows; it takes whatever is claimable in the
+    whole campaign, so a late worker can join a running campaign (or a
+    running batch) without disturbing the other owners.
 
     Parameters mirror ``run_batch`` where they overlap; the new ones:
 
     worker_id:
-        Lease identity written into claimed rows (default ``host:pid``).
-        Must be unique across live fleet members.
+        Lease identity written into claimed rows (default ``host:pid#n``,
+        unique per loop).  Must be unique across live fleet members.
     serial:
         Run points in-process instead of a single-process pool.  Cheaper,
         but no mid-point heartbeats and only post-hoc timeouts: a serial
@@ -501,63 +195,52 @@ def run_worker(
     faults.configure_from_env()
 
     result_store = resolve_store(store if store is not None else default_store_path())
-    owns_store = not isinstance(store, ResultStore)
     stage_cache = resolve_cache(cache, enabled=use_cache)
-    use_cache = stage_cache.enabled
-    worker_id = worker_id if worker_id is not None else default_lease_owner()
-
-    driver = _Worker(
-        campaign=campaign,
-        store=result_store,
-        worker_id=worker_id,
-        stage_cache=stage_cache,
-        use_cache=use_cache,
-        serial=serial,
-        retries=retries,
-        timeout_s=timeout_s,
-        retry_backoff_s=retry_backoff_s,
-        heartbeat_s=heartbeat_s,
-        stale_after_s=stale_after_s,
-        poll_s=poll_s,
-        max_points=max_points,
-        wait_for_stragglers=wait_for_stragglers,
-        warm_start=warm_start,
-    )
-    summary = driver.summary
-
-    # Same signal discipline as run_batch: handlers only from the main
-    # thread, always restored.
-    installed_handlers = []
-    if threading.current_thread() is threading.main_thread():
-
-        def _stop_handler(signum: int, frame: object) -> None:
-            raise _StopRequested(signum)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed_handlers.append((signum, signal.signal(signum, _stop_handler)))
-            except (ValueError, OSError):  # pragma: no cover - exotic platforms
-                pass
-
+    worker_id = worker_id if worker_id is not None else new_lease_owner()
     start = time.perf_counter()
-    stopped = False
     try:
         with span("worker", campaign=campaign, worker_id=worker_id):
-            driver.run()
-    except _StopRequested as stop:
-        stopped = True
-        summary.stopped_by_signal = stop.signum
+            tally = run_claim_loop(
+                result_store,
+                campaign,
+                stage_cache,
+                owner=worker_id,
+                pool_size=0 if serial else 1,
+                max_leases=1,
+                retries=retries,
+                timeout_s=timeout_s,
+                retry_backoff_s=retry_backoff_s,
+                heartbeat_s=heartbeat_s,
+                stale_after_s=stale_after_s,
+                poll_s=poll_s,
+                max_points=max_points,
+                wait_for_stragglers=wait_for_stragglers,
+                warm_start=warm_start,
+                release_on_stop=True,
+            )
     finally:
-        summary.runtime_s = time.perf_counter() - start
-        for signum, previous in installed_handlers:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        driver.shutdown(terminate=stopped)
-        if owns_store:
+        if not isinstance(store, ResultStore):
             result_store.close()
         # Fold this worker's pool-child trace shards into the merged trace
         # (no-op while tracing is disabled).
         merge_active_trace()
+
+    summary = WorkerSummary(
+        campaign=campaign,
+        worker_id=worker_id,
+        claimed=tally.claimed,
+        adopted=tally.adopted,
+        done=len(tally.results),
+        failed=tally.failed,
+        timed_out=tally.timed_out,
+        retried=tally.retried,
+        released=tally.released,
+        lost_leases=tally.lost_leases,
+        runtime_s=time.perf_counter() - start,
+        stopped_by_signal=tally.stopped_by_signal,
+    )
+    for record in tally.results.values():
+        for stage, hit in dict(record.get("stage_cached", {})).items():
+            bucket = summary.stage_hits if hit else summary.stage_recomputes
+            bucket[stage] = bucket.get(stage, 0) + 1
     return summary

@@ -295,6 +295,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, a
+    # keep-alive client would wait for the delayed ACK before the body.
+    disable_nagle_algorithm = True
 
     # The owning server attaches the app here (see create_server).
     app: ServeApp

@@ -98,7 +98,7 @@ def run_sweep(
         path) routing the sweep through a resumable campaign: points already
         completed in an earlier run are skipped, failed points are retried
         up to ``retries`` times, and a re-run of an unchanged sweep is a
-        no-op.  ``None`` (or ``"none"``) keeps the in-memory path.
+        no-op.  ``None`` (or ``"none"``) persists nothing.
     campaign:
         Campaign name within the store; defaults to
         :attr:`SweepPlan.campaign_name` (``sweep:<plan name>``).
@@ -132,8 +132,9 @@ def run_sweep(
     ScenarioExecutionError
         For store-backed sweeps whose points still fail after retries (the
         failures stay recorded in the store, so fixing the cause and
-        re-running resumes exactly the missing points).  In-memory sweeps
-        raise on the first failing point, like :func:`repro.runner.run_batch`.
+        re-running resumes exactly the missing points).  Store-less sweeps
+        raise for the first failed point once every point has run, like
+        :func:`repro.runner.run_batch`.
     """
     points = plan.points()
     effective_timeout = timeout_s if timeout_s is not None else plan.timeout_s

@@ -29,8 +29,10 @@ from repro.runner import (
 )
 from repro.runner.batch import write_results_jsonl
 from repro.runner.store import (
+    _FIND_DONE_SQL,
     STATUS_DONE,
     STATUS_FAILED,
+    STATUS_PENDING,
     STORE_SCHEMA_VERSION,
     default_store_path,
 )
@@ -138,6 +140,16 @@ class TestResultStore:
         point = store.point("camp", record.digest)
         assert point.status == STATUS_FAILED
         assert "interrupted" in point.error
+
+    def test_find_done_is_served_by_the_digest_index(self, store):
+        """The warm-hint and memo lookup by digest alone, which the
+        ``(campaign, digest)`` key cannot serve, must not scan the table."""
+        plan = store._conn.execute(
+            f"EXPLAIN QUERY PLAN {_FIND_DONE_SQL}", ("some-digest",)
+        ).fetchall()
+        assert any("idx_points_digest" in row["detail"] for row in plan), [
+            tuple(row) for row in plan
+        ]
 
     def test_unknown_point_and_campaigns_listing(self, store):
         with pytest.raises(ConfigurationError):
@@ -408,6 +420,18 @@ class TestCampaignRun:
         (failed,) = store.points("persistent", STATUS_FAILED)
         assert failed.name == "victim"
         assert "worker process died" in failed.error
+
+    def test_batch_leaves_other_enrolled_points_alone(self, store):
+        """A batch given part of a campaign claims only its own points: the
+        rest stay ``pending`` with no attempt charged."""
+        specs = [tiny_spec(f"member-{i}") for i in range(4)]
+        store.enroll("camp", specs)
+        batch = run_batch(specs[:2], store=store, campaign="camp", parallel=False, use_cache=False)
+        assert (batch.campaign.done, batch.campaign.computed) == (2, 2)
+        by_name = {record.name: record for record in store.points("camp")}
+        for spec in specs[2:]:
+            record = by_name[spec.name]
+            assert (record.status, record.attempts) == (STATUS_PENDING, 0)
 
     def test_interrupted_running_rows_recovered_on_resume(self, store):
         spec = tiny_spec("stuck")

@@ -11,12 +11,15 @@ drained to ``done`` by the ordinary worker fleet.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -383,6 +386,29 @@ class TestAdmissionOverHTTP:
         assert health.payload["max_queue"] == 5
         service.client.plan(tiny_spec("h").to_dict())
         assert service.client.healthz().payload["queue_depth"] == 1
+
+    def test_keep_alive_requests_do_not_stall(self, make_service):
+        """Requests reusing one connection answer without waiting for a
+        delayed ACK: headers and body are written separately, so Nagle's
+        algorithm would hold the body back for tens of milliseconds."""
+        service = make_service()
+        spec = tiny_spec("kept-alive")
+        complete_point(service.store, "warm", spec)
+        host, port = service.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=15.0)
+        body = plan_body(spec)
+        durations = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("POST", "/v1/plan", body, {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                durations.append(time.perf_counter() - started)
+                assert response.status == 200 and payload["cached"] is True
+        finally:
+            connection.close()
+        assert statistics.median(durations) < 0.015, durations
 
 
 class TestPriorityTiers:

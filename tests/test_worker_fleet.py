@@ -28,7 +28,9 @@ from repro.runner import (
     ResultStore,
     StoreBackend,
     available_schemes,
+    get_solver,
     register_backend,
+    register_solver,
     resolve_store,
     run_batch,
     run_worker,
@@ -505,6 +507,70 @@ class TestRunWorker:
             run_worker("x", store=tmp_path / "s.sqlite", poll_s=0.0)
         with pytest.raises(ConfigurationError, match="max_points"):
             run_worker("x", store=tmp_path / "s.sqlite", max_points=0)
+
+
+class TestBatchAndWorkerShareACampaign:
+    def test_batch_and_worker_drain_one_campaign_exactly_once(self, tmp_path):
+        """A batch and a fleet worker draining the same campaign at the
+        same time split the points between them: each point runs once and
+        is marked ``done`` once, with results identical to a serial run."""
+
+        def paced(problem, options, suitability):
+            time.sleep(0.2)
+            return get_solver("greedy")(problem, options, suitability)
+
+        register_solver("paced-share", paced, overwrite=True)
+        specs = [tiny_spec(f"shared-{i}", solver="paced-share") for i in range(6)]
+        cache_dir = tmp_path / "cache"
+        reference = [
+            result.fingerprint()
+            for result in run_batch(specs, cache=cache_dir, parallel=False).results
+        ]
+        store_path = tmp_path / "store.sqlite"
+        enroll(store_path, "shared", specs)
+
+        summaries: dict = {}
+
+        def drain() -> None:
+            summaries["worker"] = run_worker(
+                "shared",
+                store=store_path,
+                worker_id="sharer",
+                cache=cache_dir,
+                serial=True,
+                poll_s=0.05,
+            )
+
+        worker = threading.Thread(target=drain)
+        worker.start()
+        try:
+            # Start the batch only once the worker demonstrably holds a lease.
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                with ResultStore(store_path) as store:
+                    if any(
+                        record.lease_owner == "sharer"
+                        for record in store.points("shared", STATUS_RUNNING)
+                    ):
+                        break
+                time.sleep(0.02)
+            else:
+                pytest.fail("worker never claimed a point")
+            batch = run_batch(specs, cache=cache_dir, jobs=2, store=store_path, campaign="shared")
+        finally:
+            worker.join(timeout=60.0)
+
+        assert not worker.is_alive()
+        assert summaries["worker"].done >= 1 and batch.campaign.computed >= 1
+        assert summaries["worker"].done + batch.campaign.computed == len(specs)
+        assert summaries["worker"].lost_leases == 0
+        with ResultStore(store_path) as store:
+            records = store.points("shared")
+            stored = [result.fingerprint() for result in store.results("shared")]
+        assert {record.status for record in records} == {STATUS_DONE}
+        assert sum(record.attempts for record in records) == len(specs)
+        assert [result.fingerprint() for result in batch.results] == reference
+        assert stored == reference
 
 
 # ---------------------------------------------------------------------------
