@@ -67,44 +67,39 @@ output; ``DEBUG`` adds trace/cache diagnostics on stderr).  See
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import json
 import os
 import signal
 import sys
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from . import telemetry
+from .constants import (
+    DEFAULT_HEARTBEAT_S,
+    DEFAULT_HOST,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_POLL_S,
+    DEFAULT_PORT,
+    DEFAULT_SERVE_CAMPAIGN,
+    DEFAULT_STALE_AFTER_S,
+)
 from .errors import ReproError
-from .runner.batch import run_batch
 from .runner.cache import StageCache, default_cache_dir
 from .runner.solvers import available_solvers
 from .runner.stages import PIPELINE_STAGES, run_scenario
-from .runner.store import (
-    DEFAULT_HEARTBEAT_S,
-    DEFAULT_STALE_AFTER_S,
-    METRIC_KIND_STAGE_TIME,
-    ResultStore,
-    default_store_path,
-    resolve_store,
-)
-from .runner.worker import DEFAULT_POLL_S, run_worker
 from .scenario.catalog import builtin_scenarios
 from .scenario.spec import ScenarioSpec
-from .serve.app import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    DEFAULT_SERVE_CAMPAIGN,
-    SERVE_MAX_QUEUE_ENV,
-    SERVE_PORT_ENV,
-    ServeApp,
-    create_server,
-    open_serve_store,
-)
-from .serve.queue import DEFAULT_MAX_QUEUE
-from .sweep import SweepAxis, SweepPlan, run_sweep
-from .sweep.report import available_presets, generate_report, sweep_report
 from .telemetry import emit_diagnostic, emit_err, emit_error, emit_out
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .runner.store import ResultStore
+    from .sweep import SweepAxis, SweepPlan
+
+# The handlers below import the subsystem they drive (batch driver, result
+# store, fleet worker, HTTP service, sweep engine) when they run, so a
+# process pays only for the modules its command executes.
 
 
 def _cache_from_args(args: argparse.Namespace) -> StageCache:
@@ -175,6 +170,8 @@ def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
 def _store_from_args(args: argparse.Namespace) -> "str | Path | None":
     """Resolve ``--store`` to a path, a backend URL string, or ``None``."""
     if args.store is None:
+        from .runner.store import default_store_path
+
         return default_store_path()
     if args.store.lower() == "none":
         return None
@@ -273,6 +270,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .runner.batch import run_batch
+
     if args.scenarios:
         specs = [_load_scenario(name) for name in args.scenarios]
     else:
@@ -321,6 +320,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from .runner.batch import run_batch
+
     if args.scenarios:
         specs = [_load_scenario(name) for name in args.scenarios]
     else:
@@ -352,6 +353,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_enroll(args: argparse.Namespace) -> int:
+    from .runner.store import resolve_store
+
     if args.scenarios:
         specs = [_load_scenario(name) for name in args.scenarios]
     else:
@@ -372,6 +375,8 @@ def _cmd_campaign_enroll(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
+    from .runner.worker import run_worker
+
     store = _store_from_args(args)
     if store is None:
         raise ReproError("campaign worker needs a result store (--store cannot be 'none')")
@@ -408,6 +413,14 @@ class _ServeStop(Exception):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .serve.app import (
+        SERVE_MAX_QUEUE_ENV,
+        SERVE_PORT_ENV,
+        ServeApp,
+        create_server,
+        open_serve_store,
+    )
+
     store_arg = _store_from_args(args)
     if store_arg is None:
         raise ReproError(
@@ -455,6 +468,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
+    from .runner.batch import run_batch
+    from .runner.store import resolve_store
+
     store_path = _store_from_args(args)
     if store_path is None:
         raise ReproError("campaign resume needs a result store (--store cannot be 'none')")
@@ -483,6 +499,8 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 def _print_stage_latencies(store: ResultStore, campaign: str) -> None:
     """The per-stage latency table of the campaign's latest metrics run."""
+    from .runner.store import METRIC_KIND_STAGE_TIME
+
     rows = store.metrics(campaign)
     stage_rows = {
         row["name"]: row for row in rows if row["kind"] == METRIC_KIND_STAGE_TIME
@@ -505,6 +523,8 @@ def _print_stage_latencies(store: ResultStore, campaign: str) -> None:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from .runner.store import resolve_store
+
     store_path = _store_from_args(args)
     if store_path is None:
         raise ReproError("campaign status needs a result store (--store cannot be 'none')")
@@ -599,6 +619,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_doctor(args: argparse.Namespace) -> int:
+    from .runner.store import resolve_store
+
     store_path = _store_from_args(args)
     if store_path is None:
         raise ReproError("campaign doctor needs a result store (--store cannot be 'none')")
@@ -632,6 +654,8 @@ def _cmd_campaign_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_export(args: argparse.Namespace) -> int:
+    from .runner.store import resolve_store
+
     store_path = _store_from_args(args)
     if store_path is None:
         raise ReproError("campaign export needs a result store (--store cannot be 'none')")
@@ -683,6 +707,8 @@ def _parse_axis_argument(text: str) -> SweepAxis:
     ``--axis weather.seed=1,2,3`` yields integers while
     ``--axis solver.name=greedy,traditional`` yields strings.
     """
+    from .sweep import SweepAxis
+
     path, sep, values_text = text.partition("=")
     if not sep or not path or not values_text:
         raise ReproError(f"malformed --axis {text!r}; expected path=v1,v2,...")
@@ -702,6 +728,8 @@ def _parse_axis_argument(text: str) -> SweepAxis:
 
 def _load_sweep_plan(args: argparse.Namespace) -> SweepPlan:
     """Build the sweep plan from a plan file or from --base/--axis flags."""
+    from .sweep import SweepPlan
+
     if args.plan:
         if args.base or args.axis:
             raise ReproError("pass either a plan file or --base/--axis, not both")
@@ -727,6 +755,9 @@ def _load_sweep_plan(args: argparse.Namespace) -> SweepPlan:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import run_sweep
+    from .sweep.report import sweep_report
+
     plan = _load_sweep_plan(args)
     if args.save_plan:
         plan.save(args.save_plan)
@@ -771,6 +802,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .sweep.report import generate_report
+
     kwargs: dict = {}
     if args.preset == "table1":
         from .experiments import CaseStudyConfig, Table1Config
@@ -846,6 +879,26 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly
 # ---------------------------------------------------------------------------
+
+
+class _ReportPresets(collections.abc.Sequence):
+    """The ``report --preset`` choices, read from the preset registry on use.
+
+    Building the parser must not import the sweep package that owns the
+    registry.  With an explicit ``metavar``, argparse reads ``choices`` only
+    to check a value or to print help.
+    """
+
+    def _names(self) -> List[str]:
+        from .sweep.report import available_presets
+
+        return available_presets()
+
+    def __getitem__(self, index):
+        return self._names()[index]
+
+    def __len__(self) -> int:
+        return len(self._names())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1214,8 +1267,9 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--preset",
         required=True,
-        choices=available_presets(),
-        help="which artifact to generate",
+        choices=_ReportPresets(),
+        metavar="PRESET",
+        help="which artifact to generate (%(choices)s)",
     )
     report_parser.add_argument(
         "--format",

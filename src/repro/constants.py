@@ -5,6 +5,11 @@ Stefan-Boltzmann, ...) or defaults taken directly from the DATE 2018 paper
 (grid pitch, module size, wiring characteristics, experimental site).
 Keeping them in one module makes every "magic number" of the reproduction
 traceable to its source.
+
+The last section holds the execution defaults of the campaign fleet and the
+planning service.  They live here, not in the store, worker and service
+modules that use them, because the ``repro`` argument parser shows them as
+option defaults and must not import those subsystems to do so.
 """
 
 from __future__ import annotations
@@ -141,3 +146,31 @@ DEFAULT_LINKE_TURBIDITY = 3.0
 
 #: Number of modules per series string in the paper's experiments (m = 8).
 CASE_STUDY_SERIES_LENGTH = 8
+
+# --------------------------------------------------------------------------
+# Execution defaults: campaign fleet and planning service (not from the paper)
+# --------------------------------------------------------------------------
+
+#: Default cadence of campaign heartbeats (seconds between refreshes of a
+#: driver's or worker's ``running`` rows).
+DEFAULT_HEARTBEAT_S = 5.0
+
+#: Default age after which a ``running`` row with no heartbeat counts as
+#: abandoned by a dead claim loop and becomes eligible for adoption
+#: (:meth:`repro.runner.store.ResultStore.claim_next_pending`).
+DEFAULT_STALE_AFTER_S = 60.0
+
+#: How long a worker sleeps between claim attempts while the queue is empty
+#: but siblings still hold ``running`` rows (it waits to adopt their leases
+#: should they die).
+DEFAULT_POLL_S = 1.0
+
+#: Campaign name the planning service enrolls cache misses into.
+DEFAULT_SERVE_CAMPAIGN = "serve"
+
+#: Default bind address/port of ``repro serve``.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8321
+
+#: Default bound on not-yet-terminal (pending + running) serve points.
+DEFAULT_MAX_QUEUE = 64

@@ -26,6 +26,13 @@ answer worse than the incumbent, and when the time budget expires before
 HiGHS finds a solution the incumbent itself is returned -- best-so-far
 anytime semantics with the optimality ``gap`` reported from the solver's
 dual bound.
+
+SciPy is imported inside :func:`ilp_floorplan`, not at module level: the
+ILP is the only user of SciPy, so a process that never solves one (every
+greedy ``repro run``, the service, most workers) never pays the import.
+The import runs before the solve clock starts, so the first solve in a
+process reports the same ``runtime_s`` and gets the same ``time_limit_s``
+as every later one.
 """
 
 from __future__ import annotations
@@ -35,8 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..errors import InfeasiblePlacementError, PlacementError
 from ..telemetry import span
@@ -99,6 +104,9 @@ def ilp_floorplan(
     ignored, so it can never degrade the objective -- the cutoff constraint
     guarantees the returned answer scores at least as well as the incumbent.
     """
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     cfg = config if config is not None else ILPConfig()
     start = time.perf_counter()
 

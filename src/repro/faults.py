@@ -66,7 +66,6 @@ from __future__ import annotations
 import fnmatch
 import os
 import random
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -310,6 +309,8 @@ def fire(site: str, key: str = "") -> bool:
     if site == "solver.error":
         raise InjectedFault(f"injected transient solver error (key {key!r})")
     if site == "store.io":
+        import sqlite3  # fired from store writes, which have loaded it already
+
         raise sqlite3.OperationalError(f"injected store I/O error (key {key!r})")
     # cache.corrupt: the cache layer truncates its own just-written entry.
     return True

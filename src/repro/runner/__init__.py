@@ -1,113 +1,92 @@
-"""Cached staged pipeline, solver registry, batch execution, campaign store."""
+"""Cached staged pipeline, solver registry, batch execution, campaign store.
 
-from .backend import (
-    StoreBackend,
-    available_schemes,
-    register_backend,
-    store_from_url,
-)
-from .batch import (
-    BatchResult,
-    count_stage_flags,
-    execute_point,
-    read_results_jsonl,
-    run_batch,
-    sum_stage_times,
-    write_results_jsonl,
-)
-from .cache import CacheStats, StageCache, content_digest, default_cache_dir, resolve_cache
-from .store import (
-    DEFAULT_HEARTBEAT_S,
-    DEFAULT_STALE_AFTER_S,
-    PRIORITIES,
-    PRIORITY_BATCH,
-    PRIORITY_INTERACTIVE,
-    CampaignSummary,
-    ClaimedPoint,
-    PointRecord,
-    ResultStore,
-    default_store_path,
-    resolve_store,
-)
-from .solvers import (
-    FallbackOutcome,
-    SolverEntry,
-    SolverOutcome,
-    WarmStart,
-    available_solvers,
-    get_solver,
-    get_solver_entry,
-    register_solver,
-    solve,
-    solve_with_fallback,
-)
-from .stages import (
-    PIPELINE_STAGES,
-    ScenarioResult,
-    cached_horizon_map,
-    cached_scene,
-    cached_solar_field,
-    cached_suitability,
-    cached_suitable_grid,
-    prepare_problem,
-    run_scenario,
-    scenario_content_digest,
-    solar_config_payload,
-    weather_content_key,
-)
-from .worker import DEFAULT_POLL_S, WorkerSummary, run_worker
+The public names below are re-exported lazily (PEP 562): the first access
+to, say, ``repro.runner.run_batch`` imports :mod:`repro.runner.batch`.  So
+``import repro.runner.stages`` -- all that one ``repro run`` needs -- does
+not also load the batch driver, the SQLite store, the fleet worker and the
+store backends, nor ``sqlite3`` and the process-pool machinery they import.
+"""
 
-__all__ = [
-    "CampaignSummary",
-    "ClaimedPoint",
-    "PointRecord",
-    "ResultStore",
-    "StoreBackend",
-    "available_schemes",
-    "register_backend",
-    "store_from_url",
-    "default_store_path",
-    "resolve_store",
-    "scenario_content_digest",
-    "BatchResult",
-    "PIPELINE_STAGES",
-    "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_POLL_S",
-    "DEFAULT_STALE_AFTER_S",
-    "PRIORITIES",
-    "PRIORITY_BATCH",
-    "PRIORITY_INTERACTIVE",
-    "WorkerSummary",
-    "count_stage_flags",
-    "execute_point",
-    "read_results_jsonl",
-    "run_batch",
-    "run_worker",
-    "sum_stage_times",
-    "write_results_jsonl",
-    "CacheStats",
-    "StageCache",
-    "content_digest",
-    "default_cache_dir",
-    "resolve_cache",
-    "FallbackOutcome",
-    "SolverEntry",
-    "SolverOutcome",
-    "WarmStart",
-    "available_solvers",
-    "get_solver",
-    "get_solver_entry",
-    "register_solver",
-    "solve",
-    "solve_with_fallback",
-    "ScenarioResult",
-    "cached_horizon_map",
-    "cached_scene",
-    "cached_solar_field",
-    "cached_suitability",
-    "cached_suitable_grid",
-    "prepare_problem",
-    "run_scenario",
-    "solar_config_payload",
-    "weather_content_key",
-]
+from __future__ import annotations
+
+import importlib
+from typing import Any, Dict, List
+
+#: Defining module of every public name, relative to this package.
+_EXPORTS: Dict[str, str] = {
+    name: module
+    for module, names in {
+        "..constants": ("DEFAULT_HEARTBEAT_S", "DEFAULT_POLL_S", "DEFAULT_STALE_AFTER_S"),
+        ".backend": ("StoreBackend", "available_schemes", "register_backend", "store_from_url"),
+        ".batch": (
+            "BatchResult",
+            "count_stage_flags",
+            "execute_point",
+            "read_results_jsonl",
+            "run_batch",
+            "sum_stage_times",
+            "write_results_jsonl",
+        ),
+        ".cache": (
+            "CacheStats",
+            "StageCache",
+            "content_digest",
+            "default_cache_dir",
+            "resolve_cache",
+        ),
+        ".store": (
+            "PRIORITIES",
+            "PRIORITY_BATCH",
+            "PRIORITY_INTERACTIVE",
+            "CampaignSummary",
+            "ClaimedPoint",
+            "PointRecord",
+            "ResultStore",
+            "default_store_path",
+            "resolve_store",
+        ),
+        ".solvers": (
+            "FallbackOutcome",
+            "SolverEntry",
+            "SolverOutcome",
+            "WarmStart",
+            "available_solvers",
+            "get_solver",
+            "get_solver_entry",
+            "register_solver",
+            "solve",
+            "solve_with_fallback",
+        ),
+        ".stages": (
+            "PIPELINE_STAGES",
+            "ScenarioResult",
+            "cached_horizon_map",
+            "cached_scene",
+            "cached_solar_field",
+            "cached_suitability",
+            "cached_suitable_grid",
+            "prepare_problem",
+            "run_scenario",
+            "scenario_content_digest",
+            "solar_config_payload",
+            "weather_content_key",
+        ),
+        ".worker": ("WorkerSummary", "run_worker"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -34,9 +34,9 @@ from typing import (
 )
 from urllib.parse import unquote, urlsplit
 
+from ..constants import DEFAULT_STALE_AFTER_S
 from ..errors import ConfigurationError
 from .store import (
-    DEFAULT_STALE_AFTER_S,
     ClaimedPoint,
     PointRecord,
     ResultStore,

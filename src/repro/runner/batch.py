@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .. import faults
+from ..constants import DEFAULT_HEARTBEAT_S, DEFAULT_STALE_AFTER_S
 from ..errors import ConfigurationError, ScenarioExecutionError
 from ..io.placement_json import placement_from_dict
 from ..scenario.spec import ScenarioSpec
@@ -63,8 +64,6 @@ from .cache import PathLike, StageCache, resolve_cache
 from .solvers import WarmStart
 from .stages import ScenarioResult, run_scenario
 from .store import (
-    DEFAULT_HEARTBEAT_S,
-    DEFAULT_STALE_AFTER_S,
     METRIC_KIND_COUNTER,
     METRIC_KIND_POINT_TIME,
     METRIC_KIND_STAGE_HIT_TIME,

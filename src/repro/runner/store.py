@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import faults
+from ..constants import DEFAULT_STALE_AFTER_S
 from ..errors import ConfigurationError
 from ..scenario.spec import ScenarioSpec
 from ..telemetry import MetricStats, span
@@ -106,15 +107,6 @@ WRITE_RETRY_BACKOFF_S = 0.05
 #: ``SQLITE_BUSY`` (which then enters the retry loop above).  Contended
 #: claims from a worker fleet degrade to waiting, never to errors.
 BUSY_TIMEOUT_MS = 5000
-
-#: Default cadence of campaign heartbeats (seconds between refreshes of a
-#: driver's or worker's ``running`` rows).
-DEFAULT_HEARTBEAT_S = 5.0
-
-#: Default age after which a ``running`` row with no heartbeat counts as
-#: abandoned by a dead claim loop and becomes eligible for adoption
-#: (:meth:`ResultStore.claim_next_pending`).
-DEFAULT_STALE_AFTER_S = 60.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (

@@ -41,23 +41,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from .. import faults
+from ..constants import DEFAULT_HEARTBEAT_S, DEFAULT_POLL_S, DEFAULT_STALE_AFTER_S
 from ..errors import ConfigurationError
 from ..telemetry import configure_from_env, merge_active_trace, span
 from .batch import run_claim_loop
 from .cache import PathLike, StageCache, resolve_cache
 from .store import (
-    DEFAULT_HEARTBEAT_S,
-    DEFAULT_STALE_AFTER_S,
     ResultStore,
     default_store_path,
     new_lease_owner,
     resolve_store,
 )
-
-#: How long a worker sleeps between claim attempts while the queue is empty
-#: but siblings still hold ``running`` rows (we wait to adopt their leases
-#: should they die).
-DEFAULT_POLL_S = 1.0
 
 
 @dataclass

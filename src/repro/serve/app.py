@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from urllib.parse import unquote, urlsplit
 
+from ..constants import DEFAULT_HOST, DEFAULT_MAX_QUEUE, DEFAULT_PORT, DEFAULT_SERVE_CAMPAIGN
 from ..errors import ConfigurationError, ReproError
 from ..runner.stages import scenario_content_digest
 from ..runner.store import (
@@ -44,22 +45,14 @@ from ..runner.store import (
 from ..scenario.spec import ScenarioSpec
 from ..telemetry import span
 from .queue import (
-    DEFAULT_MAX_QUEUE,
     AdmissionController,
     BadRequestError,
     normalize_priority,
 )
 
-#: Campaign name the service enrolls cache misses into (unless overridden).
-DEFAULT_SERVE_CAMPAIGN = "serve"
-
 #: Environment variables read by the CLI for serve defaults.
 SERVE_PORT_ENV = "REPRO_SERVE_PORT"
 SERVE_MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
-
-#: Default bind address/port of ``repro serve``.
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8321
 
 #: Maximum accepted request body (bytes).  A scenario document is a few KB;
 #: this guards the service against accidental uploads, not adversaries.

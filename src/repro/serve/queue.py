@@ -26,11 +26,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
+from ..constants import DEFAULT_MAX_QUEUE
 from ..errors import ReproError
 from ..runner.store import PRIORITIES, PRIORITY_INTERACTIVE
-
-#: Default bound on not-yet-terminal (pending + running) serve points.
-DEFAULT_MAX_QUEUE = 64
 
 #: Default ``Retry-After`` hint (seconds) sent with a 429 refusal.
 DEFAULT_RETRY_AFTER_S = 2.0
