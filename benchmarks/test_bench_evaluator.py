@@ -7,7 +7,9 @@ implementations, on the same paper-roof data the other benches use:
   radial steps, the tangent-space ``arctan2`` deferral and the sector
   thread pool must deliver at least 3x over the per-(sector, distance)
   shifted-copy reference (2x on single-core boxes, where the thread-pool
-  share of the budget cannot materialise), with bit-identical output;
+  share of the budget cannot materialise), with bit-identical output; the
+  roof-window call the solar stage makes must equal the whole-tile map's
+  slice (its time is printed beside the whole tile's);
 * ``PlacementEvaluator`` -- scoring a stream of overlapping placements
   (the exhaustive/ablation workload) through one shared context must be at
   least 3x faster than the per-module-loop reference evaluation;
@@ -38,7 +40,11 @@ from repro.core.constraints import feasible_anchor_mask
 from repro.core.placement import ModulePlacement, Placement
 from repro.experiments import build_problem
 from repro.pv.datasheet import PV_MF165EB3
-from repro.solar.shading import compute_horizon_map, compute_horizon_map_reference
+from repro.solar.shading import (
+    cells_window,
+    compute_horizon_map,
+    compute_horizon_map_reference,
+)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -76,6 +82,29 @@ def test_bench_horizon_kernel_speedup(case_studies):
         f"-> {speedup:.1f}x (floor {floor:.0f}x)"
     )
     assert speedup >= floor
+
+
+def test_bench_horizon_roof_window(case_studies):
+    """Roof-window horizon: the solar stage's call, equal to the whole-tile slice."""
+    study = case_studies["roof2"]
+    dsm = study.scene.dsm.raster
+    dsm_rows, dsm_cols = study.grid.dsm_indices(study.scene.dsm)
+    valid = study.grid.valid_mask
+    window = cells_window(dsm_rows[valid], dsm_cols[valid])
+    (row_lo, row_hi), (col_lo, col_hi) = window
+
+    whole = compute_horizon_map(dsm)
+    windowed = compute_horizon_map(dsm, window=window)
+    assert np.array_equal(windowed.horizon_deg, whole.horizon_deg[:, row_lo:row_hi, col_lo:col_hi])
+
+    whole_s = _best_of(lambda: compute_horizon_map(dsm), 3)
+    window_s = _best_of(lambda: compute_horizon_map(dsm, window=window), 3)
+    print(
+        f"\n[horizon window] DSM {dsm.shape}, window rows {row_lo}:{row_hi} "
+        f"cols {col_lo}:{col_hi} ({windowed.shape[0] * windowed.shape[1]} of "
+        f"{dsm.data.size} cells): whole tile {whole_s * 1e3:.1f} ms, "
+        f"window {window_s * 1e3:.1f} ms -> {whole_s / window_s:.1f}x"
+    )
 
 
 def _placement_stream(problem, count: int, pool_size: int = 48):

@@ -44,7 +44,6 @@ from ..gis import (
 )
 from ..gis.gridding import RoofGrid
 from ..solar import (
-    HorizonMap,
     RoofSolarField,
     SolarSimulationConfig,
     TimeGrid,
@@ -361,7 +360,6 @@ class CaseStudy:
     grid: RoofGrid
     weather: WeatherSeries
     solar: RoofSolarField
-    horizon: HorizonMap
 
     @property
     def n_valid(self) -> int:
@@ -381,13 +379,12 @@ def prepare_case_study(
     Section IV applied to a synthetic roof; passing the same ``weather``
     object to several roofs mimics the paper's setup where the three
     adjacent buildings share the same weather station.  With a ``cache``
-    the expensive stages (scene, suitable grid, horizon map, solar field)
+    the expensive stages (scene, suitable grid, solar field)
     are memoised on disk through :mod:`repro.runner` and reused by any later
     run -- experiments, scenarios or benchmarks -- sharing the same inputs.
     """
     from ..runner.cache import StageCache
     from ..runner.stages import (
-        cached_horizon_map,
         cached_scene,
         cached_solar_field,
         cached_suitable_grid,
@@ -403,7 +400,6 @@ def prepare_case_study(
         weather_config = SyntheticWeatherConfig(seed=cfg.weather_seed)
         weather = generate_weather(cfg.time_grid(), weather_config)
 
-    horizon, _ = cached_horizon_map(spec, scene, cfg.dsm_pitch, cfg.solar, stage_cache)
     solar, _ = cached_solar_field(
         spec,
         scene,
@@ -413,7 +409,6 @@ def prepare_case_study(
         cfg.dsm_pitch,
         cfg.grid_pitch,
         stage_cache,
-        horizon_map=horizon,
     )
     return CaseStudy(
         name=spec.name,
@@ -422,7 +417,6 @@ def prepare_case_study(
         grid=solar.grid,
         weather=weather,
         solar=solar,
-        horizon=horizon,
     )
 
 

@@ -60,7 +60,6 @@ _EXPORTS: Dict[str, str] = {
         ".stages": (
             "PIPELINE_STAGES",
             "ScenarioResult",
-            "cached_horizon_map",
             "cached_scene",
             "cached_solar_field",
             "cached_suitability",

@@ -19,9 +19,9 @@ Zero-copy array sidecars
 ------------------------
 Objects that declare a ``__cache_array_fields__`` class attribute (a tuple
 of attribute names -- e.g. the irradiance block of a
-:class:`~repro.solar.irradiance_map.RoofSolarField`, the horizon cube of a
-:class:`~repro.solar.shading.HorizonMap`) have those arrays stored as raw
-``.npy`` sidecar files next to the pickle instead of inside it.  On a hit
+:class:`~repro.solar.irradiance_map.RoofSolarField`) have those arrays
+stored as raw ``.npy`` sidecar files next to the pickle instead of inside
+it.  On a hit
 the sidecars are reattached with ``numpy.load(..., mmap_mode="r")``, so a
 fleet of batch worker processes reading the same cached solar field share
 one page-cache copy of the bulk data instead of each unpickling a private

@@ -42,7 +42,6 @@ from ..scenario.spec import (
     scene_content_payload,
 )
 from ..solar.irradiance_map import RoofSolarField, SolarSimulationConfig, compute_roof_solar_field
-from ..solar.shading import HorizonMap, compute_horizon_map
 from ..solar.time_series import TimeGrid
 from ..telemetry import span
 from ..weather.records import WeatherSeries
@@ -55,7 +54,6 @@ STAGE_SCENE = "scene"
 STAGE_GRID = "grid"
 STAGE_SOLAR = "solar"
 STAGE_SUITABILITY = "suitability"
-STAGE_HORIZON = "horizon"
 STAGE_SOLVE = "solve"
 STAGE_EVALUATE = "evaluate"
 
@@ -173,31 +171,6 @@ def cached_suitable_grid(
     )
 
 
-def cached_horizon_map(
-    roof: RoofSpec,
-    scene: RoofScene,
-    dsm_pitch: float,
-    config: SolarSimulationConfig,
-    cache: StageCache,
-) -> Tuple[HorizonMap, bool]:
-    """DSM horizon map (the dominant cost inside the solar stage)."""
-    payload = {
-        "stage": STAGE_HORIZON,
-        "scene": scene_content_payload(roof, dsm_pitch),
-        "n_sectors": config.n_horizon_sectors,
-        "max_distance_m": config.horizon_max_distance_m,
-    }
-    return cache.get_or_compute(
-        STAGE_HORIZON,
-        payload,
-        lambda: compute_horizon_map(
-            scene.dsm.raster,
-            n_sectors=config.n_horizon_sectors,
-            max_distance=config.horizon_max_distance_m,
-        ),
-    )
-
-
 def cached_solar_field(
     roof: RoofSpec,
     scene: RoofScene,
@@ -208,15 +181,8 @@ def cached_solar_field(
     grid_pitch: float,
     cache: StageCache,
     weather_key: Optional[str] = None,
-    horizon_map: Optional[HorizonMap] = None,
 ) -> Tuple[RoofSolarField, bool]:
-    """Spatio-temporal irradiance field, cached on every influencing input.
-
-    ``horizon_map`` is forwarded to the underlying simulation on a cache
-    miss, so callers that already hold the (cached) horizon map do not pay
-    for it twice; it does not participate in the content key because it is
-    itself derived from the scene + config inputs that do.
-    """
+    """Spatio-temporal irradiance field, cached on every influencing input."""
     payload = {
         "stage": STAGE_SOLAR,
         "grid": grid_content_payload(roof, dsm_pitch, grid_pitch),
@@ -226,7 +192,7 @@ def cached_solar_field(
     return cache.get_or_compute(
         STAGE_SOLAR,
         payload,
-        lambda: compute_roof_solar_field(scene, grid, weather, config, horizon_map=horizon_map),
+        lambda: compute_roof_solar_field(scene, grid, weather, config),
     )
 
 

@@ -45,7 +45,7 @@ from .clearsky import clearsky_irradiance
 from .decomposition import decompose_ghi
 from .linke import LinkeTurbidityProfile
 from .position import compute_solar_position
-from .shading import HorizonMap, compute_horizon_map
+from .shading import HorizonMap, cells_window, compute_horizon_map
 from .time_series import CompressedTimeGrid, TimeGrid
 from .transposition import plane_of_array
 
@@ -383,18 +383,21 @@ def _poa_and_shading_inputs(
         sky_model=cfg.sky_model,
     )
 
-    # 3. Shading geometry: horizon map + per-cell DSM indices.
+    # 3. Shading geometry: per-cell DSM indices + a horizon map covering them
+    # (only the valid cells' window of the DSM; the whole tile when the grid
+    # has no valid cell).
+    dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
+    cells = grid.valid_cells()
+    cell_dsm_rows = dsm_rows[cells[:, 0], cells[:, 1]]
+    cell_dsm_cols = dsm_cols[cells[:, 0], cells[:, 1]]
     if horizon_map is None:
         horizon_map = compute_horizon_map(
             scene.dsm.raster,
             n_sectors=cfg.n_horizon_sectors,
             max_distance=cfg.horizon_max_distance_m,
+            window=cells_window(cell_dsm_rows, cell_dsm_cols),
         )
-    dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
-    cells = grid.valid_cells()
-    cell_dsm_rows = dsm_rows[cells[:, 0], cells[:, 1]]
-    cell_dsm_cols = dsm_cols[cells[:, 0], cells[:, 1]]
-    sky_view = horizon_map.sky_view_factor()[cell_dsm_rows, cell_dsm_cols]
+    sky_view = horizon_map.sky_view_for_cells(cell_dsm_rows, cell_dsm_cols)
 
     return time_grid, position, poa, horizon_map, cells, cell_dsm_rows, cell_dsm_cols, sky_view
 
@@ -420,9 +423,11 @@ def compute_roof_solar_field(
     config:
         Simulation options.
     horizon_map:
-        Pre-computed horizon map of the scene DSM; computed on the fly when
-        omitted (the dominant cost for large scenes, so callers running
-        several experiments on the same roof should pass it in).
+        Pre-computed horizon map of the scene DSM, covering at least the
+        DSM cells of the grid's valid elements.  When omitted it is
+        computed for exactly those cells' bounding window of the DSM, not
+        the whole tile; obstructions still come from the whole tile, so the
+        field is bit-identical either way.
 
     Notes
     -----

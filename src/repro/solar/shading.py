@@ -10,7 +10,9 @@ time steps would be prohibitively slow, so this module uses the classic
    sectors, pre-compute the elevation angle of the local horizon (the
    highest obstruction seen from that cell in that direction).  This is a
    one-off O(cells x sectors x ray-length) computation, fully vectorised
-   over the cells.
+   over the cells.  The solar stage only needs the cells under the roof, so
+   it computes the map for their bounding window of the DSM, reading
+   obstructions from the whole tile.
 2. **Shadow test** -- at any time step, a cell is in shadow exactly when the
    sun elevation is below the cell's horizon angle in the sun's azimuth
    sector.  This reduces per-time-step shading to an array lookup and a
@@ -37,6 +39,11 @@ from ..geometry import Raster
 class HorizonMap:
     """Per-cell horizon elevation angles over a set of azimuth sectors.
 
+    The map covers either the whole DSM tile or a rectangular window of it
+    (see :func:`compute_horizon_map`); the per-cell queries
+    (:meth:`lit_mask_for_cells`, :meth:`sky_view_for_cells`) take DSM
+    indices either way.
+
     Attributes
     ----------
     sector_azimuths_deg:
@@ -44,18 +51,18 @@ class HorizonMap:
         covering the full circle.
     horizon_deg:
         Array of shape ``(n_sectors, n_rows, n_cols)`` with the horizon
-        elevation angle seen from each cell in each sector.
+        elevation angle seen from each cell of the window in each sector.
     pitch:
         DSM cell size [m], kept for reporting purposes.
+    origin:
+        DSM ``(row, col)`` index of the window's first cell; ``(0, 0)`` for
+        a whole-tile map.
     """
 
     sector_azimuths_deg: np.ndarray
     horizon_deg: np.ndarray
     pitch: float
-
-    #: Large array fields the stage cache stores as raw ``.npy`` sidecars
-    #: (memory-mapped zero-copy by batch workers; see repro.runner.cache).
-    __cache_array_fields__ = ("horizon_deg",)
+    origin: tuple[int, int] = (0, 0)
 
     @property
     def n_sectors(self) -> int:
@@ -64,7 +71,7 @@ class HorizonMap:
 
     @property
     def shape(self) -> tuple[int, int]:
-        """DSM grid shape ``(n_rows, n_cols)``."""
+        """Shape ``(n_rows, n_cols)`` of the covered window of the DSM."""
         return (int(self.horizon_deg.shape[1]), int(self.horizon_deg.shape[2]))
 
     # -- queries ---------------------------------------------------------------
@@ -116,7 +123,8 @@ class HorizonMap:
         Parameters
         ----------
         rows, cols:
-            Arrays of equal length selecting the cells of interest.
+            Arrays of equal length selecting the cells of interest, as DSM
+            indices inside the covered window.
         sun_elevation_deg, sun_azimuth_deg:
             Per-time-step sun position.
         sector_groups:
@@ -139,19 +147,15 @@ class HorizonMap:
         itself (8x smaller).  :meth:`lit_fraction_for_cells` wraps it for
         callers that still need the float 0/1 matrix.
         """
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
         elevation = np.asarray(sun_elevation_deg, dtype=float)
         azimuth = np.asarray(sun_azimuth_deg, dtype=float)
-        if rows.shape != cols.shape:
-            raise GISError("rows and cols must have the same shape")
         if elevation.shape != azimuth.shape:
             raise GISError("elevation and azimuth must have the same shape")
 
         if sector_groups is None:
             sector_groups = self.sector_time_groups(azimuth)
-        horizon_cells = self.horizon_deg[:, rows, cols]  # (n_sectors, n_cells)
-        lit = np.empty((elevation.shape[0], rows.shape[0]), dtype=bool)
+        horizon_cells = self._cells_horizon(rows, cols)  # (n_sectors, n_cells)
+        lit = np.empty((elevation.shape[0], horizon_cells.shape[1]), dtype=bool)
         for sector, steps in sector_groups:
             lit[steps] = elevation[steps, None] > horizon_cells[sector][None, :]
         lit &= (elevation > 0.0)[:, None]
@@ -175,7 +179,7 @@ class HorizonMap:
         ).astype(float)
 
     def sky_view_factor(self) -> np.ndarray:
-        """Sky-view factor per cell (fraction of the visible sky dome, 0..1).
+        """Sky-view factor per cell of the window (visible sky dome, 0..1).
 
         Uses the standard isotropic approximation
         ``SVF = mean_over_sectors(cos^2(horizon))``.
@@ -183,62 +187,124 @@ class HorizonMap:
         horizon_rad = np.clip(self.horizon_deg, 0.0, 90.0) * DEG2RAD
         return np.mean(np.cos(horizon_rad) ** 2, axis=0)
 
+    def sky_view_for_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Sky-view factor of the cells at DSM indices ``(rows, cols)``.
+
+        Equal, bit for bit, to :meth:`sky_view_factor` of a multi-cell map
+        at those cells, without evaluating the rest of the window.  The
+        sectors are summed one after the other, the order ``np.mean`` takes
+        along the sector axis of such a map; for a single cell, or a gathered
+        column, it would switch to pairwise summation.
+        """
+        horizon_rad = np.clip(self._cells_horizon(rows, cols), 0.0, 90.0) * DEG2RAD
+        cos_squared = np.cos(horizon_rad) ** 2
+        total = cos_squared[0].copy()
+        for sector in cos_squared[1:]:
+            total += sector
+        return total / self.n_sectors
+
+    def _cells_horizon(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Horizon angles ``(n_sectors, n_cells)`` of cells given in DSM indices."""
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        if rows.shape != cols.shape:
+            raise GISError("rows and cols must have the same shape")
+        local_rows = rows - self.origin[0]
+        local_cols = cols - self.origin[1]
+        if rows.size and (
+            local_rows.min() < 0
+            or local_cols.min() < 0
+            or local_rows.max() >= self.shape[0]
+            or local_cols.max() >= self.shape[1]
+        ):
+            raise GISError(
+                f"cells outside the horizon window at {self.origin} of shape {self.shape}"
+            )
+        return self.horizon_deg[:, local_rows, local_cols]
+
+
+def cells_window(
+    rows: np.ndarray, cols: np.ndarray
+) -> "tuple[tuple[int, int], tuple[int, int]] | None":
+    """Bounding window ``((row_start, row_stop), (col_start, col_stop))`` of DSM cells.
+
+    The half-open ranges :func:`compute_horizon_map` takes as ``window``;
+    ``None`` (the whole tile) when there are no cells.
+    """
+    rows = np.asarray(rows, dtype=int)
+    cols = np.asarray(cols, dtype=int)
+    if rows.size == 0:
+        return None
+    return (
+        (int(rows.min()), int(rows.max()) + 1),
+        (int(cols.min()), int(cols.max()) + 1),
+    )
+
 
 def _sector_steps(
     azimuth_deg: float,
     distances: np.ndarray,
     pitch: float,
     shape: tuple[int, int],
+    window: tuple[tuple[int, int], tuple[int, int]],
 ) -> list[tuple[float, tuple, tuple, tuple]]:
-    """Deduplicated ``(distance, src, dst, window)`` steps of one sector.
+    """Deduplicated ``(distance, src, dst, scratch)`` steps of one sector.
 
     Several consecutive radial distances round to the same integer cell
     offset; for a fixed offset the obstruction height difference ``dz`` is
     fixed and ``arctan2(dz, distance)`` is decreasing in ``distance`` when
     ``dz > 0`` (the only case that can contribute to the clamped-at-zero
     horizon), so keeping only the *smallest* marching distance per offset
-    preserves the final horizon map exactly.  The slice tuples address the
-    shifted source region, the destination region, and the matching scratch
-    window, hoisting all slice arithmetic out of the hot loop.
+    preserves the final horizon map exactly.  ``src`` addresses the shifted
+    obstruction region in the whole DSM ``shape``; ``dst`` the destination
+    cells, relative to the window's origin; ``scratch`` the matching
+    scratch-buffer region.  A step whose destination misses the window is
+    dropped.  All slice arithmetic is hoisted out of the hot loop.
     """
     az_rad = azimuth_deg * DEG2RAD
     # Unit vector pointing from the cell towards the obstruction
     # (x = east, y = north); azimuth 0 = South, positive towards West.
     ux = -np.sin(az_rad)
     uy = -np.cos(az_rad)
+    # The same element-wise float operations as a per-distance scalar round,
+    # so the offsets are identical.
+    offsets = np.round(distances[:, None] * np.array([uy, ux]) / pitch).astype(int)
     n_rows, n_cols = shape
+    (win_row_lo, win_row_hi), (win_col_lo, win_col_hi) = window
     steps: list[tuple[float, tuple, tuple, tuple]] = []
     seen: set[tuple[int, int]] = set()
-    for distance in distances:
-        d_col = int(np.round(distance * ux / pitch))
-        d_row = int(np.round(distance * uy / pitch))
+    for distance, (d_row, d_col) in zip(distances.tolist(), offsets.tolist()):
         if (d_col == 0 and d_row == 0) or (d_row, d_col) in seen:
             continue
         seen.add((d_row, d_col))
-        src_row_lo = max(0, d_row)
-        src_row_hi = min(n_rows, n_rows + d_row)
-        src_col_lo = max(0, d_col)
-        src_col_hi = min(n_cols, n_cols + d_col)
-        if src_row_lo >= src_row_hi or src_col_lo >= src_col_hi:
+        # Destination cells of the window whose obstruction lies in the tile.
+        dst_row_lo = max(win_row_lo, -d_row)
+        dst_row_hi = min(win_row_hi, n_rows - d_row)
+        dst_col_lo = max(win_col_lo, -d_col)
+        dst_col_hi = min(win_col_hi, n_cols - d_col)
+        if dst_row_lo >= dst_row_hi or dst_col_lo >= dst_col_hi:
             continue
-        src = (slice(src_row_lo, src_row_hi), slice(src_col_lo, src_col_hi))
+        src = (
+            slice(dst_row_lo + d_row, dst_row_hi + d_row),
+            slice(dst_col_lo + d_col, dst_col_hi + d_col),
+        )
         dst = (
-            slice(src_row_lo - d_row, src_row_hi - d_row),
-            slice(src_col_lo - d_col, src_col_hi - d_col),
+            slice(dst_row_lo - win_row_lo, dst_row_hi - win_row_lo),
+            slice(dst_col_lo - win_col_lo, dst_col_hi - win_col_lo),
         )
-        window = (
-            slice(0, src_row_hi - src_row_lo),
-            slice(0, src_col_hi - src_col_lo),
+        scratch = (
+            slice(0, dst_row_hi - dst_row_lo),
+            slice(0, dst_col_hi - dst_col_lo),
         )
-        steps.append((float(distance), src, dst, window))
+        steps.append((distance, src, dst, scratch))
     return steps
 
 
 class _SectorScratch:
     """Preallocated per-worker buffers of the horizon kernel.
 
-    One set of full-grid buffers is reused across every radial step of every
-    sector a worker processes, replacing the per-step ``np.full_like``
+    One set of window-sized buffers is reused across every radial step of
+    every sector a worker processes, replacing the per-step ``np.full_like``
     allocation churn of the straightforward implementation.
     """
 
@@ -262,11 +328,15 @@ class _SectorScratch:
 
 def _sector_horizon(
     elevation: np.ndarray,
+    target: np.ndarray,
     steps: list[tuple[float, tuple, tuple, tuple]],
     out: np.ndarray,
     scratch: _SectorScratch,
 ) -> None:
-    """Horizon angles of one sector, written into ``out`` (a full-grid view).
+    """Horizon angles of one sector, written into ``out`` (a window-sized view).
+
+    ``elevation`` is the whole DSM the obstructions are read from; ``target``
+    is its view over the window whose cells receive a horizon.
 
     The running maximum is tracked in tangent space (``dz / distance``) --
     cheap elementwise arithmetic -- and the single expensive ``arctan2`` pass
@@ -281,13 +351,13 @@ def _sector_horizon(
     best_ratio = scratch.best_ratio
     best_dz = scratch.best_dz
     best_distance = scratch.best_distance
-    for distance, src, dst, window in steps:
-        dz = scratch.dz[window]
-        ratio = scratch.ratio[window]
-        mask = scratch.mask[window]
-        tie = scratch.tie_mask[window]
+    for distance, src, dst, region in steps:
+        dz = scratch.dz[region]
+        ratio = scratch.ratio[region]
+        mask = scratch.mask[region]
+        tie = scratch.tie_mask[region]
         stored_ratio = best_ratio[dst]
-        np.subtract(elevation[src], elevation[dst], out=dz)
+        np.subtract(elevation[src], target[dst], out=dz)
         np.divide(dz, distance, out=ratio)
         # Tie candidates: exactly equal ratio AND an actual obstruction
         # (dz > 0; zero/negative angles are clamped away identically).
@@ -327,8 +397,9 @@ def compute_horizon_map(
     max_distance: float = 60.0,
     min_step: float | None = None,
     n_workers: int | None = None,
+    window: "tuple[tuple[int, int], tuple[int, int]] | None" = None,
 ) -> HorizonMap:
-    """Compute the horizon map of a DSM.
+    """Compute the horizon map of a DSM, or of a window of it.
 
     Parameters
     ----------
@@ -351,18 +422,32 @@ def compute_horizon_map(
         ``REPRO_HORIZON_WORKERS`` environment variable (the process-parallel
         batch runner sets it to 1 in its workers to avoid oversubscription);
         1 forces the serial path.
+    window:
+        Half-open DSM index ranges ``((row_start, row_stop), (col_start,
+        col_stop))`` of the cells whose horizon is computed (the roof's
+        cells, see :func:`cells_window`); ``None`` computes the whole tile.
+        Obstructions are still read from the whole tile, so every cell's
+        horizon equals the whole-tile map's bit for bit.
+
+    Raises
+    ------
+    GISError
+        On fewer than 4 sectors, a non-positive ``max_distance``, or a
+        window that is empty or reaches outside the tile.
 
     Notes
     -----
-    The computation marches rays outwards from every cell simultaneously:
-    for a fixed azimuth sector and a fixed radial distance the candidate
-    obstruction heights for *all* cells are read through a single shifted
-    view of the DSM array, so the inner loop is pure numpy.  Radial steps
-    that round to the same cell offset are deduplicated, each worker reuses
-    one set of preallocated scratch buffers, and the per-step transcendental
-    is avoided by maximising in tangent space (see :func:`_sector_horizon`);
-    the result is bit-for-bit identical to
-    :func:`compute_horizon_map_reference`.
+    The computation marches rays outwards from every cell of the window
+    simultaneously: for a fixed azimuth sector and a fixed radial distance
+    the candidate obstruction heights for *all* cells are read through a
+    single shifted view of the DSM array, so the inner loop is pure numpy.
+    Radial steps that round to the same cell offset are deduplicated, each
+    worker reuses one set of preallocated scratch buffers, and the per-step
+    transcendental is avoided by maximising in tangent space (see
+    :func:`_sector_horizon`); the result is bit-for-bit identical to the
+    matching cells of :func:`compute_horizon_map_reference`.  The cost
+    scales with the window's cell count, which for a roof is a fraction of
+    its tile.
     """
     if n_sectors < 4:
         raise GISError("at least 4 azimuth sectors are required")
@@ -372,9 +457,15 @@ def compute_horizon_map(
     step = pitch if min_step is None else max(float(min_step), 1e-6)
     n_rows, n_cols = dsm.shape
     elevation = dsm.data
+    if window is None:
+        window = ((0, n_rows), (0, n_cols))
+    (row_lo, row_hi), (col_lo, col_hi) = window
+    if not (0 <= row_lo < row_hi <= n_rows and 0 <= col_lo < col_hi <= n_cols):
+        raise GISError(f"horizon window {window} is empty or outside the {n_rows}x{n_cols} DSM")
+    target = elevation[row_lo:row_hi, col_lo:col_hi]
 
     sector_azimuths = -180.0 + (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
-    horizon = np.zeros((n_sectors, n_rows, n_cols), dtype=float)
+    horizon = np.zeros((n_sectors,) + target.shape, dtype=float)
 
     n_steps = max(1, int(np.ceil(max_distance / step)))
     distances = (np.arange(1, n_steps + 1)) * step
@@ -383,12 +474,12 @@ def compute_horizon_map(
     workers = max(1, int(workers))
 
     def run_sectors(sector_indices) -> None:
-        scratch = _SectorScratch((n_rows, n_cols))
+        scratch = _SectorScratch(target.shape)
         for s in sector_indices:
             steps = _sector_steps(
-                float(sector_azimuths[s]), distances, pitch, (n_rows, n_cols)
+                float(sector_azimuths[s]), distances, pitch, (n_rows, n_cols), window
             )
-            _sector_horizon(elevation, steps, horizon[s], scratch)
+            _sector_horizon(elevation, target, steps, horizon[s], scratch)
 
     if workers <= 1:
         run_sectors(range(n_sectors))
@@ -399,7 +490,10 @@ def compute_horizon_map(
             list(pool.map(run_sectors, chunks))
 
     return HorizonMap(
-        sector_azimuths_deg=sector_azimuths, horizon_deg=horizon, pitch=pitch
+        sector_azimuths_deg=sector_azimuths,
+        horizon_deg=horizon,
+        pitch=pitch,
+        origin=(int(row_lo), int(col_lo)),
     )
 
 
@@ -501,7 +595,7 @@ def shadow_fraction_map(
     sun_elevation_deg: np.ndarray,
     sun_azimuth_deg: np.ndarray,
 ) -> np.ndarray:
-    """Fraction of the given time samples during which each cell is shaded.
+    """Fraction of the given time samples during which each cell of the map is shaded.
 
     Only samples with the sun above the horizon contribute to the fraction;
     if the sun never rises in the provided series the result is 1 everywhere.

@@ -3,7 +3,9 @@
 Every optimisation of the evaluation engine ships with its ground truth:
 
 * the horizon-map kernel must reproduce ``compute_horizon_map_reference``
-  **bit for bit** (cached stages must stay valid across the change),
+  **bit for bit** (cached stages must stay valid across the change), and a
+  roof-window map must equal the matching slice of the whole-tile map, down
+  to the solar field built on it,
 * the vectorised :class:`~repro.core.PlacementEvaluator` must agree with the
   original per-module-loop evaluation to within 1e-9 relative,
 * the incremental greedy placer must return placements **identical module
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     FloorplanProblem,
@@ -32,9 +36,11 @@ from repro.core import (
     module_irradiance_series_reference,
     traditional_floorplan,
 )
-from repro.errors import PlacementError, SolarModelError
+from repro.errors import GISError, PlacementError, SolarModelError
 from repro.geometry import Raster, RasterSpec
-from repro.scenario import get_scenario
+from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
+from repro.scenario import builtin_scenarios, get_scenario
+from repro.solar import compute_roof_solar_field
 from repro.solar.shading import (
     compute_horizon_map,
     compute_horizon_map_reference,
@@ -115,6 +121,193 @@ class TestShadowFractionEquivalence:
         )
         result = shadow_fraction_map(horizon, np.array([-5.0, -1.0]), np.array([0.0, 10.0]))
         assert np.all(result == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Roof-window horizon
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _dsm_and_window(draw):
+    """A small random DSM (optionally NaN-holed and terraced) plus a window."""
+    n_rows = draw(st.integers(1, 18))
+    n_cols = draw(st.integers(1, 18))
+    pitch = draw(st.sampled_from([0.25, 0.4, 1.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = gen.normal(5.0, 2.0, size=(n_rows, n_cols))
+    if draw(st.booleans()):
+        # Terraced heights produce the exactly tied obstruction ratios the
+        # kernel resolves in angle space.
+        data = np.round(data)
+    data[gen.random(data.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = np.nan
+    row_lo = draw(st.integers(0, n_rows - 1))
+    row_hi = draw(st.integers(row_lo + 1, n_rows))
+    col_lo = draw(st.integers(0, n_cols - 1))
+    col_hi = draw(st.integers(col_lo + 1, n_cols))
+    raster = Raster(RasterSpec(0.0, 0.0, pitch, n_rows, n_cols), data)
+    return raster, ((row_lo, row_hi), (col_lo, col_hi))
+
+
+def _assert_window_matches_full_tile(raster, window, **options):
+    """Check the windowed map against the whole-tile map; return the windowed map."""
+    full = compute_horizon_map(raster, **options)
+    windowed = compute_horizon_map(raster, window=window, **options)
+    (row_lo, row_hi), (col_lo, col_hi) = window
+    assert windowed.origin == (row_lo, col_lo)
+    assert windowed.shape == (row_hi - row_lo, col_hi - col_lo)
+    assert np.array_equal(windowed.sector_azimuths_deg, full.sector_azimuths_deg)
+    assert np.array_equal(windowed.horizon_deg, full.horizon_deg[:, row_lo:row_hi, col_lo:col_hi])
+    return windowed
+
+
+class TestHorizonWindow:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=_dsm_and_window(),
+        n_sectors=st.integers(4, 12),
+        max_distance=st.floats(0.5, 8.0),
+        min_step=st.sampled_from([None, 0.13, 0.7]),
+        n_workers=st.sampled_from([1, 4]),
+    )
+    def test_window_equals_full_tile_slice(
+        self, case, n_sectors, max_distance, min_step, n_workers
+    ):
+        raster, window = case
+        _assert_window_matches_full_tile(
+            raster,
+            window,
+            n_sectors=n_sectors,
+            max_distance=max_distance,
+            min_step=min_step,
+            n_workers=n_workers,
+        )
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ((0, 6), (10, 30)),  # touches the top edge
+            ((30, 36), (10, 30)),  # touches the bottom edge
+            ((8, 20), (0, 5)),  # touches the left edge
+            ((8, 20), (36, 41)),  # touches the right edge
+            ((17, 18), (20, 21)),  # 1x1 interior cell
+            ((35, 36), (0, 1)),  # 1x1 corner cell
+            ((0, 36), (0, 41)),  # the whole tile
+        ],
+    )
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_edge_and_single_cell_windows(self, rng, window, n_workers):
+        data = rng.normal(5.0, 1.5, size=(36, 41))
+        data[rng.random(data.shape) < 0.05] = np.nan
+        raster = Raster(RasterSpec(0.0, 0.0, 0.5, 36, 41), data)
+        windowed = _assert_window_matches_full_tile(
+            raster, window, n_sectors=12, max_distance=12.0, n_workers=n_workers
+        )
+        reference = compute_horizon_map_reference(raster, n_sectors=12, max_distance=12.0)
+        (row_lo, row_hi), (col_lo, col_hi) = window
+        assert np.array_equal(
+            windowed.horizon_deg, reference.horizon_deg[:, row_lo:row_hi, col_lo:col_hi]
+        )
+        rows, cols = np.mgrid[row_lo:row_hi, col_lo:col_hi]
+        assert np.array_equal(
+            windowed.sky_view_for_cells(rows.ravel(), cols.ravel()),
+            reference.sky_view_factor()[row_lo:row_hi, col_lo:col_hi].ravel(),
+        )
+
+    def test_cell_queries_take_dsm_indices(self, small_scene, rng):
+        raster = small_scene.dsm.raster
+        window = ((5, 20), (7, 31))
+        full = compute_horizon_map(raster, n_sectors=16, max_distance=25.0)
+        windowed = compute_horizon_map(raster, n_sectors=16, max_distance=25.0, window=window)
+        rows = rng.integers(5, 20, size=40)
+        cols = rng.integers(7, 31, size=40)
+        elevation = rng.uniform(-10.0, 60.0, size=200)
+        azimuth = rng.uniform(-180.0, 180.0, size=200)
+        assert np.array_equal(
+            windowed.lit_mask_for_cells(rows, cols, elevation, azimuth),
+            full.lit_mask_for_cells(rows, cols, elevation, azimuth),
+        )
+        assert np.array_equal(
+            windowed.sky_view_for_cells(rows, cols), full.sky_view_factor()[rows, cols]
+        )
+        with pytest.raises(GISError):
+            windowed.sky_view_for_cells(np.array([4]), np.array([10]))
+        with pytest.raises(GISError):
+            windowed.lit_mask_for_cells(np.array([10]), np.array([31]), elevation, azimuth)
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ((3, 3), (0, 5)),  # no rows
+            ((0, 5), (4, 2)),  # reversed columns
+            ((-1, 4), (0, 5)),  # starts before the tile
+            ((0, 11), (0, 5)),  # ends past the tile
+            ((10, 12), (0, 5)),  # entirely below the tile
+            ((0, 5), (12, 14)),  # entirely right of the tile
+        ],
+    )
+    def test_empty_or_outside_window_raises(self, window):
+        raster = Raster(RasterSpec(0.0, 0.0, 0.5, 10, 12), np.zeros((10, 12)))
+        with pytest.raises(GISError):
+            compute_horizon_map(raster, n_sectors=8, max_distance=3.0, window=window)
+
+
+def _catalog_roofs() -> list:
+    """One catalog scenario name per distinct (roof, DSM pitch, grid pitch)."""
+    names = {}
+    for spec in builtin_scenarios().values():
+        names.setdefault((spec.roof, spec.dsm_pitch, spec.grid_pitch), spec.name)
+    return sorted(names.values())
+
+
+class TestRoofWindowSolarField:
+    @pytest.mark.parametrize("name", _catalog_roofs())
+    def test_window_field_equals_full_tile_field(self, name):
+        spec = get_scenario(name)
+        scene = build_roof_scene(spec.roof, dsm_pitch=spec.dsm_pitch)
+        grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=spec.grid_pitch))
+        weather = spec.weather.build(spec.time.build())
+        config = spec.solar.build()
+        full_tile = compute_horizon_map(
+            scene.dsm.raster,
+            n_sectors=config.n_horizon_sectors,
+            max_distance=config.horizon_max_distance_m,
+        )
+        windowed = compute_roof_solar_field(scene, grid, weather, config)
+        whole = compute_roof_solar_field(scene, grid, weather, config, horizon_map=full_tile)
+        assert windowed.n_cells == grid.n_valid > 0
+        assert np.array_equal(windowed.irradiance, whole.irradiance)
+        assert np.array_equal(windowed.sky_view, whole.sky_view)
+        # The per-cell sky view equals the whole-tile map's, as read before
+        # the solar stage used windows.
+        dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
+        cells = windowed.cells
+        assert np.array_equal(
+            windowed.sky_view,
+            full_tile.sky_view_factor()[
+                dsm_rows[cells[:, 0], cells[:, 1]], dsm_cols[cells[:, 0], cells[:, 1]]
+            ],
+        )
+        assert np.array_equal(windowed.daylight.indices, whole.daylight.indices)
+
+    def test_roof_without_valid_cells_gives_empty_field(self, small_weather):
+        # The 0.6 m setback swallows the whole 1x1 m facet: no valid cell,
+        # so there is no roof window to bound.
+        roof = RoofSpec(
+            name="setback-only",
+            width_m=1.0,
+            depth_m=1.0,
+            tilt_deg=20.0,
+            azimuth_deg=0.0,
+            edge_setback_m=0.6,
+        )
+        scene = build_roof_scene(roof, dsm_pitch=0.4)
+        grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=0.2))
+        assert grid.n_valid == 0
+        field = compute_roof_solar_field(scene, grid, small_weather)
+        assert field.n_cells == 0
+        assert field.to_dense().shape == (field.n_time, 0)
+        assert field.sky_view.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +601,6 @@ class TestIncrementalGreedyEquivalence:
 
 def _catalog_problem(name: str) -> FloorplanProblem:
     """Assemble the floorplanning problem of a catalog scenario (no cache)."""
-    from repro.gis import make_roof_grid, suitable_grid_for_scene, build_roof_scene
-    from repro.solar import compute_roof_solar_field
-
     spec = get_scenario(name)
     scene = build_roof_scene(spec.roof, dsm_pitch=spec.dsm_pitch)
     grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=spec.grid_pitch))
