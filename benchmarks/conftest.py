@@ -13,11 +13,16 @@ base (slow; needs a few GB of RAM).
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import CaseStudyConfig, Table1Config, prepare_all_case_studies
 from repro.solar import SolarSimulationConfig
+
+# The oracles the kernel benches compare against live with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def _benchmark_case_config() -> CaseStudyConfig:

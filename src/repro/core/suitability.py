@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import DEFAULT_SUITABILITY_PERCENTILE, STC_TEMPERATURE
-from ..errors import PlacementError
+from ..errors import PlacementError, PVModelError
 from ..pv.module import EmpiricalModuleModel, paper_module_model
-from ..solar.irradiance_map import RoofSolarField
+from ..solar.irradiance_map import RoofSolarField, select_percentile
 
 
 @dataclass(frozen=True)
@@ -115,26 +115,14 @@ def compute_suitability(
     # The statistics are taken over the *full* time axis -- for a
     # daylight-compressed field the night zeros (and the real night ambient
     # temperatures) are part of the distribution the paper's percentile is
-    # defined on.  Streaming dense float64 column blocks keeps the result
-    # bit-identical to the dense computation (per-column percentiles and
-    # means do not depend on which other columns share the block) without
-    # ever materialising a full (n_time, Ng) copy.
-    ambient = np.asarray(solar.temperature, dtype=float)[:, None]
-    g_stat = np.empty(solar.n_cells)
-    t_stat = np.empty(solar.n_cells) if cfg.use_temperature_correction else None
-    for sl, block in solar.iter_dense_blocks():
-        if cfg.statistic == "percentile":
-            g_stat[sl] = np.percentile(block, cfg.percentile, axis=0)
-        else:
-            g_stat[sl] = np.mean(block, axis=0)
-        if t_stat is not None:
-            # Per-cell module temperature percentile; the f(T) factor follows
-            # the dPmax/dT slope of the module model (Figure 3, middle plot).
-            cell_temperature = model.cell_temperature(block, ambient)
-            if cfg.statistic == "percentile":
-                t_stat[sl] = np.percentile(cell_temperature, cfg.percentile, axis=0)
-            else:
-                t_stat[sl] = np.mean(cell_temperature, axis=0)
+    # defined on.  Both are handled per block of cells, so no full
+    # (n_time, Ng) copy is ever materialised.
+    if cfg.statistic == "percentile":
+        g_stat, t_stat = _percentile_statistics(
+            solar, cfg.percentile, model if cfg.use_temperature_correction else None
+        )
+    else:
+        g_stat, t_stat = _mean_statistics(solar, model if cfg.use_temperature_correction else None)
 
     if t_stat is not None:
         factor = 1.0 + model.datasheet.gamma_p_per_k * (t_stat - STC_TEMPERATURE)
@@ -157,6 +145,60 @@ def compute_suitability(
         temperature_factor=factor_full,
         config=cfg,
     )
+
+
+def _check_irradiance(block: np.ndarray) -> None:
+    if np.any(block < 0):
+        raise PVModelError("irradiance must be non-negative")
+
+
+def _percentile_statistics(
+    solar: RoofSolarField, q: float, model: EmpiricalModuleModel | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-cell q-th percentiles of irradiance and module temperature.
+
+    Selected from the stored daylight rows of each cell block: the night
+    irradiance rows are exact zeros, so :func:`select_percentile` takes them
+    implicitly.  The night module temperature equals the night ambient
+    temperature for every cell (no irradiance heats the module), so it is
+    computed once and prepended to each block's daylight temperatures.  The
+    temperatures are computed before the irradiance block is partitioned,
+    which reorders its time samples.
+    """
+    g_stat = np.empty(solar.n_cells)
+    t_stat = None if model is None else np.empty(solar.n_cells)
+    n_night = solar.n_time - solar.n_daylight
+    if model is not None:
+        kept = np.arange(solar.n_time) if solar.daylight is None else solar.daylight.indices
+        night_ambient = np.delete(np.asarray(solar.temperature, dtype=float), kept)
+        night_temperature = model.cell_temperature(np.zeros(n_night), night_ambient)
+        day_ambient = solar.axis_temperature
+    for sl, block in solar.iter_daylight_blocks():
+        _check_irradiance(block)
+        if t_stat is not None:
+            # Per-cell module temperature percentile; the f(T) factor follows
+            # the dPmax/dT slope of the module model (Figure 3, middle plot).
+            temperature = np.empty((block.shape[0], solar.n_time))
+            temperature[:, :n_night] = night_temperature
+            temperature[:, n_night:] = model.cell_temperature(block, day_ambient)
+            t_stat[sl] = select_percentile(temperature, q)
+        g_stat[sl] = select_percentile(block, q, n_zeros=n_night)
+    return g_stat, t_stat
+
+
+def _mean_statistics(
+    solar: RoofSolarField, model: EmpiricalModuleModel | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-cell full-axis means of irradiance and module temperature (E10)."""
+    ambient = np.asarray(solar.temperature, dtype=float)[:, None]
+    g_stat = np.empty(solar.n_cells)
+    t_stat = None if model is None else np.empty(solar.n_cells)
+    for sl, block in solar.iter_dense_blocks():
+        _check_irradiance(block)
+        g_stat[sl] = np.mean(block, axis=0)
+        if t_stat is not None:
+            t_stat[sl] = np.mean(model.cell_temperature(block, ambient), axis=0)
+    return g_stat, t_stat
 
 
 def footprint_suitability(

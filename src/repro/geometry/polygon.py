@@ -326,28 +326,56 @@ class Polygon:
         col_hi = min(n_cols, int(math.ceil((bbox.xmax - origin.x) / pitch)) + 1)
         row_lo = max(0, int(math.floor((bbox.ymin - origin.y) / pitch)) - 1)
         row_hi = min(n_rows, int(math.ceil((bbox.ymax - origin.y) / pitch)) + 1)
-        for row in range(row_lo, row_hi):
-            for col in range(col_lo, col_hi):
-                x0 = origin.x + col * pitch
-                y0 = origin.y + row * pitch
-                centre = Point2D(x0 + pitch / 2.0, y0 + pitch / 2.0)
-                if mode == "center":
-                    covered = self.contains_point(centre)
-                else:
-                    corners = (
-                        centre,
-                        Point2D(x0, y0),
-                        Point2D(x0 + pitch, y0),
-                        Point2D(x0, y0 + pitch),
-                        Point2D(x0 + pitch, y0 + pitch),
-                    )
-                    covered = any(self.contains_point(p) for p in corners)
-                if covered:
-                    mask[row, col] = True
+        if col_lo >= col_hi or row_lo >= row_hi:
+            return mask  # the polygon lies wholly outside the raster
+        # Cell corners and centres of the window, with the same float
+        # operations per cell as the scalar form (x0 + pitch, not the next
+        # cell's x0), so every point equals the one contains_point would see.
+        x0 = origin.x + np.arange(col_lo, col_hi) * pitch
+        y0 = (origin.y + np.arange(row_lo, row_hi) * pitch)[:, None]
+        covered = self._contains_points(x0 + pitch / 2.0, y0 + pitch / 2.0)
+        if mode == "touch":
+            for x in (x0, x0 + pitch):
+                for y in (y0, y0 + pitch):
+                    covered |= self._contains_points(x, y)
+        mask[row_lo:row_hi, col_lo:col_hi] = covered
         return mask
 
+    def _contains_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`contains_point` (boundary included) over broadcast point arrays.
 
-def _point_on_segment(p: Point2D, a: Point2D, b: Point2D, tol: float = 1e-9) -> bool:
+        Loops over the edges only, with the per-point float operations of
+        ``contains_point`` and ``_point_on_segment``: a point on any edge is
+        covered whatever the crossing parity, and horizontal edges, which
+        never cross the ray, are never divided by.
+        """
+        on_edge = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
+        inside = np.zeros_like(on_edge)
+        tol = _SEGMENT_TOL
+        n = len(self._vertices)
+        for i in range(n):
+            a = self._vertices[i]
+            b = self._vertices[(i + 1) % n]
+            dx, dy = b.x - a.x, b.y - a.y
+            ux, uy = x - a.x, y - a.y
+            cross = dx * uy - dy * ux
+            dot = ux * dx + uy * dy
+            on_edge |= (
+                ~(np.abs(cross) > tol * max(1.0, a.distance_to(b)))
+                & ~(dot < -tol)
+                & (dot <= dx**2 + dy**2 + tol)
+            )
+            if a.y != b.y:
+                crosses = (a.y > y) != (b.y > y)
+                inside ^= crosses & (x < a.x + uy * dx / dy)
+        return on_edge | inside
+
+
+#: Absolute tolerance of the on-segment test.
+_SEGMENT_TOL = 1e-9
+
+
+def _point_on_segment(p: Point2D, a: Point2D, b: Point2D, tol: float = _SEGMENT_TOL) -> bool:
     """True when ``p`` lies on the segment ``a``-``b`` within tolerance."""
     cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
     if abs(cross) > tol * max(1.0, a.distance_to(b)):

@@ -281,7 +281,8 @@ def build_roof_scene(
     raster_spec = RasterSpec(xmin, ymin, dsm_pitch, n_rows, n_cols)
     elevation = np.full((n_rows, n_cols), float(ground_elevation))
 
-    # Cell centres (vectorised containment via per-polygon rasterisation).
+    # Every footprint below becomes DSM cells through Polygon.rasterize,
+    # which tests the cell points of the polygon's bounding box as arrays.
     origin = Point2D(xmin, ymin)
 
     # 1. Roof surface (optionally textured with LiDAR-like roughness: ducts,

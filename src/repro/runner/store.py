@@ -411,14 +411,20 @@ class ResultStore:
             str(self.path), check_same_thread=not cross_thread
         )
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
         # Every connection blocks (rather than erroring) on a contended
         # write lock: a fleet of workers claiming from one store must wait
         # its turn, not surface SQLITE_BUSY to the caller.
         self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+        self._enable_wal()
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._conn:
-            self._conn.executescript(_SCHEMA)
+            # Schema and version row in one write transaction: drivers that
+            # open a fresh store at the same moment take turns, so only the
+            # first inserts the version row and the others read it.
+            self._conn.execute("BEGIN IMMEDIATE")
+            for statement in _SCHEMA.split(";"):
+                if statement.strip():
+                    self._conn.execute(statement)
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key='schema_version'"
             ).fetchone()
@@ -465,6 +471,25 @@ class ResultStore:
                     f"result store {self.path} has schema version {row['value']}, "
                     f"this build expects {STORE_SCHEMA_VERSION}"
                 )
+
+    def _enable_wal(self) -> None:
+        """Switch the database to WAL, waiting out a concurrent opener.
+
+        The first switch of a new database can report "database is locked"
+        without consulting the busy handler, so it is retried here until
+        ``BUSY_TIMEOUT_MS`` has passed.
+        """
+        deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+        delay = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     # -- lifecycle ----------------------------------------------------------------
 

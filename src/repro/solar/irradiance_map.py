@@ -31,6 +31,7 @@ the solar-field benchmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
@@ -183,7 +184,7 @@ class RoofSolarField:
 
         For a compressed field the dropped rows are zero by construction,
         so this reproduces the dense reference bit for bit.  It materialises
-        the full matrix -- prefer :meth:`iter_dense_blocks` for reductions.
+        the full matrix -- prefer the block iterators for reductions.
         """
         if self.daylight is None:
             return np.asarray(self.irradiance)
@@ -191,19 +192,22 @@ class RoofSolarField:
         out[self.daylight.indices, :] = self.irradiance
         return out
 
+    def _block_columns(self) -> int:
+        """Cells per block such that one float64 full-axis block fits the budget."""
+        return max(1, _DENSE_BLOCK_BYTES // (8 * max(self.n_time, 1)))
+
     def iter_dense_blocks(
         self, max_columns: Optional[int] = None
     ) -> Iterator[Tuple[slice, np.ndarray]]:
         """Iterate dense float64 column blocks ``(column_slice, (n_time, c))``.
 
-        The chunked equivalent of ``irradiance.astype(float)``: consumers
-        that need full-axis statistics (percentiles include the night zeros!)
-        stream over bounded blocks instead of duplicating the whole field.
-        Each block is freshly allocated and safe to modify.
+        The chunked equivalent of ``irradiance.astype(float)`` for full-axis
+        reductions that need the night zeros in place (the mean statistic of
+        the suitability ablation).  Each block is freshly allocated and safe
+        to modify.
         """
-        n_time = max(self.n_time, 1)
         if max_columns is None:
-            max_columns = max(1, _DENSE_BLOCK_BYTES // (8 * n_time))
+            max_columns = self._block_columns()
         indices = None if self.daylight is None else self.daylight.indices
         for start in range(0, self.n_cells, max_columns):
             stop = min(start + max_columns, self.n_cells)
@@ -216,6 +220,21 @@ class RoofSolarField:
                 block = np.zeros((self.n_time, stop - start), dtype=np.float64)
                 block[indices, :] = self.irradiance[:, sl]
                 yield sl, block
+
+    def iter_daylight_blocks(self) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Iterate cell-major blocks ``(column_slice, (c, n_daylight))``.
+
+        Each block is a fresh C-ordered copy of the stored rows of ``c``
+        cells in the storage dtype, so a consumer may partition it in place:
+        the stored matrix (an F-ordered restriction, a read-only memmap) is
+        never touched.  A block holds as many cells as one of
+        :meth:`iter_dense_blocks`, so its float64 full-axis expansion stays
+        within the same byte budget.
+        """
+        n_columns = self._block_columns()
+        for start in range(0, self.n_cells, n_columns):
+            sl = slice(start, min(start + n_columns, self.n_cells))
+            yield sl, np.array(self.irradiance[:, sl].T, order="C")
 
     # -- accessors -----------------------------------------------------------------
 
@@ -297,12 +316,15 @@ class RoofSolarField:
         Invalid cells are NaN.  This is the quantity Figure 6(b) of the
         paper visualises (brighter colours = larger 75th percentile).  The
         percentile is taken over the *full* axis -- the night zeros are part
-        of the distribution -- computed per column block, so no full-size
-        float64 copy of the field is ever materialised.
+        of the distribution -- but selected from the stored rows only (see
+        :func:`select_percentile`), one cell block at a time.
         """
         values = np.empty(self.n_cells)
-        for sl, block in self.iter_dense_blocks():
-            values[sl] = np.percentile(block, q, axis=0)
+        n_night = self.n_time - self.n_daylight
+        for sl, block in self.iter_daylight_blocks():
+            if np.any(block < 0):
+                raise SolarModelError("irradiance must be non-negative")
+            values[sl] = select_percentile(block, q, n_zeros=n_night)
         return self._scatter(values)
 
     def mean_map(self) -> np.ndarray:
@@ -324,6 +346,53 @@ class RoofSolarField:
         grid_map = np.full(self.grid.shape, np.nan)
         grid_map[self.cells[:, 0], self.cells[:, 1]] = values
         return grid_map
+
+
+def select_percentile(block: np.ndarray, q: float, n_zeros: int = 0) -> np.ndarray:
+    """Row-wise ``np.percentile(row, q)`` of a ``(c, m)`` block, as float64.
+
+    Each row's sample is its ``m`` values plus ``n_zeros`` implicit zeros
+    that sort below every value: the night rows of a daylight-compressed
+    field, whose irradiance is non-negative.  So full-sample order statistic
+    ``j`` is ``0.0`` for ``j < n_zeros`` and stored order statistic
+    ``j - n_zeros`` otherwise.  One in-place ``np.partition`` of ``block``
+    (the caller must own it) places the two order statistics numpy's
+    ``linear`` method interpolates between, plus the row maximum, which
+    flags NaN rows as ``np.percentile`` does.  The float64 cast of the
+    selected values is exact and monotone and the interpolation is numpy's
+    ``_lerp``, so the result is bit-identical to ``np.percentile`` of the
+    float64 full-sample rows.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n_rows, m = block.shape
+    last = m + n_zeros - 1
+    virtual = last * (q / 100.0)
+    if virtual >= last:
+        # numpy clamps both neighbours to index -1 and takes gamma against it.
+        lo = hi = last
+        gamma = virtual + 1.0
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        gamma = virtual - lo
+    if m:
+        kth = {j - n_zeros for j in (lo, hi) if j >= n_zeros} | {m - 1}
+        block.partition(sorted(kth), axis=1)
+
+    def order_statistic(j: int) -> np.ndarray:
+        if j < n_zeros:
+            return np.zeros(n_rows)
+        return block[:, j - n_zeros].astype(np.float64)
+
+    a, b = order_statistic(lo), order_statistic(hi)
+    diff = b - a
+    result = b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+    if m:
+        top = block[:, m - 1]
+        nan_rows = np.isnan(top)
+        result[nan_rows] = top[nan_rows]
+    return result
 
 
 # ---------------------------------------------------------------------------
