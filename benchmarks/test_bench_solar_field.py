@@ -1,7 +1,7 @@
 """Speedup / size benchmarks of the daylight-compressed solar field (PR 3).
 
 Measured against the kept dense reference
-(:func:`repro.solar.compute_roof_solar_field_dense_reference`) on the
+(``compute_roof_solar_field_dense_reference`` in ``tests/oracles/``) on the
 paper's 15-minute annual time base (~35k steps):
 
 * **assembly wall-clock** -- the chunked, per-sector-grouped compressed
@@ -39,10 +39,11 @@ from repro.solar import (
     SolarSimulationConfig,
     compute_horizon_map,
     compute_roof_solar_field,
-    compute_roof_solar_field_dense_reference,
     paper_time_grid,
 )
 from repro.weather import SyntheticWeatherConfig, generate_weather
+
+from oracles.solar_field import compute_roof_solar_field_dense_reference
 
 
 def _bench_roof_spec() -> RoofSpec:

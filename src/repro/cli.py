@@ -256,8 +256,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     emit_diagnostic(
         "stage wall times: "
         + ", ".join(
-            f"{stage}={seconds:.3f}s"
-            for stage, seconds in sorted(result.stage_times_s.items())
+            # Execution order: the keys are recorded as the stages run.
+            f"{stage}={seconds:.3f}s" for stage, seconds in result.stage_times_s.items()
         )
     )
     if args.output:

@@ -378,38 +378,25 @@ def prepare_case_study(
     This is the end-to-end "solar data extraction" pipeline of the paper's
     Section IV applied to a synthetic roof; passing the same ``weather``
     object to several roofs mimics the paper's setup where the three
-    adjacent buildings share the same weather station.  With a ``cache``
-    the expensive stages (scene, suitable grid, solar field)
-    are memoised on disk through :mod:`repro.runner` and reused by any later
-    run -- experiments, scenarios or benchmarks -- sharing the same inputs.
+    adjacent buildings share the same weather station.  The stages run
+    through :func:`repro.runner.stages.run_pipeline`; with a ``cache`` the
+    expensive ones (scene, suitable grid, solar field) are memoised on disk
+    and reused by any later run -- experiments, scenarios or benchmarks --
+    sharing the same inputs.
     """
     from ..runner.cache import StageCache
-    from ..runner.stages import (
-        cached_scene,
-        cached_solar_field,
-        cached_suitable_grid,
-    )
+    from ..runner.stages import STAGE_SCENE, STAGE_SOLAR, PipelineSources, run_pipeline
 
     cfg = config if config is not None else CaseStudyConfig()
     stage_cache = cache if cache is not None else StageCache(enabled=False)
-
-    scene, _ = cached_scene(spec, cfg.dsm_pitch, stage_cache)
-    grid, _ = cached_suitable_grid(spec, scene, cfg.dsm_pitch, cfg.grid_pitch, stage_cache)
-
     if weather is None:
-        weather_config = SyntheticWeatherConfig(seed=cfg.weather_seed)
-        weather = generate_weather(cfg.time_grid(), weather_config)
+        weather = generate_weather(cfg.time_grid(), SyntheticWeatherConfig(seed=cfg.weather_seed))
 
-    solar, _ = cached_solar_field(
-        spec,
-        scene,
-        grid,
-        weather,
-        cfg.solar,
-        cfg.dsm_pitch,
-        cfg.grid_pitch,
-        stage_cache,
+    sources = PipelineSources.from_objects(
+        spec, weather, cfg.solar, cfg.dsm_pitch, cfg.grid_pitch
     )
+    values = run_pipeline(sources, STAGE_SOLAR, stage_cache, {}, {})
+    scene, solar = values[STAGE_SCENE], values[STAGE_SOLAR]
     return CaseStudy(
         name=spec.name,
         config=cfg,

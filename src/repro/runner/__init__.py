@@ -59,12 +59,10 @@ _EXPORTS: Dict[str, str] = {
         ),
         ".stages": (
             "PIPELINE_STAGES",
+            "PipelineSources",
             "ScenarioResult",
-            "cached_scene",
-            "cached_solar_field",
-            "cached_suitability",
-            "cached_suitable_grid",
             "prepare_problem",
+            "run_pipeline",
             "run_scenario",
             "scenario_content_digest",
             "solar_config_payload",

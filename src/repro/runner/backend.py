@@ -4,7 +4,7 @@ The SQLite :class:`~repro.runner.store.ResultStore` is the first (and so
 far only) implementation of the :class:`StoreBackend` protocol — the
 narrow interface a campaign driver or :mod:`~repro.runner.worker` fleet
 actually needs from shared campaign state: enroll points, atomically
-claim/heartbeat/mark/release them, reclaim stale leases, and query rows.
+claim (adopting stale leases)/heartbeat/mark/release them, and query rows.
 A future Postgres or HTTP backend plugs in by implementing the protocol
 and registering a URL scheme:
 
@@ -103,12 +103,6 @@ class StoreBackend(Protocol):
     ) -> bool: ...
 
     def release(self, campaign: str, digest: str, owner: str) -> bool: ...
-
-    def reclaim_stale(
-        self, campaign: str, stale_after_s: float, now: Optional[float] = None
-    ) -> List[str]: ...
-
-    def reset_running(self, campaign: str) -> int: ...
 
     def point(self, campaign: str, digest: str) -> PointRecord: ...
 

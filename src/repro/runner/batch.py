@@ -62,7 +62,7 @@ from ..scenario.spec import ScenarioSpec
 from ..telemetry import MetricStats, configure_from_env, merge_active_trace, span, trace_event
 from .cache import PathLike, StageCache, resolve_cache
 from .solvers import WarmStart
-from .stages import ScenarioResult, run_scenario
+from .stages import UNCACHED_STAGES, ScenarioResult, run_scenario
 from .store import (
     METRIC_KIND_COUNTER,
     METRIC_KIND_POINT_TIME,
@@ -167,6 +167,15 @@ def count_stage_flags(
     return counts
 
 
+def _stage_provenance(result: ScenarioResult) -> Dict[str, bool]:
+    """``stage_cached`` plus every uncached node that ran, as a recompute."""
+    provenance = dict(result.stage_cached)
+    for stage in UNCACHED_STAGES:
+        if stage in result.stage_times_s:
+            provenance[stage] = False
+    return provenance
+
+
 def sum_stage_times(
     results: Sequence[ScenarioResult], cached: bool
 ) -> Dict[str, float]:
@@ -174,12 +183,13 @@ def sum_stage_times(
 
     The wall-clock counterpart of :func:`count_stage_flags`: ``cached=True``
     totals the seconds spent *loading* cached stages, ``cached=False`` the
-    seconds spent recomputing them, keyed over the same stage set so the
-    time and count accounting can never drift apart.
+    seconds spent recomputing them.  Besides the cached stages, both totals
+    are keyed over the uncached nodes (weather, horizon) that ran: those run
+    only under a missed stage, so their seconds count as recompute time.
     """
     totals: Dict[str, float] = {}
     for result in results:
-        for stage, hit in result.stage_cached.items():
+        for stage, hit in _stage_provenance(result).items():
             seconds = result.stage_times_s.get(stage, 0.0) if hit == cached else 0.0
             totals[stage] = totals.get(stage, 0.0) + seconds
     return totals
@@ -342,9 +352,6 @@ def _run_scenario_worker(args: tuple) -> Tuple[str, dict]:
     failure to its point (name + digest) instead of surfacing a bare pool
     traceback.
     """
-    # The batch already parallelises across processes; keep the horizon
-    # kernel single-threaded inside each worker to avoid oversubscription.
-    os.environ.setdefault("REPRO_HORIZON_WORKERS", "1")
     # Tracing propagates through $REPRO_TRACE (set by telemetry.configure in
     # the parent): forked workers already hold a re-keyed tracer via the
     # at-fork hook, spawned workers pick the path up here.  Each worker
@@ -927,7 +934,7 @@ def _campaign_metric_rows(
     for result in computed_results:
         for stage, seconds in result.stage_times_s.items():
             stage_samples.setdefault(stage, []).append(seconds)
-        for stage, hit in result.stage_cached.items():
+        for stage, hit in _stage_provenance(result).items():
             seconds = result.stage_times_s.get(stage)
             if seconds is None:
                 continue

@@ -226,21 +226,21 @@ class StageCache:
 
     Example
     -------
-    The cache is content-addressed: the payload *is* the key, and the
-    compute callable only runs on a miss.
+    The cache is content-addressed: the payload *is* the key.
 
     >>> import tempfile
     >>> from repro.runner import StageCache
     >>> tmp = tempfile.TemporaryDirectory()
     >>> cache = StageCache(root=tmp.name)
-    >>> cache.get_or_compute("stage", {"pitch": 0.4}, lambda: "computed")
-    ('computed', False)
-    >>> cache.get_or_compute("stage", {"pitch": 0.4}, lambda: "never called")
+    >>> cache.get("stage", {"pitch": 0.4})
+    (None, False)
+    >>> cache.put("stage", {"pitch": 0.4}, "computed")
+    >>> cache.get("stage", {"pitch": 0.4})
     ('computed', True)
-    >>> cache.get_or_compute("stage", {"pitch": 0.5}, lambda: "other key")
-    ('other key', False)
+    >>> cache.get("stage", {"pitch": 0.5})
+    (None, False)
     >>> cache.stats.as_dict()
-    {'hits': 1, 'misses': 2, 'writes': 2, 'quarantined': 0}
+    {'hits': 1, 'misses': 2, 'writes': 1, 'quarantined': 0}
     >>> tmp.cleanup()
     """
 
@@ -534,21 +534,6 @@ class StageCache:
                 pass
             raise
         return {"sha256": hashing.sha256, "size": hashing.size}
-
-    def get_or_compute(
-        self, stage: str, payload: Any, compute: Callable[[], Any]
-    ) -> Tuple[Any, bool]:
-        """Return the cached value or compute-and-store it.
-
-        Returns ``(value, hit)`` where ``hit`` tells whether the value came
-        from the cache.
-        """
-        value, hit = self.get(stage, payload)
-        if hit:
-            return value, True
-        value = compute()
-        self.put(stage, payload, value)
-        return value, False
 
     # -- maintenance --------------------------------------------------------------
 

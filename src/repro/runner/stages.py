@@ -1,19 +1,24 @@
 """Staged, cache-aware execution of the end-to-end pipeline.
 
-The pipeline is decomposed into the paper's stages --
+The pipeline is the paper's chain of stages --
 
     scene (DSM rasterisation)
       -> grid (virtual grid + suitable area)
+      -> weather (the station's time series)
+      -> horizon (per-sector horizon angles of the roof's DSM cells)
       -> solar field (spatio-temporal irradiance; the dominant cost)
       -> suitability (per-cell placement metric)
       -> placement (solver registry)
       -> evaluation (series/parallel energy model + baseline comparison)
 
--- with the expensive stages memoised in a :class:`~repro.runner.cache.StageCache`
-keyed by content hashes of the declarative inputs.  Scenario variants that
-share a roof/weather/time base therefore skip straight to the placement
-stage, and re-runs of a whole batch are dominated by the (cheap) solver and
-evaluation work.
+-- declared once, as the :data:`NODES` table, and run by one executor,
+:func:`run_pipeline`.  Scenarios, :func:`repro.plan_roof` and the
+case-study drivers only describe their inputs (:class:`PipelineSources`)
+and name the node they need.  The expensive nodes are memoised in a
+:class:`~repro.runner.cache.StageCache` keyed by content hashes of the
+declarative inputs, so scenario variants that share a roof/weather/time
+base skip straight to the placement stage, and a warm run never builds the
+weather or the horizon at all.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..constants import DEFAULT_SUITABILITY_PERCENTILE
 from ..core.problem import FloorplanProblem, default_topology
 from ..core.evaluation import PlacementComparison, PlacementEvaluator
 from ..core.suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
@@ -36,55 +42,31 @@ from ..gis.suitable_area import suitable_grid_for_scene
 from ..gis.synthetic import RoofScene, RoofSpec, build_roof_scene
 from ..io.placement_json import placement_to_dict
 from ..pv.datasheet import ModuleDatasheet
-from ..scenario.spec import (
-    ScenarioSpec,
-    grid_content_payload,
-    scene_content_payload,
+from ..pv.module import EmpiricalModuleModel
+from ..scenario.spec import ScenarioSpec, grid_content_payload, scene_content_payload
+from ..solar.irradiance_map import (
+    RoofSolarField,
+    SolarSimulationConfig,
+    compute_roof_solar_field,
+    roof_horizon_map,
 )
-from ..solar.irradiance_map import RoofSolarField, SolarSimulationConfig, compute_roof_solar_field
+from ..solar.shading import HorizonMap
 from ..solar.time_series import TimeGrid
 from ..telemetry import span
 from ..weather.records import WeatherSeries
 from .cache import CACHE_FORMAT_VERSION, StageCache, content_digest, resolve_cache
 from .solvers import SolverOutcome, WarmStart, solve, solve_with_fallback
 
-#: Stage names used both as cache sub-directories and as keys of the
-#: per-scenario ``stage_cached`` provenance map.
+#: Stage names: the keys of ``stage_times_s``, and for the cached nodes also
+#: their cache sub-directories and the keys of ``stage_cached``.
 STAGE_SCENE = "scene"
 STAGE_GRID = "grid"
+STAGE_WEATHER = "weather"
+STAGE_HORIZON = "horizon"
 STAGE_SOLAR = "solar"
 STAGE_SUITABILITY = "suitability"
 STAGE_SOLVE = "solve"
 STAGE_EVALUATE = "evaluate"
-
-#: The six pipeline stages of one scenario run, in execution order.  The
-#: first four are the cacheable data-extraction stages (the keys of
-#: ``stage_cached``); all six key the per-stage wall times recorded in
-#: :attr:`ScenarioResult.stage_times_s` and the campaign metrics table.
-PIPELINE_STAGES = (
-    STAGE_SCENE,
-    STAGE_GRID,
-    STAGE_SOLAR,
-    STAGE_SUITABILITY,
-    STAGE_SOLVE,
-    STAGE_EVALUATE,
-)
-
-
-@contextlib.contextmanager
-def _timed_stage(name: str, stage_times: Dict[str, float], **attrs: Any) -> Iterator[Any]:
-    """Span + wall-time accounting around one pipeline stage.
-
-    The wall time is *always* measured (two ``perf_counter`` calls -- the
-    campaign metrics table needs per-stage seconds even when tracing is
-    off); the span is the usual no-op unless a tracer is active.
-    """
-    with span(name, **attrs) as stage_span:
-        started = time.perf_counter()
-        try:
-            yield stage_span
-        finally:
-            stage_times[name] = stage_times.get(name, 0.0) + (time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -142,88 +124,230 @@ def weather_content_key(weather: WeatherSeries) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cached stage helpers (object-level; shared by scenarios and plan_roof)
+# The pipeline as one table of nodes
 # ---------------------------------------------------------------------------
 
 
-def cached_scene(
-    roof: RoofSpec, dsm_pitch: float, cache: StageCache
-) -> Tuple[RoofScene, bool]:
-    """Rasterise the roof scene, reusing a cached DSM when available."""
-    return cache.get_or_compute(
-        STAGE_SCENE,
-        scene_content_payload(roof, dsm_pitch),
-        lambda: build_roof_scene(roof, dsm_pitch=dsm_pitch),
-    )
+@dataclass(frozen=True)
+class PipelineSources:
+    """Everything the pipeline's nodes read that is not another node.
+
+    The cached nodes' content keys are computed up front; the two thunks
+    build the weather and the solar configuration, and are called only when
+    a node that needs them misses the cache.  There are two key sources:
+    :meth:`from_scenario` takes the :class:`ScenarioSpec` payloads, which
+    name the weather and the solar options by their declarative specs, and
+    :meth:`from_objects` (``plan_roof``, the case studies) names them by a
+    digest of the weather arrays and the materialised configuration.
+    """
+
+    roof: RoofSpec
+    dsm_pitch: float
+    grid_pitch: float
+    scene_key: dict
+    grid_key: dict
+    solar_key: dict
+    weather: Callable[[], WeatherSeries]
+    solar_config: Callable[[], SolarSimulationConfig]
+    #: Module of the suitability metric (scenarios only).
+    datasheet: Optional[ModuleDatasheet] = None
+
+    @classmethod
+    def from_scenario(cls, spec: ScenarioSpec) -> "PipelineSources":
+        return cls(
+            roof=spec.roof,
+            dsm_pitch=spec.dsm_pitch,
+            grid_pitch=spec.grid_pitch,
+            scene_key=spec.scene_payload(),
+            grid_key=spec.grid_payload(),
+            solar_key=spec.solar_payload(),
+            weather=lambda: spec.weather.build(spec.time.build()),
+            solar_config=spec.solar.build,
+            datasheet=spec.datasheet(),
+        )
+
+    @classmethod
+    def from_objects(
+        cls,
+        roof: RoofSpec,
+        weather: WeatherSeries,
+        config: SolarSimulationConfig,
+        dsm_pitch: float,
+        grid_pitch: float,
+    ) -> "PipelineSources":
+        grid_key = grid_content_payload(roof, dsm_pitch, grid_pitch)
+        return cls(
+            roof=roof,
+            dsm_pitch=dsm_pitch,
+            grid_pitch=grid_pitch,
+            scene_key=scene_content_payload(roof, dsm_pitch),
+            grid_key=grid_key,
+            solar_key={
+                "stage": STAGE_SOLAR,
+                "grid": grid_key,
+                "weather": weather_content_key(weather),
+                "solar": solar_config_payload(config),
+            },
+            weather=lambda: weather,
+            solar_config=lambda: config,
+        )
 
 
-def cached_suitable_grid(
-    roof: RoofSpec, scene: RoofScene, dsm_pitch: float, grid_pitch: float, cache: StageCache
-) -> Tuple[RoofGrid, bool]:
-    """Build the suitable-area virtual grid, cached on roof + pitches."""
-
-    def compute() -> RoofGrid:
-        grid = make_roof_grid(scene, pitch=grid_pitch)
-        return suitable_grid_for_scene(scene, grid)
-
-    return cache.get_or_compute(
-        STAGE_GRID, grid_content_payload(roof, dsm_pitch, grid_pitch), compute
-    )
+def _suitability_key(src: PipelineSources) -> dict:
+    # The full datasheet participates in the key (not just the module name):
+    # the metric's temperature correction depends on the module's electrical
+    # parameters, and inline scenario modules may share a name.
+    return {
+        "stage": STAGE_SUITABILITY,
+        "solar": src.solar_key,
+        "module": dataclasses.asdict(src.datasheet),
+        "percentile": DEFAULT_SUITABILITY_PERCENTILE,
+    }
 
 
-def cached_solar_field(
-    roof: RoofSpec,
+# Compute functions of the nodes: each takes the sources and then its
+# inputs' values, in the order the node lists them.
+
+
+def _build_scene(src: PipelineSources) -> RoofScene:
+    return build_roof_scene(src.roof, dsm_pitch=src.dsm_pitch)
+
+
+def _build_grid(src: PipelineSources, scene: RoofScene) -> RoofGrid:
+    return suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=src.grid_pitch))
+
+
+def _build_weather(src: PipelineSources) -> WeatherSeries:
+    return src.weather()
+
+
+def _build_horizon(src: PipelineSources, scene: RoofScene, grid: RoofGrid) -> HorizonMap:
+    return roof_horizon_map(scene, grid, src.solar_config())
+
+
+def _build_solar(
+    src: PipelineSources,
     scene: RoofScene,
     grid: RoofGrid,
     weather: WeatherSeries,
-    config: SolarSimulationConfig,
-    dsm_pitch: float,
-    grid_pitch: float,
-    cache: StageCache,
-    weather_key: Optional[str] = None,
-) -> Tuple[RoofSolarField, bool]:
-    """Spatio-temporal irradiance field, cached on every influencing input."""
-    payload = {
-        "stage": STAGE_SOLAR,
-        "grid": grid_content_payload(roof, dsm_pitch, grid_pitch),
-        "weather": weather_key if weather_key is not None else weather_content_key(weather),
-        "solar": solar_config_payload(config),
-    }
-    return cache.get_or_compute(
+    horizon: HorizonMap,
+) -> RoofSolarField:
+    # ``compute_roof_solar_field`` is looked up at call time, so tests can
+    # swap the dense oracle in for it.
+    return compute_roof_solar_field(scene, grid, weather, src.solar_config(), horizon)
+
+
+def _build_suitability(src: PipelineSources, solar: RoofSolarField) -> SuitabilityMap:
+    return compute_suitability(
+        solar,
+        SuitabilityConfig(percentile=DEFAULT_SUITABILITY_PERCENTILE),
+        EmpiricalModuleModel(datasheet=src.datasheet),
+    )
+
+
+@dataclass(frozen=True)
+class Node:
+    """One pipeline stage, cached when it has a ``key`` function."""
+
+    name: str
+    inputs: Tuple[str, ...]
+    compute: Callable[..., Any]
+    key: Optional[Callable[[PipelineSources], Any]] = None
+
+
+#: The data-extraction stages, in execution order.
+NODES: Tuple[Node, ...] = (
+    Node(STAGE_SCENE, (), _build_scene, lambda src: src.scene_key),
+    Node(STAGE_GRID, (STAGE_SCENE,), _build_grid, lambda src: src.grid_key),
+    Node(STAGE_WEATHER, (), _build_weather),
+    Node(STAGE_HORIZON, (STAGE_SCENE, STAGE_GRID), _build_horizon),
+    Node(
         STAGE_SOLAR,
-        payload,
-        lambda: compute_roof_solar_field(scene, grid, weather, config),
-    )
+        (STAGE_SCENE, STAGE_GRID, STAGE_WEATHER, STAGE_HORIZON),
+        _build_solar,
+        lambda src: src.solar_key,
+    ),
+    Node(STAGE_SUITABILITY, (STAGE_SOLAR,), _build_suitability, _suitability_key),
+)
+
+#: Every stage of one scenario run, in execution order: the nodes, then
+#: placement and evaluation.  The keys of
+#: :attr:`ScenarioResult.stage_times_s` and the campaign metrics table.
+PIPELINE_STAGES = tuple(node.name for node in NODES) + (STAGE_SOLVE, STAGE_EVALUATE)
+
+#: The uncached nodes (weather, horizon).  They run only when a cached node
+#: that needs them misses, so their seconds are recompute time.
+UNCACHED_STAGES = tuple(node.name for node in NODES if node.key is None)
 
 
-def cached_suitability(
-    problem: FloorplanProblem, solar_payload_key: Mapping[str, Any], cache: StageCache
-) -> Tuple[SuitabilityMap, bool]:
-    """Per-cell suitability metric, cached on the solar key + module + percentile.
+@contextlib.contextmanager
+def _stage(name: str, stage_times: Dict[str, float]) -> Iterator[Any]:
+    """Span + exclusive wall time of one pipeline stage.
 
-    The full datasheet participates in the key (not just the module name):
-    the metric's temperature correction depends on the module's electrical
-    parameters, and inline scenario modules may share a name.
+    The time is *always* measured (the campaign metrics table needs
+    per-stage seconds even when tracing is off); the span is the usual
+    no-op unless a tracer is active.  Time spent in stages run inside this
+    one (a missed node building its inputs) is booked to them, not here,
+    so the entries of ``stage_times`` never overlap.
     """
-    payload = {
-        "stage": STAGE_SUITABILITY,
-        "solar": dict(solar_payload_key),
-        "module": dataclasses.asdict(problem.datasheet),
-        "percentile": problem.suitability_percentile,
-    }
-    return cache.get_or_compute(
-        STAGE_SUITABILITY,
-        payload,
-        lambda: compute_suitability(
-            problem.solar,
-            SuitabilityConfig(percentile=problem.suitability_percentile),
-            problem.module_model,
-        ),
-    )
+    with span(name) as stage_span:
+        nested_before = sum(stage_times.values())
+        started = time.perf_counter()
+        try:
+            yield stage_span
+        finally:
+            elapsed = time.perf_counter() - started
+            nested = sum(stage_times.values()) - nested_before
+            stage_times[name] = stage_times.get(name, 0.0) + elapsed - nested
+
+
+def run_pipeline(
+    sources: PipelineSources,
+    target: str,
+    cache: StageCache,
+    stage_cached: Dict[str, bool],
+    stage_times: Dict[str, float],
+) -> Dict[str, Any]:
+    """Run the nodes ``target`` depends on; return their values by name.
+
+    Every cached node among them is looked up, in table order, and its hit
+    recorded in ``stage_cached``.  A node's inputs are built only when the
+    node misses, so on a warm run the uncached nodes (weather, horizon)
+    never run.  Each node that runs gets one span and one exclusive
+    ``stage_times`` entry.
+    """
+    by_name = {node.name: node for node in NODES}
+    needed = {target}
+    for node in reversed(NODES):
+        if node.name in needed:
+            needed.update(node.inputs)
+    values: Dict[str, Any] = {}
+
+    def resolve(node: Node) -> Any:
+        if node.name in values:
+            return values[node.name]
+        with _stage(node.name, stage_times) as stage_span:
+            hit = False
+            if node.key is not None:
+                payload = node.key(sources)
+                value, hit = cache.get(node.name, payload)
+                stage_cached[node.name] = hit
+                stage_span.set(cached=hit)
+            if not hit:
+                value = node.compute(sources, *(resolve(by_name[name]) for name in node.inputs))
+                if node.key is not None:
+                    cache.put(node.name, payload, value)
+        values[node.name] = value
+        return value
+
+    for node in NODES:
+        if node.name in needed and node.key is not None:
+            resolve(node)
+    return values
 
 
 # ---------------------------------------------------------------------------
-# Problem preparation shared by plan_roof and the scenario runner
+# Problem preparation for plan_roof
 # ---------------------------------------------------------------------------
 
 
@@ -242,10 +366,12 @@ def prepare_problem(
     allow_rotation: bool = False,
     label: Optional[str] = None,
 ) -> Tuple[FloorplanProblem, Dict[str, bool], WeatherSeries]:
-    """Run the data-extraction stages and assemble a floorplanning problem.
+    """Run the pipeline up to the solar field and assemble a floorplanning problem.
 
     Returns ``(problem, stage_cached, weather)`` where ``stage_cached`` maps
-    stage names to whether the disk cache supplied them.
+    stage names to whether the disk cache supplied them.  The solar key
+    hashes the weather arrays, so weather is generated (from
+    ``weather_seed``) even when the field is then a cache hit.
     """
     from ..pv.datasheet import PV_MF165EB3
     from ..weather.synthetic import SyntheticWeatherConfig, generate_weather
@@ -269,13 +395,8 @@ def prepare_problem(
         series = generate_weather(grid_time, SyntheticWeatherConfig(seed=weather_seed))
 
     stage_cached: Dict[str, bool] = {}
-    scene, stage_cached[STAGE_SCENE] = cached_scene(roof, dsm_pitch, stage_cache)
-    grid, stage_cached[STAGE_GRID] = cached_suitable_grid(
-        roof, scene, dsm_pitch, grid_pitch, stage_cache
-    )
-    solar, stage_cached[STAGE_SOLAR] = cached_solar_field(
-        roof, scene, grid, series, solar_cfg, dsm_pitch, grid_pitch, stage_cache
-    )
+    sources = PipelineSources.from_objects(roof, series, solar_cfg, dsm_pitch, grid_pitch)
+    solar = run_pipeline(sources, STAGE_SOLAR, stage_cache, stage_cached, {})[STAGE_SOLAR]
 
     series_length = n_series if n_series is not None else min(8, n_modules)
     topology = default_topology(n_modules, series_length)
@@ -313,7 +434,10 @@ class ScenarioResult:
     capacity_factor: float
     runtime_s: float
     stage_cached: Dict[str, bool] = field(default_factory=dict)
-    #: Wall-clock seconds per pipeline stage (keys of :data:`PIPELINE_STAGES`).
+    #: Exclusive wall-clock seconds per stage that ran (keys of
+    #: :data:`PIPELINE_STAGES`): a cold run has all eight, a warm one skips
+    #: ``weather`` and ``horizon``, which only a missed solar field builds.
+    #: The entries never overlap, so their sum is at most ``runtime_s``.
     #: Like ``runtime_s`` this is provenance, not part of the fingerprint.
     stage_times_s: Dict[str, float] = field(default_factory=dict)
     solver_info: Dict[str, Any] = field(default_factory=dict)
@@ -462,47 +586,23 @@ def run_scenario(
         solver=spec.solver.name,
         n_modules=spec.n_modules,
     ) as scenario_span:
-        with _timed_stage(STAGE_SCENE, stage_times) as stage_span:
-            scene, stage_cached[STAGE_SCENE] = cached_scene(
-                spec.roof, spec.dsm_pitch, stage_cache
-            )
-            stage_span.set(cached=stage_cached[STAGE_SCENE])
-        with _timed_stage(STAGE_GRID, stage_times) as stage_span:
-            grid, stage_cached[STAGE_GRID] = cached_suitable_grid(
-                spec.roof, scene, spec.dsm_pitch, spec.grid_pitch, stage_cache
-            )
-            stage_span.set(cached=stage_cached[STAGE_GRID])
-
-        with _timed_stage(STAGE_SOLAR, stage_times) as stage_span:
-            time_grid = spec.time.build()
-            weather = spec.weather.build(time_grid)
-            solar_cfg = spec.solar.build()
-            solar_payload = spec.solar_payload()
-            solar, stage_cached[STAGE_SOLAR] = stage_cache.get_or_compute(
-                STAGE_SOLAR,
-                solar_payload,
-                lambda: compute_roof_solar_field(scene, grid, weather, solar_cfg),
-            )
-            stage_span.set(cached=stage_cached[STAGE_SOLAR])
-
-        topology = default_topology(spec.n_modules, spec.series_length())
+        sources = PipelineSources.from_scenario(spec)
+        values = run_pipeline(
+            sources, STAGE_SUITABILITY, stage_cache, stage_cached, stage_times
+        )
+        solar = values[STAGE_SOLAR]
+        suitability = values[STAGE_SUITABILITY]
         problem = FloorplanProblem(
             grid=solar.grid,
             solar=solar,
             n_modules=spec.n_modules,
-            topology=topology,
-            datasheet=spec.datasheet(),
+            topology=default_topology(spec.n_modules, spec.series_length()),
+            datasheet=sources.datasheet,
             allow_rotation=spec.allow_rotation,
             label=spec.name,
         )
 
-        with _timed_stage(STAGE_SUITABILITY, stage_times) as stage_span:
-            suitability, stage_cached[STAGE_SUITABILITY] = cached_suitability(
-                problem, solar_payload, stage_cache
-            )
-            stage_span.set(cached=stage_cached[STAGE_SUITABILITY])
-
-        with _timed_stage(STAGE_SOLVE, stage_times):
+        with _stage(STAGE_SOLVE, stage_times):
             chain = solve_with_fallback(
                 problem,
                 spec.solver.name,
@@ -522,7 +622,7 @@ def run_scenario(
             else:
                 baseline = solve(problem, "traditional", {}, suitability)
 
-        with _timed_stage(STAGE_EVALUATE, stage_times):
+        with _stage(STAGE_EVALUATE, stage_times):
             # One evaluation context scores both the proposed and the baseline
             # placement, sharing the per-problem precomputation.
             evaluator = PlacementEvaluator(problem)

@@ -36,16 +36,15 @@ process; worker *pool* processes never touch it, so a dying worker cannot
 corrupt campaign state.  Across loops the store is the shared work queue:
 every write runs in its own ``BEGIN IMMEDIATE`` transaction (the write
 lock is taken up front, so a read-modify-write like
-:meth:`ResultStore.claim_next_pending` or
-:meth:`ResultStore.reclaim_stale` can never interleave with a competing
-driver's), every connection sets ``PRAGMA busy_timeout``, and contended
-writes additionally retry with exponential backoff on transient
-``sqlite3.OperationalError`` (``SQLITE_BUSY``, a flaky network
-filesystem); ``repro campaign doctor`` audits/repairs a store that was hit
-by crashes anyway.  ``export`` renders the ``done`` rows through the
-existing JSONL writer, byte-for-byte compatible with
-:func:`~repro.runner.batch.write_results_jsonl`, so every downstream
-consumer (sweep aggregation, reports) works unchanged.
+:meth:`ResultStore.claim_next_pending`, which also adopts stale leases,
+can never interleave with a competing driver's), every connection sets
+``PRAGMA busy_timeout``, and contended writes additionally retry with
+exponential backoff on transient ``sqlite3.OperationalError``
+(``SQLITE_BUSY``, a flaky network filesystem); ``repro campaign doctor``
+audits/repairs a store that was hit by crashes anyway.  ``export`` renders
+the ``done`` rows through the existing JSONL writer, byte-for-byte
+compatible with :func:`~repro.runner.batch.write_results_jsonl`, so every
+downstream consumer (sweep aggregation, reports) works unchanged.
 """
 
 from __future__ import annotations
@@ -283,7 +282,9 @@ class CampaignSummary:
     the stage-cache provenance of the computed points only, so a resume
     proves it recomputed exactly the missing work; ``stage_hit_time_s`` /
     ``stage_recompute_time_s`` carry the same split in wall-clock seconds,
-    so cache savings are reported as time, not just counts.
+    so cache savings are reported as time, not just counts; the uncached
+    weather and horizon nodes run only under a missed stage, so their
+    seconds are recompute time.
     """
 
     campaign: str
@@ -615,8 +616,8 @@ class ResultStore:
         read-modify-write transaction -- select the next claimable row,
         stamp it -- can never interleave with a competing driver's: SQLite
         serialises the whole transaction, which is what makes
-        :meth:`claim_next_pending` and :meth:`reclaim_stale` atomic across
-        processes and hosts.  A contended lock blocks for
+        :meth:`claim_next_pending` (stale-lease adoption included) atomic
+        across processes and hosts.  A contended lock blocks for
         ``PRAGMA busy_timeout`` first; if it still surfaces as
         ``sqlite3.OperationalError`` (``SQLITE_BUSY``/"database is locked",
         a flaky network filesystem), the transaction retries with
@@ -929,83 +930,6 @@ class ResultStore:
                 lease_owner=None,
                 heartbeat_ts=None,
             )
-
-    def reset_running(self, campaign: str) -> int:
-        """Fail rows stuck in ``running`` (a previous driver died mid-run).
-
-        Returns the number of rows transitioned.  The rows become ``failed``
-        (not ``pending``) so the interruption stays auditable in ``error``;
-        the campaign runner re-attempts failed rows on resume anyway.
-        """
-        cursor = self._write(
-            lambda conn: conn.execute(
-                """
-                UPDATE points
-                SET status='failed',
-                    error='interrupted: driver exited while the point was running',
-                    lease_owner=NULL, heartbeat_ts=NULL, updated_at=?
-                WHERE campaign=? AND status='running'
-                """,
-                (time.time(), campaign),
-            ),
-            key=campaign,
-        )
-        return cursor.rowcount
-
-    def reclaim_stale(
-        self, campaign: str, stale_after_s: float, now: Optional[float] = None
-    ) -> List[str]:
-        """Reclaim ``running`` rows whose heartbeat went stale.
-
-        A row whose last proof of life (``heartbeat_ts``, falling back to
-        ``updated_at`` for pre-heartbeat rows) is older than
-        ``stale_after_s`` belonged to a driver that died; it is flipped to
-        ``failed`` with an auditable ``interrupted: stale lease`` error so
-        the normal retry/resume machinery picks it up.  Returns the
-        reclaimed digests so an in-flight driver can re-enqueue the ones
-        belonging to its fleet within the same run.
-        """
-        now = time.time() if now is None else now
-        cutoff = now - stale_after_s
-
-        def operate(conn: sqlite3.Connection) -> List[str]:
-            rows = conn.execute(
-                """
-                SELECT digest, lease_owner FROM points
-                WHERE campaign=? AND status='running'
-                  AND COALESCE(heartbeat_ts, updated_at) < ?
-                """,
-                (campaign, cutoff),
-            ).fetchall()
-            reclaimed: List[str] = []
-            for row in rows:
-                owner = row["lease_owner"] or "unknown driver"
-                # The UPDATE re-checks staleness so a reclaim racing a
-                # sibling's reclaim (or a claim that adopted the lease
-                # between our SELECT and here) is a no-op: exactly one
-                # caller wins each stale row.
-                cursor = conn.execute(
-                    """
-                    UPDATE points
-                    SET status='failed', error=?, lease_owner=NULL,
-                        heartbeat_ts=NULL, updated_at=?
-                    WHERE campaign=? AND digest=? AND status='running'
-                      AND COALESCE(heartbeat_ts, updated_at) < ?
-                    """,
-                    (
-                        "interrupted: stale lease reclaimed "
-                        f"(no heartbeat from {owner} for > {stale_after_s:g}s)",
-                        now,
-                        campaign,
-                        row["digest"],
-                        cutoff,
-                    ),
-                )
-                if cursor.rowcount:
-                    reclaimed.append(row["digest"])
-            return reclaimed
-
-        return self._write(operate, key=campaign)
 
     # -- queries ------------------------------------------------------------------
 

@@ -133,11 +133,11 @@ def roof_spec_from_dict(data: Mapping[str, Any]) -> RoofSpec:
 # ---------------------------------------------------------------------------
 # Canonical content payloads for the stage cache
 #
-# These are the single source of truth for the expensive-stage cache keys:
+# These are the single source of truth for the scene and grid cache keys:
 # both the declarative scenario path (ScenarioSpec methods below) and the
-# object-level path (repro.runner.stages, used by plan_roof and the
-# case-study drivers) build their keys through these functions, so the two
-# entry points share cache entries for identical inputs by construction.
+# object-level path (repro.runner.stages.PipelineSources.from_objects, used
+# by plan_roof and the case-study drivers) build their keys through these
+# functions, so the two entry points share those entries by construction.
 # ---------------------------------------------------------------------------
 
 

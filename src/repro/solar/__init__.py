@@ -19,7 +19,6 @@ from .irradiance_map import (
     RoofSolarField,
     SolarSimulationConfig,
     compute_roof_solar_field,
-    compute_roof_solar_field_dense_reference,
 )
 from .linke import LinkeTurbidityProfile
 from .position import (
@@ -58,7 +57,6 @@ __all__ = [
     "RoofSolarField",
     "SolarSimulationConfig",
     "compute_roof_solar_field",
-    "compute_roof_solar_field_dense_reference",
     "LinkeTurbidityProfile",
     "SolarPosition",
     "compute_solar_position",

@@ -24,9 +24,9 @@ compressed*: :attr:`RoofSolarField.irradiance` holds only the kept rows
 :class:`~repro.solar.time_series.CompressedTimeGrid` maps them back to the
 full axis.  Expansion is exact -- the dropped rows are zero by construction
 -- and every consumer that integrates, gathers or reduces over time runs on
-half the rows.  :func:`compute_roof_solar_field_dense_reference` keeps the
-original dense assembly as the ground truth for the equivalence tests and
-the solar-field benchmark.
+half the rows.  The original dense assembly lives on as the oracle in
+``tests/oracles/solar_field.py``, the ground truth of the equivalence tests
+and the solar-field benchmark.
 """
 
 from __future__ import annotations
@@ -400,6 +400,35 @@ def select_percentile(block: np.ndarray, q: float, n_zeros: int = 0) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+def _valid_cell_dsm_indices(
+    scene: RoofScene, grid: RoofGrid
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's valid cells and the DSM row/column each one samples."""
+    dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
+    cells = grid.valid_cells()
+    return cells, dsm_rows[cells[:, 0], cells[:, 1]], dsm_cols[cells[:, 0], cells[:, 1]]
+
+
+def roof_horizon_map(
+    scene: RoofScene, grid: RoofGrid, config: SolarSimulationConfig
+) -> HorizonMap:
+    """The horizon map a roof's solar field needs.
+
+    Computed for the bounding window of the DSM cells under the grid's valid
+    elements (the whole tile when the grid has no valid cell), reading
+    obstructions from the whole tile, so every cell is bit-identical to the
+    whole-tile map.  :func:`compute_roof_solar_field` calls this when it is
+    given no map, and the pipeline's ``horizon`` stage calls it too.
+    """
+    _, rows, cols = _valid_cell_dsm_indices(scene, grid)
+    return compute_horizon_map(
+        scene.dsm.raster,
+        n_sectors=config.n_horizon_sectors,
+        max_distance=config.horizon_max_distance_m,
+        window=cells_window(rows, cols),
+    )
+
+
 def _poa_and_shading_inputs(
     scene: RoofScene,
     grid: RoofGrid,
@@ -452,20 +481,10 @@ def _poa_and_shading_inputs(
         sky_model=cfg.sky_model,
     )
 
-    # 3. Shading geometry: per-cell DSM indices + a horizon map covering them
-    # (only the valid cells' window of the DSM; the whole tile when the grid
-    # has no valid cell).
-    dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
-    cells = grid.valid_cells()
-    cell_dsm_rows = dsm_rows[cells[:, 0], cells[:, 1]]
-    cell_dsm_cols = dsm_cols[cells[:, 0], cells[:, 1]]
+    # 3. Shading geometry: per-cell DSM indices + a horizon map covering them.
+    cells, cell_dsm_rows, cell_dsm_cols = _valid_cell_dsm_indices(scene, grid)
     if horizon_map is None:
-        horizon_map = compute_horizon_map(
-            scene.dsm.raster,
-            n_sectors=cfg.n_horizon_sectors,
-            max_distance=cfg.horizon_max_distance_m,
-            window=cells_window(cell_dsm_rows, cell_dsm_cols),
-        )
+        horizon_map = roof_horizon_map(scene, grid, cfg)
     sky_view = horizon_map.sky_view_for_cells(cell_dsm_rows, cell_dsm_cols)
 
     return time_grid, position, poa, horizon_map, cells, cell_dsm_rows, cell_dsm_cols, sky_view
@@ -494,9 +513,9 @@ def compute_roof_solar_field(
     horizon_map:
         Pre-computed horizon map of the scene DSM, covering at least the
         DSM cells of the grid's valid elements.  When omitted it is
-        computed for exactly those cells' bounding window of the DSM, not
-        the whole tile; obstructions still come from the whole tile, so the
-        field is bit-identical either way.
+        :func:`roof_horizon_map` (those cells' bounding window of the DSM,
+        not the whole tile); obstructions still come from the whole tile, so
+        the field is bit-identical either way.
 
     Notes
     -----
@@ -505,8 +524,8 @@ def compute_roof_solar_field(
     chunked over cells -- the transient boolean shadow mask and the float64
     products cover one column block at a time, never the full
     ``(n_time, Ng)`` matrix.  The values of the kept rows are bit-identical
-    to :func:`compute_roof_solar_field_dense_reference`, whose dropped rows
-    are exactly zero.
+    to the dense oracle in ``tests/oracles/solar_field.py``, whose dropped
+    rows are exactly zero.
     """
     cfg = config if config is not None else SolarSimulationConfig()
     (
@@ -571,52 +590,4 @@ def compute_roof_solar_field(
         temperature=np.asarray(weather.temperature, dtype=float),
         sky_view=sky_view_arr,
         daylight=daylight,
-    )
-
-
-def compute_roof_solar_field_dense_reference(
-    scene: RoofScene,
-    grid: RoofGrid,
-    weather: WeatherSeries,
-    config: SolarSimulationConfig | None = None,
-    horizon_map: Optional[HorizonMap] = None,
-) -> RoofSolarField:
-    """Original dense solar assembly, kept as the ground truth.
-
-    Materialises the full float64 ``(n_time, Ng)`` shadow matrix and the
-    dense broadcast products exactly like the seed implementation; the
-    compressed :func:`compute_roof_solar_field` must expand to its
-    ``irradiance`` bit for bit (the equivalence tests and the solar-field
-    benchmark rely on this).
-    """
-    cfg = config if config is not None else SolarSimulationConfig()
-    (
-        time_grid,
-        position,
-        poa,
-        horizon_map,
-        cells,
-        cell_dsm_rows,
-        cell_dsm_cols,
-        sky_view,
-    ) = _poa_and_shading_inputs(scene, grid, weather, cfg, horizon_map)
-
-    lit = horizon_map.lit_fraction_for_cells(
-        cell_dsm_rows, cell_dsm_cols, position.elevation_deg, position.azimuth_deg
-    )
-
-    dtype = np.dtype(cfg.store_dtype)
-    irradiance = (
-        poa.beam[:, None] * lit
-        + poa.sky_diffuse[:, None] * sky_view[None, :]
-        + poa.ground_reflected[:, None]
-    ).astype(dtype)
-
-    return RoofSolarField(
-        grid=grid,
-        time_grid=time_grid,
-        cells=cells,
-        irradiance=irradiance,
-        temperature=np.asarray(weather.temperature, dtype=float),
-        sky_view=np.asarray(sky_view, dtype=float),
     )

@@ -24,8 +24,6 @@ time steps would be prohibitively slow, so this module uses the classic
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,10 +299,10 @@ def _sector_steps(
 
 
 class _SectorScratch:
-    """Preallocated per-worker buffers of the horizon kernel.
+    """Preallocated buffers of the horizon kernel.
 
     One set of window-sized buffers is reused across every radial step of
-    every sector a worker processes, replacing the per-step ``np.full_like``
+    every sector, replacing the per-step ``np.full_like``
     allocation churn of the straightforward implementation.
     """
 
@@ -396,7 +394,6 @@ def compute_horizon_map(
     n_sectors: int = 36,
     max_distance: float = 60.0,
     min_step: float | None = None,
-    n_workers: int | None = None,
     window: "tuple[tuple[int, int], tuple[int, int]] | None" = None,
 ) -> HorizonMap:
     """Compute the horizon map of a DSM, or of a window of it.
@@ -415,13 +412,6 @@ def compute_horizon_map(
         DSM tile) a few tens of metres suffice.
     min_step:
         Radial marching step [m]; defaults to the DSM pitch.
-    n_workers:
-        Number of threads marching sectors concurrently (numpy releases the
-        GIL inside the kernels).  ``None`` picks ``min(n_sectors, available
-        CPUs)`` respecting CPU affinity, overridable via the
-        ``REPRO_HORIZON_WORKERS`` environment variable (the process-parallel
-        batch runner sets it to 1 in its workers to avoid oversubscription);
-        1 forces the serial path.
     window:
         Half-open DSM index ranges ``((row_start, row_stop), (col_start,
         col_stop))`` of the cells whose horizon is computed (the roof's
@@ -441,13 +431,19 @@ def compute_horizon_map(
     simultaneously: for a fixed azimuth sector and a fixed radial distance
     the candidate obstruction heights for *all* cells are read through a
     single shifted view of the DSM array, so the inner loop is pure numpy.
-    Radial steps that round to the same cell offset are deduplicated, each
-    worker reuses one set of preallocated scratch buffers, and the per-step
-    transcendental is avoided by maximising in tangent space (see
+    Radial steps that round to the same cell offset are deduplicated, one
+    set of preallocated scratch buffers serves every sector, and the
+    per-step transcendental is avoided by maximising in tangent space (see
     :func:`_sector_horizon`); the result is bit-for-bit identical to the
-    matching cells of :func:`compute_horizon_map_reference`.  The cost
-    scales with the window's cell count, which for a roof is a fraction of
-    its tile.
+    matching cells of the per-step reference in ``tests/oracles/horizon.py``.
+    The cost scales with the window's cell count, which for a roof is a
+    fraction of its tile.
+
+    Sectors are marched one after another in the calling thread.  A radial
+    step is about eight numpy calls on a window of a few thousand cells,
+    too small to overlap under the GIL, so threads only added overhead;
+    parallelism lives in batch ``--jobs`` and worker fleets, which run
+    whole points.
     """
     if n_sectors < 4:
         raise GISError("at least 4 azimuth sectors are required")
@@ -470,24 +466,10 @@ def compute_horizon_map(
     n_steps = max(1, int(np.ceil(max_distance / step)))
     distances = (np.arange(1, n_steps + 1)) * step
 
-    workers = n_workers if n_workers is not None else min(n_sectors, _default_workers())
-    workers = max(1, int(workers))
-
-    def run_sectors(sector_indices) -> None:
-        scratch = _SectorScratch(target.shape)
-        for s in sector_indices:
-            steps = _sector_steps(
-                float(sector_azimuths[s]), distances, pitch, (n_rows, n_cols), window
-            )
-            _sector_horizon(elevation, target, steps, horizon[s], scratch)
-
-    if workers <= 1:
-        run_sectors(range(n_sectors))
-    else:
-        chunks = [range(start, n_sectors, workers) for start in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # list() re-raises any worker exception.
-            list(pool.map(run_sectors, chunks))
+    scratch = _SectorScratch(target.shape)
+    for s, azimuth in enumerate(sector_azimuths):
+        steps = _sector_steps(float(azimuth), distances, pitch, (n_rows, n_cols), window)
+        _sector_horizon(elevation, target, steps, horizon[s], scratch)
 
     return HorizonMap(
         sector_azimuths_deg=sector_azimuths,
@@ -495,99 +477,6 @@ def compute_horizon_map(
         pitch=pitch,
         origin=(int(row_lo), int(col_lo)),
     )
-
-
-def compute_horizon_map_reference(
-    dsm: Raster,
-    n_sectors: int = 36,
-    max_distance: float = 60.0,
-    min_step: float | None = None,
-) -> HorizonMap:
-    """Straightforward horizon-map computation, kept as the ground truth.
-
-    This is the original per-(sector, distance) shifted-copy implementation;
-    the optimised :func:`compute_horizon_map` must reproduce its output bit
-    for bit (the equivalence test and the kernel benchmark both rely on it).
-    """
-    if n_sectors < 4:
-        raise GISError("at least 4 azimuth sectors are required")
-    if max_distance <= 0:
-        raise GISError("max_distance must be positive")
-    pitch = dsm.pitch
-    step = pitch if min_step is None else max(float(min_step), 1e-6)
-    n_rows, n_cols = dsm.shape
-    elevation = dsm.data
-
-    sector_azimuths = -180.0 + (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
-    horizon = np.zeros((n_sectors, n_rows, n_cols), dtype=float)
-
-    n_steps = max(1, int(np.ceil(max_distance / step)))
-    distances = (np.arange(1, n_steps + 1)) * step
-
-    for s, azimuth in enumerate(sector_azimuths):
-        az_rad = azimuth * DEG2RAD
-        ux = -np.sin(az_rad)
-        uy = -np.cos(az_rad)
-        best = np.full((n_rows, n_cols), -90.0)
-        for distance in distances:
-            d_col = int(np.round(distance * ux / pitch))
-            d_row = int(np.round(distance * uy / pitch))
-            if d_col == 0 and d_row == 0:
-                continue
-            shifted = _shifted_elevation(elevation, d_row, d_col)
-            with np.errstate(invalid="ignore"):
-                angle = np.arctan2(shifted - elevation, distance) * RAD2DEG
-            best = np.maximum(best, np.where(np.isnan(angle), -90.0, angle))
-        horizon[s] = np.maximum(best, 0.0)
-
-    return HorizonMap(
-        sector_azimuths_deg=sector_azimuths, horizon_deg=horizon, pitch=pitch
-    )
-
-
-def _default_workers() -> int:
-    """Default horizon-kernel thread count.
-
-    Honours the ``REPRO_HORIZON_WORKERS`` override and CPU affinity (cgroup
-    limits in containers), so process-parallel callers can pin the kernel to
-    one thread instead of oversubscribing the machine.
-    """
-    override = os.environ.get("REPRO_HORIZON_WORKERS")
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # platforms without sched_getaffinity
-        return max(1, os.cpu_count() or 1)
-
-
-def _shifted_elevation(elevation: np.ndarray, d_row: int, d_col: int) -> np.ndarray:
-    """Elevation array shifted so cell (r, c) reads the value at (r+d_row, c+d_col).
-
-    Cells whose source falls outside the DSM read NaN (treated as "no
-    obstruction" by the caller).
-    """
-    n_rows, n_cols = elevation.shape
-    out = np.full_like(elevation, np.nan)
-
-    src_row_lo = max(0, d_row)
-    src_row_hi = min(n_rows, n_rows + d_row)
-    src_col_lo = max(0, d_col)
-    src_col_hi = min(n_cols, n_cols + d_col)
-    if src_row_lo >= src_row_hi or src_col_lo >= src_col_hi:
-        return out
-
-    dst_row_lo = src_row_lo - d_row
-    dst_row_hi = src_row_hi - d_row
-    dst_col_lo = src_col_lo - d_col
-    dst_col_hi = src_col_hi - d_col
-    out[dst_row_lo:dst_row_hi, dst_col_lo:dst_col_hi] = elevation[
-        src_row_lo:src_row_hi, src_col_lo:src_col_hi
-    ]
-    return out
 
 
 def shadow_fraction_map(

@@ -1,0 +1,71 @@
+"""Dense oracle of :func:`repro.solar.irradiance_map.compute_roof_solar_field`.
+
+Builds the full float64 ``(n_time, Ng)`` shadow matrix and broadcasts the
+plane-of-array components over it, night rows included -- the solar-field
+assembly written as directly as numpy allows.  It shares the front half
+(sun positions, plane-of-array components, horizon) with the kernel.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.gis.gridding import RoofGrid
+from repro.gis.synthetic import RoofScene
+from repro.solar.irradiance_map import (
+    RoofSolarField,
+    SolarSimulationConfig,
+    _poa_and_shading_inputs,
+)
+from repro.solar.shading import HorizonMap
+from repro.weather.records import WeatherSeries
+
+
+def compute_roof_solar_field_dense_reference(
+    scene: RoofScene,
+    grid: RoofGrid,
+    weather: WeatherSeries,
+    config: SolarSimulationConfig | None = None,
+    horizon_map: Optional[HorizonMap] = None,
+) -> RoofSolarField:
+    """Original dense solar assembly, kept as the ground truth.
+
+    Materialises the full float64 ``(n_time, Ng)`` shadow matrix and the
+    dense broadcast products exactly like the seed implementation; the
+    compressed :func:`repro.solar.irradiance_map.compute_roof_solar_field`
+    must expand to its ``irradiance`` bit for bit (the equivalence tests and
+    the solar-field benchmark rely on this).
+    """
+    cfg = config if config is not None else SolarSimulationConfig()
+    (
+        time_grid,
+        position,
+        poa,
+        horizon_map,
+        cells,
+        cell_dsm_rows,
+        cell_dsm_cols,
+        sky_view,
+    ) = _poa_and_shading_inputs(scene, grid, weather, cfg, horizon_map)
+
+    lit = horizon_map.lit_fraction_for_cells(
+        cell_dsm_rows, cell_dsm_cols, position.elevation_deg, position.azimuth_deg
+    )
+
+    dtype = np.dtype(cfg.store_dtype)
+    irradiance = (
+        poa.beam[:, None] * lit
+        + poa.sky_diffuse[:, None] * sky_view[None, :]
+        + poa.ground_reflected[:, None]
+    ).astype(dtype)
+
+    return RoofSolarField(
+        grid=grid,
+        time_grid=time_grid,
+        cells=cells,
+        irradiance=irradiance,
+        temperature=np.asarray(weather.temperature, dtype=float),
+        sky_view=np.asarray(sky_view, dtype=float),
+    )

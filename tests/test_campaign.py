@@ -133,14 +133,6 @@ class TestResultStore:
         # The spec is stored in full, so resume can rebuild the work list.
         assert point.spec().to_dict() == spec.to_dict()
 
-    def test_reset_running_marks_interrupted(self, store):
-        (record,) = store.enroll("camp", [tiny_spec("a")])
-        store.mark_running("camp", record.digest)
-        assert store.reset_running("camp") == 1
-        point = store.point("camp", record.digest)
-        assert point.status == STATUS_FAILED
-        assert "interrupted" in point.error
-
     def test_find_done_is_served_by_the_digest_index(self, store):
         """The warm-hint and memo lookup by digest alone, which the
         ``(campaign, digest)`` key cannot serve, must not scan the table."""

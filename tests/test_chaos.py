@@ -504,8 +504,8 @@ class TestCorruptCacheEntries:
         cache.put("stage", self.PAYLOAD, {"value": 1})
         cache.path_for("stage", self.PAYLOAD).write_bytes(b"\x00garbage")
 
-        value, hit = cache.get_or_compute("stage", self.PAYLOAD, lambda: {"value": 2})
-        assert (value, hit) == ({"value": 2}, False)
+        assert cache.get("stage", self.PAYLOAD) == (None, False)
+        cache.put("stage", self.PAYLOAD, {"value": 2})
         # The repopulated entry is healthy again.
         assert cache.get("stage", self.PAYLOAD) == ({"value": 2}, True)
 

@@ -31,17 +31,18 @@ from repro.errors import SolarModelError
 from repro.pv.datasheet import PV_MF165EB3
 from repro.runner import StageCache, run_batch
 from repro.runner.batch import _worker_payload
-from repro.runner.stages import cached_solar_field
+from repro.runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
 from repro.scenario import builtin_scenarios
 from repro.solar import (
     CompressedTimeGrid,
     SolarSimulationConfig,
     TimeGrid,
     compute_roof_solar_field,
-    compute_roof_solar_field_dense_reference,
     solar_elevation_azimuth,
 )
 from repro.weather.records import StationMetadata, WeatherSeries
+
+from oracles.solar_field import compute_roof_solar_field_dense_reference
 
 
 @pytest.fixture(scope="module")
@@ -347,25 +348,20 @@ class TestHighLatitudeAzimuth:
 
 
 class TestMemmapCache:
-    def _cached(self, spec, scene, grid, weather, cache):
+    def _cached(self, spec, weather, cache):
         config = SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=25.0)
-        return cached_solar_field(
-            spec, scene, grid, weather, config, 0.4, 0.2, cache
-        )
+        sources = PipelineSources.from_objects(spec, weather, config, 0.4, 0.2)
+        stage_cached: dict = {}
+        solar = run_pipeline(sources, STAGE_SOLAR, cache, stage_cached, {})[STAGE_SOLAR]
+        return solar, stage_cached[STAGE_SOLAR]
 
-    def test_round_trip_is_memmapped_and_exact(
-        self, small_roof_spec, small_scene, small_grid, small_weather, tmp_path
-    ):
+    def test_round_trip_is_memmapped_and_exact(self, small_roof_spec, small_weather, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        cold, hit_cold = self._cached(
-            small_roof_spec, small_scene, small_grid, small_weather, cache
-        )
+        cold, hit_cold = self._cached(small_roof_spec, small_weather, cache)
         assert not hit_cold
         sidecars = list((tmp_path / "cache").rglob("*.irradiance.npy"))
         assert len(sidecars) == 1
-        warm, hit_warm = self._cached(
-            small_roof_spec, small_scene, small_grid, small_weather, cache
-        )
+        warm, hit_warm = self._cached(small_roof_spec, small_weather, cache)
         assert hit_warm
         assert isinstance(warm.irradiance, np.memmap)
         assert not warm.irradiance.flags.writeable
@@ -375,61 +371,45 @@ class TestMemmapCache:
         entry = next((tmp_path / "cache" / "solar").glob("*.pkl"))
         assert entry.stat().st_size < sidecars[0].stat().st_size
 
-    def test_memmap_knob_disables_mapping(
-        self, small_roof_spec, small_scene, small_grid, small_weather, tmp_path
-    ):
+    def test_memmap_knob_disables_mapping(self, small_roof_spec, small_weather, tmp_path):
         cache = StageCache(root=tmp_path / "cache", mmap_arrays=False)
-        self._cached(small_roof_spec, small_scene, small_grid, small_weather, cache)
-        warm, hit = self._cached(
-            small_roof_spec, small_scene, small_grid, small_weather, cache
-        )
+        self._cached(small_roof_spec, small_weather, cache)
+        warm, hit = self._cached(small_roof_spec, small_weather, cache)
         assert hit
         assert not isinstance(warm.irradiance, np.memmap)
 
-    def test_missing_sidecar_is_a_miss(
-        self, small_roof_spec, small_scene, small_grid, small_weather, tmp_path
-    ):
+    def test_missing_sidecar_is_a_miss(self, small_roof_spec, small_weather, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_scene, small_grid, small_weather, cache)
+        self._cached(small_roof_spec, small_weather, cache)
         for sidecar in (tmp_path / "cache").rglob("*.npy"):
             sidecar.unlink()
-        _, hit = self._cached(
-            small_roof_spec, small_scene, small_grid, small_weather, cache
-        )
+        _, hit = self._cached(small_roof_spec, small_weather, cache)
         assert not hit
 
-    def test_corrupt_sidecar_is_a_miss(
-        self, small_roof_spec, small_scene, small_grid, small_weather, tmp_path
-    ):
+    def test_corrupt_sidecar_is_a_miss(self, small_roof_spec, small_weather, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_scene, small_grid, small_weather, cache)
+        self._cached(small_roof_spec, small_weather, cache)
         for sidecar in (tmp_path / "cache").rglob("*.npy"):
             sidecar.write_bytes(b"not an npy file")
-        _, hit = self._cached(
-            small_roof_spec, small_scene, small_grid, small_weather, cache
-        )
+        _, hit = self._cached(small_roof_spec, small_weather, cache)
         assert not hit
 
     def test_format_version_orphans_old_entries(
-        self, small_roof_spec, small_scene, small_grid, small_weather, tmp_path, monkeypatch
+        self, small_roof_spec, small_weather, tmp_path, monkeypatch
     ):
         from repro.runner import cache as cache_module
 
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_scene, small_grid, small_weather, cache)
+        self._cached(small_roof_spec, small_weather, cache)
         # Entries written under a previous on-disk format hash to different
         # paths, so they can never be read back (no corruption, just a miss).
         monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
-        _, hit = self._cached(
-            small_roof_spec, small_scene, small_grid, small_weather, cache
-        )
+        _, hit = self._cached(small_roof_spec, small_weather, cache)
         assert not hit
 
-    def test_clear_removes_sidecars(
-        self, small_roof_spec, small_scene, small_grid, small_weather, tmp_path
-    ):
+    def test_clear_removes_sidecars(self, small_roof_spec, small_weather, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_scene, small_grid, small_weather, cache)
+        self._cached(small_roof_spec, small_weather, cache)
         assert list((tmp_path / "cache").rglob("*.npy"))
         removed = cache.clear()
         assert removed == cache.stats.writes

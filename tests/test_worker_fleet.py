@@ -5,7 +5,7 @@ one SQLite file) pull points via
 :meth:`~repro.runner.store.ResultStore.claim_next_pending` and mark them
 through lease-fenced terminal writes.  These tests pin the concurrency
 contract from the unit level (one claim per point, exactly one winner per
-reclaim race) up to a real 3-process fleet with a SIGKILLed member, whose
+adoption race) up to a real 3-process fleet with a SIGKILLed member, whose
 merged results must be fingerprint-identical to a serial run.
 """
 
@@ -150,6 +150,48 @@ class TestClaimNextPending:
             assert adopted.point.lease_owner == "w2"
             assert adopted.point.attempts == 2  # one per started attempt
 
+    def test_concurrent_adoptions_of_a_stale_row_have_one_winner(self, tmp_path):
+        """Two claims racing for one stale lease: exactly one adopts it, and
+        the adoption charges exactly one extra attempt."""
+        store_path = tmp_path / "store.sqlite"
+        spec = tiny_spec("stale-point")
+        digest = scenario_content_digest(spec)
+        enroll(store_path, "race", [spec])
+        with ResultStore(store_path) as store:
+            store.mark_running("race", digest, lease_owner="dead:1")
+            attempts_before = store.point("race", digest).attempts
+        stale_now = time.time() + 120.0
+        claims: dict = {}
+        errors: list = []
+        barrier = threading.Barrier(2)
+
+        def adopt(owner: str) -> None:
+            try:
+                with ResultStore(store_path) as store:
+                    barrier.wait()
+                    claims[owner] = store.claim_next_pending(
+                        "race", owner=owner, now=stale_now, stale_after_s=60.0
+                    )
+            except Exception as exc:  # pragma: no cover - the failure branch
+                errors.append(exc)
+
+        threads = [threading.Thread(target=adopt, args=(f"w{i}",)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        winners = {owner: got for owner, got in claims.items() if got is not None}
+        assert len(claims) == 2 and len(winners) == 1
+        ((owner, claimed),) = winners.items()
+        assert claimed.adopted and claimed.point.digest == digest
+        with ResultStore(store_path) as store:
+            record = store.point("race", digest)
+        assert record.status == STATUS_RUNNING
+        assert record.lease_owner == owner
+        assert record.attempts == attempts_before + 1
+
     def test_fenced_marks_protect_adopted_points(self, tmp_path):
         """The original owner's late result is discarded after adoption --
         completion-marking is at-most-once."""
@@ -200,108 +242,6 @@ class TestClaimNextPending:
             assert store.release("camp", digest, "w1") is False
             again = store.claim_next_pending("camp", owner="w2")
             assert again is not None and not again.adopted
-
-
-# ---------------------------------------------------------------------------
-# Reclaim races
-# ---------------------------------------------------------------------------
-
-
-class TestReclaimRaces:
-    def _stale_row(self, store_path: Path, campaign: str) -> str:
-        spec = tiny_spec("stale-point")
-        digest = scenario_content_digest(spec)
-        enroll(store_path, campaign, [spec])
-        with ResultStore(store_path) as store:
-            store.mark_running(campaign, digest, lease_owner="dead:1")
-        return digest
-
-    def test_concurrent_reclaims_produce_exactly_one_reclamation(self, tmp_path):
-        store_path = tmp_path / "store.sqlite"
-        self._stale_row(store_path, "race")
-        cutoff_now = time.time() + 120.0
-        reclaimed: list = []
-        errors: list = []
-        barrier = threading.Barrier(2)
-
-        def reclaim() -> None:
-            try:
-                with ResultStore(store_path) as store:
-                    barrier.wait()
-                    reclaimed.append(
-                        store.reclaim_stale("race", 60.0, now=cutoff_now)
-                    )
-            except Exception as exc:  # pragma: no cover - the failure branch
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reclaim) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert not errors
-        winners = [digests for digests in reclaimed if digests]
-        assert len(winners) == 1  # exactly one driver reclaimed the row
-        with ResultStore(store_path) as store:
-            (record,) = store.points("race", STATUS_FAILED)
-            assert record.attempts == 1  # reclamation never double-charges
-            assert "stale lease reclaimed" in record.error
-            assert record.error.count("stale lease reclaimed") == 1
-
-    def test_claim_racing_reclaim_cannot_double_run_the_point(self, tmp_path):
-        """Whichever of adopt-claim and reclaim wins, the loser is a no-op:
-        the row ends in exactly one post-race state with one extra attempt
-        at most."""
-        store_path = tmp_path / "store.sqlite"
-        digest = self._stale_row(store_path, "race2")
-        cutoff_now = time.time() + 120.0
-        outcomes: dict = {}
-        errors: list = []
-        barrier = threading.Barrier(2)
-
-        def adopt() -> None:
-            try:
-                with ResultStore(store_path) as store:
-                    barrier.wait()
-                    got = store.claim_next_pending(
-                        "race2", owner="adopter", now=cutoff_now
-                    )
-                    outcomes["claimed"] = got is not None
-            except Exception as exc:  # pragma: no cover - the failure branch
-                errors.append(exc)
-
-        def reclaim() -> None:
-            try:
-                with ResultStore(store_path) as store:
-                    barrier.wait()
-                    outcomes["reclaimed"] = bool(
-                        store.reclaim_stale("race2", 60.0, now=cutoff_now)
-                    )
-            except Exception as exc:  # pragma: no cover - the failure branch
-                errors.append(exc)
-
-        threads = [threading.Thread(target=adopt), threading.Thread(target=reclaim)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert not errors
-        with ResultStore(store_path) as store:
-            record = store.point("race2", digest)
-        if outcomes["claimed"] and not outcomes["reclaimed"]:
-            # Adoption won; reclaim saw a fresh heartbeat and backed off.
-            assert record.status == STATUS_RUNNING
-            assert record.lease_owner == "adopter"
-            assert record.attempts == 2
-        elif outcomes["reclaimed"] and not outcomes["claimed"]:
-            # Reclaim won; the claim found nothing runnable.
-            assert record.status == STATUS_FAILED
-            assert record.attempts == 1
-        else:
-            # Serialized IMMEDIATE transactions make both-win and
-            # neither-win impossible: the first writer flips the row, the
-            # second finds it no longer stale-running and backs off.
-            pytest.fail(f"race produced {outcomes} with record {record}")
 
 
 # ---------------------------------------------------------------------------
