@@ -17,19 +17,19 @@ from repro.core import (
     GreedyConfig,
     ILPConfig,
     SuitabilityConfig,
+    build_problem,
     compute_suitability,
     evaluate_placement,
     greedy_floorplan,
     ilp_floorplan,
     traditional_floorplan,
 )
-from repro.experiments import build_problem
 
 
 def test_bench_suitability_ablation(benchmark, case_studies, table1_config):
     """Suitability-metric and distance-threshold ablation on Roof 3, N = 32."""
     study = case_studies["roof3"]
-    problem = build_problem(study, 32, table1_config.series_length)
+    problem = build_problem(study.solar, 32, table1_config.series_length)
 
     variants = {
         "p75 + T corr (paper)": (SuitabilityConfig(), GreedyConfig()),
@@ -81,7 +81,7 @@ def test_bench_suitability_ablation(benchmark, case_studies, table1_config):
 def test_bench_greedy_vs_ilp_surrogate(benchmark, case_studies, table1_config):
     """Greedy vs ILP optimum of the suitability surrogate (reduced instance)."""
     study = case_studies["roof1"]
-    problem = build_problem(study, 8, table1_config.series_length)
+    problem = build_problem(study.solar, 8, table1_config.series_length)
     suitability = compute_suitability(problem.solar)
 
     # Restrict the ILP to a coarser anchor lattice by masking to a sub-window

@@ -28,17 +28,17 @@ from repro.core import (
     ExhaustiveConfig,
     FloorplanProblem,
     PlacementEvaluator,
+    build_problem,
     default_topology,
-    evaluate_placement_reference,
     exhaustive_floorplan,
 )
 from repro.core.exhaustive import _any_overlap
 from repro.core.constraints import feasible_anchor_mask
 from repro.core.placement import ModulePlacement, Placement
-from repro.experiments import build_problem
 from repro.pv.datasheet import PV_MF165EB3
 from repro.solar.shading import cells_window, compute_horizon_map
 
+from oracles.evaluation import evaluate_placement_reference
 from oracles.horizon import compute_horizon_map_reference
 
 
@@ -144,9 +144,7 @@ def _placement_stream(problem, count: int, pool_size: int = 48):
 
 def test_bench_evaluator_speedup(case_studies, table1_config):
     """Shared-context placement evaluation: >= 3x over the per-module loop."""
-    problem = build_problem(
-        case_studies["roof2"], 16, table1_config.series_length
-    )
+    problem = build_problem(case_studies["roof2"].solar, 16, table1_config.series_length)
     placements = _placement_stream(problem, 100)
     assert len(placements) >= 40
 

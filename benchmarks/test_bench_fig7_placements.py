@@ -42,12 +42,11 @@ def test_bench_figure7_placements(benchmark, case_studies):
 
 def test_bench_figure7_structure(case_studies, table1_config):
     """Structural properties behind Figure 7: dispersion and string uniformity."""
-    from repro.experiments import build_problem
-    from repro.core import greedy_floorplan, traditional_floorplan
+    from repro.core import build_problem, greedy_floorplan, traditional_floorplan
 
     print("\n[Fig 7] structural metrics (N = 32):")
     for name, study in case_studies.items():
-        problem = build_problem(study, 32, table1_config.series_length)
+        problem = build_problem(study.solar, 32, table1_config.series_length)
         suitability = compute_suitability(problem.solar)
         traditional = traditional_floorplan(problem, suitability=suitability)
         greedy = greedy_floorplan(problem, suitability=suitability)

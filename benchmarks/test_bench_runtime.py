@@ -9,14 +9,14 @@ sweep of smaller synthetic roofs to expose the scaling.
 
 from __future__ import annotations
 
-from repro.core import greedy_floorplan
-from repro.experiments import build_problem, runtime_sweep, summarize_runtime
+from repro.core import build_problem, greedy_floorplan
+from repro.experiments import runtime_sweep, summarize_runtime
 
 
 def test_bench_placement_runtime_paper_roof(benchmark, case_studies, table1_config):
     """Greedy placement runtime on the largest paper roof (N = 32)."""
     study = case_studies["roof2"]
-    problem = build_problem(study, 32, table1_config.series_length)
+    problem = build_problem(study.solar, 32, table1_config.series_length)
 
     result = benchmark(lambda: greedy_floorplan(problem))
     print(

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis import placement_ascii, spatial_variation_coefficient, string_uniformity
-from repro.core import compare_placements, greedy_floorplan, traditional_floorplan
-from repro.experiments import CaseStudyConfig, build_problem, prepare_case_study, roof2_spec
+from repro.core import build_problem, compare_placements, greedy_floorplan, traditional_floorplan
+from repro.experiments import CaseStudyConfig, prepare_case_study, roof2_spec
 from repro.io import save_placement
 
 
@@ -44,7 +44,7 @@ def main() -> None:
     p75_variation = spatial_variation_coefficient(p75)
     print(f"  spatial variation of the p75 irradiance map: CV = {p75_variation:.3f}")
 
-    problem = build_problem(study, args.modules, 8)
+    problem = build_problem(study.solar, args.modules, 8, label=f"{study.name}-N{args.modules}")
     print(
         f"\nPlacing N = {args.modules} modules "
         f"({problem.topology.n_series} in series per string)..."

@@ -60,13 +60,13 @@ from .core import (
     traditional_floorplan,
 )
 from .errors import ReproError
-from .gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
+from .gis import RoofSpec
 from .pv.datasheet import PV_MF165EB3, ModuleDatasheet
 from .runner.cache import StageCache
 from .runner.solvers import SolverOutcome, available_solvers, solve
 from .runner.stages import prepare_problem
-from .solar import SolarSimulationConfig, TimeGrid, compute_roof_solar_field
-from .weather import SyntheticWeatherConfig, WeatherSeries, generate_weather
+from .solar import SolarSimulationConfig, TimeGrid
+from .weather import WeatherSeries
 
 __version__ = "1.0.0"
 
@@ -128,7 +128,7 @@ class RoofPlanResult:
 def plan_roof(
     spec: RoofSpec,
     n_modules: int,
-    n_series: int | None = None,
+    n_series: int = 8,
     datasheet: ModuleDatasheet = PV_MF165EB3,
     grid_pitch: float = DEFAULT_GRID_PITCH,
     time_grid: Optional[TimeGrid] = None,
@@ -198,7 +198,7 @@ def plan_roof(
     problem, stage_cached, _ = prepare_problem(
         spec,
         n_modules,
-        n_series=n_series if n_series is not None else min(8, n_modules),
+        n_series=n_series,
         datasheet=datasheet,
         grid_pitch=grid_pitch,
         time_grid=time_grid,

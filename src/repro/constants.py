@@ -144,9 +144,6 @@ DEFAULT_ALBEDO = 0.2
 #: Default Linke turbidity factor (clear, low-pollution mid-latitude site).
 DEFAULT_LINKE_TURBIDITY = 3.0
 
-#: Number of modules per series string in the paper's experiments (m = 8).
-CASE_STUDY_SERIES_LENGTH = 8
-
 # --------------------------------------------------------------------------
 # Execution defaults: campaign fleet and planning service (not from the paper)
 # --------------------------------------------------------------------------

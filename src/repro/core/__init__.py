@@ -16,17 +16,10 @@ from .evaluation import (
     PlacementEvaluator,
     compare_placements,
     evaluate_placement,
-    evaluate_placement_reference,
     module_irradiance_series,
-    module_irradiance_series_reference,
 )
 from .exhaustive import ExhaustiveConfig, ExhaustiveResult, exhaustive_floorplan
-from .greedy import (
-    GreedyConfig,
-    GreedyResult,
-    greedy_floorplan,
-    greedy_floorplan_reference,
-)
+from .greedy import GreedyConfig, GreedyResult, greedy_floorplan
 from .ilp import ILPConfig, ILPResult, ilp_floorplan
 from .placement import (
     ModuleFootprint,
@@ -34,7 +27,7 @@ from .placement import (
     Placement,
     footprint_from_module,
 )
-from .problem import FloorplanProblem, default_topology
+from .problem import FloorplanProblem, build_problem, default_topology
 from .suitability import (
     SuitabilityConfig,
     SuitabilityMap,
@@ -57,16 +50,13 @@ __all__ = [
     "PlacementEvaluator",
     "compare_placements",
     "evaluate_placement",
-    "evaluate_placement_reference",
     "module_irradiance_series",
-    "module_irradiance_series_reference",
     "ExhaustiveConfig",
     "ExhaustiveResult",
     "exhaustive_floorplan",
     "GreedyConfig",
     "GreedyResult",
     "greedy_floorplan",
-    "greedy_floorplan_reference",
     "ILPConfig",
     "ILPResult",
     "ilp_floorplan",
@@ -75,6 +65,7 @@ __all__ = [
     "Placement",
     "footprint_from_module",
     "FloorplanProblem",
+    "build_problem",
     "default_topology",
     "SuitabilityConfig",
     "SuitabilityMap",

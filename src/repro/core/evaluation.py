@@ -16,9 +16,8 @@ factors) and evaluates each placement with a single gather + reduction over
 placements on one problem pay the setup cost once.  The module-level
 functions (:func:`evaluate_placement`, :func:`compare_placements`,
 :func:`module_irradiance_series`) are thin wrappers that build a throwaway
-evaluator; the original per-module loop implementations are kept as
-``*_reference`` ground truths for the equivalence tests and the speedup
-benchmark.
+evaluator.  The original per-module loop implementations are the tests'
+oracles, which the evaluator must agree with to within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -113,8 +112,7 @@ def _orientation_gather(
     )
     offset_rows = grid_r.ravel()
     offset_cols = grid_c.ravel()
-    # Substrings run along the module's long side (same rule as the
-    # reference implementation below).
+    # Substrings run along the module's long side.
     if footprint.cells_w >= footprint.cells_h:
         long_coord = offset_cols
         n_long = footprint.cells_w
@@ -153,9 +151,7 @@ class PlacementEvaluator:
     ``evaluate`` then scores a placement with one fancy-indexed gather over
     all modules, one substring reduction, and a *single* module operating
     point computation shared by the panel aggregation and the mismatch-loss
-    figure (the reference implementation computed it three times).
-    Energies agree with :func:`evaluate_placement_reference` to well within
-    1e-9 relative.
+    figure (the original per-module loop computed it three times).
 
     Example
     -------
@@ -333,8 +329,7 @@ class PlacementEvaluator:
     def module_irradiance_series(self, placement: Placement) -> np.ndarray:
         """Per-module effective irradiance, shape ``(n_time, N)``, float64.
 
-        Vectorised equivalent of :func:`module_irradiance_series_reference`:
-        one gather over every covered cell of every module, then either a
+        One gather over every covered cell of every module, then either a
         plain mean or a per-substring ``add.reduceat`` + min, grouped per
         orientation.  The gather stays in the solar field's storage dtype
         (typically float32); reductions accumulate in float64 and the result
@@ -478,7 +473,7 @@ class PlacementEvaluator:
             time_axis.integrate_energy_wh(loss_power) if self.include_wiring_loss else 0.0
         )
 
-        # Mismatch loss from the same operating point (the reference path
+        # Mismatch loss from the same operating point (the per-module loop
         # recomputed both the ideal and the aggregate a second time).
         ideal_power = np.sum(module_power, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -645,139 +640,3 @@ def compare_placements(
         module_aggregation=module_aggregation,
     )
     return evaluator.compare(baseline, candidate)
-
-
-# ---------------------------------------------------------------------------
-# Reference implementations (kept for equivalence tests and benchmarks)
-# ---------------------------------------------------------------------------
-
-
-def module_irradiance_series_reference(
-    problem: FloorplanProblem,
-    placement: Placement,
-    aggregation: str = "substring-min",
-    n_substrings: int = 2,
-) -> np.ndarray:
-    """Original per-module-loop irradiance aggregation (ground truth).
-
-    Kept verbatim so the equivalence tests can check the vectorised
-    :meth:`PlacementEvaluator.module_irradiance_series` against it and the
-    evaluator benchmark can measure the speedup.
-    """
-    if aggregation not in ("substring-min", "mean"):
-        raise PlacementError(f"unknown module aggregation {aggregation!r}")
-    if n_substrings < 1:
-        raise PlacementError("n_substrings must be >= 1")
-    solar = problem.solar
-    series = np.empty((solar.n_time, placement.n_modules), dtype=float)
-    for module in placement:
-        cells = module.covered_cells(placement.footprint)
-        cell_series = solar.irradiance_for_cells(cells)
-        if aggregation == "mean" or n_substrings == 1:
-            series[:, module.module_index] = np.mean(cell_series, axis=1)
-            continue
-        # Split the cells into substrings along the module's long side.  The
-        # covered_cells array enumerates rows x cols of the footprint in
-        # C-order, so grouping by the long-axis coordinate is a reshape.
-        footprint = module.footprint(placement.footprint)
-        long_axis_is_cols = footprint.cells_w >= footprint.cells_h
-        if long_axis_is_cols:
-            long_coord = cells[:, 1] - cells[:, 1].min()
-            n_long = footprint.cells_w
-        else:
-            long_coord = cells[:, 0] - cells[:, 0].min()
-            n_long = footprint.cells_h
-        groups = np.minimum(
-            (long_coord * n_substrings) // max(n_long, 1), n_substrings - 1
-        )
-        substring_means = np.stack(
-            [
-                np.mean(cell_series[:, groups == g], axis=1)
-                for g in range(n_substrings)
-                if np.any(groups == g)
-            ],
-            axis=1,
-        )
-        series[:, module.module_index] = np.min(substring_means, axis=1)
-    return series
-
-
-def evaluate_placement_reference(
-    problem: FloorplanProblem,
-    placement: Placement,
-    include_wiring_loss: bool = True,
-    mppt: MPPTModel | None = None,
-    wiring_spec: WiringSpec | None = None,
-    store_power_series: bool = False,
-    module_aggregation: str = "substring-min",
-) -> PlacementEvaluation:
-    """Original evaluation flow (ground truth for the vectorised evaluator).
-
-    Recomputes the module operating point three times (panel aggregation +
-    both sides of the mismatch figure), exactly like the seed implementation
-    did; :meth:`PlacementEvaluator.evaluate` must agree with it to within
-    1e-9 relative on every reported figure.
-    """
-    placement.validate(problem.grid)
-    if placement.n_modules != problem.n_modules:
-        raise PlacementError(
-            "placement and problem disagree on the number of modules "
-            f"({placement.n_modules} vs {problem.n_modules})"
-        )
-
-    array = problem.array
-    tracker = mppt if mppt is not None else MPPTModel()
-    wiring = wiring_spec if wiring_spec is not None else WiringSpec()
-    time_grid = problem.solar.time_grid
-
-    irradiance = module_irradiance_series_reference(
-        problem, placement, aggregation=module_aggregation
-    )
-    ambient = problem.solar.temperature
-
-    operating = array.operating_point_from_conditions(irradiance, ambient)
-    gross_power = tracker.extracted_power(operating.power_w)
-
-    string_positions = placement.string_positions()
-    extra_lengths = np.array(
-        [string_extra_length(positions, wiring) for positions in string_positions]
-    )
-    string_currents = operating.string_currents_a  # (n_time, n_parallel)
-    loss_power = np.sum(
-        wiring.resistance_per_m * extra_lengths[None, :] * string_currents**2, axis=1
-    )
-    if include_wiring_loss:
-        net_power = np.maximum(gross_power - loss_power, 0.0)
-    else:
-        net_power = gross_power
-
-    gross_energy = time_grid.integrate_energy_wh(gross_power)
-    net_energy = time_grid.integrate_energy_wh(net_power)
-    wiring_loss = time_grid.integrate_energy_wh(loss_power) if include_wiring_loss else 0.0
-
-    mismatch = array.mismatch_loss_fraction(irradiance, ambient)
-    daylight = operating.power_w > 1.0
-    mean_mismatch = float(np.mean(mismatch[daylight])) if np.any(daylight) else 0.0
-
-    peak_power = float(np.max(net_power)) if net_power.size else 0.0
-    hours_per_year = 8760.0
-    capacity_factor = (
-        net_energy / (problem.nameplate_power_w * hours_per_year)
-        if problem.nameplate_power_w > 0
-        else 0.0
-    )
-
-    overhead = wiring_overhead_report(string_positions, spec=wiring)
-
-    return PlacementEvaluation(
-        placement_label=placement.label,
-        annual_energy_wh=float(net_energy),
-        gross_energy_wh=float(gross_energy),
-        wiring_loss_wh=float(wiring_loss),
-        wiring_extra_length_m=float(overhead.total_extra_m),
-        wiring_extra_cost=float(overhead.extra_cost),
-        mean_mismatch_loss=mean_mismatch,
-        peak_power_w=peak_power,
-        capacity_factor=float(capacity_factor),
-        power_series_w=net_power if store_power_series else None,
-    )

@@ -132,3 +132,27 @@ def default_topology(n_modules: int, n_series: int = 8) -> SeriesParallelTopolog
     if n_modules < n_series:
         return SeriesParallelTopology(n_series=n_modules, n_parallel=1)
     return SeriesParallelTopology.for_modules(n_modules, n_series)
+
+
+def build_problem(
+    solar: RoofSolarField,
+    n_modules: int,
+    n_series: int = 8,
+    datasheet: ModuleDatasheet = PV_MF165EB3,
+    allow_rotation: bool = False,
+    label: str = "problem",
+) -> FloorplanProblem:
+    """The floorplanning problem of placing ``n_modules`` on a roof's solar field.
+
+    The modules form strings of ``n_series`` (:func:`default_topology`); the
+    grid is the one the field was computed on.
+    """
+    return FloorplanProblem(
+        grid=solar.grid,
+        solar=solar,
+        n_modules=n_modules,
+        topology=default_topology(n_modules, n_series),
+        datasheet=datasheet,
+        allow_rotation=allow_rotation,
+        label=label,
+    )

@@ -27,12 +27,7 @@ from .runtime import RuntimeSample, runtime_sweep, summarize_runtime
 from .table1 import (
     PAPER_TABLE1,
     Table1Config,
-    Table1Entry,
-    Table1Results,
     Table1SweepResults,
-    build_problem,
-    run_configuration,
-    run_table1,
     run_table1_sweep,
     table1_sweep_plan,
 )
@@ -62,12 +57,7 @@ __all__ = [
     "summarize_runtime",
     "PAPER_TABLE1",
     "Table1Config",
-    "Table1Entry",
-    "Table1Results",
     "Table1SweepResults",
-    "build_problem",
-    "run_configuration",
-    "run_table1",
     "run_table1_sweep",
     "table1_sweep_plan",
 ]

@@ -15,14 +15,14 @@ from typing import Dict, List
 import numpy as np
 
 from ..analysis.maps import ascii_heatmap, placement_ascii, spatial_variation_coefficient
-from ..core import greedy_floorplan, traditional_floorplan
-from ..core.evaluation import compare_placements
+from ..core import build_problem, compare_placements
 from ..errors import ConfigurationError
 from ..pv.cell import SingleDiodeCell, reference_cell_for_module
 from ..pv.module import EmpiricalModuleModel, paper_module_model
 from ..pv.wiring import WiringSpec, annual_energy_loss_wh, resistive_power_loss
+from ..runner.solvers import solve
 from .roofs import CaseStudy
-from .table1 import Table1Config, build_problem
+from .table1 import Table1Config
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +197,31 @@ class PlacementFigure:
 def figure7_placements(
     study: CaseStudy, n_modules: int = 32, config: Table1Config | None = None
 ) -> PlacementFigure:
-    """Generate the traditional and proposed placements of one roof (Fig. 7)."""
+    """Generate the traditional and proposed placements of one roof (Fig. 7).
+
+    The proposed placement comes from ``config.solver``, as in Table I.
+    """
     cfg = config if config is not None else Table1Config()
     if n_modules < 1:
         raise ConfigurationError("n_modules must be positive")
-    problem = build_problem(study, n_modules, cfg.series_length, cfg.datasheet)
-    traditional = traditional_floorplan(problem)
-    greedy = greedy_floorplan(problem, suitability=traditional.suitability)
-    comparison = compare_placements(problem, traditional.placement, greedy.placement)
+    problem = build_problem(
+        study.solar,
+        n_modules,
+        cfg.series_length,
+        cfg.datasheet,
+        label=f"{study.name}-N{n_modules}",
+    )
+    traditional = solve(problem, "traditional")
+    proposed = solve(problem, cfg.solver, suitability=traditional.suitability)
+    comparison = compare_placements(problem, traditional.placement, proposed.placement)
     shape = problem.grid.shape
     return PlacementFigure(
         roof=study.name,
         n_modules=n_modules,
         traditional_map=traditional.placement.string_map(shape),
-        proposed_map=greedy.placement.string_map(shape),
+        proposed_map=proposed.placement.string_map(shape),
         traditional_ascii=placement_ascii(traditional.placement, shape),
-        proposed_ascii=placement_ascii(greedy.placement, shape),
+        proposed_ascii=placement_ascii(proposed.placement, shape),
         improvement_percent=comparison.improvement_percent,
     )
 

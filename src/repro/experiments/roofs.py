@@ -24,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..constants import (
-    CASE_STUDY_AZIMUTH,
-    CASE_STUDY_SERIES_LENGTH,
-    CASE_STUDY_TILT,
-    DEFAULT_GRID_PITCH,
-)
+from ..constants import CASE_STUDY_AZIMUTH, CASE_STUDY_TILT, DEFAULT_GRID_PITCH
 from ..errors import ConfigurationError
 from ..geometry import Polygon
 from ..gis import (
@@ -68,7 +63,6 @@ class CaseStudyConfig:
     time_step_minutes: float = 60.0
     day_stride: int = 7
     weather_seed: int = 7
-    series_length: int = CASE_STUDY_SERIES_LENGTH
     solar: SolarSimulationConfig = field(default_factory=SolarSimulationConfig)
 
     def __post_init__(self) -> None:
@@ -409,14 +403,12 @@ def prepare_case_study(
 
 def prepare_all_case_studies(
     config: CaseStudyConfig | None = None,
-    scale: float | None = None,
     cache: "StageCache | None" = None,
 ) -> Dict[str, CaseStudy]:
     """Prepare the three case-study roofs sharing one weather trace."""
     cfg = config if config is not None else CaseStudyConfig()
-    effective_scale = scale if scale is not None else cfg.scale
     weather = generate_weather(cfg.time_grid(), SyntheticWeatherConfig(seed=cfg.weather_seed))
     studies = {}
-    for name, spec in case_study_specs(effective_scale).items():
+    for name, spec in case_study_specs(cfg.scale).items():
         studies[name] = prepare_case_study(spec, cfg, weather, cache=cache)
     return studies

@@ -14,13 +14,13 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from ..core import default_topology
-from ..core.problem import FloorplanProblem
+from ..core import build_problem
 from ..errors import ConfigurationError
-from ..gis import build_roof_scene, make_roof_grid, simple_residential_roof, suitable_grid_for_scene
-from ..pv.datasheet import PV_MF165EB3
+from ..gis import simple_residential_roof
+from ..runner.cache import StageCache
 from ..runner.solvers import solve
-from ..solar import SolarSimulationConfig, TimeGrid, compute_roof_solar_field
+from ..runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
+from ..solar import SolarSimulationConfig, TimeGrid
 from ..weather import SyntheticWeatherConfig, generate_weather
 
 
@@ -70,27 +70,19 @@ def runtime_sweep(
             seed=seed,
         )
         pipeline_start = time.perf_counter()
-        scene = build_roof_scene(spec, dsm_pitch=0.4)
-        grid = make_roof_grid(scene, pitch=grid_pitch)
-        grid = suitable_grid_for_scene(scene, grid)
-        solar = compute_roof_solar_field(scene, grid, weather, solar_config)
+        sources = PipelineSources.from_objects(
+            spec, weather, solar_config, dsm_pitch=0.4, grid_pitch=grid_pitch
+        )
+        solar = run_pipeline(sources, STAGE_SOLAR, StageCache(enabled=False), {}, {})[STAGE_SOLAR]
         pipeline_runtime = time.perf_counter() - pipeline_start
 
         for n_modules in module_counts:
-            topology = default_topology(n_modules, n_series=min(8, n_modules))
-            problem = FloorplanProblem(
-                grid=grid,
-                solar=solar,
-                n_modules=n_modules,
-                topology=topology,
-                datasheet=PV_MF165EB3,
-                label=f"runtime-{width:.0f}-{n_modules}",
-            )
+            problem = build_problem(solar, n_modules, label=f"runtime-{width:.0f}-{n_modules}")
             result = solve(problem, solver)
             samples.append(
                 RuntimeSample(
                     roof_width_m=float(width),
-                    n_valid_cells=grid.n_valid,
+                    n_valid_cells=solar.grid.n_valid,
                     n_modules=n_modules,
                     placement_runtime_s=result.runtime_s,
                     pipeline_runtime_s=pipeline_runtime,

@@ -6,31 +6,21 @@ greedy placement are generated and evaluated over the simulated year; the
 report lists the yearly production of both and the relative improvement,
 exactly like Table I of the paper.
 
-Two execution paths produce the table:
-
-* :func:`run_table1_sweep` -- the canonical artifact generator: the roof x N
-  grid is expressed as a declarative :class:`~repro.sweep.SweepPlan` and
-  executed through the cached batch runner, so repeated reproductions reuse
-  every expensive stage from the disk cache (``repro report --preset
-  table1`` on the command line).
-* :func:`run_table1` -- the legacy object-level driver, kept both for rich
-  programmatic access (it returns the problems, solver outcomes and case
-  studies, which the figures and benchmarks consume) and as the ground
-  truth the sweep-driven rows are equivalence-tested against row-for-row.
+:func:`run_table1_sweep` produces the table: the roof x N grid is expressed
+as a declarative :class:`~repro.sweep.SweepPlan` and executed through the
+cached batch runner, so repeated reproductions reuse every expensive stage
+from the disk cache (``repro report --preset table1`` on the command line).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
 from ..analysis.report import Table1Report, Table1Row
-from ..core import FloorplanProblem, compare_placements, default_topology
-from ..core.evaluation import PlacementComparison
 from ..errors import ConfigurationError
 from ..pv.datasheet import PV_MF165EB3, ModuleDatasheet
-from ..runner.solvers import SolverOutcome, solve
 from ..scenario.spec import (
     ScenarioSpec,
     SolarSpec,
@@ -42,7 +32,7 @@ from ..scenario.spec import (
 from ..solar.irradiance_map import SolarSimulationConfig
 from ..sweep.aggregate import SweepResult
 from ..sweep.grid import SweepAxis, SweepPlan
-from .roofs import CaseStudy, CaseStudyConfig, case_study_specs, prepare_all_case_studies
+from .roofs import CaseStudyConfig, case_study_specs
 
 
 @dataclass(frozen=True)
@@ -58,9 +48,7 @@ class Table1Config:
     series_length: int = 8
     datasheet: ModuleDatasheet = PV_MF165EB3
     case_study: CaseStudyConfig = field(default_factory=CaseStudyConfig)
-    include_wiring_loss: bool = True
     solver: str = "greedy"
-    solver_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.module_counts:
@@ -68,144 +56,6 @@ class Table1Config:
         for count in self.module_counts:
             if count < 1:
                 raise ConfigurationError("module counts must be positive")
-
-
-@dataclass
-class Table1Entry:
-    """Full results of one (roof, N) configuration."""
-
-    roof: str
-    n_modules: int
-    problem: FloorplanProblem
-    traditional: SolverOutcome
-    greedy: SolverOutcome
-    comparison: PlacementComparison
-
-    @property
-    def improvement_percent(self) -> float:
-        """Energy improvement of the proposed placement over the baseline."""
-        return self.comparison.improvement_percent
-
-
-@dataclass
-class Table1Results:
-    """All configurations of the Table I experiment plus the rendered table."""
-
-    entries: List[Table1Entry]
-    report: Table1Report
-    case_studies: Dict[str, CaseStudy]
-
-    def entry(self, roof: str, n_modules: int) -> Table1Entry:
-        """Look up the entry of one (roof, N) configuration."""
-        for candidate in self.entries:
-            if candidate.roof == roof and candidate.n_modules == n_modules:
-                return candidate
-        raise ConfigurationError(f"no entry for roof={roof!r}, N={n_modules}")
-
-    def improvements(self) -> List[float]:
-        """Improvement percentages in row order."""
-        return [entry.improvement_percent for entry in self.entries]
-
-
-def build_problem(
-    study: CaseStudy,
-    n_modules: int,
-    series_length: int = 8,
-    datasheet: ModuleDatasheet = PV_MF165EB3,
-) -> FloorplanProblem:
-    """Assemble a floorplanning problem for one prepared case study."""
-    topology = default_topology(n_modules, series_length)
-    return FloorplanProblem(
-        grid=study.grid,
-        solar=study.solar,
-        n_modules=n_modules,
-        topology=topology,
-        datasheet=datasheet,
-        label=f"{study.name}-N{n_modules}",
-    )
-
-
-def run_configuration(
-    study: CaseStudy,
-    n_modules: int,
-    config: Table1Config,
-) -> Table1Entry:
-    """Run the baseline + the configured solver on one (roof, N) configuration."""
-    problem = build_problem(study, n_modules, config.series_length, config.datasheet)
-    traditional = solve(problem, "traditional")
-    proposed = solve(
-        problem,
-        config.solver,
-        config.solver_options,
-        suitability=traditional.suitability,
-    )
-    comparison = compare_placements(
-        problem,
-        traditional.placement,
-        proposed.placement,
-        include_wiring_loss=config.include_wiring_loss,
-    )
-    return Table1Entry(
-        roof=study.name,
-        n_modules=n_modules,
-        problem=problem,
-        traditional=traditional,
-        greedy=proposed,
-        comparison=comparison,
-    )
-
-
-def run_table1(
-    config: Table1Config | None = None,
-    case_studies: Optional[Dict[str, CaseStudy]] = None,
-    roofs: Optional[Iterable[str]] = None,
-) -> Table1Results:
-    """Run the full Table I experiment (legacy object-level driver).
-
-    This is the reference path: it materialises the case studies once and
-    keeps the rich intermediate objects (problems, solver outcomes) in the
-    returned :class:`Table1Results`.  The canonical *artifact* generator is
-    :func:`run_table1_sweep`, whose rows are equivalence-tested to match
-    this driver's report exactly.
-
-    Parameters
-    ----------
-    config:
-        Experiment configuration (module counts, resolution, module type).
-    case_studies:
-        Pre-built case studies (reused across benchmarks); generated on the
-        fly when omitted.
-    roofs:
-        Restrict the run to a subset of roof names.
-    """
-    cfg = config if config is not None else Table1Config()
-    studies = case_studies if case_studies is not None else prepare_all_case_studies(cfg.case_study)
-    selected = list(roofs) if roofs is not None else list(studies)
-
-    entries: List[Table1Entry] = []
-    report = Table1Report()
-    for roof_name in selected:
-        study = studies[roof_name]
-        for n_modules in cfg.module_counts:
-            entry = run_configuration(study, n_modules, cfg)
-            entries.append(entry)
-            report.add_row(
-                Table1Row(
-                    roof=roof_name,
-                    grid_w=study.grid.n_cols,
-                    grid_h=study.grid.n_rows,
-                    n_valid=study.grid.n_valid,
-                    n_modules=n_modules,
-                    traditional_mwh=entry.comparison.baseline.annual_energy_mwh,
-                    proposed_mwh=entry.comparison.candidate.annual_energy_mwh,
-                )
-            )
-    return Table1Results(entries=entries, report=report, case_studies=studies)
-
-
-# ---------------------------------------------------------------------------
-# Sweep-engine path (the canonical artifact generator)
-# ---------------------------------------------------------------------------
 
 
 def _solar_spec_from_config(config: SolarSimulationConfig) -> SolarSpec:
@@ -231,19 +81,13 @@ def table1_sweep_plan(
 ) -> SweepPlan:
     """The Table I experiment as a declarative roof x N sweep plan.
 
-    The base scenario mirrors the legacy driver's configuration exactly
-    (same roofs, weather seed, time base, irradiance options, datasheet and
-    solver), and the two axes -- the roof and the module count -- expand in
-    the legacy row order (roofs outer, module counts inner).  Running the
-    plan through :func:`repro.sweep.run_sweep` therefore reproduces the
-    legacy table row-for-row while reusing every cached stage.
+    The base scenario carries the configuration (roofs, weather seed, time
+    base, irradiance options, datasheet and solver), and the two axes -- the
+    roof and the module count -- expand in the table's row order (roofs
+    outer, module counts inner).  Running the plan through
+    :func:`repro.sweep.run_sweep` reuses every cached stage.
     """
     cfg = config if config is not None else Table1Config()
-    if not cfg.include_wiring_loss:
-        raise ConfigurationError(
-            "the scenario pipeline always includes the wiring loss; "
-            "include_wiring_loss=False is only supported by the legacy driver"
-        )
     case_cfg = cfg.case_study
     roof_specs = case_study_specs(case_cfg.scale)
     selected = list(roofs) if roofs is not None else list(roof_specs)
@@ -266,7 +110,7 @@ def table1_sweep_plan(
         ),
         weather=WeatherSpec(seed=case_cfg.weather_seed),
         solar=_solar_spec_from_config(case_cfg.solar),
-        solver=SolverSpec(name=cfg.solver, options=dict(cfg.solver_options)),
+        solver=SolverSpec(name=cfg.solver),
         description="Paper Table I reproduction (sweep-engine path)",
         tags=("table1",),
     )
@@ -306,9 +150,7 @@ def run_table1_sweep(
     """Reproduce Table I through the declarative sweep engine.
 
     Expands :func:`table1_sweep_plan` and streams it through the cached
-    batch runner; the returned report's rows match the legacy
-    :func:`run_table1` output exactly (equivalence-tested), and warm
-    re-runs serve every expensive stage from the cache.
+    batch runner; warm re-runs serve every expensive stage from the cache.
     """
     from ..sweep import run_sweep
 

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from ..constants import DEFAULT_SUITABILITY_PERCENTILE
-from ..core.problem import FloorplanProblem, default_topology
+from ..core.problem import FloorplanProblem, build_problem
 from ..core.evaluation import PlacementComparison, PlacementEvaluator
 from ..core.suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
 from ..errors import ConfigurationError
@@ -354,7 +354,7 @@ def run_pipeline(
 def prepare_problem(
     roof: RoofSpec,
     n_modules: int,
-    n_series: Optional[int] = None,
+    n_series: int = 8,
     datasheet: Optional[ModuleDatasheet] = None,
     grid_pitch: float = 0.2,
     dsm_pitch: float = 0.4,
@@ -398,14 +398,11 @@ def prepare_problem(
     sources = PipelineSources.from_objects(roof, series, solar_cfg, dsm_pitch, grid_pitch)
     solar = run_pipeline(sources, STAGE_SOLAR, stage_cache, stage_cached, {})[STAGE_SOLAR]
 
-    series_length = n_series if n_series is not None else min(8, n_modules)
-    topology = default_topology(n_modules, series_length)
-    problem = FloorplanProblem(
-        grid=solar.grid,
-        solar=solar,
-        n_modules=n_modules,
-        topology=topology,
-        datasheet=sheet,
+    problem = build_problem(
+        solar,
+        n_modules,
+        n_series,
+        sheet,
         allow_rotation=allow_rotation,
         label=label if label is not None else roof.name,
     )
@@ -592,12 +589,11 @@ def run_scenario(
         )
         solar = values[STAGE_SOLAR]
         suitability = values[STAGE_SUITABILITY]
-        problem = FloorplanProblem(
-            grid=solar.grid,
-            solar=solar,
-            n_modules=spec.n_modules,
-            topology=default_topology(spec.n_modules, spec.series_length()),
-            datasheet=sources.datasheet,
+        problem = build_problem(
+            solar,
+            spec.n_modules,
+            spec.series_length(),
+            sources.datasheet,
             allow_rotation=spec.allow_rotation,
             label=spec.name,
         )

@@ -9,8 +9,7 @@ Two *presets* reproduce the paper-level artifacts:
 
 ``table1``
     The paper's Table I (three roofs x N in {16, 32}), driven end-to-end
-    through the sweep engine and equivalence-tested row-for-row against the
-    legacy object-level driver :func:`repro.experiments.run_table1`.
+    through the sweep engine by :func:`repro.experiments.run_table1_sweep`.
 ``catalog``
     A summary of every built-in scenario (also the table behind the
     generated ``docs/scenarios.md``).
@@ -215,9 +214,8 @@ def table1_report(
 ) -> ReportArtifact:
     """The paper's Table I, reproduced through the sweep engine.
 
-    Accepts the same :class:`~repro.experiments.Table1Config` as the legacy
-    driver; the emitted rows are equivalence-tested to match
-    :func:`repro.experiments.run_table1` exactly.
+    Takes a :class:`~repro.experiments.Table1Config` and runs it through
+    :func:`repro.experiments.run_table1_sweep`.
     """
     from ..experiments.table1 import run_table1_sweep
 

@@ -4,8 +4,12 @@ placers, energy evaluation)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DistanceThreshold,
@@ -394,12 +398,32 @@ class TestILPAndExhaustive:
         assert result.placement.n_modules == 2
         assert result.objective_value > 0
 
-    def test_ilp_at_least_as_good_as_greedy_on_surrogate(self, tiny_problem):
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_ilp_at_least_as_good_as_greedy_on_surrogate(self, tiny_problem, data):
+        """On the computed map and on drawn ones: the ILP optimum bounds the greedy."""
         suitability = compute_suitability(tiny_problem.solar)
-        greedy = greedy_floorplan(tiny_problem, suitability=suitability)
+        valid = ~np.isnan(suitability.values)
+        n_valid = int(valid.sum())
+        cell_values = st.lists(
+            st.floats(min_value=0.0, max_value=1000.0), min_size=n_valid, max_size=n_valid
+        )
+        drawn = data.draw(st.none() | cell_values)
+        if drawn is not None:
+            values = np.full(suitability.values.shape, np.nan)
+            values[valid] = drawn
+            suitability = dataclasses.replace(suitability, values=values)
         ilp = ilp_floorplan(
             tiny_problem, suitability=suitability, config=ILPConfig(time_limit_s=20.0)
         )
+        ilp.placement.validate(tiny_problem.grid)
+        try:
+            greedy = greedy_floorplan(tiny_problem, suitability=suitability)
+        except InfeasiblePlacementError:
+            # The greedy never backtracks: a first module near the middle of
+            # the 20-cell window leaves no room for the second, which the
+            # ILP (validated above) still places.
+            return
 
         def surrogate(placement):
             total = 0.0
@@ -407,7 +431,13 @@ class TestILPAndExhaustive:
                 total += float(np.nanmean(suitability.values[cells[:, 0], cells[:, 1]]))
             return total
 
-        assert surrogate(ilp.placement) >= surrogate(greedy.placement) - 1e-6
+        # The optimum is at most the solver's dual bound, which lies within
+        # the relative gap of the returned objective, whichever of the two
+        # the gap is relative to.
+        ilp_value = surrogate(ilp.placement)
+        gap = ilp.gap if ilp.gap is not None else 0.0
+        slack = gap * abs(ilp_value) / (1.0 - gap)
+        assert ilp_value >= surrogate(greedy.placement) - slack - 1e-6
 
     def test_ilp_anchor_limit(self, tiny_problem):
         with pytest.raises(InfeasiblePlacementError):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import build_problem
 from repro.experiments import (
     CaseStudyConfig,
     PAPER_TABLE1,
     Table1Config,
-    build_problem,
     case_study_specs,
     figure2_iv_curves,
     figure3_module_characteristics,
@@ -26,12 +26,13 @@ from repro.experiments import (
     roof1_spec,
     roof2_spec,
     roof3_spec,
-    run_table1,
+    run_table1_sweep,
     runtime_sweep,
     summarize_runtime,
 )
 from repro.errors import ConfigurationError
 from repro.gis import simple_residential_roof
+from repro.io.placement_json import placement_from_dict
 from repro.solar import SolarSimulationConfig
 
 
@@ -129,30 +130,32 @@ class TestFigureDrivers:
         assert (figure.proposed_map >= -1).all()
         assert figure.n_modules == 8
 
+    def test_figure7_follows_configured_solver(self, tiny_study):
+        config = Table1Config(solver="traditional")
+        figure = figure7_placements(tiny_study, n_modules=8, config=config)
+        assert np.array_equal(figure.proposed_map, figure.traditional_map)
+        assert figure.improvement_percent == 0.0
+
     def test_figure7_invalid_count(self, tiny_study):
         with pytest.raises(ConfigurationError):
             figure7_placements(tiny_study, n_modules=0)
 
 
 class TestTable1:
-    def test_run_table1_reduced(self, tiny_config):
+    def test_run_table1_reduced(self, tiny_config, tiny_study, tmp_path):
         config = Table1Config(module_counts=(8,), series_length=4, case_study=tiny_config)
-        results = run_table1(config, roofs=("roof2", "roof3"))
-        assert len(results.entries) == 2
+        results = run_table1_sweep(
+            config, roofs=("roof2", "roof3"), cache=tmp_path / "cache", parallel=False
+        )
+        assert len(results.sweep.points) == 2
         rendered = results.report.render()
         assert "roof2" in rendered and "roof3" in rendered
-        for entry in results.entries:
-            entry.greedy.placement.validate(entry.problem.grid)
-            entry.traditional.placement.validate(entry.problem.grid)
-            assert entry.comparison.baseline.annual_energy_wh > 0
-
-    def test_entry_lookup(self, tiny_config):
-        config = Table1Config(module_counts=(8,), series_length=4, case_study=tiny_config)
-        results = run_table1(config, roofs=("roof2",))
-        entry = results.entry("roof2", 8)
-        assert entry.n_modules == 8
-        with pytest.raises(ConfigurationError):
-            results.entry("roof2", 99)
+        for point in results.sweep.points:
+            assert point.result.baseline_energy_mwh > 0
+            assert placement_from_dict(point.result.placement).n_modules == 8
+        roof2 = results.sweep.points[0]
+        assert roof2.labels["roof"] == "roof2"
+        placement_from_dict(roof2.result.placement).validate(tiny_study.grid)
 
     def test_paper_reference_rows(self):
         assert len(PAPER_TABLE1) == 6
@@ -160,7 +163,7 @@ class TestTable1:
         assert min(improvements) > 10.0 and max(improvements) < 30.0
 
     def test_build_problem_uses_series_of_eight(self, tiny_study):
-        problem = build_problem(tiny_study, 16, 8)
+        problem = build_problem(tiny_study.solar, 16, 8)
         assert problem.topology.n_series == 8
         assert problem.topology.n_parallel == 2
 

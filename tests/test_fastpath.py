@@ -29,11 +29,8 @@ from repro.core import (
     PlacementEvaluator,
     default_topology,
     evaluate_placement,
-    evaluate_placement_reference,
     greedy_floorplan,
-    greedy_floorplan_reference,
     module_irradiance_series,
-    module_irradiance_series_reference,
     traditional_floorplan,
 )
 from repro.errors import GISError, PlacementError, SolarModelError
@@ -43,6 +40,8 @@ from repro.scenario import builtin_scenarios, get_scenario
 from repro.solar import compute_roof_solar_field
 from repro.solar.shading import compute_horizon_map, shadow_fraction_map
 
+from oracles.evaluation import evaluate_placement_reference, module_irradiance_series_reference
+from oracles.greedy import greedy_floorplan_reference
 from oracles.horizon import compute_horizon_map_reference
 
 

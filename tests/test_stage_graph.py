@@ -9,14 +9,20 @@ that executor promises:
 * a warm run never builds the weather, the solar configuration or the
   horizon (the inputs of a cached field);
 * a cold run records every node exactly once, with exclusive wall times;
-* the object path and the scenario path share the entries of a roof.
+* the object path and the scenario path share the entries of a roof;
+* the node table is the only place in ``src/`` that chains the stage
+  functions, and no reference implementation ships there.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import plan_roof, telemetry
 from repro.experiments import CaseStudyConfig, prepare_case_study
@@ -220,3 +226,39 @@ class TestEntriesAreShared:
         assert cache.stats.writes == writes  # scene, grid and field all hit
         assert study.n_valid == planned.problem.grid.n_valid
         assert study.weather is weather
+
+
+class TestOneDescriptionOfThePipeline:
+    SRC = Path(repro.__file__).resolve().parent
+    STAGE_FUNCTIONS = {
+        "build_roof_scene",
+        "make_roof_grid",
+        "suitable_grid_for_scene",
+        "compute_roof_solar_field",
+    }
+
+    def _modules(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            yield path.relative_to(self.SRC).as_posix(), ast.parse(path.read_text())
+
+    def test_no_reference_implementation_in_src(self):
+        defined = []
+        for module, tree in self._modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name.endswith("_reference"):
+                    defined.append(f"{module}:{node.lineno} {node.name}")
+        assert defined == [], "oracles belong in tests/oracles/"
+
+    def test_only_the_node_table_calls_the_stage_functions(self):
+        calls = []
+        for module, tree in self._modules():
+            if module == "runner/stages.py":
+                continue
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in self.STAGE_FUNCTIONS:
+                    calls.append(f"{module}:{node.lineno} {name}")
+        assert calls == [], "run the stages through repro.runner.stages.run_pipeline"

@@ -9,7 +9,7 @@ Covers the PR's acceptance criteria end to end:
   accounting: an ``n_modules x solver`` sweep computes its solar field
   once, a warm re-run recomputes nothing, and a warm re-run of the whole
   built-in catalog reports zero solar recomputations;
-* the ``table1`` report preset matching the legacy ``run_table1`` driver
+* the ``table1`` report preset matching the object-level Table I oracle
   row-for-row, with byte-identical regeneration;
 * the ``sweep`` / ``report`` CLI subcommands.
 """
@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     CaseStudyConfig,
     Table1Config,
-    run_table1,
     run_table1_sweep,
     table1_sweep_plan,
 )
@@ -45,6 +44,8 @@ from repro.sweep.report import (
     sweep_report,
     table1_report,
 )
+
+from oracles.table1 import table1_reference
 
 
 @pytest.fixture(scope="module")
@@ -451,24 +452,24 @@ class TestCatalogPreset:
 
 class TestTable1Equivalence:
     @pytest.fixture(scope="class")
-    def legacy_rows(self, tiny_table1_config):
-        results = run_table1(tiny_table1_config, roofs=("roof2", "roof3"))
+    def oracle_rows(self, tiny_table1_config):
+        results = table1_reference(tiny_table1_config, roofs=("roof2", "roof3"))
         return results.report.as_dicts()
 
     def test_sweep_rows_match_legacy_exactly(
-        self, tiny_table1_config, legacy_rows, tmp_path
+        self, tiny_table1_config, oracle_rows, tmp_path
     ):
-        """Acceptance: the sweep-driven Table 1 matches the legacy path row-for-row."""
+        """Acceptance: the sweep-driven Table 1 matches the oracle row-for-row."""
         outcome = run_table1_sweep(
             tiny_table1_config,
             roofs=("roof2", "roof3"),
             cache=tmp_path / "cache",
             parallel=False,
         )
-        assert outcome.report.as_dicts() == legacy_rows
+        assert outcome.report.as_dicts() == oracle_rows
 
     def test_report_artifact_rows_and_determinism(
-        self, tiny_table1_config, legacy_rows, tmp_path
+        self, tiny_table1_config, oracle_rows, tmp_path
     ):
         """Acceptance: the Markdown artifact is deterministic and row-exact."""
         cache = tmp_path / "cache"
@@ -478,10 +479,10 @@ class TestTable1Equivalence:
         warm = table1_report(
             tiny_table1_config, roofs=("roof2", "roof3"), cache=cache, parallel=False
         )
-        assert list(cold.rows) == legacy_rows
+        assert list(cold.rows) == oracle_rows
         assert cold.markdown == warm.markdown  # byte-identical regeneration
         assert cold.csv == warm.csv
-        for row in legacy_rows:
+        for row in oracle_rows:
             assert f"| {row['roof']} | {row['WxL']} |" in cold.markdown
 
     def test_plan_mirrors_legacy_configuration(self, tiny_table1_config):
@@ -496,13 +497,6 @@ class TestTable1Equivalence:
     def test_unknown_roof_rejected(self, tiny_table1_config):
         with pytest.raises(ConfigurationError, match="unknown case-study roofs"):
             table1_sweep_plan(tiny_table1_config, roofs=("roof9",))
-
-    def test_wiring_loss_opt_out_unsupported(self, tiny_table1_config):
-        from dataclasses import replace
-
-        config = replace(tiny_table1_config, include_wiring_loss=False)
-        with pytest.raises(ConfigurationError, match="wiring"):
-            table1_sweep_plan(config)
 
 
 # ---------------------------------------------------------------------------
