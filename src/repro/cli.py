@@ -31,7 +31,7 @@ Subcommands
     (per-point wall-clock budget enforced by a watchdog) and
     ``--retry-backoff`` (delay between retry attempts); SIGINT/SIGTERM
     mark or release in-flight points and exit with code 130.  ``--store``
-    everywhere takes a path or a backend URL (``sqlite:///path``).
+    everywhere takes a path or a ``sqlite:///path`` URL.
 ``serve``
     Planning-as-a-service: a threaded HTTP/JSON front-end over the
     campaign store.  ``POST /v1/plan`` answers memo hits instantly from
@@ -137,7 +137,7 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=None,
         help=(
-            "campaign result-store database: a path, a backend URL such as "
+            "campaign result-store database: a path, a URL such as "
             "sqlite:///path/to/store.sqlite, or 'none' for the in-memory path "
             "(default: $REPRO_STORE_PATH or <cache dir>/campaigns.sqlite)"
         ),
@@ -167,19 +167,13 @@ def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _store_from_args(args: argparse.Namespace) -> "str | Path | None":
-    """Resolve ``--store`` to a path, a backend URL string, or ``None``."""
-    if args.store is None:
-        from .runner.store import default_store_path
-
-        return default_store_path()
-    if args.store.lower() == "none":
+def _store_from_args(args: argparse.Namespace) -> "Path | None":
+    """Resolve ``--store`` to the store's database file, or ``None``."""
+    if args.store is not None and args.store.lower() == "none":
         return None
-    if "://" in args.store:
-        # A backend URL (e.g. sqlite:///path); resolve_store dispatches it
-        # through the scheme registry in repro.runner.backend.
-        return args.store
-    return Path(args.store)
+    from .runner.store import _store_file, default_store_path
+
+    return _store_file(args.store) or default_store_path()
 
 
 def _print_campaign_summary(summary) -> None:

@@ -18,8 +18,13 @@ the paper allocates modules greedily in decreasing order of a per-cell
 The implementation mirrors that structure; the only liberty taken is that a
 candidate violating the distance threshold is skipped (the scan moves to the
 next candidate) rather than dropping the module altogether, and the
-threshold is relaxed if no candidate at all satisfies it -- both required
-for the algorithm to always place exactly N modules.
+threshold is relaxed if no candidate at all satisfies it.  Relaxing the
+threshold does not make the greedy complete: it never backtracks, so
+geometry can still defeat it.  On a window only a little wider than two
+modules, for example, the best-ranked cell may put the first module in
+the middle and leave no room for the second; the greedy then raises
+:class:`~repro.errors.InfeasiblePlacementError` where the ILP places every
+module.
 
 Candidate maintenance is *incremental*: the feasible-anchor set and the
 per-anchor scores/centres are materialised once, and placing a module only

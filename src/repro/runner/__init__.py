@@ -3,8 +3,8 @@
 The public names below are re-exported lazily (PEP 562): the first access
 to, say, ``repro.runner.run_batch`` imports :mod:`repro.runner.batch`.  So
 ``import repro.runner.stages`` -- all that one ``repro run`` needs -- does
-not also load the batch driver, the SQLite store, the fleet worker and the
-store backends, nor ``sqlite3`` and the process-pool machinery they import.
+not also load the batch driver, the SQLite store and the fleet worker, nor
+``sqlite3`` and the process-pool machinery they import.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ _EXPORTS: Dict[str, str] = {
     name: module
     for module, names in {
         "..constants": ("DEFAULT_HEARTBEAT_S", "DEFAULT_POLL_S", "DEFAULT_STALE_AFTER_S"),
-        ".backend": ("StoreBackend", "available_schemes", "register_backend", "store_from_url"),
         ".batch": (
             "BatchResult",
             "count_stage_flags",

@@ -59,6 +59,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from urllib.parse import unquote, urlsplit
 
 from .. import faults
 from ..constants import DEFAULT_STALE_AFTER_S
@@ -175,12 +176,49 @@ METRIC_KIND_POINT_TIME = "point_time"
 METRIC_KIND_COUNTER = "counter"
 
 
+# A store URL looks like "scheme://...", where the scheme follows the
+# RFC 3986 grammar (letter, then letters/digits/+/-/.).  Plain filesystem
+# paths never match, so _store_file can tell the two apart unambiguously.
+_URL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
+
+
+def _store_file(store: Union[PathLike, None]) -> Optional[Path]:
+    """The database file a store spelling names; ``None`` means the default.
+
+    A spelling is a filesystem path (``str`` or ``Path``) or a
+    ``sqlite:///path`` URL; ``None`` and a bare ``sqlite://`` name the
+    default store.  SQLite has no remote host, so ``sqlite://host/db`` is
+    rejected, and so is every other scheme.
+    """
+    if store is None:
+        return None
+    text = str(store)
+    if not _URL_RE.match(text):
+        return Path(text)
+    parts = urlsplit(text)
+    if parts.scheme.lower() != "sqlite":
+        raise ConfigurationError(
+            f"unsupported store URL {text!r}: the one supported form is "
+            "sqlite:///path/to/store.sqlite (or a plain path)"
+        )
+    if parts.netloc:
+        raise ConfigurationError(
+            f"sqlite store URLs take no host; write sqlite:///{parts.netloc}"
+            f"{parts.path} (got {text!r})"
+        )
+    path = unquote(parts.path)
+    return Path(path) if path not in ("", "/") else None
+
+
 def default_store_path() -> Path:
-    """Store location: ``$REPRO_STORE_PATH`` or ``<cache dir>/campaigns.sqlite``."""
+    """Store location: ``$REPRO_STORE_PATH`` or ``<cache dir>/campaigns.sqlite``.
+
+    The variable takes the same spellings as ``--store``: a path or a
+    ``sqlite:///path`` URL.
+    """
     env = os.environ.get(STORE_PATH_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / "campaigns.sqlite"
+    path = _store_file(env) if env else None
+    return path or default_cache_dir() / "campaigns.sqlite"
 
 
 def default_lease_owner() -> str:
@@ -380,9 +418,11 @@ class ResultStore:
         Database file (created on first use, parent directories included).
         Defaults to :func:`default_store_path`.
 
-    The store is safe to reopen concurrently for *reading* (WAL mode); the
-    campaign runner is the single writer.  Use as a context manager or call
-    :meth:`close` to release the connection.
+    Many processes may open one store at once: a fleet of workers, a
+    campaign run and ``repro serve`` all write it concurrently, each write
+    in its own ``BEGIN IMMEDIATE`` transaction, while readers never block
+    (WAL mode).  Use as a context manager or call :meth:`close` to release
+    the connection.
 
     Example
     -------
@@ -1329,33 +1369,20 @@ class ResultStore:
         return len(results)
 
 
-# A backend URL looks like "scheme://...", where the scheme follows the
-# RFC 3986 grammar (letter, then letters/digits/+/-/.).  Plain filesystem
-# paths never match, so resolve_store can tell them apart unambiguously.
-_URL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
-
-
 def resolve_store(
     store: Union["ResultStore", PathLike, None]
 ) -> Optional[ResultStore]:
     """Normalise the ``store`` argument of the campaign entry points.
 
     ``None`` or the string ``"none"`` select no store (returns ``None``); a
-    path opens (or creates) a store there; a backend URL such as
-    ``sqlite:///results.sqlite`` is dispatched through the scheme registry
-    in :mod:`repro.runner.backend`; an existing :class:`ResultStore` is
-    passed through.
+    path or a ``sqlite:///path`` URL opens (or creates) a store there, and
+    ``sqlite://`` opens the default store; an existing :class:`ResultStore`
+    is passed through.
     """
     if store is None:
         return None
     if isinstance(store, ResultStore):
         return store
-    if isinstance(store, str):
-        if store.lower() == "none":
-            return None
-        if _URL_RE.match(store):
-            # Imported lazily: backend.py imports this module at top level.
-            from .backend import store_from_url
-
-            return store_from_url(store)
-    return ResultStore(store)
+    if isinstance(store, str) and store.lower() == "none":
+        return None
+    return ResultStore(_store_file(store))

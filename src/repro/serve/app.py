@@ -30,7 +30,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
-from urllib.parse import unquote, urlsplit
 
 from ..constants import DEFAULT_HOST, DEFAULT_MAX_QUEUE, DEFAULT_PORT, DEFAULT_SERVE_CAMPAIGN
 from ..errors import ConfigurationError, ReproError
@@ -41,6 +40,7 @@ from ..runner.store import (
     STATUS_RUNNING,
     PointRecord,
     ResultStore,
+    _store_file,
 )
 from ..scenario.spec import ScenarioSpec
 from ..telemetry import span
@@ -347,30 +347,12 @@ def create_server(
 def open_serve_store(store: Union[str, "Path", None] = None) -> ResultStore:
     """Open the campaign store for the service (cross-thread connection).
 
-    Accepts a filesystem path, a ``sqlite:///path`` URL (the form every
-    other ``--store`` flag takes), or ``None`` for the default location.
-    The returned connection allows cross-thread use because the service
-    serialises access behind :class:`ServeApp`'s lock; other backends
-    would need their own cross-thread story, so URLs with a different
-    scheme are rejected explicitly.
+    Takes the spellings every other ``--store`` flag takes: a filesystem
+    path, a ``sqlite:///path`` URL, or ``None`` for the default location.
+    The connection allows cross-thread use because the service serialises
+    access behind :class:`ServeApp`'s lock.
     """
-    if store is None:
-        return ResultStore(None, cross_thread=True)
-    text = str(store)
-    if "://" in text:
-        parts = urlsplit(text)
-        if parts.scheme.lower() != "sqlite":
-            raise ConfigurationError(
-                f"repro serve supports sqlite stores only, got {text!r}"
-            )
-        if parts.netloc:
-            raise ConfigurationError(
-                f"sqlite store URLs take no host; write sqlite:///{parts.netloc}"
-                f"{parts.path} (got {text!r})"
-            )
-        path = unquote(parts.path)
-        return ResultStore(path if path and path != "/" else None, cross_thread=True)
-    return ResultStore(text, cross_thread=True)
+    return ResultStore(_store_file(store), cross_thread=True)
 
 
 __all__ = [

@@ -73,7 +73,6 @@ def test_run_loads_no_solver_library_service_sweep_or_store(tmp_path):
 
 def test_runner_stages_does_not_load_the_execution_subsystems(tmp_path):
     heavy = [
-        "repro.runner.backend",
         "repro.runner.batch",
         "repro.runner.store",
         "repro.runner.worker",

@@ -26,19 +26,22 @@ from repro.errors import ConfigurationError
 from repro.gis import RoofSpec
 from repro.runner import (
     ResultStore,
-    StoreBackend,
-    available_schemes,
     get_solver,
-    register_backend,
     register_solver,
     resolve_store,
     run_batch,
     run_worker,
     scenario_content_digest,
-    store_from_url,
 )
-from repro.runner.store import STATUS_DONE, STATUS_FAILED, STATUS_PENDING, STATUS_RUNNING
+from repro.runner.store import (
+    STATUS_DONE,
+    STATUS_FAILED,
+    STATUS_PENDING,
+    STATUS_RUNNING,
+    STORE_PATH_ENV,
+)
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, builtin_scenarios
+from repro.serve import open_serve_store
 
 
 def tiny_spec(name: str, solver: str = "greedy", n_modules: int = 2) -> ScenarioSpec:
@@ -514,7 +517,7 @@ class TestBatchAndWorkerShareACampaign:
 
 
 # ---------------------------------------------------------------------------
-# Store backends: the URL scheme registry
+# Store spellings: paths and sqlite:/// URLs open the same file everywhere
 # ---------------------------------------------------------------------------
 
 
@@ -523,18 +526,14 @@ class TestStoreBackends:
         url = f"sqlite:///{tmp_path / 'via-url.sqlite'}"
         with resolve_store(url) as store:
             assert isinstance(store, ResultStore)
-            assert isinstance(store, StoreBackend)  # protocol conformance
             store.enroll("camp", [tiny_spec("a")])
         assert (tmp_path / "via-url.sqlite").exists()
 
     def test_store_from_url_rejects_unknowns_actionably(self):
-        assert available_schemes() == ["sqlite"]
-        with pytest.raises(ConfigurationError, match="registered schemes: sqlite"):
-            store_from_url("postgres://host/db")
-        with pytest.raises(ConfigurationError, match="scheme://"):
-            store_from_url("no-scheme-here")
+        with pytest.raises(ConfigurationError, match="sqlite:///"):
+            resolve_store("postgres://host/db")
         with pytest.raises(ConfigurationError, match="no host"):
-            store_from_url("sqlite://host/db.sqlite")
+            resolve_store("sqlite://host/db.sqlite")
 
     def test_plain_paths_keep_working_untouched(self, tmp_path):
         path = tmp_path / "plain.sqlite"
@@ -543,29 +542,59 @@ class TestStoreBackends:
         assert resolve_store("none") is None
         assert resolve_store(None) is None
 
-    def test_register_backend_guards_against_shadowing(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("sqlite", lambda url: None)
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_backend("", lambda url: None)
+    @pytest.mark.parametrize(
+        "spelling",
+        ["str", "path", "sqlite-url", "sqlite-default", "none", "sqlite-host", "postgres"],
+    )
+    def test_every_entry_point_reads_a_spelling_alike(
+        self, spelling, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "store.sqlite"
+        monkeypatch.setenv(STORE_PATH_ENV, str(target))
+        store = {
+            "str": str(target),
+            "path": target,
+            "sqlite-url": f"sqlite://{target}",
+            "sqlite-default": "sqlite://",
+            "none": "none",
+            "sqlite-host": "sqlite://host/db",
+            "postgres": "postgres://h/db",
+        }[spelling]
 
-    def test_custom_backend_scheme_dispatches(self):
-        seen = []
+        def worker():
+            return run_worker(
+                "camp",
+                store=store,
+                cache=tmp_path / "cache",
+                serial=True,
+                max_points=1,
+                wait_for_stragglers=False,
+            )
 
-        def factory(url):
-            seen.append(url)
-            return ResultStore(":memory:")
-
-        register_backend("fleettest", factory, overwrite=True)
-        try:
-            store = store_from_url("fleettest://anything")
-            store.close()
-            assert seen == ["fleettest://anything"]
-        finally:
-            # Leave the registry as the other tests expect it.
-            from repro.runner import backend as backend_module
-
-            backend_module._BACKENDS.pop("fleettest", None)
+        if spelling == "none":
+            assert resolve_store(store) is None
+            with pytest.raises(ConfigurationError, match="a worker needs a store"):
+                worker()
+            return
+        if spelling in ("sqlite-host", "postgres"):
+            message = "no host" if spelling == "sqlite-host" else "sqlite:///"
+            for open_store in (resolve_store, open_serve_store):
+                with pytest.raises(ConfigurationError, match=message):
+                    open_store(store)
+            with pytest.raises(ConfigurationError, match=message):
+                worker()
+            assert not target.exists()
+            return
+        with resolve_store(store) as opened:
+            assert opened.path == target
+            opened.enroll("camp", [tiny_spec("spelled")])
+        with open_serve_store(store) as served:
+            assert served.path == target
+            assert served.status_counts("camp")[STATUS_PENDING] == 1
+        summary = worker()
+        assert (summary.claimed, summary.done) == (1, 1)
+        with ResultStore(target) as check:
+            assert check.status_counts("camp")[STATUS_DONE] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +603,22 @@ class TestStoreBackends:
 
 
 class TestWorkerCli:
+    def test_store_url_in_the_environment_names_that_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "env.sqlite"
+        monkeypatch.setenv(STORE_PATH_ENV, f"sqlite://{target}")
+        assert main(["campaign", "enroll", "env-camp", "residential-south"]) == 0
+        assert target.exists()
+        assert not list(tmp_path.glob("sqlite:*"))
+        hint = capsys.readouterr().out.rsplit("--store ", 1)[1].strip()
+        with resolve_store(hint) as store:
+            assert store.path == target
+            assert store.status_counts("env-camp")[STATUS_PENDING] == 1
+
     def test_enroll_then_worker_then_status_fleet_view(self, tmp_path, capsys):
         from repro.cli import main
 
