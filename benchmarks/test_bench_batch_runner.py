@@ -21,15 +21,12 @@ def test_bench_batch_runner_cold_vs_warm(benchmark, tmp_path):
     """Cold-cache batch vs warm-cache batch over the full built-in catalog."""
     specs = list(builtin_scenarios().values())
     cache_dir = tmp_path / "cache"
-    results_path = tmp_path / "results.jsonl"
 
     start = time.perf_counter()
-    cold = run_batch(specs, cache=cache_dir, parallel=False, results_path=results_path)
+    cold = run_batch(specs, cache=cache_dir, parallel=False)
     cold_s = time.perf_counter() - start
 
-    warm = benchmark(
-        lambda: run_batch(specs, cache=cache_dir, parallel=False, results_path=results_path)
-    )
+    warm = benchmark(lambda: run_batch(specs, cache=cache_dir, parallel=False))
     warm_s = float(benchmark.stats.stats.mean)
 
     hits = warm.cache_hit_counts()

@@ -46,9 +46,9 @@ def main() -> None:
 
     shape = result.problem.grid.shape
     print("\nTraditional compact placement (letters = series strings):")
-    print(placement_ascii(result.traditional.placement, shape, max_rows=14, max_cols=50))
+    print(placement_ascii(result.baseline.placement, shape, max_rows=14, max_cols=50))
     print("\nProposed sparse placement:")
-    print(placement_ascii(result.greedy.placement, shape, max_rows=14, max_cols=50))
+    print(placement_ascii(result.proposed.placement, shape, max_rows=14, max_cols=50))
 
     candidate = result.comparison.candidate
     print(

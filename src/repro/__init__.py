@@ -14,7 +14,7 @@ High-level usage (see also ``examples/quickstart.py``)::
     result = plan_roof(simple_residential_roof(), n_modules=8)
     print(result.report())
 
-Scenario fleets run through the batch runner (or ``python -m repro batch``)::
+Scenario fleets run through the batch runner (or ``python -m repro campaign run``)::
 
     from repro.runner import run_batch
     from repro.scenario import builtin_scenarios
@@ -36,7 +36,7 @@ Sub-packages
 ``repro.scenario``    declarative, JSON-round-trippable scenario specs and
                       the built-in scenario catalog
 ``repro.runner``      content-hash stage cache, solver registry, cached
-                      staged pipeline, parallel batch runner (JSONL store)
+                      staged pipeline, parallel batch runner, campaign store
 ``repro.sweep``       declarative sweep engine (axis grids over scenarios),
                       aggregation and deterministic report presets
 ``repro.experiments`` the paper's case studies and per-table/figure drivers
@@ -51,9 +51,7 @@ from typing import Any, Dict, Mapping, Optional
 from .constants import DEFAULT_GRID_PITCH
 from .core import (
     FloorplanProblem,
-    GreedyResult,
     PlacementComparison,
-    TraditionalResult,
     compare_placements,
     default_topology,
     greedy_floorplan,
@@ -94,16 +92,6 @@ class RoofPlanResult:
     comparison: PlacementComparison
     solver_name: str = "greedy"
     stage_cached: Dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def greedy(self) -> SolverOutcome:
-        """The proposed-solver outcome (kept for backward compatibility)."""
-        return self.proposed
-
-    @property
-    def traditional(self) -> SolverOutcome:
-        """The compact-baseline outcome (kept for backward compatibility)."""
-        return self.baseline
 
     @property
     def improvement_percent(self) -> float:

@@ -7,9 +7,6 @@ Subcommands
 ``run``
     Execute one scenario -- built-in by name or loaded from a JSON file --
     through the cached staged pipeline and print its report.
-``batch``
-    Execute a scenario fleet in parallel worker processes and write a JSONL
-    results store.
 ``compare``
     Run several solvers on the same scenario (sharing every cached stage)
     and print a side-by-side table.
@@ -20,14 +17,15 @@ Subcommands
     default (``--store none`` opts out).
 ``campaign``
     Fault-tolerant, resumable fleet execution backed by the SQLite result
-    store: ``run`` enrolls + executes, ``enroll`` enrolls without
-    executing (feeding a worker fleet), ``worker`` joins a cooperative
-    fleet pulling points from the shared store until the queue drains,
-    ``status`` inspects (per-owner lease view, per-stage latency table),
-    ``resume`` re-attempts the missing points from the store alone,
-    ``export`` emits the standard JSONL results format, ``doctor`` audits
-    the store for corruption and dead-driver leases (``--repair`` fixes
-    what it finds).  ``run``/``resume``/``worker`` accept ``--timeout``
+    store: ``run`` enrolls + executes (with no scenario arguments it
+    re-runs the missing points of a campaign already in the store, or the
+    whole catalog for a new one), ``enroll`` enrolls without executing
+    (feeding a worker fleet), ``worker`` joins a cooperative fleet pulling
+    points from the shared store until the queue drains, ``status``
+    inspects (per-owner lease view, per-stage latency table), ``export``
+    writes the done points as JSONL, ``doctor`` audits the store for
+    corruption and dead-driver leases (``--repair`` fixes what it finds).
+    ``run``/``worker`` accept ``--timeout``
     (per-point wall-clock budget enforced by a watchdog) and
     ``--retry-backoff`` (delay between retry attempts); SIGINT/SIGTERM
     mark or release in-flight points and exit with code 130.  ``--store``
@@ -263,86 +261,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    from .runner.batch import run_batch
-
-    if args.scenarios:
-        specs = [_load_scenario(name) for name in args.scenarios]
-    else:
-        specs = list(builtin_scenarios().values())
-    cache = _cache_from_args(args)
-    store = None if args.store is None else _store_from_args(args)
-    if store is None and (args.campaign is not None or args.retries):
-        raise ReproError(
-            "--campaign/--retries only apply to store-backed batches; add "
-            "--store PATH (or use `repro campaign run`)"
-        )
-    batch = run_batch(
-        specs,
-        cache=cache,
-        jobs=args.jobs,
-        results_path=args.results,
-        use_cache=not args.no_cache,
-        parallel=not args.serial,
-        store=store,
-        campaign=args.campaign,
-        retries=args.retries,
-        timeout_s=args.timeout,
-        retry_backoff_s=args.retry_backoff,
-    )
-    for result in batch.results:
-        emit_out(result.report())
-    if batch.campaign is not None:
-        _print_campaign_summary(batch.campaign)
-    summary = batch.summary()
-    hits = summary["cache_hits_by_stage"]
-    hit_note = (
-        ", ".join(f"{stage}={count}" for stage, count in sorted(hits.items()))
-        if hits
-        else "none"
-    )
-    emit_out(
-        f"batch: {batch.n_scenarios} scenarios with {batch.jobs} worker(s) "
-        f"in {batch.runtime_s:.2f}s; cache hits: {hit_note}"
-    )
-    if batch.results_path is not None:
-        emit_out(f"results store: {batch.results_path}")
-    incomplete = batch.campaign is not None and (
-        batch.campaign.failed or batch.campaign.timed_out
-    )
-    return 1 if incomplete else 0
-
-
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .runner.batch import run_batch
+    from .runner.store import resolve_store
 
-    if args.scenarios:
-        specs = [_load_scenario(name) for name in args.scenarios]
-    else:
-        specs = list(builtin_scenarios().values())
-    store = _store_from_args(args)
-    if store is None:
+    store_path = _store_from_args(args)
+    if store_path is None:
         raise ReproError("campaign run needs a result store (--store cannot be 'none')")
+    specs = [_load_scenario(name) for name in args.scenarios]
     cache = _cache_from_args(args)
-    batch = run_batch(
-        specs,
-        cache=cache,
-        jobs=args.jobs,
-        results_path=args.results,
-        use_cache=not args.no_cache,
-        parallel=not args.serial,
-        store=store,
-        campaign=args.name,
-        retries=args.retries,
-        timeout_s=args.timeout,
-        retry_backoff_s=args.retry_backoff,
-    )
+    with resolve_store(store_path) as store:
+        if not specs:
+            # No scenario arguments: a stored campaign re-runs its own
+            # points, a new one runs the whole built-in catalog.
+            specs = [record.spec() for record in store.points(args.name)]
+            specs = specs or list(builtin_scenarios().values())
+        batch = run_batch(
+            specs,
+            cache=cache,
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+            parallel=not args.serial,
+            store=store,
+            campaign=args.name,
+            retries=args.retries,
+            timeout_s=args.timeout,
+            retry_backoff_s=args.retry_backoff,
+        )
     for result in batch.results:
         emit_out(result.report())
     _print_campaign_summary(batch.campaign)
-    emit_out(f"store: {store}")
-    if batch.results_path is not None:
-        emit_out(f"results store: {batch.results_path}")
+    emit_out(f"store: {store_path}")
     return 1 if batch.campaign.failed or batch.campaign.timed_out else 0
 
 
@@ -459,36 +408,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.server_close()
         store.close()
     return 0
-
-
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    from .runner.batch import run_batch
-    from .runner.store import resolve_store
-
-    store_path = _store_from_args(args)
-    if store_path is None:
-        raise ReproError("campaign resume needs a result store (--store cannot be 'none')")
-    cache = _cache_from_args(args)
-    with resolve_store(store_path) as store:
-        records = store.points(args.name)
-        if not records:
-            known = ", ".join(name for name, _ in store.campaigns()) or "none"
-            raise ReproError(f"store has no campaign {args.name!r}; campaigns: {known}")
-        specs = [record.spec() for record in records]
-        batch = run_batch(
-            specs,
-            cache=cache,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            parallel=not args.serial,
-            store=store,
-            campaign=args.name,
-            retries=args.retries,
-            timeout_s=args.timeout,
-            retry_backoff_s=args.retry_backoff,
-        )
-    _print_campaign_summary(batch.campaign)
-    return 1 if batch.campaign.failed or batch.campaign.timed_out else 0
 
 
 def _print_stage_latencies(store: ResultStore, campaign: str) -> None:
@@ -643,7 +562,10 @@ def _cmd_campaign_doctor(args: argparse.Namespace) -> int:
             f"{counts['stale_reclaimed']} stale lease(s) reclaimed, "
             f"{counts['specs_deleted']} unrecoverable row(s) deleted"
         )
-        emit_out("resume the affected campaign(s) to recompute the demoted points")
+        emit_out(
+            "re-run the affected campaign(s) with `repro campaign run NAME` "
+            "to recompute the demoted points"
+        )
     return 0
 
 
@@ -663,8 +585,8 @@ def _cmd_campaign_export(args: argparse.Namespace) -> int:
     emit_out(f"{written} result(s) exported to {args.results}")
     if remaining:
         emit_err(
-            f"warning: {remaining} point(s) not done yet (resume the campaign "
-            "to complete them)"
+            f"warning: {remaining} point(s) not done yet (re-run `repro "
+            f"campaign run {args.name}` to complete them)"
         )
     return 0
 
@@ -761,7 +683,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plan,
         cache=cache,
         jobs=args.jobs,
-        results_path=args.results,
         use_cache=not args.no_cache,
         parallel=not args.serial,
         store=_store_from_args(args),
@@ -896,7 +817,7 @@ class _ReportPresets(collections.abc.Sequence):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro`` argument parser (exposed for the docs and tests)."""
+    """The ``repro`` argument parser, built afresh by :func:`main` on every call."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GIS-based PV floorplanning: scenario runner and batch executor.",
@@ -923,37 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_arguments(run_parser)
     _add_trace_argument(run_parser)
     run_parser.set_defaults(func=_cmd_run)
-
-    batch_parser = subparsers.add_parser(
-        "batch", help="run a scenario fleet in parallel and store JSONL results"
-    )
-    batch_parser.add_argument(
-        "scenarios",
-        nargs="*",
-        help="scenario names / JSON files (default: the whole built-in catalog)",
-    )
-    batch_parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
-    )
-    batch_parser.add_argument(
-        "--serial", action="store_true", help="run in-process without worker processes"
-    )
-    batch_parser.add_argument(
-        "--results", default="repro-results.jsonl", help="JSONL results store path"
-    )
-    batch_parser.add_argument(
-        "--campaign",
-        default=None,
-        help="campaign name when running against a result store (default: 'batch')",
-    )
-    batch_parser.add_argument(
-        "--retries", type=int, default=0, help="per-point retry budget (store-backed only)"
-    )
-    _add_robustness_arguments(batch_parser)
-    _add_store_argument(batch_parser)
-    _add_cache_arguments(batch_parser)
-    _add_trace_argument(batch_parser)
-    batch_parser.set_defaults(func=_cmd_batch)
 
     compare_parser = subparsers.add_parser(
         "compare", help="run several solvers on one scenario and compare"
@@ -1003,9 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nearest solved neighbour (results identical to cold, only faster)",
     )
     sweep_parser.add_argument(
-        "--results", default=None, help="write per-point JSONL records here"
-    )
-    sweep_parser.add_argument(
         "--output", default=None, help="write the aggregated sweep result JSON here"
     )
     sweep_parser.add_argument(
@@ -1036,7 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "scenarios",
         nargs="*",
-        help="scenario names / JSON files (default: the whole built-in catalog)",
+        help="scenario names / JSON files (default: the campaign's stored "
+        "points, or the whole built-in catalog for a new campaign)",
     )
     campaign_run.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
@@ -1046,9 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument(
         "--retries", type=int, default=0, help="per-point retry budget within this run"
-    )
-    campaign_run.add_argument(
-        "--results", default=None, help="also write completed results as JSONL here"
     )
     _add_robustness_arguments(campaign_run)
     _add_store_argument(campaign_run)
@@ -1157,27 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_argument(campaign_status)
     campaign_status.set_defaults(func=_cmd_campaign_status)
 
-    campaign_resume = campaign_sub.add_parser(
-        "resume",
-        help="re-run a campaign's missing points from the store alone "
-        "(no plan or scenario arguments needed)",
-    )
-    campaign_resume.add_argument("name", help="campaign name")
-    campaign_resume.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
-    )
-    campaign_resume.add_argument(
-        "--serial", action="store_true", help="run in-process without worker processes"
-    )
-    campaign_resume.add_argument(
-        "--retries", type=int, default=0, help="per-point retry budget within this run"
-    )
-    _add_robustness_arguments(campaign_resume)
-    _add_store_argument(campaign_resume)
-    _add_cache_arguments(campaign_resume)
-    _add_trace_argument(campaign_resume)
-    campaign_resume.set_defaults(func=_cmd_campaign_resume)
-
     campaign_doctor = campaign_sub.add_parser(
         "doctor",
         help="audit the result store for corruption and dead-driver leases "
@@ -1189,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_doctor.add_argument(
         "--repair",
         action="store_true",
-        help="fix the issues found: demote corrupt/stale rows so a resume "
+        help="fix the issues found: demote corrupt/stale rows so a re-run "
         "recomputes them, delete unrecoverable rows",
     )
     campaign_doctor.add_argument(
@@ -1205,8 +1069,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_export = campaign_sub.add_parser(
         "export",
-        help="write the campaign's completed results as a JSONL store "
-        "(byte-compatible with `repro batch --results`)",
+        help="write the campaign's completed results as JSONL, one "
+        "record per point in enrollment order",
     )
     campaign_export.add_argument("name", help="campaign name")
     campaign_export.add_argument(

@@ -2,11 +2,9 @@
 
 from .constraints import (
     DistanceThreshold,
-    all_feasible_anchors,
     anchor_center,
     anchors_overlapping_placement,
     feasible_anchor_mask,
-    footprint_fits,
     mark_occupied,
     sliding_window_sum,
 )
@@ -38,11 +36,9 @@ from .traditional import TraditionalConfig, TraditionalResult, traditional_floor
 
 __all__ = [
     "DistanceThreshold",
-    "all_feasible_anchors",
     "anchor_center",
     "anchors_overlapping_placement",
     "feasible_anchor_mask",
-    "footprint_fits",
     "mark_occupied",
     "sliding_window_sum",
     "PlacementComparison",

@@ -8,32 +8,13 @@ anchored at this grid element?", "which anchors are currently feasible?",
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import PlacementError
 from ..geometry import Point2D
-from ..gis.gridding import RoofGrid
 from .placement import ModuleFootprint
-
-
-def footprint_fits(
-    valid_mask: np.ndarray,
-    occupied: np.ndarray,
-    row: int,
-    col: int,
-    footprint: ModuleFootprint,
-) -> bool:
-    """True when a module anchored at (row, col) covers only valid, free cells."""
-    n_rows, n_cols = valid_mask.shape
-    if row < 0 or col < 0:
-        return False
-    if row + footprint.cells_h > n_rows or col + footprint.cells_w > n_cols:
-        return False
-    window_valid = valid_mask[row : row + footprint.cells_h, col : col + footprint.cells_w]
-    window_occupied = occupied[row : row + footprint.cells_h, col : col + footprint.cells_w]
-    return bool(np.all(window_valid) and not np.any(window_occupied))
 
 
 def feasible_anchor_mask(
@@ -179,22 +160,3 @@ def anchor_center(
         (col + footprint.cells_w / 2.0) * pitch,
         (row + footprint.cells_h / 2.0) * pitch,
     )
-
-
-def nearest_placed_distance(
-    candidate: Point2D, placed_centers: Sequence[Point2D]
-) -> float:
-    """Distance from a candidate centre to the nearest placed module centre."""
-    if not placed_centers:
-        return 0.0
-    return float(min(candidate.distance_to(p) for p in placed_centers))
-
-
-def all_feasible_anchors(
-    grid: RoofGrid, footprint: ModuleFootprint, occupied: np.ndarray | None = None
-) -> List[tuple]:
-    """List of (row, col) anchors where the footprint fits on the grid."""
-    occ = occupied if occupied is not None else np.zeros(grid.shape, dtype=bool)
-    mask = feasible_anchor_mask(grid.valid_mask, occ, footprint)
-    rows, cols = np.nonzero(mask)
-    return list(zip(rows.tolist(), cols.tolist()))

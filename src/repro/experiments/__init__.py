@@ -9,7 +9,6 @@ from .figures import (
     figure2_iv_curves,
     figure3_module_characteristics,
     figure6_irradiance_map,
-    figure7_all,
     figure7_placements,
     overhead_characterisation,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "figure2_iv_curves",
     "figure3_module_characteristics",
     "figure6_irradiance_map",
-    "figure7_all",
     "figure7_placements",
     "overhead_characterisation",
     "CaseStudy",

@@ -10,7 +10,7 @@ the ASCII renderings of :mod:`repro.analysis.maps` are the equivalents.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -224,8 +224,3 @@ def figure7_placements(
         proposed_ascii=placement_ascii(proposed.placement, shape),
         improvement_percent=comparison.improvement_percent,
     )
-
-
-def figure7_all(studies: Dict[str, CaseStudy], n_modules: int = 32) -> List[PlacementFigure]:
-    """Figure 7 for every prepared roof."""
-    return [figure7_placements(study, n_modules) for study in studies.values()]

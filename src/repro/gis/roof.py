@@ -114,22 +114,3 @@ def obstacle_mask_from_plane(
     obstacle = np.zeros(dsm.shape, dtype=bool)
     obstacle[rows, cols] = deviation > threshold_m
     return obstacle
-
-
-def estimate_usable_area_m2(
-    dsm: DigitalSurfaceModel,
-    region: Polygon,
-    plane: FittedRoofPlane,
-    threshold_m: float = 0.25,
-) -> float:
-    """Usable roof area [m^2] measured on the inclined plane.
-
-    Counts the region cells not flagged as obstacles and corrects the
-    horizontal cell area by the facet slope.
-    """
-    region_mask = dsm.raster.mask_from_polygon(region)
-    obstacles = obstacle_mask_from_plane(dsm, region, plane, threshold_m)
-    usable_cells = int(np.count_nonzero(region_mask & ~obstacles))
-    cell_area = dsm.pitch**2
-    slope_correction = 1.0 / np.cos(np.radians(plane.tilt_deg))
-    return usable_cells * cell_area * slope_correction

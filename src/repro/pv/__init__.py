@@ -11,7 +11,7 @@ from .datasheet import (
     get_datasheet,
 )
 from .module import EmpiricalModuleModel, OperatingPoint, paper_module_model
-from .mppt import MPPTModel, PerturbObserveResult, mppt_tracking_error, perturb_and_observe
+from .mppt import MPPTModel, PerturbObserveResult, perturb_and_observe
 from .thermal import CellTemperatureModel, NOCTTemperatureModel, temperature_rise_at_stc
 from .wiring import (
     WiringOverheadReport,
@@ -39,7 +39,6 @@ __all__ = [
     "paper_module_model",
     "MPPTModel",
     "PerturbObserveResult",
-    "mppt_tracking_error",
     "perturb_and_observe",
     "CellTemperatureModel",
     "NOCTTemperatureModel",

@@ -10,7 +10,7 @@ operating on an I-V curve is also provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -123,24 +123,3 @@ def perturb_and_observe(
         converged_power=float(powers[best]),
         n_steps=n_steps,
     )
-
-
-def mppt_tracking_error(
-    power_at_voltage: Callable[[float], float],
-    v_min: float,
-    v_max: float,
-    tracked_power: float,
-    n_samples: int = 500,
-) -> Tuple[float, float]:
-    """Quantify how close a tracked power is to the true curve maximum.
-
-    Returns ``(true_maximum, relative_error)``.
-    """
-    if n_samples < 2:
-        raise PVModelError("n_samples must be at least 2")
-    voltages = np.linspace(v_min, v_max, n_samples)
-    powers = np.array([power_at_voltage(float(v)) for v in voltages])
-    true_max = float(np.max(powers))
-    if true_max <= 0:
-        return 0.0, 0.0
-    return true_max, abs(true_max - tracked_power) / true_max

@@ -21,10 +21,8 @@ _EXPORTS: Dict[str, str] = {
             "BatchResult",
             "count_stage_flags",
             "execute_point",
-            "read_results_jsonl",
             "run_batch",
             "sum_stage_times",
-            "write_results_jsonl",
         ),
         ".cache": (
             "CacheStats",

@@ -39,7 +39,6 @@ point in input order.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import signal
@@ -202,7 +201,6 @@ class BatchResult:
     results: List[ScenarioResult]
     runtime_s: float
     jobs: int
-    results_path: Optional[Path] = None
     cache_dir: Optional[Path] = None
     campaign: Optional[CampaignSummary] = None
 
@@ -240,7 +238,6 @@ class BatchResult:
             "total_energy_mwh": sum(r.annual_energy_mwh for r in self.results),
             "cache_hits_by_stage": self.cache_hit_counts(),
             "cache_misses_by_stage": self.cache_miss_counts(),
-            "results_path": None if self.results_path is None else str(self.results_path),
             "campaign": None if self.campaign is None else self.campaign.as_dict(),
         }
 
@@ -674,7 +671,6 @@ def run_batch(
     specs: Sequence[ScenarioSpec],
     cache: Union[StageCache, PathLike, None] = None,
     jobs: Optional[int] = None,
-    results_path: Optional[PathLike] = None,
     use_cache: bool = True,
     parallel: bool = True,
     store: Union[ResultStore, PathLike, None] = None,
@@ -697,8 +693,6 @@ def run_batch(
     jobs:
         Worker-process count; defaults to ``min(len(specs), cpu_count)``.
         ``1`` (or ``parallel=False``) runs serially in-process.
-    results_path:
-        When given, one JSON record per scenario is written there (JSONL).
     use_cache:
         Set False to bypass the stage cache entirely.
     parallel:
@@ -760,7 +754,7 @@ def run_batch(
     True
     >>> sorted(batch.summary())  # doctest: +NORMALIZE_WHITESPACE
     ['cache_hits_by_stage', 'cache_misses_by_stage', 'campaign', 'jobs',
-     'n_scenarios', 'results_path', 'runtime_s', 'total_energy_mwh']
+     'n_scenarios', 'runtime_s', 'total_energy_mwh']
     """
     specs = list(specs)
     if not specs:
@@ -847,16 +841,10 @@ def run_batch(
         first = failures[0]
         raise ScenarioExecutionError(first.error, scenario=first.name, digest=first.digest)
 
-    path: Optional[Path] = None
-    if results_path is not None:
-        path = Path(results_path)
-        write_results_jsonl(results, path)
-
     return BatchResult(
         results=results,
         runtime_s=runtime,
         jobs=jobs,
-        results_path=path,
         cache_dir=stage_cache.root if stage_cache.enabled else None,
         campaign=summary if throwaway is None else None,
     )
@@ -970,30 +958,3 @@ def _campaign_metric_rows(
     ):
         rows.append((METRIC_KIND_COUNTER, MetricStats.from_count(counter, value)))
     return rows
-
-
-def write_results_jsonl(results: Sequence[ScenarioResult], path: PathLike) -> None:
-    """Write one JSON record per scenario result (JSONL store)."""
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
-
-
-def read_results_jsonl(path: PathLike) -> List[ScenarioResult]:
-    """Read a JSONL results store back into :class:`ScenarioResult` objects."""
-    results: List[ScenarioResult] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                results.append(ScenarioResult.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"malformed results record at {path}:{line_number}: {exc}"
-                ) from exc
-    return results

@@ -28,8 +28,9 @@ plus the scenario's stage-cache content digest
     best-effort answer instead, queryable without parsing result JSON.
 ``spec``
     The point's full declarative :class:`~repro.scenario.ScenarioSpec`
-    dictionary, so ``repro campaign resume`` can rebuild the work list from
-    the store alone -- no original command line or plan file needed.
+    dictionary, so ``repro campaign run NAME`` with no scenario arguments
+    can rebuild the work list from the store alone -- no original command
+    line or plan file needed.
 
 Within one claim loop, the store is written only by the loop's own
 process; worker *pool* processes never touch it, so a dying worker cannot
@@ -41,10 +42,9 @@ can never interleave with a competing driver's), every connection sets
 ``PRAGMA busy_timeout``, and contended writes additionally retry with
 exponential backoff on transient ``sqlite3.OperationalError``
 (``SQLITE_BUSY``, a flaky network filesystem); ``repro campaign doctor``
-audits/repairs a store that was hit by crashes anyway.  ``export`` renders
-the ``done`` rows through the existing JSONL writer, byte-for-byte
-compatible with :func:`~repro.runner.batch.write_results_jsonl`, so every
-downstream consumer (sweep aggregation, reports) works unchanged.
+audits/repairs a store that was hit by crashes anyway.  ``export`` writes
+the ``done`` rows as JSONL, one sorted-key ``ScenarioResult`` record per
+line.
 """
 
 from __future__ import annotations
@@ -1355,17 +1355,19 @@ class ResultStore:
     # -- export -------------------------------------------------------------------
 
     def export(self, campaign: str, path: PathLike) -> int:
-        """Write the campaign's completed results as a JSONL store.
+        """Write the campaign's completed results as JSONL.
 
-        The output goes through the exact writer the batch runner
-        uses, so it is byte-compatible with :func:`run_batch`'s
-        ``results_path`` output and consumable by every downstream reader.
-        Returns the number of records written.
+        One line per done point in enrollment order: the point's
+        :meth:`ScenarioResult.to_dict` as ``json.dumps(..., sort_keys=True)``.
+        Missing parent directories are created.  Returns the number of
+        records written.
         """
-        from .batch import write_results_jsonl
-
         results = self.results(campaign)
-        write_results_jsonl(results, path)
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(target, "w", encoding="utf-8") as handle:
+            for result in results:
+                handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
         return len(results)
 
 

@@ -87,8 +87,8 @@ def render_scenarios_markdown() -> str:
         "# Scenario catalog reference",
         "",
         "Every scenario bundled with `repro`.  Run one with `repro run",
-        "<name>`, batch them with `repro batch`, sweep them with `repro",
-        "sweep --base <name> --axis ...`, or dump one as a JSON starting",
+        "<name>`, a fleet of them with `repro campaign run`, sweep them with",
+        "`repro sweep --base <name> --axis ...`, or dump one as a JSON starting",
         "point for a custom scenario with",
         "`ScenarioSpec.save()` (see `docs/cli.md`).",
         "",

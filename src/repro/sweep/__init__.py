@@ -66,7 +66,6 @@ def run_sweep(
     plan: SweepPlan,
     cache: Union[StageCache, PathLike, None] = None,
     jobs: Optional[int] = None,
-    results_path: Optional[PathLike] = None,
     use_cache: bool = True,
     parallel: bool = True,
     store: Union[ResultStore, PathLike, None] = None,
@@ -88,9 +87,6 @@ def run_sweep(
         compute them once, within this run and across runs.
     jobs:
         Worker-process count forwarded to :func:`repro.runner.run_batch`.
-    results_path:
-        When given, the per-point scenario records are also written there
-        as a JSONL store (one line per point, in point order).
     use_cache, parallel:
         Forwarded to :func:`repro.runner.run_batch`.
     store:
@@ -148,7 +144,6 @@ def run_sweep(
             [point.spec for point in ordered_points],
             cache=cache,
             jobs=jobs,
-            results_path=results_path,
             use_cache=use_cache,
             parallel=parallel,
             store=store,

@@ -8,86 +8,7 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
-
-from .constants import KELVIN_OFFSET, SECONDS_PER_HOUR
-
-
-def celsius_to_kelvin(t_celsius: float) -> float:
-    """Convert a temperature from degrees Celsius to Kelvin."""
-    return t_celsius + KELVIN_OFFSET
-
-
-def kelvin_to_celsius(t_kelvin: float) -> float:
-    """Convert a temperature from Kelvin to degrees Celsius."""
-    return t_kelvin - KELVIN_OFFSET
-
-
-def degrees_to_radians(angle_deg: float) -> float:
-    """Convert an angle from degrees to radians."""
-    return math.radians(angle_deg)
-
-
-def radians_to_degrees(angle_rad: float) -> float:
-    """Convert an angle from radians to degrees."""
-    return math.degrees(angle_rad)
-
-
-def wh_to_joules(energy_wh: float) -> float:
-    """Convert an energy from watt-hours to joules."""
-    return energy_wh * SECONDS_PER_HOUR
-
-
-def joules_to_wh(energy_j: float) -> float:
-    """Convert an energy from joules to watt-hours."""
-    return energy_j / SECONDS_PER_HOUR
-
-
-def wh_to_kwh(energy_wh: float) -> float:
-    """Convert an energy from watt-hours to kilowatt-hours."""
-    return energy_wh / 1e3
-
 
 def wh_to_mwh(energy_wh: float) -> float:
     """Convert an energy from watt-hours to megawatt-hours."""
     return energy_wh / 1e6
-
-
-def kwh_to_wh(energy_kwh: float) -> float:
-    """Convert an energy from kilowatt-hours to watt-hours."""
-    return energy_kwh * 1e3
-
-
-def mwh_to_wh(energy_mwh: float) -> float:
-    """Convert an energy from megawatt-hours to watt-hours."""
-    return energy_mwh * 1e6
-
-
-def metres_to_centimetres(length_m: float) -> float:
-    """Convert a length from metres to centimetres."""
-    return length_m * 100.0
-
-
-def centimetres_to_metres(length_cm: float) -> float:
-    """Convert a length from centimetres to metres."""
-    return length_cm / 100.0
-
-
-def minutes_to_hours(minutes: float) -> float:
-    """Convert a duration from minutes to hours."""
-    return minutes / 60.0
-
-
-def hours_to_minutes(hours: float) -> float:
-    """Convert a duration from hours to minutes."""
-    return hours * 60.0
-
-
-def percent(fraction: float) -> float:
-    """Express a fraction (0..1) as a percentage (0..100)."""
-    return fraction * 100.0
-
-
-def fraction(percentage: float) -> float:
-    """Express a percentage (0..100) as a fraction (0..1)."""
-    return percentage / 100.0

@@ -27,7 +27,6 @@ from repro.runner import (
     run_batch,
     scenario_content_digest,
 )
-from repro.runner.batch import write_results_jsonl
 from repro.runner.store import (
     _FIND_DONE_SQL,
     STATUS_DONE,
@@ -479,15 +478,16 @@ class TestStoreEquivalence:
             campaign="camp",
             parallel=False,
             use_cache=False,
-            results_path=tmp_path / "direct.jsonl",
         )
-        reference = tmp_path / "reference.jsonl"
-        write_results_jsonl(batch.results, reference)
+        # The JSONL format: one sorted-key record per result, in input order.
+        reference = "".join(
+            json.dumps(result.to_dict(), sort_keys=True) + "\n"
+            for result in batch.results
+        ).encode("utf-8")
         exported = tmp_path / "exported.jsonl"
         with ResultStore(store_path) as store:
             assert store.export("camp", exported) == 2
-        assert exported.read_bytes() == reference.read_bytes()
-        assert exported.read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
+        assert exported.read_bytes() == reference
         records = [json.loads(line) for line in exported.read_text().splitlines()]
         assert [record["scenario"] for record in records] == ["a", "b"]
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.runner import ResultStore
 from repro.scenario import get_scenario
+from repro.telemetry import iter_spans, read_trace
 
 
 @pytest.fixture()
@@ -57,42 +59,56 @@ class TestRun:
 
 
 class TestBatch:
+    """Fleet runs go through ``campaign run``; ``campaign export`` writes JSONL."""
+
     def test_subset_parallel_with_store(self, capsys, cache_dir, tmp_path):
+        store = str(tmp_path / "campaigns.sqlite")
         results = tmp_path / "results.jsonl"
         code = main(
             [
-                "batch",
+                "campaign",
+                "run",
+                "fleet",
                 "fleet-a-n6",
                 "fleet-b-n8",
                 "--jobs",
                 "2",
+                "--store",
+                store,
                 "--cache-dir",
                 cache_dir,
-                "--results",
-                str(results),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "batch: 2 scenarios" in out
+        assert "campaign 'fleet': 2/2 done" in out
+        code = main(["campaign", "export", "fleet", "--store", store, "--results", str(results)])
+        assert code == 0
         lines = [json.loads(line) for line in results.read_text().splitlines() if line]
         assert [record["scenario"] for record in lines] == ["fleet-a-n6", "fleet-b-n8"]
 
     def test_serial_flag(self, capsys, cache_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
+        trace = tmp_path / "trace.jsonl"
         code = main(
             [
-                "batch",
+                "campaign",
+                "run",
+                "serial",
                 "residential-south",
                 "--serial",
+                "--store",
+                str(tmp_path / "campaigns.sqlite"),
                 "--cache-dir",
                 cache_dir,
-                "--results",
-                str(results),
+                "--trace",
+                str(trace),
             ]
         )
         assert code == 0
-        assert "1 worker(s)" in capsys.readouterr().out
+        (batch_span,) = [
+            span for span in iter_spans(read_trace(trace)) if span["name"] == "batch"
+        ]
+        assert batch_span["attrs"]["jobs"] == 1
 
 
 class TestCampaign:
@@ -152,12 +168,12 @@ class TestCampaign:
             == 0
         )
         capsys.readouterr()
-        # Resume needs no scenario arguments: the specs live in the store.
+        # A re-run needs no scenario arguments: the specs live in the store.
         assert (
             main(
                 [
                     "campaign",
-                    "resume",
+                    "run",
                     "resumable",
                     "--store",
                     store,
@@ -169,6 +185,37 @@ class TestCampaign:
             == 0
         )
         assert "computed 0, skipped 1" in capsys.readouterr().out
+
+    def test_rerun_without_scenarios_keeps_a_non_catalog_campaign(
+        self, capsys, cache_dir, tmp_path
+    ):
+        """A stored campaign re-runs its own points, not the whole catalog."""
+        store = str(tmp_path / "campaigns.sqlite")
+        spec_path = tmp_path / "custom.json"
+        custom = get_scenario("residential-south").with_overrides(
+            {"solver": "traditional"}, name="custom-roof"
+        )
+        custom.save(spec_path)
+        common = ["--store", store, "--cache-dir", cache_dir, "--serial"]
+        assert main(["campaign", "run", "serve", str(spec_path)] + common) == 0
+        capsys.readouterr()
+        assert main(["campaign", "run", "serve"] + common) == 0
+        out = capsys.readouterr().out
+        assert "campaign 'serve': 1/1 done (computed 0, skipped 1" in out
+        with ResultStore(store) as result_store:
+            assert [record.name for record in result_store.points("serve")] == [
+                "custom-roof"
+            ]
+
+    def test_new_campaign_without_scenarios_runs_the_catalog(
+        self, capsys, cache_dir, tmp_path, monkeypatch
+    ):
+        catalog = {"residential-south": get_scenario("residential-south")}
+        monkeypatch.setattr("repro.cli.builtin_scenarios", lambda: catalog)
+        store = str(tmp_path / "campaigns.sqlite")
+        args = ["campaign", "run", "nightly", "--store", store, "--cache-dir", cache_dir]
+        assert main(args + ["--serial"]) == 0
+        assert "campaign 'nightly': 1/1 done (computed 1" in capsys.readouterr().out
 
     def test_status_json_and_unknown_campaign(self, capsys, tmp_path):
         store = str(tmp_path / "campaigns.sqlite")

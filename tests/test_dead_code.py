@@ -1,0 +1,144 @@
+"""No dead public surface: every public top-level function has a caller.
+
+A public top-level ``def`` in ``src/repro`` must be referenced somewhere in
+``src/``, ``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/``.
+References are resolved with :mod:`ast` -- a name read (``foo(...)``) or an
+attribute read (``module.foo``) -- so prose, comments and docstrings never
+count, and neither does a read of a function's own local variable that
+happens to share the name.  The function's own ``def`` (including recursive calls in its body),
+``__all__`` strings and package ``__init__`` re-exports do not count either:
+a name that is only re-exported is still uncalled.
+
+A function that must ship without a caller goes on :data:`ALLOWED` with a
+one-line reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Dict, Iterator, List, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples")
+
+#: ``module.function`` -> one-line reason it ships with no caller.
+ALLOWED: Dict[str, str] = {}
+
+
+def _python_files() -> Iterator[Path]:
+    for top in SCANNED:
+        directory = ROOT / top
+        if directory.is_dir():
+            yield from sorted(directory.rglob("*.py"))
+
+
+class _Reads(ast.NodeVisitor):
+    """Collect the names a tree reads, skipping reads of function locals."""
+
+    def __init__(self) -> None:
+        self.names: Set[str] = set()
+        self._locals: List[Set[str]] = []
+
+    def visit_FunctionDef(self, node: ast.AST) -> None:
+        bound = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        bound |= {
+            child.id
+            for child in ast.walk(node)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store)
+        }
+        self._locals.append(bound)
+        self.generic_visit(node)
+        self._locals.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_Lambda = visit_FunctionDef
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load) and not (
+            self._locals and node.id in self._locals[-1]
+        ):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        # ``from m import f as g`` reads ``f`` under another name.
+        self.names.update(alias.name for alias in node.names if alias.asname)
+
+
+def _referenced_names(tree: ast.Module) -> Set[str]:
+    """Names a module reads, minus each top-level function's own name."""
+    names: Set[str] = set()
+    for statement in tree.body:
+        reads = _Reads()
+        reads.visit(statement)
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            reads.names.discard(statement.name)
+        names |= reads.names
+    return names
+
+
+def _public_functions() -> List[Tuple[str, str]]:
+    """``(module, name)`` of every public top-level ``def`` in ``src/repro``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not statement.name.startswith("_"):
+                    found.append((module.removesuffix(".__init__"), statement.name))
+    return found
+
+
+def _all_references() -> Set[str]:
+    names: Set[str] = set()
+    for path in _python_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "__init__.py":
+            # Re-exports are not callers: skip the package's import lines.
+            tree.body = [
+                statement
+                for statement in tree.body
+                if not isinstance(statement, (ast.Import, ast.ImportFrom))
+            ]
+        names |= _referenced_names(tree)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    references = _all_references()
+    dead = [
+        f"{module}.{name}"
+        for module, name in _public_functions()
+        if name not in references and f"{module}.{name}" not in ALLOWED
+    ]
+    assert not dead, (
+        "public functions with no caller in "
+        f"{', '.join(SCANNED)} (delete them, or allow-list with a reason): "
+        + ", ".join(dead)
+    )
+
+
+def test_allow_list_entries_are_live_and_justified():
+    functions = {f"{module}.{name}" for module, name in _public_functions()}
+    for qualified, reason in ALLOWED.items():
+        assert qualified in functions, f"{qualified} is allow-listed but not defined"
+        assert reason.strip() and "\n" not in reason, f"{qualified} needs a one-line reason"
+
+
+def test_guard_resolves_names_not_text():
+    """Prose and strings never count as references; reads do."""
+    tree = ast.parse(
+        '"""percent of the roof"""\n'
+        "__all__ = ['percent']\n"
+        "def percent(x):\n    return percent(x - 1)\n"
+        "def user(fraction):\n    return units.wh_to_mwh(fraction) + helper()\n"
+    )
+    names = _referenced_names(tree)
+    assert "percent" not in names and "fraction" not in names
+    assert {"wh_to_mwh", "helper", "units"} <= names

@@ -200,8 +200,8 @@ class TestEndToEndPipeline:
         assert result.comparison.candidate.annual_energy_mwh > 0
         report = result.report()
         assert "traditional" in report and "proposed" in report
-        result.greedy.placement.validate(result.problem.grid)
-        result.traditional.placement.validate(result.problem.grid)
+        result.proposed.placement.validate(result.problem.grid)
+        result.baseline.placement.validate(result.problem.grid)
 
     def test_plan_roof_reuses_weather(self, small_weather):
         spec = simple_residential_roof(width_m=8.0, depth_m=5.0, n_obstacles=1, seed=3)

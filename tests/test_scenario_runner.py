@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -10,10 +11,11 @@ import repro
 from repro.errors import ConfigurationError
 from repro.gis import simple_residential_roof
 from repro.runner import (
+    ResultStore,
+    ScenarioResult,
     StageCache,
     available_solvers,
     content_digest,
-    read_results_jsonl,
     run_batch,
     run_scenario,
     solve,
@@ -215,10 +217,15 @@ class TestBatchRunner:
 
     def test_results_jsonl_round_trip(self, batch_specs, tmp_path):
         path = tmp_path / "results.jsonl"
-        batch = run_batch(
-            batch_specs, cache=tmp_path / "cache", parallel=False, results_path=path
-        )
-        restored = read_results_jsonl(path)
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            batch = run_batch(
+                batch_specs, cache=tmp_path / "cache", parallel=False, store=store
+            )
+            assert store.export("batch", path) == len(batch_specs)
+        restored = [
+            ScenarioResult.from_dict(json.loads(line))
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
         assert [r.to_dict() for r in restored] == [r.to_dict() for r in batch.results]
 
     def test_warm_rerun_hits_cache(self, batch_specs, tmp_path):
@@ -276,9 +283,6 @@ class TestSolverSelection:
         with pytest.raises(AttributeError):
             traditional.objective_value
 
-    def test_legacy_result_types_still_importable(self):
-        from repro import GreedyResult, TraditionalResult  # noqa: F401
-
     def test_plan_roof_solver_selectable(self, tmp_path):
         spec = simple_residential_roof(width_m=8.0, depth_m=5.0, n_obstacles=1, seed=3)
         cache = StageCache(root=tmp_path / "cache")
@@ -292,9 +296,8 @@ class TestSolverSelection:
         baseline = repro.plan_roof(spec, solver="traditional", **kwargs)
         assert greedy.solver_name == "greedy"
         assert baseline.solver_name == "traditional"
-        # Backward-compatible aliases still resolve.
-        greedy.greedy.placement.validate(greedy.problem.grid)
-        greedy.traditional.placement.validate(greedy.problem.grid)
+        greedy.proposed.placement.validate(greedy.problem.grid)
+        greedy.baseline.placement.validate(greedy.problem.grid)
         # The second call reused every expensive stage from the first.
         assert all(baseline.stage_cached.values())
         # A traditional-vs-traditional comparison is a no-op improvement.
