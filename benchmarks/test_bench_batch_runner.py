@@ -23,10 +23,10 @@ def test_bench_batch_runner_cold_vs_warm(benchmark, tmp_path):
     cache_dir = tmp_path / "cache"
 
     start = time.perf_counter()
-    cold = run_batch(specs, cache=cache_dir, parallel=False)
+    cold = run_batch(specs, cache=cache_dir, jobs=1)
     cold_s = time.perf_counter() - start
 
-    warm = benchmark(lambda: run_batch(specs, cache=cache_dir, parallel=False))
+    warm = benchmark(lambda: run_batch(specs, cache=cache_dir, jobs=1))
     warm_s = float(benchmark.stats.stats.mean)
 
     hits = warm.cache_hit_counts()

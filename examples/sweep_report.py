@@ -68,7 +68,7 @@ def main() -> None:
     # A throwaway cache directory keeps the demo hermetic while still
     # demonstrating the within-run stage reuse across the grid.
     with tempfile.TemporaryDirectory(prefix="repro-sweep-demo-") as cache_dir:
-        sweep = run_sweep(plan, cache=cache_dir, parallel=False)
+        sweep = run_sweep(plan, cache=cache_dir, jobs=1)
 
     artifact = sweep_report(sweep, title="Latitude x module-count sweep")
     print()

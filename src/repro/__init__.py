@@ -49,37 +49,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from .constants import DEFAULT_GRID_PITCH
-from .core import (
-    FloorplanProblem,
-    PlacementComparison,
-    compare_placements,
-    default_topology,
-    greedy_floorplan,
-    traditional_floorplan,
-)
-from .errors import ReproError
+from .core import FloorplanProblem, PlacementComparison, compare_placements
 from .gis import RoofSpec
 from .pv.datasheet import PV_MF165EB3, ModuleDatasheet
 from .runner.cache import StageCache
-from .runner.solvers import SolverOutcome, available_solvers, solve
+from .runner.solvers import SolverOutcome, solve
 from .runner.stages import prepare_problem
 from .solar import SolarSimulationConfig, TimeGrid
 from .weather import WeatherSeries
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "RoofPlanResult",
-    "plan_roof",
-    "available_solvers",
-    "FloorplanProblem",
-    "default_topology",
-    "greedy_floorplan",
-    "traditional_floorplan",
-    "compare_placements",
-]
+__all__ = ["__version__", "RoofPlanResult", "TimeGrid", "plan_roof"]
 
 
 @dataclass

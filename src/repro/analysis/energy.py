@@ -43,10 +43,6 @@ class MonthlyEnergy:
         """Mapping month name -> energy [Wh]."""
         return {name: float(value) for name, value in zip(MONTH_NAMES, self.monthly_wh)}
 
-    def peak_month(self) -> str:
-        """Name of the most productive month."""
-        return MONTH_NAMES[int(np.argmax(self.monthly_wh))]
-
 
 def month_of_day(day_of_year: np.ndarray) -> np.ndarray:
     """Month index (0..11) of each day of year."""

@@ -102,7 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 def _cache_from_args(args: argparse.Namespace) -> StageCache:
     root = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    return StageCache(root=root, enabled=not args.no_cache)
+    return StageCache(root=root)
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
@@ -136,10 +136,14 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "campaign result-store database: a path, a URL such as "
-            "sqlite:///path/to/store.sqlite, or 'none' for the in-memory path "
+            "sqlite:///path/to/store.sqlite, or 'none' for a throwaway temporary "
+            "store that keeps no results "
             "(default: $REPRO_STORE_PATH or <cache dir>/campaigns.sqlite)"
         ),
     )
+
+
+_JOBS_HELP = "worker processes (default: cpu count; 1 runs in-process)"
 
 
 def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
@@ -243,7 +247,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.solver:
         spec = spec.with_solver(args.solver)
     cache = _cache_from_args(args)
-    result = run_scenario(spec, cache=cache)
+    result = run_scenario(spec, cache=cache, use_cache=not args.no_cache)
     emit_out(result.report())
     emit_diagnostic(
         "stage wall times: "
@@ -281,7 +285,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             cache=cache,
             jobs=args.jobs,
             use_cache=not args.no_cache,
-            parallel=not args.serial,
             store=store,
             campaign=args.name,
             retries=args.retries,
@@ -599,7 +602,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
     rows = []
     for solver in solvers:
-        result = run_scenario(spec.with_solver(solver), cache=cache)
+        result = run_scenario(spec.with_solver(solver), cache=cache, use_cache=not args.no_cache)
         rows.append(result)
     best = max(row.annual_energy_mwh for row in rows)
     emit_out(f"{spec.name}: N={spec.n_modules} ({len(rows)} solvers)")
@@ -684,7 +687,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache=cache,
         jobs=args.jobs,
         use_cache=not args.no_cache,
-        parallel=not args.serial,
         store=_store_from_args(args),
         retries=args.retries,
         timeout_s=args.timeout,
@@ -748,7 +750,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "cache": _cache_from_args(args),
             "jobs": args.jobs,
             "use_cache": not args.no_cache,
-            "parallel": not args.serial,
         }
     artifact = generate_report(args.preset, **kwargs)
     text = artifact.text(args.format)
@@ -880,12 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--save-plan", default=None, help="write the expanded plan JSON here"
     )
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
-    )
-    sweep_parser.add_argument(
-        "--serial", action="store_true", help="run in-process without worker processes"
-    )
+    sweep_parser.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     sweep_parser.add_argument(
         "--warm-start",
         action="store_true",
@@ -926,12 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario names / JSON files (default: the campaign's stored "
         "points, or the whole built-in catalog for a new campaign)",
     )
-    campaign_run.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
-    )
-    campaign_run.add_argument(
-        "--serial", action="store_true", help="run in-process without worker processes"
-    )
+    campaign_run.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     campaign_run.add_argument(
         "--retries", type=int, default=0, help="per-point retry budget within this run"
     )
@@ -1174,12 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_solvers(),
         help="[table1] proposed-placement solver (default: greedy)",
     )
-    report_parser.add_argument(
-        "--jobs", type=int, default=None, help="[table1] worker processes"
-    )
-    report_parser.add_argument(
-        "--serial", action="store_true", help="[table1] run without worker processes"
-    )
+    report_parser.add_argument("--jobs", type=int, default=None, help=f"[table1] {_JOBS_HELP}")
     _add_cache_arguments(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 

@@ -22,7 +22,7 @@ how much, and why -- is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..constants import CASE_STUDY_AZIMUTH, CASE_STUDY_TILT, DEFAULT_GRID_PITCH
 from ..errors import ConfigurationError
@@ -44,6 +44,9 @@ from ..solar import (
     TimeGrid,
 )
 from ..weather import SyntheticWeatherConfig, WeatherSeries, generate_weather
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..runner.cache import StageCache
 
 
 @dataclass(frozen=True)
@@ -365,7 +368,7 @@ def prepare_case_study(
     spec: RoofSpec,
     config: CaseStudyConfig | None = None,
     weather: Optional[WeatherSeries] = None,
-    cache: "StageCache | None" = None,
+    cache: Optional[StageCache] = None,
 ) -> CaseStudy:
     """Build the scene, suitable grid, weather and solar field for one roof.
 
@@ -378,18 +381,16 @@ def prepare_case_study(
     and reused by any later run -- experiments, scenarios or benchmarks --
     sharing the same inputs.
     """
-    from ..runner.cache import StageCache
     from ..runner.stages import STAGE_SCENE, STAGE_SOLAR, PipelineSources, run_pipeline
 
     cfg = config if config is not None else CaseStudyConfig()
-    stage_cache = cache if cache is not None else StageCache(enabled=False)
     if weather is None:
         weather = generate_weather(cfg.time_grid(), SyntheticWeatherConfig(seed=cfg.weather_seed))
 
     sources = PipelineSources.from_objects(
         spec, weather, cfg.solar, cfg.dsm_pitch, cfg.grid_pitch
     )
-    values = run_pipeline(sources, STAGE_SOLAR, stage_cache, {}, {})
+    values = run_pipeline(sources, STAGE_SOLAR, cache, {}, {})
     scene, solar = values[STAGE_SCENE], values[STAGE_SOLAR]
     return CaseStudy(
         name=spec.name,
@@ -403,7 +404,7 @@ def prepare_case_study(
 
 def prepare_all_case_studies(
     config: CaseStudyConfig | None = None,
-    cache: "StageCache | None" = None,
+    cache: Optional[StageCache] = None,
 ) -> Dict[str, CaseStudy]:
     """Prepare the three case-study roofs sharing one weather trace."""
     cfg = config if config is not None else CaseStudyConfig()

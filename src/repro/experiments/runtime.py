@@ -17,7 +17,6 @@ from typing import List
 from ..core import build_problem
 from ..errors import ConfigurationError
 from ..gis import simple_residential_roof
-from ..runner.cache import StageCache
 from ..runner.solvers import solve
 from ..runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
 from ..solar import SolarSimulationConfig, TimeGrid
@@ -73,7 +72,7 @@ def runtime_sweep(
         sources = PipelineSources.from_objects(
             spec, weather, solar_config, dsm_pitch=0.4, grid_pitch=grid_pitch
         )
-        solar = run_pipeline(sources, STAGE_SOLAR, StageCache(enabled=False), {}, {})[STAGE_SOLAR]
+        solar = run_pipeline(sources, STAGE_SOLAR, None, {}, {})[STAGE_SOLAR]
         pipeline_runtime = time.perf_counter() - pipeline_start
 
         for n_modules in module_counts:

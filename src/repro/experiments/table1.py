@@ -145,7 +145,6 @@ def run_table1_sweep(
     cache: object = None,
     jobs: Optional[int] = None,
     use_cache: bool = True,
-    parallel: bool = True,
 ) -> Table1SweepResults:
     """Reproduce Table I through the declarative sweep engine.
 
@@ -160,7 +159,6 @@ def run_table1_sweep(
         cache=cache,
         jobs=jobs,
         use_cache=use_cache,
-        parallel=parallel,
     )
     report = Table1Report()
     for point in sweep.points:

@@ -20,7 +20,7 @@ coordinates of the *centre* of cell ``(row, col)`` are::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -77,11 +77,6 @@ class RasterSpec:
             self.origin_y + (row + 0.5) * self.pitch,
         )
 
-    def cell_origin(self, row: int, col: int) -> Point2D:
-        """World coordinates of the lower-left corner of cell ``(row, col)``."""
-        self._check_index(row, col)
-        return Point2D(self.origin_x + col * self.pitch, self.origin_y + row * self.pitch)
-
     def index_of(self, point: Point2D) -> Tuple[int, int]:
         """Return the ``(row, col)`` of the cell containing ``point``.
 
@@ -97,17 +92,6 @@ class RasterSpec:
                 f"point ({point.x:.3f}, {point.y:.3f}) is outside the raster extent"
             )
         return row, col
-
-    def contains(self, point: Point2D) -> bool:
-        """True when ``point`` lies inside the raster extent."""
-        box = self.bounding_box()
-        return box.contains_point(point) and point.x < box.xmax and point.y < box.ymax
-
-    def iter_cells(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over all ``(row, col)`` index pairs, row-major."""
-        for row in range(self.n_rows):
-            for col in range(self.n_cols):
-                yield row, col
 
     def _check_index(self, row: int, col: int) -> None:
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):

@@ -109,12 +109,6 @@ class AffineTransform2D:
         ity = -(ic * self.tx + id_ * self.ty)
         return AffineTransform2D(ia, ib, ic, id_, itx, ity)
 
-    def as_matrix(self) -> np.ndarray:
-        """Return the transform as a 3x3 homogeneous matrix."""
-        return np.array(
-            [[self.a, self.b, self.tx], [self.c, self.d, self.ty], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class RoofPlaneFrame:

@@ -107,16 +107,6 @@ class EmpiricalModuleModel:
         voltage = self.datasheet.v_mpp_ref * temperature_factor * irradiance_factor
         return np.where(g > 0.0, np.maximum(voltage, 0.0), 0.0)
 
-    def current_at_cell_temperature(
-        self, irradiance: np.ndarray, cell_temperature_c: np.ndarray
-    ) -> np.ndarray:
-        """Maximum-power current [A] = P / V (0 when the module is dark)."""
-        power = self.power_at_cell_temperature(irradiance, cell_temperature_c)
-        voltage = self.voltage_at_cell_temperature(irradiance, cell_temperature_c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            current = np.where(voltage > 1e-9, power / np.maximum(voltage, 1e-9), 0.0)
-        return current
-
     # -- electrical quantities from ambient conditions -------------------------------
 
     def operating_point(
@@ -136,14 +126,6 @@ class EmpiricalModuleModel:
     def power(self, irradiance: np.ndarray, ambient_c: np.ndarray) -> np.ndarray:
         """Maximum power [W] from irradiance and ambient temperature."""
         return self.operating_point(irradiance, ambient_c).power_w
-
-    def voltage(self, irradiance: np.ndarray, ambient_c: np.ndarray) -> np.ndarray:
-        """MPP voltage [V] from irradiance and ambient temperature."""
-        return self.operating_point(irradiance, ambient_c).voltage_v
-
-    def current(self, irradiance: np.ndarray, ambient_c: np.ndarray) -> np.ndarray:
-        """MPP current [A] from irradiance and ambient temperature."""
-        return self.operating_point(irradiance, ambient_c).current_a
 
     # -- datasheet-style characteristics (Figure 3 reproductions) ---------------------
 

@@ -245,22 +245,21 @@ class BatchResult:
 def _worker_payload(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     cache_dir: Optional[str],
-    use_cache: bool,
-    mmap_arrays: bool = True,
     warm_hint: Optional[dict] = None,
-) -> Tuple[dict, Optional[str], bool, bool, Optional[dict]]:
+) -> Tuple[dict, Optional[str], Optional[dict]]:
     """The pickled work unit shipped to one worker process.
 
     Deliberately tiny: the declarative scenario dictionary, the cache
-    *location* (plus its memmap flag), and an optional warm-start hint (a
-    neighbour's placement dict -- module anchor tuples, not arrays).
+    *location* (``None`` runs the point uncached), and an optional
+    warm-start hint (a neighbour's placement dict -- module anchor tuples,
+    not arrays).
     Workers rederive every content key from the spec and pull bulk arrays
     from the shared cache (memory-mapped), so no irradiance matrix -- or
     any other numpy payload -- ever crosses the process boundary.  A test
     asserts the serialised size stays in the kilobytes.
     """
     spec_dict = spec.to_dict() if isinstance(spec, ScenarioSpec) else dict(spec)
-    return (spec_dict, cache_dir, use_cache, mmap_arrays, warm_hint)
+    return (spec_dict, cache_dir, warm_hint)
 
 
 def _warm_start_from_hint(
@@ -285,10 +284,7 @@ def _warm_start_from_hint(
 
 def execute_point(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
-    cache: Optional[StageCache] = None,
-    cache_dir: Optional[PathLike] = None,
-    use_cache: bool = True,
-    mmap_arrays: bool = True,
+    cache: Optional[StageCache],
     warm_hint: Union[WarmStart, Mapping[str, Any], None] = None,
 ) -> Tuple[str, dict]:
     """Run one campaign point and classify the outcome in-process.
@@ -305,10 +301,9 @@ def execute_point(
     its point instead of surfacing a bare traceback.  (Stop signals —
     ``BaseException`` — do escape, by design.)
 
-    ``cache`` takes an existing :class:`~repro.runner.cache.StageCache`
-    handle (preserving its hit/miss counters for the caller); otherwise
-    ``cache_dir`` opens one in place.  With neither, the point runs
-    uncached.
+    ``cache`` is the :class:`~repro.runner.cache.StageCache` handle the
+    point reads and writes (its hit/miss counters stay with the caller);
+    ``None`` runs the point uncached.
 
     ``warm_hint`` is a :class:`~repro.runner.solvers.WarmStart` or its
     transported dict form (``{"placement", "exact_prefix", "source"}``);
@@ -319,14 +314,10 @@ def execute_point(
     faults.fire("worker.crash", key=spec.name)
     faults.fire("worker.hang", key=spec.name)
     try:
-        if cache is None and cache_dir is not None:
-            cache = StageCache(
-                root=Path(cache_dir), enabled=use_cache, mmap_arrays=mmap_arrays
-            )
         result = run_scenario(
             spec,
             cache=cache,
-            use_cache=use_cache,
+            use_cache=cache is not None,
             warm_start=_warm_start_from_hint(warm_hint),
         )
         return ("ok", result.to_dict())
@@ -360,14 +351,9 @@ def _run_scenario_worker(args: tuple) -> Tuple[str, dict]:
     # watchdog).  Both are no-ops unless a fault plan is armed; they fire
     # inside ``execute_point``.
     faults.configure_from_env()
-    spec_dict, cache_dir, use_cache, mmap_arrays, warm_hint = args
-    return execute_point(
-        spec_dict,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        mmap_arrays=mmap_arrays,
-        warm_hint=warm_hint,
-    )
+    spec_dict, cache_dir, warm_hint = args
+    cache = None if cache_dir is None else StageCache(root=Path(cache_dir))
+    return execute_point(spec_dict, cache, warm_hint=warm_hint)
 
 
 def _point_error_message(name: str, digest: str, error: str) -> str:
@@ -432,7 +418,7 @@ class _Lease:
 def run_claim_loop(
     store: ResultStore,
     campaign: str,
-    stage_cache: StageCache,
+    stage_cache: Optional[StageCache],
     *,
     owner: str,
     pool_size: int,
@@ -455,10 +441,11 @@ def run_claim_loop(
     :meth:`~repro.runner.store.ResultStore.claim_next_pending` (only among
     ``digests`` when given), and runs them through :func:`execute_point`:
     in-process when ``pool_size`` is 0, else in a process pool of that
-    size.  Held points are heartbeated every ``heartbeat_s``, and every
-    terminal mark is fenced on ``owner`` still holding the lease: a result
-    that arrives after another owner adopted the point is dropped and
-    counted in ``lost_leases``.  Warm hints resolve at claim time through
+    size; ``stage_cache=None`` runs them uncached.  Held points are
+    heartbeated every ``heartbeat_s``, and every terminal mark is fenced on
+    ``owner`` still holding the lease: a result that arrives after another
+    owner adopted the point is dropped and counted in ``lost_leases``.
+    Warm hints resolve at claim time through
     :meth:`~repro.runner.store.ResultStore.warm_hint`.
 
     The execution policy lives here and nowhere else:
@@ -484,8 +471,7 @@ def run_claim_loop(
     """
     tally = LoopTally()
     held: Dict[str, _Lease] = {}
-    use_cache = stage_cache.enabled
-    cache_dir = str(stage_cache.root) if use_cache else None
+    cache_dir = None if stage_cache is None else str(stage_cache.root)
     timeout_text = "" if timeout_s is None else (
         f"timed out: exceeded wall-clock budget of {timeout_s:g}s (timeout_s)"
     )
@@ -535,17 +521,13 @@ def run_claim_loop(
             # The loop is the worker: the existing cache handle keeps
             # counting hits, and the worker.* chaos sites fire right here.
             start = time.perf_counter()
-            status, record = execute_point(
-                spec_dict, cache=stage_cache, use_cache=use_cache, warm_hint=lease.hint
-            )
+            status, record = execute_point(spec_dict, stage_cache, warm_hint=lease.hint)
             elapsed = time.perf_counter() - start
             if status == "ok" and timeout_s is not None and elapsed > timeout_s:
                 status, record = "timeout", {"error": timeout_text}
             settle(lease, status, record)
             return
-        payload = _worker_payload(
-            spec_dict, cache_dir, use_cache, stage_cache.mmap_arrays, lease.hint
-        )
+        payload = _worker_payload(spec_dict, cache_dir, lease.hint)
         lease.future = pool.submit(_run_scenario_worker, payload)
         if timeout_s is not None:
             lease.deadline = time.monotonic() + timeout_s
@@ -672,7 +654,6 @@ def run_batch(
     cache: Union[StageCache, PathLike, None] = None,
     jobs: Optional[int] = None,
     use_cache: bool = True,
-    parallel: bool = True,
     store: Union[ResultStore, PathLike, None] = None,
     campaign: Optional[str] = None,
     retries: int = 0,
@@ -682,7 +663,7 @@ def run_batch(
     stale_after_s: float = DEFAULT_STALE_AFTER_S,
     warm_hints: Optional[Mapping[str, Tuple[str, bool]]] = None,
 ) -> BatchResult:
-    """Execute a scenario fleet, optionally in parallel, and store results.
+    """Execute a scenario fleet, in a process pool or in-process, and store results.
 
     Parameters
     ----------
@@ -692,11 +673,9 @@ def run_batch(
         Stage cache handle or directory shared by every worker.
     jobs:
         Worker-process count; defaults to ``min(len(specs), cpu_count)``.
-        ``1`` (or ``parallel=False``) runs serially in-process.
+        ``1`` runs serially in-process; below ``1`` is an error.
     use_cache:
         Set False to bypass the stage cache entirely.
-    parallel:
-        Convenience switch for forcing serial execution.
     store:
         A :class:`~repro.runner.store.ResultStore` (or database path) that
         turns the batch into a durable, resumable *campaign*; ``None`` (or
@@ -747,7 +726,7 @@ def run_batch(
     ...     n_modules=2, n_series=2, grid_pitch=0.4,
     ...     time=TimeSpec(step_minutes=240.0, day_stride=45),
     ... )
-    >>> batch = run_batch([spec], parallel=False, use_cache=False)
+    >>> batch = run_batch([spec], jobs=1, use_cache=False)
     >>> batch.n_scenarios
     1
     >>> batch.results[0].annual_energy_mwh > 0
@@ -770,19 +749,17 @@ def run_batch(
         raise ConfigurationError("retry_backoff_s must be >= 0")
     if heartbeat_s <= 0 or stale_after_s <= 0:
         raise ConfigurationError("heartbeat_s and stale_after_s must be > 0")
+    if jobs is None:
+        jobs = min(len(specs), os.cpu_count() or 1)
+    elif jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1 (got {jobs}); 1 runs in-process")
 
     # Arm fault injection from $REPRO_FAULTS in the parent as well (workers
     # arm themselves): parent-side sites (store.io, cache.corrupt on this
     # process's cache handle) fire here.  No-op without the env var.
     faults.configure_from_env()
 
-    stage_cache = resolve_cache(cache, enabled=use_cache)
-
-    if jobs is None:
-        jobs = min(len(specs), os.cpu_count() or 1)
-    jobs = max(1, int(jobs))
-    if not parallel:
-        jobs = 1
+    stage_cache = resolve_cache(cache, use_cache)
 
     name = campaign if campaign else DEFAULT_CAMPAIGN
     result_store = resolve_store(store)
@@ -845,7 +822,7 @@ def run_batch(
         results=results,
         runtime_s=runtime,
         jobs=jobs,
-        cache_dir=stage_cache.root if stage_cache.enabled else None,
+        cache_dir=None if stage_cache is None else stage_cache.root,
         campaign=summary if throwaway is None else None,
     )
 

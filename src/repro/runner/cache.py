@@ -25,8 +25,7 @@ it.  On a hit
 the sidecars are reattached with ``numpy.load(..., mmap_mode="r")``, so a
 fleet of batch worker processes reading the same cached solar field share
 one page-cache copy of the bulk data instead of each unpickling a private
-one.  Set ``REPRO_CACHE_MMAP=0`` to load full in-memory copies instead
-(e.g. when the cache directory lives on a slow network filesystem).
+one.
 
 Integrity manifests and quarantine
 ----------------------------------
@@ -43,8 +42,6 @@ On a hit, :meth:`StageCache.get` verifies the entry per ``verify`` mode:
 ``full``
     Additionally streams every sidecar through SHA-256 (``REPRO_CACHE_VERIFY=full``;
     detects same-size bit rot at the cost of reading the bulk data).
-``off``
-    No manifest checks; pre-manifest behaviour.
 
 Any verification failure -- checksum mismatch, size mismatch, missing
 manifest, unreadable pickle or sidecar -- *quarantines* the entry: all of
@@ -80,14 +77,11 @@ PathLike = Union[str, Path]
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable switching memory-mapped sidecar reads off ("0").
-CACHE_MMAP_ENV = "REPRO_CACHE_MMAP"
-
 #: Environment variable selecting the entry verification mode.
 CACHE_VERIFY_ENV = "REPRO_CACHE_VERIFY"
 
 #: The recognised ``REPRO_CACHE_VERIFY`` modes.
-CACHE_VERIFY_MODES = ("off", "fast", "full")
+CACHE_VERIFY_MODES = ("fast", "full")
 
 #: Subdirectory of the cache root holding quarantined corrupt entries.
 QUARANTINE_DIR = "_quarantine"
@@ -125,11 +119,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro"
-
-
-def _mmap_default() -> bool:
-    """Default for memory-mapped sidecar reads (``REPRO_CACHE_MMAP``)."""
-    return os.environ.get(CACHE_MMAP_ENV, "1") != "0"
 
 
 def _verify_default() -> str:
@@ -212,17 +201,9 @@ class StageCache:
     root:
         Cache directory (created lazily).  Defaults to
         :func:`default_cache_dir`.
-    enabled:
-        When False every lookup misses and nothing is written; lets callers
-        thread one cache handle through the pipeline and switch caching off
-        with a flag (the CLI's ``--no-cache``).
-    mmap_arrays:
-        When True (the default, overridable via ``REPRO_CACHE_MMAP=0``)
-        array sidecars are reattached as read-only memory maps instead of
-        in-memory copies.
     verify:
         Entry verification mode: ``"fast"`` (default, overridable via
-        ``REPRO_CACHE_VERIFY``), ``"full"``, or ``"off"``.
+        ``REPRO_CACHE_VERIFY``) or ``"full"``.
 
     Example
     -------
@@ -245,9 +226,7 @@ class StageCache:
     """
 
     root: Path = field(default_factory=default_cache_dir)
-    enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
-    mmap_arrays: bool = field(default_factory=_mmap_default)
     verify: str = field(default_factory=_verify_default)
 
     def __post_init__(self) -> None:
@@ -380,9 +359,6 @@ class StageCache:
         sidecar, missing manifest) is quarantined and returned as a miss;
         corruption never raises.
         """
-        if not self.enabled:
-            self.stats.misses += 1
-            return None, False
         path = self.path_for(stage, payload)
         with span("cache.get", stage=stage) as cache_span:
             sidecar_fields: Tuple[str, ...] = ()
@@ -396,13 +372,12 @@ class StageCache:
                 self.stats.misses += 1
                 cache_span.set(hit=False)
                 return None, False
-            if self.verify != "off":
-                reason = self._verify_pickle(raw, path)
-                if reason is not None:
-                    self._quarantine(stage, path, reason)
-                    self.stats.misses += 1
-                    cache_span.set(hit=False)
-                    return None, False
+            reason = self._verify_pickle(raw, path)
+            if reason is not None:
+                self._quarantine(stage, path, reason)
+                self.stats.misses += 1
+                cache_span.set(hit=False)
+                return None, False
             try:
                 value = pickle.loads(raw)
             except (
@@ -420,19 +395,17 @@ class StageCache:
             if isinstance(value, _SidecarStub):
                 stub = value.value
                 sidecar_fields = value.fields
-                mmap_mode = "r" if self.mmap_arrays else None
                 sidecar_started = time.perf_counter()
                 for name in value.fields:
                     sidecar = self._sidecar_path(path, name)
-                    if self.verify != "off":
-                        reason = self._verify_sidecar(sidecar, path)
-                        if reason is not None:
-                            self._quarantine(stage, path, reason)
-                            self.stats.misses += 1
-                            cache_span.set(hit=False)
-                            return None, False
+                    reason = self._verify_sidecar(sidecar, path)
+                    if reason is not None:
+                        self._quarantine(stage, path, reason)
+                        self.stats.misses += 1
+                        cache_span.set(hit=False)
+                        return None, False
                     try:
-                        array = np.load(sidecar, mmap_mode=mmap_mode)
+                        array = np.load(sidecar, mmap_mode="r")
                     except (OSError, ValueError, EOFError, pickle.PickleError):
                         self._quarantine(stage, path, f"unreadable sidecar {sidecar.name}")
                         self.stats.misses += 1
@@ -453,7 +426,7 @@ class StageCache:
             return value, True
 
     def put(self, stage: str, payload: Any, value: Any) -> None:
-        """Store a stage result atomically (no-op when disabled).
+        """Store a stage result atomically.
 
         The declared ``__cache_array_fields__`` of ``value`` (if any) are
         written as raw ``.npy`` sidecars first, then the ``.sum.json``
@@ -461,8 +434,6 @@ class StageCache:
         is the commit point, so a concurrent reader either sees the
         complete, manifest-covered entry or a miss.
         """
-        if not self.enabled:
-            return
         path = self.path_for(stage, payload)
         path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -573,26 +544,19 @@ class StageCache:
 
 
 def resolve_cache(
-    cache: Union[StageCache, PathLike, None], enabled: bool = True
-) -> StageCache:
+    cache: Union[StageCache, PathLike, None], use_cache: bool = True
+) -> Optional[StageCache]:
     """Normalise the cache argument accepted by runner entry points.
 
-    ``None`` means the default location; a path means a cache rooted there.
-    An existing :class:`StageCache` is passed through unless ``enabled`` is
-    False, in which case a disabled view of the same root is returned --
-    either the handle's own flag or the caller's ``use_cache=False`` can
-    switch caching off, and neither can override the other's opt-out.
+    Returns ``None`` when ``use_cache`` is False: the pipeline then runs
+    uncached.  Otherwise ``None`` means the default location, a path means
+    a cache rooted there, and an existing :class:`StageCache` is passed
+    through.
     """
+    if not use_cache:
+        return None
     if isinstance(cache, StageCache):
-        if cache.enabled and not enabled:
-            return StageCache(
-                root=cache.root,
-                enabled=False,
-                stats=cache.stats,
-                mmap_arrays=cache.mmap_arrays,
-                verify=cache.verify,
-            )
         return cache
     if cache is None:
-        return StageCache(enabled=enabled)
-    return StageCache(root=Path(cache), enabled=enabled)
+        return StageCache()
+    return StageCache(root=Path(cache))

@@ -304,7 +304,7 @@ def _stage(name: str, stage_times: Dict[str, float]) -> Iterator[Any]:
 def run_pipeline(
     sources: PipelineSources,
     target: str,
-    cache: StageCache,
+    cache: Optional[StageCache],
     stage_cached: Dict[str, bool],
     stage_times: Dict[str, float],
 ) -> Dict[str, Any]:
@@ -314,7 +314,8 @@ def run_pipeline(
     recorded in ``stage_cached``.  A node's inputs are built only when the
     node misses, so on a warm run the uncached nodes (weather, horizon)
     never run.  Each node that runs gets one span and one exclusive
-    ``stage_times`` entry.
+    ``stage_times`` entry.  With ``cache=None`` the run is uncached: every
+    node is computed and every cached node records a miss.
     """
     by_name = {node.name: node for node in NODES}
     needed = {target}
@@ -328,14 +329,16 @@ def run_pipeline(
             return values[node.name]
         with _stage(node.name, stage_times) as stage_span:
             hit = False
-            if node.key is not None:
+            cached = node.key is not None and cache is not None
+            if cached:
                 payload = node.key(sources)
                 value, hit = cache.get(node.name, payload)
+            if node.key is not None:
                 stage_cached[node.name] = hit
                 stage_span.set(cached=hit)
             if not hit:
                 value = node.compute(sources, *(resolve(by_name[name]) for name in node.inputs))
-                if node.key is not None:
+                if cached:
                     cache.put(node.name, payload, value)
         values[node.name] = value
         return value
@@ -378,7 +381,6 @@ def prepare_problem(
 
     sheet = datasheet if datasheet is not None else PV_MF165EB3
     solar_cfg = solar_config if solar_config is not None else SolarSimulationConfig()
-    stage_cache = resolve_cache(cache) if cache is not None else StageCache(enabled=False)
 
     if weather is not None:
         # The weather series carries its own sampling; an explicitly passed
@@ -396,7 +398,7 @@ def prepare_problem(
 
     stage_cached: Dict[str, bool] = {}
     sources = PipelineSources.from_objects(roof, series, solar_cfg, dsm_pitch, grid_pitch)
-    solar = run_pipeline(sources, STAGE_SOLAR, stage_cache, stage_cached, {})[STAGE_SOLAR]
+    solar = run_pipeline(sources, STAGE_SOLAR, cache, stage_cached, {})[STAGE_SOLAR]
 
     problem = build_problem(
         solar,
@@ -564,8 +566,8 @@ def run_scenario(
     cache:
         Stage cache handle (or None for the default location).
     use_cache:
-        Set False to force recomputation of every stage (the handle's own
-        ``enabled`` flag also applies when a :class:`StageCache` is passed).
+        Set False to run uncached: every stage is recomputed and nothing is
+        written, whatever ``cache`` is.
     warm_start:
         Optional neighbour placement hint forwarded to warm-start-capable
         solvers.  Hints travel out-of-band -- they are never part of the
@@ -573,7 +575,7 @@ def run_scenario(
         caches and stores) is the same warm or cold.
     """
     start = time.perf_counter()
-    stage_cache = resolve_cache(cache, enabled=use_cache)
+    stage_cache = resolve_cache(cache, use_cache)
     stage_cached: Dict[str, bool] = {}
     stage_times: Dict[str, float] = {}
 

@@ -191,7 +191,7 @@ def run_worker(
     result_store = resolve_store(store if store is not None else default_store_path())
     if result_store is None:
         raise ConfigurationError("a worker needs a store (got store='none')")
-    stage_cache = resolve_cache(cache, enabled=use_cache)
+    stage_cache = resolve_cache(cache, use_cache)
     worker_id = worker_id if worker_id is not None else new_lease_owner()
     start = time.perf_counter()
     try:

@@ -36,10 +36,6 @@ class ServeResponse:
         self.headers = headers
 
     @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
-
-    @property
     def retry_after_s(self) -> Optional[float]:
         """The ``Retry-After`` hint of a 429, if present."""
         value = self.headers.get("Retry-After")

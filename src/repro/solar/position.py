@@ -34,11 +34,6 @@ class SolarPosition:
     extraterrestrial_normal: np.ndarray
 
     @property
-    def zenith_deg(self) -> np.ndarray:
-        """Solar zenith angle (90 - elevation)."""
-        return 90.0 - self.elevation_deg
-
-    @property
     def is_up(self) -> np.ndarray:
         """Boolean mask of the samples where the sun is above the horizon."""
         return self.elevation_deg > 0.0

@@ -67,7 +67,6 @@ def run_sweep(
     cache: Union[StageCache, PathLike, None] = None,
     jobs: Optional[int] = None,
     use_cache: bool = True,
-    parallel: bool = True,
     store: Union[ResultStore, PathLike, None] = None,
     campaign: Optional[str] = None,
     retries: int = 0,
@@ -85,10 +84,9 @@ def run_sweep(
         Stage cache handle or directory shared by every point; points that
         share expensive-stage content keys (same roof/weather/time base)
         compute them once, within this run and across runs.
-    jobs:
-        Worker-process count forwarded to :func:`repro.runner.run_batch`.
-    use_cache, parallel:
-        Forwarded to :func:`repro.runner.run_batch`.
+    jobs, use_cache:
+        Forwarded to :func:`repro.runner.run_batch` (``jobs=1`` runs
+        in-process).
     store:
         A durable :class:`~repro.runner.store.ResultStore` (or database
         path) routing the sweep through a resumable campaign: points already
@@ -145,7 +143,6 @@ def run_sweep(
             cache=cache,
             jobs=jobs,
             use_cache=use_cache,
-            parallel=parallel,
             store=store,
             campaign=campaign if campaign else plan.campaign_name,
             retries=retries,

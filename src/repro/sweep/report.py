@@ -210,7 +210,6 @@ def table1_report(
     cache: Any = None,
     jobs: Optional[int] = None,
     use_cache: bool = True,
-    parallel: bool = True,
 ) -> ReportArtifact:
     """The paper's Table I, reproduced through the sweep engine.
 
@@ -225,7 +224,6 @@ def table1_report(
         cache=cache,
         jobs=jobs,
         use_cache=use_cache,
-        parallel=parallel,
     )
     rows = outcome.report.as_dicts()
     # Note: no run-dependent content (timings, cache hit counts) may enter

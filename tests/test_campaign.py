@@ -122,7 +122,7 @@ class TestResultStore:
 
         store.mark_running("camp", digest)
         assert store.point("camp", digest).attempts == 2
-        result = run_batch([spec], parallel=False, use_cache=False).results[0]
+        result = run_batch([spec], jobs=1, use_cache=False).results[0]
         store.mark_done("camp", digest, result, wall_time_s=1.5)
         point = store.point("camp", digest)
         assert point.status == STATUS_DONE
@@ -247,7 +247,7 @@ class TestCampaignRun:
     def test_worker_error_wrapped_with_point_identity_in_memory(self, tmp_path):
         bad = replace(tiny_spec("too-big"), n_modules=500, n_series=10)
         with pytest.raises(ScenarioExecutionError) as excinfo:
-            run_batch([bad], parallel=False, use_cache=False)
+            run_batch([bad], jobs=1, use_cache=False)
         message = str(excinfo.value)
         assert "too-big" in message
         assert scenario_content_digest(bad)[:12] in message
@@ -273,7 +273,7 @@ class TestCampaignRun:
         digest = scenario_content_digest(specs[1])
 
         batch = run_batch(
-            specs, store=store, campaign="camp", parallel=False, use_cache=False
+            specs, store=store, campaign="camp", jobs=1, use_cache=False
         )
         summary = batch.campaign
         assert (summary.done, summary.computed, summary.failed) == (2, 2, 1)
@@ -291,7 +291,7 @@ class TestCampaignRun:
         # Fix the cause and resume: exactly n - k = 1 point recomputes.
         flaky_solver.unlink()
         resumed = run_batch(
-            specs, store=store, campaign="camp", parallel=False, use_cache=False
+            specs, store=store, campaign="camp", jobs=1, use_cache=False
         )
         summary = resumed.campaign
         assert (summary.done, summary.computed, summary.skipped) == (3, 1, 2)
@@ -312,7 +312,7 @@ class TestCampaignRun:
         ]
 
         # The resumed campaign's results match a fresh in-memory run.
-        fresh = run_batch(specs, parallel=False, use_cache=False)
+        fresh = run_batch(specs, jobs=1, use_cache=False)
         assert [r.fingerprint() for r in resumed.results] == [
             r.fingerprint() for r in fresh.results
         ]
@@ -333,7 +333,7 @@ class TestCampaignRun:
             [spec],
             store=store,
             campaign="camp",
-            parallel=False,
+            jobs=1,
             use_cache=False,
             retries=2,
         )
@@ -347,7 +347,7 @@ class TestCampaignRun:
             [spec],
             store=store,
             campaign="camp",
-            parallel=False,
+            jobs=1,
             use_cache=False,
             retries=2,
         )
@@ -417,7 +417,7 @@ class TestCampaignRun:
         rest stay ``pending`` with no attempt charged."""
         specs = [tiny_spec(f"member-{i}") for i in range(4)]
         store.enroll("camp", specs)
-        batch = run_batch(specs[:2], store=store, campaign="camp", parallel=False, use_cache=False)
+        batch = run_batch(specs[:2], store=store, campaign="camp", jobs=1, use_cache=False)
         assert (batch.campaign.done, batch.campaign.computed) == (2, 2)
         by_name = {record.name: record for record in store.points("camp")}
         for spec in specs[2:]:
@@ -429,7 +429,7 @@ class TestCampaignRun:
         (record,) = store.enroll("camp", [spec])
         store.mark_running("camp", record.digest)  # driver died mid-point
         batch = run_batch(
-            [spec], store=store, campaign="camp", parallel=False, use_cache=False
+            [spec], store=store, campaign="camp", jobs=1, use_cache=False
         )
         assert (batch.campaign.done, batch.campaign.failed) == (1, 0)
         assert store.point("camp", record.digest).attempts == 2
@@ -444,11 +444,11 @@ class TestStoreEquivalence:
     def test_store_backed_matches_in_memory_over_catalog(self, tmp_path):
         specs = list(builtin_scenarios().values())
         cache = tmp_path / "cache"
-        memory = run_batch(specs, cache=cache, parallel=False)
+        memory = run_batch(specs, cache=cache, jobs=1)
         stored = run_batch(
             specs,
             cache=cache,
-            parallel=False,
+            jobs=1,
             store=tmp_path / "campaigns.sqlite",
             campaign="catalog",
         )
@@ -459,7 +459,7 @@ class TestStoreEquivalence:
         warm = run_batch(
             specs,
             cache=cache,
-            parallel=False,
+            jobs=1,
             store=tmp_path / "campaigns.sqlite",
             campaign="catalog",
         )
@@ -476,7 +476,7 @@ class TestStoreEquivalence:
             specs,
             store=store_path,
             campaign="camp",
-            parallel=False,
+            jobs=1,
             use_cache=False,
         )
         # The JSONL format: one sorted-key record per result, in input order.
@@ -508,9 +508,9 @@ class TestSweepCampaign:
 
     def test_sweep_store_matches_in_memory_and_resumes_noop(self, tmp_path, plan):
         cache = tmp_path / "cache"
-        memory = run_sweep(plan, cache=cache, parallel=False)
+        memory = run_sweep(plan, cache=cache, jobs=1)
         stored = run_sweep(
-            plan, cache=cache, parallel=False, store=tmp_path / "campaigns.sqlite"
+            plan, cache=cache, jobs=1, store=tmp_path / "campaigns.sqlite"
         )
         assert stored.campaign is not None
         assert stored.campaign.campaign == plan.campaign_name == "sweep:store-sweep"
@@ -522,7 +522,7 @@ class TestSweepCampaign:
         assert restored.campaign.as_dict() == stored.campaign.as_dict()
 
         warm = run_sweep(
-            plan, cache=cache, parallel=False, store=tmp_path / "campaigns.sqlite"
+            plan, cache=cache, jobs=1, store=tmp_path / "campaigns.sqlite"
         )
         assert (warm.campaign.computed, warm.campaign.skipped) == (0, plan.n_points)
         assert [p.result.fingerprint() for p in warm.points] == [
@@ -539,14 +539,14 @@ class TestSweepCampaign:
         )
         store_path = tmp_path / "campaigns.sqlite"
         with pytest.raises(ScenarioExecutionError, match="flaky-sweep"):
-            run_sweep(failing, parallel=False, use_cache=False, store=store_path)
+            run_sweep(failing, jobs=1, use_cache=False, store=store_path)
         with ResultStore(store_path) as store:
             counts = store.status_counts(failing.campaign_name)
         assert counts["failed"] == 2
 
         # Fixing the cause and re-running the same sweep resumes to completion.
         flaky_solver.unlink()
-        resumed = run_sweep(failing, parallel=False, use_cache=False, store=store_path)
+        resumed = run_sweep(failing, jobs=1, use_cache=False, store=store_path)
         assert (resumed.campaign.computed, resumed.campaign.failed) == (2, 0)
 
     def test_campaign_summary_round_trip(self):

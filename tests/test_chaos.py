@@ -104,7 +104,7 @@ class TestChaosCampaigns:
         cache_dir = tmp_path / "cache"
         specs = [tiny_spec("hung"), tiny_spec("steady")]
         # Warm the innocent point so it cannot trip the 2 s budget itself.
-        run_batch([specs[1]], cache=cache_dir, parallel=False)
+        run_batch([specs[1]], cache=cache_dir, jobs=1)
 
         monkeypatch.setenv(
             faults.FAULTS_ENV, "worker.hang:match=hung,times=5,sleep=30"
@@ -148,7 +148,7 @@ class TestChaosCampaigns:
 
         summary = run_batch(
             [spec],
-            parallel=False,
+            jobs=1,
             use_cache=False,
             store=store_path,
             campaign="chaos-transient",
@@ -173,10 +173,10 @@ class TestChaosCampaigns:
         cache = StageCache(root=tmp_path / "cache")
         spec = tiny_spec("bitrot")
 
-        first = run_batch([spec], cache=cache, parallel=False).results[0]
+        first = run_batch([spec], cache=cache, jobs=1).results[0]
         assert faults.fire("cache.corrupt", key="any") is False  # budget spent
 
-        second = run_batch([spec], cache=cache, parallel=False).results[0]
+        second = run_batch([spec], cache=cache, jobs=1).results[0]
         assert cache.stats.quarantined == 1
         assert second.annual_energy_mwh == pytest.approx(first.annual_energy_mwh)
         quarantined = list((cache.root / "_quarantine").rglob("*.quarantined"))
@@ -219,7 +219,7 @@ _SIGTERM_VICTIM = textwrap.dedent(
         solver=SolverSpec(name="stall-test"),
     )
     try:
-        run_batch([spec], parallel=False, use_cache=False,
+        run_batch([spec], jobs=1, use_cache=False,
                   store={store!r}, campaign="sig")
     except KeyboardInterrupt:
         sys.exit(130)
@@ -326,7 +326,7 @@ class TestStaleLeaseReclamation:
         summary = run_batch(
             specs,
             cache=tmp_path / "cache",
-            parallel=False,
+            jobs=1,
             store=store_path,
             campaign="reclaim",
             heartbeat_s=0.2,
@@ -351,7 +351,7 @@ class TestTimeouts:
         with pytest.raises(ScenarioExecutionError, match="timed out: exceeded"):
             run_batch(
                 [tiny_spec("slowpoke")],
-                parallel=False,
+                jobs=1,
                 use_cache=False,
                 timeout_s=0.001,
             )
@@ -361,7 +361,7 @@ class TestTimeouts:
         store_path = tmp_path / "store.sqlite"
         summary = run_batch(
             [spec],
-            parallel=False,
+            jobs=1,
             use_cache=False,
             store=store_path,
             campaign="budget",
@@ -376,9 +376,9 @@ class TestTimeouts:
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ConfigurationError, match="timeout_s"):
-            run_batch([tiny_spec("x")], parallel=False, timeout_s=0.0)
+            run_batch([tiny_spec("x")], jobs=1, timeout_s=0.0)
         with pytest.raises(ConfigurationError, match="retry_backoff_s"):
-            run_batch([tiny_spec("x")], parallel=False, retry_backoff_s=-1.0)
+            run_batch([tiny_spec("x")], jobs=1, retry_backoff_s=-1.0)
 
     def test_sweep_plan_carries_timeout(self):
         plan = SweepPlan(
@@ -534,7 +534,7 @@ class TestFallbackChains:
         spec = ScenarioSpec.from_dict(
             {**spec.to_dict(), "solver": {"name": "chaos-failing", "fallback": ["greedy"]}}
         )
-        result = run_batch([spec], parallel=False, use_cache=False).results[0]
+        result = run_batch([spec], jobs=1, use_cache=False).results[0]
         assert result.degraded is True
         assert result.fallback_solver == "greedy"
         assert "[degraded -> greedy]" in result.report()
@@ -548,7 +548,7 @@ class TestFallbackChains:
         store_path = tmp_path / "store.sqlite"
         summary = run_batch(
             [spec],
-            parallel=False,
+            jobs=1,
             use_cache=False,
             store=store_path,
             campaign="degraded",

@@ -95,7 +95,8 @@ class TestBatch:
                 "run",
                 "serial",
                 "residential-south",
-                "--serial",
+                "--jobs",
+                "1",
                 "--store",
                 str(tmp_path / "campaigns.sqlite"),
                 "--cache-dir",
@@ -109,6 +110,23 @@ class TestBatch:
             span for span in iter_spans(read_trace(trace)) if span["name"] == "batch"
         ]
         assert batch_span["attrs"]["jobs"] == 1
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "run", "c", "residential-south"],
+            ["sweep", "--base", "residential-south", "--axis", "n_modules=3,6"],
+            ["report", "--preset", "table1", "--roofs", "roof2", "--modules", "6"],
+        ],
+        ids=["campaign-run", "sweep", "report"],
+    )
+    def test_jobs_below_one_is_an_error(self, capsys, cache_dir, tmp_path, command, jobs):
+        store = ["--store", str(tmp_path / "s.sqlite")] if command[0] != "report" else []
+        code = main(command + store + ["--cache-dir", cache_dir, "--jobs", jobs])
+        assert code == 2
+        assert f"jobs must be >= 1 (got {jobs})" in capsys.readouterr().err
 
 
 class TestCampaign:
@@ -125,7 +143,8 @@ class TestCampaign:
             store,
             "--cache-dir",
             cache_dir,
-            "--serial",
+            "--jobs",
+            "1",
         ]
         assert main(run_args) == 0
         out = capsys.readouterr().out
@@ -162,7 +181,8 @@ class TestCampaign:
                     store,
                     "--cache-dir",
                     cache_dir,
-                    "--serial",
+                    "--jobs",
+                    "1",
                 ]
             )
             == 0
@@ -179,7 +199,8 @@ class TestCampaign:
                     store,
                     "--cache-dir",
                     cache_dir,
-                    "--serial",
+                    "--jobs",
+                    "1",
                 ]
             )
             == 0
@@ -196,7 +217,7 @@ class TestCampaign:
             {"solver": "traditional"}, name="custom-roof"
         )
         custom.save(spec_path)
-        common = ["--store", store, "--cache-dir", cache_dir, "--serial"]
+        common = ["--store", store, "--cache-dir", cache_dir, "--jobs", "1"]
         assert main(["campaign", "run", "serve", str(spec_path)] + common) == 0
         capsys.readouterr()
         assert main(["campaign", "run", "serve"] + common) == 0
@@ -214,7 +235,7 @@ class TestCampaign:
         monkeypatch.setattr("repro.cli.builtin_scenarios", lambda: catalog)
         store = str(tmp_path / "campaigns.sqlite")
         args = ["campaign", "run", "nightly", "--store", store, "--cache-dir", cache_dir]
-        assert main(args + ["--serial"]) == 0
+        assert main(args + ["--jobs", "1"]) == 0
         assert "campaign 'nightly': 1/1 done (computed 1" in capsys.readouterr().out
 
     def test_status_json_and_unknown_campaign(self, capsys, tmp_path):
@@ -237,7 +258,8 @@ class TestCampaign:
             "residential-south",
             "--axis",
             "n_modules=3,6",
-            "--serial",
+            "--jobs",
+            "1",
             "--cache-dir",
             cache_dir,
             "--store",

@@ -371,13 +371,6 @@ class TestMemmapCache:
         entry = next((tmp_path / "cache" / "solar").glob("*.pkl"))
         assert entry.stat().st_size < sidecars[0].stat().st_size
 
-    def test_memmap_knob_disables_mapping(self, small_roof_spec, small_weather, tmp_path):
-        cache = StageCache(root=tmp_path / "cache", mmap_arrays=False)
-        self._cached(small_roof_spec, small_weather, cache)
-        warm, hit = self._cached(small_roof_spec, small_weather, cache)
-        assert hit
-        assert not isinstance(warm.irradiance, np.memmap)
-
     def test_missing_sidecar_is_a_miss(self, small_roof_spec, small_weather, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
         self._cached(small_roof_spec, small_weather, cache)
@@ -427,11 +420,9 @@ class TestBatchTransport:
         # submitted work unit carries only the declarative spec + cache key
         # material.
         spec = builtin_scenarios()["industrial-pipes"]
-        payload = _worker_payload(spec, "/tmp/some-cache-dir", True, mmap_arrays=False)
+        payload = _worker_payload(spec, "some-cache-dir")
         size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         assert size < 50_000, f"worker payload unexpectedly large: {size} bytes"
-        # The parent cache's memmap opt-out travels with the work unit.
-        assert payload[3] is False
 
     def test_streamed_completion_preserves_input_order(self, tmp_path):
         catalog = builtin_scenarios()
@@ -447,7 +438,7 @@ class TestBatchTransport:
         # the submit-as-completed refill loop.
         batch = run_batch(specs, cache=tmp_path / "cache", jobs=2)
         assert [result.scenario for result in batch.results] == names
-        serial = run_batch(specs, cache=tmp_path / "cache-serial", parallel=False)
+        serial = run_batch(specs, cache=tmp_path / "cache-serial", jobs=1)
         assert [r.fingerprint() for r in batch.results] == [
             r.fingerprint() for r in serial.results
         ]

@@ -1,6 +1,7 @@
-"""No dead public surface: every public top-level function has a caller.
+"""No dead public surface: every public function and method has a caller.
 
-A public top-level ``def`` in ``src/repro`` must be referenced somewhere in
+A public top-level ``def`` in ``src/repro``, and a public method or
+property of a public top-level class there, must be referenced somewhere in
 ``src/``, ``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/``.
 References are resolved with :mod:`ast` -- a name read (``foo(...)``) or an
 attribute read (``module.foo``) -- so prose, comments and docstrings never
@@ -9,8 +10,10 @@ happens to share the name.  The function's own ``def`` (including recursive call
 ``__all__`` strings and package ``__init__`` re-exports do not count either:
 a name that is only re-exported is still uncalled.
 
-A function that must ship without a caller goes on :data:`ALLOWED` with a
-one-line reason.
+Methods resolve by name alone (``obj.name`` on any object counts), which
+errs towards keeping a method.  A function or method that must ship without
+a caller -- a hook a framework calls by name, say -- goes on
+:data:`ALLOWED` with a one-line reason.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples")
 
-#: ``module.function`` -> one-line reason it ships with no caller.
+#: ``module.function`` or ``module.Class.method`` -> one-line reason it
+#: ships with no caller.
 ALLOWED: Dict[str, str] = {}
 
 
@@ -84,14 +88,27 @@ def _referenced_names(tree: ast.Module) -> Set[str]:
 
 
 def _public_functions() -> List[Tuple[str, str]]:
-    """``(module, name)`` of every public top-level ``def`` in ``src/repro``."""
+    """``(owner, name)`` of every public top-level ``def`` in ``src/repro``
+    (owner: its module) and every public method of a public top-level class
+    there (owner: ``module.Class``)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not statement.name.startswith("_"):
-                    found.append((module.removesuffix(".__init__"), statement.name))
+            if not isinstance(statement, (*functions, ast.ClassDef)):
+                continue
+            if statement.name.startswith("_"):
+                continue
+            if isinstance(statement, ast.ClassDef):
+                found.extend(
+                    (f"{module}.{statement.name}", member.name)
+                    for member in statement.body
+                    if isinstance(member, functions) and not member.name.startswith("_")
+                )
+            else:
+                found.append((module, statement.name))
     return found
 
 
@@ -113,19 +130,19 @@ def _all_references() -> Set[str]:
 def test_every_public_function_has_a_caller():
     references = _all_references()
     dead = [
-        f"{module}.{name}"
-        for module, name in _public_functions()
-        if name not in references and f"{module}.{name}" not in ALLOWED
+        f"{owner}.{name}"
+        for owner, name in _public_functions()
+        if name not in references and f"{owner}.{name}" not in ALLOWED
     ]
     assert not dead, (
-        "public functions with no caller in "
+        "public functions and methods with no caller in "
         f"{', '.join(SCANNED)} (delete them, or allow-list with a reason): "
         + ", ".join(dead)
     )
 
 
 def test_allow_list_entries_are_live_and_justified():
-    functions = {f"{module}.{name}" for module, name in _public_functions()}
+    functions = {f"{owner}.{name}" for owner, name in _public_functions()}
     for qualified, reason in ALLOWED.items():
         assert qualified in functions, f"{qualified} is allow-listed but not defined"
         assert reason.strip() and "\n" not in reason, f"{qualified} needs a one-line reason"

@@ -145,7 +145,7 @@ class TestTable1:
     def test_run_table1_reduced(self, tiny_config, tiny_study, tmp_path):
         config = Table1Config(module_counts=(8,), series_length=4, case_study=tiny_config)
         results = run_table1_sweep(
-            config, roofs=("roof2", "roof3"), cache=tmp_path / "cache", parallel=False
+            config, roofs=("roof2", "roof3"), cache=tmp_path / "cache", jobs=1
         )
         assert len(results.sweep.points) == 2
         rendered = results.report.render()

@@ -145,30 +145,29 @@ class TestStageCache:
         assert all(result.stage_cached.values())
 
     def test_disabled_cache_never_hits(self, fast_scenario, tmp_path):
-        cache = StageCache(root=tmp_path / "cache", enabled=False)
-        run_scenario(fast_scenario, cache=cache)
-        result = run_scenario(fast_scenario, cache=cache)
-        assert not any(result.stage_cached.values())
-        assert cache.entry_count() == 0
-
-    def test_use_cache_false_overrides_enabled_handle(self, fast_scenario, tmp_path):
-        cache = StageCache(root=tmp_path / "cache", enabled=True)
+        cache = StageCache(root=tmp_path / "cache")
         run_scenario(fast_scenario, cache=cache, use_cache=False)
-        assert cache.entry_count() == 0
         result = run_scenario(fast_scenario, cache=cache, use_cache=False)
         assert not any(result.stage_cached.values())
+        assert set(result.stage_cached) == {"scene", "grid", "solar", "suitability"}
+        assert cache.entry_count() == 0
 
     def test_disabled_handle_stays_disabled_in_parallel_batch(
         self, fast_scenario, tmp_path, monkeypatch
     ):
-        # A disabled handle must not resurrect as an enabled default-dir
-        # cache inside the worker processes.
+        # An uncached batch must not open the handle's directory, nor a
+        # default-dir cache, inside the worker processes.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
-        cache = StageCache(root=tmp_path / "cache", enabled=False)
-        batch = run_batch([fast_scenario], cache=cache, jobs=2)
+        cache = StageCache(root=tmp_path / "cache")
+        batch = run_batch([fast_scenario], cache=cache, jobs=2, use_cache=False)
         assert not any(batch.results[0].stage_cached.values())
+        assert batch.cache_dir is None
         assert cache.entry_count() == 0
         assert not (tmp_path / "default").exists()
+
+    def test_verify_off_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="verify mode 'off'"):
+            StageCache(root=tmp_path / "cache", verify="off")
 
     def test_corrupt_entry_is_a_miss(self, fast_scenario, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
@@ -205,7 +204,7 @@ class TestBatchRunner:
 
     def test_parallel_matches_serial(self, batch_specs, tmp_path):
         serial = run_batch(
-            batch_specs, cache=tmp_path / "cache-serial", parallel=False
+            batch_specs, cache=tmp_path / "cache-serial", jobs=1
         )
         parallel = run_batch(
             batch_specs, cache=tmp_path / "cache-parallel", jobs=2
@@ -219,7 +218,7 @@ class TestBatchRunner:
         path = tmp_path / "results.jsonl"
         with ResultStore(tmp_path / "store.sqlite") as store:
             batch = run_batch(
-                batch_specs, cache=tmp_path / "cache", parallel=False, store=store
+                batch_specs, cache=tmp_path / "cache", jobs=1, store=store
             )
             assert store.export("batch", path) == len(batch_specs)
         restored = [
@@ -230,14 +229,14 @@ class TestBatchRunner:
 
     def test_warm_rerun_hits_cache(self, batch_specs, tmp_path):
         cache_dir = tmp_path / "cache"
-        run_batch(batch_specs, cache=cache_dir, parallel=False)
-        warm = run_batch(batch_specs, cache=cache_dir, parallel=False)
+        run_batch(batch_specs, cache=cache_dir, jobs=1)
+        warm = run_batch(batch_specs, cache=cache_dir, jobs=1)
         hits = warm.cache_hit_counts()
         for stage in ("scene", "grid", "solar", "suitability"):
             assert hits[stage] == len(batch_specs)
 
     def test_fleet_scenarios_share_expensive_stages(self, batch_specs, tmp_path):
-        batch = run_batch(batch_specs, cache=tmp_path / "cache", parallel=False)
+        batch = run_batch(batch_specs, cache=tmp_path / "cache", jobs=1)
         by_name = batch.by_name()
         # The later fleet variants reuse the first fleet scenario's stages.
         assert all(by_name["fleet-b-n8"].stage_cached.values())
@@ -250,6 +249,14 @@ class TestBatchRunner:
     def test_empty_batch_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_batch([], cache=tmp_path / "c")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, batch_specs, tmp_path, jobs):
+        # ``jobs=1`` is the one spelling of serial; below that is an error,
+        # not a silent in-process run.
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            run_batch(batch_specs, cache=tmp_path / "c", jobs=jobs)
+        assert not (tmp_path / "c").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestColdRunsRecordEveryNode:
     def test_cold_campaign_books_weather_and_horizon_as_recompute(self, tmp_path):
         with ResultStore(tmp_path / "campaigns.sqlite") as store:
             batch = run_batch(
-                [_spec("cold-campaign")], store=store, campaign="camp", parallel=False,
+                [_spec("cold-campaign")], store=store, campaign="camp", jobs=1,
                 cache=tmp_path / "cache",
             )
             rows = store.metrics("camp")

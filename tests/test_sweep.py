@@ -296,8 +296,8 @@ class TestRunSweep:
                 SweepAxis("solver.name", ("greedy", "traditional")),
             ),
         )
-        cold = run_sweep(plan, cache=cache_dir, parallel=False)
-        warm = run_sweep(plan, cache=cache_dir, parallel=False)
+        cold = run_sweep(plan, cache=cache_dir, jobs=1)
+        warm = run_sweep(plan, cache=cache_dir, jobs=1)
         return plan, cold, warm
 
     def test_points_in_plan_order(self, sweep_outcome):
@@ -391,8 +391,8 @@ class TestCatalogWarmBatch:
         """Acceptance: a warm re-run over the catalog recomputes no solar stage."""
         specs = list(builtin_scenarios().values())
         cache = tmp_path / "catalog-cache"
-        run_batch(specs, cache=cache, parallel=False)
-        warm = run_batch(specs, cache=cache, parallel=False)
+        run_batch(specs, cache=cache, jobs=1)
+        warm = run_batch(specs, cache=cache, jobs=1)
         misses = warm.cache_miss_counts()
         assert misses.get("solar", 0) == 0
         assert misses.get("scene", 0) == 0
@@ -464,7 +464,7 @@ class TestTable1Equivalence:
             tiny_table1_config,
             roofs=("roof2", "roof3"),
             cache=tmp_path / "cache",
-            parallel=False,
+            jobs=1,
         )
         assert outcome.report.as_dicts() == oracle_rows
 
@@ -474,10 +474,10 @@ class TestTable1Equivalence:
         """Acceptance: the Markdown artifact is deterministic and row-exact."""
         cache = tmp_path / "cache"
         cold = table1_report(
-            tiny_table1_config, roofs=("roof2", "roof3"), cache=cache, parallel=False
+            tiny_table1_config, roofs=("roof2", "roof3"), cache=cache, jobs=1
         )
         warm = table1_report(
-            tiny_table1_config, roofs=("roof2", "roof3"), cache=cache, parallel=False
+            tiny_table1_config, roofs=("roof2", "roof3"), cache=cache, jobs=1
         )
         assert list(cold.rows) == oracle_rows
         assert cold.markdown == warm.markdown  # byte-identical regeneration
@@ -512,7 +512,7 @@ class TestSweepCli:
                 "--base", "residential-south",
                 "--axis", "n_modules=3,6",
                 "--axis", "solver.name=greedy,traditional",
-                "--serial",
+                "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--output", str(tmp_path / "sweep.json"),
             ]
@@ -531,7 +531,7 @@ class TestSweepCli:
                 "sweep",
                 "--base", "residential-south",
                 "--axis", "n_modules=3,6",
-                "--serial",
+                "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--save-plan", str(plan_path),
             ]
@@ -541,7 +541,7 @@ class TestSweepCli:
         code = main(
             [
                 "sweep", str(plan_path),
-                "--serial",
+                "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--format", "csv",
             ]
@@ -593,7 +593,7 @@ class TestReportCli:
                 "--step-minutes", "120",
                 "--day-stride", "30",
                 "--roofs", "roof2",
-                "--serial",
+                "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--output", str(output),
             ]

@@ -256,7 +256,7 @@ class TestPipelineTracing:
 
     def test_parallel_batch_merges_one_tree_per_point(self, trace_path, tmp_path):
         specs = [tiny_spec(f"par-{i}") for i in range(3)]
-        batch = run_batch(specs, cache=tmp_path / "cache", jobs=2, parallel=True)
+        batch = run_batch(specs, cache=tmp_path / "cache", jobs=2)
         assert batch.n_scenarios == 3
         merge_trace(trace_path)  # fold the parent's own late shard
         events = read_trace(trace_path)
@@ -279,7 +279,7 @@ class TestPipelineTracing:
             run_batch(
                 specs,
                 cache=tmp_path / "cache",
-                parallel=False,
+                jobs=1,
                 store=store,
                 campaign="m",
             )
@@ -294,7 +294,7 @@ class TestPipelineTracing:
             assert (METRIC_KIND_STAGE_RECOMPUTE_TIME, "solar") in by_kind_name
             # A second identical run skips every point: no new metrics row.
             run_batch(
-                specs, cache=tmp_path / "cache", parallel=False, store=store, campaign="m"
+                specs, cache=tmp_path / "cache", jobs=1, store=store, campaign="m"
             )
             assert store.latest_metrics_run("m") == 1
 
@@ -437,7 +437,7 @@ class TestCliTracing:
         tiny_spec("lat").save(spec_path)
         args = [
             "campaign", "run", "lat", str(spec_path),
-            "--store", store, "--cache-dir", str(tmp_path / "cache"), "--serial",
+            "--store", store, "--cache-dir", str(tmp_path / "cache"), "--jobs", "1",
         ]
         assert main(args) == 0
         out = capsys.readouterr().out

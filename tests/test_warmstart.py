@@ -397,7 +397,7 @@ class TestBatchAndSweepWarmStart:
         batch = run_batch(
             specs,
             cache=tmp_path / "cache",
-            parallel=False,
+            jobs=1,
             warm_hints={"wb-4": ("wb-2", True)},
         )
         by_name = batch.by_name()
@@ -437,8 +437,8 @@ class TestBatchAndSweepWarmStart:
             axes=(SweepAxis("n_modules", (2, 4)),),
             warm_start=True,
         )
-        cold = run_sweep(plan, cache=None, parallel=False, warm_start=False)
-        warm = run_sweep(plan, cache=None, parallel=False)  # plan flag applies
+        cold = run_sweep(plan, cache=None, jobs=1, warm_start=False)
+        warm = run_sweep(plan, cache=None, jobs=1)  # plan flag applies
         metrics = (
             "annual_energy_mwh",
             "baseline_energy_mwh",

@@ -258,7 +258,7 @@ class TestRunWorker:
         cache_dir = tmp_path / "cache"
         reference = {
             result.scenario: result.fingerprint()
-            for result in run_batch(specs, cache=cache_dir, parallel=False).results
+            for result in run_batch(specs, cache=cache_dir, jobs=1).results
         }
 
         store_path = tmp_path / "store.sqlite"
@@ -279,7 +279,7 @@ class TestRunWorker:
     def test_pooled_worker_matches_too(self, tmp_path):
         spec = tiny_spec("pooled-point")
         cache_dir = tmp_path / "cache"
-        reference = run_batch([spec], cache=cache_dir, parallel=False).results[0]
+        reference = run_batch([spec], cache=cache_dir, jobs=1).results[0]
         store_path = tmp_path / "store.sqlite"
         enroll(store_path, "fleet", [spec])
         summary = run_worker(
@@ -467,7 +467,7 @@ class TestBatchAndWorkerShareACampaign:
         cache_dir = tmp_path / "cache"
         reference = [
             result.fingerprint()
-            for result in run_batch(specs, cache=cache_dir, parallel=False).results
+            for result in run_batch(specs, cache=cache_dir, jobs=1).results
         ]
         store_path = tmp_path / "store.sqlite"
         enroll(store_path, "shared", specs)
@@ -772,7 +772,7 @@ class TestFleetChaos:
         # cache so the fleet pass is seconds, not minutes.
         reference = {
             result.scenario: result.fingerprint()
-            for result in run_batch(specs, cache=cache_dir, parallel=False).results
+            for result in run_batch(specs, cache=cache_dir, jobs=1).results
         }
         enroll(store_path, campaign, specs)
 
