@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import CaseStudyConfig, Table1Config, prepare_all_case_studies
-from repro.solar import SolarSimulationConfig
 
 # The oracles the kernel benches compare against live with the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -34,7 +33,6 @@ def _benchmark_case_config() -> CaseStudyConfig:
         dsm_pitch=0.4,
         time_step_minutes=60.0,
         day_stride=7,
-        solar=SolarSimulationConfig(),
     )
 
 

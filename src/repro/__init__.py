@@ -45,18 +45,19 @@ Sub-packages
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from .constants import DEFAULT_GRID_PITCH
-from .core import FloorplanProblem, PlacementComparison, compare_placements
+from .core import FloorplanProblem, PlacementComparison
 from .gis import RoofSpec
 from .pv.datasheet import PV_MF165EB3, ModuleDatasheet
 from .runner.cache import StageCache
-from .runner.solvers import SolverOutcome, solve
-from .runner.stages import prepare_problem
-from .solar import SolarSimulationConfig, TimeGrid
-from .weather import WeatherSeries
+from .runner.solvers import SolverOutcome
+from .runner.stages import execute_scenario
+from .scenario.spec import ScenarioSpec, SolarSpec, SolverSpec, TimeSpec, WeatherSpec
+from .solar import TimeGrid
 
 __version__ = "1.0.0"
 
@@ -101,19 +102,20 @@ def plan_roof(
     datasheet: ModuleDatasheet = PV_MF165EB3,
     grid_pitch: float = DEFAULT_GRID_PITCH,
     time_grid: Optional[TimeGrid] = None,
-    weather: Optional[WeatherSeries] = None,
     weather_seed: int = 0,
-    solar_config: Optional[SolarSimulationConfig] = None,
+    solar: Optional[SolarSpec] = None,
     solver: str = "greedy",
     solver_options: Optional[Mapping[str, Any]] = None,
     cache: Optional[StageCache] = None,
 ) -> RoofPlanResult:
     """End-to-end pipeline: roof description -> optimal placement and report.
 
-    Builds the synthetic scene, extracts the suitable area, simulates the
-    spatio-temporal irradiance (optionally through the stage cache), runs
-    the compact baseline and the selected solver, and returns their
-    comparison.
+    Describes the run as a :class:`~repro.scenario.ScenarioSpec` and runs
+    it like ``repro run`` does: the synthetic scene, the suitable area, the
+    spatio-temporal irradiance and the suitability map (optionally through
+    the stage cache), then the selected solver against the compact
+    baseline, and returns their comparison.  A scenario of the same roof
+    and inputs shares every cached stage with this call.
 
     Parameters
     ----------
@@ -131,11 +133,11 @@ def plan_roof(
     time_grid:
         Temporal sampling; defaults to an hourly simulation of every 7th
         day (fast, unbiased yearly estimate).
-    weather:
-        A weather series to reuse; synthesised from ``weather_seed`` when
-        omitted.
-    solar_config:
-        Options of the irradiance simulation.
+    weather_seed:
+        Seed of the synthetic Turin weather trace.
+    solar:
+        Options of the irradiance simulation (the defaults of
+        :class:`~repro.scenario.SolarSpec` when omitted).
     solver:
         Name of the placement solver in the :mod:`repro.runner.solvers`
         registry (``greedy``, ``traditional``, ``ilp``, ``exhaustive``).
@@ -143,8 +145,9 @@ def plan_roof(
         Options forwarded to the solver's config dataclass.
     cache:
         Optional :class:`~repro.runner.StageCache`; when given, the scene,
-        grid and solar-field stages are memoised on disk and reused across
-        calls that share a roof/weather/time base.
+        grid, solar-field and suitability stages are memoised on disk and
+        reused across calls and scenarios that share a roof/weather/time
+        base.  Without one the run is uncached.
 
     Example
     -------
@@ -164,27 +167,27 @@ def plan_roof(
     >>> result.solver_name
     'greedy'
     """
-    problem, stage_cached, _ = prepare_problem(
-        spec,
-        n_modules,
+    sampling = TimeSpec()
+    if time_grid is not None:
+        sampling = TimeSpec(step_minutes=time_grid.step_minutes, day_stride=time_grid.day_stride)
+    scenario = ScenarioSpec(
+        name=spec.name,
+        roof=spec,
+        n_modules=n_modules,
         n_series=n_series,
-        datasheet=datasheet,
+        module=dataclasses.asdict(datasheet),
         grid_pitch=grid_pitch,
-        time_grid=time_grid,
-        weather=weather,
-        weather_seed=weather_seed,
-        solar_config=solar_config,
-        cache=cache,
-        label=spec.name,
+        time=sampling,
+        weather=WeatherSpec(seed=weather_seed),
+        solar=solar if solar is not None else SolarSpec(),
+        solver=SolverSpec(name=solver, options=dict(solver_options or {})),
     )
-    baseline = solve(problem, "traditional")
-    proposed = solve(problem, solver, solver_options, suitability=baseline.suitability)
-    comparison = compare_placements(problem, baseline.placement, proposed.placement)
+    run = execute_scenario(scenario, cache)
     return RoofPlanResult(
-        problem=problem,
-        proposed=proposed,
-        baseline=baseline,
-        comparison=comparison,
+        problem=run.problem,
+        proposed=run.chain.outcome,
+        baseline=run.baseline,
+        comparison=run.comparison,
         solver_name=solver,
-        stage_cached=stage_cached,
+        stage_cached=run.stage_cached,
     )

@@ -158,15 +158,14 @@ class PlacementEvaluator:
     Hold one evaluator per problem and score as many placements as needed
     through it (ablations, custom searches, solver comparisons):
 
-    >>> from repro import TimeGrid
+    >>> from repro import TimeGrid, plan_roof
     >>> from repro.core import PlacementEvaluator
     >>> from repro.gis import RoofSpec
     >>> from repro.runner import solve
-    >>> from repro.runner.stages import prepare_problem
     >>> roof = RoofSpec(name="doc-roof", width_m=6.0, depth_m=4.0,
     ...                 tilt_deg=30.0, azimuth_deg=0.0)
-    >>> problem, _, _ = prepare_problem(roof, n_modules=2, n_series=2,
-    ...     grid_pitch=0.4, time_grid=TimeGrid(step_minutes=240.0, day_stride=45))
+    >>> problem = plan_roof(roof, n_modules=2, n_series=2, grid_pitch=0.4,
+    ...     time_grid=TimeGrid(step_minutes=240.0, day_stride=45)).problem
     >>> evaluator = PlacementEvaluator(problem)   # precomputation happens here
     >>> baseline = solve(problem, "traditional")
     >>> proposed = solve(problem, "greedy", suitability=baseline.suitability)
@@ -198,13 +197,13 @@ class PlacementEvaluator:
 
         solar = problem.solar
         self._solar = solar
-        # All per-time work runs on the field's storage axis: for a
-        # daylight-compressed field that is the kept (sun-up) rows only --
-        # the dropped rows have zero irradiance, hence zero module power,
-        # zero string current and zero wiring loss, so they contribute
-        # nothing to any figure this evaluator reports.  ``time_axis``
-        # integrates storage-aligned series with the full-year quadrature.
-        self._time_axis = solar.time_axis
+        # All per-time work runs on the field's storage axis, the kept
+        # (sun-up) rows only -- the dropped rows have zero irradiance, hence
+        # zero module power, zero string current and zero wiring loss, so
+        # they contribute nothing to any figure this evaluator reports.
+        # ``daylight`` integrates storage-aligned series with the full-year
+        # quadrature.
+        self._time_axis = solar.daylight
         self._lookup = solar.cell_column_lookup
         self._irradiance = solar.irradiance  # stored dtype, typically float32
         self._ambient = solar.axis_temperature
@@ -334,13 +333,13 @@ class PlacementEvaluator:
         orientation.  The gather stays in the solar field's storage dtype
         (typically float32); reductions accumulate in float64 and the result
         is cast exactly once, so no full-precision copy of the irradiance
-        block is ever materialised.  On a daylight-compressed field the
-        reduction runs on the kept rows and the result is expanded back to
-        the full axis (the dropped rows reduce to exact zeros).
+        block is ever materialised.  The reduction runs on the field's kept
+        rows and the result is expanded back to the full axis (the dropped
+        rows reduce to exact zeros).
         """
         columns, rows, cols, rotated = self._validated_columns(placement)
         series = self._series_from_columns(columns, rows, cols, rotated)
-        return self._solar.expand_axis(series)
+        return self._solar.daylight.expand(series)
 
     def _series_from_columns(
         self,
@@ -506,7 +505,7 @@ class PlacementEvaluator:
             peak_power_w=peak_power,
             capacity_factor=float(capacity_factor),
             power_series_w=(
-                self._solar.expand_axis(net_power) if store_power_series else None
+                self._solar.daylight.expand(net_power) if store_power_series else None
             ),
         )
 

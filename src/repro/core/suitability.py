@@ -112,10 +112,9 @@ def compute_suitability(
     cfg = config if config is not None else SuitabilityConfig()
     model = module_model if module_model is not None else paper_module_model()
 
-    # The statistics are taken over the *full* time axis -- for a
-    # daylight-compressed field the night zeros (and the real night ambient
-    # temperatures) are part of the distribution the paper's percentile is
-    # defined on.  Both are handled per block of cells, so no full
+    # The statistics are taken over the *full* time axis -- the night zeros
+    # the field does not store (and the real night ambient temperatures)
+    # are part of the distribution the paper's percentile is defined on.  Both are handled per block of cells, so no full
     # (n_time, Ng) copy is ever materialised.
     if cfg.statistic == "percentile":
         g_stat, t_stat = _percentile_statistics(
@@ -169,8 +168,9 @@ def _percentile_statistics(
     t_stat = None if model is None else np.empty(solar.n_cells)
     n_night = solar.n_time - solar.n_daylight
     if model is not None:
-        kept = np.arange(solar.n_time) if solar.daylight is None else solar.daylight.indices
-        night_ambient = np.delete(np.asarray(solar.temperature, dtype=float), kept)
+        night_ambient = np.delete(
+            np.asarray(solar.temperature, dtype=float), solar.daylight.indices
+        )
         night_temperature = model.cell_temperature(np.zeros(n_night), night_ambient)
         day_ambient = solar.axis_temperature
     for sl, block in solar.iter_daylight_blocks():

@@ -22,7 +22,7 @@ how much, and why -- is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..constants import CASE_STUDY_AZIMUTH, CASE_STUDY_TILT, DEFAULT_GRID_PITCH
 from ..errors import ConfigurationError
@@ -38,12 +38,9 @@ from ..gis import (
     skylight_row,
 )
 from ..gis.gridding import RoofGrid
-from ..solar import (
-    RoofSolarField,
-    SolarSimulationConfig,
-    TimeGrid,
-)
-from ..weather import SyntheticWeatherConfig, WeatherSeries, generate_weather
+from ..scenario.spec import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec
+from ..solar import LinkeTurbidityProfile, RoofSolarField, TimeGrid
+from ..weather import WeatherSeries
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..runner.cache import StageCache
@@ -66,7 +63,14 @@ class CaseStudyConfig:
     time_step_minutes: float = 60.0
     day_stride: int = 7
     weather_seed: int = 7
-    solar: SolarSimulationConfig = field(default_factory=SolarSimulationConfig)
+    #: The Turin monthly Linke turbidity is spelled out rather than left to
+    #: ``SolarSpec``'s ``None`` default, so the case-study and Table I cache
+    #: keys stay those of every cache written so far.
+    solar: SolarSpec = field(
+        default_factory=lambda: SolarSpec(
+            linke_turbidity=LinkeTurbidityProfile.turin_default().monthly_values
+        )
+    )
 
     def __post_init__(self) -> None:
         if not 0.05 <= self.scale <= 2.0:
@@ -77,6 +81,28 @@ class CaseStudyConfig:
     def time_grid(self) -> TimeGrid:
         """The time base implied by the configuration."""
         return TimeGrid(step_minutes=self.time_step_minutes, day_stride=self.day_stride)
+
+    def scenario(self, roof: RoofSpec, **fields: Any) -> ScenarioSpec:
+        """The pipeline run of ``roof`` under this configuration, as a spec.
+
+        The configuration sets the pitches, the time base, the weather
+        trace and the irradiance options; ``fields`` sets the rest of the
+        :class:`ScenarioSpec` (a one-module run of the roof by default).
+        The case studies and Table I describe their runs here, so they
+        share the cached stages of a roof.
+        """
+        base: Dict[str, Any] = dict(
+            name=roof.name,
+            roof=roof,
+            n_modules=1,
+            grid_pitch=self.grid_pitch,
+            dsm_pitch=self.dsm_pitch,
+            time=TimeSpec(step_minutes=self.time_step_minutes, day_stride=self.day_stride),
+            weather=WeatherSpec(seed=self.weather_seed),
+            solar=self.solar,
+        )
+        base.update(fields)
+        return ScenarioSpec(**base)
 
 
 #: One roof penetration (vent, exhaust, conduit stub) every this many square
@@ -367,35 +393,41 @@ class CaseStudy:
 def prepare_case_study(
     spec: RoofSpec,
     config: CaseStudyConfig | None = None,
-    weather: Optional[WeatherSeries] = None,
     cache: Optional[StageCache] = None,
 ) -> CaseStudy:
     """Build the scene, suitable grid, weather and solar field for one roof.
 
     This is the end-to-end "solar data extraction" pipeline of the paper's
-    Section IV applied to a synthetic roof; passing the same ``weather``
-    object to several roofs mimics the paper's setup where the three
-    adjacent buildings share the same weather station.  The stages run
-    through :func:`repro.runner.stages.run_pipeline`; with a ``cache`` the
+    Section IV applied to a synthetic roof, described by
+    :meth:`CaseStudyConfig.scenario`; every roof of one configuration reads
+    the same weather trace, like the paper's three adjacent buildings share
+    one weather station.  The stages run through
+    :func:`repro.runner.stages.run_pipeline`; with a ``cache`` the
     expensive ones (scene, suitable grid, solar field) are memoised on disk
-    and reused by any later run -- experiments, scenarios or benchmarks --
-    sharing the same inputs.
+    and reused by any later run -- Table I, scenarios, ``plan_roof`` or
+    benchmarks -- sharing the same inputs.
     """
-    from ..runner.stages import STAGE_SCENE, STAGE_SOLAR, PipelineSources, run_pipeline
+    from ..runner.stages import (
+        STAGE_SCENE,
+        STAGE_SOLAR,
+        STAGE_WEATHER,
+        PipelineSources,
+        run_pipeline,
+    )
 
     cfg = config if config is not None else CaseStudyConfig()
-    if weather is None:
-        weather = generate_weather(cfg.time_grid(), SyntheticWeatherConfig(seed=cfg.weather_seed))
-
-    sources = PipelineSources.from_objects(
-        spec, weather, cfg.solar, cfg.dsm_pitch, cfg.grid_pitch
-    )
-    values = run_pipeline(sources, STAGE_SOLAR, cache, {}, {})
-    scene, solar = values[STAGE_SCENE], values[STAGE_SOLAR]
+    scenario = cfg.scenario(spec)
+    values = run_pipeline(PipelineSources.from_scenario(scenario), STAGE_SOLAR, cache, {}, {})
+    solar = values[STAGE_SOLAR]
+    # A cached field leaves the weather unbuilt; the study still carries it.
+    if STAGE_WEATHER in values:
+        weather = values[STAGE_WEATHER]
+    else:
+        weather = scenario.weather.build(scenario.time.build())
     return CaseStudy(
         name=spec.name,
         config=cfg,
-        scene=scene,
+        scene=values[STAGE_SCENE],
         grid=solar.grid,
         weather=weather,
         solar=solar,
@@ -406,10 +438,9 @@ def prepare_all_case_studies(
     config: CaseStudyConfig | None = None,
     cache: Optional[StageCache] = None,
 ) -> Dict[str, CaseStudy]:
-    """Prepare the three case-study roofs sharing one weather trace."""
+    """Prepare the three case-study roofs under one configuration."""
     cfg = config if config is not None else CaseStudyConfig()
-    weather = generate_weather(cfg.time_grid(), SyntheticWeatherConfig(seed=cfg.weather_seed))
-    studies = {}
-    for name, spec in case_study_specs(cfg.scale).items():
-        studies[name] = prepare_case_study(spec, cfg, weather, cache=cache)
-    return studies
+    return {
+        name: prepare_case_study(spec, cfg, cache=cache)
+        for name, spec in case_study_specs(cfg.scale).items()
+    }

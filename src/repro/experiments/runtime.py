@@ -19,8 +19,7 @@ from ..errors import ConfigurationError
 from ..gis import simple_residential_roof
 from ..runner.solvers import solve
 from ..runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
-from ..solar import SolarSimulationConfig, TimeGrid
-from ..weather import SyntheticWeatherConfig, generate_weather
+from ..scenario.spec import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,8 @@ def runtime_sweep(
         raise ConfigurationError("at least one roof width and module count are required")
 
     samples: List[RuntimeSample] = []
-    time_grid = TimeGrid(step_minutes=time_step_minutes, day_stride=day_stride)
-    weather = generate_weather(time_grid, SyntheticWeatherConfig(seed=seed))
-    solar_config = SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=30.0)
-
     for width in roof_widths_m:
-        spec = simple_residential_roof(
+        roof = simple_residential_roof(
             name=f"sweep-{width:.0f}",
             width_m=float(width),
             depth_m=max(6.0, width / 3.0),
@@ -68,10 +63,19 @@ def runtime_sweep(
             n_obstacles=3,
             seed=seed,
         )
-        pipeline_start = time.perf_counter()
-        sources = PipelineSources.from_objects(
-            spec, weather, solar_config, dsm_pitch=0.4, grid_pitch=grid_pitch
+        # The field does not depend on the module count, so one spec per
+        # roof describes the pipeline run every module count is placed on.
+        scenario = ScenarioSpec(
+            name=roof.name,
+            roof=roof,
+            n_modules=module_counts[0],
+            grid_pitch=grid_pitch,
+            time=TimeSpec(step_minutes=time_step_minutes, day_stride=day_stride),
+            weather=WeatherSpec(seed=seed),
+            solar=SolarSpec(n_horizon_sectors=16, horizon_max_distance_m=30.0),
         )
+        pipeline_start = time.perf_counter()
+        sources = PipelineSources.from_scenario(scenario)
         solar = run_pipeline(sources, STAGE_SOLAR, None, {}, {})[STAGE_SOLAR]
         pipeline_runtime = time.perf_counter() - pipeline_start
 

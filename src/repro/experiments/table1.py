@@ -21,15 +21,7 @@ from typing import Iterable, Optional
 from ..analysis.report import Table1Report, Table1Row
 from ..errors import ConfigurationError
 from ..pv.datasheet import PV_MF165EB3, ModuleDatasheet
-from ..scenario.spec import (
-    ScenarioSpec,
-    SolarSpec,
-    SolverSpec,
-    TimeSpec,
-    WeatherSpec,
-    roof_spec_to_dict,
-)
-from ..solar.irradiance_map import SolarSimulationConfig
+from ..scenario.spec import SolverSpec, roof_spec_to_dict
 from ..sweep.aggregate import SweepResult
 from ..sweep.grid import SweepAxis, SweepPlan
 from .roofs import CaseStudyConfig, case_study_specs
@@ -58,23 +50,6 @@ class Table1Config:
                 raise ConfigurationError("module counts must be positive")
 
 
-def _solar_spec_from_config(config: SolarSimulationConfig) -> SolarSpec:
-    """Express a materialised solar configuration as a declarative SolarSpec."""
-    if config.store_dtype != "float32":
-        raise ConfigurationError(
-            "the declarative scenario path stores solar fields as float32; "
-            f"cannot express store_dtype={config.store_dtype!r}"
-        )
-    return SolarSpec(
-        sky_model=config.sky_model,
-        decomposition_model=config.decomposition_model,
-        albedo=config.albedo,
-        n_horizon_sectors=config.n_horizon_sectors,
-        horizon_max_distance_m=config.horizon_max_distance_m,
-        linke_turbidity=tuple(config.linke_turbidity.monthly_values),
-    )
-
-
 def table1_sweep_plan(
     config: Table1Config | None = None,
     roofs: Optional[Iterable[str]] = None,
@@ -97,19 +72,12 @@ def table1_sweep_plan(
     if unknown:
         raise ConfigurationError(f"unknown case-study roofs: {unknown}")
 
-    base = ScenarioSpec(
+    base = case_cfg.scenario(
+        roof_specs[selected[0]],
         name="table1",
-        roof=roof_specs[selected[0]],
         n_modules=cfg.module_counts[0],
         n_series=cfg.series_length,
         module=dataclasses.asdict(cfg.datasheet),
-        grid_pitch=case_cfg.grid_pitch,
-        dsm_pitch=case_cfg.dsm_pitch,
-        time=TimeSpec(
-            step_minutes=case_cfg.time_step_minutes, day_stride=case_cfg.day_stride
-        ),
-        weather=WeatherSpec(seed=case_cfg.weather_seed),
-        solar=_solar_spec_from_config(case_cfg.solar),
         solver=SolverSpec(name=cfg.solver),
         description="Paper Table I reproduction (sweep-engine path)",
         tags=("table1",),

@@ -58,12 +58,9 @@ _EXPORTS: Dict[str, str] = {
             "PIPELINE_STAGES",
             "PipelineSources",
             "ScenarioResult",
-            "prepare_problem",
             "run_pipeline",
             "run_scenario",
             "scenario_content_digest",
-            "solar_config_payload",
-            "weather_content_key",
         ),
         ".worker": ("WorkerSummary", "run_worker"),
     }.items()

@@ -12,50 +12,44 @@ The pipeline is the paper's chain of stages --
       -> evaluation (series/parallel energy model + baseline comparison)
 
 -- declared once, as the :data:`NODES` table, and run by one executor,
-:func:`run_pipeline`.  Scenarios, :func:`repro.plan_roof` and the
-case-study drivers only describe their inputs (:class:`PipelineSources`)
-and name the node they need.  The expensive nodes are memoised in a
-:class:`~repro.runner.cache.StageCache` keyed by content hashes of the
-declarative inputs, so scenario variants that share a roof/weather/time
-base skip straight to the placement stage, and a warm run never builds the
-weather or the horizon at all.
+:func:`run_pipeline`.  Every run is described one way, by a
+:class:`~repro.scenario.ScenarioSpec`: scenarios and sweeps are specs, and
+:func:`repro.plan_roof`, the case-study drivers and the runtime sweep build
+one from their arguments.  :func:`execute_scenario` is the one copy of the
+sequence after the field (suitability, solve with baseline, compare) that
+both :func:`run_scenario` and :func:`repro.plan_roof` run.  The expensive
+nodes are memoised in a :class:`~repro.runner.cache.StageCache` keyed by
+the spec's content payloads, so every entry point that describes the same
+roof/weather/time base shares the cached stages, variants skip straight to
+the placement stage, and a warm run never builds the weather or the horizon
+at all.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
-
-import numpy as np
 
 from ..constants import DEFAULT_SUITABILITY_PERCENTILE
 from ..core.problem import FloorplanProblem, build_problem
 from ..core.evaluation import PlacementComparison, PlacementEvaluator
 from ..core.suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
-from ..errors import ConfigurationError
 from ..gis.gridding import RoofGrid, make_roof_grid
 from ..gis.suitable_area import suitable_grid_for_scene
-from ..gis.synthetic import RoofScene, RoofSpec, build_roof_scene
+from ..gis.synthetic import RoofScene, build_roof_scene
 from ..io.placement_json import placement_to_dict
 from ..pv.datasheet import ModuleDatasheet
 from ..pv.module import EmpiricalModuleModel
-from ..scenario.spec import ScenarioSpec, grid_content_payload, scene_content_payload
-from ..solar.irradiance_map import (
-    RoofSolarField,
-    SolarSimulationConfig,
-    compute_roof_solar_field,
-    roof_horizon_map,
-)
+from ..scenario.spec import ScenarioSpec
+from ..solar.irradiance_map import RoofSolarField, compute_roof_solar_field, roof_horizon_map
 from ..solar.shading import HorizonMap
-from ..solar.time_series import TimeGrid
 from ..telemetry import span
 from ..weather.records import WeatherSeries
 from .cache import CACHE_FORMAT_VERSION, StageCache, content_digest, resolve_cache
-from .solvers import SolverOutcome, WarmStart, solve, solve_with_fallback
+from .solvers import FallbackOutcome, SolverOutcome, WarmStart, solve, solve_with_fallback
 
 #: Stage names: the keys of ``stage_times_s``, and for the cached nodes also
 #: their cache sub-directories and the keys of ``stage_cached``.
@@ -67,11 +61,6 @@ STAGE_SOLAR = "solar"
 STAGE_SUITABILITY = "suitability"
 STAGE_SOLVE = "solve"
 STAGE_EVALUATE = "evaluate"
-
-
-# ---------------------------------------------------------------------------
-# Content payloads for non-declarative inputs
-# ---------------------------------------------------------------------------
 
 
 def scenario_content_digest(spec: ScenarioSpec) -> str:
@@ -86,43 +75,6 @@ def scenario_content_digest(spec: ScenarioSpec) -> str:
     return content_digest({"format": CACHE_FORMAT_VERSION, "scenario": spec.to_dict()})
 
 
-def solar_config_payload(config: SolarSimulationConfig) -> dict:
-    """Content payload of a materialised :class:`SolarSimulationConfig`."""
-    return {
-        "sky_model": config.sky_model,
-        "decomposition_model": config.decomposition_model,
-        "albedo": config.albedo,
-        "linke_turbidity": list(config.linke_turbidity.monthly_values),
-        "n_horizon_sectors": config.n_horizon_sectors,
-        "horizon_max_distance_m": config.horizon_max_distance_m,
-        "store_dtype": config.store_dtype,
-    }
-
-
-def weather_content_key(weather: WeatherSeries) -> str:
-    """Content digest of a materialised weather series.
-
-    Declarative scenarios hash their :class:`WeatherSpec`; entry points that
-    accept an arbitrary :class:`WeatherSeries` (``plan_roof``, the case-study
-    drivers) hash the actual arrays instead, so caching stays correct no
-    matter where the weather came from.
-    """
-    digest = hashlib.sha256()
-    grid = weather.time_grid
-    digest.update(f"{grid.step_minutes}:{grid.day_stride}".encode())
-    station = weather.station
-    digest.update(
-        f"{station.name}:{station.latitude_deg}:{station.longitude_deg}:"
-        f"{station.altitude_m}".encode()
-    )
-    for name in ("ghi", "temperature", "dni", "dhi"):
-        array = getattr(weather, name)
-        digest.update(name.encode())
-        if array is not None:
-            digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # The pipeline as one table of nodes
 # ---------------------------------------------------------------------------
@@ -132,64 +84,27 @@ def weather_content_key(weather: WeatherSeries) -> str:
 class PipelineSources:
     """Everything the pipeline's nodes read that is not another node.
 
-    The cached nodes' content keys are computed up front; the two thunks
-    build the weather and the solar configuration, and are called only when
-    a node that needs them misses the cache.  There are two key sources:
-    :meth:`from_scenario` takes the :class:`ScenarioSpec` payloads, which
-    name the weather and the solar options by their declarative specs, and
-    :meth:`from_objects` (``plan_roof``, the case studies) names them by a
-    digest of the weather arrays and the materialised configuration.
+    Built from one :class:`ScenarioSpec` by :meth:`from_scenario`.  The
+    cached nodes' content keys are the spec's payloads, computed once up
+    front; the weather and the solar configuration are built from the
+    spec's parts only when a node that needs them misses the cache.
     """
 
-    roof: RoofSpec
-    dsm_pitch: float
-    grid_pitch: float
+    spec: ScenarioSpec
     scene_key: dict
     grid_key: dict
     solar_key: dict
-    weather: Callable[[], WeatherSeries]
-    solar_config: Callable[[], SolarSimulationConfig]
-    #: Module of the suitability metric (scenarios only).
-    datasheet: Optional[ModuleDatasheet] = None
+    #: Module of the suitability metric.
+    datasheet: ModuleDatasheet
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec) -> "PipelineSources":
         return cls(
-            roof=spec.roof,
-            dsm_pitch=spec.dsm_pitch,
-            grid_pitch=spec.grid_pitch,
+            spec=spec,
             scene_key=spec.scene_payload(),
             grid_key=spec.grid_payload(),
             solar_key=spec.solar_payload(),
-            weather=lambda: spec.weather.build(spec.time.build()),
-            solar_config=spec.solar.build,
             datasheet=spec.datasheet(),
-        )
-
-    @classmethod
-    def from_objects(
-        cls,
-        roof: RoofSpec,
-        weather: WeatherSeries,
-        config: SolarSimulationConfig,
-        dsm_pitch: float,
-        grid_pitch: float,
-    ) -> "PipelineSources":
-        grid_key = grid_content_payload(roof, dsm_pitch, grid_pitch)
-        return cls(
-            roof=roof,
-            dsm_pitch=dsm_pitch,
-            grid_pitch=grid_pitch,
-            scene_key=scene_content_payload(roof, dsm_pitch),
-            grid_key=grid_key,
-            solar_key={
-                "stage": STAGE_SOLAR,
-                "grid": grid_key,
-                "weather": weather_content_key(weather),
-                "solar": solar_config_payload(config),
-            },
-            weather=lambda: weather,
-            solar_config=lambda: config,
         )
 
 
@@ -210,19 +125,19 @@ def _suitability_key(src: PipelineSources) -> dict:
 
 
 def _build_scene(src: PipelineSources) -> RoofScene:
-    return build_roof_scene(src.roof, dsm_pitch=src.dsm_pitch)
+    return build_roof_scene(src.spec.roof, dsm_pitch=src.spec.dsm_pitch)
 
 
 def _build_grid(src: PipelineSources, scene: RoofScene) -> RoofGrid:
-    return suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=src.grid_pitch))
+    return suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=src.spec.grid_pitch))
 
 
 def _build_weather(src: PipelineSources) -> WeatherSeries:
-    return src.weather()
+    return src.spec.weather.build(src.spec.time.build())
 
 
 def _build_horizon(src: PipelineSources, scene: RoofScene, grid: RoofGrid) -> HorizonMap:
-    return roof_horizon_map(scene, grid, src.solar_config())
+    return roof_horizon_map(scene, grid, src.spec.solar.build())
 
 
 def _build_solar(
@@ -234,7 +149,7 @@ def _build_solar(
 ) -> RoofSolarField:
     # ``compute_roof_solar_field`` is looked up at call time, so tests can
     # swap the dense oracle in for it.
-    return compute_roof_solar_field(scene, grid, weather, src.solar_config(), horizon)
+    return compute_roof_solar_field(scene, grid, weather, src.spec.solar.build(), horizon)
 
 
 def _build_suitability(src: PipelineSources, solar: RoofSolarField) -> SuitabilityMap:
@@ -347,68 +262,6 @@ def run_pipeline(
         if node.name in needed and node.key is not None:
             resolve(node)
     return values
-
-
-# ---------------------------------------------------------------------------
-# Problem preparation for plan_roof
-# ---------------------------------------------------------------------------
-
-
-def prepare_problem(
-    roof: RoofSpec,
-    n_modules: int,
-    n_series: int = 8,
-    datasheet: Optional[ModuleDatasheet] = None,
-    grid_pitch: float = 0.2,
-    dsm_pitch: float = 0.4,
-    time_grid: Optional[TimeGrid] = None,
-    weather: Optional[WeatherSeries] = None,
-    weather_seed: int = 0,
-    solar_config: Optional[SolarSimulationConfig] = None,
-    cache: Optional[StageCache] = None,
-    allow_rotation: bool = False,
-    label: Optional[str] = None,
-) -> Tuple[FloorplanProblem, Dict[str, bool], WeatherSeries]:
-    """Run the pipeline up to the solar field and assemble a floorplanning problem.
-
-    Returns ``(problem, stage_cached, weather)`` where ``stage_cached`` maps
-    stage names to whether the disk cache supplied them.  The solar key
-    hashes the weather arrays, so weather is generated (from
-    ``weather_seed``) even when the field is then a cache hit.
-    """
-    from ..pv.datasheet import PV_MF165EB3
-    from ..weather.synthetic import SyntheticWeatherConfig, generate_weather
-
-    sheet = datasheet if datasheet is not None else PV_MF165EB3
-    solar_cfg = solar_config if solar_config is not None else SolarSimulationConfig()
-
-    if weather is not None:
-        # The weather series carries its own sampling; an explicitly passed
-        # time grid must agree with it.
-        if time_grid is not None and time_grid.n_samples != weather.time_grid.n_samples:
-            raise ConfigurationError(
-                "the provided weather series and time grid disagree on sample count"
-            )
-        series = weather
-    else:
-        grid_time = (
-            time_grid if time_grid is not None else TimeGrid(step_minutes=60.0, day_stride=7)
-        )
-        series = generate_weather(grid_time, SyntheticWeatherConfig(seed=weather_seed))
-
-    stage_cached: Dict[str, bool] = {}
-    sources = PipelineSources.from_objects(roof, series, solar_cfg, dsm_pitch, grid_pitch)
-    solar = run_pipeline(sources, STAGE_SOLAR, cache, stage_cached, {})[STAGE_SOLAR]
-
-    problem = build_problem(
-        solar,
-        n_modules,
-        n_series,
-        sheet,
-        allow_rotation=allow_rotation,
-        label=label if label is not None else roof.name,
-    )
-    return problem, stage_cached, series
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +404,99 @@ class ScenarioResult:
         )
 
 
+@dataclass
+class ScenarioRun:
+    """The objects one run of a scenario produced.
+
+    :func:`run_scenario` flattens them into a :class:`ScenarioResult`;
+    :func:`repro.plan_roof` hands them out as a ``RoofPlanResult``.
+    ``baseline`` is the traditional compact placement the solver chain's
+    answer is compared against.
+    """
+
+    problem: FloorplanProblem
+    chain: FallbackOutcome
+    baseline: SolverOutcome
+    comparison: PlacementComparison
+    stage_cached: Dict[str, bool]
+    stage_times: Dict[str, float]
+    runtime_s: float
+
+
+def execute_scenario(
+    spec: ScenarioSpec,
+    cache: Optional[StageCache],
+    warm_start: Optional[WarmStart] = None,
+) -> ScenarioRun:
+    """Run one scenario: the nodes up to suitability, the solvers, the evaluator.
+
+    ``cache=None`` runs uncached.  ``warm_start`` is forwarded to the
+    solver chain unless the spec opts out.  The baseline is the solver
+    chain's own answer when that is the plain traditional placement, and a
+    separate traditional solve otherwise; one evaluator scores both.
+    """
+    start = time.perf_counter()
+    stage_cached: Dict[str, bool] = {}
+    stage_times: Dict[str, float] = {}
+
+    with span(
+        "scenario",
+        scenario=spec.name,
+        solver=spec.solver.name,
+        n_modules=spec.n_modules,
+    ) as scenario_span:
+        sources = PipelineSources.from_scenario(spec)
+        values = run_pipeline(sources, STAGE_SUITABILITY, cache, stage_cached, stage_times)
+        suitability = values[STAGE_SUITABILITY]
+        problem = build_problem(
+            values[STAGE_SOLAR],
+            spec.n_modules,
+            spec.series_length(),
+            sources.datasheet,
+            allow_rotation=spec.allow_rotation,
+            label=spec.name,
+        )
+
+        with _stage(STAGE_SOLVE, stage_times):
+            chain = solve_with_fallback(
+                problem,
+                spec.solver.name,
+                spec.solver.options,
+                suitability,
+                fallback=spec.solver.fallback,
+                budget_s=spec.solver.budget_s,
+                warm_start=warm_start if spec.solver.warm_start else None,
+            )
+            if (
+                spec.solver.name == "traditional"
+                and not spec.solver.options
+                and not chain.degraded
+            ):
+                baseline = chain.outcome
+            else:
+                baseline = solve(problem, "traditional", {}, suitability)
+
+        with _stage(STAGE_EVALUATE, stage_times):
+            comparison = PlacementEvaluator(problem).compare(
+                baseline.placement, chain.outcome.placement
+            )
+
+        runtime = time.perf_counter() - start
+        scenario_span.set(
+            runtime_s=round(runtime, 6),
+            cached_stages=sum(1 for hit in stage_cached.values() if hit),
+        )
+    return ScenarioRun(
+        problem=problem,
+        chain=chain,
+        baseline=baseline,
+        comparison=comparison,
+        stage_cached=stage_cached,
+        stage_times=stage_times,
+        runtime_s=runtime,
+    )
+
+
 def run_scenario(
     spec: ScenarioSpec,
     cache: Optional[StageCache] = None,
@@ -574,86 +520,30 @@ def run_scenario(
         spec, so a scenario's content digest (and therefore its identity in
         caches and stores) is the same warm or cold.
     """
-    start = time.perf_counter()
-    stage_cache = resolve_cache(cache, use_cache)
-    stage_cached: Dict[str, bool] = {}
-    stage_times: Dict[str, float] = {}
-
-    with span(
-        "scenario",
-        scenario=spec.name,
-        solver=spec.solver.name,
-        n_modules=spec.n_modules,
-    ) as scenario_span:
-        sources = PipelineSources.from_scenario(spec)
-        values = run_pipeline(
-            sources, STAGE_SUITABILITY, stage_cache, stage_cached, stage_times
-        )
-        solar = values[STAGE_SOLAR]
-        suitability = values[STAGE_SUITABILITY]
-        problem = build_problem(
-            solar,
-            spec.n_modules,
-            spec.series_length(),
-            sources.datasheet,
-            allow_rotation=spec.allow_rotation,
-            label=spec.name,
-        )
-
-        with _stage(STAGE_SOLVE, stage_times):
-            chain = solve_with_fallback(
-                problem,
-                spec.solver.name,
-                spec.solver.options,
-                suitability,
-                fallback=spec.solver.fallback,
-                budget_s=spec.solver.budget_s,
-                warm_start=warm_start if spec.solver.warm_start else None,
-            )
-            outcome = chain.outcome
-            if (
-                spec.solver.name == "traditional"
-                and not spec.solver.options
-                and not chain.degraded
-            ):
-                baseline: SolverOutcome = outcome
-            else:
-                baseline = solve(problem, "traditional", {}, suitability)
-
-        with _stage(STAGE_EVALUATE, stage_times):
-            # One evaluation context scores both the proposed and the baseline
-            # placement, sharing the per-problem precomputation.
-            evaluator = PlacementEvaluator(problem)
-            comparison: PlacementComparison = evaluator.compare(
-                baseline.placement, outcome.placement
-            )
-
-        runtime = time.perf_counter() - start
-        scenario_span.set(
-            runtime_s=round(runtime, 6),
-            cached_stages=sum(1 for hit in stage_cached.values() if hit),
-        )
+    run = execute_scenario(spec, resolve_cache(cache, use_cache), warm_start)
+    outcome = run.chain.outcome
+    candidate = run.comparison.candidate
     return ScenarioResult(
         scenario=spec.name,
         solver=spec.solver.name,
         n_modules=spec.n_modules,
-        n_valid_cells=problem.grid.n_valid,
-        grid_cols=problem.grid.n_cols,
-        grid_rows=problem.grid.n_rows,
-        annual_energy_mwh=comparison.candidate.annual_energy_mwh,
-        baseline_energy_mwh=comparison.baseline.annual_energy_mwh,
-        improvement_percent=comparison.improvement_percent,
-        wiring_extra_length_m=comparison.candidate.wiring_extra_length_m,
-        capacity_factor=comparison.candidate.capacity_factor,
-        runtime_s=runtime,
-        stage_cached=stage_cached,
-        stage_times_s={name: round(seconds, 9) for name, seconds in stage_times.items()},
+        n_valid_cells=run.problem.grid.n_valid,
+        grid_cols=run.problem.grid.n_cols,
+        grid_rows=run.problem.grid.n_rows,
+        annual_energy_mwh=candidate.annual_energy_mwh,
+        baseline_energy_mwh=run.comparison.baseline.annual_energy_mwh,
+        improvement_percent=run.comparison.improvement_percent,
+        wiring_extra_length_m=candidate.wiring_extra_length_m,
+        capacity_factor=candidate.capacity_factor,
+        runtime_s=run.runtime_s,
+        stage_cached=run.stage_cached,
+        stage_times_s={name: round(seconds, 9) for name, seconds in run.stage_times.items()},
         solver_info=dict(outcome.info),
         placement=placement_to_dict(outcome.placement),
         tags=spec.tags,
-        degraded=chain.degraded,
-        fallback_solver=chain.fallback_solver,
-        degradation_reason="; ".join(chain.failures) if chain.failures else None,
+        degraded=run.chain.degraded,
+        fallback_solver=run.chain.fallback_solver,
+        degradation_reason="; ".join(run.chain.failures) if run.chain.failures else None,
         warm_started=outcome.warm_started,
         gap=outcome.gap,
     )

@@ -3,8 +3,11 @@
 A :class:`ScenarioSpec` captures *everything* one end-to-end run of the
 pipeline needs -- the roof, the module datasheet, the weather and time
 configuration, the irradiance-model options and the solver choice -- as a
-plain, JSON-round-trippable document.  The declarative form serves three
-purposes:
+plain, JSON-round-trippable document.  It is the only description of a
+pipeline run: scenarios and sweeps are specs, and :func:`repro.plan_roof`,
+the case-study drivers and the runtime sweep build one (or its
+:class:`TimeSpec`, :class:`WeatherSpec` and :class:`SolarSpec` parts) from
+their arguments.  The declarative form serves three purposes:
 
 * scenarios can be stored, versioned and shared as small JSON files (the
   pvlib-style "site spec" idiom);
@@ -12,9 +15,9 @@ purposes:
   heavyweight simulation objects;
 * every pipeline stage derives a *content key* from the relevant slice of
   the specification, which is what makes the disk cache of
-  :mod:`repro.runner` correct: two scenarios sharing a roof, weather and
-  time base hash to the same solar-field key and reuse each other's
-  expensive intermediate results.
+  :mod:`repro.runner` correct: two runs sharing a roof, weather and time
+  base -- whichever entry point described them -- hash to the same
+  solar-field key and reuse each other's expensive intermediate results.
 """
 
 from __future__ import annotations
@@ -128,31 +131,6 @@ def roof_spec_from_dict(data: Mapping[str, Any]) -> RoofSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed roof specification: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Canonical content payloads for the stage cache
-#
-# These are the single source of truth for the scene and grid cache keys:
-# both the declarative scenario path (ScenarioSpec methods below) and the
-# object-level path (repro.runner.stages.PipelineSources.from_objects, used
-# by plan_roof and the case-study drivers) build their keys through these
-# functions, so the two entry points share those entries by construction.
-# ---------------------------------------------------------------------------
-
-
-def scene_content_payload(roof: RoofSpec, dsm_pitch: float) -> dict:
-    """Content key of the rasterised scene (roof geometry + DSM pitch)."""
-    return {"stage": "scene", "roof": roof_spec_to_dict(roof), "dsm_pitch": dsm_pitch}
-
-
-def grid_content_payload(roof: RoofSpec, dsm_pitch: float, grid_pitch: float) -> dict:
-    """Content key of the suitable-area virtual grid."""
-    return {
-        "stage": "grid",
-        "scene": scene_content_payload(roof, dsm_pitch),
-        "grid_pitch": grid_pitch,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +535,15 @@ class ScenarioSpec:
 
     def scene_payload(self) -> dict:
         """Content key of the rasterised scene (roof geometry + DSM pitch)."""
-        return scene_content_payload(self.roof, self.dsm_pitch)
+        return {
+            "stage": "scene",
+            "roof": roof_spec_to_dict(self.roof),
+            "dsm_pitch": self.dsm_pitch,
+        }
 
     def grid_payload(self) -> dict:
         """Content key of the suitable-area virtual grid."""
-        return grid_content_payload(self.roof, self.dsm_pitch, self.grid_pitch)
+        return {"stage": "grid", "scene": self.scene_payload(), "grid_pitch": self.grid_pitch}
 
     def solar_payload(self) -> dict:
         """Content key of the spatio-temporal solar field (dominant cost)."""

@@ -55,6 +55,10 @@ from .transposition import plane_of_array
 #: resolution (~35k steps) keeps transients in the tens of megabytes.
 _DENSE_BLOCK_BYTES = 16 * 1024 * 1024
 
+#: Storage dtype of :attr:`RoofSolarField.irradiance`.  float32 halves the
+#: field's bytes; the consumers accumulate in float64.
+STORE_DTYPE = np.dtype(np.float32)
+
 
 @dataclass(frozen=True)
 class SolarSimulationConfig:
@@ -68,7 +72,6 @@ class SolarSimulationConfig:
     )
     n_horizon_sectors: int = 36
     horizon_max_distance_m: float = 60.0
-    store_dtype: str = "float32"
 
 
 @dataclass
@@ -85,18 +88,20 @@ class RoofSolarField:
         Array ``(Ng, 2)`` of (row, col) indices of the valid grid elements,
         in the same order as the columns of :attr:`irradiance`.
     irradiance:
-        Array ``(n_daylight, Ng)`` (daylight-compressed, the native form) or
-        ``(n_time, Ng)`` (dense legacy form): plane-of-array global
-        irradiance [W/m^2] per kept time step and valid cell.
+        Array ``(n_daylight, Ng)``: plane-of-array global irradiance
+        [W/m^2] per kept time step and valid cell.
     temperature:
         Array ``(n_time,)``: ambient temperature [degC], always on the full
         axis (night temperatures are real data, unlike night irradiance).
     sky_view:
         Array ``(Ng,)``: sky-view factor of each valid cell.
     daylight:
-        The compressed time axis, or ``None`` for a dense field.  When set,
-        the rows it drops are exactly zero in the dense equivalent, so
-        :meth:`to_dense` is an exact expansion.
+        The kept time steps, the axis :attr:`irradiance` rows live on.
+        The rows it drops are exactly zero in the dense equivalent, so
+        :meth:`to_dense` is an exact expansion; a field that keeps every
+        step (the dense oracle's) keeps them all.  Its
+        ``integrate_energy_wh`` applies the full grid's quadrature to the
+        kept rows, so consumers integrate storage-aligned series directly.
     """
 
     grid: RoofGrid
@@ -105,7 +110,7 @@ class RoofSolarField:
     irradiance: np.ndarray
     temperature: np.ndarray
     sky_view: np.ndarray
-    daylight: Optional[CompressedTimeGrid] = None
+    daylight: CompressedTimeGrid
 
     #: Large array fields the stage cache stores as raw ``.npy`` sidecars
     #: (memory-mapped zero-copy by batch workers; see repro.runner.cache).
@@ -114,16 +119,16 @@ class RoofSolarField:
     def __post_init__(self) -> None:
         n_time = self.time_grid.n_samples
         n_cells = self.cells.shape[0]
-        if self.daylight is not None and self.daylight.n_full != n_time:
+        if self.daylight.n_full != n_time:
             raise SolarModelError(
                 f"compressed axis covers {self.daylight.n_full} samples but the "
                 f"time grid has {n_time}"
             )
-        expected_rows = n_time if self.daylight is None else self.daylight.n_daylight
+        expected_rows = self.daylight.n_daylight
         if self.irradiance.shape != (expected_rows, n_cells):
             raise SolarModelError(
                 f"irradiance shape {self.irradiance.shape} does not match "
-                f"(n_axis={expected_rows}, Ng={n_cells})"
+                f"(n_daylight={expected_rows}, Ng={n_cells})"
             )
         if self.temperature.shape != (n_time,):
             raise SolarModelError("temperature must have one value per time sample")
@@ -148,46 +153,20 @@ class RoofSolarField:
         """Number of stored (compressed-axis) time samples."""
         return int(self.irradiance.shape[0])
 
-    @property
-    def is_compressed(self) -> bool:
-        """True when the field stores the daylight-compressed axis."""
-        return self.daylight is not None
-
     # -- axis routing --------------------------------------------------------------
-
-    @property
-    def time_axis(self) -> "TimeGrid | CompressedTimeGrid":
-        """The axis :attr:`irradiance` rows live on.
-
-        Both :class:`TimeGrid` and :class:`CompressedTimeGrid` provide
-        ``integrate_energy_wh`` with the same quadrature, so consumers can
-        integrate storage-aligned series without caring about compression.
-        """
-        return self.time_grid if self.daylight is None else self.daylight
 
     @property
     def axis_temperature(self) -> np.ndarray:
         """Ambient temperature [degC] aligned with the rows of :attr:`irradiance`."""
-        ambient = np.asarray(self.temperature, dtype=float)
-        if self.daylight is None:
-            return ambient
-        return ambient[self.daylight.indices]
-
-    def expand_axis(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Expand a storage-axis series (axis 0) back to the full time axis."""
-        if self.daylight is None:
-            return np.asarray(values)
-        return self.daylight.expand(values, fill=fill)
+        return np.asarray(self.temperature, dtype=float)[self.daylight.indices]
 
     def to_dense(self) -> np.ndarray:
         """The exact dense ``(n_time, Ng)`` irradiance matrix (storage dtype).
 
-        For a compressed field the dropped rows are zero by construction,
-        so this reproduces the dense reference bit for bit.  It materialises
-        the full matrix -- prefer the block iterators for reductions.
+        The dropped rows are zero by construction, so this reproduces the
+        dense reference bit for bit.  It materialises the full matrix --
+        prefer the block iterators for reductions.
         """
-        if self.daylight is None:
-            return np.asarray(self.irradiance)
         out = np.zeros((self.n_time, self.n_cells), dtype=self.irradiance.dtype)
         out[self.daylight.indices, :] = self.irradiance
         return out
@@ -208,18 +187,12 @@ class RoofSolarField:
         """
         if max_columns is None:
             max_columns = self._block_columns()
-        indices = None if self.daylight is None else self.daylight.indices
+        indices = self.daylight.indices
         for start in range(0, self.n_cells, max_columns):
             stop = min(start + max_columns, self.n_cells)
-            sl = slice(start, stop)
-            if indices is None:
-                # np.array (not asarray): a float64-stored field would
-                # otherwise yield an aliasing view of the matrix.
-                yield sl, np.array(self.irradiance[:, sl], dtype=np.float64)
-            else:
-                block = np.zeros((self.n_time, stop - start), dtype=np.float64)
-                block[indices, :] = self.irradiance[:, sl]
-                yield sl, block
+            block = np.zeros((self.n_time, stop - start), dtype=np.float64)
+            block[indices, :] = self.irradiance[:, start:stop]
+            yield slice(start, stop), block
 
     def iter_daylight_blocks(self) -> Iterator[Tuple[slice, np.ndarray]]:
         """Iterate cell-major blocks ``(column_slice, (c, n_daylight))``.
@@ -264,7 +237,7 @@ class RoofSolarField:
     def irradiance_for_cell(self, row: int, col: int) -> np.ndarray:
         """Full-axis irradiance time series [W/m^2] of one grid element."""
         column = np.asarray(self.irradiance[:, self.column_of(row, col)], dtype=float)
-        return self.expand_axis(column)
+        return self.daylight.expand(column)
 
     def irradiance_for_cells(self, cells: np.ndarray) -> np.ndarray:
         """Full-axis irradiance of several grid elements, shape ``(n_time, k)``.
@@ -280,7 +253,7 @@ class RoofSolarField:
         if np.any(invalid):
             row, col = cells_arr[int(np.argmax(invalid))]
             raise SolarModelError(f"grid element ({row}, {col}) is not a valid cell")
-        return self.expand_axis(np.asarray(self.irradiance[:, columns], dtype=float))
+        return self.daylight.expand(np.asarray(self.irradiance[:, columns], dtype=float))
 
     def restricted_to(self, grid: RoofGrid) -> "RoofSolarField":
         """The field restricted to the valid cells of ``grid``.
@@ -339,7 +312,7 @@ class RoofSolarField:
 
     def annual_insolation_map_kwh(self) -> np.ndarray:
         """Per-cell yearly insolation [kWh/m^2] (NaN outside the valid area)."""
-        totals = self.time_axis.integrate_energy_wh(self.irradiance)
+        totals = self.daylight.integrate_energy_wh(self.irradiance)
         return self._scatter(np.asarray(totals) / 1e3)
 
     def _scatter(self, values: np.ndarray) -> np.ndarray:
@@ -561,10 +534,9 @@ def compute_roof_solar_field(
     # shadow mask and the float64 block cover one column chunk at a time;
     # the sector grouping of the time axis is precomputed once and shared
     # across chunks.
-    dtype = np.dtype(cfg.store_dtype)
     n_axis = int(indices.shape[0])
     n_cells = cells.shape[0]
-    irradiance = np.empty((n_axis, n_cells), dtype=dtype)
+    irradiance = np.empty((n_axis, n_cells), dtype=STORE_DTYPE)
     chunk = max(1, _DENSE_BLOCK_BYTES // (8 * max(n_axis, 1)))
     sky_view_arr = np.asarray(sky_view, dtype=float)
     sector_groups = horizon_map.sector_time_groups(azimuth)

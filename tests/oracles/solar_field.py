@@ -2,8 +2,10 @@
 
 Builds the full float64 ``(n_time, Ng)`` shadow matrix and broadcasts the
 plane-of-array components over it, night rows included -- the solar-field
-assembly written as directly as numpy allows.  It shares the front half
-(sun positions, plane-of-array components, horizon) with the kernel.
+assembly written as directly as numpy allows.  Its field keeps every time
+step (an all-True daylight mask), so the matrix stays dense.  It shares the
+front half (sun positions, plane-of-array components, horizon) with the
+kernel.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import numpy as np
 from repro.gis.gridding import RoofGrid
 from repro.gis.synthetic import RoofScene
 from repro.solar.irradiance_map import (
+    STORE_DTYPE,
     RoofSolarField,
     SolarSimulationConfig,
     _poa_and_shading_inputs,
 )
 from repro.solar.shading import HorizonMap
+from repro.solar.time_series import CompressedTimeGrid
 from repro.weather.records import WeatherSeries
 
 
@@ -54,12 +58,11 @@ def compute_roof_solar_field_dense_reference(
         cell_dsm_rows, cell_dsm_cols, position.elevation_deg, position.azimuth_deg
     )
 
-    dtype = np.dtype(cfg.store_dtype)
     irradiance = (
         poa.beam[:, None] * lit
         + poa.sky_diffuse[:, None] * sky_view[None, :]
         + poa.ground_reflected[:, None]
-    ).astype(dtype)
+    ).astype(STORE_DTYPE)
 
     return RoofSolarField(
         grid=grid,
@@ -68,4 +71,6 @@ def compute_roof_solar_field_dense_reference(
         irradiance=irradiance,
         temperature=np.asarray(weather.temperature, dtype=float),
         sky_view=np.asarray(sky_view, dtype=float),
+        # Every step is kept: the night rows stay in the matrix as zeros.
+        daylight=CompressedTimeGrid.from_mask(time_grid, np.ones(time_grid.n_samples, bool)),
     )

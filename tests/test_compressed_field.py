@@ -32,7 +32,7 @@ from repro.pv.datasheet import PV_MF165EB3
 from repro.runner import StageCache, run_batch
 from repro.runner.batch import _worker_payload
 from repro.runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
-from repro.scenario import builtin_scenarios
+from repro.scenario import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec, builtin_scenarios
 from repro.solar import (
     CompressedTimeGrid,
     SolarSimulationConfig,
@@ -128,7 +128,7 @@ class TestCompressedTimeGrid:
 
 class TestDenseEquivalence:
     def test_expansion_is_bit_identical(self, small_solar, dense_reference):
-        assert small_solar.is_compressed and not dense_reference.is_compressed
+        assert dense_reference.n_daylight == dense_reference.n_time
         assert small_solar.n_daylight < small_solar.n_time
         assert np.array_equal(small_solar.to_dense(), dense_reference.irradiance)
         # Every dropped row of the reference is exactly zero.
@@ -348,20 +348,28 @@ class TestHighLatitudeAzimuth:
 
 
 class TestMemmapCache:
-    def _cached(self, spec, weather, cache):
-        config = SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=25.0)
-        sources = PipelineSources.from_objects(spec, weather, config, 0.4, 0.2)
+    def _cached(self, roof, cache):
+        spec = ScenarioSpec(
+            name="memmap",
+            roof=roof,
+            n_modules=1,
+            grid_pitch=0.2,
+            time=TimeSpec(step_minutes=120.0, day_stride=30),
+            weather=WeatherSpec(seed=3),
+            solar=SolarSpec(n_horizon_sectors=16, horizon_max_distance_m=25.0),
+        )
+        sources = PipelineSources.from_scenario(spec)
         stage_cached: dict = {}
         solar = run_pipeline(sources, STAGE_SOLAR, cache, stage_cached, {})[STAGE_SOLAR]
         return solar, stage_cached[STAGE_SOLAR]
 
-    def test_round_trip_is_memmapped_and_exact(self, small_roof_spec, small_weather, tmp_path):
+    def test_round_trip_is_memmapped_and_exact(self, small_roof_spec, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        cold, hit_cold = self._cached(small_roof_spec, small_weather, cache)
+        cold, hit_cold = self._cached(small_roof_spec, cache)
         assert not hit_cold
         sidecars = list((tmp_path / "cache").rglob("*.irradiance.npy"))
         assert len(sidecars) == 1
-        warm, hit_warm = self._cached(small_roof_spec, small_weather, cache)
+        warm, hit_warm = self._cached(small_roof_spec, cache)
         assert hit_warm
         assert isinstance(warm.irradiance, np.memmap)
         assert not warm.irradiance.flags.writeable
@@ -371,38 +379,38 @@ class TestMemmapCache:
         entry = next((tmp_path / "cache" / "solar").glob("*.pkl"))
         assert entry.stat().st_size < sidecars[0].stat().st_size
 
-    def test_missing_sidecar_is_a_miss(self, small_roof_spec, small_weather, tmp_path):
+    def test_missing_sidecar_is_a_miss(self, small_roof_spec, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_weather, cache)
+        self._cached(small_roof_spec, cache)
         for sidecar in (tmp_path / "cache").rglob("*.npy"):
             sidecar.unlink()
-        _, hit = self._cached(small_roof_spec, small_weather, cache)
+        _, hit = self._cached(small_roof_spec, cache)
         assert not hit
 
-    def test_corrupt_sidecar_is_a_miss(self, small_roof_spec, small_weather, tmp_path):
+    def test_corrupt_sidecar_is_a_miss(self, small_roof_spec, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_weather, cache)
+        self._cached(small_roof_spec, cache)
         for sidecar in (tmp_path / "cache").rglob("*.npy"):
             sidecar.write_bytes(b"not an npy file")
-        _, hit = self._cached(small_roof_spec, small_weather, cache)
+        _, hit = self._cached(small_roof_spec, cache)
         assert not hit
 
     def test_format_version_orphans_old_entries(
-        self, small_roof_spec, small_weather, tmp_path, monkeypatch
+        self, small_roof_spec, tmp_path, monkeypatch
     ):
         from repro.runner import cache as cache_module
 
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_weather, cache)
+        self._cached(small_roof_spec, cache)
         # Entries written under a previous on-disk format hash to different
         # paths, so they can never be read back (no corruption, just a miss).
         monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
-        _, hit = self._cached(small_roof_spec, small_weather, cache)
+        _, hit = self._cached(small_roof_spec, cache)
         assert not hit
 
-    def test_clear_removes_sidecars(self, small_roof_spec, small_weather, tmp_path):
+    def test_clear_removes_sidecars(self, small_roof_spec, tmp_path):
         cache = StageCache(root=tmp_path / "cache")
-        self._cached(small_roof_spec, small_weather, cache)
+        self._cached(small_roof_spec, cache)
         assert list((tmp_path / "cache").rglob("*.npy"))
         removed = cache.clear()
         assert removed == cache.stats.writes

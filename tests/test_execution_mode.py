@@ -7,10 +7,16 @@ building, site and weather -- and each drawn fleet runs serial
 (``use_cache=False``).  Every run must give the same fingerprints.  An
 uncached run must also leave no trace on disk: nothing under the handle's
 root and nothing under ``$REPRO_CACHE_DIR``.
+
+The entry point does not change the answer either: ``plan_roof`` of a drawn
+roof is ``run_scenario`` of the equivalent spec, and whichever of the two
+runs second on a shared cache reads the other's solar field and
+suitability map.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 from pathlib import Path
@@ -19,9 +25,11 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import plan_roof
 from repro.geometry import Polygon
 from repro.gis.synthetic import AdjacentStructure, RoofSpec, chimney
-from repro.runner import StageCache, run_batch
+from repro.io.placement_json import placement_to_dict
+from repro.runner import StageCache, run_batch, run_scenario
 from repro.scenario import ScenarioSpec, SolarSpec, SolverSpec, TimeSpec, WeatherSpec
 
 CACHED_STAGES = {"scene", "grid", "solar", "suitability"}
@@ -113,3 +121,43 @@ def test_execution_mode_never_changes_the_answer(specs):
                 assert result.stage_cached == dict.fromkeys(CACHED_STAGES, False)
         assert not handle.root.exists()
         assert not default_dir.exists()
+
+
+@settings(max_examples=5, deadline=None)
+@given(drawn=coarse_specs(0), plan_first=st.booleans())
+def test_plan_roof_is_run_scenario_of_its_spec(drawn, plan_first):
+    # plan_roof names the weather by its seed alone (the default station).
+    spec = dataclasses.replace(drawn, weather=WeatherSpec(seed=drawn.weather.seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = StageCache(root=Path(tmp))
+
+        def plan():
+            return plan_roof(
+                spec.roof,
+                n_modules=spec.n_modules,
+                n_series=spec.n_series,
+                grid_pitch=spec.grid_pitch,
+                time_grid=spec.time.build(),
+                weather_seed=spec.weather.seed,
+                solar=spec.solar,
+                solver=spec.solver.name,
+                cache=cache,
+            )
+
+        if plan_first:
+            planned = plan()
+            result = run_scenario(spec, cache=cache)
+            second = result.stage_cached
+        else:
+            result = run_scenario(spec, cache=cache)
+            planned = plan()
+            second = planned.stage_cached
+
+    assert second["solar"] and second["suitability"]
+    expected = result.fingerprint()
+    placement = placement_to_dict(planned.proposed.placement)
+    placement.pop("metadata", None)
+    assert placement == expected["placement"]
+    assert planned.problem.grid.n_valid == expected["n_valid_cells"]
+    assert planned.comparison.candidate.annual_energy_mwh == expected["annual_energy_mwh"]
+    assert planned.comparison.baseline.annual_energy_mwh == expected["baseline_energy_mwh"]

@@ -33,7 +33,7 @@ from repro.experiments import (
 from repro.errors import ConfigurationError
 from repro.gis import simple_residential_roof
 from repro.io.placement_json import placement_from_dict
-from repro.solar import SolarSimulationConfig
+from repro.scenario import SolarSpec
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def tiny_config() -> CaseStudyConfig:
         dsm_pitch=0.5,
         time_step_minutes=120.0,
         day_stride=30,
-        solar=SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=30.0),
+        solar=SolarSpec(n_horizon_sectors=16, horizon_max_distance_m=30.0),
     )
 
 
@@ -203,10 +203,15 @@ class TestEndToEndPipeline:
         result.proposed.placement.validate(result.problem.grid)
         result.baseline.placement.validate(result.problem.grid)
 
-    def test_plan_roof_reuses_weather(self, small_weather):
+    def test_plan_roof_reads_the_seeded_weather(self, small_weather):
         spec = simple_residential_roof(width_m=8.0, depth_m=5.0, n_obstacles=1, seed=3)
-        result = repro.plan_roof(spec, n_modules=4, n_series=2, weather=small_weather)
+        grid = small_weather.time_grid
+        result = repro.plan_roof(
+            spec, n_modules=4, n_series=2, time_grid=grid, weather_seed=3
+        )
         assert result.problem.solar.n_time == small_weather.n_samples
+        # The field's ambient temperature is the seeded trace, bit for bit.
+        assert np.array_equal(result.problem.solar.temperature, small_weather.temperature)
 
     def test_version_exported(self):
         assert repro.__version__ == "1.0.0"

@@ -337,7 +337,7 @@ class TestSolarFieldAccessors:
         assert _relative_error(fast[finite], reference[finite]) < RELATIVE_TOLERANCE
 
     def test_integrate_energy_wh_batched_matches_scalar(self, small_solar):
-        time_axis = small_solar.time_axis
+        time_axis = small_solar.daylight
         block = np.asarray(small_solar.irradiance[:, :5])
         batched = time_axis.integrate_energy_wh(block)
         assert isinstance(batched, np.ndarray)

@@ -136,15 +136,19 @@ def solar_fields(draw, grid):
     cells = np.argwhere(grid.valid_mask)[: draw(st.integers(1, 12))]
     keep = np.array(draw(st.lists(st.booleans(), min_size=n_time, max_size=n_time)))
     compressed = draw(st.booleans())
+    if not compressed:
+        # A dense field keeps every step; its night rows are stored zeros.
+        night = ~keep
+        keep = np.ones(n_time, dtype=bool)
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    n_rows = int(keep.sum()) if compressed else n_time
+    n_rows = int(keep.sum())
     element = st.one_of(st.sampled_from(TIED_VALUES), samples(0.0, 1200.0))
     size = n_rows * len(cells)
     irradiance = np.array(
         draw(st.lists(element, min_size=size, max_size=size)), dtype=dtype
     ).reshape(n_rows, len(cells))
     if not compressed:
-        irradiance[~keep] = 0.0
+        irradiance[night] = 0.0
     if size and draw(st.booleans()):
         irradiance.flat[draw(st.integers(0, size - 1))] = np.nan
     temperature = np.array(draw(st.lists(samples(-25.0, 45.0), min_size=n_time, max_size=n_time)))
@@ -157,7 +161,7 @@ def solar_fields(draw, grid):
         irradiance=irradiance,
         temperature=temperature,
         sky_view=np.ones(len(cells)),
-        daylight=CompressedTimeGrid.from_mask(time_grid, keep) if compressed else None,
+        daylight=CompressedTimeGrid.from_mask(time_grid, keep),
     )
 
 

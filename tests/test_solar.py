@@ -363,9 +363,8 @@ class TestRoofSolarField:
     def test_field_dimensions(self, small_solar, small_grid, small_time_grid):
         assert small_solar.n_cells == small_grid.n_valid
         assert small_solar.n_time == small_time_grid.n_samples
-        # The native representation is daylight compressed: only the sun-up
-        # rows are stored, and the exact dense expansion restores the rest.
-        assert small_solar.is_compressed
+        # The field is daylight compressed: only the sun-up rows are
+        # stored, and the exact dense expansion restores the rest.
         assert 0 < small_solar.n_daylight < small_solar.n_time
         assert small_solar.irradiance.shape == (
             small_solar.n_daylight,

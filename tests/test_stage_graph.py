@@ -1,15 +1,17 @@
 """The pipeline as one node table: keys, laziness, accounting, sharing.
 
-Scenarios, ``plan_roof`` and the case-study drivers all run the stages
-through :func:`repro.runner.stages.run_pipeline`.  These tests pin what
-that executor promises:
+Scenarios, ``plan_roof`` and the case-study drivers all describe their run
+as a :class:`~repro.scenario.ScenarioSpec` and run the stages through
+:func:`repro.runner.stages.run_pipeline`.  These tests pin what that
+executor promises:
 
-* the cache keys it files entries under are byte-identical to the payloads
-  the two key sources have always produced, so an existing cache stays warm;
+* the cache keys it files entries under are byte-identical to the spec
+  payloads every cache so far was written with, so an existing cache stays
+  warm -- whichever entry point fills or reads it;
 * a warm run never builds the weather, the solar configuration or the
   horizon (the inputs of a cached field);
 * a cold run records every node exactly once, with exclusive wall times;
-* the object path and the scenario path share the entries of a roof;
+* ``plan_roof``, the case studies and scenarios share the entries of a roof;
 * the node table is the only place in ``src/`` that chains the stage
   functions, and no reference implementation ships there.
 """
@@ -20,22 +22,28 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
-
+import repro.scenario.spec
+import repro.weather.synthetic
 from repro import plan_roof, telemetry
-from repro.experiments import CaseStudyConfig, prepare_case_study
+from repro.experiments import (
+    CaseStudyConfig,
+    Table1Config,
+    prepare_all_case_studies,
+    prepare_case_study,
+    run_table1_sweep,
+)
 from repro.gis import RoofSpec
 from repro.runner import PIPELINE_STAGES, ResultStore, StageCache, run_batch, run_scenario
 from repro.runner.cache import content_digest
-from repro.runner.stages import solar_config_payload, weather_content_key
 from repro.runner.store import METRIC_KIND_STAGE_RECOMPUTE_TIME
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, get_scenario
 from repro.scenario.spec import SolarSpec, WeatherSpec, roof_spec_to_dict
-from repro.solar import SolarSimulationConfig, TimeGrid
+from repro.solar import TimeGrid
 from repro.telemetry import iter_spans, merge_trace, read_trace
-from repro.weather import SyntheticWeatherConfig, generate_weather
 
 CACHED_STAGES = ("scene", "grid", "solar", "suitability")
 COARSE_TIME = TimeGrid(step_minutes=240.0, day_stride=45)
@@ -70,31 +78,40 @@ def _record_puts(cache: StageCache, monkeypatch) -> list:
     return puts
 
 
+def _spec_keys(spec: ScenarioSpec) -> list:
+    """``(stage, digest)`` of the four cached entries of ``spec``, in table order."""
+    suitability = {
+        "stage": "suitability",
+        "solar": spec.solar_payload(),
+        "module": dataclasses.asdict(spec.datasheet()),
+        "percentile": 75.0,
+    }
+    return [
+        ("scene", content_digest(spec.scene_payload())),
+        ("grid", content_digest(spec.grid_payload())),
+        ("solar", content_digest(spec.solar_payload())),
+        ("suitability", content_digest(suitability)),
+    ]
+
+
 class TestCacheKeysArePinned:
     def test_scenario_keys_are_the_spec_payloads(self, tmp_path, monkeypatch):
         spec = get_scenario("residential-south")
         cache = StageCache(root=tmp_path / "cache")
         puts = _record_puts(cache, monkeypatch)
         run_scenario(spec, cache=cache)
-        suitability = {
-            "stage": "suitability",
-            "solar": spec.solar_payload(),
-            "module": dataclasses.asdict(spec.datasheet()),
-            "percentile": 75.0,
-        }
-        assert puts == [
-            ("scene", content_digest(spec.scene_payload())),
-            ("grid", content_digest(spec.grid_payload())),
-            ("solar", content_digest(spec.solar_payload())),
-            ("suitability", content_digest(suitability)),
-        ]
+        assert puts == _spec_keys(spec)
         # The spec payloads themselves: the literal layout every cache
         # written so far was keyed on.
         assert spec.solar_payload() == {
             "stage": "solar",
             "grid": {
                 "stage": "grid",
-                "scene": spec.scene_payload(),
+                "scene": {
+                    "stage": "scene",
+                    "roof": roof_spec_to_dict(spec.roof),
+                    "dsm_pitch": spec.dsm_pitch,
+                },
                 "grid_pitch": spec.grid_pitch,
             },
             "time": spec.time.to_dict(),
@@ -102,30 +119,15 @@ class TestCacheKeysArePinned:
             "solar": spec.solar.to_dict(),
         }
 
-    def test_plan_roof_keys_hash_the_weather_arrays(self, tmp_path, monkeypatch):
-        roof = _roof("keyed-roof")
+    def test_plan_roof_keys_are_the_spec_payloads(self, tmp_path, monkeypatch):
+        spec = _spec("keyed")
         cache = StageCache(root=tmp_path / "cache")
         puts = _record_puts(cache, monkeypatch)
-        plan_roof(roof, n_modules=2, grid_pitch=0.4, time_grid=COARSE_TIME, cache=cache)
-        # plan_roof with weather=None still generates it to hash it.
-        weather = generate_weather(COARSE_TIME, SyntheticWeatherConfig(seed=0))
-        scene = {
-            "stage": "scene",
-            "roof": roof_spec_to_dict(roof),
-            "dsm_pitch": 0.4,
-        }
-        grid = {"stage": "grid", "scene": scene, "grid_pitch": 0.4}
-        solar = {
-            "stage": "solar",
-            "grid": grid,
-            "weather": weather_content_key(weather),
-            "solar": solar_config_payload(SolarSimulationConfig()),
-        }
-        assert puts == [
-            ("scene", content_digest(scene)),
-            ("grid", content_digest(grid)),
-            ("solar", content_digest(solar)),
-        ]
+        plan_roof(
+            spec.roof, n_modules=2, n_series=2, grid_pitch=0.4, time_grid=COARSE_TIME,
+            cache=cache,
+        )
+        assert puts == _spec_keys(spec)
 
 
 class TestWarmRunsAreLazy:
@@ -199,33 +201,72 @@ class TestColdRunsRecordEveryNode:
 
 
 class TestEntriesAreShared:
-    def test_plan_roof_and_scenario_share_scene_and_grid(self, tmp_path):
+    def test_plan_roof_and_scenario_share_every_entry(self, tmp_path):
         spec = _spec("shared")
         cache = StageCache(root=tmp_path / "cache")
         planned = plan_roof(
             spec.roof, n_modules=2, grid_pitch=spec.grid_pitch, time_grid=COARSE_TIME,
             cache=cache,
         )
-        assert planned.stage_cached == {"scene": False, "grid": False, "solar": False}
+        assert planned.stage_cached == dict.fromkeys(CACHED_STAGES, False)
         result = run_scenario(spec, cache=cache)
-        # The solar keys differ by design (spec vs weather-array digest).
-        assert result.stage_cached == {
-            "scene": True, "grid": True, "solar": False, "suitability": False,
-        }
+        assert result.stage_cached == dict.fromkeys(CACHED_STAGES, True)
+        assert result.annual_energy_mwh == planned.comparison.candidate.annual_energy_mwh
 
     def test_case_study_reuses_plan_roof_field(self, tmp_path):
         roof = _roof("study-roof")
-        config = CaseStudyConfig(grid_pitch=0.4, time_step_minutes=240.0, day_stride=45)
-        weather = generate_weather(config.time_grid(), SyntheticWeatherConfig(seed=4))
+        config = CaseStudyConfig(
+            grid_pitch=0.4, time_step_minutes=240.0, day_stride=45, weather_seed=4
+        )
         cache = StageCache(root=tmp_path / "cache")
         planned = plan_roof(
-            roof, n_modules=2, grid_pitch=0.4, weather=weather, cache=cache,
+            roof, n_modules=2, grid_pitch=0.4, time_grid=config.time_grid(),
+            weather_seed=4, solar=config.solar, cache=cache,
         )
         writes = cache.stats.writes
-        study = prepare_case_study(roof, config, weather=weather, cache=cache)
+        study = prepare_case_study(roof, config, cache=cache)
         assert cache.stats.writes == writes  # scene, grid and field all hit
         assert study.n_valid == planned.problem.grid.n_valid
-        assert study.weather is weather
+        # The field hit, so the study's weather is built from the spec.
+        weather = WeatherSpec(seed=4).build(config.time_grid())
+        assert np.array_equal(study.weather.ghi, weather.ghi)
+        assert np.array_equal(study.weather.temperature, weather.temperature)
+
+    def test_warm_plan_roof_builds_no_weather(self, tmp_path, monkeypatch):
+        built = []
+        real = repro.weather.synthetic.generate_weather
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.weather.synthetic, "generate_weather", counting)
+        monkeypatch.setattr(repro.scenario.spec, "generate_weather", counting)
+        cache = StageCache(root=tmp_path / "cache")
+        kwargs = dict(n_modules=2, grid_pitch=0.4, time_grid=COARSE_TIME, cache=cache)
+        plan_roof(_roof("warm-roof"), **kwargs)
+        assert len(built) == 1
+        warm = plan_roof(_roof("warm-roof"), **kwargs)
+        assert len(built) == 1
+        assert all(warm.stage_cached.values())
+
+    def test_case_studies_and_table1_share_the_fields(self, tmp_path):
+        config = Table1Config(
+            module_counts=(2,),
+            series_length=2,
+            case_study=CaseStudyConfig(
+                scale=0.35, dsm_pitch=0.5, time_step_minutes=240.0, day_stride=45,
+                solar=SolarSpec(n_horizon_sectors=8, horizon_max_distance_m=20.0),
+            ),
+        )
+        cache = StageCache(root=tmp_path / "cache")
+        studies = prepare_all_case_studies(config.case_study, cache=cache)
+        table = run_table1_sweep(config, cache=cache, jobs=1)
+        points = table.sweep.points
+        assert [point.labels["roof"] for point in points] == list(studies)
+        for point in points:
+            assert point.result.stage_cached["solar"], point.labels["roof"]
+            assert point.result.n_valid_cells == studies[point.labels["roof"]].n_valid
 
 
 class TestOneDescriptionOfThePipeline:

@@ -34,7 +34,6 @@ from repro.runner import run_batch
 from repro.scenario import ScenarioSpec, SolarSpec, TimeSpec, builtin_scenarios
 from repro.scenario.docgen import render_scenarios_markdown
 from repro.scenario.spec import apply_scenario_overrides
-from repro.solar import SolarSimulationConfig
 from repro.sweep import SweepAxis, SweepPlan, SweepResult, run_sweep
 from repro.sweep.report import (
     available_presets,
@@ -85,9 +84,7 @@ def tiny_table1_config() -> Table1Config:
             dsm_pitch=0.5,
             time_step_minutes=120.0,
             day_stride=30,
-            solar=SolarSimulationConfig(
-                n_horizon_sectors=16, horizon_max_distance_m=30.0
-            ),
+            solar=SolarSpec(n_horizon_sectors=16, horizon_max_distance_m=30.0),
         ),
     )
 
