@@ -204,7 +204,11 @@ class PlacementEvaluator:
         # ``daylight`` integrates storage-aligned series with the full-year
         # quadrature.
         self._time_axis = solar.daylight
-        self._lookup = solar.cell_column_lookup
+        # Placements are checked on the per-cell lookup and gathered through
+        # the column index: grid cells on one DSM cell share a column, so
+        # only cell indices tell two covered cells apart.
+        self._lookup = solar.cell_lookup
+        self._column_index = solar.column_index
         self._irradiance = solar.irradiance  # stored dtype, typically float32
         self._ambient = solar.axis_temperature
         self._gathers: Dict[bool, _OrientationGather] = {
@@ -268,9 +272,10 @@ class PlacementEvaluator:
         """Covered-cell irradiance columns per module, shape ``(N, k)``.
 
         Performs the full placement validation (bounds, valid cells, module
-        overlaps) with vectorised checks equivalent to
-        :meth:`Placement.validate`, raising the same :class:`PlacementError`
-        categories.
+        overlaps) on the covered cells' indices, with vectorised checks
+        equivalent to :meth:`Placement.validate`, raising the same
+        :class:`PlacementError` categories; only then are the cells mapped
+        to their irradiance columns.
         """
         if placement.footprint != self.problem.footprint:
             # The gather patterns are precomputed from the problem's module
@@ -284,7 +289,7 @@ class PlacementEvaluator:
         n_rows, n_cols = self.problem.grid.shape
         n_modules = rows.shape[0]
         k = self.problem.footprint.n_cells
-        columns = np.empty((n_modules, k), dtype=np.intp)
+        covered = np.empty((n_modules, k), dtype=np.intp)
         for orientation in (False, True):
             selected = np.nonzero(rotated == orientation)[0]
             if selected.size == 0:
@@ -301,17 +306,17 @@ class PlacementEvaluator:
             if np.any(out_of_bounds):
                 offender = int(selected[int(np.argmax(out_of_bounds))])
                 raise PlacementError(f"module {offender} exceeds the grid bounds")
-            columns[selected] = self._lookup[
+            covered[selected] = self._lookup[
                 sel_rows[:, None] + gather.offset_rows[None, :],
                 sel_cols[:, None] + gather.offset_cols[None, :],
             ]
-        invalid = columns < 0
+        invalid = covered < 0
         if np.any(invalid):
             offender = int(np.argmax(np.any(invalid, axis=1)))
             raise PlacementError(
                 f"module {offender} covers invalid (unsuitable) cells"
             )
-        flat = columns.ravel()
+        flat = covered.ravel()
         order = np.argsort(flat, kind="stable")
         sorted_flat = flat[order]
         duplicate = sorted_flat[1:] == sorted_flat[:-1]
@@ -321,7 +326,7 @@ class PlacementEvaluator:
             raise PlacementError(
                 f"module {offender} overlaps a previously placed module"
             )
-        return columns, rows, cols, rotated
+        return self._column_index[covered], rows, cols, rotated
 
     # -- per-module irradiance ---------------------------------------------------
 

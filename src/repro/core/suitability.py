@@ -112,10 +112,14 @@ def compute_suitability(
     cfg = config if config is not None else SuitabilityConfig()
     model = module_model if module_model is not None else paper_module_model()
 
-    # The statistics are taken over the *full* time axis -- the night zeros
-    # the field does not store (and the real night ambient temperatures)
-    # are part of the distribution the paper's percentile is defined on.  Both are handled per block of cells, so no full
-    # (n_time, Ng) copy is ever materialised.
+    # The statistics are taken over the *full* time axis: the night zeros
+    # the field does not store, and the real night ambient temperatures,
+    # are part of the distribution the paper's percentile is defined on.
+    # Both are handled per block of columns, so no full (n_time, Ng) copy
+    # is ever materialised.
+    #
+    # A column is a distinct DSM cell; the per-column values are gathered
+    # to the grid cells through the field's column index.
     if cfg.statistic == "percentile":
         g_stat, t_stat = _percentile_statistics(
             solar, cfg.percentile, model if cfg.use_temperature_correction else None
@@ -129,19 +133,10 @@ def compute_suitability(
     else:
         factor = np.ones_like(g_stat)
 
-    suitability_values = g_stat * factor
-
-    full = np.full(solar.grid.shape, np.nan)
-    stat_full = np.full(solar.grid.shape, np.nan)
-    factor_full = np.full(solar.grid.shape, np.nan)
-    full[solar.cells[:, 0], solar.cells[:, 1]] = suitability_values
-    stat_full[solar.cells[:, 0], solar.cells[:, 1]] = g_stat
-    factor_full[solar.cells[:, 0], solar.cells[:, 1]] = factor
-
     return SuitabilityMap(
-        values=full,
-        irradiance_statistic=stat_full,
-        temperature_factor=factor_full,
+        values=solar.scatter_columns(g_stat * factor),
+        irradiance_statistic=solar.scatter_columns(g_stat),
+        temperature_factor=solar.scatter_columns(factor),
         config=cfg,
     )
 
@@ -154,18 +149,18 @@ def _check_irradiance(block: np.ndarray) -> None:
 def _percentile_statistics(
     solar: RoofSolarField, q: float, model: EmpiricalModuleModel | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-cell q-th percentiles of irradiance and module temperature.
+    """Per-column q-th percentiles of irradiance and module temperature.
 
-    Selected from the stored daylight rows of each cell block: the night
+    Selected from the stored daylight rows of each column block: the night
     irradiance rows are exact zeros, so :func:`select_percentile` takes them
     implicitly.  The night module temperature equals the night ambient
-    temperature for every cell (no irradiance heats the module), so it is
+    temperature for every column (no irradiance heats the module), so it is
     computed once and prepended to each block's daylight temperatures.  The
     temperatures are computed before the irradiance block is partitioned,
     which reorders its time samples.
     """
-    g_stat = np.empty(solar.n_cells)
-    t_stat = None if model is None else np.empty(solar.n_cells)
+    g_stat = np.empty(solar.n_columns)
+    t_stat = None if model is None else np.empty(solar.n_columns)
     n_night = solar.n_time - solar.n_daylight
     if model is not None:
         night_ambient = np.delete(
@@ -176,8 +171,9 @@ def _percentile_statistics(
     for sl, block in solar.iter_daylight_blocks():
         _check_irradiance(block)
         if t_stat is not None:
-            # Per-cell module temperature percentile; the f(T) factor follows
-            # the dPmax/dT slope of the module model (Figure 3, middle plot).
+            # Per-column module temperature percentile; the f(T) factor
+            # follows the dPmax/dT slope of the module model (Figure 3,
+            # middle plot).
             temperature = np.empty((block.shape[0], solar.n_time))
             temperature[:, :n_night] = night_temperature
             temperature[:, n_night:] = model.cell_temperature(block, day_ambient)
@@ -186,18 +182,29 @@ def _percentile_statistics(
     return g_stat, t_stat
 
 
+def _sequential_mean(block: np.ndarray) -> np.ndarray:
+    """Column means of a ``(n, c)`` block, each summed in time order.
+
+    ``np.mean(block, axis=0)`` sums a C-ordered block row after row when
+    ``c > 1`` but pairwise when ``c == 1``, so its last bits would depend on
+    how many columns share the block.  The last row of the running sum is
+    the row-after-row total for every ``c``.
+    """
+    return np.cumsum(block, axis=0)[-1] / block.shape[0]
+
+
 def _mean_statistics(
     solar: RoofSolarField, model: EmpiricalModuleModel | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-cell full-axis means of irradiance and module temperature (E10)."""
+    """Per-column full-axis means of irradiance and module temperature (E10)."""
     ambient = np.asarray(solar.temperature, dtype=float)[:, None]
-    g_stat = np.empty(solar.n_cells)
-    t_stat = None if model is None else np.empty(solar.n_cells)
+    g_stat = np.empty(solar.n_columns)
+    t_stat = None if model is None else np.empty(solar.n_columns)
     for sl, block in solar.iter_dense_blocks():
         _check_irradiance(block)
-        g_stat[sl] = np.mean(block, axis=0)
+        g_stat[sl] = _sequential_mean(block)
         if t_stat is not None:
-            t_stat[sl] = np.mean(model.cell_temperature(block, ambient), axis=0)
+            t_stat[sl] = _sequential_mean(model.cell_temperature(block, ambient))
     return g_stat, t_stat
 
 

@@ -39,7 +39,7 @@ from ..gis import (
 )
 from ..gis.gridding import RoofGrid
 from ..scenario.spec import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec
-from ..solar import LinkeTurbidityProfile, RoofSolarField, TimeGrid
+from ..solar import RoofSolarField, TimeGrid
 from ..weather import WeatherSeries
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -63,14 +63,7 @@ class CaseStudyConfig:
     time_step_minutes: float = 60.0
     day_stride: int = 7
     weather_seed: int = 7
-    #: The Turin monthly Linke turbidity is spelled out rather than left to
-    #: ``SolarSpec``'s ``None`` default, so the case-study and Table I cache
-    #: keys stay those of every cache written so far.
-    solar: SolarSpec = field(
-        default_factory=lambda: SolarSpec(
-            linke_turbidity=LinkeTurbidityProfile.turin_default().monthly_values
-        )
-    )
+    solar: SolarSpec = field(default_factory=SolarSpec)
 
     def __post_init__(self) -> None:
         if not 0.05 <= self.scale <= 2.0:

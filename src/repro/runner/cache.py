@@ -89,7 +89,9 @@ QUARANTINE_DIR = "_quarantine"
 #: Bump to orphan every existing entry when the on-disk format changes.
 #: Version 2: daylight-compressed solar fields + ``.npy`` array sidecars.
 #: Version 3: per-entry ``.sum.json`` integrity manifests.
-CACHE_FORMAT_VERSION = 3
+#: Version 4: solar fields with one irradiance column per DSM cell plus a
+#: per-cell column index.
+CACHE_FORMAT_VERSION = 4
 
 
 def canonical_json(payload: Any) -> str:

@@ -235,7 +235,8 @@ class SolarSpec:
     Mirrors :class:`repro.solar.SolarSimulationConfig` with plain values so
     the configuration participates in JSON round-trips and content hashing.
     ``linke_turbidity`` is either ``None`` (the Turin monthly climatology) or
-    a 12-value monthly tuple.
+    a 12-value monthly tuple; the Turin values spelled out are stored as
+    ``None``, so one climatology has one content key.
     """
 
     sky_model: str = "haydavies"
@@ -244,6 +245,13 @@ class SolarSpec:
     n_horizon_sectors: int = 36
     horizon_max_distance_m: float = 60.0
     linke_turbidity: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.linke_turbidity is not None:
+            turbidity = tuple(float(v) for v in self.linke_turbidity)
+            if turbidity == LinkeTurbidityProfile.turin_default().monthly_values:
+                turbidity = None
+            object.__setattr__(self, "linke_turbidity", turbidity)
 
     def build(self) -> SolarSimulationConfig:
         """Materialise the :class:`SolarSimulationConfig`."""
@@ -275,14 +283,13 @@ class SolarSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolarSpec":
-        turbidity = data.get("linke_turbidity")
         return cls(
             sky_model=str(data.get("sky_model", "haydavies")),
             decomposition_model=str(data.get("decomposition_model", "erbs")),
             albedo=float(data.get("albedo", 0.2)),
             n_horizon_sectors=int(data.get("n_horizon_sectors", 36)),
             horizon_max_distance_m=float(data.get("horizon_max_distance_m", 60.0)),
-            linke_turbidity=None if turbidity is None else tuple(float(v) for v in turbidity),
+            linke_turbidity=data.get("linke_turbidity"),
         )
 
 

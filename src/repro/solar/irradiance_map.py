@@ -14,13 +14,24 @@ virtual grid, the global irradiance time series G(i,j,t) incident on the
 module plane, plus the ambient temperature series T(t).  These are exactly
 the inputs the floorplanning algorithm of Section III consumes.
 
+One column per DSM cell
+-----------------------
+A grid element's series depends only on the DSM cell it samples: the lit
+mask and the sky view are read there, and the plane-of-array components are
+shared by the whole facet.  The paper's 0.2 m grid over a 0.4 m DSM puts
+about four elements on each DSM cell, so :attr:`RoofSolarField.irradiance`
+holds one column per *distinct* DSM cell under the valid elements and
+:attr:`RoofSolarField.column_index` maps every element to its column.  The
+assembly and every reduction (suitability, aggregate maps) run once per
+column and gather through the index.
+
 Daylight compression
 --------------------
 At the paper's 15-minute annual resolution roughly half of the ~35,000 time
 steps are night rows in which every cell's irradiance is exactly zero.  The
 native representation of :class:`RoofSolarField` is therefore *daylight
 compressed*: :attr:`RoofSolarField.irradiance` holds only the kept rows
-(``(n_daylight, Ng)`` in the storage dtype) and a
+(``(n_daylight, n_columns)`` in the storage dtype) and a
 :class:`~repro.solar.time_series.CompressedTimeGrid` maps them back to the
 full axis.  Expansion is exact -- the dropped rows are zero by construction
 -- and every consumer that integrates, gathers or reduces over time runs on
@@ -85,16 +96,20 @@ class RoofSolarField:
     time_grid:
         Full-resolution temporal sampling.
     cells:
-        Array ``(Ng, 2)`` of (row, col) indices of the valid grid elements,
-        in the same order as the columns of :attr:`irradiance`.
+        Array ``(Ng, 2)`` of (row, col) indices of the valid grid elements.
     irradiance:
-        Array ``(n_daylight, Ng)``: plane-of-array global irradiance
-        [W/m^2] per kept time step and valid cell.
+        Array ``(n_daylight, n_columns)``: plane-of-array global irradiance
+        [W/m^2] per kept time step and column, one column per distinct DSM
+        cell under the valid elements.
+    column_index:
+        Integer array ``(Ng,)``: the column of :attr:`irradiance` holding
+        the series of each valid element, in :attr:`cells` order.  Elements
+        on one DSM cell share a column.
     temperature:
         Array ``(n_time,)``: ambient temperature [degC], always on the full
         axis (night temperatures are real data, unlike night irradiance).
     sky_view:
-        Array ``(Ng,)``: sky-view factor of each valid cell.
+        Array ``(n_columns,)``: sky-view factor of each column.
     daylight:
         The kept time steps, the axis :attr:`irradiance` rows live on.
         The rows it drops are exactly zero in the dense equivalent, so
@@ -108,6 +123,7 @@ class RoofSolarField:
     time_grid: TimeGrid
     cells: np.ndarray
     irradiance: np.ndarray
+    column_index: np.ndarray
     temperature: np.ndarray
     sky_view: np.ndarray
     daylight: CompressedTimeGrid
@@ -125,10 +141,19 @@ class RoofSolarField:
                 f"time grid has {n_time}"
             )
         expected_rows = self.daylight.n_daylight
-        if self.irradiance.shape != (expected_rows, n_cells):
+        if self.irradiance.ndim != 2 or self.irradiance.shape[0] != expected_rows:
             raise SolarModelError(
                 f"irradiance shape {self.irradiance.shape} does not match "
-                f"(n_daylight={expected_rows}, Ng={n_cells})"
+                f"(n_daylight={expected_rows}, n_columns)"
+            )
+        n_columns = self.irradiance.shape[1]
+        index = self.column_index
+        if index.shape != (n_cells,) or (
+            n_cells and (int(index.min()) < 0 or int(index.max()) >= n_columns)
+        ):
+            raise SolarModelError(
+                f"column_index must map each of the {n_cells} cells to one of "
+                f"the {n_columns} irradiance columns"
             )
         if self.temperature.shape != (n_time,):
             raise SolarModelError("temperature must have one value per time sample")
@@ -142,6 +167,11 @@ class RoofSolarField:
     def n_cells(self) -> int:
         """Number of valid cells (the paper's Ng)."""
         return int(self.cells.shape[0])
+
+    @property
+    def n_columns(self) -> int:
+        """Number of stored irradiance columns (distinct DSM cells)."""
+        return int(self.irradiance.shape[1])
 
     @property
     def n_time(self) -> int:
@@ -168,11 +198,11 @@ class RoofSolarField:
         prefer the block iterators for reductions.
         """
         out = np.zeros((self.n_time, self.n_cells), dtype=self.irradiance.dtype)
-        out[self.daylight.indices, :] = self.irradiance
+        out[self.daylight.indices, :] = self.irradiance[:, self.column_index]
         return out
 
     def _block_columns(self) -> int:
-        """Cells per block such that one float64 full-axis block fits the budget."""
+        """Columns per block such that one float64 full-axis block fits the budget."""
         return max(1, _DENSE_BLOCK_BYTES // (8 * max(self.n_time, 1)))
 
     def iter_dense_blocks(
@@ -182,42 +212,46 @@ class RoofSolarField:
 
         The chunked equivalent of ``irradiance.astype(float)`` for full-axis
         reductions that need the night zeros in place (the mean statistic of
-        the suitability ablation).  Each block is freshly allocated and safe
-        to modify.
+        the suitability ablation).  The slices index stored columns, not
+        cells: a reduction runs once per column and gathers its per-cell
+        values through :attr:`column_index`.  Each block is freshly
+        allocated and safe to modify.
         """
         if max_columns is None:
             max_columns = self._block_columns()
         indices = self.daylight.indices
-        for start in range(0, self.n_cells, max_columns):
-            stop = min(start + max_columns, self.n_cells)
+        for start in range(0, self.n_columns, max_columns):
+            stop = min(start + max_columns, self.n_columns)
             block = np.zeros((self.n_time, stop - start), dtype=np.float64)
             block[indices, :] = self.irradiance[:, start:stop]
             yield slice(start, stop), block
 
     def iter_daylight_blocks(self) -> Iterator[Tuple[slice, np.ndarray]]:
-        """Iterate cell-major blocks ``(column_slice, (c, n_daylight))``.
+        """Iterate column-major blocks ``(column_slice, (c, n_daylight))``.
 
         Each block is a fresh C-ordered copy of the stored rows of ``c``
-        cells in the storage dtype, so a consumer may partition it in place:
-        the stored matrix (an F-ordered restriction, a read-only memmap) is
-        never touched.  A block holds as many cells as one of
+        columns in the storage dtype, so a consumer may partition it in
+        place: the stored matrix (an F-ordered restriction, a read-only
+        memmap) is never touched.  A block holds as many columns as one of
         :meth:`iter_dense_blocks`, so its float64 full-axis expansion stays
         within the same byte budget.
         """
-        n_columns = self._block_columns()
-        for start in range(0, self.n_cells, n_columns):
-            sl = slice(start, min(start + n_columns, self.n_cells))
+        width = self._block_columns()
+        for start in range(0, self.n_columns, width):
+            sl = slice(start, min(start + width, self.n_columns))
             yield sl, np.array(self.irradiance[:, sl].T, order="C")
 
     # -- accessors -----------------------------------------------------------------
 
     @property
-    def cell_column_lookup(self) -> np.ndarray:
-        """Full-grid map of irradiance column indices (-1 on invalid cells).
+    def cell_lookup(self) -> np.ndarray:
+        """Full-grid map of valid-cell indices (-1 on invalid cells).
 
-        ``lookup[row, col]`` is the column of :attr:`irradiance` holding the
-        series of grid element ``(row, col)``; the evaluation fast path uses
-        it to gather whole placements with one fancy-indexing operation.
+        ``lookup[row, col]`` is the position of grid element ``(row, col)``
+        in :attr:`cells`, so ``column_index[lookup[row, col]]`` is its
+        irradiance column.  Distinct elements have distinct cell indices
+        even when they share a column, so placement checks (validity,
+        overlaps) run on this map.
         """
         return self._cell_lookup
 
@@ -232,7 +266,7 @@ class RoofSolarField:
         index = int(self._cell_lookup[row, col])
         if index < 0:
             raise SolarModelError(f"grid element ({row}, {col}) is not a valid cell")
-        return index
+        return int(self.column_index[index])
 
     def irradiance_for_cell(self, row: int, col: int) -> np.ndarray:
         """Full-axis irradiance time series [W/m^2] of one grid element."""
@@ -248,36 +282,39 @@ class RoofSolarField:
             If any requested element is not part of the valid set.
         """
         cells_arr = np.asarray(cells, dtype=int).reshape(-1, 2)
-        columns = self._cell_lookup[cells_arr[:, 0], cells_arr[:, 1]]
-        invalid = columns < 0
+        indices = self._cell_lookup[cells_arr[:, 0], cells_arr[:, 1]]
+        invalid = indices < 0
         if np.any(invalid):
             row, col = cells_arr[int(np.argmax(invalid))]
             raise SolarModelError(f"grid element ({row}, {col}) is not a valid cell")
+        columns = self.column_index[indices]
         return self.daylight.expand(np.asarray(self.irradiance[:, columns], dtype=float))
 
     def restricted_to(self, grid: RoofGrid) -> "RoofSolarField":
         """The field restricted to the valid cells of ``grid``.
 
         The compressed axis and the temperature series are shared with this
-        field; the irradiance columns of the cells valid in ``grid`` are
-        *copied* (fancy indexing) into a new matrix, in
-        ``grid.valid_cells()`` order, so each restriction owns its (smaller)
-        block.  Every valid cell of ``grid`` must be valid here too.
+        field; the irradiance columns the cells valid in ``grid`` reference
+        are *copied* (fancy indexing) into a new matrix, in this field's
+        column order, so each restriction owns its (smaller) block.  Every
+        valid cell of ``grid`` must be valid here too.
         """
         cells = np.asarray(grid.valid_cells(), dtype=int)
-        columns = self._cell_lookup[cells[:, 0], cells[:, 1]]
-        if np.any(columns < 0):
-            row, col = cells[int(np.argmax(columns < 0))]
+        indices = self._cell_lookup[cells[:, 0], cells[:, 1]]
+        if np.any(indices < 0):
+            row, col = cells[int(np.argmax(indices < 0))]
             raise SolarModelError(
                 f"grid element ({row}, {col}) is not covered by the solar field"
             )
+        kept, column_index = np.unique(self.column_index[indices], return_inverse=True)
         return RoofSolarField(
             grid=grid,
             time_grid=self.time_grid,
             cells=cells,
-            irradiance=self.irradiance[:, columns],
+            irradiance=self.irradiance[:, kept],
+            column_index=column_index,
             temperature=self.temperature,
-            sky_view=np.asarray(self.sky_view)[columns],
+            sky_view=np.asarray(self.sky_view)[kept],
             daylight=self.daylight,
         )
 
@@ -290,15 +327,15 @@ class RoofSolarField:
         paper visualises (brighter colours = larger 75th percentile).  The
         percentile is taken over the *full* axis -- the night zeros are part
         of the distribution -- but selected from the stored rows only (see
-        :func:`select_percentile`), one cell block at a time.
+        :func:`select_percentile`), one column block at a time.
         """
-        values = np.empty(self.n_cells)
+        values = np.empty(self.n_columns)
         n_night = self.n_time - self.n_daylight
         for sl, block in self.iter_daylight_blocks():
             if np.any(block < 0):
                 raise SolarModelError("irradiance must be non-negative")
             values[sl] = select_percentile(block, q, n_zeros=n_night)
-        return self._scatter(values)
+        return self.scatter_columns(values)
 
     def mean_map(self) -> np.ndarray:
         """Per-cell mean irradiance map [W/m^2] (NaN outside the valid area).
@@ -308,16 +345,20 @@ class RoofSolarField:
         full-matrix ``astype(float)`` copy of the straightforward form.
         """
         totals = np.sum(self.irradiance, axis=0, dtype=np.float64)
-        return self._scatter(totals / float(max(self.n_time, 1)))
+        return self.scatter_columns(totals / float(max(self.n_time, 1)))
 
     def annual_insolation_map_kwh(self) -> np.ndarray:
         """Per-cell yearly insolation [kWh/m^2] (NaN outside the valid area)."""
         totals = self.daylight.integrate_energy_wh(self.irradiance)
-        return self._scatter(np.asarray(totals) / 1e3)
+        return self.scatter_columns(np.asarray(totals) / 1e3)
 
-    def _scatter(self, values: np.ndarray) -> np.ndarray:
+    def scatter_columns(self, values: np.ndarray) -> np.ndarray:
+        """Full-grid map of per-column ``values`` (NaN outside the valid area).
+
+        Each valid element reads the value of its column.
+        """
         grid_map = np.full(self.grid.shape, np.nan)
-        grid_map[self.cells[:, 0], self.cells[:, 1]] = values
+        grid_map[self.cells[:, 0], self.cells[:, 1]] = values[self.column_index]
         return grid_map
 
 
@@ -458,9 +499,8 @@ def _poa_and_shading_inputs(
     cells, cell_dsm_rows, cell_dsm_cols = _valid_cell_dsm_indices(scene, grid)
     if horizon_map is None:
         horizon_map = roof_horizon_map(scene, grid, cfg)
-    sky_view = horizon_map.sky_view_for_cells(cell_dsm_rows, cell_dsm_cols)
 
-    return time_grid, position, poa, horizon_map, cells, cell_dsm_rows, cell_dsm_cols, sky_view
+    return time_grid, position, poa, horizon_map, cells, cell_dsm_rows, cell_dsm_cols
 
 
 def compute_roof_solar_field(
@@ -493,12 +533,14 @@ def compute_roof_solar_field(
     Notes
     -----
     The returned field is daylight compressed: only the time steps with a
-    non-zero plane-of-array component are stored, and the assembly is
-    chunked over cells -- the transient boolean shadow mask and the float64
-    products cover one column block at a time, never the full
-    ``(n_time, Ng)`` matrix.  The values of the kept rows are bit-identical
-    to the dense oracle in ``tests/oracles/solar_field.py``, whose dropped
-    rows are exactly zero.
+    non-zero plane-of-array component are stored.  It holds one column per
+    distinct DSM cell under the valid elements (in DSM row-major order), so
+    the lit masks, sky views and products are computed once per DSM cell.
+    The assembly is chunked over columns -- the transient boolean shadow
+    mask and the float64 products cover one column block at a time, never
+    the full ``(n_time, n_columns)`` matrix.  Expanded through its column
+    index, the field is bit-identical to the dense per-cell oracle in
+    ``tests/oracles/solar_field.py``, whose dropped rows are exactly zero.
     """
     cfg = config if config is not None else SolarSimulationConfig()
     (
@@ -509,8 +551,13 @@ def compute_roof_solar_field(
         cells,
         cell_dsm_rows,
         cell_dsm_cols,
-        sky_view,
     ) = _poa_and_shading_inputs(scene, grid, weather, cfg, horizon_map)
+    n_dsm_cols = scene.dsm.raster.shape[1]
+    distinct, column_index = np.unique(
+        cell_dsm_rows * n_dsm_cols + cell_dsm_cols, return_inverse=True
+    )
+    column_rows, column_cols = np.divmod(distinct, n_dsm_cols)
+    sky_view = horizon_map.sky_view_for_cells(column_rows, column_cols)
 
     beam = np.asarray(poa.beam, dtype=float)
     sky_diffuse = np.asarray(poa.sky_diffuse, dtype=float)
@@ -530,20 +577,20 @@ def compute_roof_solar_field(
     sky_d = sky_diffuse[indices]
     ground_d = ground[indices]
 
-    # 5. Chunked per-cell assembly on the compressed axis.  The boolean
+    # 5. Chunked per-column assembly on the compressed axis.  The boolean
     # shadow mask and the float64 block cover one column chunk at a time;
     # the sector grouping of the time axis is precomputed once and shared
     # across chunks.
     n_axis = int(indices.shape[0])
-    n_cells = cells.shape[0]
-    irradiance = np.empty((n_axis, n_cells), dtype=STORE_DTYPE)
+    n_columns = distinct.shape[0]
+    irradiance = np.empty((n_axis, n_columns), dtype=STORE_DTYPE)
     chunk = max(1, _DENSE_BLOCK_BYTES // (8 * max(n_axis, 1)))
     sky_view_arr = np.asarray(sky_view, dtype=float)
     sector_groups = horizon_map.sector_time_groups(azimuth)
-    for start in range(0, n_cells, chunk):
-        sl = slice(start, min(start + chunk, n_cells))
+    for start in range(0, n_columns, chunk):
+        sl = slice(start, min(start + chunk, n_columns))
         lit = horizon_map.lit_mask_for_cells(
-            cell_dsm_rows[sl], cell_dsm_cols[sl], elevation, azimuth,
+            column_rows[sl], column_cols[sl], elevation, azimuth,
             sector_groups=sector_groups,
         )
         # Same association order as the dense reference, so the float32 cast
@@ -559,6 +606,7 @@ def compute_roof_solar_field(
         time_grid=time_grid,
         cells=cells,
         irradiance=irradiance,
+        column_index=column_index,
         temperature=np.asarray(weather.temperature, dtype=float),
         sky_view=sky_view_arr,
         daylight=daylight,

@@ -3,9 +3,9 @@
 Builds the full float64 ``(n_time, Ng)`` shadow matrix and broadcasts the
 plane-of-array components over it, night rows included -- the solar-field
 assembly written as directly as numpy allows.  Its field keeps every time
-step (an all-True daylight mask), so the matrix stays dense.  It shares the
-front half (sun positions, plane-of-array components, horizon) with the
-kernel.
+step (an all-True daylight mask) and one column per valid cell (an identity
+column index), so the matrix stays dense and per cell.  It shares the front
+half (sun positions, plane-of-array components, horizon) with the kernel.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def compute_roof_solar_field_dense_reference(
         cells,
         cell_dsm_rows,
         cell_dsm_cols,
-        sky_view,
     ) = _poa_and_shading_inputs(scene, grid, weather, cfg, horizon_map)
+    sky_view = horizon_map.sky_view_for_cells(cell_dsm_rows, cell_dsm_cols)
 
     lit = horizon_map.lit_fraction_for_cells(
         cell_dsm_rows, cell_dsm_cols, position.elevation_deg, position.azimuth_deg
@@ -69,6 +69,9 @@ def compute_roof_solar_field_dense_reference(
         time_grid=time_grid,
         cells=cells,
         irradiance=irradiance,
+        # One column per cell: the kernel's shared columns are a storage
+        # detail the oracle does not reproduce.
+        column_index=np.arange(cells.shape[0]),
         temperature=np.asarray(weather.temperature, dtype=float),
         sky_view=np.asarray(sky_view, dtype=float),
         # Every step is kept: the night rows stay in the matrix as zeros.

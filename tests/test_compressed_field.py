@@ -153,11 +153,13 @@ class TestDenseEquivalence:
             assert np.allclose(fast[finite], slow[finite], rtol=1e-9)
 
     def test_iter_dense_blocks_reassembles_exactly(self, small_solar):
+        # The blocks cover the stored columns; the column index expands
+        # them to one series per cell.
         dense = small_solar.to_dense().astype(np.float64)
-        rebuilt = np.empty_like(dense)
+        rebuilt = np.empty((small_solar.n_time, small_solar.n_columns))
         for sl, block in small_solar.iter_dense_blocks(max_columns=7):
             rebuilt[:, sl] = block
-        assert np.array_equal(rebuilt, dense)
+        assert np.array_equal(rebuilt[:, small_solar.column_index], dense)
 
     def test_suitability_is_bit_identical(self, small_solar, dense_reference):
         for statistic in ("percentile", "mean"):
@@ -272,7 +274,7 @@ class TestPolarNight:
 
     def test_zero_daylight_axis(self, dark_solar):
         assert dark_solar.n_daylight == 0
-        assert dark_solar.irradiance.shape == (0, dark_solar.n_cells)
+        assert dark_solar.irradiance.shape == (0, dark_solar.n_columns)
         assert np.all(dark_solar.to_dense() == 0.0)
 
     def test_maps_are_zero(self, dark_solar):
@@ -407,6 +409,28 @@ class TestMemmapCache:
         monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
         _, hit = self._cached(small_roof_spec, cache)
         assert not hit
+
+    def test_format_3_cache_is_a_clean_miss(self, tmp_path, monkeypatch):
+        # Format 4 stores one irradiance column per DSM cell.  A cache
+        # directory filled under format 3 is neither read nor an error: every
+        # stage recomputes next to the old entries, to the same answer.
+        from repro.runner import cache as cache_module
+        from repro.runner.stages import run_scenario
+
+        assert cache_module.CACHE_FORMAT_VERSION == 4
+        spec = builtin_scenarios()["residential-south"]
+        root = tmp_path / "cache"
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_FORMAT_VERSION", 3)
+            old = run_scenario(spec, cache=StageCache(root=root))
+        old_entries = StageCache(root=root).entry_count()
+        assert old_entries and not any(old.stage_cached.values())
+        new = run_scenario(spec, cache=StageCache(root=root))
+        assert not any(new.stage_cached.values())
+        assert new.fingerprint() == old.fingerprint()
+        assert StageCache(root=root).entry_count() == 2 * old_entries
+        again = run_scenario(spec, cache=StageCache(root=root))
+        assert all(again.stage_cached.values())
 
     def test_clear_removes_sidecars(self, small_roof_spec, tmp_path):
         cache = StageCache(root=tmp_path / "cache")

@@ -271,7 +271,7 @@ class TestRoofWindowSolarField:
         dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
         cells = windowed.cells
         assert np.array_equal(
-            windowed.sky_view,
+            windowed.sky_view[windowed.column_index],
             full_tile.sky_view_factor()[
                 dsm_rows[cells[:, 0], cells[:, 1]], dsm_cols[cells[:, 0], cells[:, 1]]
             ],
@@ -308,13 +308,19 @@ class TestSolarFieldAccessors:
         cells = small_solar.cells[::3]
         fast = small_solar.irradiance_for_cells(cells)
         columns = [small_solar.column_of(int(r), int(c)) for r, c in cells]
-        reference = np.asarray(small_solar.to_dense()[:, columns], dtype=float)
+        reference = np.stack(
+            [
+                small_solar.daylight.expand(small_solar.irradiance[:, k].astype(float))
+                for k in columns
+            ],
+            axis=1,
+        )
         assert fast.dtype == np.float64
         assert fast.shape == (small_solar.n_time, len(columns))
         assert np.array_equal(reference, fast)
 
     def test_irradiance_for_cells_rejects_invalid_cell(self, small_solar):
-        lookup = small_solar.cell_column_lookup
+        lookup = small_solar.cell_lookup
         invalid = np.argwhere(lookup < 0)
         assert invalid.size, "expected at least one invalid grid element"
         cells = np.vstack([small_solar.cells[:2], invalid[:1]])
@@ -473,6 +479,65 @@ class TestEvaluatorEquivalence:
         )
         with pytest.raises(PlacementError, match="bounds"):
             evaluate_placement(small_problem, out_of_bounds)
+
+    def test_modules_sharing_dsm_cells_do_not_overlap(self, small_grid, small_solar):
+        # The 0.2 m grid puts two columns of grid cells on each 0.4 m DSM
+        # cell, and those cells share one stored irradiance column.  Two
+        # modules side by side can cover the two halves of one DSM cell
+        # without covering a common grid cell, so the overlap check must
+        # compare cells, not columns.
+        from repro.pv.datasheet import PV_MF165EB3
+
+        problem = FloorplanProblem(
+            grid=small_grid,
+            solar=small_solar,
+            n_modules=2,
+            topology=default_topology(2, n_series=2),
+            datasheet=PV_MF165EB3,
+            label="shared-columns",
+        )
+        footprint = problem.footprint
+        lookup = small_solar.cell_lookup
+
+        def covered(row, col):
+            cells = ModulePlacement(0, row, col).covered_cells(footprint)
+            if np.any(cells.max(axis=0) >= lookup.shape):
+                return None
+            indices = lookup[cells[:, 0], cells[:, 1]]
+            return None if np.any(indices < 0) else indices
+
+        def placement(row, col, second_col):
+            return Placement(
+                modules=(ModulePlacement(0, row, col), ModulePlacement(1, row, second_col)),
+                footprint=footprint,
+                topology=problem.topology,
+                grid_pitch=small_grid.pitch,
+            )
+
+        for row, col in small_solar.cells:
+            first, second = covered(row, col), covered(row, col + footprint.cells_w)
+            if first is None or second is None:
+                continue
+            shared = np.intersect1d(
+                small_solar.column_index[first], small_solar.column_index[second]
+            )
+            if shared.size:
+                break
+        else:
+            pytest.fail("no two side-by-side modules share a DSM cell")
+
+        side_by_side = placement(row, col, col + footprint.cells_w)
+        fast = PlacementEvaluator(problem).evaluate(side_by_side)
+        reference = evaluate_placement_reference(problem, side_by_side)
+        assert fast.annual_energy_wh > 0
+        assert abs(fast.annual_energy_wh - reference.annual_energy_wh) <= (
+            RELATIVE_TOLERANCE * reference.annual_energy_wh
+        )
+        reused = placement(row, col, col + footprint.cells_w - 1)
+        with pytest.raises(PlacementError, match="module 1 overlaps"):
+            PlacementEvaluator(problem).evaluate(reused)
+        with pytest.raises(PlacementError, match="overlap"):
+            reused.validate(small_grid)
 
     def test_generic_model_path(self, small_grid, small_solar):
         """A non-standard thermal model routes through the generic operating

@@ -6,6 +6,9 @@
   :meth:`RoofSolarField.percentile_map` against the dense-block oracles in
   ``tests/oracles/suitability.py``, on dense, compressed, F-ordered
   (``restricted_to``) and read-only fields;
+* :func:`repro.solar.compute_roof_solar_field` (one column per DSM cell)
+  against the dense per-cell oracle in ``tests/oracles/solar_field.py``, on
+  generated coarse roofs;
 * :meth:`repro.geometry.polygon.Polygon.rasterize` against the per-cell
   ``contains_point`` loop in ``tests/oracles/rasterize.py``.
 
@@ -22,13 +25,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.rasterize import rasterize_reference
+from oracles.solar_field import compute_roof_solar_field_dense_reference
 from oracles.suitability import compute_suitability_reference, percentile_map_reference
+from test_execution_mode import coarse_specs
 
 from repro.core.suitability import SuitabilityConfig, compute_suitability
 from repro.errors import PVModelError, SolarModelError
 from repro.geometry import Point2D, Polygon
+from repro.gis import build_roof_scene, make_roof_grid, suitable_grid_for_scene
 from repro.pv.module import paper_module_model
-from repro.solar.irradiance_map import RoofSolarField, select_percentile
+from repro.solar.irradiance_map import (
+    RoofSolarField,
+    compute_roof_solar_field,
+    select_percentile,
+)
 from repro.solar.time_series import CompressedTimeGrid, TimeGrid
 
 #: Percentiles that sit on the edges of numpy's index arithmetic.
@@ -128,7 +138,7 @@ class TestSelectPercentile:
 
 @st.composite
 def solar_fields(draw, grid):
-    """A small field on ``grid``: random time axis, night split, dtype and values."""
+    """A small field on ``grid``: random time axis, night split, dtype, columns and values."""
     steps_per_day = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
     day_stride = draw(st.sampled_from([91, 122, 183, 365]))
     time_grid = TimeGrid(step_minutes=1440.0 / steps_per_day, day_stride=day_stride)
@@ -142,11 +152,22 @@ def solar_fields(draw, grid):
         keep = np.ones(n_time, dtype=bool)
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     n_rows = int(keep.sum())
+    # Cells share columns, as grid cells on one DSM cell do; every column
+    # is some cell's.
+    n_columns = draw(st.integers(1, len(cells)))
+    shared = draw(
+        st.lists(
+            st.integers(0, n_columns - 1),
+            min_size=len(cells) - n_columns,
+            max_size=len(cells) - n_columns,
+        )
+    )
+    column_index = np.array(draw(st.permutations(list(range(n_columns)) + shared)))
     element = st.one_of(st.sampled_from(TIED_VALUES), samples(0.0, 1200.0))
-    size = n_rows * len(cells)
+    size = n_rows * n_columns
     irradiance = np.array(
         draw(st.lists(element, min_size=size, max_size=size)), dtype=dtype
-    ).reshape(n_rows, len(cells))
+    ).reshape(n_rows, n_columns)
     if not compressed:
         irradiance[night] = 0.0
     if size and draw(st.booleans()):
@@ -159,8 +180,9 @@ def solar_fields(draw, grid):
         time_grid=time_grid,
         cells=cells,
         irradiance=irradiance,
+        column_index=column_index,
         temperature=temperature,
-        sky_view=np.ones(len(cells)),
+        sky_view=np.ones(n_columns),
         daylight=CompressedTimeGrid.from_mask(time_grid, keep),
     )
 
@@ -202,6 +224,20 @@ class TestSuitabilityKernel:
                 small_solar.percentile_map(q), percentile_map_reference(small_solar, q)
             )
 
+    def test_one_column_shared_by_every_cell_matches_the_oracle(self, small_solar):
+        # The kernel reduces a one-column block, the oracle a block of many
+        # cells: the statistics must not depend on the block width.  Random
+        # float64 values make the mean's summation order show in its bits.
+        rng = np.random.default_rng(7)
+        field = dataclasses.replace(
+            small_solar,
+            irradiance=rng.uniform(0.0, 1000.0, (small_solar.n_daylight, 1)),
+            column_index=np.zeros(small_solar.n_cells, dtype=int),
+            sky_view=np.asarray(small_solar.sky_view)[1:2],
+        )
+        for config in SUITABILITY_CONFIGS:
+            assert_maps_equal(field, config)
+
     def test_f_ordered_restriction_is_never_modified(self, small_solar, small_grid):
         # restricted_to gathers columns by fancy indexing, so its matrix is
         # F-ordered: the transposed block is then a view, and an in-place
@@ -238,6 +274,36 @@ class TestSuitabilityKernel:
             compute_suitability(field, config)
         with pytest.raises(SolarModelError, match="non-negative"):
             field.percentile_map(75.0)
+
+
+class TestSolarFieldColumns:
+    @settings(max_examples=5, deadline=None)
+    @given(drawn=coarse_specs(0), grid_pitch=st.sampled_from((0.2, 0.4)))
+    def test_generated_roofs_match_the_dense_oracle(self, drawn, grid_pitch):
+        spec = dataclasses.replace(drawn, grid_pitch=grid_pitch)
+        scene = build_roof_scene(spec.roof, dsm_pitch=spec.dsm_pitch)
+        grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=spec.grid_pitch))
+        weather = spec.weather.build(spec.time.build())
+        config = spec.solar.build()
+        field = compute_roof_solar_field(scene, grid, weather, config)
+        dense = compute_roof_solar_field_dense_reference(scene, grid, weather, config)
+
+        # Cells on one DSM cell share a column, and each column is one DSM cell.
+        dsm_rows, dsm_cols = grid.dsm_indices(scene.dsm)
+        rows, cols = field.cells[:, 0], field.cells[:, 1]
+        dsm_cell = dsm_rows[rows, cols] * scene.dsm.raster.shape[1] + dsm_cols[rows, cols]
+        pairs = np.unique(np.stack([dsm_cell, field.column_index], axis=1), axis=0)
+        assert len(pairs) == len(np.unique(dsm_cell)) == field.n_columns
+        assert len(np.unique(field.column_index)) == field.n_columns
+        if grid_pitch < spec.dsm_pitch:
+            assert field.n_columns < field.n_cells
+
+        np.testing.assert_array_equal(
+            field.to_dense().view(np.uint32), dense.irradiance.view(np.uint32)
+        )
+        for suitability_config in SUITABILITY_CONFIGS:
+            assert_maps_equal(field, suitability_config)
+        assert_bits_equal(field.percentile_map(75.0), percentile_map_reference(dense, 75.0))
 
 
 # -- rasterisation -------------------------------------------------------------------

@@ -366,10 +366,14 @@ class TestRoofSolarField:
         # The field is daylight compressed: only the sun-up rows are
         # stored, and the exact dense expansion restores the rest.
         assert 0 < small_solar.n_daylight < small_solar.n_time
+        # One column per distinct DSM cell: the 0.2 m grid puts several
+        # cells on each 0.4 m DSM cell.
+        assert 0 < small_solar.n_columns < small_solar.n_cells
         assert small_solar.irradiance.shape == (
             small_solar.n_daylight,
-            small_solar.n_cells,
+            small_solar.n_columns,
         )
+        assert small_solar.column_index.shape == (small_solar.n_cells,)
         assert small_solar.to_dense().shape == (
             small_solar.n_time,
             small_solar.n_cells,

@@ -35,14 +35,16 @@ from repro.experiments import (
     prepare_all_case_studies,
     prepare_case_study,
     run_table1_sweep,
+    table1_sweep_plan,
 )
 from repro.gis import RoofSpec
 from repro.runner import PIPELINE_STAGES, ResultStore, StageCache, run_batch, run_scenario
 from repro.runner.cache import content_digest
+from repro.runner.stages import PipelineSources, _suitability_key
 from repro.runner.store import METRIC_KIND_STAGE_RECOMPUTE_TIME
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, get_scenario
 from repro.scenario.spec import SolarSpec, WeatherSpec, roof_spec_to_dict
-from repro.solar import TimeGrid
+from repro.solar import LinkeTurbidityProfile, TimeGrid
 from repro.telemetry import iter_spans, merge_trace, read_trace
 
 CACHED_STAGES = ("scene", "grid", "solar", "suitability")
@@ -267,6 +269,45 @@ class TestEntriesAreShared:
         for point in points:
             assert point.result.stage_cached["solar"], point.labels["roof"]
             assert point.result.n_valid_cells == studies[point.labels["roof"]].n_valid
+
+
+    def test_turin_linke_climatology_has_one_key(self, tmp_path):
+        # Table I spells the Turin climatology out; a `repro run` scenario
+        # file that omits it means the same one.  Both describe one run.
+        turin = LinkeTurbidityProfile.turin_default().monthly_values
+        solar = SolarSpec(n_horizon_sectors=8, horizon_max_distance_m=20.0)
+        spelled_out = dataclasses.replace(solar, linke_turbidity=list(turin))
+        assert spelled_out == solar and spelled_out.linke_turbidity is None
+        config = Table1Config(
+            module_counts=(2,),
+            series_length=2,
+            case_study=CaseStudyConfig(
+                scale=0.35, dsm_pitch=0.5, time_step_minutes=240.0, day_stride=45,
+                solar=spelled_out,
+            ),
+        )
+        table_spec = table1_sweep_plan(config, roofs=["roof2"]).specs()[0]
+        document = table_spec.to_dict()
+        assert document["solar"]["linke_turbidity"] is None
+        del document["solar"]["linke_turbidity"]
+        run_spec = ScenarioSpec.from_dict(document)
+        spelled = ScenarioSpec.from_dict(
+            {**document, "solar": {**document["solar"], "linke_turbidity": list(turin)}}
+        )
+        for spec in (run_spec, spelled):
+            assert content_digest(spec.solar_payload()) == content_digest(
+                table_spec.solar_payload()
+            )
+            assert content_digest(_suitability_key(PipelineSources.from_scenario(spec))) == (
+                content_digest(_suitability_key(PipelineSources.from_scenario(table_spec)))
+            )
+        cache = StageCache(root=tmp_path / "cache")
+        first = run_scenario(table_spec, cache=cache)
+        second = run_scenario(run_spec, cache=cache)
+        assert not first.stage_cached["solar"]
+        assert second.stage_cached["solar"] and second.stage_cached["suitability"]
+        assert second.fingerprint() == first.fingerprint()
+        assert len(list((tmp_path / "cache" / "solar").glob("*.pkl"))) == 1
 
 
 class TestOneDescriptionOfThePipeline:
