@@ -1,13 +1,15 @@
-"""Speedup benchmarks of the vectorised evaluation engine (PR 2).
+"""Speedup benchmarks of the vectorised evaluation engine.
 
 Three fast paths are measured against their kept-for-test reference
 implementations, on the same paper-roof data the other benches use:
 
-* ``compute_horizon_map`` -- preallocated scratch buffers, deduplicated
-  radial steps and the tangent-space ``arctan2`` deferral must deliver at
-  least 2x over the per-(sector, distance) shifted-copy reference, with
-  bit-identical output; the roof-window call the solar stage makes must equal the whole-tile map's
-  slice (its time is printed beside the whole tile's);
+* ``compute_horizon_map`` -- deduplicated radial steps gathered a window
+  block at a time, with the winning step chosen in tangent space and one
+  ``arctan2`` per cell, must deliver at least 2x over the
+  per-(sector, distance) shifted-copy reference on a whole tile, with
+  bit-identical output; the roof-window call the solar stage makes must
+  equal the whole-tile map's slice (its time is printed beside the whole
+  tile's);
 * ``PlacementEvaluator`` -- scoring a stream of overlapping placements
   (the exhaustive/ablation workload) through one shared context must be at
   least 3x faster than the per-module-loop reference evaluation;
@@ -55,8 +57,9 @@ def _best_of(fn, repeats: int) -> float:
 def test_bench_horizon_kernel_speedup(case_studies):
     """Fast horizon kernel: >= 2x over the reference, bit-identical output.
 
-    The kernel marches sectors serially; the bit-exactness insurance for
-    tied obstruction ratios costs part of the tangent-space saving.
+    The kernel marches sectors and blocks serially; the bit-exactness
+    insurance for tied obstruction ratios costs part of the tangent-space
+    saving.
     """
     dsm = case_studies["roof2"].scene.dsm.raster
 

@@ -48,7 +48,7 @@ from ..solar.irradiance_map import RoofSolarField, compute_roof_solar_field, roo
 from ..solar.shading import HorizonMap
 from ..telemetry import span
 from ..weather.records import WeatherSeries
-from .cache import CACHE_FORMAT_VERSION, StageCache, content_digest, resolve_cache
+from .cache import StageCache, content_digest, resolve_cache
 from .solvers import FallbackOutcome, SolverOutcome, WarmStart, solve, solve_with_fallback
 
 #: Stage names: the keys of ``stage_times_s``, and for the cached nodes also
@@ -63,16 +63,21 @@ STAGE_SOLVE = "solve"
 STAGE_EVALUATE = "evaluate"
 
 
+#: Version stamp of every campaign point's digest.  Not the stage cache's
+#: format: a point's identity depends on its inputs, not on the cache layout.
+POINT_DIGEST_VERSION = 4
+
+
 def scenario_content_digest(spec: ScenarioSpec) -> str:
     """Content digest identifying one scenario as a campaign point.
 
     The digest covers the scenario's full declarative dictionary under the
-    same canonical-JSON hashing (and format version) the stage cache uses
-    for its entries, so a campaign point's identity changes exactly when any
-    input that could change its result changes.  The durable result store
+    same canonical-JSON hashing the stage cache uses for its entries, so a
+    campaign point's identity changes exactly when any input that could
+    change its result changes.  The durable result store
     (:mod:`repro.runner.store`) keys its rows on this digest.
     """
-    return content_digest({"format": CACHE_FORMAT_VERSION, "scenario": spec.to_dict()})
+    return content_digest({"format": POINT_DIGEST_VERSION, "scenario": spec.to_dict()})
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ time steps would be prohibitively slow, so this module uses the classic
 1. **Horizon map** -- for every DSM cell and for a discrete set of azimuth
    sectors, pre-compute the elevation angle of the local horizon (the
    highest obstruction seen from that cell in that direction).  This is a
-   one-off O(cells x sectors x ray-length) computation, fully vectorised
-   over the cells.  The solar stage only needs the cells under the roof, so
-   it computes the map for their bounding window of the DSM, reading
-   obstructions from the whole tile.
+   one-off O(cells x sectors x ray-length) computation.  The solar stage
+   only needs the cells under the roof, so it computes the map for their
+   bounding window of the DSM, reading obstructions from the whole tile.
+   The kernel cuts the window into blocks and, per sector, gathers every
+   radial step's obstruction heights for a block in one array, so its
+   Python overhead is per block and sector, not per radial step.
 2. **Shadow test** -- at any time step, a cell is in shadow exactly when the
    sun elevation is below the cell's horizon angle in the sun's azimuth
    sector.  This reduces per-time-step shading to an array lookup and a
@@ -239,25 +241,32 @@ def cells_window(
     )
 
 
+#: Rows and columns of the window blocks whose ray steps are gathered at once.
+#: One sector's steps over a block are a ``(steps, 16, 64)`` float64 array,
+#: about 1.2 MB at the 150 steps of a 60 m ray on a 0.4 m DSM.  Smaller
+#: blocks pay more per-call overhead; much larger ones fall out of cache.
+_BLOCK_SHAPE = (16, 64)
+
+
 def _sector_steps(
     azimuth_deg: float,
     distances: np.ndarray,
     pitch: float,
     shape: tuple[int, int],
     window: tuple[tuple[int, int], tuple[int, int]],
-) -> list[tuple[float, tuple, tuple, tuple]]:
-    """Deduplicated ``(distance, src, dst, scratch)`` steps of one sector.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deduplicated ``(d_row, d_col, distance)`` steps of one sector.
 
     Several consecutive radial distances round to the same integer cell
     offset; for a fixed offset the obstruction height difference ``dz`` is
     fixed and ``arctan2(dz, distance)`` is decreasing in ``distance`` when
     ``dz > 0`` (the only case that can contribute to the clamped-at-zero
     horizon), so keeping only the *smallest* marching distance per offset
-    preserves the final horizon map exactly.  ``src`` addresses the shifted
-    obstruction region in the whole DSM ``shape``; ``dst`` the destination
-    cells, relative to the window's origin; ``scratch`` the matching
-    scratch-buffer region.  A step whose destination misses the window is
-    dropped.  All slice arithmetic is hoisted out of the hot loop.
+    preserves the final horizon map exactly.  Each offset component is
+    monotone in the distance, so equal offsets are consecutive along the ray
+    and comparing each offset with the one before it finds every repeat.
+    Steps whose obstruction lies outside the tile for every cell of the
+    ``window`` are dropped, as is the zero offset.
     """
     az_rad = azimuth_deg * DEG2RAD
     # Unit vector pointing from the cell towards the obstruction
@@ -267,124 +276,76 @@ def _sector_steps(
     # The same element-wise float operations as a per-distance scalar round,
     # so the offsets are identical.
     offsets = np.round(distances[:, None] * np.array([uy, ux]) / pitch).astype(int)
+    keep = np.any(offsets != 0, axis=1)
+    keep[1:] &= np.any(offsets[1:] != offsets[:-1], axis=1)
+    keep &= _in_tile(offsets[:, 0], offsets[:, 1], shape, window)
+    return offsets[keep, 0], offsets[keep, 1], distances[keep]
+
+
+def _in_tile(
+    d_row: np.ndarray,
+    d_col: np.ndarray,
+    shape: tuple[int, int],
+    window: tuple[tuple[int, int], tuple[int, int]],
+) -> np.ndarray:
+    """Mask of the offsets whose obstruction is in the tile for some window cell."""
     n_rows, n_cols = shape
-    (win_row_lo, win_row_hi), (win_col_lo, win_col_hi) = window
-    steps: list[tuple[float, tuple, tuple, tuple]] = []
-    seen: set[tuple[int, int]] = set()
-    for distance, (d_row, d_col) in zip(distances.tolist(), offsets.tolist()):
-        if (d_col == 0 and d_row == 0) or (d_row, d_col) in seen:
-            continue
-        seen.add((d_row, d_col))
-        # Destination cells of the window whose obstruction lies in the tile.
-        dst_row_lo = max(win_row_lo, -d_row)
-        dst_row_hi = min(win_row_hi, n_rows - d_row)
-        dst_col_lo = max(win_col_lo, -d_col)
-        dst_col_hi = min(win_col_hi, n_cols - d_col)
-        if dst_row_lo >= dst_row_hi or dst_col_lo >= dst_col_hi:
-            continue
-        src = (
-            slice(dst_row_lo + d_row, dst_row_hi + d_row),
-            slice(dst_col_lo + d_col, dst_col_hi + d_col),
-        )
-        dst = (
-            slice(dst_row_lo - win_row_lo, dst_row_hi - win_row_lo),
-            slice(dst_col_lo - win_col_lo, dst_col_hi - win_col_lo),
-        )
-        scratch = (
-            slice(0, dst_row_hi - dst_row_lo),
-            slice(0, dst_col_hi - dst_col_lo),
-        )
-        steps.append((distance, src, dst, scratch))
-    return steps
+    (row_lo, row_hi), (col_lo, col_hi) = window
+    return (
+        (np.maximum(row_lo, -d_row) < np.minimum(row_hi, n_rows - d_row))
+        & (np.maximum(col_lo, -d_col) < np.minimum(col_hi, n_cols - d_col))
+    )
 
 
-class _SectorScratch:
-    """Preallocated buffers of the horizon kernel.
-
-    One set of window-sized buffers is reused across every radial step of
-    every sector, replacing the per-step ``np.full_like``
-    allocation churn of the straightforward implementation.
-    """
-
-    def __init__(self, shape: tuple[int, int]):
-        self.dz = np.empty(shape, dtype=float)
-        self.ratio = np.empty(shape, dtype=float)
-        self.mask = np.empty(shape, dtype=bool)
-        self.tie_mask = np.empty(shape, dtype=bool)
-        self.best_ratio = np.empty(shape, dtype=float)
-        self.best_dz = np.empty(shape, dtype=float)
-        self.best_distance = np.empty(shape, dtype=float)
-
-    def reset(self) -> None:
-        # The initial (dz=-1, distance=1) pair maps to a -45 deg angle, which
-        # the final clamp turns into the same 0 deg the reference gives for
-        # cells with no obstruction candidate at all.
-        self.best_ratio.fill(-np.inf)
-        self.best_dz.fill(-1.0)
-        self.best_distance.fill(1.0)
-
-
-def _sector_horizon(
-    elevation: np.ndarray,
+def _block_horizon(
+    padded: np.ndarray,
+    view: np.ndarray,
+    base: np.ndarray,
     target: np.ndarray,
-    steps: list[tuple[float, tuple, tuple, tuple]],
+    steps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
     out: np.ndarray,
-    scratch: _SectorScratch,
 ) -> None:
-    """Horizon angles of one sector, written into ``out`` (a window-sized view).
+    """Horizon angles of one sector over one window block, written into ``out``.
 
-    ``elevation`` is the whole DSM the obstructions are read from; ``target``
-    is its view over the window whose cells receive a horizon.
+    ``padded`` is the whole DSM with a ``-inf`` border and ``-inf`` NaN
+    holes, so no obstruction outside the tile wins; ``view`` its sliding
+    ``(h, w)`` view from the block on; ``base`` the flat ``padded`` index of
+    each block cell; ``target`` the block's elevations, ``+inf`` (no
+    obstruction) where the DSM is NaN.  ``steps`` holds each live step's
+    ``view`` row and column, flat ``padded`` offset and distance;
+    ``weights`` a row of step indices and a row of ones.
 
-    The running maximum is tracked in tangent space (``dz / distance``) --
-    cheap elementwise arithmetic -- and the single expensive ``arctan2`` pass
-    runs once at the end on the winning ``(dz, distance)`` pair of each cell,
-    reproducing the reference per-step ``arctan2`` result bit for bit.
-    Exactly tied positive ratios (proportional ``(dz, d)`` pairs, common on
-    the perfectly planar regions of synthetic DSMs) can carry ``arctan2``
-    values differing in the last ulp; the reference keeps the larger one, so
-    the rare tied cells are resolved by comparing the actual angles.
+    The steps' obstruction heights are gathered in one ``(K, h, w)`` copy
+    and turned into ratios ``dz / distance`` in place; one ``arctan2`` of
+    each cell's winning ``(dz, distance)`` then equals the reference's
+    running maximum of per-step angles bit for bit.  Exactly tied positive
+    ratios (common on planar synthetic DSMs) can carry angles one ulp apart,
+    and the reference keeps the larger, so tied cells compare the angles of
+    every tied step.
     """
-    scratch.reset()
-    best_ratio = scratch.best_ratio
-    best_dz = scratch.best_dz
-    best_distance = scratch.best_distance
-    for distance, src, dst, region in steps:
-        dz = scratch.dz[region]
-        ratio = scratch.ratio[region]
-        mask = scratch.mask[region]
-        tie = scratch.tie_mask[region]
-        stored_ratio = best_ratio[dst]
-        np.subtract(elevation[src], target[dst], out=dz)
-        np.divide(dz, distance, out=ratio)
-        # Tie candidates: exactly equal ratio AND an actual obstruction
-        # (dz > 0; zero/negative angles are clamped away identically).
-        np.equal(ratio, stored_ratio, out=tie)
-        np.greater(dz, 0.0, out=mask)
-        tie &= mask
-        # NaN ratios (out-of-tile obstructions on a DSM with NaN holes)
-        # compare False and are skipped, like the reference's NaN -> -90 path.
-        np.greater(ratio, stored_ratio, out=mask)
-        if mask.any():
-            np.copyto(stored_ratio, ratio, where=mask)
-            np.copyto(best_dz[dst], dz, where=mask)
-            np.copyto(best_distance[dst], distance, where=mask)
-        if tie.any():
-            tie_rows, tie_cols = np.nonzero(tie)
-            dst_rows = tie_rows + dst[0].start
-            dst_cols = tie_cols + dst[1].start
-            tied_dz = dz[tie_rows, tie_cols]
-            candidate_angle = np.arctan2(tied_dz, distance)
-            stored_angle = np.arctan2(
-                best_dz[dst_rows, dst_cols],
-                best_distance[dst_rows, dst_cols],
-            )
-            wins = candidate_angle > stored_angle
-            if np.any(wins):
-                best_dz[dst_rows[wins], dst_cols[wins]] = tied_dz[wins]
-                best_distance[dst_rows[wins], dst_cols[wins]] = distance
-    with np.errstate(invalid="ignore"):
-        np.arctan2(best_dz, best_distance, out=out)
+    view_rows, view_cols, offsets, distances = steps
+    n_steps = distances.shape[0]
+    ratio = view[view_rows, view_cols]
+    np.subtract(ratio, target, out=ratio)
+    np.divide(ratio, distances[:, None, None], out=ratio)
+    best = np.max(ratio, axis=0)
+    # One small matrix product gives, per cell, the number of steps reaching
+    # the best ratio and the sum of their indices, which is the winner's
+    # index where only one does (float32 is exact for these integers).  It
+    # costs a fraction of an ``argmax`` along the step axis.
+    is_best = (ratio == best).astype(np.float32).reshape(n_steps, -1)
+    index_sum, count = (weights[:, :n_steps] @ is_best).reshape((2,) + target.shape)
+    # A cell whose best ratio is not positive clamps to 0 whichever step it reads.
+    winner = np.where(count == 1, index_sum, 0).astype(np.intp)
+    elevation = padded.ravel()
+    np.arctan2(elevation[base + offsets[winner]] - target, distances[winner], out=out)
+    tied = (count > 1) & (best > 0.0)
+    if tied.any():
+        dz = elevation[base[tied] + offsets[:, None]] - target[tied]
+        column = distances[:, None]
+        angles = np.where(dz / column == best[tied], np.arctan2(dz, column), -np.inf)
+        out[tied] = angles.max(axis=0)
     out *= RAD2DEG
     np.maximum(out, 0.0, out=out)
 
@@ -427,23 +388,22 @@ def compute_horizon_map(
 
     Notes
     -----
-    The computation marches rays outwards from every cell of the window
-    simultaneously: for a fixed azimuth sector and a fixed radial distance
-    the candidate obstruction heights for *all* cells are read through a
-    single shifted view of the DSM array, so the inner loop is pure numpy.
-    Radial steps that round to the same cell offset are deduplicated, one
-    set of preallocated scratch buffers serves every sector, and the
-    per-step transcendental is avoided by maximising in tangent space (see
-    :func:`_sector_horizon`); the result is bit-for-bit identical to the
-    matching cells of the per-step reference in ``tests/oracles/horizon.py``.
-    The cost scales with the window's cell count, which for a roof is a
-    fraction of its tile.
+    For each sector the radial steps are first reduced to the distinct cell
+    offsets that reach the tile (:func:`_sector_steps`).  The window is then
+    cut into blocks of at most ``16 x 64`` cells, and each block takes all
+    live steps of a sector at once (:func:`_block_horizon`): one gather of
+    the obstruction heights from the ``-inf``-padded DSM, the ratios
+    ``dz / distance``, the winning step of each cell and one ``arctan2``
+    per cell.  The result is bit-for-bit identical to the matching cells of
+    the per-step reference in ``tests/oracles/horizon.py``.  The cost is a
+    fixed few numpy calls per sector and block plus work proportional to
+    cells x live steps; whole tiles, windows and
+    :func:`~repro.solar.irradiance_map.roof_horizon_map` all run this one
+    kernel.
 
-    Sectors are marched one after another in the calling thread.  A radial
-    step is about eight numpy calls on a window of a few thousand cells,
-    too small to overlap under the GIL, so threads only added overhead;
-    parallelism lives in batch ``--jobs`` and worker fleets, which run
-    whole points.
+    Blocks and sectors are marched one after another in the calling thread;
+    parallelism lives in batch ``--jobs`` and worker fleets, which run whole
+    points.
     """
     if n_sectors < 4:
         raise GISError("at least 4 azimuth sectors are required")
@@ -458,18 +418,58 @@ def compute_horizon_map(
     (row_lo, row_hi), (col_lo, col_hi) = window
     if not (0 <= row_lo < row_hi <= n_rows and 0 <= col_lo < col_hi <= n_cols):
         raise GISError(f"horizon window {window} is empty or outside the {n_rows}x{n_cols} DSM")
-    target = elevation[row_lo:row_hi, col_lo:col_hi]
 
     sector_azimuths = -180.0 + (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
-    horizon = np.zeros((n_sectors,) + target.shape, dtype=float)
+    horizon = np.zeros((n_sectors, row_hi - row_lo, col_hi - col_lo), dtype=float)
 
     n_steps = max(1, int(np.ceil(max_distance / step)))
     distances = (np.arange(1, n_steps + 1)) * step
+    sector_steps = [
+        _sector_steps(float(azimuth), distances, pitch, (n_rows, n_cols), window)
+        for azimuth in sector_azimuths
+    ]
+    # The border covers the largest offset any step reads, which is not
+    # max_distance / pitch when min_step differs from the pitch.
+    pad_rows = max(int(np.abs(d_row).max(initial=0)) for d_row, _, _ in sector_steps)
+    pad_cols = max(int(np.abs(d_col).max(initial=0)) for _, d_col, _ in sector_steps)
+    padded = np.full((n_rows + 2 * pad_rows, n_cols + 2 * pad_cols), -np.inf)
+    padded[pad_rows : pad_rows + n_rows, pad_cols : pad_cols + n_cols] = elevation
+    padded[np.isnan(padded)] = -np.inf
+    target = np.where(np.isnan(elevation), np.inf, elevation)
+    padded_cols = padded.shape[1]
+    max_live = max(d_row.shape[0] for d_row, _, _ in sector_steps)
+    weights = np.stack([np.arange(max_live), np.ones(max_live)]).astype(np.float32)
 
-    scratch = _SectorScratch(target.shape)
-    for s, azimuth in enumerate(sector_azimuths):
-        steps = _sector_steps(float(azimuth), distances, pitch, (n_rows, n_cols), window)
-        _sector_horizon(elevation, target, steps, horizon[s], scratch)
+    block_rows, block_cols = _BLOCK_SHAPE
+    for r0 in range(row_lo, row_hi, block_rows):
+        r1 = min(r0 + block_rows, row_hi)
+        for c0 in range(col_lo, col_hi, block_cols):
+            c1 = min(c0 + block_cols, col_hi)
+            view = np.lib.stride_tricks.sliding_window_view(padded, (r1 - r0, c1 - c0))[r0:, c0:]
+            base = (
+                np.arange(r0 + pad_rows, r1 + pad_rows)[:, None] * padded_cols
+                + np.arange(c0 + pad_cols, c1 + pad_cols)
+            )
+            for s, (d_row, d_col, step_distances) in enumerate(sector_steps):
+                live = _in_tile(d_row, d_col, (n_rows, n_cols), ((r0, r1), (c0, c1)))
+                if not live.any():
+                    continue
+                live_rows = d_row[live]
+                live_cols = d_col[live]
+                _block_horizon(
+                    padded,
+                    view,
+                    base,
+                    target[r0:r1, c0:c1],
+                    (
+                        live_rows + pad_rows,
+                        live_cols + pad_cols,
+                        live_rows * padded_cols + live_cols,
+                        step_distances[live],
+                    ),
+                    weights,
+                    horizon[s, r0 - row_lo : r1 - row_lo, c0 - col_lo : c1 - col_lo],
+                )
 
     return HorizonMap(
         sector_azimuths_deg=sector_azimuths,

@@ -84,6 +84,32 @@ def flaky_solver(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Point identity
+# ---------------------------------------------------------------------------
+
+
+class TestPointDigest:
+    def test_cache_format_does_not_enter_the_digest(self, monkeypatch):
+        # A stage-cache layout change must not re-enroll stored points.
+        from repro.runner import cache as cache_module
+        from repro.runner import stages as stages_module
+
+        spec = builtin_scenarios()["residential-south"]
+        before = scenario_content_digest(spec)
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 99)
+        monkeypatch.setattr(stages_module, "CACHE_FORMAT_VERSION", 99, raising=False)
+        assert scenario_content_digest(spec) == before
+
+    def test_catalog_digest_is_pinned(self):
+        # The digest every store written since cache format 4 holds for
+        # this scenario; a change here orphans those campaign rows.
+        spec = builtin_scenarios()["residential-south"]
+        assert scenario_content_digest(spec) == (
+            "34c1c603385aca0740a2d0faaee464d5d628fa55354e5beaa95c065ab74c17ff"
+        )
+
+
+# ---------------------------------------------------------------------------
 # ResultStore row lifecycle
 # ---------------------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from repro.geometry import Raster, RasterSpec
 from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
 from repro.scenario import builtin_scenarios, get_scenario
 from repro.solar import compute_roof_solar_field
-from repro.solar.shading import compute_horizon_map, shadow_fraction_map
+from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fraction_map
 
 from oracles.evaluation import evaluate_placement_reference, module_irradiance_series_reference
 from oracles.greedy import greedy_floorplan_reference
@@ -140,6 +140,37 @@ def _dsm_and_window(draw):
     return raster, ((row_lo, row_hi), (col_lo, col_hi))
 
 
+@st.composite
+def _multi_block_case(draw):
+    """A DSM up to 40x150 and a window spanning several kernel blocks both ways.
+
+    The horizon kernel gathers each block of the window separately, so a
+    block seam must be invisible: the draw mixes terraced heights (exact
+    ratio ties), NaN holes, a marching step that is not the pitch, and a
+    ``max_distance`` reaching past the tile.
+    """
+    block_rows, block_cols = _BLOCK_SHAPE
+    n_rows = draw(st.integers(block_rows + 2, max(block_rows + 2, 40)))
+    n_cols = draw(st.integers(block_cols + 2, max(block_cols + 2, 150)))
+    pitch = draw(st.sampled_from([0.5, 1.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = gen.normal(5.0, 2.0, size=(n_rows, n_cols))
+    if draw(st.booleans()):
+        data = np.round(data)
+    data[gen.random(data.shape) < draw(st.sampled_from([0.0, 0.05]))] = np.nan
+    row_lo = draw(st.integers(0, n_rows - block_rows - 2))
+    row_hi = draw(st.integers(row_lo + block_rows + 2, n_rows))
+    col_lo = draw(st.integers(0, n_cols - block_cols - 2))
+    col_hi = draw(st.integers(col_lo + block_cols + 2, n_cols))
+    raster = Raster(RasterSpec(0.0, 0.0, pitch, n_rows, n_cols), data)
+    options = {
+        "n_sectors": draw(st.integers(4, 6)),
+        "max_distance": max(n_rows, n_cols) * pitch * draw(st.sampled_from([0.2, 0.6, 1.3])),
+        "min_step": draw(st.sampled_from([None, 0.7 * pitch, 1.6 * pitch])),
+    }
+    return raster, ((row_lo, row_hi), (col_lo, col_hi)), options
+
+
 def _assert_window_matches_full_tile(raster, window, **options):
     """Check the windowed map against the whole-tile map; return the windowed map."""
     full = compute_horizon_map(raster, **options)
@@ -168,6 +199,18 @@ class TestHorizonWindow:
             n_sectors=n_sectors,
             max_distance=max_distance,
             min_step=min_step,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_multi_block_case())
+    def test_block_seams_match_the_reference(self, case):
+        raster, window, options = case
+        windowed = _assert_window_matches_full_tile(raster, window, **options)
+        reference = compute_horizon_map_reference(raster, **options)
+        assert np.array_equal(compute_horizon_map(raster, **options).horizon_deg, reference.horizon_deg)
+        (row_lo, row_hi), (col_lo, col_hi) = window
+        assert np.array_equal(
+            windowed.horizon_deg, reference.horizon_deg[:, row_lo:row_hi, col_lo:col_hi]
         )
 
     @pytest.mark.parametrize(

@@ -3,11 +3,13 @@
 These check the invariants that must hold for *any* input, not just the
 hand-picked examples of the unit tests: geometric invariances, physical
 bounds of the solar and PV models, and the aggregation laws of the
-series/parallel panel model.
+series/parallel panel model, and that shading is monotone: raising the
+surroundings of a roof never brightens it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import STC_IRRADIANCE
-from repro.geometry import BoundingBox, Point2D, Point3D, Polygon, RoofPlaneFrame
+from repro.geometry import BoundingBox, Point2D, Point3D, Polygon, Raster, RasterSpec, RoofPlaneFrame
+from repro.gis import DigitalSurfaceModel
 from repro.pv import PVArray, SeriesParallelTopology, paper_module_model
 from repro.pv.wiring import WiringSpec, string_extra_length
 from repro.solar import (
+    SolarSimulationConfig,
+    compute_horizon_map,
+    compute_roof_solar_field,
     erbs_diffuse_fraction,
     incidence_cosine,
     relative_air_mass,
@@ -346,3 +352,90 @@ class TestServeNormalizationProperties:
                 assert "error" in payload
         finally:
             store.close()
+
+
+class TestShadingMonotonicity:
+    """Raising DSM cells outside the roof never brightens a roof cell.
+
+    At horizon level no angle of a window cell falls; at field level no
+    irradiance sample or sky-view factor of a valid cell rises.  Plan energy
+    is not monotone (the placement moves), so it is not asserted.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(2, 30), st.integers(2, 30)),
+        terraced=st.booleans(),
+        n_sectors=st.integers(4, 12),
+        max_distance=st.floats(1.0, 20.0),
+    )
+    def test_raised_surroundings_never_lower_a_horizon(
+        self, seed, shape, terraced, n_sectors, max_distance
+    ):
+        gen = np.random.default_rng(seed)
+        n_rows, n_cols = shape
+        data = gen.normal(5.0, 2.0, size=shape)
+        if terraced:
+            data = np.round(data)
+        data[gen.random(shape) < 0.05] = np.nan
+        row_lo, row_hi = np.sort(gen.choice(n_rows + 1, size=2, replace=False))
+        col_lo, col_hi = np.sort(gen.choice(n_cols + 1, size=2, replace=False))
+        window = ((int(row_lo), int(row_hi)), (int(col_lo), int(col_hi)))
+        outside = np.ones(shape, dtype=bool)
+        outside[row_lo:row_hi, col_lo:col_hi] = False
+        lift = np.where(outside & (gen.random(shape) < 0.3), gen.uniform(0.0, 6.0, shape), 0.0)
+        if terraced:
+            lift = np.round(lift)
+        spec = RasterSpec(0.0, 0.0, 0.5, n_rows, n_cols)
+        before = compute_horizon_map(
+            Raster(spec, data), n_sectors=n_sectors, max_distance=max_distance, window=window
+        )
+        after = compute_horizon_map(
+            Raster(spec, data + lift), n_sectors=n_sectors, max_distance=max_distance, window=window
+        )
+        assert np.all(after.horizon_deg >= before.horizon_deg)
+
+    @staticmethod
+    def _fields(scene, grid, weather, lift):
+        """The solar field of ``scene`` before and after adding ``lift`` to its DSM."""
+        dsm = scene.dsm.raster
+        raised = dataclasses.replace(
+            scene, dsm=DigitalSurfaceModel(Raster(dsm.spec, dsm.data + lift))
+        )
+        config = SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=25.0)
+        before = compute_roof_solar_field(scene, grid, weather, config)
+        after = compute_roof_solar_field(raised, grid, weather, config)
+        assert np.array_equal(after.cells, before.cells)
+        assert np.array_equal(after.column_index, before.column_index)
+        assert np.array_equal(after.daylight.indices, before.daylight.indices)
+        return before, after
+
+    @staticmethod
+    def _outside_roof(scene, grid):
+        """DSM cells that no element of the roof grid samples."""
+        rows, cols = grid.dsm_indices(scene.dsm)
+        outside = np.ones(scene.dsm.raster.shape, dtype=bool)
+        outside[rows, cols] = False
+        return outside
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.05, 0.3, 1.0]))
+    def test_raised_surroundings_never_brighten_a_cell(
+        self, small_scene, small_grid, small_weather, seed, share
+    ):
+        gen = np.random.default_rng(seed)
+        outside = self._outside_roof(small_scene, small_grid)
+        chosen = outside & (gen.random(outside.shape) < share)
+        lift = np.where(chosen, gen.uniform(0.0, 15.0, outside.shape), 0.0)
+        before, after = self._fields(small_scene, small_grid, small_weather, lift)
+        assert np.all(after.irradiance <= before.irradiance)
+        assert np.all(after.sky_view <= before.sky_view)
+
+    def test_a_wall_around_the_roof_darkens_it(self, small_scene, small_grid, small_weather):
+        # Guards the property above against holding vacuously.
+        lift = np.where(self._outside_roof(small_scene, small_grid), 12.0, 0.0)
+        before, after = self._fields(small_scene, small_grid, small_weather, lift)
+        assert np.all(after.irradiance <= before.irradiance)
+        assert np.any(after.irradiance < before.irradiance)
+        assert np.any(after.sky_view < before.sky_view)
