@@ -6,9 +6,13 @@ samples of every 7th day.  Two kernels of a cold plan are timed against the
 straightforward forms kept in ``tests/oracles``:
 
 * **suitability** -- :func:`repro.core.suitability.compute_suitability`
-  selects its p75 order statistics from the stored daylight rows; the
-  oracle expands every cell block to the dense float64 axis and calls
-  ``np.percentile``.  It must be at least 1.3x faster.
+  selects its p75 order statistics from the stored daylight rows of each
+  column block, copied out of the time-major field in row tiles: one
+  single-``kth`` ``np.partition`` per statistic places the lower order
+  statistic and a row minimum reads the next one, and the module
+  temperatures are written in place into one reused buffer.  The oracle
+  expands every cell block to the dense float64 axis and calls
+  ``np.percentile``.  The kernel must be at least 1.3x faster.
 * **rasterisation** -- every ``Polygon.rasterize`` call the scene build and
   the suitable-area step make, replayed through the array kernel and the
   per-cell ``contains_point`` oracle (timing printed, no floor).

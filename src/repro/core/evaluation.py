@@ -11,12 +11,12 @@ string's extra cable resistance at the string's instantaneous current.
 The hot path is :class:`PlacementEvaluator`: it precomputes every
 per-problem invariant once (cells-to-column lookup, per-orientation
 substring grouping, the ambient-only parts of the module temperature
-factors) and evaluates each placement with a single gather + reduction over
-*all* modules, so the exhaustive and ablation flows that score hundreds of
-placements on one problem pay the setup cost once.  The module-level
-functions (:func:`evaluate_placement`, :func:`compare_placements`,
-:func:`module_irradiance_series`) are thin wrappers that build a throwaway
-evaluator.  The original per-module loop implementations are the tests'
+factors) and evaluates each placement with one gather + reduction over
+*all* modules, taken in row tiles, so the exhaustive and ablation flows
+that score hundreds of placements on one problem pay the setup cost once.
+The module-level functions (:func:`evaluate_placement`,
+:func:`compare_placements`, :func:`module_irradiance_series`) are thin
+wrappers that build a throwaway evaluator.  The original per-module loop implementations are the tests'
 oracles, which the evaluator must agree with to within 1e-9 relative.
 """
 
@@ -36,6 +36,10 @@ from ..pv.wiring import WiringSpec, string_extra_length, wiring_overhead_report
 from ..units import wh_to_mwh
 from .placement import ModuleFootprint, Placement
 from .problem import FloorplanProblem
+
+
+#: Byte budget of one row tile of the evaluator's column gather.
+_GATHER_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -335,12 +339,13 @@ class PlacementEvaluator:
 
         One gather over every covered cell of every module, then either a
         plain mean or a per-substring ``add.reduceat`` + min, grouped per
-        orientation.  The gather stays in the solar field's storage dtype
-        (typically float32); reductions accumulate in float64 and the result
-        is cast exactly once, so no full-precision copy of the irradiance
-        block is ever materialised.  The reduction runs on the field's kept
-        rows and the result is expanded back to the full axis (the dropped
-        rows reduce to exact zeros).
+        orientation and taken one row tile at a time.  The gather stays in
+        the solar field's storage dtype (typically float32); reductions
+        accumulate in float64 and the result is cast exactly once, so no
+        full-precision copy of the irradiance block is ever materialised.
+        The reduction runs on the field's kept rows and the result is
+        expanded back to the full axis (the dropped rows reduce to exact
+        zeros).
         """
         columns, rows, cols, rotated = self._validated_columns(placement)
         series = self._series_from_columns(columns, rows, cols, rotated)
@@ -381,7 +386,13 @@ class PlacementEvaluator:
         series: np.ndarray,
         out_indices: np.ndarray,
     ) -> None:
-        """Vectorised gather + reduction of the uncached modules."""
+        """Vectorised gather + reduction of the uncached modules.
+
+        The gather runs over row tiles of about :data:`_GATHER_TILE_BYTES`,
+        so a paper-resolution field never materialises the whole
+        ``(n_time, N * k)`` block.  Every reduction is per time row, so the
+        tiling leaves each value's summation order, hence its bits, as is.
+        """
         n_time = self._irradiance.shape[0]
         k = columns.shape[1]
         for orientation in (False, True):
@@ -391,27 +402,34 @@ class PlacementEvaluator:
             gather = self._gathers[orientation]
             n_selected = selected.size
             n_groups = gather.group_starts.shape[0]
-            block = self._irradiance[:, columns[selected].ravel()]
-            if self.module_aggregation == "mean" or self.n_substrings == 1:
-                values = block.reshape(n_time, n_selected, k).mean(
-                    axis=2, dtype=np.float64
-                )
-            elif np.all(gather.group_counts == gather.group_counts[0]):
-                # Equal-sized substrings (the common case): the grouped means
-                # are a plain reshape + mean, cheaper than a reduceat.
-                group_size = int(gather.group_counts[0])
-                values = block.reshape(n_time, n_selected, n_groups, group_size).mean(
-                    axis=3, dtype=np.float64
-                ).min(axis=2)
-            else:
-                boundaries = (
-                    np.arange(n_selected, dtype=np.intp)[:, None] * k
-                    + gather.group_starts[None, :]
-                ).ravel()
-                sums = np.add.reduceat(block, boundaries, axis=1, dtype=np.float64)
-                means = sums / np.tile(gather.group_counts, n_selected)[None, :]
-                values = means.reshape(n_time, n_selected, n_groups).min(axis=2)
-            series[:, out_indices[selected]] = values
+            gathered = columns[selected].ravel()
+            targets = out_indices[selected]
+            equal_groups = bool(np.all(gather.group_counts == gather.group_counts[0]))
+            tile_rows = max(1, _GATHER_TILE_BYTES // (self._irradiance.itemsize * gathered.size))
+            for start in range(0, n_time, tile_rows):
+                rows = slice(start, start + tile_rows)
+                block = self._irradiance[rows, gathered]
+                n_rows = block.shape[0]
+                if self.module_aggregation == "mean" or self.n_substrings == 1:
+                    values = block.reshape(n_rows, n_selected, k).mean(
+                        axis=2, dtype=np.float64
+                    )
+                elif equal_groups:
+                    # Equal-sized substrings (the common case): the grouped
+                    # means are a plain reshape + mean, cheaper than a reduceat.
+                    group_size = int(gather.group_counts[0])
+                    values = block.reshape(n_rows, n_selected, n_groups, group_size).mean(
+                        axis=3, dtype=np.float64
+                    ).min(axis=2)
+                else:
+                    boundaries = (
+                        np.arange(n_selected, dtype=np.intp)[:, None] * k
+                        + gather.group_starts[None, :]
+                    ).ravel()
+                    sums = np.add.reduceat(block, boundaries, axis=1, dtype=np.float64)
+                    means = sums / np.tile(gather.group_counts, n_selected)[None, :]
+                    values = means.reshape(n_rows, n_selected, n_groups).min(axis=2)
+                series[rows, targets] = values
 
     # -- module operating point --------------------------------------------------
 

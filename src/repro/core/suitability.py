@@ -155,13 +155,15 @@ def _percentile_statistics(
     irradiance rows are exact zeros, so :func:`select_percentile` takes them
     implicitly.  The night module temperature equals the night ambient
     temperature for every column (no irradiance heats the module), so it is
-    computed once and prepended to each block's daylight temperatures.  The
-    temperatures are computed before the irradiance block is partitioned,
-    which reorders its time samples.
+    computed once and copied into the front of one reused ``(c, n_time)``
+    buffer per block; the module's thermal model writes the daylight
+    temperatures behind it in place.  The temperatures are computed before
+    the irradiance block is partitioned, which reorders its time samples.
     """
     g_stat = np.empty(solar.n_columns)
     t_stat = None if model is None else np.empty(solar.n_columns)
     n_night = solar.n_time - solar.n_daylight
+    temperature = None
     if model is not None:
         night_ambient = np.delete(
             np.asarray(solar.temperature, dtype=float), solar.daylight.indices
@@ -173,11 +175,14 @@ def _percentile_statistics(
         if t_stat is not None:
             # Per-column module temperature percentile; the f(T) factor
             # follows the dPmax/dT slope of the module model (Figure 3,
-            # middle plot).
-            temperature = np.empty((block.shape[0], solar.n_time))
-            temperature[:, :n_night] = night_temperature
-            temperature[:, n_night:] = model.cell_temperature(block, day_ambient)
-            t_stat[sl] = select_percentile(temperature, q)
+            # middle plot).  The selection reorders the buffer, so the night
+            # part is rewritten for every block.
+            if temperature is None:
+                temperature = np.empty((block.shape[0], solar.n_time))
+            rows = temperature[: block.shape[0]]
+            rows[:, :n_night] = night_temperature
+            model.thermal.write_cell_temperature(rows[:, n_night:], day_ambient, block)
+            t_stat[sl] = select_percentile(rows, q)
         g_stat[sl] = select_percentile(block, q, n_zeros=n_night)
     return g_stat, t_stat
 

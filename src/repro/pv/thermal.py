@@ -51,6 +51,19 @@ class CellTemperatureModel:
             raise PVModelError("irradiance must be non-negative")
         return ambient + self.k * g
 
+    def write_cell_temperature(
+        self, out: np.ndarray, ambient_c: np.ndarray, irradiance: np.ndarray
+    ) -> None:
+        """Write Tact = T + k*G into the float64 array ``out``, in place.
+
+        The operations are those of :meth:`cell_temperature`, in the same
+        order, so the values are bit-identical; no temporary is allocated,
+        and the check for negative irradiance is left to the caller.
+        """
+        out[...] = irradiance
+        out *= self.k
+        out += ambient_c
+
 
 @dataclass(frozen=True)
 class NOCTTemperatureModel:
@@ -72,6 +85,20 @@ class NOCTTemperatureModel:
         if np.any(g < 0):
             raise PVModelError("irradiance must be non-negative")
         return ambient + (self.noct_c - 20.0) * g / 800.0
+
+    def write_cell_temperature(
+        self, out: np.ndarray, ambient_c: np.ndarray, irradiance: np.ndarray
+    ) -> None:
+        """Write the NOCT cell temperature into the float64 array ``out``.
+
+        As :meth:`CellTemperatureModel.write_cell_temperature`: the values
+        are bit-identical to :meth:`cell_temperature`, and the check for
+        negative irradiance is left to the caller.
+        """
+        out[...] = irradiance
+        out *= self.noct_c - 20.0
+        out /= 800.0
+        out += ambient_c
 
 
 def temperature_rise_at_stc(model: CellTemperatureModel) -> float:

@@ -66,6 +66,10 @@ from .transposition import plane_of_array
 #: resolution (~35k steps) keeps transients in the tens of megabytes.
 _DENSE_BLOCK_BYTES = 16 * 1024 * 1024
 
+#: Stored rows per tile of the transposing copy in
+#: :meth:`RoofSolarField.iter_daylight_blocks`.
+_TRANSPOSE_TILE_ROWS = 512
+
 #: Storage dtype of :attr:`RoofSolarField.irradiance`.  float32 halves the
 #: field's bytes; the consumers accumulate in float64.
 STORE_DTYPE = np.dtype(np.float32)
@@ -232,14 +236,22 @@ class RoofSolarField:
         Each block is a fresh C-ordered copy of the stored rows of ``c``
         columns in the storage dtype, so a consumer may partition it in
         place: the stored matrix (an F-ordered restriction, a read-only
-        memmap) is never touched.  A block holds as many columns as one of
-        :meth:`iter_dense_blocks`, so its float64 full-axis expansion stays
-        within the same byte budget.
+        memmap) is never touched.  The copy transposes
+        :data:`_TRANSPOSE_TILE_ROWS` stored rows at a time, so both sides of
+        each tile stay in cache; one strided transpose of the whole column
+        slice costs several times more on a paper-resolution field.  A block
+        holds as many columns as one of :meth:`iter_dense_blocks`, so its
+        float64 full-axis expansion stays within the same byte budget.
         """
         width = self._block_columns()
+        n_rows = self.n_daylight
         for start in range(0, self.n_columns, width):
             sl = slice(start, min(start + width, self.n_columns))
-            yield sl, np.array(self.irradiance[:, sl].T, order="C")
+            block = np.empty((sl.stop - start, n_rows), dtype=self.irradiance.dtype)
+            for row in range(0, n_rows, _TRANSPOSE_TILE_ROWS):
+                tile = slice(row, row + _TRANSPOSE_TILE_ROWS)
+                block[:, tile] = self.irradiance[tile, sl].T
+            yield sl, block
 
     # -- accessors -----------------------------------------------------------------
 
@@ -369,18 +381,21 @@ def select_percentile(block: np.ndarray, q: float, n_zeros: int = 0) -> np.ndarr
     that sort below every value: the night rows of a daylight-compressed
     field, whose irradiance is non-negative.  So full-sample order statistic
     ``j`` is ``0.0`` for ``j < n_zeros`` and stored order statistic
-    ``j - n_zeros`` otherwise.  One in-place ``np.partition`` of ``block``
-    (the caller must own it) places the two order statistics numpy's
-    ``linear`` method interpolates between, plus the row maximum, which
-    flags NaN rows as ``np.percentile`` does.  The float64 cast of the
-    selected values is exact and monotone and the interpolation is numpy's
-    ``_lerp``, so the result is bit-identical to ``np.percentile`` of the
-    float64 full-sample rows.
+    ``j - n_zeros`` otherwise.  numpy's ``linear`` method interpolates
+    between order statistics ``lo`` and ``lo + 1``.  When ``lo`` is stored,
+    one in-place single-``kth`` ``np.partition`` of ``block`` (the caller
+    must own it) places it, and its successor is the row minimum of the
+    part above; when only ``lo + 1`` is stored it is the row minimum of the
+    whole block.  NaN sorts last, so every NaN of a row lies in that upper
+    part, and one ``isnan`` scan of it flags the rows ``np.percentile``
+    returns as NaN.  The float64 cast of the selected values is exact and
+    monotone and the interpolation is numpy's ``_lerp``, so the result is
+    bit-identical to ``np.percentile`` of the float64 full-sample rows.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError("Percentiles must be in the range [0, 100]")
-    n_rows, m = block.shape
-    last = m + n_zeros - 1
+    n_rows = block.shape[0]
+    last = block.shape[1] + n_zeros - 1
     virtual = last * (q / 100.0)
     if virtual >= last:
         # numpy clamps both neighbours to index -1 and takes gamma against it.
@@ -390,22 +405,21 @@ def select_percentile(block: np.ndarray, q: float, n_zeros: int = 0) -> np.ndarr
         lo = math.floor(virtual)
         hi = lo + 1
         gamma = virtual - lo
-    if m:
-        kth = {j - n_zeros for j in (lo, hi) if j >= n_zeros} | {m - 1}
-        block.partition(sorted(kth), axis=1)
-
-    def order_statistic(j: int) -> np.ndarray:
-        if j < n_zeros:
-            return np.zeros(n_rows)
-        return block[:, j - n_zeros].astype(np.float64)
-
-    a, b = order_statistic(lo), order_statistic(hi)
+    k = lo - n_zeros  # stored position of the lower order statistic
+    if k >= 0:
+        block.partition(k, axis=1)
+        a = block[:, k].astype(np.float64)
+    else:
+        a = np.zeros(n_rows)
+    if hi == lo:
+        b = a
+    elif hi < n_zeros:
+        b = np.zeros(n_rows)
+    else:
+        b = block[:, k + 1 :].min(axis=1).astype(np.float64)
     diff = b - a
     result = b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
-    if m:
-        top = block[:, m - 1]
-        nan_rows = np.isnan(top)
-        result[nan_rows] = top[nan_rows]
+    result[np.isnan(block[:, max(k, 0) :]).any(axis=1)] = np.nan
     return result
 
 

@@ -125,6 +125,20 @@ def small_solar(small_scene, small_grid, small_weather):
 
 
 @pytest.fixture(scope="session")
+def quarter_hour_solar(small_scene, small_grid):
+    """The small roof's field at 15-minute steps on every 3rd day.
+
+    Its 5,880 stored rows span many row tiles of the evaluator's column
+    gather and of the daylight block copy, and its 370 columns more than
+    one column block of the suitability reduction.
+    """
+    time_grid = TimeGrid(step_minutes=15.0, day_stride=3)
+    weather = generate_weather(time_grid, SyntheticWeatherConfig(seed=3))
+    config = SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=25.0)
+    return compute_roof_solar_field(small_scene, small_grid, weather, config)
+
+
+@pytest.fixture(scope="session")
 def small_problem(small_grid, small_solar) -> FloorplanProblem:
     """A 6-module (3 series x 2 parallel) floorplanning instance."""
     return FloorplanProblem(

@@ -33,9 +33,11 @@ from repro.core import (
     module_irradiance_series,
     traditional_floorplan,
 )
+from repro.core.evaluation import _GATHER_TILE_BYTES
 from repro.errors import GISError, PlacementError, SolarModelError
 from repro.geometry import Raster, RasterSpec
 from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
+from repro.pv.datasheet import PV_MF165EB3
 from repro.scenario import builtin_scenarios, get_scenario
 from repro.solar import compute_roof_solar_field
 from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fraction_map
@@ -403,8 +405,6 @@ class TestSolarFieldAccessors:
 
 @pytest.fixture(scope="module")
 def rotated_problem(small_grid, small_solar) -> FloorplanProblem:
-    from repro.pv.datasheet import PV_MF165EB3
-
     return FloorplanProblem(
         grid=small_grid,
         solar=small_solar,
@@ -435,6 +435,37 @@ class TestEvaluatorEquivalence:
             )
             assert fast.shape == reference.shape
             assert _relative_error(fast, reference) < RELATIVE_TOLERANCE
+
+    def test_module_series_over_many_row_tiles_is_bit_exact(self, small_grid, quarter_hour_solar):
+        # The gather runs in row tiles; every reduction is per time row, so
+        # the series must equal the per-module loop bit for bit, on both
+        # orientations and on every aggregation branch (three substrings of
+        # an 8-cell side are unequal: the reduceat branch).
+        problem = FloorplanProblem(
+            grid=small_grid,
+            solar=quarter_hour_solar,
+            n_modules=6,
+            topology=default_topology(6, n_series=3),
+            datasheet=PV_MF165EB3,
+            allow_rotation=True,
+            label="quarter-hour-problem",
+        )
+        row_bytes = quarter_hour_solar.irradiance.itemsize * problem.footprint.n_cells
+        assert quarter_hour_solar.n_daylight * row_bytes * problem.n_modules > (
+            4 * _GATHER_TILE_BYTES
+        )
+        placements = _example_placements(problem)
+        assert any(m.rotated for m in placements[0])
+        for aggregation, n_substrings in (("substring-min", 2), ("mean", 2), ("substring-min", 3)):
+            evaluator = PlacementEvaluator(
+                problem, module_aggregation=aggregation, n_substrings=n_substrings
+            )
+            for placement in placements:
+                reference = module_irradiance_series_reference(
+                    problem, placement, aggregation=aggregation, n_substrings=n_substrings
+                )
+                fast = evaluator.module_irradiance_series(placement)
+                np.testing.assert_array_equal(fast.view(np.uint64), reference.view(np.uint64))
 
     def test_module_irradiance_series_with_rotation(self, rotated_problem):
         placement = greedy_floorplan(rotated_problem).placement
@@ -529,8 +560,6 @@ class TestEvaluatorEquivalence:
         # modules side by side can cover the two halves of one DSM cell
         # without covering a common grid cell, so the overlap check must
         # compare cells, not columns.
-        from repro.pv.datasheet import PV_MF165EB3
-
         problem = FloorplanProblem(
             grid=small_grid,
             solar=small_solar,
@@ -585,7 +614,6 @@ class TestEvaluatorEquivalence:
     def test_generic_model_path(self, small_grid, small_solar):
         """A non-standard thermal model routes through the generic operating
         point (no fused fast path) and still matches the reference."""
-        from repro.pv.datasheet import PV_MF165EB3
         from repro.pv.module import EmpiricalModuleModel
         from repro.pv.thermal import NOCTTemperatureModel
 

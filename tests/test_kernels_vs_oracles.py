@@ -33,8 +33,11 @@ from repro.core.suitability import SuitabilityConfig, compute_suitability
 from repro.errors import PVModelError, SolarModelError
 from repro.geometry import Point2D, Polygon
 from repro.gis import build_roof_scene, make_roof_grid, suitable_grid_for_scene
-from repro.pv.module import paper_module_model
+from repro.pv.datasheet import PV_MF165EB3
+from repro.pv.module import EmpiricalModuleModel, paper_module_model
+from repro.pv.thermal import NOCTTemperatureModel
 from repro.solar.irradiance_map import (
+    _TRANSPOSE_TILE_ROWS,
     RoofSolarField,
     compute_roof_solar_field,
     select_percentile,
@@ -82,14 +85,31 @@ def percentile_q(draw, n_zeros: int = 0, n: int = 1) -> float:
 
 @st.composite
 def value_blocks(draw, allow_negative: bool):
-    """A ``(c, m)`` block of tied, random or NaN-bearing values."""
+    """A ``(c, m)`` block of tied, random or NaN-bearing values.
+
+    Rows are narrow (at most 40 values) or wide (600-20,000 values, filled
+    from a drawn seed), which numpy's partition selects in its vectorised
+    path.  With ``allow_negative`` every sample of a row is explicit, so a
+    block may turn all its zeros into -0.0: with one zero sign in the sample
+    the sign a partition leaves at a position is determined.
+    """
     n_rows = draw(st.integers(1, 5))
-    n_cols = draw(st.integers(0 if not allow_negative else 1, 40))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     low = -50.0 if allow_negative else 0.0
-    element = st.one_of(st.sampled_from(TIED_VALUES), samples(low, 1200.0))
-    values = draw(st.lists(element, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
-    block = np.array(values, dtype=dtype).reshape(n_rows, n_cols)
+    if draw(st.booleans()):
+        n_cols = draw(st.integers(600, 20_000))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tied = np.array(TIED_VALUES)[rng.integers(0, len(TIED_VALUES), (n_rows, n_cols))]
+        spread = rng.uniform(low, 1200.0, (n_rows, n_cols))
+        share_tied = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        block = np.where(rng.random((n_rows, n_cols)) < share_tied, tied, spread).astype(dtype)
+    else:
+        n_cols = draw(st.integers(0 if not allow_negative else 1, 40))
+        element = st.one_of(st.sampled_from(TIED_VALUES), samples(low, 1200.0))
+        values = draw(st.lists(element, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        block = np.array(values, dtype=dtype).reshape(n_rows, n_cols)
+    if allow_negative and draw(st.booleans()):
+        block[block == 0.0] = -0.0
     if n_cols and draw(st.booleans()):
         row = draw(st.integers(0, n_rows - 1))
         col = draw(st.integers(0, n_cols - 1))
@@ -102,7 +122,10 @@ class TestSelectPercentile:
     @given(data=st.data())
     def test_matches_numpy_with_implicit_zeros(self, data):
         block = data.draw(value_blocks(allow_negative=False))
-        n_zeros = data.draw(st.integers(0 if block.shape[1] else 1, 40))
+        # Wide rows take up to twice their width in zeros, as a field's
+        # daylight rows take about as many night rows.
+        m = block.shape[1]
+        n_zeros = data.draw(st.integers(0 if m else 1, max(40, 2 * m)))
         n = block.shape[1] + n_zeros
         q = data.draw(percentile_q(n_zeros, n))
         full = np.concatenate(
@@ -187,8 +210,10 @@ def solar_fields(draw, grid):
     )
 
 
-def assert_maps_equal(field: RoofSolarField, config: SuitabilityConfig) -> None:
-    model = paper_module_model()
+def assert_maps_equal(
+    field: RoofSolarField, config: SuitabilityConfig, model: EmpiricalModuleModel | None = None
+) -> None:
+    model = model if model is not None else paper_module_model()
     actual = compute_suitability(field, config, model)
     expected = compute_suitability_reference(field, config, model)
     assert_bits_equal(actual.values, expected.values)
@@ -223,6 +248,17 @@ class TestSuitabilityKernel:
             assert_bits_equal(
                 small_solar.percentile_map(q), percentile_map_reference(small_solar, q)
             )
+
+    def test_quarter_hour_field_matches_the_oracle(self, quarter_hour_solar):
+        # Several column blocks (the temperature buffer is reused by a
+        # narrower last one), each copied in many row tiles; both thermal
+        # models write their daylight temperatures in place.
+        field = quarter_hour_solar
+        assert field.n_columns > field._block_columns()
+        assert field.n_daylight > 2 * _TRANSPOSE_TILE_ROWS
+        noct = EmpiricalModuleModel(datasheet=PV_MF165EB3, thermal=NOCTTemperatureModel())
+        for model in (paper_module_model(), noct):
+            assert_maps_equal(field, SuitabilityConfig(), model)
 
     def test_one_column_shared_by_every_cell_matches_the_oracle(self, small_solar):
         # The kernel reduces a one-column block, the oracle a block of many
