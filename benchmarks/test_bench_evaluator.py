@@ -4,12 +4,13 @@ Three fast paths are measured against their kept-for-test reference
 implementations, on the same paper-roof data the other benches use:
 
 * ``compute_horizon_map`` -- deduplicated radial steps gathered a window
-  block at a time, with the winning step chosen in tangent space and one
-  ``arctan2`` per cell, must deliver at least 2x over the
-  per-(sector, distance) shifted-copy reference on a whole tile, with
-  bit-identical output; the roof-window call the solar stage makes must
-  equal the whole-tile map's slice (its time is printed beside the whole
-  tile's);
+  block at a time, skipping the steps whose obstruction region is nowhere
+  higher than the block's lowest cell, with the winning step chosen in
+  tangent space and one ``arctan2`` per cell, must deliver at least 2x
+  over the per-(sector, distance) shifted-copy reference on a whole tile,
+  with bit-identical output; the roof-window call the solar stage makes
+  must equal the whole-tile map's slice (its time is printed beside the
+  whole tile's);
 * ``PlacementEvaluator`` -- scoring a stream of overlapping placements
   (the exhaustive/ablation workload) through one shared context must be at
   least 3x faster than the per-module-loop reference evaluation;

@@ -38,6 +38,7 @@ from repro.solar import (
     SolarSimulationConfig,
     TimeGrid,
     compute_roof_solar_field,
+    irradiance_map,
     solar_elevation_azimuth,
 )
 from repro.weather.records import StationMetadata, WeatherSeries
@@ -135,6 +136,20 @@ class TestDenseEquivalence:
         mask = np.zeros(small_solar.n_time, dtype=bool)
         mask[small_solar.daylight.indices] = True
         assert np.all(dense_reference.irradiance[~mask] == 0.0)
+
+    def test_assembly_over_many_tiles_and_chunks_is_bit_identical(
+        self, monkeypatch, small_scene, small_grid, small_weather, dense_reference
+    ):
+        # Budgets small enough that the small roof's columns take several
+        # chunks and each chunk's rows many tiles, ragged ends included.
+        monkeypatch.setattr(irradiance_map, "_DENSE_BLOCK_BYTES", 64 * 1024)
+        monkeypatch.setattr(irradiance_map, "_ASSEMBLY_TILE_BYTES", 4 * 1024)
+        config = SolarSimulationConfig(n_horizon_sectors=16, horizon_max_distance_m=25.0)
+        field = compute_roof_solar_field(small_scene, small_grid, small_weather, config)
+        chunk = 64 * 1024 // (8 * field.n_daylight)
+        assert field.n_columns > 3 * chunk
+        assert field.n_daylight > 10 * (4 * 1024 // (8 * chunk))
+        assert np.array_equal(field.to_dense(), dense_reference.irradiance)
 
     def test_aggregate_maps_match(self, small_solar, dense_reference):
         assert np.array_equal(

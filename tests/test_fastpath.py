@@ -39,7 +39,7 @@ from repro.geometry import Raster, RasterSpec
 from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
 from repro.pv.datasheet import PV_MF165EB3
 from repro.scenario import builtin_scenarios, get_scenario
-from repro.solar import compute_roof_solar_field
+from repro.solar import compute_roof_solar_field, shading
 from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fraction_map
 
 from oracles.evaluation import evaluate_placement_reference, module_irradiance_series_reference
@@ -173,6 +173,83 @@ def _multi_block_case(draw):
     return raster, ((row_lo, row_hi), (col_lo, col_hi)), options
 
 
+@st.composite
+def _roof_case(draw):
+    """A roof-like DSM on which the horizon kernel's height bound drops steps.
+
+    A plateau (the roof) stands on low ground.  Its surface is flat (a
+    region's highest cell then equals a block's lowest exactly), terraced,
+    tilted or rough; towers taller than the roof stand on it or around it,
+    and NaN holes may pierce both.  The window is the plateau, at least two
+    kernel blocks tall and often two wide, so a tower next to a full block
+    sits in the last row or column of the regions its cells' steps read.
+    """
+    block_rows, block_cols = _BLOCK_SHAPE
+    n_rows = draw(st.integers(block_rows + 7, 44))
+    min_width = draw(st.sampled_from([6, block_cols + 1]))
+    n_cols = draw(st.integers(min_width + 6, 150))
+    pitch = draw(st.sampled_from([0.5, 1.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = gen.normal(0.0, 0.3, size=(n_rows, n_cols))
+    row_lo = draw(st.integers(2, n_rows - block_rows - 5))
+    row_hi = draw(st.integers(row_lo + block_rows + 1, n_rows - 2))
+    col_lo = draw(st.integers(2, n_cols - min_width - 4))
+    col_hi = draw(st.integers(col_lo + min_width, n_cols - 2))
+    shape = (row_hi - row_lo, col_hi - col_lo)
+    roof = draw(st.sampled_from([4.0, 6.5])) + {
+        "flat": np.zeros(shape),
+        "terraced": np.round(gen.normal(0.0, 0.6, size=shape)),
+        "tilted": np.arange(shape[0])[:, None] * 0.15 * pitch + np.zeros(shape),
+        "rough": gen.normal(0.0, 0.3, size=shape),
+    }[draw(st.sampled_from(["flat", "terraced", "tilted", "rough"]))]
+    data[row_lo:row_hi, col_lo:col_hi] = roof
+    for tower in range(draw(st.integers(0, 5))):
+        row, col = gen.integers(0, n_rows), gen.integers(0, n_cols)
+        if tower % 2:
+            # Next to the first block's last column.
+            col = min(col_lo + block_cols + gen.integers(-1, 2), n_cols - 1)
+        rows, cols = gen.integers(1, 3, size=2)
+        data[row : row + rows, col : col + cols] = roof.max() + gen.uniform(1.0, 8.0)
+    data[gen.random(data.shape) < draw(st.sampled_from([0.0, 0.03]))] = np.nan
+    raster = Raster(RasterSpec(0.0, 0.0, pitch, n_rows, n_cols), data)
+    options = {
+        "n_sectors": draw(st.integers(4, 8)),
+        "max_distance": max(n_rows, n_cols) * pitch * draw(st.sampled_from([0.6, 1.3])),
+        "min_step": draw(st.sampled_from([None, 0.7 * pitch])),
+    }
+    return raster, ((row_lo, row_hi), (col_lo, col_hi)), options
+
+
+def _horizon_and_gathered_steps(raster, window, options, bounded=True):
+    """The horizon map and the number of steps its blocks gather.
+
+    ``bounded=False`` makes every region's highest cell ``+inf``, so the
+    height bound keeps every step that reaches the tile.
+    """
+    gathered = []
+    block_horizon = shading._block_horizon
+    region_maxima = shading._region_maxima
+
+    def counting_block_horizon(padded, view, base, target, steps, weights, out):
+        gathered.append(len(steps[3]))
+        block_horizon(padded, view, base, target, steps, weights, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shading, "_block_horizon", counting_block_horizon)
+        if not bounded:
+            patch.setattr(
+                shading,
+                "_region_maxima",
+                lambda elevation: np.full_like(region_maxima(elevation), np.inf),
+            )
+        horizon = compute_horizon_map(raster, window=window, **options)
+    return horizon, sum(gathered)
+
+
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_window_matches_full_tile(raster, window, **options):
     """Check the windowed map against the whole-tile map; return the windowed map."""
     full = compute_horizon_map(raster, **options)
@@ -283,6 +360,27 @@ class TestHorizonWindow:
         raster = Raster(RasterSpec(0.0, 0.0, 0.5, 10, 12), np.zeros((10, 12)))
         with pytest.raises(GISError):
             compute_horizon_map(raster, n_sectors=8, max_distance=3.0, window=window)
+
+
+class TestHeightBound:
+    @settings(max_examples=20, deadline=None)
+    @given(case=_roof_case())
+    def test_dropped_steps_leave_the_map_bit_identical(self, case):
+        raster, window, options = case
+        windowed, gathered = _horizon_and_gathered_steps(raster, window, options)
+        unbounded, every_step = _horizon_and_gathered_steps(
+            raster, window, options, bounded=False
+        )
+        # The draw exercises the bound, so the equalities below are not vacuous.
+        assert gathered < every_step
+        reference = compute_horizon_map_reference(raster, **options)
+        (row_lo, row_hi), (col_lo, col_hi) = window
+        assert _bit_equal(
+            windowed.horizon_deg, reference.horizon_deg[:, row_lo:row_hi, col_lo:col_hi]
+        )
+        assert _bit_equal(unbounded.horizon_deg, windowed.horizon_deg)
+        tile, _ = _horizon_and_gathered_steps(raster, None, options)
+        assert _bit_equal(tile.horizon_deg, reference.horizon_deg)
 
 
 def _catalog_roofs() -> list:
