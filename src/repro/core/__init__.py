@@ -3,7 +3,6 @@
 from .constraints import (
     DistanceThreshold,
     anchor_center,
-    anchors_overlapping_placement,
     feasible_anchor_mask,
     mark_occupied,
     sliding_window_sum,
@@ -37,7 +36,6 @@ from .traditional import TraditionalConfig, TraditionalResult, traditional_floor
 __all__ = [
     "DistanceThreshold",
     "anchor_center",
-    "anchors_overlapping_placement",
     "feasible_anchor_mask",
     "mark_occupied",
     "sliding_window_sum",

@@ -7,8 +7,9 @@ anchored at this grid element?", "which anchors are currently feasible?",
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -68,34 +69,6 @@ def sliding_window_sum(array: np.ndarray, cells_h: int, cells_w: int) -> np.ndar
     )
 
 
-def anchors_overlapping_placement(
-    anchor_rows: np.ndarray,
-    anchor_cols: np.ndarray,
-    anchor_footprint: ModuleFootprint,
-    row: int,
-    col: int,
-    placed_footprint: ModuleFootprint,
-) -> np.ndarray:
-    """Mask of anchors whose window intersects a just-placed module.
-
-    An anchor at ``(r, c)`` spanning ``kh x kw`` cells intersects the placed
-    footprint ``[row, row+ph) x [col, col+pw)`` exactly when
-    ``row - kh < r < row + ph`` and ``col - kw < c < col + pw``.  This is the
-    *only* region whose feasibility changes when a module is placed, which is
-    what makes the greedy placer's candidate maintenance incremental: instead
-    of rebuilding full-grid masks per module, candidates inside this
-    neighbourhood are dropped and everything else is untouched.
-    """
-    kh, kw = anchor_footprint.cells_h, anchor_footprint.cells_w
-    ph, pw = placed_footprint.cells_h, placed_footprint.cells_w
-    return (
-        (anchor_rows > row - kh)
-        & (anchor_rows < row + ph)
-        & (anchor_cols > col - kw)
-        & (anchor_cols < col + pw)
-    )
-
-
 @dataclass
 class DistanceThreshold:
     """The greedy algorithm's dispersion filter (paper Fig. 5, line 5).
@@ -127,29 +100,23 @@ class DistanceThreshold:
         if self.min_radius_m < 0:
             raise PlacementError("min_radius_m must be non-negative")
 
-    def threshold_for(self, placed_centers: Sequence[Point2D]) -> float:
-        """Current threshold value [m] given the already placed module centres."""
-        if len(placed_centers) < 2:
+    def threshold_around(
+        self, centroid: Tuple[float, float], xs: np.ndarray, ys: np.ndarray
+    ) -> float:
+        """Current threshold value [m] for placed module centres ``(xs, ys)``.
+
+        ``centroid`` is their mean, which the greedy placer has already
+        computed for the candidate distances.
+        """
+        if len(xs) < 2:
             return self.fallback_distance_m
-        cx = float(np.mean([p.x for p in placed_centers]))
-        cy = float(np.mean([p.y for p in placed_centers]))
-        centroid = Point2D(cx, cy)
-        mean_spread = float(np.mean([p.distance_to(centroid) for p in placed_centers]))
+        cx, cy = centroid
+        mean_spread = float(
+            np.mean([math.hypot(x - cx, y - cy) for x, y in zip(xs.tolist(), ys.tolist())])
+        )
         if mean_spread < 1e-9:
             return self.fallback_distance_m
         return max(self.factor * mean_spread, self.min_radius_m)
-
-    def accepts(self, candidate_center: Point2D, placed_centers: Sequence[Point2D]) -> bool:
-        """True when the candidate passes the dispersion filter."""
-        if not placed_centers:
-            return True
-        threshold = self.threshold_for(placed_centers)
-        if not np.isfinite(threshold):
-            return True
-        cx = float(np.mean([p.x for p in placed_centers]))
-        cy = float(np.mean([p.y for p in placed_centers]))
-        centroid = Point2D(cx, cy)
-        return candidate_center.distance_to(centroid) <= threshold
 
 
 def anchor_center(

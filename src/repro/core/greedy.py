@@ -26,12 +26,16 @@ the middle and leave no room for the second; the greedy then raises
 :class:`~repro.errors.InfeasiblePlacementError` where the ILP places every
 module.
 
-Candidate maintenance is *incremental*: the feasible-anchor set and the
-per-anchor scores/centres are materialised once, and placing a module only
-removes the candidates whose window intersects the new footprint (a
-``(k1+k2-1)``-sized neighbourhood) instead of rebuilding full-grid masks per
-module.  The tests hold the original rebuild-everything flow as an oracle,
-and the two must produce *identical* placements module for module.
+Candidate maintenance is *incremental*: the feasible anchors of each
+orientation and their scores/centres are materialised once, in row-major
+order, and never move.  Placing a module clears the ``alive`` flag of the
+anchors whose window intersects the new footprint -- found through a
+grid-shaped anchor-index map, so only the ``(k1+k2-1)``-sized neighbourhood
+is touched -- instead of rebuilding full-grid masks or compacting arrays per
+module.  Selection reduces over the live anchors with masked reductions
+whose ties fall on the first row-major anchor, as before.  The tests hold
+the original rebuild-everything flow as an oracle, and the two must produce
+*identical* placements module for module.
 
 Warm starts exploit the algorithm's *prefix property*: the choice at step
 ``i`` depends only on the modules placed at steps ``0..i-1`` (``n_modules``
@@ -56,12 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner -> core)
     from ..runner.solvers import WarmStart
 
 from ..errors import InfeasiblePlacementError
-from ..geometry import Point2D
 from ..telemetry import trace_event, tracing_enabled
 from .constraints import (
     DistanceThreshold,
     anchor_center,
-    anchors_overlapping_placement,
     feasible_anchor_mask,
     mark_occupied,
     sliding_window_sum,
@@ -154,12 +156,17 @@ def _footprint_score_map(
 
 
 class _CandidateSet:
-    """Feasible anchors of one orientation, maintained incrementally.
+    """Feasible anchors of one orientation, kept in place.
 
-    The arrays stay in the row-major order ``np.nonzero`` produced them in,
-    and placing a module only *filters* them (boolean keep-mask), so every
-    argmax/argmin tie is broken exactly like the full-rebuild reference --
-    the two implementations yield identical placements module for module.
+    The arrays hold the anchors in the row-major order ``np.nonzero``
+    produced them in and never change; placing a module only clears the
+    ``alive`` flag of the anchors it overlaps.  ``index`` maps a grid cell
+    to its anchor's position in the arrays (``-1``: no live anchor there),
+    so a removal reads the overlap window of the index map instead of
+    scanning every anchor.  Selection reduces over the live anchors in
+    array order, so every argmax/argmin tie is broken exactly like the
+    full-rebuild reference -- the two implementations yield identical
+    placements module for module.
     """
 
     def __init__(self, problem: FloorplanProblem, fp: ModuleFootprint, rotated: bool,
@@ -177,20 +184,28 @@ class _CandidateSet:
         pitch = problem.grid.pitch
         self.centers_u = (cols + fp.cells_w / 2.0) * pitch
         self.centers_v = (rows + fp.cells_h / 2.0) * pitch
+        self.alive = np.ones(rows.size, dtype=bool)
+        self.n_alive = rows.size
+        self.index = np.full(problem.grid.shape, -1, dtype=np.intp)
+        self.index[rows, cols] = np.arange(rows.size)
 
     def remove_overlapping(self, row: int, col: int, placed_fp: ModuleFootprint) -> None:
-        """Drop the anchors whose window intersects a just-placed module."""
-        drop = anchors_overlapping_placement(
-            self.rows, self.cols, self.fp, row, col, placed_fp
-        )
-        if not np.any(drop):
-            return
-        keep = ~drop
-        self.rows = self.rows[keep]
-        self.cols = self.cols[keep]
-        self.values = self.values[keep]
-        self.centers_u = self.centers_u[keep]
-        self.centers_v = self.centers_v[keep]
+        """Drop the anchors whose window intersects a just-placed module.
+
+        An anchor at ``(r, c)`` spanning ``kh x kw`` cells intersects the
+        placed footprint ``[row, row+ph) x [col, col+pw)`` exactly when
+        ``row - kh < r < row + ph`` and ``col - kw < c < col + pw``: the only
+        region whose feasibility a placement changes.
+        """
+        window = self.index[
+            max(row - self.fp.cells_h + 1, 0) : row + placed_fp.cells_h,
+            max(col - self.fp.cells_w + 1, 0) : col + placed_fp.cells_w,
+        ]
+        hit = window[window >= 0]
+        if hit.size:
+            self.alive[hit] = False
+            self.n_alive -= hit.size
+            window[...] = -1
 
 
 def greedy_floorplan(
@@ -229,15 +244,21 @@ def greedy_floorplan(
         for fp, rotated in orientations
     }
 
+    # Centres of the placed modules, in placement order: the centroid and
+    # the dispersion threshold read the first ``len(placed)`` entries.
+    centers_x = np.empty(problem.n_modules)
+    centers_y = np.empty(problem.n_modules)
     warm = (
-        _validated_warm_prefix(problem, warm_start, score_maps, orientations)
+        _validated_warm_prefix(
+            problem, warm_start, score_maps, orientations, centers_x, centers_y
+        )
         if warm_start is not None
         else None
     )
     if warm is not None:
-        placed, placed_centers, occupied, relaxed = warm
+        placed, occupied, relaxed = warm
     else:
-        placed, placed_centers, occupied, relaxed = [], [], None, 0
+        placed, occupied, relaxed = [], None, 0
     warm_modules = len(placed)
 
     # Rebuilding the candidate sets against the prefix's occupied mask gives
@@ -266,11 +287,22 @@ def greedy_floorplan(
 
     for module_index in range(warm_modules, problem.n_modules):
         relaxed_before = relaxed
-        best = _select_candidate(cfg, candidate_sets, placed_centers, threshold)
+        if module_index:
+            xs = centers_x[:module_index]
+            ys = centers_y[:module_index]
+            centroid = (float(np.mean(xs)), float(np.mean(ys)))
+            limit = (
+                threshold.threshold_around(centroid, xs, ys)
+                if cfg.respect_distance_threshold
+                else np.inf
+            )
+        else:
+            centroid, limit = None, np.inf
+        best = _select_candidate(cfg, candidate_sets, centroid, limit)
         if best is None:
             # No candidate satisfies the dispersion filter: relax it once.
             relaxed += 1
-            best = _select_candidate(cfg, candidate_sets, placed_centers, None)
+            best = _select_candidate(cfg, candidate_sets, centroid, np.inf)
         if best is None:
             raise InfeasiblePlacementError(
                 f"could not place module {module_index}: no feasible anchor remains"
@@ -279,7 +311,8 @@ def greedy_floorplan(
         placed.append(
             ModulePlacement(module_index=module_index, row=row, col=col, rotated=rotated)
         )
-        placed_centers.append(anchor_center(row, col, fp, problem.grid.pitch))
+        center = anchor_center(row, col, fp, problem.grid.pitch)
+        centers_x[module_index], centers_y[module_index] = center.x, center.y
         for candidate_set in candidate_sets:
             candidate_set.remove_overlapping(row, col, fp)
         if traced:
@@ -290,7 +323,7 @@ def greedy_floorplan(
                 module=module_index,
                 row=row,
                 col=col,
-                candidates_left=int(sum(cs.rows.size for cs in candidate_sets)),
+                candidates_left=sum(cs.n_alive for cs in candidate_sets),
                 relaxed=relaxed > relaxed_before,
             )
 
@@ -322,11 +355,14 @@ def _validated_warm_prefix(
     warm_start: "WarmStart",
     score_maps: dict,
     orientations,
+    centers_x: np.ndarray,
+    centers_y: np.ndarray,
 ):
     """Validate a warm-start hint as this problem's own greedy prefix.
 
-    Returns ``(placed, placed_centers, occupied, relaxed)`` when the hint is
-    usable, ``None`` otherwise.  The checks are deliberately cheap -- O(k)
+    Returns ``(placed, occupied, relaxed)`` when the hint is usable, with
+    the prefix's module centres written to ``centers_x``/``centers_y``, and
+    ``None`` otherwise.  The checks are deliberately cheap -- O(k)
     in the prefix length, never touching the candidate arrays: a finite
     score at the hinted anchor already proves the footprint is in bounds and
     clear of invalid cells, so only mutual overlap needs tracking.
@@ -350,7 +386,6 @@ def _validated_warm_prefix(
     footprint_by_rotation = {rotated: fp for fp, rotated in orientations}
     occupied = np.zeros(problem.grid.shape, dtype=bool)
     placed: list[ModulePlacement] = []
-    placed_centers: list[Point2D] = []
     for expected_index, module in enumerate(hint.modules):
         if module.module_index != expected_index:
             return None
@@ -370,76 +405,56 @@ def _validated_warm_prefix(
                 module_index=expected_index, row=row, col=col, rotated=module.rotated
             )
         )
-        placed_centers.append(anchor_center(row, col, fp, problem.grid.pitch))
+        center = anchor_center(row, col, fp, problem.grid.pitch)
+        centers_x[expected_index], centers_y[expected_index] = center.x, center.y
         mark_occupied(occupied, row, col, fp)
 
     # The hint's own relax tally *is* the cold solve's tally over the same
     # prefix: identical algorithm, identical decisions.
     relaxed = int(hint.metadata.get("relaxed_threshold_count", 0))
-    return placed, placed_centers, occupied, relaxed
+    return placed, occupied, relaxed
 
 
 def _select_candidate(
     cfg: GreedyConfig,
     candidate_sets: list[_CandidateSet],
-    placed_centers: list[Point2D],
-    threshold: DistanceThreshold | None,
+    centroid: tuple[float, float] | None,
+    limit: float,
 ):
-    """Pick the best feasible anchor across the allowed orientations.
+    """Pick the best live anchor across the allowed orientations.
 
+    ``centroid`` is that of the placed modules (``None`` before the first
+    one) and ``limit`` the dispersion threshold (``inf``: not applied).
     Returns ``(row, col, rotated, footprint)`` or ``None`` when nothing fits.
     """
     best_tuple = None
     best_score = -np.inf
     best_distance = np.inf
 
-    apply_threshold = (
-        threshold is not None and cfg.respect_distance_threshold and placed_centers
-    )
-
-    if placed_centers:
-        centroid = Point2D(
-            float(np.mean([p.x for p in placed_centers])),
-            float(np.mean([p.y for p in placed_centers])),
-        )
-        limit = threshold.threshold_for(placed_centers) if apply_threshold else np.inf
-    else:
-        centroid = None
-        limit = np.inf
-
     for candidate_set in candidate_sets:
-        if candidate_set.rows.size == 0:
+        if candidate_set.n_alive == 0:
             continue
-        rows = candidate_set.rows
-        cols = candidate_set.cols
         values = candidate_set.values
-
         if centroid is not None:
             distances = np.hypot(
-                candidate_set.centers_u - centroid.x,
-                candidate_set.centers_v - centroid.y,
+                candidate_set.centers_u - centroid[0],
+                candidate_set.centers_v - centroid[1],
             )
         else:
             distances = np.zeros_like(values)
 
-        if apply_threshold and np.isfinite(limit):
-            within = distances <= limit
-            if not np.any(within):
+        mask = candidate_set.alive
+        if np.isfinite(limit):
+            mask = mask & (distances <= limit)
+            if not np.any(mask):
                 continue
-            rows, cols, values, distances = (
-                rows[within],
-                cols[within],
-                values[within],
-                distances[within],
-            )
 
-        top = float(np.max(values))
-        near_top = values >= top - cfg.tie_tolerance * max(abs(top), 1.0)
-        tie_rows, tie_cols = rows[near_top], cols[near_top]
-        tie_distances = distances[near_top]
-        pick = int(np.argmin(tie_distances))
+        top = float(np.max(values, where=mask, initial=-np.inf))
+        near_top = mask & (values >= top - cfg.tie_tolerance * max(abs(top), 1.0))
+        # The first row-major minimum among the near-top anchors.
+        pick = int(np.argmin(np.where(near_top, distances, np.inf)))
         score = top
-        distance = float(tie_distances[pick])
+        distance = float(distances[pick])
 
         better = score > best_score + 1e-15 or (
             abs(score - best_score) <= cfg.tie_tolerance * max(abs(score), 1.0)
@@ -449,8 +464,8 @@ def _select_candidate(
             best_score = score
             best_distance = distance
             best_tuple = (
-                int(tie_rows[pick]),
-                int(tie_cols[pick]),
+                int(candidate_set.rows[pick]),
+                int(candidate_set.cols[pick]),
                 candidate_set.rotated,
                 candidate_set.fp,
             )

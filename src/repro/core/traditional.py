@@ -195,10 +195,13 @@ def _try_string_rows(
     modules_per_row: int,
     gap_cells: int,
 ):
-    """Place each string as a contiguous row, packing rows as close as possible."""
+    """Place each string as a contiguous row, packing rows as close as possible.
+
+    A row's suitability score depends only on its width, so it is computed
+    once per distinct width (the full rows and a shorter remainder row);
+    feasibility changes as rows are placed and is recomputed per row.
+    """
     row_h = footprint.cells_h
-    row_w = modules_per_row * footprint.cells_w + (modules_per_row - 1) * gap_cells
-    row_footprint = ModuleFootprint(cells_w=row_w, cells_h=row_h)
 
     occupied = np.zeros(problem.grid.shape, dtype=bool)
     modules: list[ModulePlacement] = []
@@ -208,15 +211,17 @@ def _try_string_rows(
     remainder = problem.n_modules % modules_per_row
     row_specs = [modules_per_row] * n_full_rows + ([remainder] if remainder else [])
 
+    window_scores: dict[int, np.ndarray] = {}
     module_index = 0
-    for row_number, row_modules in enumerate(row_specs):
+    for row_modules in row_specs:
         this_row_w = row_modules * footprint.cells_w + (row_modules - 1) * gap_cells
         this_footprint = ModuleFootprint(cells_w=this_row_w, cells_h=row_h)
         feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, this_footprint)
         if not np.any(feasible):
             return None
-        scores = _window_score(suitability.values, row_h, this_row_w)
-        scores = np.where(feasible, scores, -np.inf)
+        if this_row_w not in window_scores:
+            window_scores[this_row_w] = _window_score(suitability.values, row_h, this_row_w)
+        scores = np.where(feasible, window_scores[this_row_w], -np.inf)
         rows, cols = np.nonzero(np.isfinite(scores))
         if rows.size == 0:
             return None

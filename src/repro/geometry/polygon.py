@@ -333,11 +333,13 @@ class Polygon:
         # cell's x0), so every point equals the one contains_point would see.
         x0 = origin.x + np.arange(col_lo, col_hi) * pitch
         y0 = (origin.y + np.arange(row_lo, row_hi) * pitch)[:, None]
-        covered = self._contains_points(x0 + pitch / 2.0, y0 + pitch / 2.0)
+        points = [(x0 + pitch / 2.0, y0 + pitch / 2.0)]
         if mode == "touch":
-            for x in (x0, x0 + pitch):
-                for y in (y0, y0 + pitch):
-                    covered |= self._contains_points(x, y)
+            points += [(x0, y0), (x0 + pitch, y0), (x0, y0 + pitch), (x0 + pitch, y0 + pitch)]
+        # All points as one (points, rows, cols) broadcast: one pass over the edges.
+        xs = np.stack([x for x, _ in points])[:, None, :]
+        ys = np.stack([y for _, y in points])
+        covered = self._contains_points(xs, ys).any(axis=0)
         mask[row_lo:row_hi, col_lo:col_hi] = covered
         return mask
 

@@ -136,7 +136,15 @@ def _select_candidate_reference(
             float(np.mean([p.x for p in placed_centers])),
             float(np.mean([p.y for p in placed_centers])),
         )
-        limit = threshold.threshold_for(placed_centers) if apply_threshold else np.inf
+        limit = (
+            threshold.threshold_around(
+                (centroid.x, centroid.y),
+                np.array([p.x for p in placed_centers]),
+                np.array([p.y for p in placed_centers]),
+            )
+            if apply_threshold
+            else np.inf
+        )
     else:
         centroid = None
         limit = np.inf

@@ -285,14 +285,23 @@ class TestConstraints:
 
     def test_distance_threshold_floor(self):
         threshold = DistanceThreshold(factor=2.0, min_radius_m=5.0)
-        compact = [Point2D(0, 0), Point2D(0.5, 0.0)]
-        assert threshold.threshold_for(compact) == 5.0
-        assert threshold.accepts(Point2D(3.0, 0.0), compact)
-        assert not threshold.accepts(Point2D(30.0, 0.0), compact)
+        # Two adjacent modules: a 0.25 m spread, so the floor binds.
+        limit = threshold.threshold_around((0.25, 0.0), np.array([0.0, 0.5]), np.zeros(2))
+        assert limit == 5.0
+        centroid = Point2D(0.25, 0.0)
+        assert Point2D(3.0, 0.0).distance_to(centroid) <= limit
+        assert not Point2D(30.0, 0.0).distance_to(centroid) <= limit
+
+    def test_distance_threshold_spread(self):
+        # Past the floor the threshold is ``factor`` times the mean spread.
+        threshold = DistanceThreshold(factor=2.0, min_radius_m=5.0)
+        assert threshold.threshold_around((0.0, 0.0), np.array([-10.0, 10.0]), np.zeros(2)) == 20.0
 
     def test_distance_threshold_single_module(self):
         threshold = DistanceThreshold()
-        assert threshold.accepts(Point2D(100.0, 100.0), [Point2D(0, 0)])
+        limit = threshold.threshold_around((0.0, 0.0), np.zeros(1), np.zeros(1))
+        assert limit == np.inf
+        assert Point2D(100.0, 100.0).distance_to(Point2D(0, 0)) <= limit
 
     def test_distance_threshold_validation(self):
         with pytest.raises(PlacementError):

@@ -9,13 +9,20 @@ Every optimisation of the evaluation engine ships with its ground truth:
 * the vectorised :class:`~repro.core.PlacementEvaluator` must agree with the
   original per-module-loop evaluation to within 1e-9 relative,
 * the incremental greedy placer must return placements **identical module
-  for module** to the full-rebuild reference, on the scenario catalog too,
+  for module** to the full-rebuild reference, on the scenario catalog and
+  on generated grids (warm prefixes included), and the compact baseline's
+  string rows must equal the per-row oracle's,
 * the vectorised solar-field accessors and the shadow-fraction map must
   match their loop formulations.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from types import SimpleNamespace
+
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,11 +40,23 @@ from repro.core import (
     module_irradiance_series,
     traditional_floorplan,
 )
+from repro.core import greedy as greedy_module
+from repro.core.constraints import feasible_anchor_mask, mark_occupied
 from repro.core.evaluation import _GATHER_TILE_BYTES
-from repro.errors import GISError, PlacementError, SolarModelError
-from repro.geometry import Raster, RasterSpec
-from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
+from repro.core.greedy import _footprint_score_map
+from repro.core.suitability import SuitabilityConfig, SuitabilityMap
+from repro.core.traditional import TraditionalConfig
+from repro.errors import GISError, InfeasiblePlacementError, PlacementError, SolarModelError
+from repro.geometry import Point3D, Raster, RasterSpec, RoofPlaneFrame
+from repro.gis import (
+    RoofGrid,
+    RoofSpec,
+    build_roof_scene,
+    make_roof_grid,
+    suitable_grid_for_scene,
+)
 from repro.pv.datasheet import PV_MF165EB3
+from repro.runner.solvers import WarmStart
 from repro.scenario import builtin_scenarios, get_scenario
 from repro.solar import compute_roof_solar_field, shading
 from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fraction_map
@@ -45,6 +64,7 @@ from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fracti
 from oracles.evaluation import evaluate_placement_reference, module_irradiance_series_reference
 from oracles.greedy import greedy_floorplan_reference
 from oracles.horizon import compute_horizon_map_reference
+from oracles.traditional import traditional_floorplan_reference
 
 
 RELATIVE_TOLERANCE = 1e-9
@@ -838,3 +858,222 @@ def _catalog_problem(name: str) -> FloorplanProblem:
         allow_rotation=spec.allow_rotation,
         label=spec.name,
     )
+
+
+def _grid_problem(valid, cells, n_modules, allow_rotation=False, threshold_factor=2.0):
+    """A placement problem on a 1 m grid whose modules span ``cells = (w, h)``.
+
+    The placers read only the grid and the suitability map they are given,
+    so the problem carries a stand-in for the solar field.
+    """
+    n_rows, n_cols = valid.shape
+    grid = RoofGrid(
+        frame=RoofPlaneFrame(origin=Point3D(0.0, 0.0, 0.0), azimuth_deg=0.0, tilt_deg=30.0),
+        pitch=1.0,
+        n_rows=n_rows,
+        n_cols=n_cols,
+        valid_mask=valid,
+    )
+    return FloorplanProblem(
+        grid=grid,
+        solar=SimpleNamespace(grid=grid),
+        n_modules=n_modules,
+        topology=default_topology(n_modules, n_modules),
+        datasheet=dataclasses.replace(PV_MF165EB3, width_m=cells[0], height_m=cells[1]),
+        allow_rotation=allow_rotation,
+        distance_threshold_factor=threshold_factor,
+    )
+
+
+def _suitability_map(values):
+    return SuitabilityMap(
+        values=values,
+        irradiance_statistic=values,
+        temperature_factor=np.ones_like(values),
+        config=SuitabilityConfig(),
+    )
+
+
+def _level_values(rng, valid, levels):
+    """Suitability on a few levels (exact ties), NaN off the valid cells."""
+    values = rng.integers(0, levels, size=valid.shape) / levels + 0.5
+    return np.where(valid, values, np.nan)
+
+
+#: Which grid edge gets a bonus strip, so the first module lands on it and
+#: the ones around it make the removal windows clip there.
+_EDGES = ("bottom", "top", "left", "right", None)
+
+
+@st.composite
+def _greedy_case(draw):
+    cells = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n_rows = draw(st.integers(cells[1] + 1, 14))
+    # Two islands further apart than the threshold's floor (7 cells for the
+    # smallest module): once the placement fills one, the threshold relaxes.
+    islands = draw(st.booleans())
+    n_cols = draw(st.integers(24, 30) if islands else st.integers(cells[0] + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.random((n_rows, n_cols)) >= draw(st.sampled_from([0.0, 0.05, 0.2]))
+    if islands:
+        valid[:, n_cols // 2 - 5 : n_cols // 2 + 5] = False
+    values = _level_values(rng, valid, draw(st.integers(2, 5)))
+    edge = draw(st.sampled_from(_EDGES))
+    band = max(cells)
+    strip = {
+        "bottom": np.s_[:band, :],
+        "top": np.s_[-band:, :],
+        "left": np.s_[:, :band],
+        "right": np.s_[:, -band:],
+    }.get(edge)
+    if strip is not None:
+        values[strip] += 1.0
+    capacity = int(valid.sum()) // (cells[0] * cells[1])
+    hypothesis.assume(capacity >= 1)
+    fill = draw(st.sampled_from([0.7, 0.9] if islands else [0.2, 0.6, 0.9, 1.0]))
+    n_modules = max(1, int(fill * min(capacity, 40)))
+    config = GreedyConfig(
+        footprint_aggregate=draw(st.sampled_from(["mean", "anchor", "min"])),
+        tie_tolerance=draw(st.sampled_from([0.0, 0.01, 0.05])),
+        respect_distance_threshold=draw(st.booleans()),
+    )
+    problem = _grid_problem(
+        valid,
+        cells,
+        n_modules,
+        allow_rotation=draw(st.booleans()),
+        threshold_factor=draw(st.sampled_from([0.25, 1.0, 2.0])),
+    )
+    warm_modules = draw(st.integers(1, max(n_modules - 1, 1)))
+    return problem, _suitability_map(values), config, warm_modules
+
+
+def _live_anchor_count(problem, suitability, config, placed) -> int:
+    """Anchors a full rebuild would still rank after placing ``placed``."""
+    occupied = np.zeros(problem.grid.shape, dtype=bool)
+    orientations = [(problem.footprint, False)]
+    if problem.allow_rotation and problem.footprint.cells_w != problem.footprint.cells_h:
+        orientations.append((problem.footprint.rotated(), True))
+    footprints = {rotated: fp for fp, rotated in orientations}
+    for module in placed:
+        mark_occupied(occupied, module.row, module.col, footprints[module.rotated])
+    return sum(
+        int(
+            (
+                feasible_anchor_mask(problem.grid.valid_mask, occupied, fp)
+                & np.isfinite(
+                    _footprint_score_map(
+                        suitability, fp.cells_h, fp.cells_w, config.footprint_aggregate
+                    )
+                )
+            ).sum()
+        )
+        for fp, _ in orientations
+    )
+
+
+class TestIncrementalGreedyProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_greedy_case())
+    def test_matches_the_full_rebuild_oracle(self, case):
+        problem, suitability, config, warm_modules = case
+        try:
+            reference = greedy_floorplan_reference(problem, suitability, config)
+        except InfeasiblePlacementError as exc:
+            with pytest.raises(InfeasiblePlacementError, match=re.escape(str(exc))):
+                greedy_floorplan(problem, suitability, config)
+            return
+        fast = greedy_floorplan(problem, suitability, config)
+        assert _module_tuples(fast.placement) == _module_tuples(reference.placement)
+        assert fast.relaxed_threshold_count == reference.relaxed_threshold_count
+
+        if problem.n_modules < 2:
+            return
+        prefix = greedy_floorplan(
+            dataclasses.replace(
+                problem,
+                n_modules=warm_modules,
+                topology=default_topology(warm_modules, warm_modules),
+            ),
+            suitability,
+            config,
+        )
+        warm = greedy_floorplan(
+            problem,
+            suitability,
+            config,
+            warm_start=WarmStart(placement=prefix.placement, exact_prefix=True),
+        )
+        assert warm.warm_modules == warm_modules
+        assert _module_tuples(warm.placement) == _module_tuples(reference.placement)
+        assert warm.relaxed_threshold_count == reference.relaxed_threshold_count
+
+    def test_traced_steps_count_live_anchors(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        valid = rng.random((12, 18)) >= 0.1
+        values = _level_values(rng, valid, 3)
+        problem = _grid_problem(valid, (3, 2), 10, allow_rotation=True)
+        suitability = _suitability_map(values)
+        config = GreedyConfig()
+        events = []
+        monkeypatch.setattr(greedy_module, "tracing_enabled", lambda: True)
+        monkeypatch.setattr(
+            greedy_module, "trace_event", lambda name, **attrs: events.append((name, attrs))
+        )
+        modules = greedy_floorplan(problem, suitability, config).placement.modules
+        steps = [attrs for name, attrs in events if name == "greedy.step"]
+        assert [step["module"] for step in steps] == list(range(problem.n_modules))
+        for step in steps:
+            assert step["candidates_left"] == _live_anchor_count(
+                problem, suitability, config, modules[: step["module"] + 1]
+            )
+
+
+# ---------------------------------------------------------------------------
+# Traditional baseline: string rows
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _banded_case(draw):
+    """Bands of valid rows too low for the whole block, with a remainder row."""
+    cells = (draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    modules_per_row = draw(st.integers(2, 4))
+    gap = draw(st.integers(0, 2))
+    n_rows_of_modules = draw(st.integers(2, 4))
+    remainder = draw(st.integers(1, modules_per_row - 1))
+    n_modules = (n_rows_of_modules - 1) * modules_per_row + remainder
+    # A band lower than the block (two module rows and a gap) cannot hold it.
+    band_h = draw(st.integers(cells[1], 2 * cells[1] + gap - 1))
+    row_w = modules_per_row * cells[0] + (modules_per_row - 1) * gap
+    n_cols = draw(st.integers(row_w, row_w + 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, n_rows_of_modules + 1))):
+        rows.append(np.ones((band_h, n_cols), dtype=bool))
+        rows.append(np.zeros((draw(st.integers(1, 2)), n_cols), dtype=bool))
+    valid = np.vstack(rows[:-1])
+    valid &= rng.random(valid.shape) >= draw(st.sampled_from([0.0, 0.03]))
+    hypothesis.assume(valid.sum() >= n_modules * cells[0] * cells[1])
+    problem = _grid_problem(valid, cells, n_modules)
+    values = _level_values(rng, valid, draw(st.integers(2, 5)))
+    config = TraditionalConfig(modules_per_row=modules_per_row, gap_cells=gap)
+    return problem, _suitability_map(values), config
+
+
+class TestTraditionalStringRows:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_banded_case())
+    def test_matches_the_per_row_oracle(self, case):
+        problem, suitability, config = case
+        modules, strategy = traditional_floorplan_reference(problem, suitability, config)
+        assert strategy != "full-block"
+        if modules is None:
+            with pytest.raises(InfeasiblePlacementError):
+                traditional_floorplan(problem, suitability, config)
+            return
+        fast = traditional_floorplan(problem, suitability, config)
+        assert fast.strategy == strategy
+        assert _module_tuples(fast.placement) == [
+            (m.module_index, m.row, m.col, m.rotated) for m in modules
+        ]
