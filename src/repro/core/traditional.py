@@ -254,32 +254,36 @@ def _try_string_rows(
 def _pack_modules_individually(
     problem: FloorplanProblem, suitability: SuitabilityMap, footprint: ModuleFootprint
 ):
-    """Last-resort compact packing: modules hug the best seed position."""
-    occupied = np.zeros(problem.grid.shape, dtype=bool)
-    modules: list[ModulePlacement] = []
-    placed_centers: list[Point2D] = []
+    """Last-resort compact packing: modules hug the best seed position.
 
+    Each module takes the free anchor nearest the seed, the first in
+    row-major order on ties.  The distances to the seed never change, so
+    they are computed once; a placed module only rules out the anchors
+    whose footprint overlaps its own, and that window of the map is cleared.
+    """
+    n_rows, n_cols = problem.grid.shape
+    feasible = feasible_anchor_mask(
+        problem.grid.valid_mask, np.zeros((n_rows, n_cols), dtype=bool), footprint
+    )
     seed_scores = _window_score(suitability.values, footprint.cells_h, footprint.cells_w)
-    feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, footprint)
     seed_scores = np.where(feasible, seed_scores, -np.inf)
     if not np.any(np.isfinite(seed_scores)):
         return None
     seed_row, seed_col = np.unravel_index(int(np.argmax(seed_scores)), seed_scores.shape)
     seed_center = anchor_center(int(seed_row), int(seed_col), footprint, problem.grid.pitch)
 
+    centers_u = (np.arange(n_cols) + footprint.cells_w / 2.0) * problem.grid.pitch
+    centers_v = (np.arange(n_rows) + footprint.cells_h / 2.0) * problem.grid.pitch
+    distances = np.hypot(centers_u - seed_center.x, centers_v[:, None] - seed_center.y)
+    distances[~feasible] = np.inf
+    kh, kw = footprint.cells_h, footprint.cells_w
+    modules: list[ModulePlacement] = []
     for module_index in range(problem.n_modules):
-        feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, footprint)
-        rows, cols = np.nonzero(feasible)
-        if rows.size == 0:
+        row, col = divmod(int(np.argmin(distances)), n_cols)
+        if distances[row, col] == np.inf:
             return None
-        centers_u = (cols + footprint.cells_w / 2.0) * problem.grid.pitch
-        centers_v = (rows + footprint.cells_h / 2.0) * problem.grid.pitch
-        distances = np.hypot(centers_u - seed_center.x, centers_v - seed_center.y)
-        pick = int(np.argmin(distances))
-        row, col = int(rows[pick]), int(cols[pick])
         modules.append(
             ModulePlacement(module_index=module_index, row=row, col=col, rotated=False)
         )
-        placed_centers.append(anchor_center(row, col, footprint, problem.grid.pitch))
-        mark_occupied(occupied, row, col, footprint)
+        distances[max(row - kh + 1, 0) : row + kh, max(col - kw + 1, 0) : col + kw] = np.inf
     return modules

@@ -8,12 +8,29 @@ and writes lease-fenced terminal marks.  :func:`run_batch` is enroll +
 loop + summary; the fleet daemon (:func:`~repro.runner.worker.run_worker`)
 is the same loop over a whole campaign.
 
+Worker pool
+-----------
+A process keeps at most one idle worker pool and lends it to one claim
+loop at a time, so consecutive pooled batches (the points of a design
+sweep, say) skip the fork and run in warm workers.  A loop borrows the idle
+pool when its size and the solver registry generation
+(:func:`~repro.runner.solvers.registry_generation`) match, and otherwise
+shuts it down and forks a new one.  A loop that ends cleanly hands its pool
+back; one that tore its pool down (watchdog eviction, a dead worker, a stop
+signal) or raised shuts its pool down instead.  An idle pool one of whose
+workers died between loops is not lent, and a pool handed back while
+another already idles is shut down, so loops in concurrent threads never
+share workers.  The idle pool's workers end with the interpreter
+(the standard library's exit hook joins them; each worker also exits when
+its parent process dies), and :func:`discard_idle_pool` ends them earlier.
+
 The worker transport is zero-copy by construction: each submission
-carries only the scenario's declarative dictionary plus the cache
-*location* (a directory path -- the content keys are recomputed inside the
-worker), never a pickled irradiance array or any other bulk simulation
-object; workers attach to the shared on-disk stage cache, whose bulk
-arrays they memory-map read-only (see :mod:`repro.runner.cache`).  The
+carries only the scenario's declarative dictionary, the cache *location*
+(a directory path -- the content keys are recomputed inside the worker),
+the warm-start hint and the loop's trace and fault context, never a
+pickled irradiance array or any other bulk simulation object; workers
+attach to the shared on-disk stage cache, whose bulk arrays they
+memory-map read-only (see :mod:`repro.runner.cache`).  The
 first scenario that needs a given solar field computes and publishes it,
 all later scenarios -- in this run or the next -- hit the cache.  Results
 come back in input order regardless of completion order, and all scenario
@@ -39,6 +56,7 @@ point in input order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import signal
@@ -51,16 +69,37 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .. import faults
 from ..constants import DEFAULT_HEARTBEAT_S, DEFAULT_STALE_AFTER_S
 from ..errors import ConfigurationError, ScenarioExecutionError
 from ..io.placement_json import placement_from_dict
 from ..scenario.spec import ScenarioSpec
-from ..telemetry import MetricStats, configure_from_env, merge_active_trace, span, trace_event
+from ..telemetry import (
+    TRACE_ENV,
+    MetricStats,
+    current_span_id,
+    merge_active_trace,
+    span,
+    trace_event,
+    trace_to,
+    under_span,
+)
 from .cache import PathLike, StageCache, resolve_cache
-from .solvers import WarmStart
+from .solvers import WarmStart, registry_generation
 from .stages import UNCACHED_STAGES, ScenarioResult, run_scenario
 from .store import (
     METRIC_KIND_COUNTER,
@@ -120,18 +159,82 @@ class _StopRequested(BaseException):
 
 
 def _worker_init() -> None:
-    """Worker-process initializer: restore default signal dispositions.
+    """Worker-process initializer: default signal dispositions, exit with the parent.
 
     Forked workers inherit the parent's stop handlers, which must not run
     in a worker: a worker has to die promptly on ``terminate()`` (SIGTERM)
     and leave Ctrl-C -- SIGINT, delivered to the whole process group -- to
     the parent's claim loop, which settles held points and shuts down cleanly.
+
+    A lent pool idles between claim loops, and a parent killed outright
+    (no exit hooks) would leave its workers blocked on the task queue for
+    good, so a daemon thread ends the worker once its parent is gone.
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Poll the parent pid once a second; exit the worker once it changed."""
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(0)
+
+
+def _new_pool(size: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=size, initializer=_worker_init)
+
+
+#: The idle worker pool with its key ``(size, solver registry generation)``,
+#: or ``None``: at most one per process (see "Worker pool" above).
+_IDLE: Optional[Tuple[Tuple[int, int], ProcessPoolExecutor]] = None
+_IDLE_LOCK = threading.Lock()
+
+
+def _pool_intact(pool: ProcessPoolExecutor) -> bool:
+    """Whether every worker of ``pool`` still runs and the pool is not broken.
+
+    An idle pool's workers can die between loops (the OOM killer, a stray
+    ``kill``); the pool then breaks, or is about to once its management
+    thread notices, and would refuse the next submission.
+    """
+    processes = pool._processes or {}
+    return not pool._broken and all(process.is_alive() for process in processes.values())
+
+
+def _borrow_pool(size: int) -> Tuple[Tuple[int, int], ProcessPoolExecutor]:
+    """The idle pool if it fits ``size`` and the solver registry, else a new one."""
+    global _IDLE
+    key = (size, registry_generation())
+    with _IDLE_LOCK:
+        if _IDLE is not None and _IDLE[0] == key and _pool_intact(_IDLE[1]):
+            idle, _IDLE = _IDLE, None
+            return idle
+    discard_idle_pool()
+    return key, _new_pool(size)
+
+
+def _hand_back(key: Tuple[int, int], pool: ProcessPoolExecutor) -> None:
+    """Make ``pool`` the idle pool, or shut it down if another one idles already."""
+    global _IDLE
+    with _IDLE_LOCK:
+        if _IDLE is None:
+            _IDLE = (key, pool)
+            return
+    pool.shutdown()
+
+
+def discard_idle_pool() -> None:
+    """Shut the idle worker pool down, so the next pooled loop forks afresh."""
+    global _IDLE
+    with _IDLE_LOCK:
+        idle, _IDLE = _IDLE, None
+    if idle is not None:
+        idle[1].shutdown()
 
 
 def _terminate_worker_processes(executor: ProcessPoolExecutor) -> None:
@@ -242,24 +345,64 @@ class BatchResult:
         }
 
 
+class _TaskContext(NamedTuple):
+    """The claim loop's state a pool worker applies before each task.
+
+    A lent pool outlives the loop that forked it, so a worker must not run
+    on the environment, fault plan or open span it inherited at fork time.
+    """
+
+    #: ``$REPRO_TRACE`` (``None``: not tracing) and the loop's span, the
+    #: parent of the worker's ``scenario`` spans.
+    trace: Optional[str]
+    trace_parent: Optional[str]
+    #: ``$REPRO_FAULTS`` and ``$REPRO_FAULTS_STATE``.
+    faults: Optional[str]
+    faults_state: Optional[str]
+    #: One number per claim loop.  A worker re-arms its fault plan when it
+    #: changes, so each loop starts from fresh injector counts, as a newly
+    #: forked worker would.
+    arming: int
+    #: The verification mode of the loop's stage cache (``None``: the
+    #: :class:`~repro.runner.cache.StageCache` default).
+    cache_verify: Optional[str]
+
+
+_LOOP_NUMBERS = itertools.count(1)
+
+
+def _task_context(stage_cache: Optional[StageCache] = None) -> _TaskContext:
+    """The calling loop's :class:`_TaskContext`, numbered afresh."""
+    return _TaskContext(
+        trace=os.environ.get(TRACE_ENV) or None,
+        trace_parent=current_span_id(),
+        faults=os.environ.get(faults.FAULTS_ENV) or None,
+        faults_state=os.environ.get(faults.FAULTS_STATE_ENV) or None,
+        arming=next(_LOOP_NUMBERS),
+        cache_verify=None if stage_cache is None else stage_cache.verify,
+    )
+
+
 def _worker_payload(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     cache_dir: Optional[str],
-    warm_hint: Optional[dict] = None,
-) -> Tuple[dict, Optional[str], Optional[dict]]:
+    warm_hint: Optional[dict],
+    context: _TaskContext,
+) -> Tuple[dict, Optional[str], Optional[dict], _TaskContext]:
     """The pickled work unit shipped to one worker process.
 
     Deliberately tiny: the declarative scenario dictionary, the cache
-    *location* (``None`` runs the point uncached), and an optional
-    warm-start hint (a neighbour's placement dict -- module anchor tuples,
-    not arrays).
+    *location* (``None`` runs the point uncached), an optional warm-start
+    hint (a neighbour's placement dict -- module anchor tuples, not
+    arrays), and the loop's :class:`_TaskContext` (trace path and parent
+    span, fault plan, cache verification mode).
     Workers rederive every content key from the spec and pull bulk arrays
     from the shared cache (memory-mapped), so no irradiance matrix -- or
     any other numpy payload -- ever crosses the process boundary.  A test
     asserts the serialised size stays in the kilobytes.
     """
     spec_dict = spec.to_dict() if isinstance(spec, ScenarioSpec) else dict(spec)
-    return (spec_dict, cache_dir, warm_hint)
+    return (spec_dict, cache_dir, warm_hint, context)
 
 
 def _warm_start_from_hint(
@@ -331,8 +474,12 @@ def execute_point(
         )
 
 
+#: The ``arming`` number of the last task context this process applied.
+_ARMED_FOR: Optional[int] = None
+
+
 def _run_scenario_worker(args: tuple) -> Tuple[str, dict]:
-    """Process-pool entry point: environment setup around :func:`execute_point`.
+    """Process-pool entry point: the task's context around :func:`execute_point`.
 
     Returns ``("ok", result_record)`` or ``("error", {"error",
     "traceback"})`` (see :func:`execute_point`), so an exception inside a
@@ -340,20 +487,24 @@ def _run_scenario_worker(args: tuple) -> Tuple[str, dict]:
     failure to its point (name + digest) instead of surfacing a bare pool
     traceback.
     """
-    # Tracing propagates through $REPRO_TRACE (set by telemetry.configure in
-    # the parent): forked workers already hold a re-keyed tracer via the
-    # at-fork hook, spawned workers pick the path up here.  Each worker
-    # writes its own shard; the parent merges at drain time.
-    configure_from_env()
-    # Chaos hooks: $REPRO_FAULTS propagates the same way.  ``worker.crash``
-    # kills this process outright (exercising pool-death recovery in the
-    # parent), ``worker.hang`` sleeps past any deadline (exercising the
-    # watchdog).  Both are no-ops unless a fault plan is armed; they fire
-    # inside ``execute_point``.
-    faults.configure_from_env()
-    spec_dict, cache_dir, warm_hint = args
-    cache = None if cache_dir is None else StageCache(root=Path(cache_dir))
-    return execute_point(spec_dict, cache, warm_hint=warm_hint)
+    global _ARMED_FOR
+    spec_dict, cache_dir, warm_hint, context = args
+    # Each worker writes its own trace shard; the parent merges at drain time.
+    trace_to(context.trace)
+    if context.arming != _ARMED_FOR:
+        # Chaos hooks: ``worker.crash`` kills this process outright
+        # (exercising pool-death recovery in the parent), ``worker.hang``
+        # sleeps past any deadline (exercising the watchdog).  Both are
+        # no-ops unless a fault plan is armed; they fire inside
+        # ``execute_point``.
+        faults.configure(context.faults, context.faults_state)
+        _ARMED_FOR = context.arming
+    cache = None
+    if cache_dir is not None:
+        cache = StageCache(root=Path(cache_dir))
+        cache.verify = context.cache_verify or cache.verify
+    with under_span(context.trace_parent):
+        return execute_point(spec_dict, cache, warm_hint=warm_hint)
 
 
 def _point_error_message(name: str, digest: str, error: str) -> str:
@@ -441,7 +592,8 @@ def run_claim_loop(
     :meth:`~repro.runner.store.ResultStore.claim_next_pending` (only among
     ``digests`` when given), and runs them through :func:`execute_point`:
     in-process when ``pool_size`` is 0, else in a process pool of that
-    size; ``stage_cache=None`` runs them uncached.  Held points are
+    size, borrowed and handed back as the module docstring describes;
+    ``stage_cache=None`` runs them uncached.  Held points are
     heartbeated every ``heartbeat_s``, and every terminal mark is fenced on
     ``owner`` still holding the lease: a result that arrives after another
     owner adopted the point is dropped and counted in ``lost_leases``.
@@ -475,11 +627,6 @@ def run_claim_loop(
     timeout_text = "" if timeout_s is None else (
         f"timed out: exceeded wall-clock budget of {timeout_s:g}s (timeout_s)"
     )
-
-    def new_pool() -> Optional[ProcessPoolExecutor]:
-        if not pool_size:
-            return None
-        return ProcessPoolExecutor(max_workers=pool_size, initializer=_worker_init)
 
     def settle(lease: _Lease, status: str, record: dict) -> None:
         """Apply one attempt's outcome: a fenced mark, or a retry under the lease."""
@@ -527,8 +674,13 @@ def run_claim_loop(
                 status, record = "timeout", {"error": timeout_text}
             settle(lease, status, record)
             return
-        payload = _worker_payload(spec_dict, cache_dir, lease.hint)
-        lease.future = pool.submit(_run_scenario_worker, payload)
+        payload = _worker_payload(spec_dict, cache_dir, lease.hint, context)
+        try:
+            lease.future = pool.submit(_run_scenario_worker, payload)
+        except BrokenProcessPool as died:
+            # A worker died while no attempt was in flight.
+            rebuild_pool(f"worker process died: {died}")
+            lease.future = pool.submit(_run_scenario_worker, payload)
         if timeout_s is not None:
             lease.deadline = time.monotonic() + timeout_s
 
@@ -552,15 +704,19 @@ def run_claim_loop(
 
     def rebuild_pool(reason: str, overdue: Set[str] = frozenset()) -> None:
         """Kill the pool, start a fresh one, and settle every pooled attempt."""
-        nonlocal pool
+        nonlocal pool, torn_down
         _terminate_worker_processes(pool)
         pool.shutdown(wait=False, cancel_futures=True)
-        pool = new_pool()
+        pool = _new_pool(pool_size)
+        torn_down = True
         for lease in [lease for lease in held.values() if lease.future is not None]:
             harvest(lease, reason, lease.point.digest in overdue)
 
-    pool = new_pool()
-    clean = False
+    pool: Optional[ProcessPoolExecutor] = None
+    if pool_size:
+        context = _task_context(stage_cache)
+        pool_key, pool = _borrow_pool(pool_size)
+    torn_down = clean = False
     last_beat = time.monotonic()
     with _stop_signals():
         try:
@@ -644,7 +800,9 @@ def run_claim_loop(
                     )
                     store.mark_failed(campaign, digest, message, require_owner=owner)
         finally:
-            if pool is not None:
+            if pool is not None and clean and not torn_down:
+                _hand_back(pool_key, pool)
+            elif pool is not None:
                 pool.shutdown(wait=clean, cancel_futures=not clean)
     return tally
 
@@ -673,7 +831,11 @@ def run_batch(
         Stage cache handle or directory shared by every worker.
     jobs:
         Worker-process count; defaults to ``min(len(specs), cpu_count)``.
-        ``1`` runs serially in-process; below ``1`` is an error.
+        ``1`` runs serially in-process; below ``1`` is an error.  Above
+        ``1`` the batch borrows the process's idle worker pool of that size
+        (forking one on first use) and hands it back when it ends cleanly,
+        so the next pooled batch starts on warm workers; see the module
+        docstring for when a pool is discarded instead.
     use_cache:
         Set False to bypass the stage cache entirely.
     store:
@@ -810,8 +972,9 @@ def run_batch(
         if throwaway is not None:
             throwaway.cleanup()
         # Fold worker trace shards into the single merged trace; a no-op
-        # while tracing is disabled.  The pool has drained by now, so every
-        # shard is complete.
+        # while tracing is disabled.  A worker flushes its shard when a
+        # task's top-level span closes, before the result comes back, so
+        # every shard is complete although the pool may live on.
         merge_active_trace()
 
     if throwaway is not None and failures:

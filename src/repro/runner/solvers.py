@@ -138,6 +138,11 @@ class SolverEntry:
 
 _REGISTRY: Dict[str, SolverEntry] = {}
 
+#: Bumped by every :func:`register_solver` call.  A batch worker pool forked
+#: before a registration lacks that solver, so the batch runner keys its idle
+#: pool on this number (:func:`registry_generation`).
+_GENERATION = 0
+
 
 def register_solver(
     name: str,
@@ -152,6 +157,7 @@ def register_solver(
     capabilities (see :class:`SolverEntry`); leaving them unset registers a
     plain cold-start solver, which is always safe.
     """
+    global _GENERATION
     key = name.lower()
     if not key:
         raise ConfigurationError("solver name must be non-empty")
@@ -163,6 +169,12 @@ def register_solver(
         supports_warm_start=supports_warm_start,
         budget_option=budget_option,
     )
+    _GENERATION += 1
+
+
+def registry_generation() -> int:
+    """How many registrations this process has made (see :data:`_GENERATION`)."""
+    return _GENERATION
 
 
 def get_solver_entry(name: str) -> SolverEntry:

@@ -183,8 +183,9 @@ def run_worker(
     if max_points is not None and max_points <= 0:
         raise ConfigurationError("max_points must be > 0 when set")
 
-    # Workers arm telemetry and chaos from the environment like pool
-    # workers do: each fleet member is typically its own ``repro`` process.
+    # A fleet worker is typically its own ``repro`` process: it arms
+    # telemetry and chaos from its environment, and its claim loop hands
+    # them on to its pool workers with every task.
     configure_from_env()
     faults.configure_from_env()
 

@@ -44,6 +44,7 @@ from .trace import (
     active_tracer,
     configure,
     configure_from_env,
+    current_span_id,
     iter_spans,
     merge_active_trace,
     merge_trace,
@@ -52,7 +53,9 @@ from .trace import (
     shard_paths,
     span,
     trace_event,
+    trace_to,
     tracing_enabled,
+    under_span,
 )
 
 __all__ = [
@@ -72,6 +75,7 @@ __all__ = [
     "configure",
     "configure_cli_logging",
     "configure_from_env",
+    "current_span_id",
     "emit_diagnostic",
     "emit_err",
     "emit_error",
@@ -88,5 +92,7 @@ __all__ = [
     "shard_paths",
     "span",
     "trace_event",
+    "trace_to",
     "tracing_enabled",
+    "under_span",
 ]

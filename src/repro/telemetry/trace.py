@@ -36,10 +36,11 @@ Event schema (one JSON object per line)::
      "parent": "1234-8", "pid": 1234, "ts": ..., "attrs": {...}}
 
 ``id`` is ``<pid>-<sequence>`` (globally unique within a trace), ``parent``
-links to the enclosing span (possibly opened in the forking parent, so a
-batch's worker scenarios hang off the parent's ``batch`` span), ``dur`` is
-the span's duration in seconds, and ``attrs`` carries the instrumentation
-attributes (cache hit/miss, candidate counts, solver figures, ...).
+links to the enclosing span (possibly opened in another process: a batch
+pool worker hangs each task's ``scenario`` span off the claim loop's span,
+see :func:`under_span`), ``dur`` is the span's duration in seconds, and
+``attrs`` carries the instrumentation attributes (cache hit/miss, candidate
+counts, solver figures, ...).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import atexit
 import json
 import os
 import time
+from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import count
 from pathlib import Path
@@ -258,15 +260,25 @@ def configure(path: Optional[PathLike], set_env: bool = True) -> Optional[Tracer
 
 def configure_from_env() -> Optional[Tracer]:
     """Synchronise the tracer with ``$REPRO_TRACE`` (idempotent)."""
-    value = os.environ.get(TRACE_ENV)
+    return trace_to(os.environ.get(TRACE_ENV))
+
+
+def trace_to(path: Optional[PathLike]) -> Optional[Tracer]:
+    """Record to ``path`` (``None`` or empty: stop), leaving the environment alone.
+
+    A tracer of this process already recording to ``path`` is kept, with
+    its sequence and buffered events.  A batch pool worker calls this with
+    each task's trace path, since the environment it inherited at fork time
+    may be stale.
+    """
     current = _STATE.tracer
-    if not value:
+    if not path:
         if current is not None:
             configure(None, set_env=False)
         return None
-    if current is not None and current.path == Path(value) and current.pid == os.getpid():
+    if current is not None and current.path == Path(path) and current.pid == os.getpid():
         return current
-    return configure(value, set_env=False)
+    return configure(path, set_env=False)
 
 
 def active_tracer() -> Optional[Tracer]:
@@ -292,6 +304,26 @@ def trace_event(name: str, **attrs: Any) -> None:
     tracer = _STATE.tracer
     if tracer is not None:
         tracer.event(name, **attrs)
+
+
+def current_span_id() -> Optional[str]:
+    """Id of the span enclosing the calling context (``None`` at top level)."""
+    return _CURRENT.get()
+
+
+@contextmanager
+def under_span(span_id: Optional[str]) -> Iterator[None]:
+    """Open the block's spans and events as children of ``span_id``.
+
+    ``span_id`` may belong to another process: a batch pool worker hangs
+    each task's spans off the claim loop's span this way, whatever span was
+    open when the worker was forked.
+    """
+    token = _CURRENT.set(span_id)
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)
 
 
 def _flush_at_exit() -> None:

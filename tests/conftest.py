@@ -70,6 +70,22 @@ def isolated_telemetry(monkeypatch):
     telemetry.configure(None)
 
 
+@pytest.fixture(autouse=True)
+def fresh_worker_pool():
+    """Shut the batch runner's idle worker pool down after every test.
+
+    A pooled batch hands its workers back for the next one in the process,
+    and those workers carry what they inherited at fork time.  Tests that
+    monkeypatch ``ProcessPoolExecutor`` or a module global before a pooled
+    batch need workers forked after the patch, not a pool an earlier test
+    left idle.
+    """
+    yield
+    from repro.runner import batch
+
+    batch.discard_idle_pool()
+
+
 @pytest.fixture(scope="session")
 def small_time_grid() -> TimeGrid:
     """Two-hourly samples of every 30th day (156 samples)."""

@@ -1,10 +1,13 @@
 """Per-row oracle of :func:`repro.core.traditional.traditional_floorplan`.
 
-The compact baseline's flow with its string-row fallback written directly:
-every string row recomputes the sliding-window suitability score of its
-width, although that score depends on nothing the earlier rows change.  The
-baseline computes it once per distinct width and must return the same
-placement and the same strategy.
+The compact baseline's flow with its two fallbacks written directly.  Every
+string row recomputes the sliding-window suitability score of its width,
+although that score depends on nothing the earlier rows change; the
+baseline computes it once per distinct width.  The per-module packing
+rebuilds the feasible-anchor mask and the distances to its seed for every
+module; the baseline computes the distances once and clears each placed
+module's overlap window.  Both must return the same placement and the same
+strategy.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from repro.core.constraints import anchor_center, feasible_anchor_mask, mark_occ
 from repro.core.placement import ModuleFootprint, ModulePlacement
 from repro.core.problem import FloorplanProblem
 from repro.core.suitability import SuitabilityMap
-from repro.core.traditional import (
-    TraditionalConfig,
-    _pack_modules_individually,
-    _try_full_block,
-    _window_score,
-)
+from repro.core.traditional import TraditionalConfig, _try_full_block, _window_score
 from repro.geometry import Point2D
 
 
@@ -48,10 +46,42 @@ def traditional_floorplan_reference(
     )
     if modules is not None:
         return modules, "string-rows"
-    modules = _pack_modules_individually(problem, suitability, footprint)
+    modules = pack_modules_individually_reference(problem, suitability, footprint)
     if modules is not None:
         return modules, "packed-modules"
     return None, None
+
+
+def pack_modules_individually_reference(
+    problem: FloorplanProblem, suitability: SuitabilityMap, footprint: ModuleFootprint
+) -> list[ModulePlacement] | None:
+    """Each module at the free anchor nearest the seed, every mask rebuilt."""
+    occupied = np.zeros(problem.grid.shape, dtype=bool)
+    modules: list[ModulePlacement] = []
+
+    seed_scores = _window_score(suitability.values, footprint.cells_h, footprint.cells_w)
+    feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, footprint)
+    seed_scores = np.where(feasible, seed_scores, -np.inf)
+    if not np.any(np.isfinite(seed_scores)):
+        return None
+    seed_row, seed_col = np.unravel_index(int(np.argmax(seed_scores)), seed_scores.shape)
+    seed_center = anchor_center(int(seed_row), int(seed_col), footprint, problem.grid.pitch)
+
+    for module_index in range(problem.n_modules):
+        feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, footprint)
+        rows, cols = np.nonzero(feasible)
+        if rows.size == 0:
+            return None
+        centers_u = (cols + footprint.cells_w / 2.0) * problem.grid.pitch
+        centers_v = (rows + footprint.cells_h / 2.0) * problem.grid.pitch
+        distances = np.hypot(centers_u - seed_center.x, centers_v - seed_center.y)
+        pick = int(np.argmin(distances))
+        row, col = int(rows[pick]), int(cols[pick])
+        modules.append(
+            ModulePlacement(module_index=module_index, row=row, col=col, rotated=False)
+        )
+        mark_occupied(occupied, row, col, footprint)
+    return modules
 
 
 def _try_string_rows_reference(

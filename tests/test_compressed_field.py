@@ -30,7 +30,7 @@ from repro.core.traditional import traditional_floorplan
 from repro.errors import SolarModelError
 from repro.pv.datasheet import PV_MF165EB3
 from repro.runner import StageCache, run_batch
-from repro.runner.batch import _worker_payload
+from repro.runner.batch import _task_context, _worker_payload
 from repro.runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
 from repro.scenario import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec, builtin_scenarios
 from repro.solar import (
@@ -467,7 +467,7 @@ class TestBatchTransport:
         # submitted work unit carries only the declarative spec + cache key
         # material.
         spec = builtin_scenarios()["industrial-pipes"]
-        payload = _worker_payload(spec, "some-cache-dir")
+        payload = _worker_payload(spec, "some-cache-dir", None, _task_context())
         size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         assert size < 50_000, f"worker payload unexpectedly large: {size} bytes"
 

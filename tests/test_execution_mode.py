@@ -6,7 +6,9 @@ building, site and weather -- and each drawn fleet runs serial
 (``jobs=1``) and pooled (``jobs=2``), cold, warm and uncached
 (``use_cache=False``).  Every run must give the same fingerprints.  An
 uncached run must also leave no trace on disk: nothing under the handle's
-root and nothing under ``$REPRO_CACHE_DIR``.
+root and nothing under ``$REPRO_CACHE_DIR``.  Consecutive pooled batches
+run on one reused worker pool and must give the answer a freshly forked
+pool gives.
 
 The entry point does not change the answer either: ``plan_roof`` of a drawn
 roof is ``run_scenario`` of the equivalent spec, and whichever of the two
@@ -30,6 +32,7 @@ from repro.geometry import Polygon
 from repro.gis.synthetic import AdjacentStructure, RoofSpec, chimney
 from repro.io.placement_json import placement_to_dict
 from repro.runner import StageCache, run_batch, run_scenario
+from repro.runner import batch as batch_module
 from repro.scenario import ScenarioSpec, SolarSpec, SolverSpec, TimeSpec, WeatherSpec
 
 CACHED_STAGES = {"scene", "grid", "solar", "suitability"}
@@ -121,6 +124,24 @@ def test_execution_mode_never_changes_the_answer(specs):
                 assert result.stage_cached == dict.fromkeys(CACHED_STAGES, False)
         assert not handle.root.exists()
         assert not default_dir.exists()
+
+
+@settings(max_examples=3, deadline=None)
+@given(specs=st.tuples(coarse_specs(0), coarse_specs(1)))
+def test_a_reused_pool_gives_the_fresh_pool_answer(specs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        serial = run_batch(specs, cache=root / "serial", jobs=1)
+        batch_module.discard_idle_pool()
+        fresh = run_batch(specs, cache=root / "fresh", jobs=2)
+        pool = batch_module._IDLE[1]
+        # Cold caches, so the reused workers compute every stage again.
+        reused = [run_batch(specs, cache=root / f"reused-{i}", jobs=2) for i in range(2)]
+        assert batch_module._IDLE[1] is pool
+
+    expected = _fingerprints(serial)
+    for batch in (fresh, *reused):
+        assert _fingerprints(batch) == expected
 
 
 @settings(max_examples=5, deadline=None)

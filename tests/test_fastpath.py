@@ -45,7 +45,7 @@ from repro.core.constraints import feasible_anchor_mask, mark_occupied
 from repro.core.evaluation import _GATHER_TILE_BYTES
 from repro.core.greedy import _footprint_score_map
 from repro.core.suitability import SuitabilityConfig, SuitabilityMap
-from repro.core.traditional import TraditionalConfig
+from repro.core.traditional import TraditionalConfig, _pack_modules_individually
 from repro.errors import GISError, InfeasiblePlacementError, PlacementError, SolarModelError
 from repro.geometry import Point3D, Raster, RasterSpec, RoofPlaneFrame
 from repro.gis import (
@@ -64,7 +64,10 @@ from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fracti
 from oracles.evaluation import evaluate_placement_reference, module_irradiance_series_reference
 from oracles.greedy import greedy_floorplan_reference
 from oracles.horizon import compute_horizon_map_reference
-from oracles.traditional import traditional_floorplan_reference
+from oracles.traditional import (
+    pack_modules_individually_reference,
+    traditional_floorplan_reference,
+)
 
 
 RELATIVE_TOLERANCE = 1e-9
@@ -193,51 +196,105 @@ def _multi_block_case(draw):
     return raster, ((row_lo, row_hi), (col_lo, col_hi)), options
 
 
-@st.composite
-def _roof_case(draw):
+def _roof_dsm(
+    n_rows,
+    n_cols,
+    pitch,
+    seed,
+    rows,
+    cols,
+    height,
+    surface,
+    towers,
+    holes,
+    n_sectors,
+    reach,
+    min_step,
+):
     """A roof-like DSM on which the horizon kernel's height bound drops steps.
 
-    A plateau (the roof) stands on low ground.  Its surface is flat (a
-    region's highest cell then equals a block's lowest exactly), terraced,
-    tilted or rough; towers taller than the roof stand on it or around it,
-    and NaN holes may pierce both.  The window is the plateau, at least two
-    kernel blocks tall and often two wide, so a tower next to a full block
-    sits in the last row or column of the regions its cells' steps read.
+    A plateau (the roof, DSM ``rows`` x ``cols``) stands on low ground.  Its
+    surface is flat (a region's highest cell then equals a block's lowest
+    exactly), terraced, tilted or rough; towers taller than the roof stand
+    on it or around it, and NaN holes may pierce both.  The window is the
+    plateau, at least two kernel blocks tall and often two wide, so a tower
+    next to a full block sits in the last row or column of the regions its
+    cells' steps read.
+
+    Every DSM gives the bound a step to drop.  The ground stays within 1 m
+    of zero and the roof at least 2 m up.  The first sector's rays run
+    towards higher rows and columns; from the block in the roof's last row
+    of blocks and first column, the first of its steps that reaches past
+    the roof's last row (at most 16 rows on) moves at most 16 columns.  The
+    tile reaches 17 columns past the roof's first column and the rays at
+    least 24 cells, so that step lies in the tile.  The region it reads
+    lies past the roof's last row, within the block width plus 16 columns
+    from the roof's first column; a tower drawn there moves to just left
+    of the roof, so the region is all ground.  Towers past the roof's last
+    row elsewhere stay, and the steps towards them must not be dropped.
     """
-    block_rows, block_cols = _BLOCK_SHAPE
-    n_rows = draw(st.integers(block_rows + 7, 44))
-    min_width = draw(st.sampled_from([6, block_cols + 1]))
-    n_cols = draw(st.integers(min_width + 6, 150))
-    pitch = draw(st.sampled_from([0.5, 1.0]))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = gen.normal(0.0, 0.3, size=(n_rows, n_cols))
-    row_lo = draw(st.integers(2, n_rows - block_rows - 5))
-    row_hi = draw(st.integers(row_lo + block_rows + 1, n_rows - 2))
-    col_lo = draw(st.integers(2, n_cols - min_width - 4))
-    col_hi = draw(st.integers(col_lo + min_width, n_cols - 2))
+    gen = np.random.default_rng(seed)
+    data = np.clip(gen.normal(0.0, 0.3, size=(n_rows, n_cols)), -1.0, 1.0)
+    (row_lo, row_hi), (col_lo, col_hi) = rows, cols
     shape = (row_hi - row_lo, col_hi - col_lo)
-    roof = draw(st.sampled_from([4.0, 6.5])) + {
-        "flat": np.zeros(shape),
-        "terraced": np.round(gen.normal(0.0, 0.6, size=shape)),
-        "tilted": np.arange(shape[0])[:, None] * 0.15 * pitch + np.zeros(shape),
-        "rough": gen.normal(0.0, 0.3, size=shape),
-    }[draw(st.sampled_from(["flat", "terraced", "tilted", "rough"]))]
+    roof = height + np.maximum(
+        {
+            "flat": np.zeros(shape),
+            "terraced": np.round(gen.normal(0.0, 0.6, size=shape)),
+            "tilted": np.arange(shape[0])[:, None] * 0.15 * pitch + np.zeros(shape),
+            "rough": gen.normal(0.0, 0.3, size=shape),
+        }[surface],
+        -2.0,
+    )
     data[row_lo:row_hi, col_lo:col_hi] = roof
-    for tower in range(draw(st.integers(0, 5))):
+    block_cols = _BLOCK_SHAPE[1]
+    for tower in range(towers):
         row, col = gen.integers(0, n_rows), gen.integers(0, n_cols)
         if tower % 2:
             # Next to the first block's last column.
             col = min(col_lo + block_cols + gen.integers(-1, 2), n_cols - 1)
-        rows, cols = gen.integers(1, 3, size=2)
-        data[row : row + rows, col : col + cols] = roof.max() + gen.uniform(1.0, 8.0)
-    data[gen.random(data.shape) < draw(st.sampled_from([0.0, 0.03]))] = np.nan
+        size_rows, size_cols = gen.integers(1, 3, size=2)
+        if row + size_rows > row_hi and col_lo - size_cols < col < col_lo + block_cols + 16:
+            col = col_lo - size_cols
+        data[row : row + size_rows, col : col + size_cols] = roof.max() + gen.uniform(1.0, 8.0)
+    data[gen.random(data.shape) < holes] = np.nan
     raster = Raster(RasterSpec(0.0, 0.0, pitch, n_rows, n_cols), data)
     options = {
-        "n_sectors": draw(st.integers(4, 8)),
-        "max_distance": max(n_rows, n_cols) * pitch * draw(st.sampled_from([0.6, 1.3])),
-        "min_step": draw(st.sampled_from([None, 0.7 * pitch])),
+        "n_sectors": n_sectors,
+        "max_distance": max(n_rows, n_cols, 40) * pitch * reach,
+        "min_step": None if min_step is None else min_step * pitch,
     }
-    return raster, ((row_lo, row_hi), (col_lo, col_hi)), options
+    return raster, (rows, cols), options
+
+
+@st.composite
+def _roof_case(draw):
+    """:func:`_roof_dsm` of drawn sizes, surface, towers, holes and rays."""
+    block_rows, block_cols = _BLOCK_SHAPE
+    n_rows = draw(st.integers(block_rows + 7, 44))
+    min_width = draw(st.sampled_from([6, block_cols + 1]))
+    n_cols = draw(st.integers(max(min_width + 6, 19), 150))
+    pitch = draw(st.sampled_from([0.5, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    row_lo = draw(st.integers(2, n_rows - block_rows - 5))
+    row_hi = draw(st.integers(row_lo + block_rows + 1, n_rows - 2))
+    col_lo = draw(st.integers(2, n_cols - max(min_width + 4, 17)))
+    col_hi = draw(st.integers(col_lo + min_width, n_cols - 2))
+    return _roof_dsm(
+        n_rows,
+        n_cols,
+        pitch,
+        seed,
+        (row_lo, row_hi),
+        (col_lo, col_hi),
+        height=draw(st.sampled_from([4.0, 6.5])),
+        surface=draw(st.sampled_from(["flat", "terraced", "tilted", "rough"])),
+        towers=draw(st.integers(0, 5)),
+        holes=draw(st.sampled_from([0.0, 0.03])),
+        n_sectors=draw(st.integers(4, 8)),
+        reach=draw(st.sampled_from([0.6, 1.3])),
+        min_step=draw(st.sampled_from([None, 0.7])),
+    )
 
 
 def _horizon_and_gathered_steps(raster, window, options, bounded=True):
@@ -385,6 +442,11 @@ class TestHorizonWindow:
 class TestHeightBound:
     @settings(max_examples=20, deadline=None)
     @given(case=_roof_case())
+    # A draw on which an earlier generator left the bound nothing to drop:
+    # a tower stood on the ground the guaranteed step reads.
+    @hypothesis.example(
+        case=_roof_dsm(23, 19, 0.5, 1222, (2, 19), (2, 8), 6.5, "terraced", 3, 0.03, 4, 0.6, None)
+    )
     def test_dropped_steps_leave_the_map_bit_identical(self, case):
         raster, window, options = case
         windowed, gathered = _horizon_and_gathered_steps(raster, window, options)
@@ -1076,4 +1138,40 @@ class TestTraditionalStringRows:
         assert fast.strategy == strategy
         assert _module_tuples(fast.placement) == [
             (m.module_index, m.row, m.col, m.rotated) for m in modules
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Traditional baseline: modules packed one by one
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _packing_case(draw):
+    """A pierced grid, a module size and more or fewer modules than fit."""
+    cells = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n_rows = draw(st.integers(cells[1], 16))
+    n_cols = draw(st.integers(cells[0], 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.random((n_rows, n_cols)) >= draw(st.sampled_from([0.0, 0.05, 0.2]))
+    valid[: cells[1], : cells[0]] = True
+    # The problem itself refuses more modules than the valid cells can hold.
+    room = int(valid.sum()) // (cells[0] * cells[1])
+    problem = _grid_problem(valid, cells, min(draw(st.integers(1, 30)), room))
+    values = _level_values(rng, valid, draw(st.integers(1, 4)))
+    return problem, _suitability_map(values)
+
+
+class TestTraditionalPackedModules:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_packing_case())
+    def test_matches_the_per_module_oracle(self, case):
+        problem, suitability = case
+        expected = pack_modules_individually_reference(problem, suitability, problem.footprint)
+        packed = _pack_modules_individually(problem, suitability, problem.footprint)
+        if expected is None:
+            assert packed is None
+            return
+        assert [(m.module_index, m.row, m.col, m.rotated) for m in packed] == [
+            (m.module_index, m.row, m.col, m.rotated) for m in expected
         ]
