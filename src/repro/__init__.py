@@ -28,11 +28,12 @@ Sub-packages
 ``repro.solar``       sun position, clear-sky / decomposition / transposition
                       models, DSM shading, roof irradiance fields
 ``repro.weather``     synthetic weather (clearness, temperature) generation
-``repro.pv``          cell/module/array electrical models, MPPT, wiring
+``repro.pv``          cell/module/array electrical models, MPPT efficiency,
+                      wiring
 ``repro.core``        the floorplanning algorithms (greedy, traditional, ILP,
                       exhaustive) and the energy evaluator
 ``repro.analysis``    reports, maps, structural placement metrics
-``repro.io``          DSM (.asc), weather CSV, placement JSON
+``repro.io``          DSM (.asc) and weather CSV writers, placement JSON
 ``repro.scenario``    declarative, JSON-round-trippable scenario specs and
                       the built-in scenario catalog
 ``repro.runner``      content-hash stage cache, solver registry, cached

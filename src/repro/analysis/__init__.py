@@ -13,8 +13,6 @@ from .energy import (
     capacity_factor,
     monthly_energy,
     month_of_day,
-    performance_ratio,
-    specific_yield_kwh_per_kwp,
 )
 from .maps import (
     ascii_heatmap,
@@ -36,8 +34,6 @@ __all__ = [
     "capacity_factor",
     "monthly_energy",
     "month_of_day",
-    "performance_ratio",
-    "specific_yield_kwh_per_kwp",
     "ascii_heatmap",
     "downsample_map",
     "map_statistics",

@@ -1,9 +1,8 @@
 """Energy accounting helpers.
 
-Small utilities layered on top of the core evaluator: monthly/seasonal
-break-downs of a power series, specific yield, performance ratio -- the
-quantities a PV installer would quote alongside the paper's yearly MWh
-figures.
+Small utilities layered on top of the core evaluator: the monthly
+break-down of a power series and the capacity factor -- quantities a PV
+installer would quote alongside the paper's yearly MWh figures.
 """
 
 from __future__ import annotations
@@ -34,11 +33,6 @@ class MonthlyEnergy:
         if np.asarray(self.monthly_wh).shape != (12,):
             raise ReproError("monthly energy must contain 12 values")
 
-    @property
-    def total_wh(self) -> float:
-        """Yearly total [Wh]."""
-        return float(np.sum(self.monthly_wh))
-
     def as_dict(self) -> dict:
         """Mapping month name -> energy [Wh]."""
         return {name: float(value) for name, value in zip(MONTH_NAMES, self.monthly_wh)}
@@ -65,29 +59,6 @@ def monthly_energy(time_grid: TimeGrid, power_w: np.ndarray) -> MonthlyEnergy:
         mask = months == month
         totals[month] = np.sum(power[mask]) * time_grid.step_hours * time_grid.annual_scale
     return MonthlyEnergy(monthly_wh=totals)
-
-
-def specific_yield_kwh_per_kwp(annual_energy_wh: float, nameplate_w: float) -> float:
-    """Specific yield [kWh/kWp/year], the installer's favourite figure of merit."""
-    if nameplate_w <= 0:
-        raise ReproError("nameplate power must be positive")
-    return (annual_energy_wh / 1e3) / (nameplate_w / 1e3)
-
-
-def performance_ratio(
-    annual_energy_wh: float,
-    nameplate_w: float,
-    annual_poa_insolation_kwh_m2: float,
-) -> float:
-    """Performance ratio: actual yield over the yield at STC efficiency.
-
-    ``PR = E / (P_stc * H_poa / G_stc)`` with H_poa the plane-of-array
-    insolation in kWh/m^2.
-    """
-    if nameplate_w <= 0 or annual_poa_insolation_kwh_m2 <= 0:
-        raise ReproError("nameplate power and insolation must be positive")
-    reference_wh = nameplate_w * annual_poa_insolation_kwh_m2
-    return annual_energy_wh / reference_wh
 
 
 def capacity_factor(annual_energy_wh: float, nameplate_w: float) -> float:

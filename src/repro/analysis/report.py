@@ -60,10 +60,6 @@ class Table1Report:
         """All rows as dictionaries (stable order)."""
         return [row.as_dict() for row in self.rows]
 
-    def improvements(self) -> List[float]:
-        """Improvement percentages of all rows."""
-        return [row.improvement_percent for row in self.rows]
-
     def render(self) -> str:
         """Aligned plain-text rendering of the table."""
         if not self.rows:

@@ -141,9 +141,6 @@ CASE_STUDY_AZIMUTH = 22.5
 #: Default ground albedo used by the transposition model.
 DEFAULT_ALBEDO = 0.2
 
-#: Default Linke turbidity factor (clear, low-pollution mid-latitude site).
-DEFAULT_LINKE_TURBIDITY = 3.0
-
 # --------------------------------------------------------------------------
 # Execution defaults: campaign fleet and planning service (not from the paper)
 # --------------------------------------------------------------------------

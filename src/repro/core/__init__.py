@@ -13,7 +13,6 @@ from .evaluation import (
     PlacementEvaluator,
     compare_placements,
     evaluate_placement,
-    module_irradiance_series,
 )
 from .exhaustive import ExhaustiveConfig, ExhaustiveResult, exhaustive_floorplan
 from .greedy import GreedyConfig, GreedyResult, greedy_floorplan
@@ -29,7 +28,6 @@ from .suitability import (
     SuitabilityConfig,
     SuitabilityMap,
     compute_suitability,
-    footprint_suitability,
 )
 from .traditional import TraditionalConfig, TraditionalResult, traditional_floorplan
 
@@ -44,7 +42,6 @@ __all__ = [
     "PlacementEvaluator",
     "compare_placements",
     "evaluate_placement",
-    "module_irradiance_series",
     "ExhaustiveConfig",
     "ExhaustiveResult",
     "exhaustive_floorplan",
@@ -64,7 +61,6 @@ __all__ = [
     "SuitabilityConfig",
     "SuitabilityMap",
     "compute_suitability",
-    "footprint_suitability",
     "TraditionalConfig",
     "TraditionalResult",
     "traditional_floorplan",

@@ -15,8 +15,8 @@ factors) and evaluates each placement with one gather + reduction over
 *all* modules, taken in row tiles, so the exhaustive and ablation flows
 that score hundreds of placements on one problem pay the setup cost once.
 The module-level functions (:func:`evaluate_placement`,
-:func:`compare_placements`, :func:`module_irradiance_series`) are thin
-wrappers that build a throwaway evaluator.  The original per-module loop implementations are the tests'
+:func:`compare_placements`) are thin wrappers that build a throwaway
+evaluator.  The original per-module loop implementations are the tests'
 oracles, which the evaluator must agree with to within 1e-9 relative.
 """
 
@@ -334,23 +334,6 @@ class PlacementEvaluator:
 
     # -- per-module irradiance ---------------------------------------------------
 
-    def module_irradiance_series(self, placement: Placement) -> np.ndarray:
-        """Per-module effective irradiance, shape ``(n_time, N)``, float64.
-
-        One gather over every covered cell of every module, then either a
-        plain mean or a per-substring ``add.reduceat`` + min, grouped per
-        orientation and taken one row tile at a time.  The gather stays in
-        the solar field's storage dtype (typically float32); reductions
-        accumulate in float64 and the result is cast exactly once, so no
-        full-precision copy of the irradiance block is ever materialised.
-        The reduction runs on the field's kept rows and the result is
-        expanded back to the full axis (the dropped rows reduce to exact
-        zeros).
-        """
-        columns, rows, cols, rotated = self._validated_columns(placement)
-        series = self._series_from_columns(columns, rows, cols, rotated)
-        return self._solar.daylight.expand(series)
-
     def _series_from_columns(
         self,
         columns: np.ndarray,
@@ -546,38 +529,6 @@ class PlacementEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def module_irradiance_series(
-    problem: FloorplanProblem,
-    placement: Placement,
-    aggregation: str = "substring-min",
-    n_substrings: int = 2,
-) -> np.ndarray:
-    """Per-module *effective* plane-of-array irradiance, shape ``(n_time, N)``.
-
-    A module covers k1 x k2 grid cells whose irradiance may differ (shadow
-    trails of vents, pipes and neighbouring volumes).  How those cell values
-    combine into the module's effective irradiance is governed by
-    ``aggregation``:
-
-    * ``"substring-min"`` (default) -- the module's cells are grouped into
-      ``n_substrings`` bypass-diode substrings along the module's long side;
-      the effective irradiance is the *minimum* of the substring means.
-      This models the series-cell mismatch the paper's background section
-      describes (Section II-B: non-uniform irradiance on the cells limits
-      the module output): a shadow trail crossing part of a module throttles
-      the whole module to its worst substring.
-    * ``"mean"`` -- simple average of the covered cells; optimistic (assumes
-      perfect intra-module mixing) and used by the ablation benchmarks.
-
-    One-shot wrapper over :class:`PlacementEvaluator`; callers scoring many
-    placements on the same problem should hold an evaluator instead.
-    """
-    evaluator = PlacementEvaluator(
-        problem, module_aggregation=aggregation, n_substrings=n_substrings
-    )
-    return evaluator.module_irradiance_series(placement)
-
-
 def evaluate_placement(
     problem: FloorplanProblem,
     placement: Placement,
@@ -604,8 +555,14 @@ def evaluate_placement(
     store_power_series:
         Keep the full panel power series in the result (memory permitting).
     module_aggregation:
-        How the cells covered by a module combine into its effective
-        irradiance (see :func:`module_irradiance_series`).
+        How the cells a module covers combine into its effective
+        irradiance.  ``"substring-min"`` (default) groups them into two
+        bypass-diode substrings along the module's long side and takes the
+        *minimum* of the substring means: a shadow trail crossing part of a
+        module throttles the whole module to its worst substring (the
+        series-cell mismatch of the paper's Section II-B).  ``"mean"``
+        averages the covered cells (perfect intra-module mixing; optimistic,
+        used by the ablation benchmarks).
 
     One-shot wrapper over :class:`PlacementEvaluator`; callers scoring many
     placements on the same problem should hold an evaluator instead.

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import PlacementError
 from ..geometry import Point2D
-from ..gis.gridding import RoofGrid
 from ..pv.array import SeriesParallelTopology
 
 
@@ -181,39 +180,6 @@ class Placement:
         cy = float(np.mean([c.y for c in centers]))
         centroid = Point2D(cx, cy)
         return float(np.mean([c.distance_to(centroid) for c in centers]))
-
-    # -- validation ---------------------------------------------------------------------
-
-    def validate(self, grid: RoofGrid) -> None:
-        """Check the placement against a roof grid.
-
-        Raises
-        ------
-        PlacementError
-            If any module exceeds the grid bounds, covers an invalid cell,
-            or overlaps another module.
-        """
-        seen = np.zeros(grid.shape, dtype=bool)
-        for placed in self:
-            cells = placed.covered_cells(self.footprint)
-            if (
-                cells[:, 0].min() < 0
-                or cells[:, 1].min() < 0
-                or cells[:, 0].max() >= grid.n_rows
-                or cells[:, 1].max() >= grid.n_cols
-            ):
-                raise PlacementError(
-                    f"module {placed.module_index} exceeds the grid bounds"
-                )
-            if not np.all(grid.valid_mask[cells[:, 0], cells[:, 1]]):
-                raise PlacementError(
-                    f"module {placed.module_index} covers invalid (unsuitable) cells"
-                )
-            if np.any(seen[cells[:, 0], cells[:, 1]]):
-                raise PlacementError(
-                    f"module {placed.module_index} overlaps a previously placed module"
-                )
-            seen[cells[:, 0], cells[:, 1]] = True
 
 
 def footprint_from_module(

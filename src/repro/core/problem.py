@@ -106,20 +106,6 @@ class FloorplanProblem:
         """Installed STC power of the N modules [W]."""
         return self.n_modules * self.datasheet.p_max_ref
 
-    def describe(self) -> dict:
-        """Summary dictionary used by reports and experiment logs."""
-        return {
-            "label": self.label,
-            "grid_shape": self.grid.shape,
-            "grid_pitch_m": self.grid.pitch,
-            "n_valid_cells": self.grid.n_valid,
-            "n_modules": self.n_modules,
-            "topology": f"{self.topology.n_series}s x {self.topology.n_parallel}p",
-            "module": self.datasheet.name,
-            "nameplate_kw": self.nameplate_power_w / 1e3,
-            "n_time_samples": self.solar.n_time,
-        }
-
 
 def default_topology(n_modules: int, n_series: int = 8) -> SeriesParallelTopology:
     """The paper's default topology: strings of 8 modules in series.

@@ -66,31 +66,6 @@ class SuitabilityMap:
     temperature_factor: np.ndarray
     config: SuitabilityConfig
 
-    def value_at(self, row: int, col: int) -> float:
-        """Suitability of one grid element (NaN for invalid elements)."""
-        return float(self.values[row, col])
-
-    def ranked_cells(self) -> np.ndarray:
-        """Valid cells sorted by non-increasing suitability, shape ``(Ng, 2)``."""
-        valid = ~np.isnan(self.values)
-        rows, cols = np.nonzero(valid)
-        order = np.argsort(-self.values[rows, cols], kind="stable")
-        return np.stack([rows[order], cols[order]], axis=1)
-
-    def normalised(self) -> np.ndarray:
-        """Suitability rescaled to [0, 1] over the valid cells (NaN elsewhere)."""
-        valid = ~np.isnan(self.values)
-        values = self.values.copy()
-        finite = values[valid]
-        if finite.size == 0:
-            return values
-        lo, hi = float(finite.min()), float(finite.max())
-        if hi - lo < 1e-12:
-            values[valid] = 1.0
-            return values
-        values[valid] = (finite - lo) / (hi - lo)
-        return values
-
 
 def compute_suitability(
     solar: RoofSolarField,
@@ -211,30 +186,3 @@ def _mean_statistics(
         if t_stat is not None:
             t_stat[sl] = _sequential_mean(model.cell_temperature(block, ambient))
     return g_stat, t_stat
-
-
-def footprint_suitability(
-    suitability: SuitabilityMap,
-    anchor_row: int,
-    anchor_col: int,
-    cells_h: int,
-    cells_w: int,
-    aggregate: str = "mean",
-) -> float:
-    """Aggregate suitability of a module footprint anchored at (row, col).
-
-    Returns NaN when any covered cell is invalid (NaN), so callers can use
-    the result both as a score and as a feasibility indicator.
-    """
-    window = suitability.values[
-        anchor_row : anchor_row + cells_h, anchor_col : anchor_col + cells_w
-    ]
-    if window.shape != (cells_h, cells_w) or np.any(np.isnan(window)):
-        return float("nan")
-    if aggregate == "mean":
-        return float(np.mean(window))
-    if aggregate == "min":
-        return float(np.min(window))
-    if aggregate == "anchor":
-        return float(window[0, 0])
-    raise PlacementError(f"unknown footprint aggregate: {aggregate!r}")

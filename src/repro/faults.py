@@ -69,7 +69,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ConfigurationError
 
@@ -314,25 +314,3 @@ def fire(site: str, key: str = "") -> bool:
         raise sqlite3.OperationalError(f"injected store I/O error (key {key!r})")
     # cache.corrupt: the cache layer truncates its own just-written entry.
     return True
-
-
-def describe_plan() -> List[Tuple[str, Dict[str, object]]]:
-    """The armed injectors as ``(site, params)`` rows (for diagnostics)."""
-    if _PLAN is None:
-        return []
-    rows: List[Tuple[str, Dict[str, object]]] = []
-    for spec in _PLAN.specs:
-        rows.append(
-            (
-                spec.site,
-                {
-                    "times": spec.times,
-                    "match": spec.match,
-                    "after": spec.after,
-                    "p": spec.p,
-                    "seed": spec.seed,
-                    "sleep_s": spec.sleep_s,
-                },
-            )
-        )
-    return rows

@@ -5,18 +5,16 @@ functionality the reproduction needs, implemented on top of numpy.
 """
 
 from .point import Point2D, Point3D
-from .polygon import BoundingBox, Polygon, union_bounding_box
+from .polygon import BoundingBox, Polygon
 from .raster import Raster, RasterSpec
-from .transform import AffineTransform2D, RoofPlaneFrame
+from .transform import RoofPlaneFrame
 
 __all__ = [
     "Point2D",
     "Point3D",
     "BoundingBox",
     "Polygon",
-    "union_bounding_box",
     "Raster",
     "RasterSpec",
-    "AffineTransform2D",
     "RoofPlaneFrame",
 ]

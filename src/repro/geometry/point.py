@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -27,10 +27,6 @@ class Point2D:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return the coordinates as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
 
     def distance_to(self, other: "Point2D") -> float:
         """Euclidean distance to another point."""
@@ -80,10 +76,6 @@ class Point2D:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Point2D") -> float:
-        """Dot product, treating both points as free vectors."""
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Point2D") -> float:
         """Z component of the cross product (signed parallelogram area)."""
         return self.x * other.y - self.y * other.x
@@ -119,10 +111,6 @@ class Point3D:
         yield self.y
         yield self.z
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        """Return the coordinates as a plain ``(x, y, z)`` tuple."""
-        return (self.x, self.y, self.z)
-
     def distance_to(self, other: "Point3D") -> float:
         """Euclidean distance to another 3D point."""
         return math.sqrt(
@@ -138,10 +126,6 @@ class Point3D:
 
     def __sub__(self, other: "Point3D") -> "Point3D":
         return Point3D(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def dot(self, other: "Point3D") -> float:
-        """Dot product, treating both points as free vectors."""
-        return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Point3D") -> "Point3D":
         """Vector cross product."""

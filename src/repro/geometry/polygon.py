@@ -3,11 +3,10 @@
 Implements the small subset of computational geometry the reproduction
 requires instead of depending on ``shapely``:
 
-* signed area / centroid / perimeter,
-* point-in-polygon (ray casting),
+* signed area / centroid,
 * axis-aligned bounding boxes,
-* convex clipping (Sutherland-Hodgman) against rectangles,
-* rasterisation onto a regular grid (cell-centre sampling).
+* rasterisation onto a regular grid (point-in-polygon by ray casting at
+  cell centres or corners).
 
 Polygons are simple (non self-intersecting) rings described by their vertex
 list; the ring is implicitly closed (the last vertex connects back to the
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,19 +48,6 @@ class BoundingBox:
     def area(self) -> float:
         """Area of the box."""
         return self.width * self.height
-
-    def contains_point(self, point: Point2D) -> bool:
-        """True when the point lies inside or on the boundary of the box."""
-        return self.xmin <= point.x <= self.xmax and self.ymin <= point.y <= self.ymax
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """True when the two boxes overlap (boundary touch counts)."""
-        return not (
-            self.xmax < other.xmin
-            or other.xmax < self.xmin
-            or self.ymax < other.ymin
-            or other.ymax < self.ymin
-        )
 
     def expanded(self, margin: float) -> "BoundingBox":
         """Return a copy grown by ``margin`` on every side."""
@@ -116,22 +102,6 @@ class Polygon:
             ]
         )
 
-    @classmethod
-    def regular(cls, centre: Point2D, radius: float, sides: int) -> "Polygon":
-        """Build a regular polygon with ``sides`` vertices around ``centre``."""
-        if sides < 3:
-            raise GeometryError("a regular polygon needs at least 3 sides")
-        if radius <= 0:
-            raise GeometryError("radius must be positive")
-        vertices = [
-            Point2D(
-                centre.x + radius * math.cos(2 * math.pi * k / sides),
-                centre.y + radius * math.sin(2 * math.pi * k / sides),
-            )
-            for k in range(sides)
-        ]
-        return cls(vertices)
-
     # -- metric properties -------------------------------------------------
 
     def signed_area(self) -> float:
@@ -147,13 +117,6 @@ class Polygon:
     def area(self) -> float:
         """Unsigned polygon area in square metres."""
         return abs(self.signed_area())
-
-    def perimeter(self) -> float:
-        """Total length of the polygon boundary."""
-        n = len(self._vertices)
-        return sum(
-            self._vertices[i].distance_to(self._vertices[(i + 1) % n]) for i in range(n)
-        )
 
     def centroid(self) -> Point2D:
         """Area centroid of the polygon."""
@@ -181,41 +144,11 @@ class Polygon:
         ys = [v.y for v in self._vertices]
         return BoundingBox(min(xs), min(ys), max(xs), max(ys))
 
-    def is_counter_clockwise(self) -> bool:
-        """True when the vertex ring is ordered counter-clockwise."""
-        return self.signed_area() > 0.0
-
     def reversed(self) -> "Polygon":
         """Return a copy with the opposite vertex orientation."""
         return Polygon(tuple(reversed(self._vertices)))
 
-    # -- predicates ---------------------------------------------------------
-
-    def contains_point(self, point: Point2D, include_boundary: bool = True) -> bool:
-        """Ray-casting point-in-polygon test.
-
-        Parameters
-        ----------
-        point:
-            Query point.
-        include_boundary:
-            When True (default) points lying exactly on an edge count as
-            inside.
-        """
-        x, y = point.x, point.y
-        n = len(self._vertices)
-        inside = False
-        for i in range(n):
-            a = self._vertices[i]
-            b = self._vertices[(i + 1) % n]
-            if _point_on_segment(point, a, b):
-                return include_boundary
-            intersects = (a.y > y) != (b.y > y)
-            if intersects:
-                x_cross = a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if x < x_cross:
-                    inside = not inside
-        return inside
+    # -- transformations -----------------------------------------------------
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         """Return a copy translated by ``(dx, dy)``."""
@@ -240,50 +173,6 @@ class Polygon:
         """Return a copy rotated counter-clockwise by ``angle_rad``."""
         origin = about if about is not None else self.centroid()
         return Polygon([v.rotated(angle_rad, origin) for v in self._vertices])
-
-    # -- clipping ------------------------------------------------------------
-
-    def clip_to_box(self, box: BoundingBox) -> "Polygon | None":
-        """Clip the polygon to an axis-aligned box (Sutherland-Hodgman).
-
-        Returns ``None`` when the intersection is empty or degenerate.
-        The algorithm is exact for convex clip windows, which is all the GIS
-        layer needs (roof extents and grid cells are rectangles).
-        """
-        edges = (
-            lambda p: p.x >= box.xmin,
-            lambda p: p.x <= box.xmax,
-            lambda p: p.y >= box.ymin,
-            lambda p: p.y <= box.ymax,
-        )
-        intersectors = (
-            lambda a, b: _intersect_vertical(a, b, box.xmin),
-            lambda a, b: _intersect_vertical(a, b, box.xmax),
-            lambda a, b: _intersect_horizontal(a, b, box.ymin),
-            lambda a, b: _intersect_horizontal(a, b, box.ymax),
-        )
-        ring: List[Point2D] = list(self._vertices)
-        for inside, intersect in zip(edges, intersectors):
-            if not ring:
-                return None
-            output: List[Point2D] = []
-            n = len(ring)
-            for i in range(n):
-                current = ring[i]
-                previous = ring[i - 1]
-                if inside(current):
-                    if not inside(previous):
-                        output.append(intersect(previous, current))
-                    output.append(current)
-                elif inside(previous):
-                    output.append(intersect(previous, current))
-            ring = output
-        if len(ring) < 3:
-            return None
-        clipped = Polygon(ring)
-        if clipped.area() < 1e-12:
-            return None
-        return clipped
 
     # -- rasterisation -------------------------------------------------------
 
@@ -329,8 +218,8 @@ class Polygon:
         if col_lo >= col_hi or row_lo >= row_hi:
             return mask  # the polygon lies wholly outside the raster
         # Cell corners and centres of the window, with the same float
-        # operations per cell as the scalar form (x0 + pitch, not the next
-        # cell's x0), so every point equals the one contains_point would see.
+        # operations per cell as a per-cell scalar test (x0 + pitch, not the
+        # next cell's x0), so every point equals the one that test would see.
         x0 = origin.x + np.arange(col_lo, col_hi) * pitch
         y0 = (origin.y + np.arange(row_lo, row_hi) * pitch)[:, None]
         points = [(x0 + pitch / 2.0, y0 + pitch / 2.0)]
@@ -344,10 +233,11 @@ class Polygon:
         return mask
 
     def _contains_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """:meth:`contains_point` (boundary included) over broadcast point arrays.
+        """Ray-casting point-in-polygon test (boundary included) over
+        broadcast point arrays.
 
-        Loops over the edges only, with the per-point float operations of
-        ``contains_point`` and ``_point_on_segment``: a point on any edge is
+        Loops over the edges only, with the float operations of the scalar
+        per-point test: a point on any edge (within :data:`_SEGMENT_TOL`) is
         covered whatever the crossing parity, and horizontal edges, which
         never cross the ray, are never divided by.
         """
@@ -375,46 +265,3 @@ class Polygon:
 
 #: Absolute tolerance of the on-segment test.
 _SEGMENT_TOL = 1e-9
-
-
-def _point_on_segment(p: Point2D, a: Point2D, b: Point2D, tol: float = _SEGMENT_TOL) -> bool:
-    """True when ``p`` lies on the segment ``a``-``b`` within tolerance."""
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if abs(cross) > tol * max(1.0, a.distance_to(b)):
-        return False
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    if dot < -tol:
-        return False
-    squared_len = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    return dot <= squared_len + tol
-
-
-def _intersect_vertical(a: Point2D, b: Point2D, x: float) -> Point2D:
-    """Intersection of segment ``a``-``b`` with the vertical line ``X = x``."""
-    t = (x - a.x) / (b.x - a.x)
-    return Point2D(x, a.y + t * (b.y - a.y))
-
-
-def _intersect_horizontal(a: Point2D, b: Point2D, y: float) -> Point2D:
-    """Intersection of segment ``a``-``b`` with the horizontal line ``Y = y``."""
-    t = (y - a.y) / (b.y - a.y)
-    return Point2D(a.x + t * (b.x - a.x), y)
-
-
-def union_bounding_box(polygons: Iterable[Polygon]) -> BoundingBox:
-    """Bounding box enclosing every polygon in ``polygons``.
-
-    Raises
-    ------
-    GeometryError
-        If the iterable is empty.
-    """
-    boxes = [p.bounding_box() for p in polygons]
-    if not boxes:
-        raise GeometryError("cannot compute the bounding box of zero polygons")
-    return BoundingBox(
-        min(b.xmin for b in boxes),
-        min(b.ymin for b in boxes),
-        max(b.xmax for b in boxes),
-        max(b.ymax for b in boxes),
-    )

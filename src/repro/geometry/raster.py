@@ -25,8 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import GeometryError
-from .point import Point2D
-from .polygon import BoundingBox, Polygon
+from .polygon import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -68,36 +67,6 @@ class RasterSpec:
             self.origin_x + self.width,
             self.origin_y + self.height,
         )
-
-    def cell_center(self, row: int, col: int) -> Point2D:
-        """World coordinates of the centre of cell ``(row, col)``."""
-        self._check_index(row, col)
-        return Point2D(
-            self.origin_x + (col + 0.5) * self.pitch,
-            self.origin_y + (row + 0.5) * self.pitch,
-        )
-
-    def index_of(self, point: Point2D) -> Tuple[int, int]:
-        """Return the ``(row, col)`` of the cell containing ``point``.
-
-        Raises
-        ------
-        GeometryError
-            If the point falls outside the raster extent.
-        """
-        col = int(np.floor((point.x - self.origin_x) / self.pitch))
-        row = int(np.floor((point.y - self.origin_y) / self.pitch))
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            raise GeometryError(
-                f"point ({point.x:.3f}, {point.y:.3f}) is outside the raster extent"
-            )
-        return row, col
-
-    def _check_index(self, row: int, col: int) -> None:
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            raise GeometryError(
-                f"cell index ({row}, {col}) outside raster of shape {self.shape}"
-            )
 
 
 class Raster:
@@ -141,72 +110,7 @@ class Raster:
         """Deep copy of spec and data."""
         return Raster(self._spec, self._data.copy())
 
-    def value_at(self, point: Point2D) -> float:
-        """Value of the cell containing ``point``."""
-        row, col = self._spec.index_of(point)
-        return float(self._data[row, col])
-
-    def sample_bilinear(self, point: Point2D) -> float:
-        """Bilinearly interpolated value at ``point``.
-
-        Uses cell centres as interpolation nodes and clamps at the raster
-        border (nearest-neighbour extrapolation outside the centre lattice).
-        """
-        fx = (point.x - self._spec.origin_x) / self._spec.pitch - 0.5
-        fy = (point.y - self._spec.origin_y) / self._spec.pitch - 0.5
-        col0 = int(np.floor(fx))
-        row0 = int(np.floor(fy))
-        tx = fx - col0
-        ty = fy - row0
-        col0c = int(np.clip(col0, 0, self._spec.n_cols - 1))
-        col1c = int(np.clip(col0 + 1, 0, self._spec.n_cols - 1))
-        row0c = int(np.clip(row0, 0, self._spec.n_rows - 1))
-        row1c = int(np.clip(row0 + 1, 0, self._spec.n_rows - 1))
-        v00 = self._data[row0c, col0c]
-        v01 = self._data[row0c, col1c]
-        v10 = self._data[row1c, col0c]
-        v11 = self._data[row1c, col1c]
-        top = v00 * (1 - tx) + v01 * tx
-        bottom = v10 * (1 - tx) + v11 * tx
-        return float(top * (1 - ty) + bottom * ty)
-
     # -- transformations -----------------------------------------------------
-
-    def resampled(self, new_pitch: float) -> "Raster":
-        """Return a copy resampled to a different pitch (bilinear).
-
-        The output covers the same world extent; the number of rows/columns
-        is rounded to fully cover it.
-        """
-        if new_pitch <= 0:
-            raise GeometryError("new pitch must be positive")
-        n_cols = max(1, int(np.ceil(self._spec.width / new_pitch)))
-        n_rows = max(1, int(np.ceil(self._spec.height / new_pitch)))
-        new_spec = RasterSpec(
-            self._spec.origin_x, self._spec.origin_y, new_pitch, n_rows, n_cols
-        )
-        out = Raster(new_spec)
-        for row in range(n_rows):
-            for col in range(n_cols):
-                centre = new_spec.cell_center(row, col)
-                x_max = self._spec.origin_x + self._spec.width - 1e-9
-                y_max = self._spec.origin_y + self._spec.height - 1e-9
-                clamped = Point2D(
-                    min(max(centre.x, self._spec.origin_x), x_max),
-                    min(max(centre.y, self._spec.origin_y), y_max),
-                )
-                out.data[row, col] = self.sample_bilinear(clamped)
-        return out
-
-    def mask_from_polygon(self, polygon: Polygon, mode: str = "center") -> np.ndarray:
-        """Boolean mask of the cells covered by ``polygon``."""
-        return polygon.rasterize(
-            Point2D(self._spec.origin_x, self._spec.origin_y),
-            self._spec.pitch,
-            self._spec.n_cols,
-            self._spec.n_rows,
-            mode=mode,
-        )
 
     def window(self, row0: int, col0: int, n_rows: int, n_cols: int) -> "Raster":
         """Extract a rectangular sub-raster (copies data)."""

@@ -1,8 +1,7 @@
-"""GIS substrate: DSM handling, synthetic scenes, roof extraction, gridding."""
+"""GIS substrate: DSM container, synthetic scenes, suitable area, gridding."""
 
 from .dsm import DigitalSurfaceModel, ObstacleFootprint
 from .gridding import RoofGrid, make_roof_grid
-from .roof import FittedRoofPlane, fit_roof_plane, obstacle_mask_from_plane
 from .suitable_area import (
     SuitableAreaConfig,
     SuitableAreaResult,
@@ -32,9 +31,6 @@ __all__ = [
     "ObstacleFootprint",
     "RoofGrid",
     "make_roof_grid",
-    "FittedRoofPlane",
-    "fit_roof_plane",
-    "obstacle_mask_from_plane",
     "SuitableAreaConfig",
     "SuitableAreaResult",
     "apply_suitable_area",

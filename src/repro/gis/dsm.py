@@ -4,9 +4,7 @@ A DSM is a raster whose cell values are surface elevations in metres: the
 terrain plus everything standing on it (buildings, roof obstacles, trees).
 The paper's GIS flow starts from a LiDAR-derived DSM with sub-metre
 resolution; here the :class:`DigitalSurfaceModel` wraps the generic
-:class:`repro.geometry.Raster` with the elevation-specific operations the
-pipeline needs (slope/aspect estimation, obstacle prominence, region
-statistics).
+:class:`repro.geometry.Raster` and checks that every elevation is finite.
 """
 
 from __future__ import annotations
@@ -16,9 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..constants import RAD2DEG
 from ..errors import GISError
-from ..geometry import Point2D, Polygon, Raster, RasterSpec
+from ..geometry import Polygon, Raster
 
 
 class DigitalSurfaceModel:
@@ -30,37 +27,6 @@ class DigitalSurfaceModel:
         if np.any(~np.isfinite(raster.data)):
             raise GISError("a DSM must not contain NaN or infinite elevations")
         self._raster = raster
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_array(
-        cls,
-        elevation: np.ndarray,
-        pitch: float,
-        origin_x: float = 0.0,
-        origin_y: float = 0.0,
-    ) -> "DigitalSurfaceModel":
-        """Build a DSM from a plain elevation array."""
-        array = np.asarray(elevation, dtype=float)
-        spec = RasterSpec(origin_x, origin_y, pitch, array.shape[0], array.shape[1])
-        return cls(Raster(spec, array))
-
-    @classmethod
-    def flat(
-        cls,
-        width_m: float,
-        height_m: float,
-        pitch: float,
-        elevation: float = 0.0,
-        origin_x: float = 0.0,
-        origin_y: float = 0.0,
-    ) -> "DigitalSurfaceModel":
-        """Build a flat DSM of the requested extent."""
-        n_cols = max(1, int(np.ceil(width_m / pitch)))
-        n_rows = max(1, int(np.ceil(height_m / pitch)))
-        spec = RasterSpec(origin_x, origin_y, pitch, n_rows, n_cols)
-        return cls(Raster(spec, np.full((n_rows, n_cols), float(elevation))))
 
     # -- accessors -------------------------------------------------------------
 
@@ -84,79 +50,9 @@ class DigitalSurfaceModel:
         """Grid shape ``(n_rows, n_cols)``."""
         return self._raster.shape
 
-    def elevation_at(self, point: Point2D) -> float:
-        """Bilinearly interpolated surface elevation at a world point [m]."""
-        return self._raster.sample_bilinear(point)
-
     def copy(self) -> "DigitalSurfaceModel":
         """Deep copy."""
         return DigitalSurfaceModel(self._raster.copy())
-
-    # -- surface analysis --------------------------------------------------------
-
-    def gradients(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-cell elevation gradients ``(dz/dx, dz/dy)`` (central differences)."""
-        dz_drow, dz_dcol = np.gradient(self._raster.data, self.pitch)
-        # np.gradient returns derivatives along (rows, cols) = (y, x).
-        return dz_dcol, dz_drow
-
-    def slope_deg(self) -> np.ndarray:
-        """Per-cell slope angle with respect to horizontal [deg]."""
-        dz_dx, dz_dy = self.gradients()
-        return np.arctan(np.hypot(dz_dx, dz_dy)) * RAD2DEG
-
-    def aspect_deg(self) -> np.ndarray:
-        """Per-cell aspect (downhill direction) [deg, 0 = South, positive West].
-
-        Flat cells (slope ~ 0) get an aspect of 0 by convention.
-        """
-        dz_dx, dz_dy = self.gradients()
-        # Downhill direction is -gradient; express its azimuth in the
-        # library convention (0 = South = -y, positive towards West = -x).
-        downhill_x = -dz_dx
-        downhill_y = -dz_dy
-        azimuth = np.arctan2(-downhill_x, -downhill_y) * RAD2DEG
-        flat = np.hypot(dz_dx, dz_dy) < 1e-9
-        return np.where(flat, 0.0, azimuth)
-
-    def prominence(self, neighbourhood_cells: int = 3) -> np.ndarray:
-        """Height of each cell above the local median surface [m].
-
-        A simple morphological measure used to detect obstacles standing
-        proud of an otherwise smooth roof plane (chimneys, dormers, pipes).
-        """
-        if neighbourhood_cells < 1:
-            raise GISError("neighbourhood_cells must be >= 1")
-        data = self._raster.data
-        n_rows, n_cols = data.shape
-        k = neighbourhood_cells
-        padded = np.pad(data, k, mode="edge")
-        local_median = np.empty_like(data)
-        # Median filter implemented with a moving window; windows are tiny
-        # (default 7x7) so the double loop over offsets stays vectorised
-        # over the full raster.
-        stack = np.empty(((2 * k + 1) ** 2, n_rows, n_cols), dtype=float)
-        idx = 0
-        for dr in range(-k, k + 1):
-            for dc in range(-k, k + 1):
-                stack[idx] = padded[k + dr : k + dr + n_rows, k + dc : k + dc + n_cols]
-                idx += 1
-        local_median = np.median(stack, axis=0)
-        return data - local_median
-
-    def region_statistics(self, polygon: Polygon) -> dict:
-        """Elevation statistics of the cells covered by ``polygon``."""
-        mask = self._raster.mask_from_polygon(polygon)
-        if not np.any(mask):
-            raise GISError("the polygon does not cover any DSM cell")
-        values = self._raster.data[mask]
-        return {
-            "count": int(values.size),
-            "min": float(values.min()),
-            "max": float(values.max()),
-            "mean": float(values.mean()),
-            "std": float(values.std()),
-        }
 
 
 @dataclass(frozen=True)

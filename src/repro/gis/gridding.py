@@ -18,7 +18,7 @@ import numpy as np
 
 from ..constants import DEFAULT_GRID_PITCH
 from ..errors import GISError
-from ..geometry import Point2D, RoofPlaneFrame
+from ..geometry import RoofPlaneFrame
 from .dsm import DigitalSurfaceModel
 from .synthetic import RoofScene
 
@@ -89,29 +89,10 @@ class RoofGrid:
 
     # -- coordinates --------------------------------------------------------------
 
-    def cell_center_roof(self, row: int, col: int) -> Point2D:
-        """Roof-plane coordinates (u, v) of the centre of element (row, col)."""
-        self._check_index(row, col)
-        return Point2D((col + 0.5) * self.pitch, (row + 0.5) * self.pitch)
-
-    def cell_center_world(self, row: int, col: int):
-        """World coordinates (x, y, z) of the centre of element (row, col)."""
-        return self.frame.roof_to_world(self.cell_center_roof(row, col))
-
     def valid_cells(self) -> np.ndarray:
         """Indices of the valid elements as an ``(Ng, 2)`` array of (row, col)."""
         rows, cols = np.nonzero(self.valid_mask)
         return np.stack([rows, cols], axis=1)
-
-    def is_valid(self, row: int, col: int) -> bool:
-        """True when element (row, col) is inside the grid and usable."""
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            return False
-        return bool(self.valid_mask[row, col])
-
-    def _check_index(self, row: int, col: int) -> None:
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            raise GISError(f"grid index ({row}, {col}) outside grid {self.shape}")
 
     # -- DSM mapping ----------------------------------------------------------------
 
@@ -148,13 +129,6 @@ class RoofGrid:
             n_cols=self.n_cols,
             valid_mask=np.asarray(mask, dtype=bool).copy(),
         )
-
-    def invalidate_cells(self, cells: np.ndarray) -> "RoofGrid":
-        """Return a copy with the listed (row, col) elements marked invalid."""
-        mask = self.valid_mask.copy()
-        cells_arr = np.asarray(cells, dtype=int).reshape(-1, 2)
-        mask[cells_arr[:, 0], cells_arr[:, 1]] = False
-        return self.with_mask(mask)
 
 
 def make_roof_grid(

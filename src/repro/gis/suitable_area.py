@@ -58,11 +58,6 @@ class SuitableAreaResult:
     excluded_by_setback: int
     excluded_by_shading: int
 
-    @property
-    def valid_fraction(self) -> float:
-        """Fraction of grid elements that remain usable."""
-        return self.n_valid / self.n_total if self.n_total else 0.0
-
 
 def _expanded_footprint(obstacle: ObstacleFootprint, apply_clearance: bool) -> Polygon:
     """Obstacle footprint grown by its clearance margin (bounding-box growth)."""

@@ -196,11 +196,6 @@ class RoofSpec:
         if self.roughness_correlation_m <= 0:
             raise GISError("roughness correlation length must be positive")
 
-    @property
-    def area_m2(self) -> float:
-        """Area of the roof facet measured on the inclined plane [m^2]."""
-        return self.width_m * self.depth_m
-
 
 @dataclass(frozen=True)
 class RoofScene:

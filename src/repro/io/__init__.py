@@ -1,25 +1,17 @@
-"""I/O layer: DSM (.asc), weather CSV, placement/report JSON."""
+"""I/O layer: DSM (.asc) and weather CSV writers, placement JSON."""
 
-from .asc_grid import read_asc, write_asc
+from .asc_grid import write_asc
 from .placement_json import (
-    load_placement,
-    load_report,
     placement_from_dict,
     placement_to_dict,
     save_placement,
-    save_report,
 )
-from .weather_csv import read_weather_csv, write_weather_csv
+from .weather_csv import write_weather_csv
 
 __all__ = [
-    "read_asc",
     "write_asc",
-    "load_placement",
-    "load_report",
     "placement_from_dict",
     "placement_to_dict",
     "save_placement",
-    "save_report",
-    "read_weather_csv",
     "write_weather_csv",
 ]

@@ -1,10 +1,10 @@
-"""ESRI ASCII grid (.asc) reader/writer.
+"""ESRI ASCII grid (.asc) writer.
 
 The de-facto interchange format for small DSM tiles.  Only the subset needed
 for DSM exchange is supported: square cells, ``xllcorner``/``yllcorner``
 georeferencing, optional ``nodata_value``.  Rows in the file run north to
-south (the first data row is the northernmost), so they are flipped to match
-the library's south-up raster convention.
+south (the first data row is the northernmost), so the library's south-up
+raster rows are written in reverse.
 """
 
 from __future__ import annotations
@@ -12,15 +12,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
-from ..errors import IOFormatError
-from ..geometry import Raster, RasterSpec
 from ..gis.dsm import DigitalSurfaceModel
 
 PathLike = Union[str, Path]
-
-_REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 
 
 def write_asc(dsm: DigitalSurfaceModel, path: PathLike, nodata: float = -9999.0) -> None:
@@ -38,56 +32,3 @@ def write_asc(dsm: DigitalSurfaceModel, path: PathLike, nodata: float = -9999.0)
     for row in dsm.data[::-1]:
         lines.append(" ".join(f"{value:.4f}" for value in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_asc(path: PathLike) -> DigitalSurfaceModel:
-    """Read a DSM from an ESRI ASCII grid file.
-
-    Raises
-    ------
-    IOFormatError
-        If the header is malformed or the data block has the wrong size.
-    """
-    text = Path(path).read_text(encoding="ascii")
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    header: dict[str, float] = {}
-    data_start = 0
-    for index, line in enumerate(lines):
-        parts = line.split()
-        if len(parts) == 2 and parts[0].lower() in _REQUIRED_KEYS + ("nodata_value",):
-            try:
-                header[parts[0].lower()] = float(parts[1])
-            except ValueError as exc:
-                raise IOFormatError(f"invalid header line: {line!r}") from exc
-            data_start = index + 1
-        else:
-            break
-
-    missing = [key for key in _REQUIRED_KEYS if key not in header]
-    if missing:
-        raise IOFormatError(f"missing header keys in ASC file: {missing}")
-
-    n_cols = int(header["ncols"])
-    n_rows = int(header["nrows"])
-    nodata = header.get("nodata_value", -9999.0)
-
-    values: list[float] = []
-    for line in lines[data_start:]:
-        values.extend(float(token) for token in line.split())
-    if len(values) != n_rows * n_cols:
-        raise IOFormatError(
-            f"expected {n_rows * n_cols} data values, found {len(values)}"
-        )
-    data = np.asarray(values, dtype=float).reshape(n_rows, n_cols)
-    if np.any(data == nodata):
-        raise IOFormatError("the reproduction does not support nodata cells in DSMs")
-    # Flip back to the library's south-up convention.
-    data = data[::-1]
-    spec = RasterSpec(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        pitch=header["cellsize"],
-        n_rows=n_rows,
-        n_cols=n_cols,
-    )
-    return DigitalSurfaceModel(Raster(spec, data))

@@ -95,28 +95,3 @@ def save_placement(placement: Placement, path: PathLike) -> None:
         json.dumps(placement_to_dict(placement), indent=2, sort_keys=True),
         encoding="ascii",
     )
-
-
-def load_placement(path: PathLike) -> Placement:
-    """Read a placement from a JSON file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise IOFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return placement_from_dict(data)
-
-
-def save_report(rows: list[dict], path: PathLike) -> None:
-    """Write a list of report rows (e.g. Table-I rows) to JSON."""
-    Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True), encoding="ascii")
-
-
-def load_report(path: PathLike) -> list[dict]:
-    """Read a report previously written by :func:`save_report`."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise IOFormatError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, list):
-        raise IOFormatError("a report document must be a JSON list of rows")
-    return data

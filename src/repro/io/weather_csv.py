@@ -1,4 +1,4 @@
-"""Weather-series CSV reader/writer.
+"""Weather-series CSV writer.
 
 A minimal, dependency-free exchange format for weather traces: one row per
 time sample with day-of-year, hour, GHI and ambient temperature (plus DNI
@@ -12,11 +12,7 @@ import csv
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
-from ..errors import IOFormatError
-from ..solar.time_series import TimeGrid
-from ..weather.records import StationMetadata, WeatherSeries
+from ..weather.records import WeatherSeries
 
 PathLike = Union[str, Path]
 
@@ -49,59 +45,3 @@ def write_weather_csv(series: WeatherSeries, path: PathLike) -> None:
                 row.append(f"{series.dni[index]:.3f}")
                 row.append(f"{series.dhi[index]:.3f}")
             writer.writerow(row)
-
-
-def read_weather_csv(path: PathLike) -> WeatherSeries:
-    """Read a weather series previously written by :func:`write_weather_csv`."""
-    with Path(path).open("r", newline="", encoding="ascii") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    if len(rows) < 4:
-        raise IOFormatError("weather CSV is too short to contain a header and data")
-
-    station_row, grid_row, header = rows[0], rows[1], rows[2]
-    if not station_row or station_row[0] != "# station" or len(station_row) < 5:
-        raise IOFormatError("missing '# station' metadata row")
-    if not grid_row or grid_row[0] != "# grid" or len(grid_row) < 3:
-        raise IOFormatError("missing '# grid' metadata row")
-
-    station = StationMetadata(
-        name=station_row[1],
-        latitude_deg=float(station_row[2]),
-        longitude_deg=float(station_row[3]),
-        altitude_m=float(station_row[4]),
-    )
-    time_grid = TimeGrid(step_minutes=float(grid_row[1]), day_stride=int(grid_row[2]))
-
-    expected_base = list(_BASE_FIELDS)
-    if header[: len(expected_base)] != expected_base:
-        raise IOFormatError(f"unexpected CSV header: {header}")
-    has_decomposition = len(header) >= len(_BASE_FIELDS) + 2
-
-    data_rows = rows[3:]
-    if len(data_rows) != time_grid.n_samples:
-        raise IOFormatError(
-            f"expected {time_grid.n_samples} data rows, found {len(data_rows)}"
-        )
-
-    ghi = np.empty(time_grid.n_samples)
-    temperature = np.empty(time_grid.n_samples)
-    dni = np.empty(time_grid.n_samples) if has_decomposition else None
-    dhi = np.empty(time_grid.n_samples) if has_decomposition else None
-    for index, row in enumerate(data_rows):
-        if len(row) < len(header):
-            raise IOFormatError(f"row {index + 4} has too few columns")
-        ghi[index] = float(row[2])
-        temperature[index] = float(row[3])
-        if has_decomposition:
-            dni[index] = float(row[4])
-            dhi[index] = float(row[5])
-
-    return WeatherSeries(
-        time_grid=time_grid,
-        ghi=ghi,
-        temperature=temperature,
-        station=station,
-        dni=dni,
-        dhi=dhi,
-    )

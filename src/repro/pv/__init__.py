@@ -11,8 +11,8 @@ from .datasheet import (
     get_datasheet,
 )
 from .module import EmpiricalModuleModel, OperatingPoint, paper_module_model
-from .mppt import MPPTModel, PerturbObserveResult, perturb_and_observe
-from .thermal import CellTemperatureModel, NOCTTemperatureModel, temperature_rise_at_stc
+from .mppt import MPPTModel
+from .thermal import CellTemperatureModel
 from .wiring import (
     WiringOverheadReport,
     WiringSpec,
@@ -38,11 +38,7 @@ __all__ = [
     "OperatingPoint",
     "paper_module_model",
     "MPPTModel",
-    "PerturbObserveResult",
-    "perturb_and_observe",
     "CellTemperatureModel",
-    "NOCTTemperatureModel",
-    "temperature_rise_at_stc",
     "WiringOverheadReport",
     "WiringSpec",
     "annual_energy_loss_wh",

@@ -56,11 +56,6 @@ class SeriesParallelTopology:
         self._check_module_index(module_index)
         return module_index // self.n_series
 
-    def position_in_string(self, module_index: int) -> int:
-        """Series position of a module inside its string."""
-        self._check_module_index(module_index)
-        return module_index % self.n_series
-
     def modules_of_string(self, string_index: int) -> list[int]:
         """Module indices belonging to a string, in series order."""
         if not 0 <= string_index < self.n_parallel:
@@ -150,59 +145,3 @@ class PVArray:
             string_currents_a=string_currents,
             string_voltages_v=string_voltages,
         )
-
-    # -- aggregation from environmental conditions --------------------------------------
-
-    def operating_point_from_conditions(
-        self, irradiance: np.ndarray, ambient_c: np.ndarray
-    ) -> PanelOperatingPoint:
-        """Panel operating point from per-module irradiance and ambient temperature.
-
-        Parameters
-        ----------
-        irradiance:
-            Array ``(..., N)`` of plane-of-array irradiance per module [W/m^2].
-        ambient_c:
-            Ambient temperature, broadcastable against ``irradiance`` without
-            its last axis (typically shape ``(...,)`` or a scalar).
-        """
-        g = np.asarray(irradiance, dtype=float)
-        if g.shape[-1] != self.topology.n_modules:
-            raise TopologyError(
-                f"irradiance last axis must have length N={self.topology.n_modules}"
-            )
-        ambient = np.asarray(ambient_c, dtype=float)
-        if ambient.ndim == g.ndim - 1:
-            ambient = ambient[..., None]
-        point = self.module_model.operating_point(g, ambient)
-        return self.aggregate(point.voltage_v, point.current_a)
-
-    def power_from_conditions(
-        self, irradiance: np.ndarray, ambient_c: np.ndarray
-    ) -> np.ndarray:
-        """Panel power [W] from per-module irradiance and ambient temperature."""
-        return self.operating_point_from_conditions(irradiance, ambient_c).power_w
-
-    def sum_of_module_powers(
-        self, irradiance: np.ndarray, ambient_c: np.ndarray
-    ) -> np.ndarray:
-        """Idealised power ignoring the interconnection (sum of module MPPs).
-
-        Used by the analysis layer to quantify the *mismatch loss*, i.e. the
-        gap between the ideal per-module optimum and the series/parallel
-        aggregate the paper's formulas give.
-        """
-        g = np.asarray(irradiance, dtype=float)
-        ambient = np.asarray(ambient_c, dtype=float)
-        if ambient.ndim == g.ndim - 1:
-            ambient = ambient[..., None]
-        return np.sum(self.module_model.power(g, ambient), axis=-1)
-
-    def mismatch_loss_fraction(
-        self, irradiance: np.ndarray, ambient_c: np.ndarray
-    ) -> np.ndarray:
-        """Relative mismatch loss (0 = perfectly matched strings)."""
-        ideal = self.sum_of_module_powers(irradiance, ambient_c)
-        actual = self.power_from_conditions(irradiance, ambient_c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(ideal > 1e-9, 1.0 - actual / np.maximum(ideal, 1e-9), 0.0)

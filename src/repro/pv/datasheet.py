@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..constants import DEFAULT_GRID_PITCH
 from ..errors import PVModelError
 
 
@@ -76,38 +75,6 @@ class ModuleDatasheet:
             raise PVModelError("a module has at least one cell")
         if self.gamma_p_per_k >= 0:
             raise PVModelError("the power temperature coefficient must be negative")
-
-    @property
-    def area_m2(self) -> float:
-        """Module footprint area [m^2]."""
-        return self.width_m * self.height_m
-
-    @property
-    def efficiency_stc(self) -> float:
-        """Nominal conversion efficiency at STC (0..1)."""
-        return self.p_max_ref / (1000.0 * self.area_m2)
-
-    @property
-    def fill_factor(self) -> float:
-        """Fill factor Pmax / (Voc * Isc) at STC."""
-        return self.p_max_ref / (self.v_oc_ref * self.i_sc_ref)
-
-    def cells_footprint(self, grid_pitch: float = DEFAULT_GRID_PITCH) -> tuple[int, int]:
-        """Module footprint in virtual-grid cells ``(k1, k2)`` (paper Section III-A).
-
-        Raises
-        ------
-        PVModelError
-            If the module sides are not integer multiples of the pitch.
-        """
-        k1 = self.width_m / grid_pitch
-        k2 = self.height_m / grid_pitch
-        if abs(k1 - round(k1)) > 1e-6 or abs(k2 - round(k2)) > 1e-6:
-            raise PVModelError(
-                f"module size {self.width_m}x{self.height_m} m is not an integer "
-                f"multiple of the grid pitch {grid_pitch} m"
-            )
-        return int(round(k1)), int(round(k2))
 
 
 #: The module used throughout the paper's experiments.

@@ -123,10 +123,6 @@ class EmpiricalModuleModel:
             power_w=power, voltage_v=voltage, current_a=current, cell_temperature_c=t_cell
         )
 
-    def power(self, irradiance: np.ndarray, ambient_c: np.ndarray) -> np.ndarray:
-        """Maximum power [W] from irradiance and ambient temperature."""
-        return self.operating_point(irradiance, ambient_c).power_w
-
     # -- datasheet-style characteristics (Figure 3 reproductions) ---------------------
 
     def open_circuit_voltage(

@@ -7,8 +7,7 @@ The paper corrects the ambient temperature with an irradiance-dependent term
 
 where ``alpha`` is the absorptivity of the roof and ``h_c`` a combined
 convective and radiative heat-exchange coefficient (15 W/(K m^2), refs
-[12][13]).  The classical NOCT model is provided as an alternative for
-cross-checking.
+[12][13]).
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..constants import (
-    DEFAULT_HEAT_EXCHANGE_COEFFICIENT,
-    DEFAULT_ROOF_ABSORPTIVITY,
-    STC_IRRADIANCE,
-)
+from ..constants import DEFAULT_HEAT_EXCHANGE_COEFFICIENT, DEFAULT_ROOF_ABSORPTIVITY
 from ..errors import PVModelError
 
 
@@ -63,44 +58,3 @@ class CellTemperatureModel:
         out[...] = irradiance
         out *= self.k
         out += ambient_c
-
-
-@dataclass(frozen=True)
-class NOCTTemperatureModel:
-    """Nominal-operating-cell-temperature model (industry alternative).
-
-    ``Tcell = Tamb + (NOCT - 20) * G / 800``.
-    """
-
-    noct_c: float = 45.5
-
-    def __post_init__(self) -> None:
-        if not 20.0 < self.noct_c < 90.0:
-            raise PVModelError("NOCT must be within (20, 90) degC")
-
-    def cell_temperature(self, ambient_c: np.ndarray, irradiance: np.ndarray) -> np.ndarray:
-        """Cell temperature under the NOCT linear model [degC]."""
-        ambient = np.asarray(ambient_c, dtype=float)
-        g = np.asarray(irradiance, dtype=float)
-        if np.any(g < 0):
-            raise PVModelError("irradiance must be non-negative")
-        return ambient + (self.noct_c - 20.0) * g / 800.0
-
-    def write_cell_temperature(
-        self, out: np.ndarray, ambient_c: np.ndarray, irradiance: np.ndarray
-    ) -> None:
-        """Write the NOCT cell temperature into the float64 array ``out``.
-
-        As :meth:`CellTemperatureModel.write_cell_temperature`: the values
-        are bit-identical to :meth:`cell_temperature`, and the check for
-        negative irradiance is left to the caller.
-        """
-        out[...] = irradiance
-        out *= self.noct_c - 20.0
-        out /= 800.0
-        out += ambient_c
-
-
-def temperature_rise_at_stc(model: CellTemperatureModel) -> float:
-    """Module temperature rise above ambient at STC irradiance [K]."""
-    return model.k * STC_IRRADIANCE

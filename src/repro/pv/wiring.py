@@ -59,12 +59,6 @@ class WiringOverheadReport:
     extra_cost: float
     reference_current_a: float
 
-    def loss_fraction_of(self, annual_production_wh: float) -> float:
-        """Energy-loss fraction relative to a yearly production figure."""
-        if annual_production_wh <= 0:
-            raise PVModelError("annual production must be positive")
-        return self.annual_energy_loss_wh / annual_production_wh
-
 
 def string_extra_length(
     module_positions: Sequence[Point2D], spec: WiringSpec | None = None

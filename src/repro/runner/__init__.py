@@ -48,7 +48,6 @@ _EXPORTS: Dict[str, str] = {
             "SolverOutcome",
             "WarmStart",
             "available_solvers",
-            "get_solver",
             "get_solver_entry",
             "register_solver",
             "solve",

@@ -46,8 +46,8 @@ On a hit, :meth:`StageCache.get` verifies the entry per ``verify`` mode:
 Any verification failure -- checksum mismatch, size mismatch, missing
 manifest, unreadable pickle or sidecar -- *quarantines* the entry: all of
 its files are moved to ``<root>/_quarantine/<stage>/`` with a
-``.quarantined`` suffix (preserved for post-mortem, invisible to lookups
-and :meth:`entry_count`), a ``cache.quarantine`` trace event and a stderr
+``.quarantined`` suffix (preserved for post-mortem, invisible to
+lookups), a ``cache.quarantine`` trace event and a stderr
 diagnostic are emitted, and the lookup degrades to a miss.  Corruption is
 therefore never an exception, only a recompute.
 """
@@ -293,7 +293,7 @@ class StageCache:
         The files keep their names plus a ``.quarantined`` suffix under
         ``<root>/_quarantine/<stage>/`` so they stay available for
         post-mortem inspection but can never satisfy (or re-poison) a
-        future lookup, and are not counted by :meth:`entry_count`.
+        future lookup.
         """
         target_dir = self.root / QUARANTINE_DIR / stage
         moved = []
@@ -537,12 +537,6 @@ class StageCache:
             quarantine = quarantine / stage
         shutil.rmtree(quarantine, ignore_errors=True)
         return removed
-
-    def entry_count(self) -> int:
-        """Number of (non-quarantined) entries currently stored."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.pkl"))
 
 
 def resolve_cache(

@@ -186,11 +186,6 @@ def get_solver_entry(name: str) -> SolverEntry:
         raise ConfigurationError(f"unknown solver {name!r}; known: {known}") from exc
 
 
-def get_solver(name: str) -> SolverFn:
-    """Look up a registered solver adapter."""
-    return get_solver_entry(name).fn
-
-
 def available_solvers() -> list:
     """Names of the registered solvers, sorted."""
     return sorted(_REGISTRY)

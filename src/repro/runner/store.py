@@ -428,10 +428,10 @@ class ResultStore:
     -------
     >>> import tempfile, os
     >>> from repro.runner.store import ResultStore
-    >>> from repro.scenario import get_scenario
+    >>> from repro.scenario import builtin_scenarios
     >>> tmp = tempfile.TemporaryDirectory()
     >>> store = ResultStore(os.path.join(tmp.name, "campaigns.sqlite"))
-    >>> points = store.enroll("demo", [get_scenario("residential-south")])
+    >>> points = store.enroll("demo", [builtin_scenarios()["residential-south"]])
     >>> [p.status for p in points]
     ['pending']
     >>> store.status_counts("demo")["pending"]

@@ -1,6 +1,6 @@
 """Declarative scenario catalog: JSON-round-trippable pipeline specifications."""
 
-from .catalog import builtin_scenarios, get_scenario, scenario_names
+from .catalog import builtin_scenarios
 from .spec import (
     SCENARIO_FORMAT_VERSION,
     ScenarioSpec,
@@ -24,6 +24,4 @@ __all__ = [
     "roof_spec_from_dict",
     "roof_spec_to_dict",
     "builtin_scenarios",
-    "get_scenario",
-    "scenario_names",
 ]

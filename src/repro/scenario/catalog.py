@@ -16,7 +16,7 @@ same machinery up to paper-sized instances.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..errors import ConfigurationError
 from ..gis.synthetic import (
@@ -335,18 +335,3 @@ def builtin_scenarios() -> Dict[str, ScenarioSpec]:
             raise ConfigurationError(f"duplicate catalog scenario {scenario.name!r}")
         catalog[scenario.name] = scenario
     return catalog
-
-
-def scenario_names() -> List[str]:
-    """Names of the built-in scenarios, in catalog order."""
-    return list(builtin_scenarios())
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a built-in scenario by name."""
-    catalog = builtin_scenarios()
-    try:
-        return catalog[name]
-    except KeyError as exc:
-        known = ", ".join(catalog)
-        raise ConfigurationError(f"unknown scenario {name!r}; known: {known}") from exc

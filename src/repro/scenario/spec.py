@@ -453,8 +453,8 @@ class ScenarioSpec:
     Scenarios are JSON-round-trippable documents; the dictionary/JSON form
     is the storage, transport *and* cache-key format:
 
-    >>> from repro.scenario import ScenarioSpec, get_scenario
-    >>> spec = get_scenario("residential-south")
+    >>> from repro.scenario import ScenarioSpec, builtin_scenarios
+    >>> spec = builtin_scenarios()["residential-south"]
     >>> ScenarioSpec.from_json(spec.to_json()).to_dict() == spec.to_dict()
     True
     >>> sorted(spec.solar_payload())   # the solar-stage cache key inputs
@@ -522,8 +522,8 @@ class ScenarioSpec:
 
         Example
         -------
-        >>> from repro.scenario import get_scenario
-        >>> base = get_scenario("residential-south")
+        >>> from repro.scenario import builtin_scenarios
+        >>> base = builtin_scenarios()["residential-south"]
         >>> point = base.with_overrides(
         ...     {"n_modules": 8, "weather.latitude_deg": 52.5, "solver": "traditional"},
         ...     name="residential-south@n8-berlin",

@@ -12,12 +12,10 @@ propagate, as :class:`~urllib.error.URLError`.
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 from typing import Any, Dict, Mapping, Optional
 
-from ..errors import ReproError
 
 #: Default per-request socket timeout (seconds).
 DEFAULT_TIMEOUT_S = 10.0
@@ -128,33 +126,6 @@ class ServeClient:
     def stats(self) -> ServeResponse:
         """``GET /v1/stats``."""
         return self._request("GET", "/v1/stats")
-
-    # -- conveniences -------------------------------------------------------------
-
-    def wait_until_done(
-        self,
-        request_id: str,
-        timeout_s: float = 120.0,
-        poll_s: float = 0.2,
-    ) -> ServeResponse:
-        """Poll a request until it reaches a terminal status.
-
-        Returns the final status response (``done``/``failed``/``timed_out``).
-        Raises :class:`ReproError` if the deadline passes first -- a test
-        helper, so a hung queue fails loudly instead of blocking forever.
-        """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            response = self.request_status(request_id)
-            status = response.payload.get("status")
-            if response.status == 200 and status in ("done", "failed", "timed_out"):
-                return response
-            if time.monotonic() >= deadline:
-                raise ReproError(
-                    f"request {request_id[:12]}... not terminal after {timeout_s:g}s "
-                    f"(last: HTTP {response.status}, status {status!r})"
-                )
-            time.sleep(poll_s)
 
 
 __all__ = ["DEFAULT_TIMEOUT_S", "ServeClient", "ServeResponse"]

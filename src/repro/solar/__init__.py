@@ -24,14 +24,11 @@ from .linke import LinkeTurbidityProfile
 from .position import (
     SolarPosition,
     compute_solar_position,
-    daylight_hours,
-    equation_of_time_minutes,
     solar_declination,
     solar_elevation_azimuth,
-    sunrise_sunset_hour,
 )
-from .shading import HorizonMap, compute_horizon_map, shadow_fraction_map
-from .time_series import CompressedTimeGrid, TimeGrid, fast_time_grid, paper_time_grid
+from .shading import HorizonMap, compute_horizon_map
+from .time_series import CompressedTimeGrid, TimeGrid, paper_time_grid
 from .transposition import (
     PlaneOfArrayIrradiance,
     beam_on_plane,
@@ -60,17 +57,12 @@ __all__ = [
     "LinkeTurbidityProfile",
     "SolarPosition",
     "compute_solar_position",
-    "daylight_hours",
-    "equation_of_time_minutes",
     "solar_declination",
     "solar_elevation_azimuth",
-    "sunrise_sunset_hour",
     "HorizonMap",
     "compute_horizon_map",
-    "shadow_fraction_map",
     "CompressedTimeGrid",
     "TimeGrid",
-    "fast_time_grid",
     "paper_time_grid",
     "PlaneOfArrayIrradiance",
     "beam_on_plane",

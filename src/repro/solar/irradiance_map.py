@@ -292,23 +292,6 @@ class RoofSolarField:
         column = np.asarray(self.irradiance[:, self.column_of(row, col)], dtype=float)
         return self.daylight.expand(column)
 
-    def irradiance_for_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Full-axis irradiance of several grid elements, shape ``(n_time, k)``.
-
-        Raises
-        ------
-        SolarModelError
-            If any requested element is not part of the valid set.
-        """
-        cells_arr = np.asarray(cells, dtype=int).reshape(-1, 2)
-        indices = self._cell_lookup[cells_arr[:, 0], cells_arr[:, 1]]
-        invalid = indices < 0
-        if np.any(invalid):
-            row, col = cells_arr[int(np.argmax(invalid))]
-            raise SolarModelError(f"grid element ({row}, {col}) is not a valid cell")
-        columns = self.column_index[indices]
-        return self.daylight.expand(np.asarray(self.irradiance[:, columns], dtype=float))
-
     def restricted_to(self, grid: RoofGrid) -> "RoofSolarField":
         """The field restricted to the valid cells of ``grid``.
 
@@ -355,16 +338,6 @@ class RoofSolarField:
                 raise SolarModelError("irradiance must be non-negative")
             values[sl] = select_percentile(block, q, n_zeros=n_night)
         return self.scatter_columns(values)
-
-    def mean_map(self) -> np.ndarray:
-        """Per-cell mean irradiance map [W/m^2] (NaN outside the valid area).
-
-        Accumulates in float64 directly on the stored rows (the dropped
-        night rows contribute exactly zero to the sum), avoiding the
-        full-matrix ``astype(float)`` copy of the straightforward form.
-        """
-        totals = np.sum(self.irradiance, axis=0, dtype=np.float64)
-        return self.scatter_columns(totals / float(max(self.n_time, 1)))
 
     def annual_insolation_map_kwh(self) -> np.ndarray:
         """Per-cell yearly insolation [kWh/m^2] (NaN outside the valid area)."""

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..constants import DAYS_PER_YEAR, DEFAULT_LINKE_TURBIDITY
+from ..constants import DAYS_PER_YEAR
 from ..errors import SolarModelError
 
 #: Mid-month day-of-year anchors used for interpolation.
@@ -36,11 +36,6 @@ class LinkeTurbidityProfile:
             raise SolarModelError("a Linke turbidity profile needs exactly 12 monthly values")
         if any(v <= 0 for v in self.monthly_values):
             raise SolarModelError("Linke turbidity values must be positive")
-
-    @classmethod
-    def constant(cls, value: float = DEFAULT_LINKE_TURBIDITY) -> "LinkeTurbidityProfile":
-        """A profile with the same turbidity in every month."""
-        return cls(tuple([float(value)] * 12))
 
     @classmethod
     def from_monthly(cls, values: Sequence[float]) -> "LinkeTurbidityProfile":
@@ -69,7 +64,3 @@ class LinkeTurbidityProfile:
         )
         extended = np.concatenate(([values[-1]], values, [values[0]]))
         return np.interp(day, anchors, extended)
-
-    def annual_mean(self) -> float:
-        """Mean of the monthly values."""
-        return float(np.mean(self.monthly_values))

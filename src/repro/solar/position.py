@@ -33,11 +33,6 @@ class SolarPosition:
     hour_angle_deg: np.ndarray
     extraterrestrial_normal: np.ndarray
 
-    @property
-    def is_up(self) -> np.ndarray:
-        """Boolean mask of the samples where the sun is above the horizon."""
-        return self.elevation_deg > 0.0
-
 
 def solar_declination(day_of_year: np.ndarray) -> np.ndarray:
     """Solar declination [deg] using Spencer's Fourier expansion."""
@@ -53,20 +48,6 @@ def solar_declination(day_of_year: np.ndarray) -> np.ndarray:
         + 0.00148 * np.sin(3 * gamma)
     )
     return decl_rad * RAD2DEG
-
-
-def equation_of_time_minutes(day_of_year: np.ndarray) -> np.ndarray:
-    """Equation of time [minutes] (Spencer's expansion)."""
-    day = np.asarray(day_of_year, dtype=float)
-    gamma = 2.0 * np.pi * (day - 1.0) / 365.0
-    eot = 229.18 * (
-        0.000075
-        + 0.001868 * np.cos(gamma)
-        - 0.032077 * np.sin(gamma)
-        - 0.014615 * np.cos(2 * gamma)
-        - 0.04089 * np.sin(2 * gamma)
-    )
-    return eot
 
 
 def eccentricity_correction(day_of_year: np.ndarray) -> np.ndarray:
@@ -169,27 +150,3 @@ def compute_solar_position(
         hour_angle_deg=ha,
         extraterrestrial_normal=extraterrestrial,
     )
-
-
-def sunrise_sunset_hour(latitude_deg: float, day_of_year: float) -> tuple[float, float]:
-    """Sunrise and sunset in local solar hours for one day.
-
-    Returns ``(sunrise, sunset)``; for polar day/night the pair degenerates
-    to ``(0, 24)`` or ``(12, 12)`` respectively.
-    """
-    decl = solar_declination(np.asarray([day_of_year]))[0] * DEG2RAD
-    lat = latitude_deg * DEG2RAD
-    cos_ha0 = -np.tan(lat) * np.tan(decl)
-    if cos_ha0 <= -1.0:
-        return 0.0, 24.0
-    if cos_ha0 >= 1.0:
-        return 12.0, 12.0
-    ha0_deg = float(np.arccos(cos_ha0)) * RAD2DEG
-    half_day_hours = ha0_deg / 15.0
-    return 12.0 - half_day_hours, 12.0 + half_day_hours
-
-
-def daylight_hours(latitude_deg: float, day_of_year: float) -> float:
-    """Length of the day in hours."""
-    sunrise, sunset = sunrise_sunset_hour(latitude_deg, day_of_year)
-    return sunset - sunrise

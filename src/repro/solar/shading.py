@@ -85,17 +85,6 @@ class HorizonMap:
         idx = np.round((az - self.sector_azimuths_deg[0]) / sector_width).astype(int)
         return np.mod(idx, self.n_sectors)
 
-    def horizon_at(self, azimuth_deg: float) -> np.ndarray:
-        """Horizon angle map [deg] for one sun azimuth."""
-        idx = int(self.sector_index(np.asarray([azimuth_deg]))[0])
-        return self.horizon_deg[idx]
-
-    def shadow_mask(self, sun_elevation_deg: float, sun_azimuth_deg: float) -> np.ndarray:
-        """Boolean map: True where the cell is shaded for the given sun position."""
-        if sun_elevation_deg <= 0.0:
-            return np.ones(self.shape, dtype=bool)
-        return self.horizon_at(sun_azimuth_deg) > sun_elevation_deg
-
     def sector_time_groups(
         self, sun_azimuth_deg: np.ndarray
     ) -> list[tuple[int, np.ndarray]]:
@@ -146,8 +135,7 @@ class HorizonMap:
         ``(n_time, n_cells)`` horizon matrix, the time steps are grouped by
         azimuth sector and each group is compared against that sector's
         horizon row, so the only full-size transient is the boolean result
-        itself (8x smaller).  :meth:`lit_fraction_for_cells` wraps it for
-        callers that still need the float 0/1 matrix.
+        itself (8x smaller).
         """
         elevation = np.asarray(sun_elevation_deg, dtype=float)
         azimuth = np.asarray(sun_azimuth_deg, dtype=float)
@@ -163,40 +151,15 @@ class HorizonMap:
         lit &= (elevation > 0.0)[:, None]
         return lit
 
-    def lit_fraction_for_cells(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        sun_elevation_deg: np.ndarray,
-        sun_azimuth_deg: np.ndarray,
-    ) -> np.ndarray:
-        """Direct-beam visibility (1.0 lit / 0.0 shaded) as float64.
-
-        Float compatibility wrapper over :meth:`lit_mask_for_cells`; callers
-        that only need the mask should use the boolean fast path directly
-        (8x less transient memory).
-        """
-        return self.lit_mask_for_cells(
-            rows, cols, sun_elevation_deg, sun_azimuth_deg
-        ).astype(float)
-
-    def sky_view_factor(self) -> np.ndarray:
-        """Sky-view factor per cell of the window (visible sky dome, 0..1).
-
-        Uses the standard isotropic approximation
-        ``SVF = mean_over_sectors(cos^2(horizon))``.
-        """
-        horizon_rad = np.clip(self.horizon_deg, 0.0, 90.0) * DEG2RAD
-        return np.mean(np.cos(horizon_rad) ** 2, axis=0)
-
     def sky_view_for_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Sky-view factor of the cells at DSM indices ``(rows, cols)``.
 
-        Equal, bit for bit, to :meth:`sky_view_factor` of a multi-cell map
-        at those cells, without evaluating the rest of the window.  The
-        sectors are summed one after the other, the order ``np.mean`` takes
-        along the sector axis of such a map; for a single cell, or a gathered
-        column, it would switch to pairwise summation.
+        The isotropic ``mean_over_sectors(cos^2(horizon))``, equal bit for
+        bit to that whole-window map at those cells, without evaluating the
+        rest of the window.  The sectors are summed one after the other, the
+        order ``np.mean`` takes along the sector axis of such a map; for a
+        single cell, or a gathered column, it would switch to pairwise
+        summation.
         """
         horizon_rad = np.clip(self._cells_horizon(rows, cols), 0.0, 90.0) * DEG2RAD
         cos_squared = np.cos(horizon_rad) ** 2
@@ -540,35 +503,3 @@ def compute_horizon_map(
         pitch=pitch,
         origin=(int(row_lo), int(col_lo)),
     )
-
-
-def shadow_fraction_map(
-    horizon_map: HorizonMap,
-    sun_elevation_deg: np.ndarray,
-    sun_azimuth_deg: np.ndarray,
-) -> np.ndarray:
-    """Fraction of the given time samples during which each cell of the map is shaded.
-
-    Only samples with the sun above the horizon contribute to the fraction;
-    if the sun never rises in the provided series the result is 1 everywhere.
-
-    A cell is shaded at a sample exactly when the sun elevation falls below
-    the cell's horizon angle in the sun's azimuth sector, so the per-sample
-    loop reduces to one sorted-search per *sector*: sort the sun elevations
-    that land in the sector and count, for every cell, how many of them lie
-    strictly below the cell's horizon angle.
-    """
-    elevation = np.asarray(sun_elevation_deg, dtype=float)
-    azimuth = np.asarray(sun_azimuth_deg, dtype=float)
-    up = elevation > 0.0
-    if not np.any(up):
-        return np.ones(horizon_map.shape, dtype=float)
-    up_elevation = elevation[up]
-    sectors = horizon_map.sector_index(azimuth[up])
-    shaded_count = np.zeros(horizon_map.shape, dtype=float)
-    for sector in np.unique(sectors):
-        sector_elevations = np.sort(up_elevation[sectors == sector])
-        horizon = horizon_map.horizon_deg[sector]
-        counts = np.searchsorted(sector_elevations, horizon.ravel(), side="left")
-        shaded_count += counts.reshape(horizon_map.shape)
-    return shaded_count / float(np.count_nonzero(up))

@@ -94,16 +94,6 @@ class TimeGrid:
         for day, hour in zip(self.days_of_year, self.hours):
             yield float(day), float(hour)
 
-    def sample(self, index: int) -> Tuple[float, float]:
-        """Return ``(day_of_year, hour)`` of the sample at ``index``."""
-        if not 0 <= index < self.n_samples:
-            raise SolarModelError(f"sample index {index} out of range")
-        return float(self.days_of_year[index]), float(self.hours[index])
-
-    def day_fraction(self) -> np.ndarray:
-        """Fraction of the year elapsed at each sample (0..1)."""
-        return (self.days_of_year - 1 + self.hours / 24.0) / DAYS_PER_YEAR
-
     def integrate_energy_wh(self, power_w: np.ndarray) -> "float | np.ndarray":
         """Integrate power series [W] over the year along axis 0, returning Wh.
 
@@ -186,27 +176,10 @@ class CompressedTimeGrid:
         """Number of samples of the underlying full grid."""
         return self.full.n_samples
 
-    @property
-    def compression_ratio(self) -> float:
-        """Full over kept sample count (>= 1; ``inf`` for an all-dark axis)."""
-        if self.n_daylight == 0:
-            return float("inf")
-        return self.n_full / float(self.n_daylight)
-
     def __len__(self) -> int:
         return self.n_daylight
 
     # -- axis conversion -----------------------------------------------------
-
-    def compress(self, values: np.ndarray) -> np.ndarray:
-        """Select the kept rows of a full-axis array (axis 0)."""
-        series = np.asarray(values)
-        if series.ndim == 0 or series.shape[0] != self.n_full:
-            raise SolarModelError(
-                f"full-axis series has shape {np.shape(values)}, expected "
-                f"{self.n_full} leading samples"
-            )
-        return series[self.indices]
 
     def expand(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Scatter a compressed-axis array back to the full axis (axis 0).
@@ -262,8 +235,3 @@ class CompressedTimeGrid:
 def paper_time_grid() -> TimeGrid:
     """The paper's time base: one full year at 15-minute resolution."""
     return TimeGrid(step_minutes=15.0, day_stride=1)
-
-
-def fast_time_grid(step_minutes: float = 60.0, day_stride: int = 7) -> TimeGrid:
-    """A subsampled time base used by tests and CI-friendly benchmarks."""
-    return TimeGrid(step_minutes=step_minutes, day_stride=day_stride)

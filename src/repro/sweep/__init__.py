@@ -3,12 +3,12 @@
 The sweep subsystem turns "reproduce the paper's artifacts at scale" into a
 three-line workflow::
 
-    from repro.scenario import get_scenario
+    from repro.scenario import builtin_scenarios
     from repro.sweep import SweepAxis, SweepPlan, run_sweep
 
     plan = SweepPlan(
         name="modules-x-solver",
-        base=get_scenario("residential-south"),
+        base=builtin_scenarios()["residential-south"],
         axes=(
             SweepAxis("n_modules", (4, 6, 8)),
             SweepAxis("solver.name", ("greedy", "traditional")),

@@ -131,14 +131,6 @@ class SweepResult:
             rows.append(row)
         return rows
 
-    def group_by(self, key: str) -> Dict[Any, List[SweepPointResult]]:
-        """Points grouped by their coordinate on one axis (insertion order)."""
-        self._require_axis(key)
-        groups: Dict[Any, List[SweepPointResult]] = {}
-        for point in self.points:
-            groups.setdefault(point.axis_value(key), []).append(point)
-        return groups
-
     def pivot(
         self, index: str, columns: str, metric: str = "annual_energy_mwh"
     ) -> PivotTable:

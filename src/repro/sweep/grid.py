@@ -133,11 +133,11 @@ class SweepPlan:
 
     Example
     -------
-    >>> from repro.scenario import get_scenario
+    >>> from repro.scenario import builtin_scenarios
     >>> from repro.sweep import SweepAxis, SweepPlan
     >>> plan = SweepPlan(
     ...     name="lat-x-n",
-    ...     base=get_scenario("residential-south"),
+    ...     base=builtin_scenarios()["residential-south"],
     ...     axes=(
     ...         SweepAxis("weather.latitude_deg", (40.0, 55.0)),
     ...         SweepAxis("n_modules", (4, 6)),

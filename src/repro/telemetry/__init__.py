@@ -33,7 +33,7 @@ from .log import (
     emit_out,
     resolve_level,
 )
-from .metrics import MetricsRegistry, MetricStats, cache_hit_ratio, quantile, rollup_spans
+from .metrics import MetricStats, quantile
 from .summary import aggregate_tree, chrome_trace, render_summary
 from .trace import (
     NULL_SPAN,
@@ -41,11 +41,9 @@ from .trace import (
     NullSpan,
     Span,
     Tracer,
-    active_tracer,
     configure,
     configure_from_env,
     current_span_id,
-    iter_spans,
     merge_active_trace,
     merge_trace,
     read_trace,
@@ -62,15 +60,12 @@ __all__ = [
     "CLI_LOGGER_NAME",
     "LOG_LEVEL_ENV",
     "MetricStats",
-    "MetricsRegistry",
     "NULL_SPAN",
     "NullSpan",
     "Span",
     "TRACE_ENV",
     "Tracer",
-    "active_tracer",
     "aggregate_tree",
-    "cache_hit_ratio",
     "chrome_trace",
     "configure",
     "configure_cli_logging",
@@ -80,14 +75,12 @@ __all__ = [
     "emit_err",
     "emit_error",
     "emit_out",
-    "iter_spans",
     "merge_active_trace",
     "merge_trace",
     "quantile",
     "read_trace",
     "render_summary",
     "resolve_level",
-    "rollup_spans",
     "shard_path_for",
     "shard_paths",
     "span",

@@ -2,8 +2,8 @@
 
 The tracer (:mod:`repro.telemetry.trace`) records *individual* intervals;
 this module turns populations of them into the aggregate figures the rest
-of the system reports: per-stage latency distributions (p50/p90/p99),
-cache hit ratios, retry counts.  Everything is stdlib-only and small-n
+of the system reports: per-stage latency distributions (p50/p90/p99) and
+counters such as cache hits and retries.  Everything is stdlib-only and small-n
 exact -- samples are kept and sorted, not sketched, because a campaign
 over the built-in catalog produces at most a few thousand samples per
 metric.
@@ -13,14 +13,14 @@ Two consumers drive the shape of :class:`MetricStats`:
 * the campaign runner persists one row per (kind, name) into the result
   store's ``metrics`` table after each run, which is what
   ``repro campaign status`` renders as the per-stage latency table;
-* ``repro trace summary`` rolls a merged trace's spans up by name via
-  :func:`rollup_spans` for its timing tree.
+* ``repro trace summary`` takes the :func:`quantile` of each span name's
+  durations for its timing tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence
 
 
 def quantile(sorted_samples: Sequence[float], q: float) -> float:
@@ -96,69 +96,3 @@ class MetricStats:
             "p90": self.p90,
             "p99": self.p99,
         }
-
-
-class MetricsRegistry:
-    """An in-process accumulator of counters and sample distributions."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
-        self._samples: Dict[str, List[float]] = {}
-
-    def count(self, name: str, increment: float = 1.0) -> None:
-        """Add ``increment`` to the named counter."""
-        self._counters[name] = self._counters.get(name, 0.0) + increment
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample of the named distribution."""
-        self._samples.setdefault(name, []).append(float(value))
-
-    def counters(self) -> Dict[str, float]:
-        return dict(self._counters)
-
-    def stats(self, name: str) -> MetricStats:
-        return MetricStats.from_samples(name, self._samples[name])
-
-    def all_stats(self) -> Dict[str, MetricStats]:
-        """Distribution stats for every observed metric, by name."""
-        return {name: self.stats(name) for name in sorted(self._samples)}
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": self.counters(),
-            "distributions": {
-                name: stats.as_dict() for name, stats in self.all_stats().items()
-            },
-        }
-
-
-def rollup_spans(events: Iterable[dict]) -> MetricsRegistry:
-    """Aggregate a trace's span durations and cache outcomes by span name.
-
-    Every span contributes one duration sample under its name.  Cache spans
-    additionally feed hit/miss counters (``cache.hits`` / ``cache.misses``)
-    so a hit ratio can be derived, and spans that closed on an exception
-    feed ``errors``.
-    """
-    registry = MetricsRegistry()
-    for event in events:
-        if event.get("type") != "span":
-            continue
-        name = event.get("name", "?")
-        registry.observe(name, float(event.get("dur", 0.0)))
-        attrs = event.get("attrs") or {}
-        if name == "cache.get":
-            registry.count("cache.hits" if attrs.get("hit") else "cache.misses")
-        if "error" in attrs:
-            registry.count("errors")
-    return registry
-
-
-def cache_hit_ratio(registry: MetricsRegistry) -> Tuple[float, int]:
-    """The cache hit ratio and lookup count implied by rolled-up counters."""
-    counters = registry.counters()
-    hits = counters.get("cache.hits", 0.0)
-    lookups = hits + counters.get("cache.misses", 0.0)
-    if lookups <= 0:
-        return 0.0, 0
-    return hits / lookups, int(lookups)

@@ -137,7 +137,7 @@ class Tracer:
     """Per-process trace recorder writing one JSONL shard.
 
     Instances are normally managed through the module-level state
-    (:func:`configure` / :func:`active_tracer`); creating one directly is
+    (:func:`configure` / :func:`trace_to`); creating one directly is
     useful in tests.  Events are buffered in memory and flushed to the
     shard whenever the local span stack empties (one scenario's tree lands
     on disk as soon as it closes), every :data:`FLUSH_EVERY` events, and at
@@ -281,11 +281,6 @@ def trace_to(path: Optional[PathLike]) -> Optional[Tracer]:
     return configure(path, set_env=False)
 
 
-def active_tracer() -> Optional[Tracer]:
-    """The recording tracer, or ``None`` while tracing is disabled."""
-    return _STATE.tracer
-
-
 def tracing_enabled() -> bool:
     """True when spans/events are being recorded."""
     return _STATE.tracer is not None
@@ -390,11 +385,6 @@ def read_trace(path: PathLike) -> List[dict]:
             if isinstance(record, dict):
                 events.append(record)
     return events
-
-
-def iter_spans(events: List[dict]) -> Iterator[dict]:
-    """The span records of a trace, in input order."""
-    return (event for event in events if event.get("type") == "span")
 
 
 def merge_trace(path: PathLike, remove_shards: bool = True) -> Optional[Path]:

@@ -14,8 +14,64 @@ from repro.core.evaluation import PlacementEvaluation
 from repro.core.placement import Placement
 from repro.core.problem import FloorplanProblem
 from repro.errors import PlacementError
+from repro.gis.gridding import RoofGrid
+from repro.pv.array import PanelOperatingPoint, PVArray
 from repro.pv.mppt import MPPTModel
 from repro.pv.wiring import WiringSpec, string_extra_length, wiring_overhead_report
+
+from .solar_field import irradiance_for_cells
+
+
+def validate_placement(placement: Placement, grid: RoofGrid) -> None:
+    """Raise :class:`PlacementError` if a module of ``placement`` exceeds the
+    grid bounds, covers an invalid cell, or overlaps another module."""
+    seen = np.zeros(grid.shape, dtype=bool)
+    for placed in placement:
+        cells = placed.covered_cells(placement.footprint)
+        if (
+            cells[:, 0].min() < 0
+            or cells[:, 1].min() < 0
+            or cells[:, 0].max() >= grid.n_rows
+            or cells[:, 1].max() >= grid.n_cols
+        ):
+            raise PlacementError(f"module {placed.module_index} exceeds the grid bounds")
+        if not np.all(grid.valid_mask[cells[:, 0], cells[:, 1]]):
+            raise PlacementError(
+                f"module {placed.module_index} covers invalid (unsuitable) cells"
+            )
+        if np.any(seen[cells[:, 0], cells[:, 1]]):
+            raise PlacementError(
+                f"module {placed.module_index} overlaps a previously placed module"
+            )
+        seen[cells[:, 0], cells[:, 1]] = True
+
+
+def operating_point_from_conditions(
+    array: PVArray, irradiance: np.ndarray, ambient_c: np.ndarray
+) -> PanelOperatingPoint:
+    """Panel operating point from per-module irradiance ``(..., N)`` and an
+    ambient temperature broadcastable against it without its last axis."""
+    g = np.asarray(irradiance, dtype=float)
+    ambient = np.asarray(ambient_c, dtype=float)
+    if ambient.ndim == g.ndim - 1:
+        ambient = ambient[..., None]
+    point = array.module_model.operating_point(g, ambient)
+    return array.aggregate(point.voltage_v, point.current_a)
+
+
+def mismatch_loss_fraction(
+    array: PVArray, irradiance: np.ndarray, ambient_c: np.ndarray
+) -> np.ndarray:
+    """Relative mismatch loss (0 = perfectly matched strings): the gap between
+    the sum of the module maximum powers and the series/parallel aggregate."""
+    g = np.asarray(irradiance, dtype=float)
+    ambient = np.asarray(ambient_c, dtype=float)
+    if ambient.ndim == g.ndim - 1:
+        ambient = ambient[..., None]
+    ideal = np.sum(array.module_model.operating_point(g, ambient).power_w, axis=-1)
+    actual = operating_point_from_conditions(array, irradiance, ambient_c).power_w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ideal > 1e-9, 1.0 - actual / np.maximum(ideal, 1e-9), 0.0)
 
 
 def module_irradiance_series_reference(
@@ -27,8 +83,8 @@ def module_irradiance_series_reference(
     """Original per-module-loop irradiance aggregation (ground truth).
 
     Kept verbatim so the equivalence tests can check the vectorised
-    :meth:`PlacementEvaluator.module_irradiance_series` against it and the
-    evaluator benchmark can measure the speedup.
+    evaluator's per-module series against it and the evaluator benchmark
+    can measure the speedup.
     """
     if aggregation not in ("substring-min", "mean"):
         raise PlacementError(f"unknown module aggregation {aggregation!r}")
@@ -38,7 +94,7 @@ def module_irradiance_series_reference(
     series = np.empty((solar.n_time, placement.n_modules), dtype=float)
     for module in placement:
         cells = module.covered_cells(placement.footprint)
-        cell_series = solar.irradiance_for_cells(cells)
+        cell_series = irradiance_for_cells(solar, cells)
         if aggregation == "mean" or n_substrings == 1:
             series[:, module.module_index] = np.mean(cell_series, axis=1)
             continue
@@ -84,7 +140,7 @@ def evaluate_placement_reference(
     did; :meth:`PlacementEvaluator.evaluate` must agree with it to within
     1e-9 relative on every reported figure.
     """
-    placement.validate(problem.grid)
+    validate_placement(placement, problem.grid)
     if placement.n_modules != problem.n_modules:
         raise PlacementError(
             "placement and problem disagree on the number of modules "
@@ -101,7 +157,7 @@ def evaluate_placement_reference(
     )
     ambient = problem.solar.temperature
 
-    operating = array.operating_point_from_conditions(irradiance, ambient)
+    operating = operating_point_from_conditions(array, irradiance, ambient)
     gross_power = tracker.extracted_power(operating.power_w)
 
     string_positions = placement.string_positions()
@@ -121,7 +177,7 @@ def evaluate_placement_reference(
     net_energy = time_grid.integrate_energy_wh(net_power)
     wiring_loss = time_grid.integrate_energy_wh(loss_power) if include_wiring_loss else 0.0
 
-    mismatch = array.mismatch_loss_fraction(irradiance, ambient)
+    mismatch = mismatch_loss_fraction(array, irradiance, ambient)
     daylight = operating.power_w > 1.0
     mean_mismatch = float(np.mean(mismatch[daylight])) if np.any(daylight) else 0.0
 

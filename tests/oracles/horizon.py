@@ -2,7 +2,9 @@
 
 For every azimuth sector and every radial distance, shifts a whole copy of
 the DSM and takes the running maximum of the ``arctan2`` elevation angle --
-the ``r.horizon`` ray march written as directly as numpy allows.
+the ``r.horizon`` ray march written as directly as numpy allows.  Also the
+whole-window sky-view map that :meth:`HorizonMap.sky_view_for_cells` must
+reproduce per cell.
 """
 
 from __future__ import annotations
@@ -88,3 +90,10 @@ def _shifted_elevation(elevation: np.ndarray, d_row: int, d_col: int) -> np.ndar
         src_row_lo:src_row_hi, src_col_lo:src_col_hi
     ]
     return out
+
+
+def sky_view_factor_reference(horizon_map: HorizonMap) -> np.ndarray:
+    """Sky-view factor of every cell of the window, the isotropic
+    ``mean_over_sectors(cos^2(horizon))`` taken along the sector axis."""
+    horizon_rad = np.clip(horizon_map.horizon_deg, 0.0, 90.0) * DEG2RAD
+    return np.mean(np.cos(horizon_rad) ** 2, axis=0)

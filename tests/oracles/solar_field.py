@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import SolarModelError
 from repro.gis.gridding import RoofGrid
 from repro.gis.synthetic import RoofScene
 from repro.solar.irradiance_map import (
@@ -25,6 +26,36 @@ from repro.solar.irradiance_map import (
 from repro.solar.shading import HorizonMap
 from repro.solar.time_series import CompressedTimeGrid
 from repro.weather.records import WeatherSeries
+
+
+def irradiance_for_cells(solar: RoofSolarField, cells: np.ndarray) -> np.ndarray:
+    """Full-axis float64 irradiance of grid elements ``cells`` (``(k, 2)``),
+    shape ``(n_time, k)``: one series per element, shared columns repeated.
+
+    Raises :class:`SolarModelError` if any element is not a valid cell.
+    """
+    cells_arr = np.asarray(cells, dtype=int).reshape(-1, 2)
+    indices = solar.cell_lookup[cells_arr[:, 0], cells_arr[:, 1]]
+    invalid = indices < 0
+    if np.any(invalid):
+        row, col = cells_arr[int(np.argmax(invalid))]
+        raise SolarModelError(f"grid element ({row}, {col}) is not a valid cell")
+    columns = solar.column_index[indices]
+    return solar.daylight.expand(np.asarray(solar.irradiance[:, columns], dtype=float))
+
+
+def lit_fraction_for_cells(
+    horizon_map: HorizonMap,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    sun_elevation_deg: np.ndarray,
+    sun_azimuth_deg: np.ndarray,
+) -> np.ndarray:
+    """Direct-beam visibility (1.0 lit / 0.0 shaded) as a float64
+    ``(n_time, n_cells)`` matrix: :meth:`HorizonMap.lit_mask_for_cells` cast."""
+    return horizon_map.lit_mask_for_cells(
+        rows, cols, sun_elevation_deg, sun_azimuth_deg
+    ).astype(float)
 
 
 def compute_roof_solar_field_dense_reference(
@@ -54,8 +85,8 @@ def compute_roof_solar_field_dense_reference(
     ) = _poa_and_shading_inputs(scene, grid, weather, cfg, horizon_map)
     sky_view = horizon_map.sky_view_for_cells(cell_dsm_rows, cell_dsm_cols)
 
-    lit = horizon_map.lit_fraction_for_cells(
-        cell_dsm_rows, cell_dsm_cols, position.elevation_deg, position.azimuth_deg
+    lit = lit_fraction_for_cells(
+        horizon_map, cell_dsm_rows, cell_dsm_cols, position.elevation_deg, position.azimuth_deg
     )
 
     irradiance = (

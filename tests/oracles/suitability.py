@@ -4,7 +4,7 @@ Expands every block of grid cells to the dense float64 ``(n_time, c)``
 matrix, night zeros included, and reduces it with ``np.percentile`` or a
 time-ordered mean along the time axis -- the paper's statistic written as
 directly as numpy allows.  It reads one series per grid cell through
-:meth:`RoofSolarField.irradiance_for_cells`, so cells that share a stored
+:func:`oracles.solar_field.irradiance_for_cells`, so cells that share a stored
 column are reduced separately.
 """
 
@@ -17,6 +17,8 @@ from repro.core.suitability import SuitabilityConfig, SuitabilityMap
 from repro.pv.module import EmpiricalModuleModel, paper_module_model
 from repro.solar.irradiance_map import RoofSolarField
 
+from .solar_field import irradiance_for_cells
+
 #: Grid cells per dense block.
 _BLOCK_CELLS = 256
 
@@ -25,7 +27,7 @@ def _cell_blocks(solar: RoofSolarField):
     """``(cell_slice, (n_time, c))`` float64 blocks, one column per grid cell."""
     for start in range(0, solar.n_cells, _BLOCK_CELLS):
         sl = slice(start, min(start + _BLOCK_CELLS, solar.n_cells))
-        yield sl, solar.irradiance_for_cells(solar.cells[sl])
+        yield sl, irradiance_for_cells(solar, solar.cells[sl])
 
 
 def _mean(block: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from repro.gis import RoofSpec
 from repro.runner import (
     CampaignSummary,
     ResultStore,
-    get_solver,
+    get_solver_entry,
     register_solver,
     resolve_store,
     run_batch,
@@ -77,7 +77,7 @@ def flaky_solver(tmp_path):
     def solver(problem, options, suitability):
         if flag.exists():
             raise RuntimeError("simulated solver crash")
-        return get_solver("greedy")(problem, options, suitability)
+        return get_solver_entry("greedy").fn(problem, options, suitability)
 
     register_solver("flaky-test", solver, overwrite=True)
     return flag
@@ -352,7 +352,7 @@ class TestCampaignRun:
             attempts.append(len(attempts))
             if len(attempts) < 3:
                 raise RuntimeError(f"transient failure #{len(attempts)}")
-            return get_solver("greedy")(problem, options, suitability)
+            return get_solver_entry("greedy").fn(problem, options, suitability)
 
         register_solver("retry-probe", solver, overwrite=True)
         batch = run_batch(

@@ -30,7 +30,7 @@ from repro.gis import RoofSpec
 from repro.runner import (
     ResultStore,
     StageCache,
-    get_solver,
+    get_solver_entry,
     register_solver,
     run_batch,
     scenario_content_digest,
@@ -201,13 +201,13 @@ _SIGTERM_VICTIM = textwrap.dedent(
     import sys, time
 
     sys.path.insert(0, {src!r})
-    from repro.runner import get_solver, register_solver, run_batch
+    from repro.runner import get_solver_entry, register_solver, run_batch
     from repro.gis import RoofSpec
     from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec
 
     def stall(problem, options, suitability):
         time.sleep(120.0)
-        return get_solver("greedy")(problem, options, suitability)
+        return get_solver_entry("greedy").fn(problem, options, suitability)
 
     register_solver("stall-test", stall, overwrite=True)
     spec = ScenarioSpec(
@@ -284,7 +284,7 @@ class TestStaleLeaseReclamation:
         reclaimed by a live driver's tick and finished in the same run."""
         def paced(problem, options, suitability):
             time.sleep(0.5)
-            return get_solver("greedy")(problem, options, suitability)
+            return get_solver_entry("greedy").fn(problem, options, suitability)
 
         register_solver("paced-test", paced, overwrite=True)
         store_path = tmp_path / "store.sqlite"
@@ -497,7 +497,7 @@ class TestCorruptCacheEntries:
 
         assert cache.get("stage", self.PAYLOAD) == (None, False)
         assert cache.stats.quarantined == 0
-        assert cache.entry_count() == 0
+        assert len(list(cache.root.rglob("*.pkl"))) == 0
 
     def test_corruption_never_raises_and_recompute_repopulates(self, tmp_path):
         cache = self._cache(tmp_path)

@@ -11,8 +11,8 @@ import pytest
 
 from repro.cli import main
 from repro.runner import ResultStore
-from repro.scenario import get_scenario
-from repro.telemetry import iter_spans, read_trace
+from repro.scenario import builtin_scenarios
+from repro.telemetry import read_trace
 
 
 @pytest.fixture()
@@ -48,7 +48,7 @@ class TestRun:
 
     def test_scenario_file_with_solver_override(self, capsys, cache_dir, tmp_path):
         path = tmp_path / "custom.json"
-        get_scenario("residential-south").save(path)
+        builtin_scenarios()["residential-south"].save(path)
         code = main(["run", str(path), "--solver", "traditional", "--cache-dir", cache_dir])
         assert code == 0
         assert "solver=traditional" in capsys.readouterr().out
@@ -107,10 +107,9 @@ class TestBatch:
         )
         assert code == 0
         (batch_span,) = [
-            span for span in iter_spans(read_trace(trace)) if span["name"] == "batch"
+            e for e in read_trace(trace) if e.get("type") == "span" and e["name"] == "batch"
         ]
         assert batch_span["attrs"]["jobs"] == 1
-
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -213,7 +212,7 @@ class TestCampaign:
         """A stored campaign re-runs its own points, not the whole catalog."""
         store = str(tmp_path / "campaigns.sqlite")
         spec_path = tmp_path / "custom.json"
-        custom = get_scenario("residential-south").with_overrides(
+        custom = builtin_scenarios()["residential-south"].with_overrides(
             {"solver": "traditional"}, name="custom-roof"
         )
         custom.save(spec_path)
@@ -231,7 +230,7 @@ class TestCampaign:
     def test_new_campaign_without_scenarios_runs_the_catalog(
         self, capsys, cache_dir, tmp_path, monkeypatch
     ):
-        catalog = {"residential-south": get_scenario("residential-south")}
+        catalog = {"residential-south": builtin_scenarios()["residential-south"]}
         monkeypatch.setattr("repro.cli.builtin_scenarios", lambda: catalog)
         store = str(tmp_path / "campaigns.sqlite")
         args = ["campaign", "run", "nightly", "--store", store, "--cache-dir", cache_dir]

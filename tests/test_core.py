@@ -19,6 +19,7 @@ from repro.core import (
     ModuleFootprint,
     ModulePlacement,
     Placement,
+    PlacementEvaluator,
     SuitabilityConfig,
     TraditionalConfig,
     compare_placements,
@@ -28,17 +29,21 @@ from repro.core import (
     exhaustive_floorplan,
     feasible_anchor_mask,
     footprint_from_module,
-    footprint_suitability,
     greedy_floorplan,
     ilp_floorplan,
-    module_irradiance_series,
     traditional_floorplan,
 )
 from repro.core.exhaustive import ExhaustiveConfig
+from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
 from repro.errors import InfeasiblePlacementError, PlacementError
 from repro.geometry import Point2D
 from repro.pv.array import SeriesParallelTopology
 from repro.pv.datasheet import PV_MF165EB3
+from repro.runner.solvers import solve_with_fallback
+from repro.solar import SolarSimulationConfig, TimeGrid, compute_roof_solar_field
+from repro.weather import SyntheticWeatherConfig, generate_weather
+
+from oracles.evaluation import validate_placement
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +135,7 @@ class TestFootprintAndPlacement:
             topology=SeriesParallelTopology(1, 1),
             grid_pitch=small_grid.pitch,
         )
-        good.validate(small_grid)
+        validate_placement(good, small_grid)
         out_of_bounds = Placement(
             modules=(ModulePlacement(0, small_grid.n_rows - 1, small_grid.n_cols - 1),),
             footprint=footprint,
@@ -138,7 +143,7 @@ class TestFootprintAndPlacement:
             grid_pitch=small_grid.pitch,
         )
         with pytest.raises(PlacementError):
-            out_of_bounds.validate(small_grid)
+            validate_placement(out_of_bounds, small_grid)
 
     def test_validate_detects_overlap(self, small_grid):
         footprint = ModuleFootprint(cells_w=2, cells_h=2)
@@ -149,7 +154,7 @@ class TestFootprintAndPlacement:
             grid_pitch=small_grid.pitch,
         )
         with pytest.raises(PlacementError):
-            overlapping.validate(small_grid)
+            validate_placement(overlapping, small_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +163,6 @@ class TestFootprintAndPlacement:
 
 
 class TestProblem:
-    def test_describe(self, small_problem):
-        description = small_problem.describe()
-        assert description["n_modules"] == 6
-        assert description["topology"] == "3s x 2p"
-
     def test_footprint_derived_from_datasheet(self, small_problem):
         assert small_problem.footprint.cells_w == 8
         assert small_problem.footprint.cells_h == 4
@@ -236,25 +236,6 @@ class TestSuitability:
         valid = np.isfinite(percentile.values)
         assert np.mean(mean.values[valid]) < np.mean(percentile.values[valid])
 
-    def test_ranked_cells_sorted(self, small_solar):
-        suitability = compute_suitability(small_solar)
-        ranked = suitability.ranked_cells()
-        values = suitability.values[ranked[:, 0], ranked[:, 1]]
-        assert np.all(np.diff(values) <= 1e-9)
-
-    def test_normalised_range(self, small_solar):
-        suitability = compute_suitability(small_solar)
-        normalised = suitability.normalised()
-        finite = normalised[np.isfinite(normalised)]
-        assert float(finite.min()) == pytest.approx(0.0)
-        assert float(finite.max()) == pytest.approx(1.0)
-
-    def test_footprint_suitability_nan_on_invalid(self, small_solar):
-        suitability = compute_suitability(small_solar)
-        # A footprint larger than the grid is invalid.
-        value = footprint_suitability(suitability, 0, 0, 10_000, 10_000)
-        assert np.isnan(value)
-
     def test_invalid_config(self):
         with pytest.raises(PlacementError):
             SuitabilityConfig(percentile=0.0)
@@ -317,7 +298,7 @@ class TestGreedy:
     def test_places_requested_modules_validly(self, small_problem):
         result = greedy_floorplan(small_problem)
         assert result.placement.n_modules == small_problem.n_modules
-        result.placement.validate(small_problem.grid)
+        validate_placement(result.placement, small_problem.grid)
         assert result.runtime_s >= 0.0
 
     def test_greedy_prefers_high_suitability_cells(self, small_problem):
@@ -350,18 +331,18 @@ class TestGreedy:
         result = greedy_floorplan(
             small_problem, config=GreedyConfig(respect_distance_threshold=False)
         )
-        result.placement.validate(small_problem.grid)
+        validate_placement(result.placement, small_problem.grid)
 
     def test_anchor_aggregate_variant(self, small_problem):
         result = greedy_floorplan(small_problem, config=GreedyConfig(footprint_aggregate="anchor"))
-        result.placement.validate(small_problem.grid)
+        validate_placement(result.placement, small_problem.grid)
 
 
 class TestTraditional:
     def test_places_compact_block(self, small_problem):
         result = traditional_floorplan(small_problem)
         placement = result.placement
-        placement.validate(small_problem.grid)
+        validate_placement(placement, small_problem.grid)
         assert placement.n_modules == small_problem.n_modules
         assert result.strategy in ("full-block", "string-rows", "packed-modules")
 
@@ -374,7 +355,7 @@ class TestTraditional:
         result = traditional_floorplan(
             small_problem, config=TraditionalConfig(modules_per_row=2)
         )
-        result.placement.validate(small_problem.grid)
+        validate_placement(result.placement, small_problem.grid)
 
     def test_config_validation(self):
         with pytest.raises(InfeasiblePlacementError):
@@ -403,7 +384,7 @@ class TestILPAndExhaustive:
 
     def test_ilp_places_modules(self, tiny_problem):
         result = ilp_floorplan(tiny_problem, config=ILPConfig(time_limit_s=20.0))
-        result.placement.validate(tiny_problem.grid)
+        validate_placement(result.placement, tiny_problem.grid)
         assert result.placement.n_modules == 2
         assert result.objective_value > 0
 
@@ -425,7 +406,7 @@ class TestILPAndExhaustive:
         ilp = ilp_floorplan(
             tiny_problem, suitability=suitability, config=ILPConfig(time_limit_s=20.0)
         )
-        ilp.placement.validate(tiny_problem.grid)
+        validate_placement(ilp.placement, tiny_problem.grid)
         try:
             greedy = greedy_floorplan(tiny_problem, suitability=suitability)
         except InfeasiblePlacementError:
@@ -465,6 +446,93 @@ class TestILPAndExhaustive:
         with pytest.raises(InfeasiblePlacementError):
             exhaustive_floorplan(small_problem, ExhaustiveConfig(max_combinations=10))
 
+    def test_ilp_time_limit_without_solution_falls_back_to_greedy(
+        self, tiny_problem, monkeypatch
+    ):
+        """HiGHS stopped by its time limit before any solution: with no warm
+        incumbent the ILP fails with HiGHS's message, and a fallback chain
+        degrades to the greedy answer."""
+        import scipy.optimize
+
+        message = "Time limit reached. (HiGHS Status 13: model_status is Time limit reached)"
+        timed_out = scipy.optimize.OptimizeResult(
+            x=None, fun=None, success=False, status=1, message=message, mip_gap=None
+        )
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: timed_out)
+        with pytest.raises(InfeasiblePlacementError) as error:
+            ilp_floorplan(tiny_problem)
+        assert "failed to find a feasible placement" in str(error.value)
+        assert message in str(error.value)
+
+        chain = solve_with_fallback(tiny_problem, "ilp", fallback=("greedy",))
+        assert chain.degraded and chain.fallback_solver == "greedy"
+        assert chain.failures and message in chain.failures[0]
+        greedy = greedy_floorplan(tiny_problem)
+        assert [(m.row, m.col, m.rotated) for m in chain.outcome.placement] == [
+            (m.row, m.col, m.rotated) for m in greedy.placement
+        ]
+
+
+@st.composite
+def _tiny_roof_problems(draw):
+    """``(problem, include_wiring_loss)``: a small unobstructed roof holding
+    1-3 modules side by side, planned on a 0.4 m grid (4 x 2 cells per
+    module) without rotation, so the ILP's anchors are a subset of the
+    exhaustive search's.
+
+    The exhaustive search scores one module order per anchor set, so the
+    energy must not depend on that order.  It does only through the wiring
+    of a string of three, which is not drawn with the wiring loss on.
+    """
+    include_wiring_loss = draw(st.booleans())
+    n_modules = draw(st.integers(min_value=1, max_value=3))
+    series_options = (1, 2) if include_wiring_loss else (1, 2, 3)
+    n_series = draw(st.sampled_from([d for d in series_options if n_modules % d == 0]))
+    spec = RoofSpec(
+        name="drawn-tiny-roof",
+        width_m=1.6 * n_modules + 0.4 * draw(st.integers(min_value=0, max_value=2)),
+        depth_m=0.8 + 0.4 * draw(st.integers(min_value=0, max_value=2)),
+        tilt_deg=draw(st.floats(min_value=0.0, max_value=45.0)),
+        azimuth_deg=draw(st.floats(min_value=-90.0, max_value=90.0)),
+        edge_setback_m=0.0,
+        surface_roughness_m=draw(st.sampled_from([0.0, 0.3])),
+        roughness_correlation_m=0.4,
+        roughness_seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    scene = build_roof_scene(spec, dsm_pitch=0.4)
+    grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=0.4))
+    weather = generate_weather(
+        TimeGrid(step_minutes=240.0, day_stride=60), SyntheticWeatherConfig(seed=1)
+    )
+    config = SolarSimulationConfig(n_horizon_sectors=8, horizon_max_distance_m=10.0)
+    problem = FloorplanProblem(
+        grid=grid,
+        solar=compute_roof_solar_field(scene, grid, weather, config),
+        n_modules=n_modules,
+        topology=SeriesParallelTopology(n_series, n_modules // n_series),
+        datasheet=PV_MF165EB3,
+        allow_rotation=False,
+        label="drawn-tiny-problem",
+    )
+    return problem, include_wiring_loss
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=_tiny_roof_problems())
+def test_exhaustive_energy_bounds_the_ilp_placement(case):
+    """The brute-force energy optimum is never below the ILP's placement."""
+    problem, include_wiring_loss = case
+    ilp = ilp_floorplan(problem, config=ILPConfig(time_limit_s=20.0))
+    exhaustive = exhaustive_floorplan(
+        problem, ExhaustiveConfig(include_wiring_loss=include_wiring_loss)
+    )
+    ilp_energy = (
+        PlacementEvaluator(problem, include_wiring_loss=include_wiring_loss)
+        .evaluate(ilp.placement)
+        .annual_energy_wh
+    )
+    assert exhaustive.best_energy_wh >= ilp_energy - 1e-9 * max(1.0, abs(ilp_energy))
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -503,16 +571,10 @@ class TestEvaluation:
         mean = evaluate_placement(small_problem, placement, module_aggregation="mean")
         assert mean.annual_energy_wh >= substring.annual_energy_wh - 1e-6
 
-    def test_module_irradiance_series_shape(self, small_problem):
-        placement = greedy_floorplan(small_problem).placement
-        series = module_irradiance_series(small_problem, placement)
-        assert series.shape == (small_problem.solar.n_time, small_problem.n_modules)
-        assert float(series.min()) >= 0.0
-
     def test_unknown_aggregation_rejected(self, small_problem):
         placement = greedy_floorplan(small_problem).placement
         with pytest.raises(PlacementError):
-            module_irradiance_series(small_problem, placement, aggregation="median")
+            evaluate_placement(small_problem, placement, module_aggregation="median")
 
     def test_comparison_improvement_sign(self, small_problem):
         traditional = traditional_floorplan(small_problem)

@@ -1,19 +1,26 @@
-"""No dead public surface: every public function and method has a caller.
+"""No dead public surface: every public name in ``src/repro`` has a caller.
 
-A public top-level ``def`` in ``src/repro``, and a public method or
-property of a public top-level class there, must be referenced somewhere in
-``src/``, ``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/``.
+The public surface is every public top-level ``def`` and ``class`` in
+``src/repro`` and every public method or property of a public top-level
+class there.  Two passes check it:
+
+* each name must be referenced somewhere in ``src/``, ``tests/``,
+  ``benchmarks/``, ``perfbench/`` or ``examples/``;
+* each name must also be referenced outside ``tests/``: the library ships
+  only what the system itself calls, and a helper that only a test needs
+  (an oracle, say) lives in ``tests/``.
+
 References are resolved with :mod:`ast` -- a name read (``foo(...)``) or an
 attribute read (``module.foo``) -- so prose, comments and docstrings never
 count, and neither does a read of a function's own local variable that
-happens to share the name.  The function's own ``def`` (including recursive calls in its body),
-``__all__`` strings and package ``__init__`` re-exports do not count either:
-a name that is only re-exported is still uncalled.
+happens to share the name.  The function's own ``def`` (including recursive
+calls in its body), ``__all__`` strings and package ``__init__`` re-exports
+do not count either: a name that is only re-exported is still uncalled.
 
 Methods resolve by name alone (``obj.name`` on any object counts), which
-errs towards keeping a method.  A function or method that must ship without
-a caller -- a hook a framework calls by name, say -- goes on
-:data:`ALLOWED` with a one-line reason.
+errs towards keeping a method.  A name that must ship without a caller -- a
+hook a framework calls by name, say -- goes on :data:`ALLOWED` with a
+one-line reason naming that caller; "a test calls it" is not one.
 """
 
 from __future__ import annotations
@@ -25,14 +32,16 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples")
+#: What the system itself is made of: everything but the tests.
+SHIPPED = tuple(top for top in SCANNED if top != "tests")
 
-#: ``module.function`` or ``module.Class.method`` -> one-line reason it
-#: ships with no caller.
+#: ``module.name`` or ``module.Class.method`` -> one-line reason it ships
+#: with no caller outside ``tests/`` (the mechanism that calls it).
 ALLOWED: Dict[str, str] = {}
 
 
-def _python_files() -> Iterator[Path]:
-    for top in SCANNED:
+def _python_files(scanned: Tuple[str, ...]) -> Iterator[Path]:
+    for top in scanned:
         directory = ROOT / top
         if directory.is_dir():
             yield from sorted(directory.rglob("*.py"))
@@ -76,21 +85,22 @@ class _Reads(ast.NodeVisitor):
 
 
 def _referenced_names(tree: ast.Module) -> Set[str]:
-    """Names a module reads, minus each top-level function's own name."""
+    """Names a module reads, minus each top-level function's or class's own
+    name read inside its body."""
     names: Set[str] = set()
     for statement in tree.body:
         reads = _Reads()
         reads.visit(statement)
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             reads.names.discard(statement.name)
         names |= reads.names
     return names
 
 
 def _public_functions() -> List[Tuple[str, str]]:
-    """``(owner, name)`` of every public top-level ``def`` in ``src/repro``
-    (owner: its module) and every public method of a public top-level class
-    there (owner: ``module.Class``)."""
+    """``(owner, name)`` of every public top-level ``def`` and ``class`` in
+    ``src/repro`` (owner: its module) and every public method of a public
+    top-level class there (owner: ``module.Class``)."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for path in sorted(SRC.rglob("*.py")):
@@ -101,20 +111,19 @@ def _public_functions() -> List[Tuple[str, str]]:
                 continue
             if statement.name.startswith("_"):
                 continue
+            found.append((module, statement.name))
             if isinstance(statement, ast.ClassDef):
                 found.extend(
                     (f"{module}.{statement.name}", member.name)
                     for member in statement.body
                     if isinstance(member, functions) and not member.name.startswith("_")
                 )
-            else:
-                found.append((module, statement.name))
     return found
 
 
-def _all_references() -> Set[str]:
+def _all_references(scanned: Tuple[str, ...]) -> Set[str]:
     names: Set[str] = set()
-    for path in _python_files():
+    for path in _python_files(scanned):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name == "__init__.py":
             # Re-exports are not callers: skip the package's import lines.
@@ -127,17 +136,29 @@ def _all_references() -> Set[str]:
     return names
 
 
-def test_every_public_function_has_a_caller():
-    references = _all_references()
-    dead = [
+def _uncalled(scanned: Tuple[str, ...]) -> List[str]:
+    references = _all_references(scanned)
+    return [
         f"{owner}.{name}"
         for owner, name in _public_functions()
         if name not in references and f"{owner}.{name}" not in ALLOWED
     ]
+
+
+def test_every_public_function_has_a_caller():
+    dead = _uncalled(SCANNED)
     assert not dead, (
-        "public functions and methods with no caller in "
+        "public functions, classes and methods with no caller in "
         f"{', '.join(SCANNED)} (delete them, or allow-list with a reason): "
         + ", ".join(dead)
+    )
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    test_only = _uncalled(SHIPPED)
+    assert not test_only, (
+        "public functions, classes and methods that only tests/ calls "
+        "(delete them, or move a test oracle into tests/oracles/): " + ", ".join(test_only)
     )
 
 
@@ -146,6 +167,9 @@ def test_allow_list_entries_are_live_and_justified():
     for qualified, reason in ALLOWED.items():
         assert qualified in functions, f"{qualified} is allow-listed but not defined"
         assert reason.strip() and "\n" not in reason, f"{qualified} needs a one-line reason"
+        assert "test" not in reason.lower(), (
+            f"{qualified}: a test is not a caller; name the mechanism that calls it"
+        )
 
 
 def test_guard_resolves_names_not_text():
@@ -155,7 +179,8 @@ def test_guard_resolves_names_not_text():
         "__all__ = ['percent']\n"
         "def percent(x):\n    return percent(x - 1)\n"
         "def user(fraction):\n    return units.wh_to_mwh(fraction) + helper()\n"
+        "class Box:\n    def grown(self):\n        return Box()\n"
     )
     names = _referenced_names(tree)
-    assert "percent" not in names and "fraction" not in names
+    assert "percent" not in names and "fraction" not in names and "Box" not in names
     assert {"wh_to_mwh", "helper", "units"} <= names

@@ -35,6 +35,8 @@ from repro.gis import simple_residential_roof
 from repro.io.placement_json import placement_from_dict
 from repro.scenario import SolarSpec
 
+from oracles.evaluation import validate_placement
+
 
 @pytest.fixture(scope="module")
 def tiny_config() -> CaseStudyConfig:
@@ -155,7 +157,7 @@ class TestTable1:
             assert placement_from_dict(point.result.placement).n_modules == 8
         roof2 = results.sweep.points[0]
         assert roof2.labels["roof"] == "roof2"
-        placement_from_dict(roof2.result.placement).validate(tiny_study.grid)
+        validate_placement(placement_from_dict(roof2.result.placement), tiny_study.grid)
 
     def test_paper_reference_rows(self):
         assert len(PAPER_TABLE1) == 6
@@ -200,8 +202,8 @@ class TestEndToEndPipeline:
         assert result.comparison.candidate.annual_energy_mwh > 0
         report = result.report()
         assert "traditional" in report and "proposed" in report
-        result.proposed.placement.validate(result.problem.grid)
-        result.baseline.placement.validate(result.problem.grid)
+        validate_placement(result.proposed.placement, result.problem.grid)
+        validate_placement(result.baseline.placement, result.problem.grid)
 
     def test_plan_roof_reads_the_seeded_weather(self, small_weather):
         spec = simple_residential_roof(width_m=8.0, depth_m=5.0, n_obstacles=1, seed=3)

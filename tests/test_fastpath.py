@@ -37,7 +37,6 @@ from repro.core import (
     default_topology,
     evaluate_placement,
     greedy_floorplan,
-    module_irradiance_series,
     traditional_floorplan,
 )
 from repro.core import greedy as greedy_module
@@ -57,13 +56,18 @@ from repro.gis import (
 )
 from repro.pv.datasheet import PV_MF165EB3
 from repro.runner.solvers import WarmStart
-from repro.scenario import builtin_scenarios, get_scenario
+from repro.scenario import builtin_scenarios
 from repro.solar import compute_roof_solar_field, shading
-from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map, shadow_fraction_map
+from repro.solar.shading import _BLOCK_SHAPE, compute_horizon_map
 
-from oracles.evaluation import evaluate_placement_reference, module_irradiance_series_reference
+from oracles.evaluation import (
+    evaluate_placement_reference,
+    module_irradiance_series_reference,
+    validate_placement,
+)
 from oracles.greedy import greedy_floorplan_reference
-from oracles.horizon import compute_horizon_map_reference
+from oracles.horizon import compute_horizon_map_reference, sky_view_factor_reference
+from oracles.solar_field import irradiance_for_cells
 from oracles.traditional import (
     pack_modules_individually_reference,
     traditional_floorplan_reference,
@@ -77,6 +81,14 @@ def _relative_error(new: np.ndarray, ref: np.ndarray) -> float:
     new = np.asarray(new, dtype=float)
     ref = np.asarray(ref, dtype=float)
     return float(np.max(np.abs(new - ref) / np.maximum(np.abs(ref), 1e-12)))
+
+
+def _module_series(evaluator: PlacementEvaluator, placement: Placement) -> np.ndarray:
+    """The per-module effective irradiance ``evaluate`` runs on, ``(n_time, N)``:
+    one checked gather of the covered columns, reduced and expanded to the
+    full time axis."""
+    series = evaluator._series_from_columns(*evaluator._validated_columns(placement))
+    return evaluator._solar.daylight.expand(series)
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +126,6 @@ class TestHorizonMapEquivalence:
         reference = compute_horizon_map_reference(raster, n_sectors=12, max_distance=15.0)
         fast = compute_horizon_map(raster, n_sectors=12, max_distance=15.0)
         assert np.array_equal(reference.horizon_deg, fast.horizon_deg)
-
-
-class TestShadowFractionEquivalence:
-    def test_matches_per_sample_loop(self, small_scene, rng):
-        horizon = compute_horizon_map(
-            small_scene.dsm.raster, n_sectors=16, max_distance=25.0
-        )
-        elevation = rng.uniform(-10.0, 60.0, size=300)
-        azimuth = rng.uniform(-180.0, 180.0, size=300)
-        fast = shadow_fraction_map(horizon, elevation, azimuth)
-        up = elevation > 0.0
-        reference = np.zeros(horizon.shape, dtype=float)
-        for elev, az in zip(elevation[up], azimuth[up]):
-            reference += horizon.shadow_mask(float(elev), float(az)).astype(float)
-        reference /= float(np.count_nonzero(up))
-        assert np.array_equal(reference, fast)
-
-    def test_sun_never_up(self, small_scene):
-        horizon = compute_horizon_map(
-            small_scene.dsm.raster, n_sectors=16, max_distance=25.0
-        )
-        result = shadow_fraction_map(horizon, np.array([-5.0, -1.0]), np.array([0.0, 10.0]))
-        assert np.all(result == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,9 @@ class TestHorizonWindow:
         raster, window, options = case
         windowed = _assert_window_matches_full_tile(raster, window, **options)
         reference = compute_horizon_map_reference(raster, **options)
-        assert np.array_equal(compute_horizon_map(raster, **options).horizon_deg, reference.horizon_deg)
+        assert np.array_equal(
+            compute_horizon_map(raster, **options).horizon_deg, reference.horizon_deg
+        )
         (row_lo, row_hi), (col_lo, col_hi) = window
         assert np.array_equal(
             windowed.horizon_deg, reference.horizon_deg[:, row_lo:row_hi, col_lo:col_hi]
@@ -398,7 +389,7 @@ class TestHorizonWindow:
         rows, cols = np.mgrid[row_lo:row_hi, col_lo:col_hi]
         assert np.array_equal(
             windowed.sky_view_for_cells(rows.ravel(), cols.ravel()),
-            reference.sky_view_factor()[row_lo:row_hi, col_lo:col_hi].ravel(),
+            sky_view_factor_reference(reference)[row_lo:row_hi, col_lo:col_hi].ravel(),
         )
 
     def test_cell_queries_take_dsm_indices(self, small_scene, rng):
@@ -415,7 +406,7 @@ class TestHorizonWindow:
             full.lit_mask_for_cells(rows, cols, elevation, azimuth),
         )
         assert np.array_equal(
-            windowed.sky_view_for_cells(rows, cols), full.sky_view_factor()[rows, cols]
+            windowed.sky_view_for_cells(rows, cols), sky_view_factor_reference(full)[rows, cols]
         )
         with pytest.raises(GISError):
             windowed.sky_view_for_cells(np.array([4]), np.array([10]))
@@ -476,7 +467,7 @@ def _catalog_roofs() -> list:
 class TestRoofWindowSolarField:
     @pytest.mark.parametrize("name", _catalog_roofs())
     def test_window_field_equals_full_tile_field(self, name):
-        spec = get_scenario(name)
+        spec = builtin_scenarios()[name]
         scene = build_roof_scene(spec.roof, dsm_pitch=spec.dsm_pitch)
         grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=spec.grid_pitch))
         weather = spec.weather.build(spec.time.build())
@@ -497,7 +488,7 @@ class TestRoofWindowSolarField:
         cells = windowed.cells
         assert np.array_equal(
             windowed.sky_view[windowed.column_index],
-            full_tile.sky_view_factor()[
+            sky_view_factor_reference(full_tile)[
                 dsm_rows[cells[:, 0], cells[:, 1]], dsm_cols[cells[:, 0], cells[:, 1]]
             ],
         )
@@ -531,7 +522,7 @@ class TestRoofWindowSolarField:
 class TestSolarFieldAccessors:
     def test_irradiance_for_cells_matches_column_loop(self, small_solar):
         cells = small_solar.cells[::3]
-        fast = small_solar.irradiance_for_cells(cells)
+        fast = irradiance_for_cells(small_solar, cells)
         columns = [small_solar.column_of(int(r), int(c)) for r, c in cells]
         reference = np.stack(
             [
@@ -550,7 +541,7 @@ class TestSolarFieldAccessors:
         assert invalid.size, "expected at least one invalid grid element"
         cells = np.vstack([small_solar.cells[:2], invalid[:1]])
         with pytest.raises(SolarModelError):
-            small_solar.irradiance_for_cells(cells)
+            irradiance_for_cells(small_solar, cells)
 
     def test_annual_insolation_matches_per_column_integration(self, small_solar):
         fast = small_solar.annual_insolation_map_kwh()
@@ -610,8 +601,8 @@ class TestEvaluatorEquivalence:
             reference = module_irradiance_series_reference(
                 small_problem, placement, aggregation=aggregation
             )
-            fast = module_irradiance_series(
-                small_problem, placement, aggregation=aggregation
+            fast = _module_series(
+                PlacementEvaluator(small_problem, module_aggregation=aggregation), placement
             )
             assert fast.shape == reference.shape
             assert _relative_error(fast, reference) < RELATIVE_TOLERANCE
@@ -644,14 +635,14 @@ class TestEvaluatorEquivalence:
                 reference = module_irradiance_series_reference(
                     problem, placement, aggregation=aggregation, n_substrings=n_substrings
                 )
-                fast = evaluator.module_irradiance_series(placement)
+                fast = _module_series(evaluator, placement)
                 np.testing.assert_array_equal(fast.view(np.uint64), reference.view(np.uint64))
 
     def test_module_irradiance_series_with_rotation(self, rotated_problem):
         placement = greedy_floorplan(rotated_problem).placement
         assert any(m.rotated for m in placement) or True  # mixed orientations allowed
         reference = module_irradiance_series_reference(rotated_problem, placement)
-        fast = module_irradiance_series(rotated_problem, placement)
+        fast = _module_series(PlacementEvaluator(rotated_problem), placement)
         assert _relative_error(fast, reference) < RELATIVE_TOLERANCE
 
     @pytest.mark.parametrize("include_wiring", [True, False])
@@ -789,16 +780,19 @@ class TestEvaluatorEquivalence:
         with pytest.raises(PlacementError, match="module 1 overlaps"):
             PlacementEvaluator(problem).evaluate(reused)
         with pytest.raises(PlacementError, match="overlap"):
-            reused.validate(small_grid)
+            validate_placement(reused, small_grid)
 
     def test_generic_model_path(self, small_grid, small_solar):
         """A non-standard thermal model routes through the generic operating
         point (no fused fast path) and still matches the reference."""
         from repro.pv.module import EmpiricalModuleModel
-        from repro.pv.thermal import NOCTTemperatureModel
+        from repro.pv.thermal import CellTemperatureModel
+
+        class SubclassedThermal(CellTemperatureModel):
+            """The paper's formula, but not the exact class the fused path knows."""
 
         model = EmpiricalModuleModel(
-            datasheet=PV_MF165EB3, thermal=NOCTTemperatureModel()
+            datasheet=PV_MF165EB3, thermal=SubclassedThermal(absorptivity=0.9)
         )
         problem = FloorplanProblem(
             grid=small_grid,
@@ -807,7 +801,7 @@ class TestEvaluatorEquivalence:
             topology=default_topology(6, n_series=3),
             datasheet=PV_MF165EB3,
             module_model=model,
-            label="noct-problem",
+            label="generic-thermal-problem",
         )
         evaluator = PlacementEvaluator(problem)
         assert not evaluator._fused
@@ -844,10 +838,10 @@ class TestEvaluatorEquivalence:
             grid_pitch=small_problem.grid.pitch,
         )
         with pytest.raises(PlacementError, match="footprint"):
-            module_irradiance_series(small_problem, placement)
+            _module_series(PlacementEvaluator(small_problem), placement)
 
     def test_partial_placement_series_allowed(self, small_problem):
-        """module_irradiance_series still works on partial placements (the
+        """The per-module series still works on partial placements (the
         reference behaviour); only evaluate() requires the problem's N."""
         footprint = small_problem.footprint
         placement = Placement(
@@ -856,7 +850,7 @@ class TestEvaluatorEquivalence:
             topology=default_topology(1, n_series=1),
             grid_pitch=small_problem.grid.pitch,
         )
-        series = module_irradiance_series(small_problem, placement)
+        series = _module_series(PlacementEvaluator(small_problem), placement)
         reference = module_irradiance_series_reference(small_problem, placement)
         assert series.shape == (small_problem.solar.n_time, 1)
         assert _relative_error(series, reference) < RELATIVE_TOLERANCE
@@ -905,7 +899,7 @@ class TestIncrementalGreedyEquivalence:
 
 def _catalog_problem(name: str) -> FloorplanProblem:
     """Assemble the floorplanning problem of a catalog scenario (no cache)."""
-    spec = get_scenario(name)
+    spec = builtin_scenarios()[name]
     scene = build_roof_scene(spec.roof, dsm_pitch=spec.dsm_pitch)
     grid = suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=spec.grid_pitch))
     time_grid = spec.time.build()

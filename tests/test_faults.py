@@ -183,15 +183,6 @@ class TestConfigure:
         assert replacement is not plan
         assert replacement.state_dir == tmp_path / "b"
 
-    def test_describe_plan(self):
-        assert faults.describe_plan() == []
-        configure("worker.hang:match=h*,sleep=2.5;solver.error:times=3")
-        rows = faults.describe_plan()
-        assert [site for site, _ in rows] == ["worker.hang", "solver.error"]
-        assert rows[0][1]["match"] == "h*"
-        assert rows[0][1]["sleep_s"] == 2.5
-        assert rows[1][1]["times"] == 3
-
 
 class TestFireActions:
     def test_solver_error_raises_injected_fault(self):

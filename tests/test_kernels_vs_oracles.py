@@ -35,7 +35,7 @@ from repro.geometry import Point2D, Polygon
 from repro.gis import build_roof_scene, make_roof_grid, suitable_grid_for_scene
 from repro.pv.datasheet import PV_MF165EB3
 from repro.pv.module import EmpiricalModuleModel, paper_module_model
-from repro.pv.thermal import NOCTTemperatureModel
+from repro.pv.thermal import CellTemperatureModel
 from repro.solar.irradiance_map import (
     _TRANSPOSE_TILE_ROWS,
     RoofSolarField,
@@ -252,12 +252,15 @@ class TestSuitabilityKernel:
     def test_quarter_hour_field_matches_the_oracle(self, quarter_hour_solar):
         # Several column blocks (the temperature buffer is reused by a
         # narrower last one), each copied in many row tiles; both thermal
-        # models write their daylight temperatures in place.
+        # parameter sets write their daylight temperatures in place.
         field = quarter_hour_solar
         assert field.n_columns > field._block_columns()
         assert field.n_daylight > 2 * _TRANSPOSE_TILE_ROWS
-        noct = EmpiricalModuleModel(datasheet=PV_MF165EB3, thermal=NOCTTemperatureModel())
-        for model in (paper_module_model(), noct):
+        hot = EmpiricalModuleModel(
+            datasheet=PV_MF165EB3,
+            thermal=CellTemperatureModel(absorptivity=0.9, heat_exchange_coefficient=10.0),
+        )
+        for model in (paper_module_model(), hot):
             assert_maps_equal(field, SuitabilityConfig(), model)
 
     def test_one_column_shared_by_every_cell_matches_the_oracle(self, small_solar):

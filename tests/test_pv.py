@@ -14,7 +14,6 @@ from repro.pv import (
     CellTemperatureModel,
     EmpiricalModuleModel,
     MPPTModel,
-    NOCTTemperatureModel,
     PVArray,
     PV_MF165EB3,
     SeriesParallelTopology,
@@ -23,13 +22,13 @@ from repro.pv import (
     annual_energy_loss_wh,
     get_datasheet,
     paper_module_model,
-    perturb_and_observe,
     reference_cell_for_module,
     resistive_power_loss,
     string_extra_length,
-    temperature_rise_at_stc,
     wiring_overhead_report,
 )
+
+from oracles.evaluation import mismatch_loss_fraction, operating_point_from_conditions
 
 
 class TestDatasheet:
@@ -37,17 +36,6 @@ class TestDatasheet:
         assert PV_MF165EB3.p_max_ref == 165.0
         assert PV_MF165EB3.v_oc_ref == pytest.approx(30.4)
         assert PV_MF165EB3.i_sc_ref == pytest.approx(7.36)
-
-    def test_footprint_in_cells(self):
-        assert PV_MF165EB3.cells_footprint(0.20) == (8, 4)
-
-    def test_footprint_incompatible_pitch(self):
-        with pytest.raises(PVModelError):
-            PV_MF165EB3.cells_footprint(0.3)
-
-    def test_efficiency_and_fill_factor(self):
-        assert 0.10 < PV_MF165EB3.efficiency_stc < 0.20
-        assert 0.6 < PV_MF165EB3.fill_factor < 0.85
 
     def test_registry_lookup(self):
         assert get_datasheet("pv-mf165eb3") is PV_MF165EB3
@@ -72,23 +60,15 @@ class TestThermal:
         assert t[0] == pytest.approx(20.0)
         assert t[1] == pytest.approx(20.0 + 50.0)
 
-    def test_stc_temperature_rise(self):
-        assert temperature_rise_at_stc(CellTemperatureModel()) == pytest.approx(50.0)
-
     def test_negative_irradiance_rejected(self):
         with pytest.raises(PVModelError):
             CellTemperatureModel().cell_temperature(np.array([20.0]), np.array([-1.0]))
-
-    def test_noct_model(self):
-        model = NOCTTemperatureModel(noct_c=45.0)
-        t = model.cell_temperature(np.array([20.0]), np.array([800.0]))
-        assert t[0] == pytest.approx(45.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(PVModelError):
             CellTemperatureModel(absorptivity=0.0)
         with pytest.raises(PVModelError):
-            NOCTTemperatureModel(noct_c=10.0)
+            CellTemperatureModel(heat_exchange_coefficient=0.0)
 
 
 class TestEmpiricalModuleModel:
@@ -137,7 +117,7 @@ class TestEmpiricalModuleModel:
     def test_ambient_vs_cell_temperature_interface(self):
         model = paper_module_model()
         # With ambient input, the cell heats up by k*G and power drops.
-        from_ambient = model.power(np.array([1000.0]), np.array([25.0]))
+        from_ambient = model.operating_point(np.array([1000.0]), np.array([25.0])).power_w
         at_cell = model.power_at_cell_temperature(np.array([1000.0]), np.array([25.0]))
         assert from_ambient[0] < at_cell[0]
 
@@ -156,7 +136,7 @@ class TestEmpiricalModuleModel:
 
     def test_negative_irradiance_rejected(self):
         with pytest.raises(PVModelError):
-            paper_module_model().power(np.array([-10.0]), np.array([20.0]))
+            paper_module_model().operating_point(np.array([-10.0]), np.array([20.0]))
 
     def test_bad_voltage_fit_rejected(self):
         with pytest.raises(PVModelError):
@@ -214,7 +194,6 @@ class TestTopologyAndArray:
         assert topology.n_modules == 32
         assert topology.string_of(0) == 0
         assert topology.string_of(8) == 1
-        assert topology.position_in_string(9) == 1
         assert topology.modules_of_string(3) == list(range(24, 32))
 
     def test_topology_validation(self):
@@ -232,16 +211,16 @@ class TestTopologyAndArray:
     def test_uniform_conditions_no_mismatch(self):
         array = PVArray(SeriesParallelTopology(4, 2))
         irradiance = np.full(8, 800.0)
-        point = array.operating_point_from_conditions(irradiance, 20.0)
-        ideal = array.sum_of_module_powers(irradiance, 20.0)
+        point = operating_point_from_conditions(array, irradiance, 20.0)
+        ideal = np.sum(array.module_model.operating_point(irradiance, 20.0).power_w)
         assert point.power_w == pytest.approx(ideal, rel=1e-9)
 
     def test_weak_module_bottlenecks_its_string(self):
         array = PVArray(SeriesParallelTopology(4, 2))
         irradiance = np.full(8, 800.0)
         irradiance[2] = 200.0  # one weak module in string 0
-        point = array.operating_point_from_conditions(irradiance, 20.0)
-        ideal = array.sum_of_module_powers(irradiance, 20.0)
+        point = operating_point_from_conditions(array, irradiance, 20.0)
+        ideal = np.sum(array.module_model.operating_point(irradiance, 20.0).power_w)
         assert point.power_w < ideal
         # String 0 current is capped by the weak module, string 1 is not.
         assert point.string_currents_a[0] < point.string_currents_a[1]
@@ -252,28 +231,28 @@ class TestTopologyAndArray:
         array = PVArray(SeriesParallelTopology(4, 2))
         spread = np.array([800.0, 800.0, 800.0, 300.0, 800.0, 800.0, 800.0, 300.0])
         grouped = np.array([800.0] * 4 + [300.0, 300.0, 800.0, 800.0])
-        p_spread = float(array.power_from_conditions(spread, 20.0))
-        p_grouped = float(array.power_from_conditions(grouped, 20.0))
+        p_spread = float(operating_point_from_conditions(array, spread, 20.0).power_w)
+        p_grouped = float(operating_point_from_conditions(array, grouped, 20.0).power_w)
         assert p_grouped > p_spread
 
     def test_mismatch_loss_fraction_bounds(self):
         array = PVArray(SeriesParallelTopology(4, 2))
         irradiance = np.linspace(300, 900, 8)
-        loss = array.mismatch_loss_fraction(irradiance, 20.0)
+        loss = mismatch_loss_fraction(array, irradiance, 20.0)
         assert 0.0 <= float(loss) < 1.0
 
     def test_time_axis_broadcasting(self):
         array = PVArray(SeriesParallelTopology(2, 2))
         irradiance = np.random.default_rng(0).uniform(100, 900, size=(5, 4))
         ambient = np.full(5, 15.0)
-        point = array.operating_point_from_conditions(irradiance, ambient)
+        point = operating_point_from_conditions(array, irradiance, ambient)
         assert point.power_w.shape == (5,)
         assert point.string_currents_a.shape == (5, 2)
 
     def test_wrong_module_count_rejected(self):
         array = PVArray(SeriesParallelTopology(4, 2))
         with pytest.raises(TopologyError):
-            array.power_from_conditions(np.full(6, 500.0), 20.0)
+            operating_point_from_conditions(array, np.full(6, 500.0), 20.0)
 
     def test_aggregate_shape_mismatch(self):
         array = PVArray(SeriesParallelTopology(2, 2))
@@ -295,18 +274,6 @@ class TestMPPT:
     def test_negative_power_rejected(self):
         with pytest.raises(PVModelError):
             MPPTModel().extracted_power(np.array([-5.0]))
-
-    def test_perturb_and_observe_finds_peak(self):
-        curve = lambda v: -((v - 24.0) ** 2) + 160.0  # noqa: E731
-        result = perturb_and_observe(
-            curve, v_start=5.0, v_min=0.0, v_max=40.0, step=0.5, n_steps=300
-        )
-        assert result.converged_voltage == pytest.approx(24.0, abs=1.0)
-        assert result.converged_power == pytest.approx(160.0, abs=1.0)
-
-    def test_perturb_and_observe_validation(self):
-        with pytest.raises(PVModelError):
-            perturb_and_observe(lambda v: v, v_start=5.0, v_min=10.0, v_max=20.0)
 
 
 class TestWiring:
@@ -341,12 +308,6 @@ class TestWiring:
         assert report.total_extra_m == pytest.approx(1.0 + 3.0)
         assert report.extra_cost == pytest.approx(4.0)
         assert report.power_loss_w > 0
-        assert report.loss_fraction_of(1e6) < 0.01
-
-    def test_overhead_report_validation(self):
-        report = wiring_overhead_report([[Point2D(0, 0), Point2D(5, 0)]])
-        with pytest.raises(PVModelError):
-            report.loss_fraction_of(0.0)
 
     def test_invalid_wiring_spec(self):
         with pytest.raises(PVModelError):

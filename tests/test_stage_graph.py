@@ -42,10 +42,10 @@ from repro.runner import PIPELINE_STAGES, ResultStore, StageCache, run_batch, ru
 from repro.runner.cache import content_digest
 from repro.runner.stages import PipelineSources, _suitability_key
 from repro.runner.store import METRIC_KIND_STAGE_RECOMPUTE_TIME
-from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, get_scenario
+from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, builtin_scenarios
 from repro.scenario.spec import SolarSpec, WeatherSpec, roof_spec_to_dict
 from repro.solar import LinkeTurbidityProfile, TimeGrid
-from repro.telemetry import iter_spans, merge_trace, read_trace
+from repro.telemetry import merge_trace, read_trace
 
 CACHED_STAGES = ("scene", "grid", "solar", "suitability")
 COARSE_TIME = TimeGrid(step_minutes=240.0, day_stride=45)
@@ -98,7 +98,7 @@ def _spec_keys(spec: ScenarioSpec) -> list:
 
 class TestCacheKeysArePinned:
     def test_scenario_keys_are_the_spec_payloads(self, tmp_path, monkeypatch):
-        spec = get_scenario("residential-south")
+        spec = builtin_scenarios()["residential-south"]
         cache = StageCache(root=tmp_path / "cache")
         puts = _record_puts(cache, monkeypatch)
         run_scenario(spec, cache=cache)
@@ -170,7 +170,7 @@ class TestColdRunsRecordEveryNode:
         result = run_scenario(_spec("accounted"), cache=tmp_path / "cache")
         telemetry.configure(None)
         merge_trace(trace)
-        names = [s["name"] for s in iter_spans(read_trace(trace))]
+        names = [e["name"] for e in read_trace(trace) if e.get("type") == "span"]
         assert {stage: names.count(stage) for stage in PIPELINE_STAGES} == {
             stage: 1 for stage in PIPELINE_STAGES
         }
@@ -269,7 +269,6 @@ class TestEntriesAreShared:
         for point in points:
             assert point.result.stage_cached["solar"], point.labels["roof"]
             assert point.result.n_valid_cells == studies[point.labels["roof"]].n_valid
-
 
     def test_turin_linke_climatology_has_one_key(self, tmp_path):
         # Table I spells the Turin climatology out; a `repro run` scenario

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner.stages import ScenarioResult, run_scenario
-from repro.scenario import get_scenario
+from repro.scenario import builtin_scenarios
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -97,7 +97,7 @@ def test_ilp_scenario_imports_scipy_on_demand_and_matches_in_process(tmp_path):
     )
     assert fresh(code, tmp_path) == {"code": 0, "before": False, "after": True}
     spawned = ScenarioResult.from_dict(json.loads(output.read_text()))
-    in_process = run_scenario(get_scenario("ilp-exact-mini"), use_cache=False)
+    in_process = run_scenario(builtin_scenarios()["ilp-exact-mini"], use_cache=False)
     assert spawned.solver == "ilp"
     assert spawned.fingerprint() == in_process.fingerprint()
 

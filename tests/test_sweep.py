@@ -334,14 +334,6 @@ class TestRunSweep:
         assert rows[0]["name"] == "greedy"
         assert rows[0]["annual_energy_mwh"] > 0
 
-    def test_group_by(self, sweep_outcome):
-        _, cold, _ = sweep_outcome
-        groups = cold.group_by("n_modules")
-        assert sorted(groups) == [2, 4]
-        assert all(len(points) == 2 for points in groups.values())
-        with pytest.raises(ConfigurationError, match="unknown sweep axis"):
-            cold.group_by("nope")
-
     def test_pivot(self, sweep_outcome):
         _, cold, _ = sweep_outcome
         pivot = cold.pivot("n_modules", "name", "annual_energy_mwh")

@@ -27,16 +27,13 @@ from repro.runner.store import (
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec
 from repro.telemetry import (
     MetricStats,
-    MetricsRegistry,
     NULL_SPAN,
     Tracer,
     chrome_trace,
-    iter_spans,
     merge_trace,
     quantile,
     read_trace,
     render_summary,
-    rollup_spans,
     shard_path_for,
     span,
     trace_event,
@@ -94,8 +91,7 @@ class TestTracer:
         with span("outer", depth=0):
             with span("inner"):
                 trace_event("tick", n=1)
-        telemetry.active_tracer().flush()
-        merge_trace(trace_path)
+        telemetry.merge_active_trace()
         events = read_trace(trace_path)
         by_name = {event["name"]: event for event in events}
         outer, inner, tick = by_name["outer"], by_name["inner"], by_name["tick"]
@@ -189,29 +185,6 @@ class TestMetrics:
         payload = stats.as_dict()
         assert payload["name"] == "solar" and payload["p99"] >= payload["p50"]
 
-    def test_registry_and_rollup(self):
-        registry = MetricsRegistry()
-        registry.observe("stage", 1.0)
-        registry.observe("stage", 3.0)
-        registry.count("events")
-        stats = registry.all_stats()["stage"]
-        assert stats.count == 2 and stats.total == pytest.approx(4.0)
-        assert registry.counters() == {"events": 1.0}
-        spans = [
-            {"type": "span", "name": "cache.get", "dur": 0.1,
-             "attrs": {"stage": "solar", "hit": True}},
-            {"type": "span", "name": "cache.get", "dur": 0.2,
-             "attrs": {"stage": "solar", "hit": False}},
-            {"type": "span", "name": "solar", "dur": 1.5, "attrs": {"error": "OSError"}},
-        ]
-        rolled = rollup_spans(spans)
-        counters = rolled.counters()
-        assert counters["cache.hits"] == 1
-        assert counters["cache.misses"] == 1
-        assert counters["errors"] == 1
-        ratio, lookups = telemetry.cache_hit_ratio(rolled)
-        assert ratio == pytest.approx(0.5) and lookups == 2
-
 
 # ---------------------------------------------------------------------------
 # Pipeline instrumentation
@@ -233,7 +206,7 @@ class TestPipelineTracing:
         result = run_scenario(tiny_spec("traced"), cache=tmp_path / "cache")
         merge_trace(trace_path)
         events = read_trace(trace_path)
-        spans = list(iter_spans(events))
+        spans = [e for e in events if e.get("type") == "span"]
         (scenario,) = [s for s in spans if s["name"] == "scenario"]
         children = {s["name"]: s for s in spans if s["parent"] == scenario["id"]}
         # Six stages hang off the scenario; the missed solar field built its
@@ -260,7 +233,7 @@ class TestPipelineTracing:
         assert batch.n_scenarios == 3
         merge_trace(trace_path)  # fold the parent's own late shard
         events = read_trace(trace_path)
-        spans = list(iter_spans(events))
+        spans = [e for e in events if e.get("type") == "span"]
         assert telemetry.shard_paths(trace_path) == []
         (batch_span,) = [s for s in spans if s["name"] == "batch"]
         scenarios = [s for s in spans if s["name"] == "scenario"]
@@ -395,7 +368,7 @@ class TestCliTracing:
         trace = self.run_traced_run(tmp_path, capsys)
         assert trace.exists()
         assert telemetry.shard_paths(trace) == []
-        spans = list(iter_spans(read_trace(trace)))
+        spans = [e for e in read_trace(trace) if e.get("type") == "span"]
         assert {s["name"] for s in spans} >= set(PIPELINE_STAGES)
         # --trace is per-invocation: the tracer did not leak.
         assert not telemetry.tracing_enabled()

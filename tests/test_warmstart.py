@@ -45,7 +45,6 @@ from repro.runner import (
     ResultStore,
     SolverOutcome,
     WarmStart,
-    get_solver,
     get_solver_entry,
     register_solver,
     run_batch,
@@ -123,9 +122,9 @@ class TestRegistryCapabilities:
         assert seen["options"] == {}
 
     def test_builtin_adapters_accept_three_positional_args(self, small_problem):
-        """``get_solver`` hands out the raw adapter: warm-capable builtins
+        """A solver entry's ``fn`` is the raw adapter: warm-capable builtins
         must keep the hint optional so legacy 3-arg callers keep working."""
-        outcome = get_solver("greedy")(small_problem, {}, None)
+        outcome = get_solver_entry("greedy").fn(small_problem, {}, None)
         assert outcome.placement.n_modules == small_problem.n_modules
         assert not outcome.warm_started
 

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.gis import RoofSpec
 from repro.runner import (
     ResultStore,
-    get_solver,
+    get_solver_entry,
     register_solver,
     resolve_store,
     run_batch,
@@ -460,7 +460,7 @@ class TestBatchAndWorkerShareACampaign:
 
         def paced(problem, options, suitability):
             time.sleep(0.2)
-            return get_solver("greedy")(problem, options, suitability)
+            return get_solver_entry("greedy").fn(problem, options, suitability)
 
         register_solver("paced-share", paced, overwrite=True)
         specs = [tiny_spec(f"shared-{i}", solver="paced-share") for i in range(6)]

@@ -25,10 +25,10 @@ import pytest
 
 from repro import faults, telemetry
 from repro.gis import RoofSpec
-from repro.runner import get_solver, register_solver, run_batch
+from repro.runner import get_solver_entry, register_solver, run_batch
 from repro.runner import batch as batch_module
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec
-from repro.telemetry import iter_spans, merge_trace, read_trace
+from repro.telemetry import merge_trace, read_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,7 +86,7 @@ def wait_until_gone(pids, timeout_s: float = 15.0) -> set:
 
 
 def _late_solver(problem, options, suitability):
-    return get_solver("greedy")(problem, options, suitability)
+    return get_solver_entry("greedy").fn(problem, options, suitability)
 
 
 class TestReuse:
@@ -107,7 +107,7 @@ class TestReuse:
             assert worker_pids(pool) == workers
 
         merge_trace(trace_path)
-        spans = list(iter_spans(read_trace(trace_path)))
+        spans = [e for e in read_trace(trace_path) if e.get("type") == "span"]
         batches = [s for s in spans if s["name"] == "batch"]
         assert len(batches) == 2
         for batch_span in batches:
@@ -365,7 +365,7 @@ class TestNoWorkerOutlivesItsParent:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        spans = list(iter_spans(read_trace(trace_path)))
+        spans = [e for e in read_trace(trace_path) if e.get("type") == "span"]
         workers = {s["pid"] for s in spans if s["name"] == "scenario"}
         (parent,) = {s["pid"] for s in spans if s["name"] == "batch"}
         assert workers and parent not in workers
