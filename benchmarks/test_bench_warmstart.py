@@ -45,7 +45,8 @@ from repro.solar import SolarSimulationConfig, TimeGrid, compute_roof_solar_fiel
 from repro.weather import SyntheticWeatherConfig, generate_weather
 
 LADDER = (8, 16, 24, 32)
-REPEATS = 5
+#: Timed cold/warm solve pairs per step of the greedy ladder.
+REPEATS = 15
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +87,7 @@ def _problem(grid, solar, n_modules: int) -> FloorplanProblem:
     )
 
 
-def _best_of(fn, repeats: int = REPEATS):
+def _best_of(fn, repeats: int):
     """(min wall-clock, last result) of ``repeats`` calls."""
     best = float("inf")
     result = None
@@ -97,24 +98,36 @@ def _best_of(fn, repeats: int = REPEATS):
     return best, result
 
 
+def _interleaved_best_of(cold_fn, warm_fn):
+    """``(cold s, cold result, warm s, warm result)``: the minimum wall-clock
+    and last result of each, over :data:`REPEATS` cold/warm pairs run in turn,
+    so a slow spell of the machine hits both sides instead of one."""
+    cold_s = warm_s = float("inf")
+    cold = warm = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        cold = cold_fn()
+        cold_s = min(cold_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        warm = warm_fn()
+        warm_s = min(warm_s, time.perf_counter() - start)
+    return cold_s, cold, warm_s, warm
+
+
 def test_bench_greedy_warm_ladder_speedup(warm_bench_instance):
     """Median warm speedup >= 1.5x on the n_modules ladder, results equal."""
     grid, solar, suitability = warm_bench_instance
-    cold = {}
-    for n in LADDER:
-        problem = _problem(grid, solar, n)
-        cold[n] = _best_of(lambda p=problem: greedy_floorplan(p, suitability=suitability))
+    previous = greedy_floorplan(_problem(grid, solar, LADDER[0]), suitability=suitability)
     speedups = []
-    print("\n[warm-start] greedy n_modules ladder (best of", REPEATS, "runs):")
+    print("\n[warm-start] greedy n_modules ladder (best of", REPEATS, "interleaved runs):")
     for prev, n in zip(LADDER, LADDER[1:]):
         problem = _problem(grid, solar, n)
-        hint = WarmStart(placement=cold[prev][1].placement, exact_prefix=True)
-        warm_s, warm = _best_of(
-            lambda p=problem, h=hint: greedy_floorplan(
-                p, suitability=suitability, warm_start=h
-            )
+        hint = WarmStart(placement=previous.placement, exact_prefix=True)
+        cold_s, cold_result, warm_s, warm = _interleaved_best_of(
+            lambda: greedy_floorplan(problem, suitability=suitability),
+            lambda: greedy_floorplan(problem, suitability=suitability, warm_start=hint),
         )
-        cold_s, cold_result = cold[n]
+        previous = cold_result
         # Identity first: a fast wrong answer is no speedup at all.
         assert warm.warm_modules == prev
         assert warm.placement.modules == cold_result.placement.modules

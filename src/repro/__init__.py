@@ -28,7 +28,7 @@ Sub-packages
 ``repro.solar``       sun position, clear-sky / decomposition / transposition
                       models, DSM shading, roof irradiance fields
 ``repro.weather``     synthetic weather (clearness, temperature) generation
-``repro.pv``          cell/module/array electrical models, MPPT efficiency,
+``repro.pv``          cell/module/array electrical models, thermal model,
                       wiring
 ``repro.core``        the floorplanning algorithms (greedy, traditional, ILP,
                       exhaustive) and the energy evaluator

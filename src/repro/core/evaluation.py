@@ -29,9 +29,6 @@ import numpy as np
 
 from ..constants import STC_IRRADIANCE, STC_TEMPERATURE
 from ..errors import PlacementError
-from ..pv.module import EmpiricalModuleModel
-from ..pv.mppt import MPPTModel
-from ..pv.thermal import CellTemperatureModel
 from ..pv.wiring import WiringSpec, string_extra_length, wiring_overhead_report
 from ..units import wh_to_mwh
 from .placement import ModuleFootprint, Placement
@@ -40,6 +37,12 @@ from .problem import FloorplanProblem
 
 #: Byte budget of one row tile of the evaluator's column gather.
 _GATHER_TILE_BYTES = 1 << 20
+
+#: Bypass-diode substrings of a module, along its long side.
+_N_SUBSTRINGS = 2
+
+#: Cable characteristics of the wiring-loss model.
+_WIRING = WiringSpec()
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,7 @@ class _OrientationGather:
     cells_w: int
 
 
-def _orientation_gather(
-    base: ModuleFootprint, rotated: bool, n_substrings: int
-) -> _OrientationGather:
+def _orientation_gather(base: ModuleFootprint, rotated: bool) -> _OrientationGather:
     footprint = base.rotated() if rotated else base
     grid_r, grid_c = np.meshgrid(
         np.arange(footprint.cells_h), np.arange(footprint.cells_w), indexing="ij"
@@ -124,7 +125,7 @@ def _orientation_gather(
         long_coord = offset_rows
         n_long = footprint.cells_h
     groups = np.minimum(
-        (long_coord * n_substrings) // max(n_long, 1), n_substrings - 1
+        (long_coord * _N_SUBSTRINGS) // max(n_long, 1), _N_SUBSTRINGS - 1
     )
     order = np.argsort(groups, kind="stable")
     _, counts = np.unique(groups[order], return_counts=True)
@@ -146,16 +147,21 @@ class PlacementEvaluator:
     placement being scored:
 
     * the full-grid cells-to-irradiance-column lookup,
-    * the covered-cell gather pattern and substring grouping of both module
-      orientations,
-    * the ambient-only parts of the module model's temperature factors
-      (the irradiance-dependent parts are a rank-1 correction applied per
-      evaluation).
+    * the covered-cell gather pattern and the two bypass-diode substrings of
+      both module orientations,
+    * the ambient-only parts of the paper's module model (Section III-B1:
+      ``P = Pref * (1 + gamma * (Tact - 25)) * G / 1000``,
+      ``Tact = T + k * G``) for the problem's datasheet; the
+      irradiance-dependent parts are a rank-1 correction applied per
+      evaluation.
 
     ``evaluate`` then scores a placement with one fancy-indexed gather over
     all modules, one substring reduction, and a *single* module operating
     point computation shared by the panel aggregation and the mismatch-loss
-    figure (the original per-module loop computed it three times).
+    figure (the original per-module loop computed it three times).  Every
+    module runs at its maximum power point, as the paper assumes, and
+    ``include_wiring_loss`` chooses whether the resistive loss of the extra
+    string cabling is subtracted.
 
     Example
     -------
@@ -178,26 +184,10 @@ class PlacementEvaluator:
     True
     """
 
-    def __init__(
-        self,
-        problem: FloorplanProblem,
-        include_wiring_loss: bool = True,
-        mppt: MPPTModel | None = None,
-        wiring_spec: WiringSpec | None = None,
-        module_aggregation: str = "substring-min",
-        n_substrings: int = 2,
-    ):
-        if module_aggregation not in ("substring-min", "mean"):
-            raise PlacementError(f"unknown module aggregation {module_aggregation!r}")
-        if n_substrings < 1:
-            raise PlacementError("n_substrings must be >= 1")
+    def __init__(self, problem: FloorplanProblem, include_wiring_loss: bool = True):
         self.problem = problem
         self.include_wiring_loss = include_wiring_loss
-        self.module_aggregation = module_aggregation
-        self.n_substrings = n_substrings
         self.array = problem.array
-        self.tracker = mppt if mppt is not None else MPPTModel()
-        self.wiring = wiring_spec if wiring_spec is not None else WiringSpec()
 
         solar = problem.solar
         self._solar = solar
@@ -216,7 +206,7 @@ class PlacementEvaluator:
         self._irradiance = solar.irradiance  # stored dtype, typically float32
         self._ambient = solar.axis_temperature
         self._gathers: Dict[bool, _OrientationGather] = {
-            rotated: _orientation_gather(problem.footprint, rotated, n_substrings)
+            rotated: _orientation_gather(problem.footprint, rotated)
             for rotated in (False, True)
         }
         # A module's effective irradiance depends only on its own anchor and
@@ -229,34 +219,24 @@ class PlacementEvaluator:
         n_time = max(int(self._irradiance.shape[0]), 1)
         self._series_cache_cap = max(2 * problem.n_modules, 33_554_432 // (8 * n_time))
 
-        # Fused module operating point: for the standard empirical model with
-        # the linear thermal model, power and voltage are affine-in-G
-        # corrections of precomputable ambient-only factors:
+        # Module operating point: with Tact = T + k*G, the paper's power and
+        # voltage are affine-in-G corrections of ambient-only factors:
         #   P(G) = max(G * (pa(t) + pb * G), 0)
         #   V(G) = max((va(t) + vb * G) * (c0 + c1 * G), 0)  where G > 0
         # with pa, va depending on the ambient temperature series only.
         model = problem.module_model
         self._model = model
-        # Strict type checks: subclasses may override the closed forms the
-        # fused path re-derives, in which case the generic path is used.
-        self._fused = (
-            type(model) is EmpiricalModuleModel
-            and type(model.thermal) is CellTemperatureModel
+        sheet = model.datasheet
+        k_thermal = model.thermal.k
+        ambient_delta = self._ambient - STC_TEMPERATURE
+        self._power_base = (sheet.p_max_ref / STC_IRRADIANCE) * (
+            1.0 + sheet.gamma_p_per_k * ambient_delta
         )
-        if self._fused:
-            sheet = model.datasheet
-            k_thermal = model.thermal.k
-            ambient_delta = self._ambient - STC_TEMPERATURE
-            self._power_base = (sheet.p_max_ref / STC_IRRADIANCE) * (
-                1.0 + sheet.gamma_p_per_k * ambient_delta
-            )
-            self._power_slope = (sheet.p_max_ref / STC_IRRADIANCE) * (
-                sheet.gamma_p_per_k * k_thermal
-            )
-            self._voltage_base = sheet.v_mpp_ref * (
-                1.0 + sheet.beta_voc_per_k * ambient_delta
-            )
-            self._voltage_slope = sheet.v_mpp_ref * sheet.beta_voc_per_k * k_thermal
+        self._power_slope = (sheet.p_max_ref / STC_IRRADIANCE) * (
+            sheet.gamma_p_per_k * k_thermal
+        )
+        self._voltage_base = sheet.v_mpp_ref * (1.0 + sheet.beta_voc_per_k * ambient_delta)
+        self._voltage_slope = sheet.v_mpp_ref * sheet.beta_voc_per_k * k_thermal
 
     # -- placement decomposition -------------------------------------------------
 
@@ -393,18 +373,16 @@ class PlacementEvaluator:
                 rows = slice(start, start + tile_rows)
                 block = self._irradiance[rows, gathered]
                 n_rows = block.shape[0]
-                if self.module_aggregation == "mean" or self.n_substrings == 1:
-                    values = block.reshape(n_rows, n_selected, k).mean(
-                        axis=2, dtype=np.float64
-                    )
-                elif equal_groups:
-                    # Equal-sized substrings (the common case): the grouped
+                if equal_groups:
+                    # Equal-sized substrings (an even long side): the grouped
                     # means are a plain reshape + mean, cheaper than a reduceat.
                     group_size = int(gather.group_counts[0])
                     values = block.reshape(n_rows, n_selected, n_groups, group_size).mean(
                         axis=3, dtype=np.float64
                     ).min(axis=2)
                 else:
+                    # An odd long side splits unevenly (4 + 3 of 7 cells): the
+                    # group sums are one reduceat over the group boundaries.
                     boundaries = (
                         np.arange(n_selected, dtype=np.intp)[:, None] * k
                         + gather.group_starts[None, :]
@@ -420,9 +398,6 @@ class PlacementEvaluator:
         self, irradiance: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-module (power, voltage, current) over time, computed once."""
-        if not self._fused:
-            point = self._model.operating_point(irradiance, self._ambient[:, None])
-            return point.power_w, point.voltage_v, point.current_a
         g = irradiance
         power = np.maximum((self._power_base[:, None] + self._power_slope * g) * g, 0.0)
         irradiance_factor = (
@@ -453,15 +428,15 @@ class PlacementEvaluator:
             irradiance
         )
         panel = self.array.aggregate(module_voltage, module_current)
-        gross_power = self.tracker.extracted_power(panel.power_w)
+        gross_power = panel.power_w
 
         # Wiring loss: each string dissipates R * L_extra * I_string(t)^2.
         string_positions = placement.string_positions()
         extra_lengths = np.array(
-            [string_extra_length(positions, self.wiring) for positions in string_positions]
+            [string_extra_length(positions, _WIRING) for positions in string_positions]
         )
         loss_power = np.sum(
-            self.wiring.resistance_per_m
+            _WIRING.resistance_per_m
             * extra_lengths[None, :]
             * panel.string_currents_a**2,
             axis=1,
@@ -498,7 +473,7 @@ class PlacementEvaluator:
             else 0.0
         )
 
-        overhead = wiring_overhead_report(string_positions, spec=self.wiring)
+        overhead = wiring_overhead_report(string_positions, spec=_WIRING)
 
         return PlacementEvaluation(
             placement_label=placement.label,
@@ -530,13 +505,7 @@ class PlacementEvaluator:
 
 
 def evaluate_placement(
-    problem: FloorplanProblem,
-    placement: Placement,
-    include_wiring_loss: bool = True,
-    mppt: MPPTModel | None = None,
-    wiring_spec: WiringSpec | None = None,
-    store_power_series: bool = False,
-    module_aggregation: str = "substring-min",
+    problem: FloorplanProblem, placement: Placement, store_power_series: bool = False
 ) -> PlacementEvaluation:
     """Compute the yearly energy of a placement on a problem instance.
 
@@ -546,35 +515,19 @@ def evaluate_placement(
         The floorplanning instance (grid, solar data, module, topology).
     placement:
         The floorplan to evaluate; it is validated against the grid first.
-    include_wiring_loss:
-        Subtract the resistive loss of the extra string cabling.
-    mppt:
-        Optional MPPT/conversion efficiency applied to the panel power.
-    wiring_spec:
-        Cable characteristics for the wiring-loss model.
     store_power_series:
         Keep the full panel power series in the result (memory permitting).
-    module_aggregation:
-        How the cells a module covers combine into its effective
-        irradiance.  ``"substring-min"`` (default) groups them into two
-        bypass-diode substrings along the module's long side and takes the
-        *minimum* of the substring means: a shadow trail crossing part of a
-        module throttles the whole module to its worst substring (the
-        series-cell mismatch of the paper's Section II-B).  ``"mean"``
-        averages the covered cells (perfect intra-module mixing; optimistic,
-        used by the ablation benchmarks).
+
+    A module's effective irradiance is the *minimum* of the means of its two
+    bypass-diode substrings along its long side: a shadow trail crossing
+    part of a module throttles the whole module to its worst substring (the
+    series-cell mismatch of the paper's Section II-B).  The wiring loss of
+    the extra string cabling is subtracted.
 
     One-shot wrapper over :class:`PlacementEvaluator`; callers scoring many
     placements on the same problem should hold an evaluator instead.
     """
-    evaluator = PlacementEvaluator(
-        problem,
-        include_wiring_loss=include_wiring_loss,
-        mppt=mppt,
-        wiring_spec=wiring_spec,
-        module_aggregation=module_aggregation,
-    )
-    return evaluator.evaluate(placement, store_power_series=store_power_series)
+    return PlacementEvaluator(problem).evaluate(placement, store_power_series=store_power_series)
 
 
 @dataclass(frozen=True)
@@ -606,16 +559,7 @@ class PlacementComparison:
 
 
 def compare_placements(
-    problem: FloorplanProblem,
-    baseline: Placement,
-    candidate: Placement,
-    include_wiring_loss: bool = True,
-    module_aggregation: str = "substring-min",
+    problem: FloorplanProblem, baseline: Placement, candidate: Placement
 ) -> PlacementComparison:
     """Evaluate two placements under identical conditions and compare them."""
-    evaluator = PlacementEvaluator(
-        problem,
-        include_wiring_loss=include_wiring_loss,
-        module_aggregation=module_aggregation,
-    )
-    return evaluator.compare(baseline, candidate)
+    return PlacementEvaluator(problem).compare(baseline, candidate)

@@ -70,7 +70,7 @@ from .constraints import (
 )
 from .placement import ModuleFootprint, ModulePlacement, Placement
 from .problem import FloorplanProblem
-from .suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
+from .suitability import SuitabilityMap, problem_suitability
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,7 @@ def greedy_floorplan(
     start = time.perf_counter()
 
     if suitability is None:
-        suitability = compute_suitability(
-            problem.solar,
-            SuitabilityConfig(percentile=problem.suitability_percentile),
-            problem.module_model,
-        )
+        suitability = problem_suitability(problem)
 
     footprint = problem.footprint
     orientations = [(footprint, False)]

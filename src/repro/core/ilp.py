@@ -49,7 +49,7 @@ from .constraints import feasible_anchor_mask, mark_occupied
 from .greedy import _footprint_score_map
 from .placement import ModulePlacement, Placement
 from .problem import FloorplanProblem
-from .suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
+from .suitability import SuitabilityMap, problem_suitability
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner -> core)
     from ..runner.solvers import WarmStart
@@ -111,11 +111,7 @@ def ilp_floorplan(
     start = time.perf_counter()
 
     if suitability is None:
-        suitability = compute_suitability(
-            problem.solar,
-            SuitabilityConfig(percentile=problem.suitability_percentile),
-            problem.module_model,
-        )
+        suitability = problem_suitability(problem)
 
     footprint = problem.footprint
     orientations = [(footprint, False)]

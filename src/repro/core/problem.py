@@ -35,10 +35,8 @@ class FloorplanProblem:
     topology:
         Series/parallel interconnection (m x n with m*n = N).
     datasheet:
-        Module mechanical/electrical datasheet.
-    module_model:
-        Electrical model used for evaluation (defaults to the empirical
-        paper model built on ``datasheet``).
+        Module mechanical/electrical datasheet; the electrical model
+        (:attr:`module_model`) is the paper's, built on it.
     allow_rotation:
         Whether modules may be rotated by 90 degrees during placement.
     suitability_percentile:
@@ -54,7 +52,6 @@ class FloorplanProblem:
     n_modules: int
     topology: SeriesParallelTopology
     datasheet: ModuleDatasheet = PV_MF165EB3
-    module_model: EmpiricalModuleModel | None = None
     allow_rotation: bool = False
     suitability_percentile: float = DEFAULT_SUITABILITY_PERCENTILE
     distance_threshold_factor: float = DEFAULT_DISTANCE_THRESHOLD_FACTOR
@@ -74,10 +71,6 @@ class FloorplanProblem:
             raise PlacementError("suitability percentile must be in (0, 100)")
         if self.distance_threshold_factor <= 0:
             raise PlacementError("distance threshold factor must be positive")
-        if self.module_model is None:
-            object.__setattr__(
-                self, "module_model", EmpiricalModuleModel(datasheet=self.datasheet)
-            )
         footprint = footprint_from_module(
             self.datasheet.width_m, self.datasheet.height_m, self.grid.pitch
         )
@@ -97,9 +90,14 @@ class FloorplanProblem:
         return self._footprint  # type: ignore[attr-defined]
 
     @property
+    def module_model(self) -> EmpiricalModuleModel:
+        """The paper's electrical module model (Section III-B1) of ``datasheet``."""
+        return EmpiricalModuleModel(datasheet=self.datasheet)
+
+    @property
     def array(self) -> PVArray:
-        """The electrical array model (topology + module model)."""
-        return PVArray(topology=self.topology, module_model=self.module_model)
+        """The series/parallel interconnection of the modules."""
+        return PVArray(topology=self.topology)
 
     @property
     def nameplate_power_w(self) -> float:

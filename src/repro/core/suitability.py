@@ -28,6 +28,7 @@ from ..constants import DEFAULT_SUITABILITY_PERCENTILE, STC_TEMPERATURE
 from ..errors import PlacementError, PVModelError
 from ..pv.module import EmpiricalModuleModel, paper_module_model
 from ..solar.irradiance_map import RoofSolarField, select_percentile
+from .problem import FloorplanProblem
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,16 @@ def compute_suitability(
         irradiance_statistic=solar.scatter_columns(g_stat),
         temperature_factor=solar.scatter_columns(factor),
         config=cfg,
+    )
+
+
+def problem_suitability(problem: FloorplanProblem) -> SuitabilityMap:
+    """The map a placer ranks by when it is handed none: the problem's
+    percentile, corrected with its module model."""
+    return compute_suitability(
+        problem.solar,
+        SuitabilityConfig(percentile=problem.suitability_percentile),
+        problem.module_model,
     )
 
 

@@ -36,7 +36,7 @@ from .constraints import (
 )
 from .placement import ModuleFootprint, ModulePlacement, Placement
 from .problem import FloorplanProblem
-from .suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
+from .suitability import SuitabilityMap, problem_suitability
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,7 @@ def traditional_floorplan(
     start = time.perf_counter()
 
     if suitability is None:
-        suitability = compute_suitability(
-            problem.solar,
-            SuitabilityConfig(percentile=problem.suitability_percentile),
-            problem.module_model,
-        )
+        suitability = problem_suitability(problem)
 
     footprint = problem.footprint
     modules_per_row = (

@@ -1,4 +1,4 @@
-"""PV electrical substrate: cells, modules, arrays, MPPT, thermal, wiring."""
+"""PV electrical substrate: cells, modules, arrays, thermal, wiring."""
 
 from .array import PanelOperatingPoint, PVArray, SeriesParallelTopology
 from .cell import SingleDiodeCell, reference_cell_for_module
@@ -10,8 +10,7 @@ from .datasheet import (
     ModuleDatasheet,
     get_datasheet,
 )
-from .module import EmpiricalModuleModel, OperatingPoint, paper_module_model
-from .mppt import MPPTModel
+from .module import EmpiricalModuleModel, paper_module_model
 from .thermal import CellTemperatureModel
 from .wiring import (
     WiringOverheadReport,
@@ -35,9 +34,7 @@ __all__ = [
     "ModuleDatasheet",
     "get_datasheet",
     "EmpiricalModuleModel",
-    "OperatingPoint",
     "paper_module_model",
-    "MPPTModel",
     "CellTemperatureModel",
     "WiringOverheadReport",
     "WiringSpec",

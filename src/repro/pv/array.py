@@ -16,12 +16,11 @@ off; the evaluator therefore always aggregates through this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TopologyError
-from .module import EmpiricalModuleModel, paper_module_model
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class PVArray:
     """A panel: a set of identical modules in a series/parallel topology."""
 
     topology: SeriesParallelTopology
-    module_model: EmpiricalModuleModel = field(default_factory=paper_module_model)
 
     # -- aggregation from per-module electrical values --------------------------------
 

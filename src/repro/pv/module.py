@@ -12,7 +12,9 @@ function of plane-of-array irradiance ``G`` and actual module temperature
 
 with the maximum-power voltage taken as ~80 % of Voc and roughly independent
 of irradiance (hence the weak linear G-term), and the module always assumed
-to operate at its maximum power point (per-module MPPT).
+to operate at its maximum power point (per-module MPPT).  The placement
+evaluator (:class:`repro.core.evaluation.PlacementEvaluator`) computes this
+operating point in closed form for every module and time step at once.
 
 The printed coefficients of the paper (0.048 and 0.34 per degC) contain an
 obvious decimal slip -- they would make power and voltage negative at 25
@@ -32,16 +34,6 @@ from ..constants import STC_IRRADIANCE, STC_TEMPERATURE
 from ..errors import PVModelError
 from .datasheet import PV_MF165EB3, ModuleDatasheet
 from .thermal import CellTemperatureModel
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Maximum-power operating point of a module (arrays or scalars)."""
-
-    power_w: np.ndarray
-    voltage_v: np.ndarray
-    current_a: np.ndarray
-    cell_temperature_c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,35 +84,6 @@ class EmpiricalModuleModel:
         temperature_factor = 1.0 + self.datasheet.gamma_p_per_k * (t - STC_TEMPERATURE)
         return np.maximum(
             self.datasheet.p_max_ref * temperature_factor * g / STC_IRRADIANCE, 0.0
-        )
-
-    def voltage_at_cell_temperature(
-        self, irradiance: np.ndarray, cell_temperature_c: np.ndarray
-    ) -> np.ndarray:
-        """Maximum-power voltage [V] for given irradiance and cell temperature."""
-        g = self._validated_irradiance(irradiance)
-        t = np.asarray(cell_temperature_c, dtype=float)
-        temperature_factor = 1.0 + self.datasheet.beta_voc_per_k * (t - STC_TEMPERATURE)
-        irradiance_factor = (
-            self.voltage_irradiance_intercept + self.voltage_irradiance_slope * g
-        )
-        voltage = self.datasheet.v_mpp_ref * temperature_factor * irradiance_factor
-        return np.where(g > 0.0, np.maximum(voltage, 0.0), 0.0)
-
-    # -- electrical quantities from ambient conditions -------------------------------
-
-    def operating_point(
-        self, irradiance: np.ndarray, ambient_c: np.ndarray
-    ) -> OperatingPoint:
-        """Full MPP operating point from irradiance and *ambient* temperature."""
-        g = self._validated_irradiance(irradiance)
-        t_cell = self.cell_temperature(g, ambient_c)
-        power = self.power_at_cell_temperature(g, t_cell)
-        voltage = self.voltage_at_cell_temperature(g, t_cell)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            current = np.where(voltage > 1e-9, power / np.maximum(voltage, 1e-9), 0.0)
-        return OperatingPoint(
-            power_w=power, voltage_v=voltage, current_a=current, cell_temperature_c=t_cell
         )
 
     # -- datasheet-style characteristics (Figure 3 reproductions) ---------------------

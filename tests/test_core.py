@@ -555,8 +555,8 @@ class TestEvaluation:
 
     def test_disable_wiring_loss(self, small_problem):
         placement = greedy_floorplan(small_problem).placement
-        with_loss = evaluate_placement(small_problem, placement, include_wiring_loss=True)
-        without = evaluate_placement(small_problem, placement, include_wiring_loss=False)
+        with_loss = PlacementEvaluator(small_problem, include_wiring_loss=True).evaluate(placement)
+        without = PlacementEvaluator(small_problem, include_wiring_loss=False).evaluate(placement)
         assert without.annual_energy_wh >= with_loss.annual_energy_wh
 
     def test_power_series_storage(self, small_problem):
@@ -564,17 +564,6 @@ class TestEvaluation:
         evaluation = evaluate_placement(small_problem, placement, store_power_series=True)
         assert evaluation.power_series_w is not None
         assert evaluation.power_series_w.shape == (small_problem.solar.n_time,)
-
-    def test_module_aggregation_mean_not_below_substring(self, small_problem):
-        placement = traditional_floorplan(small_problem).placement
-        substring = evaluate_placement(small_problem, placement, module_aggregation="substring-min")
-        mean = evaluate_placement(small_problem, placement, module_aggregation="mean")
-        assert mean.annual_energy_wh >= substring.annual_energy_wh - 1e-6
-
-    def test_unknown_aggregation_rejected(self, small_problem):
-        placement = greedy_floorplan(small_problem).placement
-        with pytest.raises(PlacementError):
-            evaluate_placement(small_problem, placement, module_aggregation="median")
 
     def test_comparison_improvement_sign(self, small_problem):
         traditional = traditional_floorplan(small_problem)

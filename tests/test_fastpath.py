@@ -595,46 +595,43 @@ def _example_placements(problem: FloorplanProblem) -> list:
 
 
 class TestEvaluatorEquivalence:
-    @pytest.mark.parametrize("aggregation", ["substring-min", "mean"])
-    def test_module_irradiance_series(self, small_problem, aggregation):
+    def test_module_irradiance_series(self, small_problem):
         for placement in _example_placements(small_problem):
-            reference = module_irradiance_series_reference(
-                small_problem, placement, aggregation=aggregation
-            )
-            fast = _module_series(
-                PlacementEvaluator(small_problem, module_aggregation=aggregation), placement
-            )
+            reference = module_irradiance_series_reference(small_problem, placement)
+            fast = _module_series(PlacementEvaluator(small_problem), placement)
             assert fast.shape == reference.shape
             assert _relative_error(fast, reference) < RELATIVE_TOLERANCE
 
     def test_module_series_over_many_row_tiles_is_bit_exact(self, small_grid, quarter_hour_solar):
         # The gather runs in row tiles; every reduction is per time row, so
         # the series must equal the per-module loop bit for bit, on both
-        # orientations and on every aggregation branch (three substrings of
-        # an 8-cell side are unequal: the reduceat branch).
-        problem = FloorplanProblem(
-            grid=small_grid,
-            solar=quarter_hour_solar,
-            n_modules=6,
-            topology=default_topology(6, n_series=3),
-            datasheet=PV_MF165EB3,
-            allow_rotation=True,
-            label="quarter-hour-problem",
-        )
-        row_bytes = quarter_hour_solar.irradiance.itemsize * problem.footprint.n_cells
-        assert quarter_hour_solar.n_daylight * row_bytes * problem.n_modules > (
-            4 * _GATHER_TILE_BYTES
-        )
-        placements = _example_placements(problem)
-        assert any(m.rotated for m in placements[0])
-        for aggregation, n_substrings in (("substring-min", 2), ("mean", 2), ("substring-min", 3)):
-            evaluator = PlacementEvaluator(
-                problem, module_aggregation=aggregation, n_substrings=n_substrings
+        # orientations and on both gather branches: the two substrings of an
+        # 8-cell long side are equal (reshape + mean), those of a 7-cell one
+        # are not (reduceat).
+        for long_side_m in (1.6, 1.4):
+            problem = FloorplanProblem(
+                grid=small_grid,
+                solar=quarter_hour_solar,
+                n_modules=9,
+                topology=default_topology(9, n_series=3),
+                datasheet=dataclasses.replace(PV_MF165EB3, width_m=long_side_m),
+                allow_rotation=True,
+                label="quarter-hour-problem",
             )
+            row_bytes = quarter_hour_solar.irradiance.itemsize * problem.footprint.n_cells
+            assert quarter_hour_solar.n_daylight * row_bytes * problem.n_modules > (
+                4 * _GATHER_TILE_BYTES
+            )
+            evaluator = PlacementEvaluator(problem)
+            even = problem.footprint.cells_w % 2 == 0
+            for gather in evaluator._gathers.values():
+                counts = gather.group_counts
+                assert len(counts) == 2
+                assert bool(np.all(counts == counts[0])) == even
+            placements = _example_placements(problem)
+            assert {m.rotated for placement in placements for m in placement} == {False, True}
             for placement in placements:
-                reference = module_irradiance_series_reference(
-                    problem, placement, aggregation=aggregation, n_substrings=n_substrings
-                )
+                reference = module_irradiance_series_reference(problem, placement)
                 fast = _module_series(evaluator, placement)
                 np.testing.assert_array_equal(fast.view(np.uint64), reference.view(np.uint64))
 
@@ -647,13 +644,12 @@ class TestEvaluatorEquivalence:
 
     @pytest.mark.parametrize("include_wiring", [True, False])
     def test_evaluation_figures(self, small_problem, include_wiring):
+        evaluator = PlacementEvaluator(small_problem, include_wiring_loss=include_wiring)
         for placement in _example_placements(small_problem):
             reference = evaluate_placement_reference(
                 small_problem, placement, include_wiring_loss=include_wiring
             )
-            fast = evaluate_placement(
-                small_problem, placement, include_wiring_loss=include_wiring
-            )
+            fast = evaluator.evaluate(placement)
             for key, ref_value in reference.summary().items():
                 new_value = fast.summary()[key]
                 if isinstance(ref_value, str):
@@ -781,37 +777,6 @@ class TestEvaluatorEquivalence:
             PlacementEvaluator(problem).evaluate(reused)
         with pytest.raises(PlacementError, match="overlap"):
             validate_placement(reused, small_grid)
-
-    def test_generic_model_path(self, small_grid, small_solar):
-        """A non-standard thermal model routes through the generic operating
-        point (no fused fast path) and still matches the reference."""
-        from repro.pv.module import EmpiricalModuleModel
-        from repro.pv.thermal import CellTemperatureModel
-
-        class SubclassedThermal(CellTemperatureModel):
-            """The paper's formula, but not the exact class the fused path knows."""
-
-        model = EmpiricalModuleModel(
-            datasheet=PV_MF165EB3, thermal=SubclassedThermal(absorptivity=0.9)
-        )
-        problem = FloorplanProblem(
-            grid=small_grid,
-            solar=small_solar,
-            n_modules=6,
-            topology=default_topology(6, n_series=3),
-            datasheet=PV_MF165EB3,
-            module_model=model,
-            label="generic-thermal-problem",
-        )
-        evaluator = PlacementEvaluator(problem)
-        assert not evaluator._fused
-        placement = greedy_floorplan(problem).placement
-        reference = evaluate_placement_reference(problem, placement)
-        fast = evaluator.evaluate(placement)
-        assert (
-            abs(fast.annual_energy_wh - reference.annual_energy_wh)
-            <= RELATIVE_TOLERANCE * abs(reference.annual_energy_wh)
-        )
 
     def test_wrong_module_count_rejected(self, small_problem):
         footprint = small_problem.footprint

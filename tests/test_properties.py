@@ -33,7 +33,11 @@ from repro.solar import (
 )
 from repro.solar.time_series import TimeGrid
 
-from oracles.evaluation import mismatch_loss_fraction, operating_point_from_conditions
+from oracles.evaluation import (
+    mismatch_loss_fraction,
+    module_operating_point,
+    operating_point_from_conditions,
+)
 from oracles.rasterize import contains_point
 
 finite_coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -157,7 +161,7 @@ class TestPVProperties:
     )
     def test_module_power_bounds(self, irradiance, temperature):
         model = paper_module_model()
-        op = model.operating_point(np.array([irradiance]), np.array([temperature]))
+        op = module_operating_point(model, np.array([irradiance]), np.array([temperature]))
         power = float(op.power_w[0])
         assert power >= 0.0
         # Never exceeds the STC rating by more than the cold-weather margin.
@@ -169,7 +173,7 @@ class TestPVProperties:
     )
     def test_module_power_consistency(self, irradiance, temperature):
         model = paper_module_model()
-        op = model.operating_point(np.array([irradiance]), np.array([temperature]))
+        op = module_operating_point(model, np.array([irradiance]), np.array([temperature]))
         assert float(op.power_w[0]) == pytest.approx(
             float(op.voltage_v[0]) * float(op.current_a[0]), rel=1e-9, abs=1e-9
         )
@@ -193,7 +197,9 @@ class TestPVProperties:
             )
         )
         panel = float(operating_point_from_conditions(array, irradiance, 20.0).power_w)
-        ideal = float(np.sum(array.module_model.operating_point(irradiance, 20.0).power_w))
+        ideal = float(
+            np.sum(module_operating_point(paper_module_model(), irradiance, 20.0).power_w)
+        )
         assert panel <= ideal + 1e-6
         assert panel >= -1e-9
 

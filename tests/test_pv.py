@@ -1,5 +1,5 @@
 """Unit tests for the PV electrical substrate (datasheet, cell, module,
-thermal, array, MPPT, wiring)."""
+thermal, array, wiring)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.geometry import Point2D
 from repro.pv import (
     CellTemperatureModel,
     EmpiricalModuleModel,
-    MPPTModel,
     PVArray,
     PV_MF165EB3,
     SeriesParallelTopology,
@@ -28,7 +27,12 @@ from repro.pv import (
     wiring_overhead_report,
 )
 
-from oracles.evaluation import mismatch_loss_fraction, operating_point_from_conditions
+from oracles.evaluation import (
+    mismatch_loss_fraction,
+    module_operating_point,
+    operating_point_from_conditions,
+    voltage_at_cell_temperature,
+)
 
 
 class TestDatasheet:
@@ -75,7 +79,7 @@ class TestEmpiricalModuleModel:
     def test_stc_anchors(self):
         model = paper_module_model()
         power = model.power_at_cell_temperature(np.array([1000.0]), np.array([25.0]))
-        voltage = model.voltage_at_cell_temperature(np.array([1000.0]), np.array([25.0]))
+        voltage = voltage_at_cell_temperature(model, np.array([1000.0]), np.array([25.0]))
         assert power[0] == pytest.approx(165.0, rel=1e-6)
         assert voltage[0] == pytest.approx(PV_MF165EB3.v_mpp_ref, rel=1e-6)
 
@@ -97,19 +101,19 @@ class TestEmpiricalModuleModel:
 
     def test_voltage_nearly_independent_of_irradiance(self):
         model = paper_module_model()
-        voltage = model.voltage_at_cell_temperature(
-            np.array([200.0, 1000.0]), np.array([25.0, 25.0])
+        voltage = voltage_at_cell_temperature(
+            model, np.array([200.0, 1000.0]), np.array([25.0, 25.0])
         )
         assert abs(voltage[1] - voltage[0]) / voltage[1] < 0.12
 
     def test_current_is_power_over_voltage(self):
         model = paper_module_model()
-        op = model.operating_point(np.array([800.0]), np.array([20.0]))
+        op = module_operating_point(model, np.array([800.0]), np.array([20.0]))
         assert op.current_a[0] == pytest.approx(op.power_w[0] / op.voltage_v[0])
 
     def test_dark_module_is_off(self):
         model = paper_module_model()
-        op = model.operating_point(np.array([0.0]), np.array([20.0]))
+        op = module_operating_point(model, np.array([0.0]), np.array([20.0]))
         assert op.power_w[0] == 0.0
         assert op.voltage_v[0] == 0.0
         assert op.current_a[0] == 0.0
@@ -117,7 +121,7 @@ class TestEmpiricalModuleModel:
     def test_ambient_vs_cell_temperature_interface(self):
         model = paper_module_model()
         # With ambient input, the cell heats up by k*G and power drops.
-        from_ambient = model.operating_point(np.array([1000.0]), np.array([25.0])).power_w
+        from_ambient = module_operating_point(model, np.array([1000.0]), np.array([25.0])).power_w
         at_cell = model.power_at_cell_temperature(np.array([1000.0]), np.array([25.0]))
         assert from_ambient[0] < at_cell[0]
 
@@ -136,7 +140,7 @@ class TestEmpiricalModuleModel:
 
     def test_negative_irradiance_rejected(self):
         with pytest.raises(PVModelError):
-            paper_module_model().operating_point(np.array([-10.0]), np.array([20.0]))
+            paper_module_model().power_at_cell_temperature(np.array([-10.0]), np.array([20.0]))
 
     def test_bad_voltage_fit_rejected(self):
         with pytest.raises(PVModelError):
@@ -212,7 +216,7 @@ class TestTopologyAndArray:
         array = PVArray(SeriesParallelTopology(4, 2))
         irradiance = np.full(8, 800.0)
         point = operating_point_from_conditions(array, irradiance, 20.0)
-        ideal = np.sum(array.module_model.operating_point(irradiance, 20.0).power_w)
+        ideal = np.sum(module_operating_point(paper_module_model(), irradiance, 20.0).power_w)
         assert point.power_w == pytest.approx(ideal, rel=1e-9)
 
     def test_weak_module_bottlenecks_its_string(self):
@@ -220,7 +224,7 @@ class TestTopologyAndArray:
         irradiance = np.full(8, 800.0)
         irradiance[2] = 200.0  # one weak module in string 0
         point = operating_point_from_conditions(array, irradiance, 20.0)
-        ideal = np.sum(array.module_model.operating_point(irradiance, 20.0).power_w)
+        ideal = np.sum(module_operating_point(paper_module_model(), irradiance, 20.0).power_w)
         assert point.power_w < ideal
         # String 0 current is capped by the weak module, string 1 is not.
         assert point.string_currents_a[0] < point.string_currents_a[1]
@@ -258,22 +262,6 @@ class TestTopologyAndArray:
         array = PVArray(SeriesParallelTopology(2, 2))
         with pytest.raises(TopologyError):
             array.aggregate(np.zeros(4), np.zeros(3))
-
-
-class TestMPPT:
-    def test_efficiency_application(self):
-        mppt = MPPTModel(tracking_efficiency=0.98, converter_efficiency=0.95)
-        assert mppt.extracted_power(np.array([100.0]))[0] == pytest.approx(93.1)
-
-    def test_invalid_efficiency(self):
-        with pytest.raises(PVModelError):
-            MPPTModel(tracking_efficiency=0.0)
-        with pytest.raises(PVModelError):
-            MPPTModel(converter_efficiency=1.5)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(PVModelError):
-            MPPTModel().extracted_power(np.array([-5.0]))
 
 
 class TestWiring:
