@@ -4,8 +4,10 @@
 ``src/repro`` can leave a stale name in ``.github/workflows/ci.yml``: a
 ``python - <<'EOF'`` heredoc, a ``python -c "..."`` snippet or a
 ``python -m module`` call in a step's ``run`` script, which fails only
-when that CI step runs.  This test extracts those snippets (dedented, each
-shell ``$VAR`` replaced by a placeholder), parses them with :mod:`ast`,
+when that CI step runs.  This test extracts those snippets from the
+workflow's raw text, so it needs no YAML parser (dedented, which removes
+the YAML block indent, and each shell ``$VAR`` replaced by a placeholder),
+parses them with :mod:`ast`,
 and checks that every name they take from ``repro`` or ``perfbench``
 resolves: ``from repro.x import Name``, ``import repro.x as m`` and the
 attributes read or set through such a module (``m.attr``).  No snippet is
@@ -21,9 +23,7 @@ import re
 import textwrap
 from pathlib import Path
 from types import ModuleType
-from typing import Dict, Iterator, List
-
-import yaml
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
@@ -37,14 +37,6 @@ _HEREDOC = re.compile(
 _DASH_C = re.compile(r"""python3?\s+(?:-u\s+)?-c\s+(?:"((?:[^"\\]|\\.)*)"|'([^']*)')""", re.S)
 _DASH_M = re.compile(r"python3?\s+(?:-u\s+)?-m\s+([\w.]+)")
 _SHELL_VAR = re.compile(r"\$\{?[A-Za-z_]\w*\}?")
-
-
-def _run_scripts() -> Iterator[str]:
-    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
-    for job in workflow["jobs"].values():
-        for step in job.get("steps", []):
-            if "run" in step:
-                yield step["run"]
 
 
 def inline_snippets(script: str) -> List[str]:
@@ -112,8 +104,7 @@ def unresolved_names(snippet: str) -> List[str]:
 
 
 def test_workflow_has_inline_python():
-    scripts = list(_run_scripts())
-    snippets = [snippet for script in scripts for snippet in inline_snippets(script)]
+    snippets = inline_snippets(WORKFLOW.read_text(encoding="utf-8"))
     # The heredoc report steps and the serve smoke test's -c snippets.
     assert len(snippets) >= 8
     assert any("from repro" in snippet for snippet in snippets)
@@ -121,14 +112,14 @@ def test_workflow_has_inline_python():
 
 def test_inline_python_names_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
+    workflow = WORKFLOW.read_text(encoding="utf-8")
     stale = []
-    for script in _run_scripts():
-        for snippet in inline_snippets(script):
-            stale += unresolved_names(snippet)
-        for match in _DASH_M.finditer(script):
-            module = match.group(1)
-            if _is_local(module) and importlib.util.find_spec(module) is None:
-                stale.append(module)
+    for snippet in inline_snippets(workflow):
+        stale += unresolved_names(snippet)
+    for match in _DASH_M.finditer(workflow):
+        module = match.group(1)
+        if _is_local(module) and importlib.util.find_spec(module) is None:
+            stale.append(module)
     assert not stale, f"{WORKFLOW.relative_to(ROOT)} names what does not exist: {stale}"
 
 
