@@ -22,6 +22,7 @@ oracles, which the evaluator must agree with to within 1e-9 relative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -110,7 +111,13 @@ class _OrientationGather:
     cells_w: int
 
 
+@functools.lru_cache(maxsize=32)
 def _orientation_gather(base: ModuleFootprint, rotated: bool) -> _OrientationGather:
+    """The gather pattern of one orientation of ``base``, shared read-only.
+
+    Every evaluator of a footprint shares one pattern per orientation, so a
+    sweep that builds an evaluator per point builds the patterns once.
+    """
     footprint = base.rotated() if rotated else base
     grid_r, grid_c = np.meshgrid(
         np.arange(footprint.cells_h), np.arange(footprint.cells_w), indexing="ij"
@@ -130,7 +137,7 @@ def _orientation_gather(base: ModuleFootprint, rotated: bool) -> _OrientationGat
     order = np.argsort(groups, kind="stable")
     _, counts = np.unique(groups[order], return_counts=True)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return _OrientationGather(
+    gather = _OrientationGather(
         offset_rows=offset_rows[order],
         offset_cols=offset_cols[order],
         group_starts=starts.astype(np.intp),
@@ -138,6 +145,9 @@ def _orientation_gather(base: ModuleFootprint, rotated: bool) -> _OrientationGat
         cells_h=footprint.cells_h,
         cells_w=footprint.cells_w,
     )
+    for array in (gather.offset_rows, gather.offset_cols, gather.group_starts, gather.group_counts):
+        array.flags.writeable = False
+    return gather
 
 
 class PlacementEvaluator:

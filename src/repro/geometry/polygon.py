@@ -239,7 +239,10 @@ class Polygon:
         Loops over the edges only, with the float operations of the scalar
         per-point test: a point on any edge (within :data:`_SEGMENT_TOL`) is
         covered whatever the crossing parity, and horizontal edges, which
-        never cross the ray, are never divided by.
+        never cross the ray, are never divided by.  The crossing abscissa is
+        computed only for the points within an edge's y-span, where it is a
+        position on the edge; elsewhere a near-horizontal edge's tiny ``dy``
+        would overflow it.
         """
         on_edge = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
         inside = np.zeros_like(on_edge)
@@ -259,7 +262,8 @@ class Polygon:
             )
             if a.y != b.y:
                 crosses = (a.y > y) != (b.y > y)
-                inside ^= crosses & (x < a.x + uy * dx / dy)
+                offset = np.divide(uy * dx, dy, out=np.zeros_like(uy, dtype=float), where=crosses)
+                inside ^= crosses & (x < a.x + offset)
         return on_edge | inside
 
 

@@ -50,6 +50,30 @@ its files are moved to ``<root>/_quarantine/<stage>/`` with a
 lookups), a ``cache.quarantine`` trace event and a stderr
 diagnostic are emitted, and the lookup degrades to a miss.  Corruption is
 therefore never an exception, only a recompute.
+
+In-process reuse
+----------------
+A long-lived process (a pooled batch worker, a sweep driver, the service)
+reads the same few entries over and over.  Every value that
+:meth:`StageCache.get` has *fully verified from disk* is kept in one
+process-wide LRU keyed by the entry's path, and a later ``get`` of that
+path serves it without reading, hashing or unpickling anything -- but only
+while the entry's files are unchanged since that verified read: the
+pickle's and every sidecar's ``(st_ino, st_size, st_mtime_ns)`` and the
+manifest's bytes must all match.  A changed, missing or replaced file drops
+the memoised value and the lookup falls through to the disk read, with its
+checksums, quarantine and miss accounting.  ``verify="full"`` never serves
+from the memo.  :meth:`StageCache.put` does not fill it -- only a read that
+passed verification does -- so a freshly written entry (possibly bit-rotted
+right after its write) is always read and checked once before it is reused.
+The memo is bounded by :data:`MEMO_MAX_ENTRIES` entries and
+:data:`MEMO_MAX_BYTES` on-disk bytes (pickle plus sidecars), least recently
+used first out, so it never pins the memory-mapped sidecars of deleted
+cache directories without limit.  A forked child inherits the memo (every
+entry is re-validated before use) and gets a fresh lock.  Because one value
+is handed to many callers, every value ``get`` returns has its ndarrays
+marked read-only: a consumer that writes in place raises instead of
+corrupting the points that follow.
 """
 
 from __future__ import annotations
@@ -61,10 +85,13 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from types import ModuleType
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +119,12 @@ QUARANTINE_DIR = "_quarantine"
 #: Version 4: solar fields with one irradiance column per DSM cell plus a
 #: per-cell column index.
 CACHE_FORMAT_VERSION = 4
+
+#: Most entries the process-wide memo of verified reads keeps.
+MEMO_MAX_ENTRIES = 64
+
+#: Most on-disk bytes (pickles plus sidecars) of the entries the memo keeps.
+MEMO_MAX_BYTES = 256 << 20
 
 
 def canonical_json(payload: Any) -> str:
@@ -194,6 +227,117 @@ class CacheStats:
         }
 
 
+def _stat_key(path: Path) -> Tuple[int, int, int]:
+    """The identity of a file's current contents: inode, size, mtime."""
+    stat = path.stat()
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+def _freeze_arrays(value: Any) -> None:
+    """Mark every ndarray reachable through ``value``'s attributes read-only."""
+    pending, seen = [value], set()
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif isinstance(item, (list, tuple)):
+            pending.extend(item)
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+        elif hasattr(item, "__dict__") and not isinstance(item, (type, ModuleType)):
+            pending.extend(vars(item).values())
+
+
+class _MemoEntry(NamedTuple):
+    """A value verified from disk and the file identities it was read from.
+
+    (A named tuple, not a dataclass: it costs the import a tenth as much.)
+    """
+
+    value: Any
+    #: The sidecar fields of the entry, in manifest order.
+    fields: Tuple[str, ...]
+    #: ``(pickle stat key, manifest bytes, sidecar stat keys)``.
+    signature: Tuple[Any, ...]
+    #: On-disk bytes of the pickle and its sidecars.
+    nbytes: int
+
+    def is_current(self, path: Path) -> bool:
+        """Whether the entry's files at ``path`` are still the ones read."""
+        try:
+            signature = (
+                _stat_key(path),
+                StageCache._manifest_path(path).read_bytes(),
+                tuple(_stat_key(StageCache._sidecar_path(path, name)) for name in self.fields),
+            )
+        except OSError:
+            return False
+        return signature == self.signature
+
+
+class _VerifiedMemo:
+    """Process-wide LRU of stage-cache values verified from disk, by path."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Path, _MemoEntry]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def lookup(self, path: Path) -> Optional[_MemoEntry]:
+        """The memoised entry of ``path`` if its files are unchanged."""
+        with self._lock:
+            entry = self._entries.get(path)
+        if entry is None:
+            return None
+        current = entry.is_current(path)
+        with self._lock:
+            if self._entries.get(path) is entry:
+                if current:
+                    self._entries.move_to_end(path)
+                else:
+                    del self._entries[path]
+                    self._bytes -= entry.nbytes
+        return entry if current else None
+
+    def store(self, path: Path, entry: _MemoEntry) -> None:
+        """Keep ``entry`` for ``path``, evicting the least recently used."""
+        with self._lock:
+            previous = self._entries.pop(path, None)
+            if previous is not None:
+                self._bytes -= previous.nbytes
+            if entry.nbytes > MEMO_MAX_BYTES:
+                return
+            self._entries[path] = entry
+            self._bytes += entry.nbytes
+            while len(self._entries) > MEMO_MAX_ENTRIES or self._bytes > MEMO_MAX_BYTES:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.nbytes
+
+    def discard_under(self, base: Path) -> None:
+        """Forget every entry whose path lies under ``base``."""
+        with self._lock:
+            for path in [p for p in self._entries if base in p.parents]:
+                self._bytes -= self._entries.pop(path).nbytes
+
+
+_MEMO = _VerifiedMemo()
+
+
+def _reset_memo_lock_after_fork() -> None:
+    # Another thread of the parent may have held the lock at the fork, in
+    # the middle of an update.  The inherited entries stay (each is
+    # re-validated against the disk anyway); their byte total is recounted.
+    _MEMO._lock = threading.Lock()
+    _MEMO._bytes = sum(entry.nbytes for entry in _MEMO._entries.values())
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX always has it
+    os.register_at_fork(after_in_child=_reset_memo_lock_after_fork)
+
+
 @dataclass
 class StageCache:
     """A directory-backed, content-addressed store of pickled stage outputs.
@@ -276,16 +420,16 @@ class StageCache:
 
     # -- integrity ----------------------------------------------------------------
 
-    def _load_manifest(self, path: Path) -> Optional[Dict[str, Dict[str, Any]]]:
-        """The ``{filename: {sha256, size}}`` map of an entry, or None."""
-        try:
-            data = json.loads(self._manifest_path(path).read_text(encoding="utf-8"))
-            files = data["files"]
-            if not isinstance(files, dict):
-                return None
-            return files
-        except (OSError, ValueError, KeyError, TypeError):
+    @staticmethod
+    def _parse_manifest(raw: Optional[bytes]) -> Optional[Dict[str, Dict[str, Any]]]:
+        """The ``{filename: {sha256, size}}`` map of a manifest's bytes, or None."""
+        if raw is None:
             return None
+        try:
+            files = json.loads(raw)["files"]
+        except (ValueError, KeyError, TypeError):
+            return None
+        return files if isinstance(files, dict) else None
 
     def _quarantine(self, stage: str, path: Path, reason: str) -> None:
         """Move every file of a corrupt entry out of the lookup path.
@@ -320,12 +464,12 @@ class StageCache:
             f"({reason}; files: {', '.join(moved) or 'none'})"
         )
 
-    def _verify_pickle(self, raw: bytes, path: Path) -> Optional[str]:
+    @staticmethod
+    def _verify_pickle(raw: bytes, name: str, files: Optional[dict]) -> Optional[str]:
         """Check the pickle bytes against the manifest; a reason on failure."""
-        files = self._load_manifest(path)
         if files is None:
             return "missing or unreadable checksum manifest"
-        record = files.get(path.name)
+        record = files.get(name)
         if record is None:
             return "manifest lacks pickle record"
         if len(raw) != record.get("size"):
@@ -334,18 +478,11 @@ class StageCache:
             return "pickle checksum mismatch"
         return None
 
-    def _verify_sidecar(self, sidecar: Path, path: Path) -> Optional[str]:
-        """Check one sidecar file against the manifest; a reason on failure."""
-        files = self._load_manifest(path)
-        if files is None:
-            return "missing or unreadable checksum manifest"
+    def _verify_sidecar(self, sidecar: Path, size: int, files: dict) -> Optional[str]:
+        """Check one sidecar file of ``size`` bytes against the manifest."""
         record = files.get(sidecar.name)
         if record is None:
             return f"manifest lacks sidecar record for {sidecar.name}"
-        try:
-            size = sidecar.stat().st_size
-        except OSError:
-            return f"missing sidecar {sidecar.name}"
         if size != record.get("size"):
             return f"sidecar {sidecar.name} size mismatch ({size} != {record.get('size')})"
         if self.verify == "full" and _file_sha256(sidecar) != record.get("sha256"):
@@ -357,75 +494,111 @@ class StageCache:
     def get(self, stage: str, payload: Any) -> Tuple[Any, bool]:
         """Look up a stage result.  Returns ``(value, hit)``.
 
-        A present-but-corrupt entry (failed checksum, truncated pickle or
+        A value this process already verified is served from the in-process
+        memo while its files are unchanged (not under ``verify="full"``);
+        otherwise the entry is read and verified from disk.  A
+        present-but-corrupt entry (failed checksum, truncated pickle or
         sidecar, missing manifest) is quarantined and returned as a miss;
-        corruption never raises.
+        corruption never raises.  The arrays of a returned value are
+        read-only.
         """
         path = self.path_for(stage, payload)
         with span("cache.get", stage=stage) as cache_span:
-            sidecar_fields: Tuple[str, ...] = ()
-            sidecar_s = 0.0
+            if self.verify == "fast":
+                memoised = _MEMO.lookup(path)
+                if memoised is not None:
+                    self.stats.hits += 1
+                    cache_span.set(hit=True, memo=True, bytes=memoised.nbytes)
+                    return memoised.value, True
             started = time.perf_counter()
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                # Absent entry (or a partial write that never published its
-                # pickle): an ordinary miss, nothing to quarantine.
+            read = self._read_verified(stage, path)
+            if read is None:
                 self.stats.misses += 1
                 cache_span.set(hit=False)
                 return None, False
-            reason = self._verify_pickle(raw, path)
-            if reason is not None:
-                self._quarantine(stage, path, reason)
-                self.stats.misses += 1
-                cache_span.set(hit=False)
-                return None, False
-            try:
-                value = pickle.loads(raw)
-            except (
-                pickle.PickleError,
-                EOFError,
-                AttributeError,
-                ImportError,
-                IndexError,
-                ValueError,
-            ):
-                self._quarantine(stage, path, "unreadable pickle")
-                self.stats.misses += 1
-                cache_span.set(hit=False)
-                return None, False
-            if isinstance(value, _SidecarStub):
-                stub = value.value
-                sidecar_fields = value.fields
-                sidecar_started = time.perf_counter()
-                for name in value.fields:
-                    sidecar = self._sidecar_path(path, name)
-                    reason = self._verify_sidecar(sidecar, path)
-                    if reason is not None:
-                        self._quarantine(stage, path, reason)
-                        self.stats.misses += 1
-                        cache_span.set(hit=False)
-                        return None, False
-                    try:
-                        array = np.load(sidecar, mmap_mode="r")
-                    except (OSError, ValueError, EOFError, pickle.PickleError):
-                        self._quarantine(stage, path, f"unreadable sidecar {sidecar.name}")
-                        self.stats.misses += 1
-                        cache_span.set(hit=False)
-                        return None, False
-                    object.__setattr__(stub, name, array)
-                sidecar_s = time.perf_counter() - sidecar_started
-                value = stub
+            entry, sidecar_s = read
+            _MEMO.store(path, entry)
             self.stats.hits += 1
             if cache_span.active:
                 total_s = time.perf_counter() - started
                 cache_span.set(
                     hit=True,
-                    bytes=self._entry_bytes(path, sidecar_fields),
+                    memo=False,
+                    bytes=entry.nbytes,
                     pickle_s=round(total_s - sidecar_s, 9),
                     sidecar_s=round(sidecar_s, 9),
                 )
-            return value, True
+            return entry.value, True
+
+    def _read_verified(self, stage: str, path: Path) -> Optional[Tuple[_MemoEntry, float]]:
+        """Read, verify and decode the entry at ``path``.
+
+        Returns the memo record of the value (arrays made read-only) and
+        the seconds spent on sidecars, or None on a miss -- a corrupt entry
+        is quarantined first.  Each file's identity is taken *before* it is
+        read, so a file replaced mid-read leaves a record that no longer
+        matches the disk and is dropped at its next lookup.
+        """
+        try:
+            pickle_key = _stat_key(path)
+            raw = path.read_bytes()
+        except OSError:
+            # Absent entry (or a partial write that never published its
+            # pickle): an ordinary miss, nothing to quarantine.
+            return None
+        try:
+            manifest: Optional[bytes] = self._manifest_path(path).read_bytes()
+        except OSError:
+            manifest = None
+        files = self._parse_manifest(manifest)
+        reason = self._verify_pickle(raw, path.name, files)
+        if reason is not None:
+            self._quarantine(stage, path, reason)
+            return None
+        try:
+            value = pickle.loads(raw)
+        except (
+            pickle.PickleError,
+            EOFError,
+            AttributeError,
+            ImportError,
+            IndexError,
+            ValueError,
+        ):
+            self._quarantine(stage, path, "unreadable pickle")
+            return None
+        fields: Tuple[str, ...] = ()
+        sidecar_keys = []
+        nbytes = len(raw)
+        sidecar_s = 0.0
+        if isinstance(value, _SidecarStub):
+            stub = value.value
+            fields = value.fields
+            sidecar_started = time.perf_counter()
+            for name in fields:
+                sidecar = self._sidecar_path(path, name)
+                try:
+                    key = _stat_key(sidecar)
+                except OSError:
+                    self._quarantine(stage, path, f"missing sidecar {sidecar.name}")
+                    return None
+                reason = self._verify_sidecar(sidecar, key[1], files)
+                if reason is not None:
+                    self._quarantine(stage, path, reason)
+                    return None
+                try:
+                    array = np.load(sidecar, mmap_mode="r")
+                except (OSError, ValueError, EOFError, pickle.PickleError):
+                    self._quarantine(stage, path, f"unreadable sidecar {sidecar.name}")
+                    return None
+                object.__setattr__(stub, name, array)
+                sidecar_keys.append(key)
+                nbytes += key[1]
+            sidecar_s = time.perf_counter() - sidecar_started
+            value = stub
+        _freeze_arrays(value)
+        signature = (pickle_key, manifest, tuple(sidecar_keys))
+        return _MemoEntry(value, fields, signature, nbytes), sidecar_s
 
     def put(self, stage: str, payload: Any, value: Any) -> None:
         """Store a stage result atomically.
@@ -518,6 +691,7 @@ class StageCache:
         of *entries* (pickles) deleted.
         """
         base = self.root / stage if stage else self.root
+        _MEMO.discard_under(base)
         removed = 0
         if base.exists():
             for path in sorted(base.rglob("*.pkl")):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import (
@@ -17,6 +20,8 @@ from repro.geometry import (
     RasterSpec,
     RoofPlaneFrame,
 )
+
+from repro.geometry.polygon import _SEGMENT_TOL
 
 from oracles.rasterize import contains_point
 
@@ -149,6 +154,72 @@ class TestPolygon:
     def test_rasterize_invalid_mode(self):
         with pytest.raises(GeometryError):
             Polygon.rectangle(0, 0, 1, 1).rasterize(Point2D(0, 0), 0.5, 2, 2, mode="weird")
+
+
+def _crossing_parity_everywhere(polygon: Polygon, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ray-casting test with the crossing abscissa taken at every point.
+
+    The form ``Polygon._contains_points`` had before it skipped the points
+    outside an edge's y-span; the abscissa there may overflow, but the
+    ``crosses &`` mask discards it.
+    """
+    on_edge = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
+    inside = np.zeros_like(on_edge)
+    vertices = polygon.vertices
+    tol = _SEGMENT_TOL
+    with np.errstate(over="ignore"):
+        for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+            dx, dy = b.x - a.x, b.y - a.y
+            ux, uy = x - a.x, y - a.y
+            cross = dx * uy - dy * ux
+            dot = ux * dx + uy * dy
+            on_edge |= (
+                ~(np.abs(cross) > tol * max(1.0, a.distance_to(b)))
+                & ~(dot < -tol)
+                & (dot <= dx**2 + dy**2 + tol)
+            )
+            if a.y != b.y:
+                crosses = (a.y > y) != (b.y > y)
+                inside ^= crosses & (x < a.x + uy * dx / dy)
+    return on_edge | inside
+
+
+_coordinate = st.one_of(
+    st.floats(min_value=-5.0, max_value=15.0),
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, 1e10, -1e10]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dy=st.sampled_from([1e-300, -1e-300, 5e-324, 1e-200, 1e-30]),
+    points=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
+)
+def test_near_horizontal_edge_contains_points_without_overflow(dy, points):
+    """A tiny-``dy`` edge raises no float warning and keeps every mask bit."""
+    polygon = Polygon([(0.0, 0.0), (10.0, dy), (10.0, 5.0), (0.0, 5.0)])
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        covered = polygon._contains_points(x, y)
+    np.testing.assert_array_equal(covered, _crossing_parity_everywhere(polygon, x, y))
+    # Broadcast (rows, cols) point grids as ``rasterize`` passes them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = polygon._contains_points(x[None, :], y[:, None])
+    np.testing.assert_array_equal(
+        grid, _crossing_parity_everywhere(polygon, x[None, :], y[:, None])
+    )
+
+
+def test_near_horizontal_edge_far_point_is_outside():
+    polygon = Polygon([(0.0, 0.0), (10.0, 1e-300), (10.0, 5.0), (0.0, 5.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        covered = polygon._contains_points(np.array([1.0, 5.0]), np.array([1e10, 2.0]))
+    assert covered.tolist() == [False, True]
 
 
 class TestRaster:
