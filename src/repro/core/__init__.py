@@ -29,7 +29,7 @@ from .suitability import (
     SuitabilityMap,
     compute_suitability,
 )
-from .traditional import TraditionalConfig, TraditionalResult, traditional_floorplan
+from .traditional import TraditionalResult, traditional_floorplan
 
 __all__ = [
     "DistanceThreshold",
@@ -61,7 +61,6 @@ __all__ = [
     "SuitabilityConfig",
     "SuitabilityMap",
     "compute_suitability",
-    "TraditionalConfig",
     "TraditionalResult",
     "traditional_floorplan",
 ]

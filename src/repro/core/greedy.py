@@ -73,29 +73,26 @@ from .problem import FloorplanProblem
 from .suitability import SuitabilityMap, problem_suitability
 
 
+#: Relative suitability band within which two candidates are considered
+#: "identical", so the distance tie-breaker of the paper's ranking kicks in.
+#: It is what keeps the sparse placement *local*: among near-equivalent
+#: cells the one closest to the modules already placed wins, so the wiring
+#: overhead stays in the tens of metres the paper reports instead of
+#: spreading across the whole roof.
+TIE_TOLERANCE = 0.01
+
+
 @dataclass(frozen=True)
 class GreedyConfig:
     """Tunables of the greedy floorplanner.
 
-    ``tie_tolerance`` is the relative suitability band within which two
-    candidates are considered "identical" so the distance tie-breaker of the
-    paper's ranking kicks in (1 % by default): it is what keeps the sparse
-    placement *local* -- among near-equivalent cells the one closest to the
-    modules already placed wins, so the wiring overhead stays in the tens of
-    metres the paper reports instead of spreading across the whole roof.
+    An anchor scores the mean suitability over the module footprint, and
+    candidates within :data:`TIE_TOLERANCE` of the best are ranked by their
+    distance to the placed modules.  ``respect_distance_threshold=False``
+    drops the paper's dispersion threshold (an ablation).
     """
 
-    footprint_aggregate: str = "mean"
-    tie_tolerance: float = 0.01
     respect_distance_threshold: bool = True
-
-    def __post_init__(self) -> None:
-        if self.footprint_aggregate not in ("mean", "min", "anchor"):
-            raise InfeasiblePlacementError(
-                f"unknown footprint aggregate {self.footprint_aggregate!r}"
-            )
-        if self.tie_tolerance < 0:
-            raise InfeasiblePlacementError("tie_tolerance must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -113,10 +110,8 @@ class GreedyResult:
     warm_modules: int = 0
 
 
-def _footprint_score_map(
-    suitability: SuitabilityMap, cells_h: int, cells_w: int, aggregate: str
-) -> np.ndarray:
-    """Score of every anchor = aggregate suitability over the module footprint.
+def _footprint_score_map(suitability: SuitabilityMap, cells_h: int, cells_w: int) -> np.ndarray:
+    """Score of every anchor = mean suitability over the module footprint.
 
     Anchors whose footprint exits the grid or touches an invalid cell get
     ``-inf``.  Vectorised with a sliding-window sum over the value map.
@@ -132,25 +127,7 @@ def _footprint_score_map(
 
     sums = sliding_window_sum(finite, cells_h, cells_w)
     bad = sliding_window_sum(invalid.astype(float), cells_h, cells_w) > 0.5
-    n_cells = cells_h * cells_w
-
-    if aggregate == "mean":
-        window_scores = sums / n_cells
-    elif aggregate == "anchor":
-        window_scores = values[: n_rows - cells_h + 1, : n_cols - cells_w + 1].copy()
-        window_scores = np.nan_to_num(window_scores, nan=-np.inf)
-    else:  # "min": fall back to an explicit window minimum (rarely used)
-        window_scores = np.full((n_rows - cells_h + 1, n_cols - cells_w + 1), np.inf)
-        for dr in range(cells_h):
-            for dc in range(cells_w):
-                window_scores = np.minimum(
-                    window_scores,
-                    np.nan_to_num(
-                        values[dr : dr + n_rows - cells_h + 1, dc : dc + n_cols - cells_w + 1],
-                        nan=-np.inf,
-                    ),
-                )
-    window_scores = np.where(bad, -np.inf, window_scores)
+    window_scores = np.where(bad, -np.inf, sums / (cells_h * cells_w))
     scores[: n_rows - cells_h + 1, : n_cols - cells_w + 1] = window_scores
     return scores
 
@@ -234,9 +211,7 @@ def greedy_floorplan(
         orientations.append((footprint.rotated(), True))
 
     score_maps = {
-        rotated: _footprint_score_map(
-            suitability, fp.cells_h, fp.cells_w, cfg.footprint_aggregate
-        )
+        rotated: _footprint_score_map(suitability, fp.cells_h, fp.cells_w)
         for fp, rotated in orientations
     }
 
@@ -294,11 +269,11 @@ def greedy_floorplan(
             )
         else:
             centroid, limit = None, np.inf
-        best = _select_candidate(cfg, candidate_sets, centroid, limit)
+        best = _select_candidate(candidate_sets, centroid, limit)
         if best is None:
             # No candidate satisfies the dispersion filter: relax it once.
             relaxed += 1
-            best = _select_candidate(cfg, candidate_sets, centroid, np.inf)
+            best = _select_candidate(candidate_sets, centroid, np.inf)
         if best is None:
             raise InfeasiblePlacementError(
                 f"could not place module {module_index}: no feasible anchor remains"
@@ -412,7 +387,6 @@ def _validated_warm_prefix(
 
 
 def _select_candidate(
-    cfg: GreedyConfig,
     candidate_sets: list[_CandidateSet],
     centroid: tuple[float, float] | None,
     limit: float,
@@ -446,14 +420,14 @@ def _select_candidate(
                 continue
 
         top = float(np.max(values, where=mask, initial=-np.inf))
-        near_top = mask & (values >= top - cfg.tie_tolerance * max(abs(top), 1.0))
+        near_top = mask & (values >= top - TIE_TOLERANCE * max(abs(top), 1.0))
         # The first row-major minimum among the near-top anchors.
         pick = int(np.argmin(np.where(near_top, distances, np.inf)))
         score = top
         distance = float(distances[pick])
 
         better = score > best_score + 1e-15 or (
-            abs(score - best_score) <= cfg.tie_tolerance * max(abs(score), 1.0)
+            abs(score - best_score) <= TIE_TOLERANCE * max(abs(score), 1.0)
             and distance < best_distance
         )
         if better:

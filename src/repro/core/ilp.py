@@ -55,22 +55,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner -> core)
     from ..runner.solvers import WarmStart
 
 
+#: Largest number of anchor variables the ILP accepts; bigger instances
+#: are refused with a pointer to the greedy placer.
+MAX_ANCHORS = 30000
+
+#: Relative MIP gap at which HiGHS stops.
+MIP_GAP = 1e-4
+
+
 @dataclass(frozen=True)
 class ILPConfig:
-    """Options of the ILP placement."""
+    """Options of the ILP placement.
 
-    footprint_aggregate: str = "mean"
+    The objective scores each anchor by the mean footprint suitability, the
+    greedy placer's ranking signal.
+    """
+
     time_limit_s: float = 60.0
-    max_anchors: int = 30000
-    mip_gap: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.time_limit_s <= 0:
             raise PlacementError("time_limit_s must be positive")
-        if self.max_anchors < 1:
-            raise PlacementError("max_anchors must be positive")
-        if not 0.0 <= self.mip_gap < 1.0:
-            raise PlacementError("mip_gap must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,7 @@ def ilp_floorplan(
         empty_occupancy = np.zeros(problem.grid.shape, dtype=bool)
         for fp, rotated in orientations:
             feasible = feasible_anchor_mask(problem.grid.valid_mask, empty_occupancy, fp)
-            score_map = _footprint_score_map(
-                suitability, fp.cells_h, fp.cells_w, cfg.footprint_aggregate
-            )
+            score_map = _footprint_score_map(suitability, fp.cells_h, fp.cells_w)
             rows, cols = np.nonzero(feasible & np.isfinite(score_map))
             for row, col in zip(rows.tolist(), cols.tolist()):
                 anchors.append((row, col, rotated))
@@ -139,10 +142,10 @@ def ilp_floorplan(
             raise InfeasiblePlacementError(
                 f"only {n_anchors} feasible anchors exist for {problem.n_modules} modules"
             )
-        if n_anchors > cfg.max_anchors:
+        if n_anchors > MAX_ANCHORS:
             raise InfeasiblePlacementError(
                 f"the instance has {n_anchors} anchors, above the configured ILP limit "
-                f"of {cfg.max_anchors}; use the greedy placer or coarsen the grid"
+                f"of {MAX_ANCHORS}; use the greedy placer or coarsen the grid"
             )
 
         # Build the cell-coverage constraint matrix (cells x anchors).
@@ -201,7 +204,7 @@ def ilp_floorplan(
             constraints=constraints,
             integrality=np.ones(n_anchors),
             bounds=Bounds(0, 1),
-            options={"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap},
+            options={"time_limit": cfg.time_limit_s, "mip_rel_gap": MIP_GAP},
         )
         solve_span.set(status=str(result.message), success=bool(result.success))
 

@@ -10,7 +10,7 @@ solution to a particularly good reference").
 The baseline implemented here follows that description:
 
 1. the N modules are arranged as a compact block of ``n_parallel`` rows
-   (one per string) of ``n_series`` modules each;
+   (one per string) of ``n_series`` touching modules each;
 2. the block is anchored at the feasible position maximising the total
    suitability of the covered cells (i.e. the most irradiated area);
 3. when obstacles prevent the full block from fitting anywhere, the block
@@ -37,20 +37,6 @@ from .constraints import (
 from .placement import ModuleFootprint, ModulePlacement, Placement
 from .problem import FloorplanProblem
 from .suitability import SuitabilityMap, problem_suitability
-
-
-@dataclass(frozen=True)
-class TraditionalConfig:
-    """Tunables of the compact baseline."""
-
-    modules_per_row: int | None = None
-    gap_cells: int = 0
-
-    def __post_init__(self) -> None:
-        if self.modules_per_row is not None and self.modules_per_row < 1:
-            raise InfeasiblePlacementError("modules_per_row must be positive")
-        if self.gap_cells < 0:
-            raise InfeasiblePlacementError("gap_cells must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -81,30 +67,21 @@ def _window_score(values: np.ndarray, cells_h: int, cells_w: int) -> np.ndarray:
 def traditional_floorplan(
     problem: FloorplanProblem,
     suitability: SuitabilityMap | None = None,
-    config: TraditionalConfig | None = None,
 ) -> TraditionalResult:
-    """Place the modules as a compact block on the most irradiated area."""
-    cfg = config if config is not None else TraditionalConfig()
+    """Place the modules as a compact block on the most irradiated area.
+
+    Each row of the block holds one series string, and the modules touch.
+    """
     start = time.perf_counter()
 
     if suitability is None:
         suitability = problem_suitability(problem)
 
     footprint = problem.footprint
-    modules_per_row = (
-        cfg.modules_per_row if cfg.modules_per_row is not None else problem.topology.n_series
-    )
-    modules_per_row = min(modules_per_row, problem.n_modules)
-    n_rows_of_modules = int(np.ceil(problem.n_modules / modules_per_row))
-
-    placement_modules = _try_full_block(
-        problem, suitability, footprint, modules_per_row, n_rows_of_modules, cfg.gap_cells
-    )
+    placement_modules = _try_full_block(problem, suitability, footprint)
     strategy = "full-block"
     if placement_modules is None:
-        placement_modules = _try_string_rows(
-            problem, suitability, footprint, modules_per_row, cfg.gap_cells
-        )
+        placement_modules = _try_string_rows(problem, suitability, footprint)
         strategy = "string-rows"
     if placement_modules is None:
         placement_modules = _pack_modules_individually(problem, suitability, footprint)
@@ -128,38 +105,16 @@ def traditional_floorplan(
     )
 
 
-def _block_module_offsets(
-    footprint: ModuleFootprint,
-    modules_per_row: int,
-    n_rows_of_modules: int,
-    n_modules: int,
-    gap_cells: int,
-) -> list[tuple[int, int]]:
-    """Anchor offsets (d_row, d_col) of each module inside the compact block."""
-    offsets = []
-    for index in range(n_modules):
-        block_row = index // modules_per_row
-        block_col = index % modules_per_row
-        offsets.append(
-            (
-                block_row * (footprint.cells_h + gap_cells),
-                block_col * (footprint.cells_w + gap_cells),
-            )
-        )
-    return offsets
-
-
 def _try_full_block(
-    problem: FloorplanProblem,
-    suitability: SuitabilityMap,
-    footprint: ModuleFootprint,
-    modules_per_row: int,
-    n_rows_of_modules: int,
-    gap_cells: int,
+    problem: FloorplanProblem, suitability: SuitabilityMap, footprint: ModuleFootprint
 ):
-    """Attempt to place the whole compact block at its best-scoring anchor."""
-    block_h = n_rows_of_modules * footprint.cells_h + (n_rows_of_modules - 1) * gap_cells
-    block_w = modules_per_row * footprint.cells_w + (modules_per_row - 1) * gap_cells
+    """Attempt to place the whole compact block at its best-scoring anchor.
+
+    The block has one row per string, ``n_series`` modules wide.
+    """
+    n_series = problem.topology.n_series
+    block_h = problem.topology.n_parallel * footprint.cells_h
+    block_w = n_series * footprint.cells_w
     block_footprint = ModuleFootprint(cells_w=block_w, cells_h=block_h)
 
     feasible = feasible_anchor_mask(
@@ -173,51 +128,41 @@ def _try_full_block(
         return None
     anchor_row, anchor_col = np.unravel_index(int(np.argmax(scores)), scores.shape)
 
-    offsets = _block_module_offsets(
-        footprint, modules_per_row, n_rows_of_modules, problem.n_modules, gap_cells
-    )
     return [
         ModulePlacement(
-            module_index=i, row=int(anchor_row + dr), col=int(anchor_col + dc), rotated=False
+            module_index=i,
+            row=int(anchor_row) + i // n_series * footprint.cells_h,
+            col=int(anchor_col) + i % n_series * footprint.cells_w,
+            rotated=False,
         )
-        for i, (dr, dc) in enumerate(offsets)
+        for i in range(problem.n_modules)
     ]
 
 
 def _try_string_rows(
-    problem: FloorplanProblem,
-    suitability: SuitabilityMap,
-    footprint: ModuleFootprint,
-    modules_per_row: int,
-    gap_cells: int,
+    problem: FloorplanProblem, suitability: SuitabilityMap, footprint: ModuleFootprint
 ):
     """Place each string as a contiguous row, packing rows as close as possible.
 
-    A row's suitability score depends only on its width, so it is computed
-    once per distinct width (the full rows and a shorter remainder row);
-    feasibility changes as rows are placed and is recomputed per row.
+    Every row is one string wide, so the suitability score of a row is
+    computed once; feasibility changes as rows are placed and is recomputed
+    per row.
     """
+    n_series = problem.topology.n_series
     row_h = footprint.cells_h
+    row_w = n_series * footprint.cells_w
+    row_footprint = ModuleFootprint(cells_w=row_w, cells_h=row_h)
+    window_scores = _window_score(suitability.values, row_h, row_w)
 
     occupied = np.zeros(problem.grid.shape, dtype=bool)
     modules: list[ModulePlacement] = []
     placed_centers: list[Point2D] = []
 
-    n_full_rows = problem.n_modules // modules_per_row
-    remainder = problem.n_modules % modules_per_row
-    row_specs = [modules_per_row] * n_full_rows + ([remainder] if remainder else [])
-
-    window_scores: dict[int, np.ndarray] = {}
-    module_index = 0
-    for row_modules in row_specs:
-        this_row_w = row_modules * footprint.cells_w + (row_modules - 1) * gap_cells
-        this_footprint = ModuleFootprint(cells_w=this_row_w, cells_h=row_h)
-        feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, this_footprint)
+    for _ in range(problem.topology.n_parallel):
+        feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, row_footprint)
         if not np.any(feasible):
             return None
-        if this_row_w not in window_scores:
-            window_scores[this_row_w] = _window_score(suitability.values, row_h, this_row_w)
-        scores = np.where(feasible, window_scores[this_row_w], -np.inf)
+        scores = np.where(feasible, window_scores, -np.inf)
         rows, cols = np.nonzero(np.isfinite(scores))
         if rows.size == 0:
             return None
@@ -228,22 +173,21 @@ def _try_string_rows(
                 float(np.mean([p.x for p in placed_centers])),
                 float(np.mean([p.y for p in placed_centers])),
             )
-            centers_u = (cols + this_row_w / 2.0) * problem.grid.pitch
+            centers_u = (cols + row_w / 2.0) * problem.grid.pitch
             centers_v = (rows + row_h / 2.0) * problem.grid.pitch
             distances = np.hypot(centers_u - centroid.x, centers_v - centroid.y)
             pick = int(np.argmin(distances))
         anchor_row, anchor_col = int(rows[pick]), int(cols[pick])
 
-        for k in range(row_modules):
-            col = anchor_col + k * (footprint.cells_w + gap_cells)
+        for k in range(n_series):
+            col = anchor_col + k * footprint.cells_w
             modules.append(
-                ModulePlacement(module_index=module_index, row=anchor_row, col=col, rotated=False)
+                ModulePlacement(module_index=len(modules), row=anchor_row, col=col, rotated=False)
             )
             placed_centers.append(
                 anchor_center(anchor_row, col, footprint, problem.grid.pitch)
             )
             mark_occupied(occupied, anchor_row, col, footprint)
-            module_index += 1
     return modules
 
 

@@ -8,14 +8,10 @@ is then aligned to the virtual grid to obtain the inputs for the placement
 algorithm, i.e., the dimension of the area (parameters W and H) and the
 valid grid elements (Ng)."
 
-Two exclusion mechanisms are implemented:
-
-* **footprint exclusion** -- grid elements covered by an obstacle footprint
-  (expanded by the obstacle's clearance margin) or lying within the edge
-  setback of the facet are invalid;
-* **shading exclusion** (optional) -- grid elements shaded for more than a
-  configurable fraction of the daylight hours can additionally be removed,
-  mimicking tools that pre-filter chronically shaded surfaces.
+Grid elements covered by an obstacle footprint (expanded by the obstacle's
+clearance margin) or lying within the edge setback of the facet are
+invalid.  Shading excludes nothing here: a shaded element stays valid and
+its low suitability keeps the placers away from it.
 """
 
 from __future__ import annotations
@@ -37,14 +33,10 @@ class SuitableAreaConfig:
     """Parameters of the suitable-area extraction."""
 
     edge_setback_m: float = 0.4
-    apply_obstacle_clearance: bool = True
-    max_shaded_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if self.edge_setback_m < 0:
             raise GISError("edge setback must be non-negative")
-        if self.max_shaded_fraction is not None and not 0.0 < self.max_shaded_fraction <= 1.0:
-            raise GISError("max_shaded_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -56,12 +48,11 @@ class SuitableAreaResult:
     n_total: int
     excluded_by_obstacles: int
     excluded_by_setback: int
-    excluded_by_shading: int
 
 
-def _expanded_footprint(obstacle: ObstacleFootprint, apply_clearance: bool) -> Polygon:
+def _expanded_footprint(obstacle: ObstacleFootprint) -> Polygon:
     """Obstacle footprint grown by its clearance margin (bounding-box growth)."""
-    if not apply_clearance or obstacle.clearance_m <= 0:
+    if obstacle.clearance_m <= 0:
         return obstacle.polygon
     box = obstacle.polygon.bounding_box().expanded(obstacle.clearance_m)
     return Polygon.rectangle(box.xmin, box.ymin, box.xmax, box.ymax)
@@ -71,7 +62,6 @@ def compute_suitable_area(
     grid: RoofGrid,
     obstacles: Sequence[ObstacleFootprint],
     config: SuitableAreaConfig | None = None,
-    shaded_fraction: np.ndarray | None = None,
 ) -> SuitableAreaResult:
     """Determine which grid elements can host PV modules.
 
@@ -82,11 +72,7 @@ def compute_suitable_area(
     obstacles:
         Roof encumbrances in roof-plane coordinates.
     config:
-        Extraction parameters; defaults to a 0.4 m edge setback with
-        obstacle clearances applied and no shading-based exclusion.
-    shaded_fraction:
-        Optional per-element shaded-time fraction (same shape as the grid)
-        used when ``config.max_shaded_fraction`` is set.
+        Extraction parameters; defaults to a 0.4 m edge setback.
     """
     cfg = config if config is not None else SuitableAreaConfig()
 
@@ -113,28 +99,12 @@ def compute_suitable_area(
     if obstacles:
         covered = np.zeros_like(mask)
         for obstacle in obstacles:
-            footprint = _expanded_footprint(obstacle, cfg.apply_obstacle_clearance)
+            footprint = _expanded_footprint(obstacle)
             covered |= footprint.rasterize(
                 Point2D(0.0, 0.0), grid.pitch, grid.n_cols, grid.n_rows, mode="touch"
             )
         obstacle_removed = int(np.count_nonzero(mask & covered))
         mask &= ~covered
-
-    # 3. Optional chronic-shading exclusion.
-    shading_removed = 0
-    if cfg.max_shaded_fraction is not None:
-        if shaded_fraction is None:
-            raise GISError(
-                "max_shaded_fraction is set but no shaded_fraction map was provided"
-            )
-        shaded = np.asarray(shaded_fraction, dtype=float)
-        if shaded.shape != grid.shape:
-            raise GISError(
-                f"shaded_fraction shape {shaded.shape} does not match grid {grid.shape}"
-            )
-        too_shaded = shaded > cfg.max_shaded_fraction
-        shading_removed = int(np.count_nonzero(mask & too_shaded))
-        mask &= ~too_shaded
 
     return SuitableAreaResult(
         valid_mask=mask,
@@ -142,7 +112,6 @@ def compute_suitable_area(
         n_total=n_total,
         excluded_by_obstacles=obstacle_removed,
         excluded_by_setback=setback_removed,
-        excluded_by_shading=shading_removed,
     )
 
 
@@ -151,15 +120,10 @@ def apply_suitable_area(grid: RoofGrid, result: SuitableAreaResult) -> RoofGrid:
     return grid.with_mask(result.valid_mask)
 
 
-def suitable_grid_for_scene(
-    scene: RoofScene,
-    grid: RoofGrid,
-    config: SuitableAreaConfig | None = None,
-    shaded_fraction: np.ndarray | None = None,
-) -> RoofGrid:
-    """Convenience wrapper: compute and apply the suitable area of a scene."""
-    cfg = config
-    if cfg is None:
-        cfg = SuitableAreaConfig(edge_setback_m=scene.spec.edge_setback_m)
-    result = compute_suitable_area(grid, scene.obstacles, cfg, shaded_fraction)
-    return apply_suitable_area(grid, result)
+def suitable_grid_for_scene(scene: RoofScene, grid: RoofGrid) -> RoofGrid:
+    """Compute and apply the suitable area of a scene.
+
+    The edge setback is the scene's own ``edge_setback_m``.
+    """
+    config = SuitableAreaConfig(edge_setback_m=scene.spec.edge_setback_m)
+    return apply_suitable_area(grid, compute_suitable_area(grid, scene.obstacles, config))

@@ -46,7 +46,7 @@ from ..core.ilp import ILPConfig, ilp_floorplan
 from ..core.placement import Placement
 from ..core.problem import FloorplanProblem
 from ..core.suitability import SuitabilityMap
-from ..core.traditional import TraditionalConfig, traditional_floorplan
+from ..core.traditional import traditional_floorplan
 from ..errors import ConfigurationError
 from ..telemetry import span, trace_event
 
@@ -376,8 +376,11 @@ def _traditional(
     options: Mapping[str, Any],
     suitability: Optional[SuitabilityMap],
 ) -> SolverOutcome:
-    config = _build_config(TraditionalConfig, options, "traditional")
-    result = traditional_floorplan(problem, suitability=suitability, config=config)
+    if options:
+        raise ConfigurationError(
+            f"invalid options for solver 'traditional': it takes none, got {sorted(options)}"
+        )
+    result = traditional_floorplan(problem, suitability=suitability)
     return SolverOutcome(
         solver="traditional",
         placement=result.placement,

@@ -228,69 +228,76 @@ class WeatherSpec:
         )
 
 
+#: Solar-model keys every document carries at their one value.  The model
+#: chain is fixed (Erbs decomposition, Hay-Davies transposition); the keys
+#: stay in the document so scenario documents and their content digests
+#: keep their form.
+_FIXED_SOLAR_KEYS = {"sky_model": "haydavies", "decomposition_model": "erbs"}
+
+
 @dataclass(frozen=True)
 class SolarSpec:
     """Declarative irradiance-simulation options.
 
     Mirrors :class:`repro.solar.SolarSimulationConfig` with plain values so
     the configuration participates in JSON round-trips and content hashing.
-    ``linke_turbidity`` is either ``None`` (the Turin monthly climatology) or
-    a 12-value monthly tuple; the Turin values spelled out are stored as
-    ``None``, so one climatology has one content key.
+    The document form also writes ``sky_model`` (``"haydavies"``),
+    ``decomposition_model`` (``"erbs"``) and ``linke_turbidity`` (``null``:
+    the Turin monthly climatology) at their one value.  :meth:`from_dict`
+    accepts each of them absent or at that value -- the Turin values
+    spelled out as a list count as ``null`` -- and raises
+    :class:`~repro.errors.ConfigurationError` naming the key for any other.
     """
 
-    sky_model: str = "haydavies"
-    decomposition_model: str = "erbs"
     albedo: float = 0.2
     n_horizon_sectors: int = 36
     horizon_max_distance_m: float = 60.0
-    linke_turbidity: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.linke_turbidity is not None:
-            turbidity = tuple(float(v) for v in self.linke_turbidity)
-            if turbidity == LinkeTurbidityProfile.turin_default().monthly_values:
-                turbidity = None
-            object.__setattr__(self, "linke_turbidity", turbidity)
 
     def build(self) -> SolarSimulationConfig:
         """Materialise the :class:`SolarSimulationConfig`."""
-        turbidity = (
-            LinkeTurbidityProfile.turin_default()
-            if self.linke_turbidity is None
-            else LinkeTurbidityProfile.from_monthly(self.linke_turbidity)
-        )
         return SolarSimulationConfig(
-            sky_model=self.sky_model,
-            decomposition_model=self.decomposition_model,
             albedo=self.albedo,
-            linke_turbidity=turbidity,
             n_horizon_sectors=self.n_horizon_sectors,
             horizon_max_distance_m=self.horizon_max_distance_m,
         )
 
     def to_dict(self) -> dict:
         return {
-            "sky_model": self.sky_model,
-            "decomposition_model": self.decomposition_model,
+            **_FIXED_SOLAR_KEYS,
             "albedo": self.albedo,
             "n_horizon_sectors": self.n_horizon_sectors,
             "horizon_max_distance_m": self.horizon_max_distance_m,
-            "linke_turbidity": (
-                None if self.linke_turbidity is None else list(self.linke_turbidity)
-            ),
+            "linke_turbidity": None,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolarSpec":
+        for key, value in _FIXED_SOLAR_KEYS.items():
+            if data.get(key, value) != value:
+                raise ConfigurationError(
+                    f"solar.{key} must be {value!r}, the only model the pipeline "
+                    f"runs; got {data[key]!r}"
+                )
+        turbidity = data.get("linke_turbidity")
+        if turbidity is not None and not _is_turin_climatology(turbidity):
+            raise ConfigurationError(
+                "solar.linke_turbidity must be null or the Turin monthly "
+                f"climatology {list(LinkeTurbidityProfile.turin_default().monthly_values)}; "
+                f"got {turbidity!r}"
+            )
         return cls(
-            sky_model=str(data.get("sky_model", "haydavies")),
-            decomposition_model=str(data.get("decomposition_model", "erbs")),
             albedo=float(data.get("albedo", 0.2)),
             n_horizon_sectors=int(data.get("n_horizon_sectors", 36)),
             horizon_max_distance_m=float(data.get("horizon_max_distance_m", 60.0)),
-            linke_turbidity=data.get("linke_turbidity"),
         )
+
+
+def _is_turin_climatology(values: Any) -> bool:
+    try:
+        monthly = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        return False
+    return monthly == LinkeTurbidityProfile.turin_default().monthly_values
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,8 @@ class SolverSpec:
 
     ``name`` must resolve in the :mod:`repro.runner.solvers` registry
     (``greedy``, ``traditional``, ``ilp``, ``exhaustive`` out of the box);
-    ``options`` is forwarded to the solver's config dataclass.
+    ``options`` is forwarded to the solver's config dataclass, and a key it
+    does not declare fails the run (``traditional`` takes no option).
 
     ``fallback`` names cheaper solvers tried in order when the configured
     one raises or the chain's wall-clock ``budget_s`` runs out (see

@@ -12,7 +12,6 @@ from .decomposition import (
     DecompositionResult,
     clearness_index,
     decompose_ghi,
-    engerer_diffuse_fraction,
     erbs_diffuse_fraction,
 )
 from .irradiance_map import (
@@ -34,7 +33,6 @@ from .transposition import (
     beam_on_plane,
     hay_davies_sky_diffuse,
     incidence_cosine,
-    isotropic_sky_diffuse,
     ground_reflected,
     plane_of_array,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "DecompositionResult",
     "clearness_index",
     "decompose_ghi",
-    "engerer_diffuse_fraction",
     "erbs_diffuse_fraction",
     "RoofSolarField",
     "SolarSimulationConfig",
@@ -68,7 +65,6 @@ __all__ = [
     "beam_on_plane",
     "hay_davies_sky_diffuse",
     "incidence_cosine",
-    "isotropic_sky_diffuse",
     "ground_reflected",
     "plane_of_array",
 ]

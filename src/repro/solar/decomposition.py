@@ -5,17 +5,14 @@ horizontal irradiance (GHI).  The solar-data extraction flow (Section IV)
 needs the direct (beam) and diffuse components separately to project them on
 the tilted roof plane and to apply shading, so a *decomposition model*
 estimating the diffuse fraction from the clearness index is required
-(paper ref. [18], Engerer 2015).
+(the paper cites Engerer 2015, ref. [18]).  The reproduction uses one
+model, the classical Erbs et al. (1982) correlation.
 
 This module provides:
 
 * :func:`clearness_index` -- kt from GHI and extraterrestrial horizontal
   irradiance;
-* :func:`erbs_diffuse_fraction` -- the classical Erbs et al. (1982)
-  piecewise correlation;
-* :func:`engerer_diffuse_fraction` -- a logistic-form correlation in the
-  spirit of Engerer (2015), which additionally uses the solar elevation and
-  the deviation from clear-sky conditions;
+* :func:`erbs_diffuse_fraction` -- the Erbs piecewise correlation;
 * :func:`decompose_ghi` -- convenience wrapper returning DNI and DHI.
 """
 
@@ -78,66 +75,15 @@ def erbs_diffuse_fraction(kt: np.ndarray) -> np.ndarray:
     return np.clip(kd, 0.0, 1.0)
 
 
-def engerer_diffuse_fraction(
-    kt: np.ndarray,
-    elevation_deg: np.ndarray,
-    clearsky_ghi: np.ndarray | None = None,
-    ghi: np.ndarray | None = None,
-) -> np.ndarray:
-    """Logistic diffuse-fraction correlation in the spirit of Engerer (2015).
-
-    The original Engerer2 model predicts the diffuse fraction with a
-    logistic function of the clearness index, apparent solar time, zenith
-    angle, and the deviation of the observed clearness index from the
-    clear-sky clearness index, plus an additive cloud-enhancement term.
-    This implementation keeps the logistic structure and the clear-sky
-    deviation predictor (the two features that matter for sub-hourly data)
-    with the published Engerer2 coefficient set.
-    """
-    kt_arr = np.clip(np.asarray(kt, dtype=float), 0.0, 1.2)
-    elevation = np.asarray(elevation_deg, dtype=float)
-    zenith = 90.0 - elevation
-    if clearsky_ghi is not None and ghi is not None:
-        cs = np.asarray(clearsky_ghi, dtype=float)
-        obs = np.asarray(ghi, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ktc = np.where(cs > 1.0, np.clip(obs / np.maximum(cs, 1.0), 0.0, 2.0), 1.0)
-        delta_ktc = 1.0 - ktc
-    else:
-        delta_ktc = np.zeros_like(kt_arr)
-
-    # Engerer2 coefficient set (C, beta0..beta5) from Engerer (2015), with the
-    # apparent-solar-time term folded into the intercept (its contribution is
-    # second-order for the mid-latitude sites considered here).
-    c = 4.2336e-2
-    beta0 = -3.7912
-    beta1 = 7.5479
-    beta2 = -1.0036e-2
-    beta3 = 3.1480e-3
-    beta4 = -5.3146
-    beta5 = 1.7073
-
-    logistic_arg = (
-        beta0
-        + beta1 * kt_arr
-        + beta2 * 12.0  # apparent solar time folded to local noon
-        + beta3 * zenith
-        + beta4 * delta_ktc
-    )
-    kde = np.maximum(0.0, 1.0 - np.where(kt_arr > 0, 1.0 / np.maximum(kt_arr, 1e-6), 0.0))
-    kd = c + (1.0 - c) / (1.0 + np.exp(logistic_arg)) + beta5 * kde
-    kd = np.where(elevation <= 0.0, 1.0, kd)
-    return np.clip(kd, 0.0, 1.0)
-
-
 def decompose_ghi(
     ghi: np.ndarray,
     extraterrestrial_normal: np.ndarray,
     elevation_deg: np.ndarray,
-    model: str = "erbs",
-    clearsky_ghi: np.ndarray | None = None,
 ) -> DecompositionResult:
     """Split GHI into direct-normal (DNI) and diffuse-horizontal (DHI).
+
+    The diffuse fraction comes from the Erbs correlation
+    (:func:`erbs_diffuse_fraction`) of the clearness index.
 
     Parameters
     ----------
@@ -147,22 +93,13 @@ def decompose_ghi(
         Extraterrestrial normal irradiance per sample [W/m^2].
     elevation_deg:
         Solar elevation per sample [deg].
-    model:
-        ``"erbs"`` or ``"engerer"``.
-    clearsky_ghi:
-        Optional clear-sky GHI used by the Engerer-style model.
     """
     ghi_arr = np.asarray(ghi, dtype=float)
     elevation = np.asarray(elevation_deg, dtype=float)
     if ghi_arr.shape != elevation.shape:
         raise SolarModelError("ghi and elevation arrays must have the same shape")
     kt = clearness_index(ghi_arr, extraterrestrial_normal, elevation)
-    if model == "erbs":
-        kd = erbs_diffuse_fraction(kt)
-    elif model == "engerer":
-        kd = engerer_diffuse_fraction(kt, elevation, clearsky_ghi, ghi_arr)
-    else:
-        raise SolarModelError(f"unknown decomposition model: {model!r}")
+    kd = erbs_diffuse_fraction(kt)
 
     dhi = kd * ghi_arr
     sin_h = np.sin(np.maximum(elevation, 0.0) * DEG2RAD)

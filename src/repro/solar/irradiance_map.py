@@ -5,8 +5,8 @@ Section IV): it combines
 
 * the sun-position series (:mod:`repro.solar.position`),
 * the weather trace (measured or synthetic GHI + temperature),
-* the decomposition model (GHI -> DNI/DHI, :mod:`repro.solar.decomposition`),
-* the transposition model (POA irradiance, :mod:`repro.solar.transposition`),
+* the Erbs decomposition (GHI -> DNI/DHI, :mod:`repro.solar.decomposition`),
+* the Hay-Davies transposition (POA irradiance, :mod:`repro.solar.transposition`),
 * the DSM shading engine (:mod:`repro.solar.shading`)
 
 into a :class:`RoofSolarField`: for every *valid* element of the roof's
@@ -43,7 +43,7 @@ and the solar-field benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -53,9 +53,7 @@ from ..errors import SolarModelError
 from ..gis.gridding import RoofGrid
 from ..gis.synthetic import RoofScene
 from ..weather.records import WeatherSeries
-from .clearsky import clearsky_irradiance
 from .decomposition import decompose_ghi
-from .linke import LinkeTurbidityProfile
 from .position import compute_solar_position
 from .shading import HorizonMap, cells_window, compute_horizon_map
 from .time_series import CompressedTimeGrid, TimeGrid
@@ -84,14 +82,13 @@ STORE_DTYPE = np.dtype(np.float32)
 
 @dataclass(frozen=True)
 class SolarSimulationConfig:
-    """Options of the roof irradiance simulation."""
+    """Options of the roof irradiance simulation.
 
-    sky_model: str = "haydavies"
-    decomposition_model: str = "erbs"
+    The model chain is fixed: Erbs decomposition of GHI, then Hay-Davies
+    transposition onto the roof plane.
+    """
+
     albedo: float = DEFAULT_ALBEDO
-    linke_turbidity: LinkeTurbidityProfile = field(
-        default_factory=LinkeTurbidityProfile.turin_default
-    )
     n_horizon_sectors: int = 36
     horizon_max_distance_m: float = 60.0
 
@@ -456,21 +453,8 @@ def _poa_and_shading_inputs(
         dni = np.asarray(weather.dni, dtype=float)
         dhi = np.asarray(weather.dhi, dtype=float)
     else:
-        clearsky_ghi = None
-        if cfg.decomposition_model == "engerer":
-            turbidity = cfg.linke_turbidity.value_for_day(time_grid.days_of_year)
-            clearsky_ghi = clearsky_irradiance(
-                position.extraterrestrial_normal,
-                position.elevation_deg,
-                turbidity,
-                altitude_m=weather.station.altitude_m,
-            ).global_horizontal
         decomposition = decompose_ghi(
-            weather.ghi,
-            position.extraterrestrial_normal,
-            position.elevation_deg,
-            model=cfg.decomposition_model,
-            clearsky_ghi=clearsky_ghi,
+            weather.ghi, position.extraterrestrial_normal, position.elevation_deg
         )
         dni = decomposition.dni
         dhi = decomposition.dhi
@@ -486,7 +470,6 @@ def _poa_and_shading_inputs(
         position.elevation_deg,
         position.azimuth_deg,
         albedo=cfg.albedo,
-        sky_model=cfg.sky_model,
     )
 
     # 3. Shading geometry: per-cell DSM indices + a horizon map covering them.
@@ -514,7 +497,7 @@ def compute_roof_solar_field(
         Virtual grid restricted to the suitable area.
     weather:
         Weather trace (synthetic or measured).  If it does not carry DNI/DHI
-        the configured decomposition model is applied.
+        the Erbs decomposition is applied.
     config:
         Simulation options.
     horizon_map:

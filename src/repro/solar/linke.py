@@ -12,7 +12,6 @@ such as Turin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,11 +35,6 @@ class LinkeTurbidityProfile:
             raise SolarModelError("a Linke turbidity profile needs exactly 12 monthly values")
         if any(v <= 0 for v in self.monthly_values):
             raise SolarModelError("Linke turbidity values must be positive")
-
-    @classmethod
-    def from_monthly(cls, values: Sequence[float]) -> "LinkeTurbidityProfile":
-        """Build a profile from an arbitrary 12-value sequence."""
-        return cls(tuple(float(v) for v in values))
 
     @classmethod
     def turin_default(cls) -> "LinkeTurbidityProfile":

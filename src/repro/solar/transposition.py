@@ -2,12 +2,11 @@
 
 Given the direct-normal and diffuse-horizontal irradiance, the plane-of-array
 (POA) irradiance on a surface of given tilt and azimuth is the sum of three
-terms: beam projected through the incidence angle, sky diffuse (isotropic or
-anisotropic), and ground-reflected diffuse.  The reproduction supports the
-isotropic sky model and the Hay-Davies anisotropic model; the latter better
-captures the circumsolar brightening that makes the spatial variance of
-irradiance over a partly shaded roof larger -- the effect the paper's
-floorplanner exploits.
+terms: beam projected through the incidence angle, sky diffuse, and
+ground-reflected diffuse.  The sky diffuse term uses one model, the
+Hay-Davies anisotropic sky: it captures the circumsolar brightening that
+makes the spatial variance of irradiance over a partly shaded roof larger --
+the effect the paper's floorplanner exploits.
 """
 
 from __future__ import annotations
@@ -67,13 +66,6 @@ def beam_on_plane(
         surface_tilt_deg, surface_azimuth_deg, solar_elevation_deg, solar_azimuth_deg
     )
     return np.asarray(dni, dtype=float) * cos_inc
-
-
-def isotropic_sky_diffuse(dhi: np.ndarray, surface_tilt_deg: float) -> np.ndarray:
-    """Isotropic-sky diffuse irradiance on the tilted plane [W/m^2]."""
-    tilt = surface_tilt_deg * DEG2RAD
-    view_factor = (1.0 + np.cos(tilt)) / 2.0
-    return np.asarray(dhi, dtype=float) * view_factor
 
 
 def hay_davies_sky_diffuse(
@@ -136,31 +128,19 @@ def plane_of_array(
     solar_elevation_deg: np.ndarray,
     solar_azimuth_deg: np.ndarray,
     albedo: float = DEFAULT_ALBEDO,
-    sky_model: str = "haydavies",
 ) -> PlaneOfArrayIrradiance:
-    """Full plane-of-array transposition.
-
-    Parameters
-    ----------
-    sky_model:
-        ``"isotropic"`` or ``"haydavies"``.
-    """
+    """Full plane-of-array transposition with the Hay-Davies sky diffuse."""
     beam = beam_on_plane(
         dni, surface_tilt_deg, surface_azimuth_deg, solar_elevation_deg, solar_azimuth_deg
     )
-    if sky_model == "isotropic":
-        sky = isotropic_sky_diffuse(dhi, surface_tilt_deg)
-    elif sky_model == "haydavies":
-        sky = hay_davies_sky_diffuse(
-            dhi,
-            dni,
-            extraterrestrial_normal,
-            surface_tilt_deg,
-            surface_azimuth_deg,
-            solar_elevation_deg,
-            solar_azimuth_deg,
-        )
-    else:
-        raise SolarModelError(f"unknown sky diffuse model: {sky_model!r}")
+    sky = hay_davies_sky_diffuse(
+        dhi,
+        dni,
+        extraterrestrial_normal,
+        surface_tilt_deg,
+        surface_azimuth_deg,
+        solar_elevation_deg,
+        solar_azimuth_deg,
+    )
     ground = ground_reflected(ghi, surface_tilt_deg, albedo)
     return PlaneOfArrayIrradiance(beam=beam, sky_diffuse=sky, ground_reflected=ground)

@@ -18,7 +18,7 @@ from repro.core.constraints import (
     feasible_anchor_mask,
     mark_occupied,
 )
-from repro.core.greedy import GreedyConfig, GreedyResult, _footprint_score_map
+from repro.core.greedy import TIE_TOLERANCE, GreedyConfig, GreedyResult, _footprint_score_map
 from repro.core.placement import ModulePlacement, Placement
 from repro.core.problem import FloorplanProblem
 from repro.core.suitability import SuitabilityConfig, SuitabilityMap, compute_suitability
@@ -53,9 +53,7 @@ def greedy_floorplan_reference(
         orientations.append((footprint.rotated(), True))
 
     score_maps = {
-        rotated: _footprint_score_map(
-            suitability, fp.cells_h, fp.cells_w, cfg.footprint_aggregate
-        )
+        rotated: _footprint_score_map(suitability, fp.cells_h, fp.cells_w)
         for fp, rotated in orientations
     }
 
@@ -178,7 +176,7 @@ def _select_candidate_reference(
             )
 
         top = float(np.max(values))
-        near_top = values >= top - cfg.tie_tolerance * max(abs(top), 1.0)
+        near_top = values >= top - TIE_TOLERANCE * max(abs(top), 1.0)
         tie_rows, tie_cols = rows[near_top], cols[near_top]
         tie_distances = distances[near_top]
         pick = int(np.argmin(tie_distances))
@@ -186,7 +184,7 @@ def _select_candidate_reference(
         distance = float(tie_distances[pick])
 
         better = score > best_score + 1e-15 or (
-            abs(score - best_score) <= cfg.tie_tolerance * max(abs(score), 1.0)
+            abs(score - best_score) <= TIE_TOLERANCE * max(abs(score), 1.0)
             and distance < best_distance
         )
         if better:

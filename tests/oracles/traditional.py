@@ -3,7 +3,7 @@
 The compact baseline's flow with its two fallbacks written directly.  Every
 string row recomputes the sliding-window suitability score of its width,
 although that score depends on nothing the earlier rows change; the
-baseline computes it once per distinct width.  The per-module packing
+baseline computes it once.  The per-module packing
 rebuilds the feasible-anchor mask and the distances to its seed for every
 module; the baseline computes the distances once and clears each placed
 module's overlap window.  Both must return the same placement and the same
@@ -18,32 +18,20 @@ from repro.core.constraints import anchor_center, feasible_anchor_mask, mark_occ
 from repro.core.placement import ModuleFootprint, ModulePlacement
 from repro.core.problem import FloorplanProblem
 from repro.core.suitability import SuitabilityMap
-from repro.core.traditional import TraditionalConfig, _try_full_block, _window_score
+from repro.core.traditional import _try_full_block, _window_score
 from repro.geometry import Point2D
 
 
 def traditional_floorplan_reference(
-    problem: FloorplanProblem,
-    suitability: SuitabilityMap,
-    config: TraditionalConfig | None = None,
+    problem: FloorplanProblem, suitability: SuitabilityMap
 ) -> tuple[list[ModulePlacement] | None, str | None]:
     """``(modules, strategy)`` of the compact baseline, ``(None, None)``
     when no strategy fits."""
-    cfg = config if config is not None else TraditionalConfig()
     footprint = problem.footprint
-    modules_per_row = (
-        cfg.modules_per_row if cfg.modules_per_row is not None else problem.topology.n_series
-    )
-    modules_per_row = min(modules_per_row, problem.n_modules)
-    n_rows_of_modules = int(np.ceil(problem.n_modules / modules_per_row))
-    modules = _try_full_block(
-        problem, suitability, footprint, modules_per_row, n_rows_of_modules, cfg.gap_cells
-    )
+    modules = _try_full_block(problem, suitability, footprint)
     if modules is not None:
         return modules, "full-block"
-    modules = _try_string_rows_reference(
-        problem, suitability, footprint, modules_per_row, cfg.gap_cells
-    )
+    modules = _try_string_rows_reference(problem, suitability, footprint)
     if modules is not None:
         return modules, "string-rows"
     modules = pack_modules_individually_reference(problem, suitability, footprint)
@@ -85,30 +73,22 @@ def pack_modules_individually_reference(
 
 
 def _try_string_rows_reference(
-    problem: FloorplanProblem,
-    suitability: SuitabilityMap,
-    footprint: ModuleFootprint,
-    modules_per_row: int,
-    gap_cells: int,
+    problem: FloorplanProblem, suitability: SuitabilityMap, footprint: ModuleFootprint
 ):
     """Each string as a contiguous row, its window score recomputed per row."""
+    n_series = problem.topology.n_series
     row_h = footprint.cells_h
+    row_w = n_series * footprint.cells_w
     occupied = np.zeros(problem.grid.shape, dtype=bool)
     modules: list[ModulePlacement] = []
     placed_centers: list[Point2D] = []
 
-    n_full_rows = problem.n_modules // modules_per_row
-    remainder = problem.n_modules % modules_per_row
-    row_specs = [modules_per_row] * n_full_rows + ([remainder] if remainder else [])
-
-    module_index = 0
-    for row_modules in row_specs:
-        this_row_w = row_modules * footprint.cells_w + (row_modules - 1) * gap_cells
-        this_footprint = ModuleFootprint(cells_w=this_row_w, cells_h=row_h)
-        feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, this_footprint)
+    for _ in range(problem.topology.n_parallel):
+        row_footprint = ModuleFootprint(cells_w=row_w, cells_h=row_h)
+        feasible = feasible_anchor_mask(problem.grid.valid_mask, occupied, row_footprint)
         if not np.any(feasible):
             return None
-        scores = _window_score(suitability.values, row_h, this_row_w)
+        scores = _window_score(suitability.values, row_h, row_w)
         scores = np.where(feasible, scores, -np.inf)
         rows, cols = np.nonzero(np.isfinite(scores))
         if rows.size == 0:
@@ -120,20 +100,19 @@ def _try_string_rows_reference(
                 float(np.mean([p.x for p in placed_centers])),
                 float(np.mean([p.y for p in placed_centers])),
             )
-            centers_u = (cols + this_row_w / 2.0) * problem.grid.pitch
+            centers_u = (cols + row_w / 2.0) * problem.grid.pitch
             centers_v = (rows + row_h / 2.0) * problem.grid.pitch
             distances = np.hypot(centers_u - centroid.x, centers_v - centroid.y)
             pick = int(np.argmin(distances))
         anchor_row, anchor_col = int(rows[pick]), int(cols[pick])
 
-        for k in range(row_modules):
-            col = anchor_col + k * (footprint.cells_w + gap_cells)
+        for k in range(n_series):
+            col = anchor_col + k * footprint.cells_w
             modules.append(
-                ModulePlacement(module_index=module_index, row=anchor_row, col=col, rotated=False)
+                ModulePlacement(module_index=len(modules), row=anchor_row, col=col, rotated=False)
             )
             placed_centers.append(
                 anchor_center(anchor_row, col, footprint, problem.grid.pitch)
             )
             mark_occupied(occupied, anchor_row, col, footprint)
-            module_index += 1
     return modules

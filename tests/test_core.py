@@ -21,7 +21,6 @@ from repro.core import (
     Placement,
     PlacementEvaluator,
     SuitabilityConfig,
-    TraditionalConfig,
     compare_placements,
     compute_suitability,
     default_topology,
@@ -33,13 +32,14 @@ from repro.core import (
     ilp_floorplan,
     traditional_floorplan,
 )
+import repro.core.ilp as ilp_module
 from repro.core.exhaustive import ExhaustiveConfig
 from repro.gis import RoofSpec, build_roof_scene, make_roof_grid, suitable_grid_for_scene
-from repro.errors import InfeasiblePlacementError, PlacementError
+from repro.errors import ConfigurationError, InfeasiblePlacementError, PlacementError
 from repro.geometry import Point2D
 from repro.pv.array import SeriesParallelTopology
 from repro.pv.datasheet import PV_MF165EB3
-from repro.runner.solvers import solve_with_fallback
+from repro.runner.solvers import solve, solve_with_fallback
 from repro.solar import SolarSimulationConfig, TimeGrid, compute_roof_solar_field
 from repro.weather import SyntheticWeatherConfig, generate_weather
 
@@ -321,20 +321,17 @@ class TestGreedy:
         result = greedy_floorplan(small_problem, suitability=suitability)
         assert result.suitability is suitability
 
-    def test_config_validation(self):
-        with pytest.raises(InfeasiblePlacementError):
-            GreedyConfig(footprint_aggregate="median")
-        with pytest.raises(InfeasiblePlacementError):
-            GreedyConfig(tie_tolerance=-1.0)
+    def test_config_validation(self, small_problem):
+        # The footprint score (the mean) and the tie band are fixed: the
+        # adapter rejects the options that used to select them.
+        for options in ({"footprint_aggregate": "median"}, {"tie_tolerance": -1.0}):
+            with pytest.raises(ConfigurationError, match=next(iter(options))):
+                solve(small_problem, "greedy", options)
 
     def test_without_distance_threshold(self, small_problem):
         result = greedy_floorplan(
             small_problem, config=GreedyConfig(respect_distance_threshold=False)
         )
-        validate_placement(result.placement, small_problem.grid)
-
-    def test_anchor_aggregate_variant(self, small_problem):
-        result = greedy_floorplan(small_problem, config=GreedyConfig(footprint_aggregate="anchor"))
         validate_placement(result.placement, small_problem.grid)
 
 
@@ -351,17 +348,12 @@ class TestTraditional:
         greedy = greedy_floorplan(small_problem, suitability=traditional.suitability)
         assert traditional.placement.dispersion_m() <= greedy.placement.dispersion_m() + 1e-9
 
-    def test_modules_per_row_config(self, small_problem):
-        result = traditional_floorplan(
-            small_problem, config=TraditionalConfig(modules_per_row=2)
-        )
-        validate_placement(result.placement, small_problem.grid)
-
-    def test_config_validation(self):
-        with pytest.raises(InfeasiblePlacementError):
-            TraditionalConfig(modules_per_row=0)
-        with pytest.raises(InfeasiblePlacementError):
-            TraditionalConfig(gap_cells=-1)
+    def test_config_validation(self, small_problem):
+        # A block row holds one series string and the modules touch: the
+        # adapter takes no option at all.
+        for options in ({"modules_per_row": 0}, {"gap_cells": -1}):
+            with pytest.raises(ConfigurationError, match=next(iter(options))):
+                solve(small_problem, "traditional", options)
 
 
 class TestILPAndExhaustive:
@@ -429,9 +421,10 @@ class TestILPAndExhaustive:
         slack = gap * abs(ilp_value) / (1.0 - gap)
         assert ilp_value >= surrogate(greedy.placement) - slack - 1e-6
 
-    def test_ilp_anchor_limit(self, tiny_problem):
-        with pytest.raises(InfeasiblePlacementError):
-            ilp_floorplan(tiny_problem, config=ILPConfig(max_anchors=1))
+    def test_ilp_anchor_limit(self, tiny_problem, monkeypatch):
+        monkeypatch.setattr(ilp_module, "MAX_ANCHORS", 1)
+        with pytest.raises(InfeasiblePlacementError, match="ILP limit of 1"):
+            ilp_floorplan(tiny_problem)
 
     def test_exhaustive_not_worse_than_greedy(self, tiny_problem):
         exhaustive = exhaustive_floorplan(

@@ -44,7 +44,7 @@ from repro.core.constraints import feasible_anchor_mask, mark_occupied
 from repro.core.evaluation import _GATHER_TILE_BYTES
 from repro.core.greedy import _footprint_score_map
 from repro.core.suitability import SuitabilityConfig, SuitabilityMap
-from repro.core.traditional import TraditionalConfig, _pack_modules_individually
+from repro.core.traditional import _pack_modules_individually
 from repro.errors import GISError, InfeasiblePlacementError, PlacementError, SolarModelError
 from repro.geometry import Point3D, Raster, RasterSpec, RoofPlaneFrame
 from repro.gis import (
@@ -835,9 +835,7 @@ class TestIncrementalGreedyEquivalence:
         "config",
         [
             None,
-            GreedyConfig(footprint_aggregate="anchor"),
             GreedyConfig(respect_distance_threshold=False),
-            GreedyConfig(tie_tolerance=0.05),
         ],
     )
     def test_identical_on_small_problem(self, small_problem, config):
@@ -881,8 +879,12 @@ def _catalog_problem(name: str) -> FloorplanProblem:
     )
 
 
-def _grid_problem(valid, cells, n_modules, allow_rotation=False, threshold_factor=2.0):
+def _grid_problem(
+    valid, cells, n_modules, allow_rotation=False, threshold_factor=2.0, n_series=None
+):
     """A placement problem on a 1 m grid whose modules span ``cells = (w, h)``.
+
+    The modules form one string unless ``n_series`` is given.
 
     The placers read only the grid and the suitability map they are given,
     so the problem carries a stand-in for the solar field.
@@ -899,7 +901,7 @@ def _grid_problem(valid, cells, n_modules, allow_rotation=False, threshold_facto
         grid=grid,
         solar=SimpleNamespace(grid=grid),
         n_modules=n_modules,
-        topology=default_topology(n_modules, n_modules),
+        topology=default_topology(n_modules, n_series or n_modules),
         datasheet=dataclasses.replace(PV_MF165EB3, width_m=cells[0], height_m=cells[1]),
         allow_rotation=allow_rotation,
         distance_threshold_factor=threshold_factor,
@@ -953,11 +955,7 @@ def _greedy_case(draw):
     hypothesis.assume(capacity >= 1)
     fill = draw(st.sampled_from([0.7, 0.9] if islands else [0.2, 0.6, 0.9, 1.0]))
     n_modules = max(1, int(fill * min(capacity, 40)))
-    config = GreedyConfig(
-        footprint_aggregate=draw(st.sampled_from(["mean", "anchor", "min"])),
-        tie_tolerance=draw(st.sampled_from([0.0, 0.01, 0.05])),
-        respect_distance_threshold=draw(st.booleans()),
-    )
+    config = GreedyConfig(respect_distance_threshold=draw(st.booleans()))
     problem = _grid_problem(
         valid,
         cells,
@@ -969,7 +967,7 @@ def _greedy_case(draw):
     return problem, _suitability_map(values), config, warm_modules
 
 
-def _live_anchor_count(problem, suitability, config, placed) -> int:
+def _live_anchor_count(problem, suitability, placed) -> int:
     """Anchors a full rebuild would still rank after placing ``placed``."""
     occupied = np.zeros(problem.grid.shape, dtype=bool)
     orientations = [(problem.footprint, False)]
@@ -982,11 +980,7 @@ def _live_anchor_count(problem, suitability, config, placed) -> int:
         int(
             (
                 feasible_anchor_mask(problem.grid.valid_mask, occupied, fp)
-                & np.isfinite(
-                    _footprint_score_map(
-                        suitability, fp.cells_h, fp.cells_w, config.footprint_aggregate
-                    )
-                )
+                & np.isfinite(_footprint_score_map(suitability, fp.cells_h, fp.cells_w))
             ).sum()
         )
         for fp, _ in orientations
@@ -1046,7 +1040,7 @@ class TestIncrementalGreedyProperty:
         assert [step["module"] for step in steps] == list(range(problem.n_modules))
         for step in steps:
             assert step["candidates_left"] == _live_anchor_count(
-                problem, suitability, config, modules[: step["module"] + 1]
+                problem, suitability, modules[: step["module"] + 1]
             )
 
 
@@ -1057,43 +1051,40 @@ class TestIncrementalGreedyProperty:
 
 @st.composite
 def _banded_case(draw):
-    """Bands of valid rows too low for the whole block, with a remainder row."""
+    """Bands of valid rows too low for the whole block of two or more strings."""
     cells = (draw(st.integers(1, 3)), draw(st.integers(1, 2)))
-    modules_per_row = draw(st.integers(2, 4))
-    gap = draw(st.integers(0, 2))
-    n_rows_of_modules = draw(st.integers(2, 4))
-    remainder = draw(st.integers(1, modules_per_row - 1))
-    n_modules = (n_rows_of_modules - 1) * modules_per_row + remainder
-    # A band lower than the block (two module rows and a gap) cannot hold it.
-    band_h = draw(st.integers(cells[1], 2 * cells[1] + gap - 1))
-    row_w = modules_per_row * cells[0] + (modules_per_row - 1) * gap
+    n_series = draw(st.integers(2, 4))
+    n_parallel = draw(st.integers(2, 4))
+    # A band lower than two module rows cannot hold the block.
+    band_h = draw(st.integers(cells[1], 2 * cells[1] - 1))
+    row_w = n_series * cells[0]
     n_cols = draw(st.integers(row_w, row_w + 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
-    for _ in range(draw(st.integers(1, n_rows_of_modules + 1))):
+    for _ in range(draw(st.integers(1, n_parallel + 1))):
         rows.append(np.ones((band_h, n_cols), dtype=bool))
         rows.append(np.zeros((draw(st.integers(1, 2)), n_cols), dtype=bool))
     valid = np.vstack(rows[:-1])
     valid &= rng.random(valid.shape) >= draw(st.sampled_from([0.0, 0.03]))
+    n_modules = n_series * n_parallel
     hypothesis.assume(valid.sum() >= n_modules * cells[0] * cells[1])
-    problem = _grid_problem(valid, cells, n_modules)
+    problem = _grid_problem(valid, cells, n_modules, n_series=n_series)
     values = _level_values(rng, valid, draw(st.integers(2, 5)))
-    config = TraditionalConfig(modules_per_row=modules_per_row, gap_cells=gap)
-    return problem, _suitability_map(values), config
+    return problem, _suitability_map(values)
 
 
 class TestTraditionalStringRows:
     @settings(max_examples=60, deadline=None)
     @given(case=_banded_case())
     def test_matches_the_per_row_oracle(self, case):
-        problem, suitability, config = case
-        modules, strategy = traditional_floorplan_reference(problem, suitability, config)
+        problem, suitability = case
+        modules, strategy = traditional_floorplan_reference(problem, suitability)
         assert strategy != "full-block"
         if modules is None:
             with pytest.raises(InfeasiblePlacementError):
-                traditional_floorplan(problem, suitability, config)
+                traditional_floorplan(problem, suitability)
             return
-        fast = traditional_floorplan(problem, suitability, config)
+        fast = traditional_floorplan(problem, suitability)
         assert fast.strategy == strategy
         assert _module_tuples(fast.placement) == [
             (m.module_index, m.row, m.col, m.rotated) for m in modules

@@ -25,6 +25,7 @@ from repro.gis import (
     random_obstacle_set,
     scattered_vents,
     simple_residential_roof,
+    suitable_grid_for_scene,
     vent,
 )
 from repro.solar import TimeGrid
@@ -171,19 +172,12 @@ class TestSuitableArea:
         col = int(centroid.x / small_grid.pitch)
         assert not small_grid.valid_mask[row, col]
 
-    def test_shading_exclusion_requires_map(self, small_scene):
+    def test_scene_grid_uses_the_scene_setback(self, small_scene):
         grid = make_roof_grid(small_scene, pitch=0.2)
-        config = SuitableAreaConfig(max_shaded_fraction=0.5)
-        with pytest.raises(GISError):
-            compute_suitable_area(grid, [], config)
-
-    def test_shading_exclusion_applies(self, small_scene):
-        grid = make_roof_grid(small_scene, pitch=0.2)
-        shaded = np.zeros(grid.shape)
-        shaded[:, :10] = 0.9
-        config = SuitableAreaConfig(edge_setback_m=0.0, max_shaded_fraction=0.5)
-        result = compute_suitable_area(grid, [], config, shaded_fraction=shaded)
-        assert result.excluded_by_shading == 10 * grid.n_rows
+        config = SuitableAreaConfig(edge_setback_m=small_scene.spec.edge_setback_m)
+        expected = compute_suitable_area(grid, small_scene.obstacles, config)
+        restricted = suitable_grid_for_scene(small_scene, grid)
+        np.testing.assert_array_equal(restricted.valid_mask, expected.valid_mask)
 
     def test_apply_suitable_area_returns_new_grid(self, small_scene):
         grid = make_roof_grid(small_scene, pitch=0.2)

@@ -142,9 +142,9 @@ class TestClearSky:
 
     def test_linke_profile_validation(self):
         with pytest.raises(SolarModelError):
-            LinkeTurbidityProfile.from_monthly([3.0] * 11)
+            LinkeTurbidityProfile((3.0,) * 11)
         with pytest.raises(SolarModelError):
-            LinkeTurbidityProfile.from_monthly([0.0] + [3.0] * 11)
+            LinkeTurbidityProfile((0.0,) + (3.0,) * 11)
 
 
 class TestDecomposition:
@@ -175,19 +175,13 @@ class TestDecomposition:
         result = decompose_ghi(np.array([0.0]), np.array([1361.0]), np.array([-10.0]))
         assert result.dni[0] == 0.0 and result.dhi[0] == 0.0
 
-    def test_decompose_unknown_model(self):
-        with pytest.raises(SolarModelError):
-            decompose_ghi(np.array([500.0]), np.array([1361.0]), np.array([45.0]), model="foo")
-
-    def test_engerer_model_runs_and_bounded(self):
-        result = decompose_ghi(
-            np.array([500.0, 100.0]),
-            np.array([1361.0, 1361.0]),
-            np.array([45.0, 20.0]),
-            model="engerer",
-            clearsky_ghi=np.array([800.0, 300.0]),
-        )
-        assert np.all((result.diffuse_fraction >= 0) & (result.diffuse_fraction <= 1))
+    def test_decompose_is_erbs(self):
+        ghi = np.array([500.0, 100.0])
+        i0 = np.array([1361.0, 1361.0])
+        elevation = np.array([45.0, 20.0])
+        result = decompose_ghi(ghi, i0, elevation)
+        kt = clearness_index(ghi, i0, elevation)
+        np.testing.assert_array_equal(result.diffuse_fraction, erbs_diffuse_fraction(kt))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(SolarModelError):
@@ -224,22 +218,16 @@ class TestTransposition:
         assert poa_tilt.total[0] > poa_flat.total[0]
 
     def test_isotropic_and_haydavies_agree_for_zero_dni(self):
-        kwargs = dict(
+        # With no beam the Hay-Davies anisotropy index is 0, so the sky
+        # diffuse is the isotropic DHI * (1 + cos tilt) / 2.
+        poa = plane_of_array(
             dni=np.array([0.0]), dhi=np.array([100.0]), ghi=np.array([100.0]),
             extraterrestrial_normal=np.array([1400.0]),
             surface_tilt_deg=30.0, surface_azimuth_deg=0.0,
             solar_elevation_deg=np.array([40.0]), solar_azimuth_deg=np.array([0.0]),
         )
-        iso = plane_of_array(sky_model="isotropic", **kwargs)
-        hd = plane_of_array(sky_model="haydavies", **kwargs)
-        assert iso.sky_diffuse[0] == pytest.approx(hd.sky_diffuse[0], rel=1e-9)
-
-    def test_unknown_sky_model(self):
-        with pytest.raises(SolarModelError):
-            plane_of_array(
-                np.array([0.0]), np.array([0.0]), np.array([0.0]), np.array([1400.0]),
-                30.0, 0.0, np.array([40.0]), np.array([0.0]), sky_model="nope",
-            )
+        isotropic = 100.0 * (1.0 + np.cos(np.radians(30.0))) / 2.0
+        assert poa.sky_diffuse[0] == pytest.approx(isotropic, rel=1e-9)
 
     def test_ground_reflection_zero_for_flat(self):
         poa = plane_of_array(

@@ -271,18 +271,16 @@ class TestEntriesAreShared:
             assert point.result.n_valid_cells == studies[point.labels["roof"]].n_valid
 
     def test_turin_linke_climatology_has_one_key(self, tmp_path):
-        # Table I spells the Turin climatology out; a `repro run` scenario
-        # file that omits it means the same one.  Both describe one run.
-        turin = LinkeTurbidityProfile.turin_default().monthly_values
-        solar = SolarSpec(n_horizon_sectors=8, horizon_max_distance_m=20.0)
-        spelled_out = dataclasses.replace(solar, linke_turbidity=list(turin))
-        assert spelled_out == solar and spelled_out.linke_turbidity is None
+        # A scenario document may omit `solar.linke_turbidity`, leave it
+        # null or spell the Turin climatology out: all three describe the
+        # Table I run and share its cache entries.
+        turin = list(LinkeTurbidityProfile.turin_default().monthly_values)
         config = Table1Config(
             module_counts=(2,),
             series_length=2,
             case_study=CaseStudyConfig(
                 scale=0.35, dsm_pitch=0.5, time_step_minutes=240.0, day_stride=45,
-                solar=spelled_out,
+                solar=SolarSpec(n_horizon_sectors=8, horizon_max_distance_m=20.0),
             ),
         )
         table_spec = table1_sweep_plan(config, roofs=["roof2"]).specs()[0]
@@ -291,9 +289,10 @@ class TestEntriesAreShared:
         del document["solar"]["linke_turbidity"]
         run_spec = ScenarioSpec.from_dict(document)
         spelled = ScenarioSpec.from_dict(
-            {**document, "solar": {**document["solar"], "linke_turbidity": list(turin)}}
+            {**document, "solar": {**document["solar"], "linke_turbidity": turin}}
         )
         for spec in (run_spec, spelled):
+            assert spec.to_dict() == table_spec.to_dict()
             assert content_digest(spec.solar_payload()) == content_digest(
                 table_spec.solar_payload()
             )

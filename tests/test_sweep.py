@@ -114,8 +114,10 @@ class TestOverrides:
         assert dict(point.solver.options) == {}
 
     def test_solver_options_accept_new_keys(self, base_scenario):
-        point = base_scenario.with_overrides({"solver.options.tie_tolerance": 0.05})
-        assert point.solver.options["tie_tolerance"] == 0.05
+        point = base_scenario.with_overrides(
+            {"solver.options.respect_distance_threshold": False}
+        )
+        assert point.solver.options["respect_distance_threshold"] is False
 
     def test_module_field_override_expands_named_datasheet(self, base_scenario):
         point = base_scenario.with_overrides({"module.gamma_p_per_k": -0.001})
@@ -157,7 +159,7 @@ class TestOverrides:
             {"solver": "traditional"},
             {"weather.latitude_deg": 60.0, "weather.seed": 4},
             {"module.gamma_p_per_k": -0.002},
-            {"solver.options.tie_tolerance": 0.1},
+            {"solver.options.respect_distance_threshold": False},
         ],
         ids=["base", "modules", "solver", "weather", "datasheet", "options"],
     )

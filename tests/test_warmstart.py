@@ -217,9 +217,9 @@ class TestGreedyWarmStart:
         assert warm_full.placement.modules == cold_full.placement.modules
         assert warm_full.relaxed_threshold_count == cold_full.relaxed_threshold_count
 
-    @pytest.mark.parametrize("aggregate", ["mean", "anchor"])
-    def test_warm_equals_cold_across_configs(self, small_problem, aggregate):
-        config = GreedyConfig(footprint_aggregate=aggregate)
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_warm_equals_cold_across_configs(self, small_problem, threshold):
+        config = GreedyConfig(respect_distance_threshold=threshold)
         small = ladder_problem(small_problem, 3)
         hint = WarmStart(
             placement=greedy_floorplan(small, config=config).placement,
