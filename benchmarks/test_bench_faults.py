@@ -6,19 +6,22 @@ one module-attribute load plus a falsy check.  This bench pins that with
 numbers, the same way ``test_bench_telemetry.py`` does for spans: a warm
 cached scenario run is benchmarked with faults disabled, the identical
 workload is then run under a never-firing counting plan to see how many
-fault sites it actually crosses, and the measured per-call disabled cost
-times a generous multiple of that count must stay under 5 % of the
-fault-free runtime -- the ISSUE's "zero overhead disabled" acceptance bar.
+fault sites it actually crosses, and a generous multiple of that many
+disabled calls, timed right after a warm run, must cost under 5 % of that
+run (median over the pairs) -- the "zero overhead disabled" acceptance bar.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro import faults
 from repro.gis import RoofSpec
 from repro.runner import run_scenario
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec
+
+_PAIRS = 60
 
 
 def _bench_spec() -> ScenarioSpec:
@@ -50,7 +53,6 @@ def test_bench_disabled_fire_overhead(benchmark, tmp_path):
     run_scenario(spec, cache=cache_dir)  # warm every cacheable stage
 
     result = benchmark(lambda: run_scenario(spec, cache=cache_dir))
-    clean_s = float(benchmark.stats.stats.median)
     assert result.annual_energy_mwh > 0
 
     # Count the fault-site crossings of the identical warm workload with a
@@ -64,21 +66,33 @@ def test_bench_disabled_fire_overhead(benchmark, tmp_path):
     faults.configure(None)
     assert crossings >= 1  # at least the solver adapter's hook
 
-    # Measure the per-call cost of a disabled fire() directly.
-    loops = 200_000
-    start = time.perf_counter()
-    for _ in range(loops):
-        faults.fire("solver.error", key="bench")
-    per_call_s = (time.perf_counter() - start) / loops
-
     # Project against 100x the observed crossings: headroom for store-backed
     # campaign runs, whose per-write store.io hooks this workload lacks.
-    budget_s = 0.05 * clean_s
-    projected_s = max(crossings * 100, 1000) * per_call_s
+    calls = max(crossings * 100, 1000)
+
+    # Time that many disabled fire() calls, made the way the call sites make
+    # them, right after each of a series of warm runs and judge the median
+    # share.  A slow phase of a shared host stretches both halves of a pair
+    # alike; timing the run and the calls at different moments let one such
+    # phase decide the share alone.
+    run_times, call_times, shares = [], [], []
+    for _ in range(_PAIRS):
+        start = time.perf_counter()
+        run_scenario(spec, cache=cache_dir)
+        run_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(calls):
+            faults.fire("solver.error", "bench")
+        calls_s = time.perf_counter() - start
+        run_times.append(run_s)
+        call_times.append(calls_s)
+        shares.append(calls_s / run_s)
+    share = statistics.median(shares)
+    run_s, calls_s = statistics.median(run_times), statistics.median(call_times)
     print(
-        f"\n[faults] warm disabled run {clean_s * 1e3:.2f} ms, "
-        f"{crossings} fault-site crossings x {per_call_s * 1e9:.0f} ns "
-        f"= {projected_s * 1e6:.1f} us projected overhead at 100x margin "
-        f"({100.0 * projected_s / clean_s:.3f} % of the run; budget 5 %)"
+        f"\n[faults] warm disabled run {run_s * 1e3:.2f} ms, "
+        f"{crossings} fault-site crossings x {calls_s / calls * 1e9:.0f} ns "
+        f"= {calls_s * 1e6:.1f} us projected overhead at 100x margin "
+        f"({100.0 * share:.3f} % of the run, median of {_PAIRS} pairs; budget 5 %)"
     )
-    assert projected_s < budget_s
+    assert share < 0.05

@@ -454,8 +454,8 @@ def execute_point(
     point's identity (the spec digest is hint-free).
     """
     spec = spec if isinstance(spec, ScenarioSpec) else ScenarioSpec.from_dict(spec)
-    faults.fire("worker.crash", key=spec.name)
-    faults.fire("worker.hang", key=spec.name)
+    faults.fire("worker.crash", spec.name)
+    faults.fire("worker.hang", spec.name)
     try:
         result = run_scenario(
             spec,

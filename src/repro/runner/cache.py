@@ -644,7 +644,7 @@ class StageCache:
             self._write_atomic(self._manifest_path(path), lambda h: h.write(manifest))
             self._write_atomic(path, lambda h: h.write(raw))
             self.stats.writes += 1
-            if faults.fire("cache.corrupt", key=stage):
+            if faults.fire("cache.corrupt", stage):
                 # Chaos hook: bit-rot the entry we just published.  The
                 # truncated pickle no longer matches its manifest, so the
                 # next reader must quarantine it and recompute.

@@ -216,7 +216,7 @@ def solve(
     with span(f"solver.{entry.name}", n_modules=problem.n_modules) as solver_span:
         # Chaos hook: an armed ``solver.error`` injector raises here, inside
         # the solver span, exactly where a real solver-library crash would.
-        faults.fire("solver.error", key=f"{problem.label}:{entry.name}")
+        faults.fire("solver.error", f"{problem.label}:{entry.name}")
         # The hint argument is part of the warm-start capability contract:
         # only declared-capable adapters receive it, so pre-existing
         # three-argument solvers keep working unchanged.

@@ -669,7 +669,7 @@ class ResultStore:
         last_error: Optional[BaseException] = None
         for attempt in range(WRITE_RETRIES):
             try:
-                faults.fire("store.io", key=key)
+                faults.fire("store.io", key)
                 self._conn.execute("BEGIN IMMEDIATE")
             except sqlite3.OperationalError as exc:
                 last_error = exc

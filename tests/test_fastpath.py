@@ -835,6 +835,7 @@ class TestIncrementalGreedyEquivalence:
         "config",
         [
             None,
+            GreedyConfig(respect_distance_threshold=True),
             GreedyConfig(respect_distance_threshold=False),
         ],
     )
