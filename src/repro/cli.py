@@ -885,8 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--warm-start",
         action="store_true",
-        help="solve points in axis-ascending order, warm-starting each from its "
-        "nearest solved neighbour (results identical to cold, only faster)",
+        help="solve points in axis-ascending order, resuming each greedy point "
+        "from the one n_modules step below it (results identical to cold)",
     )
     sweep_parser.add_argument(
         "--output", default=None, help="write the aggregated sweep result JSON here"

@@ -169,9 +169,8 @@ class PlacementEvaluator:
     all modules, one substring reduction, and a *single* module operating
     point computation shared by the panel aggregation and the mismatch-loss
     figure (the original per-module loop computed it three times).  Every
-    module runs at its maximum power point, as the paper assumes, and
-    ``include_wiring_loss`` chooses whether the resistive loss of the extra
-    string cabling is subtracted.
+    module runs at its maximum power point, as the paper assumes, and the
+    resistive loss of the extra string cabling is subtracted.
 
     Example
     -------
@@ -194,9 +193,8 @@ class PlacementEvaluator:
     True
     """
 
-    def __init__(self, problem: FloorplanProblem, include_wiring_loss: bool = True):
+    def __init__(self, problem: FloorplanProblem):
         self.problem = problem
-        self.include_wiring_loss = include_wiring_loss
         self.array = problem.array
 
         solar = problem.solar
@@ -451,17 +449,12 @@ class PlacementEvaluator:
             * panel.string_currents_a**2,
             axis=1,
         )
-        if self.include_wiring_loss:
-            net_power = np.maximum(gross_power - loss_power, 0.0)
-        else:
-            net_power = gross_power
+        net_power = np.maximum(gross_power - loss_power, 0.0)
 
         time_axis = self._time_axis
         gross_energy = time_axis.integrate_energy_wh(gross_power)
         net_energy = time_axis.integrate_energy_wh(net_power)
-        wiring_loss = (
-            time_axis.integrate_energy_wh(loss_power) if self.include_wiring_loss else 0.0
-        )
+        wiring_loss = time_axis.integrate_energy_wh(loss_power)
 
         # Mismatch loss from the same operating point (the per-module loop
         # recomputed both the ideal and the aggregate a second time).

@@ -31,7 +31,6 @@ class ExhaustiveConfig:
     """Safety limits of the exhaustive search."""
 
     max_combinations: int = 200000
-    include_wiring_loss: bool = True
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,7 @@ def exhaustive_floorplan(
     # One evaluation context amortises the problem-level precomputation
     # (cell lookup, substring grouping, temperature factors) over every
     # candidate combination -- the search scores hundreds of placements.
-    evaluator = PlacementEvaluator(
-        problem, include_wiring_loss=cfg.include_wiring_loss
-    )
+    evaluator = PlacementEvaluator(problem)
 
     with span(
         "exhaustive.search", n_anchors=n_anchors, n_combinations=n_combinations

@@ -18,14 +18,11 @@ suitability-driven placer can achieve, which the ablation benchmark (E10)
 compares against the greedy result and, where tractable, against the true
 energy-optimal placement found by :mod:`repro.core.exhaustive`.
 
-SciPy's :func:`~scipy.optimize.milp` has no MIP-start parameter, so a
-warm-start hint is exploited as a *validated incumbent* instead: the hint's
-anchors are mapped into the formulation (greedily completed to N modules
-when the hint is smaller), an objective cutoff constraint forbids any
-answer worse than the incumbent, and when the time budget expires before
-HiGHS finds a solution the incumbent itself is returned -- best-so-far
-anytime semantics with the optimality ``gap`` reported from the solver's
-dual bound.
+Every solve starts cold: SciPy's :func:`~scipy.optimize.milp` has no
+MIP-start parameter, so a neighbouring instance's placement has nothing to
+seed.  When the ``time_limit_s`` budget expires before HiGHS finds a
+solution, :class:`~repro.errors.InfeasiblePlacementError` is raised and a
+solver chain's fallback entry (``"fallback": ["greedy"]``) answers instead.
 
 SciPy is imported inside :func:`ilp_floorplan`, not at module level: the
 ILP is the only user of SciPy, so a process that never solves one (every
@@ -39,20 +36,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import InfeasiblePlacementError, PlacementError
 from ..telemetry import span
-from .constraints import feasible_anchor_mask, mark_occupied
+from .constraints import feasible_anchor_mask
 from .greedy import _footprint_score_map
 from .placement import ModulePlacement, Placement
 from .problem import FloorplanProblem
 from .suitability import SuitabilityMap, problem_suitability
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner -> core)
-    from ..runner.solvers import WarmStart
 
 
 #: Largest number of anchor variables the ILP accepts; bigger instances
@@ -83,8 +76,7 @@ class ILPResult:
     """Outcome of the ILP placement.
 
     ``gap`` is the relative optimality gap (0.0 = proven optimal, ``None``
-    = the solver reported none); ``warm_started`` records whether a
-    validated warm-start incumbent entered the solve.
+    = the solver reported none).
     """
 
     placement: Placement
@@ -93,22 +85,14 @@ class ILPResult:
     runtime_s: float
     solver_status: str
     gap: float | None = None
-    warm_started: bool = False
 
 
 def ilp_floorplan(
     problem: FloorplanProblem,
     suitability: SuitabilityMap | None = None,
     config: ILPConfig | None = None,
-    warm_start: "WarmStart | None" = None,
 ) -> ILPResult:
-    """Solve the suitability-maximising placement ILP for a problem instance.
-
-    ``warm_start`` supplies a neighbouring placement used as a feasible
-    incumbent (see the module docstring); a hint that fails validation is
-    ignored, so it can never degrade the objective -- the cutoff constraint
-    guarantees the returned answer scores at least as well as the incumbent.
-    """
+    """Solve the suitability-maximising placement ILP for a problem instance."""
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -172,31 +156,7 @@ def ilp_floorplan(
             LinearConstraint(np.ones((1, n_anchors)), problem.n_modules, problem.n_modules),
             LinearConstraint(coverage, -np.inf, 1.0),
         ]
-
-        incumbent = (
-            _warm_incumbent(problem, warm_start, anchors, scores, orientations)
-            if warm_start is not None
-            else None
-        )
-        warm_started = incumbent is not None
-        if incumbent is not None:
-            incumbent_ids, incumbent_objective = incumbent
-            # Objective cutoff: no feasible answer may score below the
-            # incumbent (the epsilon absorbs float accumulation noise), so
-            # the warm solve can only match or improve on the hint.
-            cutoff_eps = 1e-9 * max(1.0, abs(incumbent_objective))
-            constraints.append(
-                LinearConstraint(
-                    np.asarray(scores).reshape(1, -1),
-                    incumbent_objective - cutoff_eps,
-                    np.inf,
-                )
-            )
-        build_span.set(
-            n_anchors=n_anchors,
-            n_covered_cells=int(covered_cells.sum()),
-            warm_started=warm_started,
-        )
+        build_span.set(n_anchors=n_anchors, n_covered_cells=int(covered_cells.sum()))
 
     with span("ilp.solve", n_anchors=n_anchors) as solve_span:
         result = milp(
@@ -213,45 +173,21 @@ def ilp_floorplan(
     if raw_gap is not None and np.isfinite(raw_gap):
         gap = float(raw_gap)
 
-    if result.x is not None:
-        chosen = np.nonzero(np.round(result.x) > 0.5)[0]
-    else:
-        chosen = None
-    if chosen is not None and chosen.size == problem.n_modules:
-        milp_objective = float(-result.fun)
-        if incumbent is not None and incumbent_objective > milp_objective + 1e-9:
-            # Should be ruled out by the cutoff; kept as a belt-and-braces
-            # guarantee that a warm solve never returns less than its hint.
-            chosen_ids = list(incumbent_ids)
-            objective_value = incumbent_objective
-            status = f"warm incumbent kept ({result.message})"
-        else:
-            chosen_ids = chosen.tolist()
-            objective_value = milp_objective
-            status = str(result.message)
-    elif incumbent is not None:
-        # Anytime answer: the budget expired (or HiGHS stumbled) before a
-        # solution emerged -- return the validated incumbent as best-so-far,
-        # with the gap taken against the solver's dual bound when one exists.
-        chosen_ids = list(incumbent_ids)
-        objective_value = incumbent_objective
-        status = f"warm incumbent returned ({result.message})"
-        dual = getattr(result, "mip_dual_bound", None)
-        if dual is not None and np.isfinite(dual):
-            bound = float(-dual)
-            gap = abs(bound - incumbent_objective) / max(abs(incumbent_objective), 1e-12)
-    elif chosen is not None:
-        raise InfeasiblePlacementError(
-            f"the ILP returned {chosen.size} anchors instead of {problem.n_modules}"
-        )
-    else:
+    chosen = None if result.x is None else np.nonzero(np.round(result.x) > 0.5)[0]
+    if chosen is None:
         raise InfeasiblePlacementError(
             f"the ILP solver failed to find a feasible placement: {result.message}"
         )
+    if chosen.size != problem.n_modules:
+        raise InfeasiblePlacementError(
+            f"the ILP returned {chosen.size} anchors instead of {problem.n_modules}"
+        )
+    objective_value = float(-result.fun)
+    status = str(result.message)
 
     # Assign module indices to anchors in decreasing-score order so that the
     # series-first string structure matches the greedy convention.
-    chosen_sorted = sorted(chosen_ids, key=lambda a: -scores[a])
+    chosen_sorted = sorted(chosen.tolist(), key=lambda a: -scores[a])
     modules = [
         ModulePlacement(
             module_index=i,
@@ -285,74 +221,5 @@ def ilp_floorplan(
         runtime_s=runtime,
         solver_status=status,
         gap=gap,
-        warm_started=warm_started,
     )
 
-
-def _warm_incumbent(
-    problem: FloorplanProblem,
-    warm_start: "WarmStart",
-    anchors: list,
-    scores: list,
-    orientations,
-):
-    """Map a warm-start hint into a feasible incumbent selection.
-
-    Returns ``(anchor_ids, objective)`` or ``None`` when the hint cannot be
-    trusted (foreign footprint/pitch, anchors outside the formulation,
-    self-overlap, or no feasible completion to N modules).  A smaller hint
-    is completed greedily by score; a larger one keeps its N best anchors.
-    """
-    hint = getattr(warm_start, "placement", None)
-    if hint is None or not hint.modules:
-        return None
-    footprint = problem.footprint
-    if (hint.footprint.cells_w, hint.footprint.cells_h) != (
-        footprint.cells_w,
-        footprint.cells_h,
-    ):
-        return None
-    if abs(hint.grid_pitch - problem.grid.pitch) > 1e-9:
-        return None
-
-    anchor_ids = {anchor: aid for aid, anchor in enumerate(anchors)}
-    footprint_by_rotation = {rotated: fp for fp, rotated in orientations}
-    hinted: list[int] = []
-    for module in hint.modules:
-        aid = anchor_ids.get((module.row, module.col, module.rotated))
-        if aid is None:
-            return None
-        hinted.append(aid)
-
-    occupied = np.zeros(problem.grid.shape, dtype=bool)
-    selected: list[int] = []
-    # Best-scoring hinted anchors first, so an oversized hint keeps its
-    # strongest N and an exact-size hint is taken verbatim.
-    for aid in sorted(set(hinted), key=lambda a: -scores[a]):
-        if len(selected) == problem.n_modules:
-            break
-        row, col, rotated = anchors[aid]
-        fp = footprint_by_rotation[rotated]
-        if occupied[row : row + fp.cells_h, col : col + fp.cells_w].any():
-            return None  # the hint overlaps itself: corrupt, distrust it
-        mark_occupied(occupied, row, col, fp)
-        selected.append(aid)
-
-    if len(selected) < problem.n_modules:
-        chosen = set(selected)
-        for aid in sorted(range(len(anchors)), key=lambda a: -scores[a]):
-            if len(selected) == problem.n_modules:
-                break
-            if aid in chosen:
-                continue
-            row, col, rotated = anchors[aid]
-            fp = footprint_by_rotation[rotated]
-            if occupied[row : row + fp.cells_h, col : col + fp.cells_w].any():
-                continue
-            mark_occupied(occupied, row, col, fp)
-            selected.append(aid)
-            chosen.add(aid)
-        if len(selected) < problem.n_modules:
-            return None
-
-    return selected, float(sum(scores[a] for a in selected))

@@ -819,7 +819,7 @@ def run_batch(
     retry_backoff_s: float = 0.0,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     stale_after_s: float = DEFAULT_STALE_AFTER_S,
-    warm_hints: Optional[Mapping[str, Tuple[str, bool]]] = None,
+    warm_hints: Optional[Mapping[str, str]] = None,
 ) -> BatchResult:
     """Execute a scenario fleet, in a process pool or in-process, and store results.
 
@@ -862,16 +862,15 @@ def run_batch(
         Heartbeat age beyond which another owner's ``running`` row of this
         fleet counts as abandoned and is adopted by this run.
     warm_hints:
-        Optional warm-start wiring: maps a scenario name to
-        ``(neighbour_name, exact_prefix)`` -- when the point starts, its
-        neighbour's finished placement (from this run or from done store
-        rows of earlier runs) is offered to the solver as a warm start.
-        Strictly best-effort and out-of-band: hints never enter spec
-        digests, a missing neighbour means a cold solve, and
-        ``exact_prefix`` must only be set when the neighbour differs
-        solely by a smaller ``n_modules`` (the greedy replay contract).
-        The wiring is persisted on the enrolled rows, so detached fleet
-        workers pick the same hints up.
+        Optional warm-start wiring: maps a scenario name to its
+        neighbour's name, a scenario that differs from it solely by a
+        smaller ``n_modules`` (the greedy replay contract).  When the point
+        starts, the neighbour's finished placement (from this run or from
+        done store rows of earlier runs) is offered to the solver as an
+        exact-prefix warm start.  Strictly best-effort and out-of-band:
+        hints never enter spec digests and a missing neighbour means a cold
+        solve.  The wiring is persisted on the enrolled rows, so detached
+        fleet workers pick the same hints up.
 
     Example
     -------

@@ -25,12 +25,11 @@ Warm starts
 -----------
 :func:`solve` accepts an optional :class:`WarmStart` -- a neighbouring
 instance's placement plus provenance flags -- and forwards it to solvers
-whose registration declares ``supports_warm_start``.  The greedy placer
-resumes from the hint when it is its own solution prefix (the sweep layer
-sets ``exact_prefix`` when only ``n_modules`` grew between neighbour and
-point); the ILP uses the hint as a feasible incumbent (objective cutoff +
-best-so-far answer on timeout).  Solvers without warm-start support simply
-never see the hint, so passing one is always safe.
+whose registration declares ``supports_warm_start``.  Only the greedy
+placer does: it resumes from the hint when it is its own solution prefix
+(the sweep layer wires a point only to the point one ``n_modules`` step
+below it).  Solvers without warm-start support never see the hint, so
+passing one is always safe.
 """
 
 from __future__ import annotations
@@ -59,10 +58,9 @@ class WarmStart:
     promise by the *caller* that the hint is this very problem's own optimal
     greedy prefix -- the hinted instance differed only by a smaller
     ``n_modules`` -- which is what allows the greedy placer to replay it
-    verbatim and still match a cold solve module for module.  Without the
-    flag the hint is advisory only: solvers may use it as a feasible
-    incumbent (the ILP does) but never as trusted structure.  ``source``
-    carries provenance (the neighbour point's name or digest) into traces.
+    verbatim and still match a cold solve module for module.  A hint without
+    the flag is ignored.  ``source`` carries provenance (the neighbour
+    point's name or digest) into traces.
     """
 
     placement: Placement
@@ -75,10 +73,7 @@ class SolverOutcome:
     """Normalised result of any registered solver.
 
     Solver-specific figures (``strategy``, ``relaxed_threshold_count``,
-    ``objective_value``, ...) live in :attr:`info`; they are also reachable
-    as plain attributes for compatibility with the per-solver result types
-    (``GreedyResult``, ``TraditionalResult``, ...) this class replaced at
-    the ``plan_roof`` / experiment-driver level.
+    ``objective_value``, ...) live in :attr:`info`.
 
     ``gap`` is the solver-reported relative optimality gap (0.0 = proven
     optimal under the solver's own objective, ``None`` = the solver does
@@ -94,15 +89,6 @@ class SolverOutcome:
     info: Dict[str, Any]
     gap: Optional[float] = None
     warm_started: bool = False
-
-    def __getattr__(self, name: str) -> Any:
-        info = object.__getattribute__(self, "info")
-        if name in info:
-            return info[name]
-        raise AttributeError(
-            f"{type(self).__name__} from solver "
-            f"{object.__getattribute__(self, 'solver')!r} has no attribute {name!r}"
-        )
 
 
 #: A solver adapter: problem + options (+ an optional precomputed
@@ -394,12 +380,9 @@ def _ilp(
     problem: FloorplanProblem,
     options: Mapping[str, Any],
     suitability: Optional[SuitabilityMap],
-    warm_start: Optional[WarmStart] = None,
 ) -> SolverOutcome:
     config = _build_config(ILPConfig, options, "ilp")
-    result = ilp_floorplan(
-        problem, suitability=suitability, config=config, warm_start=warm_start
-    )
+    result = ilp_floorplan(problem, suitability=suitability, config=config)
     return SolverOutcome(
         solver="ilp",
         placement=result.placement,
@@ -410,7 +393,6 @@ def _ilp(
             "solver_status": result.solver_status,
         },
         gap=result.gap,
-        warm_started=result.warm_started,
     )
 
 
@@ -436,5 +418,5 @@ def _exhaustive(
 
 register_solver("greedy", _greedy, supports_warm_start=True)
 register_solver("traditional", _traditional)
-register_solver("ilp", _ilp, supports_warm_start=True, budget_option="time_limit_s")
+register_solver("ilp", _ilp, budget_option="time_limit_s")
 register_solver("exhaustive", _exhaustive)

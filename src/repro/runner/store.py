@@ -273,7 +273,9 @@ class PointRecord:
     #: Warm-start wiring written at enrollment: the content digest of the
     #: neighbour whose done placement should seed this point's solver, and
     #: whether that neighbour differs only by a smaller ``n_modules`` (the
-    #: greedy exact-replay contract).  ``None`` = solve cold.
+    #: greedy exact-replay contract).  :meth:`ResultStore.enroll` always
+    #: writes the flag set; a row without it (written by an older build)
+    #: solves cold.  ``None`` = solve cold.
     warm_hint_digest: Optional[str] = None
     warm_exact_prefix: bool = False
 
@@ -553,7 +555,7 @@ class ResultStore:
         campaign: str,
         specs: Sequence[ScenarioSpec],
         priority: str = PRIORITY_BATCH,
-        warm_hints: Optional[Mapping[str, Tuple[str, bool]]] = None,
+        warm_hints: Optional[Mapping[str, str]] = None,
     ) -> List[PointRecord]:
         """Register the campaign's points, keeping any existing state.
 
@@ -562,13 +564,14 @@ class ResultStore:
         again is exactly the resume entry point.  ``priority`` stamps the
         admission tier of *newly created* rows: ``interactive`` points are
         claimed ahead of ``batch`` ones by :meth:`claim_next_pending`.
-        ``warm_hints`` maps a spec name to ``(neighbour_name, exact_prefix)``
-        -- the neighbour must be in this enrollment -- and is written into
-        the ``warm_hint_digest``/``warm_exact_prefix`` columns so detached
-        fleet workers resolve the same hints the driver would; unlike the
-        lifecycle state it IS refreshed on re-enrollment (wiring is
-        routing, not identity).  Returns the stored records in ``specs``
-        order.
+        ``warm_hints`` maps a spec name to the name of its exact-prefix
+        neighbour (the same scenario with a smaller ``n_modules``), which
+        must be in this enrollment.  Each hint is written as the
+        neighbour's ``warm_hint_digest`` with ``warm_exact_prefix = 1``, so
+        detached fleet workers resolve the same hints the driver would;
+        unlike the lifecycle state the wiring IS refreshed on re-enrollment
+        (wiring is routing, not identity).  Returns the stored records in
+        ``specs`` order.
         """
         if not campaign:
             raise ConfigurationError("a campaign needs a non-empty name")
@@ -585,18 +588,17 @@ class ResultStore:
         digest_by_name = {spec.name: digest for spec, digest in zip(specs, digests)}
         hint_columns: List[Tuple[Optional[str], int]] = []
         for spec in specs:
-            target = warm_hints.get(spec.name) if warm_hints else None
-            if target is None:
+            neighbour_name = warm_hints.get(spec.name) if warm_hints else None
+            if neighbour_name is None:
                 hint_columns.append((None, 0))
                 continue
-            neighbour_name, exact_prefix = target
             neighbour_digest = digest_by_name.get(neighbour_name)
             if neighbour_digest is None:
                 raise ConfigurationError(
                     f"warm hint for {spec.name!r} references {neighbour_name!r}, "
                     "which is not part of this enrollment"
                 )
-            hint_columns.append((neighbour_digest, int(bool(exact_prefix))))
+            hint_columns.append((neighbour_digest, 1))
         now = time.time()
 
         def operate(conn: sqlite3.Connection) -> None:

@@ -106,13 +106,13 @@ def run_sweep(
         deterministic jitter); ``0`` retries immediately.
     warm_start:
         When True the sweep executes its points in axis-ascending order and
-        offers every point its nearest already-solved neighbour's placement
-        as a solver warm start (:meth:`SweepPlan.warm_execution`); ``None``
-        falls back to the plan's own ``warm_start`` flag.  Warm starts are
-        best-effort hints carried out-of-band: point digests, cache keys and
-        the aggregated table (which stays in plan-point order) are identical
-        to a cold run -- only runtimes and the ``warm_started``/``gap``
-        provenance fields change.
+        offers every point the placement of the point one ``n_modules`` step
+        below it, which the greedy placer replays as its exact prefix
+        (:meth:`SweepPlan.warm_execution`); ``None`` falls back to the
+        plan's own ``warm_start`` flag.  Warm starts are best-effort hints
+        carried out-of-band: point digests, cache keys and the aggregated
+        table (which stays in plan-point order) are identical to a cold run
+        -- only runtimes and the ``warm_started`` provenance field change.
 
     Returns
     -------

@@ -27,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..scenario.spec import ScenarioSpec
@@ -162,9 +162,10 @@ class SweepPlan:
     #: ``timeout_s`` argument of :func:`repro.sweep.run_sweep`) overrides it.
     timeout_s: Optional[float] = None
     #: When True the sweep runs warm-started: points execute in
-    #: axis-ascending order and each point's solver is offered its nearest
-    #: already-solved neighbour's placement (see :meth:`warm_execution`).
-    #: Results are bit-identical to a cold run -- only runtimes change.
+    #: axis-ascending order and each point's solver is offered the placement
+    #: of the point one ``n_modules`` step below it (see
+    #: :meth:`warm_execution`).  Results are bit-identical to a cold run --
+    #: only runtimes change.
     warm_start: bool = False
 
     def __post_init__(self) -> None:
@@ -267,7 +268,7 @@ class SweepPlan:
     def _exact_prefix_pair(neighbour: SweepPoint, point: SweepPoint) -> bool:
         """True when ``point`` differs from ``neighbour`` only by a larger
         (or equal) ``n_modules`` -- the case where a greedy prefix replay is
-        exact, not merely a heuristic hint."""
+        exact."""
         keys = set(neighbour.overrides) | set(point.overrides)
         differing = [
             key
@@ -284,66 +285,49 @@ class SweepPlan:
             and before <= after
         )
 
-    def warm_execution(self) -> Tuple[List[SweepPoint], dict]:
+    def warm_execution(self) -> Tuple[List[SweepPoint], Dict[str, str]]:
         """Warm execution order plus per-point neighbour wiring.
 
         Returns ``(ordered_points, warm_hints)`` where ``ordered_points``
-        is :meth:`points` reordered so every point's designated neighbour
-        precedes it, and ``warm_hints`` maps point name to
-        ``(neighbour_name, exact_prefix)`` as consumed by
-        :func:`repro.runner.run_batch`.
+        is :meth:`points` sorted by ascending axis rank, so every point's
+        neighbour precedes it, and ``warm_hints`` maps a point name to its
+        neighbour's name as consumed by :func:`repro.runner.run_batch`.
 
-        Neighbour choice: in ``grid`` mode each point prefers the point one
-        step below it on the ``n_modules`` axis (an exact greedy prefix);
-        failing that, one step below on the fastest-varying axis with room
-        to step (a heuristic hint -- greedy ignores it, ILP uses it as an
-        incumbent).  The axis-origin point runs cold.  ``zip`` mode chains
-        points in ranked order.  Hints are best-effort routing, not
-        dependencies: a missing or failed neighbour just means that point
-        solves cold.
+        A point's neighbour is the point one step below it on the
+        ``n_modules`` axis with every other override equal -- the one pair
+        whose greedy solution is an exact prefix of the point's.  In
+        ``grid`` mode that is the point one rank lower on that axis; in
+        ``zip`` mode it is the previous point in rank order, when only
+        ``n_modules`` differs between the two.  Every other point, the
+        ladder's first rung included, runs cold.  Hints are best-effort
+        routing, not dependencies: a missing or failed neighbour just means
+        that point solves cold.
         """
         points = self.points()
-        index_tuples = self._index_tuples()
         ranks = self._axis_ranks()
         ranked = [
             tuple(ranks[a][i] for a, i in enumerate(indices))
-            for indices in index_tuples
+            for indices in self._index_tuples()
         ]
         order = sorted(range(len(points)), key=lambda p: ranked[p])
-        warm_hints: dict = {}
         if self.mode == "zip":
-            for position in range(1, len(order)):
-                point = points[order[position]]
-                neighbour = points[order[position - 1]]
-                warm_hints[point.name] = (
-                    neighbour.name,
-                    self._exact_prefix_pair(neighbour, point),
-                )
-            return [points[p] for p in order], warm_hints
-        by_ranked = {ranked[p]: p for p in range(len(points))}
-        n_modules_axis = next(
-            (a for a, axis in enumerate(self.axes) if axis.key == "n_modules"),
-            None,
-        )
-        for p, r in enumerate(ranked):
-            step_axis = None
-            if n_modules_axis is not None and r[n_modules_axis] > 0:
-                step_axis = n_modules_axis
-            else:
-                for a in reversed(range(len(r))):
-                    if r[a] > 0:
-                        step_axis = a
-                        break
-            if step_axis is None:
-                continue  # the all-axes-origin point: runs cold
-            stepped = list(r)
-            stepped[step_axis] -= 1
-            neighbour = points[by_ranked[tuple(stepped)]]
-            point = points[p]
-            warm_hints[point.name] = (
-                neighbour.name,
-                self._exact_prefix_pair(neighbour, point),
+            pairs = list(zip(order, order[1:]))
+        else:
+            by_ranked = {r: p for p, r in enumerate(ranked)}
+            n_axis = next(
+                (a for a, axis in enumerate(self.axes) if axis.key == "n_modules"),
+                None,
             )
+            pairs = [
+                (by_ranked[r[:n_axis] + (r[n_axis] - 1,) + r[n_axis + 1 :]], p)
+                for p, r in enumerate(ranked)
+                if n_axis is not None and r[n_axis] > 0
+            ]
+        warm_hints = {
+            points[p].name: points[n].name
+            for n, p in pairs
+            if self._exact_prefix_pair(points[n], points[p])
+        }
         return [points[p] for p in order], warm_hints
 
     @property

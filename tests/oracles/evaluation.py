@@ -170,7 +170,6 @@ def module_irradiance_series_reference(
 def evaluate_placement_reference(
     problem: FloorplanProblem,
     placement: Placement,
-    include_wiring_loss: bool = True,
     store_power_series: bool = False,
 ) -> PlacementEvaluation:
     """Original evaluation flow (ground truth for the vectorised evaluator).
@@ -206,14 +205,11 @@ def evaluate_placement_reference(
     loss_power = np.sum(
         wiring.resistance_per_m * extra_lengths[None, :] * string_currents**2, axis=1
     )
-    if include_wiring_loss:
-        net_power = np.maximum(gross_power - loss_power, 0.0)
-    else:
-        net_power = gross_power
+    net_power = np.maximum(gross_power - loss_power, 0.0)
 
     gross_energy = time_grid.integrate_energy_wh(gross_power)
     net_energy = time_grid.integrate_energy_wh(net_power)
-    wiring_loss = time_grid.integrate_energy_wh(loss_power) if include_wiring_loss else 0.0
+    wiring_loss = time_grid.integrate_energy_wh(loss_power)
 
     mismatch = mismatch_loss_fraction(array, irradiance, ambient, model)
     daylight = operating.power_w > 1.0

@@ -379,6 +379,9 @@ class TestILPAndExhaustive:
         validate_placement(result.placement, tiny_problem.grid)
         assert result.placement.n_modules == 2
         assert result.objective_value > 0
+        assert result.gap is not None
+        assert result.gap <= 1e-6  # proven optimum on this tiny instance
+        assert result.placement.metadata["gap"] == result.gap
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -468,19 +471,16 @@ class TestILPAndExhaustive:
 
 @st.composite
 def _tiny_roof_problems(draw):
-    """``(problem, include_wiring_loss)``: a small unobstructed roof holding
-    1-3 modules side by side, planned on a 0.4 m grid (4 x 2 cells per
-    module) without rotation, so the ILP's anchors are a subset of the
-    exhaustive search's.
+    """A small unobstructed roof holding 1-3 modules side by side, planned on
+    a 0.4 m grid (4 x 2 cells per module) without rotation, so the ILP's
+    anchors are a subset of the exhaustive search's.
 
     The exhaustive search scores one module order per anchor set, so the
     energy must not depend on that order.  It does only through the wiring
-    of a string of three, which is not drawn with the wiring loss on.
+    loss of a string of three, which is not drawn.
     """
-    include_wiring_loss = draw(st.booleans())
     n_modules = draw(st.integers(min_value=1, max_value=3))
-    series_options = (1, 2) if include_wiring_loss else (1, 2, 3)
-    n_series = draw(st.sampled_from([d for d in series_options if n_modules % d == 0]))
+    n_series = draw(st.sampled_from([d for d in (1, 2) if n_modules % d == 0]))
     spec = RoofSpec(
         name="drawn-tiny-roof",
         width_m=1.6 * n_modules + 0.4 * draw(st.integers(min_value=0, max_value=2)),
@@ -507,23 +507,16 @@ def _tiny_roof_problems(draw):
         allow_rotation=False,
         label="drawn-tiny-problem",
     )
-    return problem, include_wiring_loss
+    return problem
 
 
 @settings(max_examples=10, deadline=None)
-@given(case=_tiny_roof_problems())
-def test_exhaustive_energy_bounds_the_ilp_placement(case):
+@given(problem=_tiny_roof_problems())
+def test_exhaustive_energy_bounds_the_ilp_placement(problem):
     """The brute-force energy optimum is never below the ILP's placement."""
-    problem, include_wiring_loss = case
     ilp = ilp_floorplan(problem, config=ILPConfig(time_limit_s=20.0))
-    exhaustive = exhaustive_floorplan(
-        problem, ExhaustiveConfig(include_wiring_loss=include_wiring_loss)
-    )
-    ilp_energy = (
-        PlacementEvaluator(problem, include_wiring_loss=include_wiring_loss)
-        .evaluate(ilp.placement)
-        .annual_energy_wh
-    )
+    exhaustive = exhaustive_floorplan(problem)
+    ilp_energy = PlacementEvaluator(problem).evaluate(ilp.placement).annual_energy_wh
     assert exhaustive.best_energy_wh >= ilp_energy - 1e-9 * max(1.0, abs(ilp_energy))
 
 
@@ -546,11 +539,11 @@ class TestEvaluation:
         evaluation = evaluate_placement(small_problem, placement)
         assert evaluation.wiring_loss_fraction < 0.05
 
-    def test_disable_wiring_loss(self, small_problem):
+    def test_wiring_loss_never_adds_energy(self, small_problem):
         placement = greedy_floorplan(small_problem).placement
-        with_loss = PlacementEvaluator(small_problem, include_wiring_loss=True).evaluate(placement)
-        without = PlacementEvaluator(small_problem, include_wiring_loss=False).evaluate(placement)
-        assert without.annual_energy_wh >= with_loss.annual_energy_wh
+        evaluation = PlacementEvaluator(small_problem).evaluate(placement)
+        assert evaluation.wiring_loss_wh >= 0.0
+        assert evaluation.gross_energy_wh >= evaluation.annual_energy_wh
 
     def test_power_series_storage(self, small_problem):
         placement = traditional_floorplan(small_problem).placement

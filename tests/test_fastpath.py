@@ -642,13 +642,10 @@ class TestEvaluatorEquivalence:
         fast = _module_series(PlacementEvaluator(rotated_problem), placement)
         assert _relative_error(fast, reference) < RELATIVE_TOLERANCE
 
-    @pytest.mark.parametrize("include_wiring", [True, False])
-    def test_evaluation_figures(self, small_problem, include_wiring):
-        evaluator = PlacementEvaluator(small_problem, include_wiring_loss=include_wiring)
+    def test_evaluation_figures(self, small_problem):
+        evaluator = PlacementEvaluator(small_problem)
         for placement in _example_placements(small_problem):
-            reference = evaluate_placement_reference(
-                small_problem, placement, include_wiring_loss=include_wiring
-            )
+            reference = evaluate_placement_reference(small_problem, placement)
             fast = evaluator.evaluate(placement)
             for key, ref_value in reference.summary().items():
                 new_value = fast.summary()[key]

@@ -38,6 +38,7 @@ RETIRED_SOLVER_OPTIONS = [
     ("ilp", "mip_gap", 0.01),
     ("traditional", "modules_per_row", 2),
     ("traditional", "gap_cells", 1),
+    ("exhaustive", "include_wiring_loss", False),
 ]
 
 

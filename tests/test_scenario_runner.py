@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import repro
+from repro.core import traditional_floorplan
 from repro.errors import ConfigurationError
 from repro.gis import simple_residential_roof
 from repro.runner import (
@@ -278,12 +279,18 @@ class TestSolverSelection:
             validate_placement(outcome.placement, small_problem.grid)
 
     def test_outcome_forwards_solver_specific_fields(self, small_problem):
+        """Solver-specific figures live in ``info``, not as attributes."""
         greedy = solve(small_problem, "greedy")
-        assert greedy.relaxed_threshold_count == greedy.info["relaxed_threshold_count"]
+        assert set(greedy.info) == {"relaxed_threshold_count", "warm_modules"}
+        assert greedy.info["relaxed_threshold_count"] >= 0
+        assert greedy.info["warm_modules"] == 0
         traditional = solve(small_problem, "traditional")
-        assert traditional.strategy == traditional.info["strategy"]
+        assert set(traditional.info) == {"strategy"}
+        assert traditional.info["strategy"] == (
+            traditional_floorplan(small_problem).strategy
+        )
         with pytest.raises(AttributeError):
-            traditional.objective_value
+            traditional.strategy
 
     def test_plan_roof_solver_selectable(self, tmp_path):
         spec = simple_residential_roof(width_m=8.0, depth_m=5.0, n_obstacles=1, seed=3)

@@ -8,17 +8,17 @@ Covers the PR's equivalence guarantees end to end:
 * greedy prefix replay: a warm solve resumed from a smaller instance's
   placement is module-for-module identical to the cold solve, and every
   malformed/foreign hint falls back to a cold solve instead of failing;
-* ILP MIP-start semantics: a warm incumbent never degrades the objective,
-  and the optimality ``gap`` field is reported;
+* the ILP takes no hint: its points in a warm sweep solve cold;
 * capability-driven budget threading through fallback chains (no solver
   name special-casing);
 * warm-start provenance on :class:`ScenarioResult` (serialised, but kept
   out of the fingerprint) and the ``SolverSpec.warm_start`` opt-out;
-* sweep-level warm execution: axis-ascending ordering, neighbour wiring,
-  and a warm sweep whose aggregated table matches the cold run exactly;
+* sweep-level warm execution: axis-ascending ordering, wiring of exact
+  ``n_modules``-step pairs only, and a warm sweep whose aggregated table
+  matches the cold run exactly;
 * store-level wiring: enrollment-time neighbour digests, claim-time hint
-  resolution, the v3 -> v4 schema migration, and a worker fleet picking
-  hints up from done rows.
+  resolution, the v3 -> v4 schema migration, a worker fleet picking hints
+  up from done rows, and rows without the exact-prefix flag solving cold.
 """
 
 from __future__ import annotations
@@ -26,21 +26,12 @@ from __future__ import annotations
 import dataclasses
 import sqlite3
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    FloorplanProblem,
-    GreedyConfig,
-    ILPConfig,
-    compute_suitability,
-    greedy_floorplan,
-    ilp_floorplan,
-)
+from repro.core import FloorplanProblem, GreedyConfig, greedy_floorplan
 from repro.errors import ConfigurationError
 from repro.gis import RoofSpec
 from repro.pv.array import SeriesParallelTopology
-from repro.pv.datasheet import PV_MF165EB3
 from repro.runner import (
     ResultStore,
     SolverOutcome,
@@ -60,7 +51,9 @@ from repro.scenario.spec import SolverSpec
 from repro.sweep import SweepAxis, SweepPlan, run_sweep
 
 
-def tiny_spec(name: str, n_modules: int = 2, warm_start: bool = True) -> ScenarioSpec:
+def tiny_spec(
+    name: str, n_modules: int = 2, warm_start: bool = True, solver: str = "greedy"
+) -> ScenarioSpec:
     """A seconds-scale scenario; all sizes share one roof (and so one
     solar field), which is what makes their placements prefix-compatible."""
     return ScenarioSpec(
@@ -76,7 +69,7 @@ def tiny_spec(name: str, n_modules: int = 2, warm_start: bool = True) -> Scenari
         n_series=2,
         grid_pitch=0.4,
         time=TimeSpec(step_minutes=240.0, day_stride=45),
-        solver=SolverSpec(name="greedy", warm_start=warm_start),
+        solver=SolverSpec(name=solver, warm_start=warm_start),
     )
 
 
@@ -88,9 +81,9 @@ def tiny_spec(name: str, n_modules: int = 2, warm_start: bool = True) -> Scenari
 class TestRegistryCapabilities:
     def test_builtin_capability_declarations(self):
         assert get_solver_entry("greedy").supports_warm_start
-        assert get_solver_entry("ilp").supports_warm_start
         assert get_solver_entry("ilp").budget_option == "time_limit_s"
         assert get_solver_entry("ilp").supports_budget
+        assert not get_solver_entry("ilp").supports_warm_start
         for name in ("traditional", "exhaustive"):
             entry = get_solver_entry(name)
             assert not entry.supports_warm_start
@@ -269,68 +262,6 @@ class TestGreedyWarmStart:
 
 
 # ---------------------------------------------------------------------------
-# ILP MIP-start and gap reporting
-# ---------------------------------------------------------------------------
-
-
-class TestILPWarmStart:
-    @pytest.fixture(scope="class")
-    def tiny_problem(self, small_grid, small_solar):
-        """A 2-module instance small enough for the ILP."""
-        mask = np.zeros_like(small_grid.valid_mask)
-        mask[2:8, 2:22] = small_grid.valid_mask[2:8, 2:22]
-        grid = small_grid.with_mask(mask)
-        return FloorplanProblem(
-            grid=grid,
-            solar=small_solar.restricted_to(grid),
-            n_modules=2,
-            topology=SeriesParallelTopology(2, 1),
-            datasheet=PV_MF165EB3,
-            label="tiny-warm",
-        )
-
-    def test_mip_start_never_degrades_and_reports_gap(self, tiny_problem):
-        suitability = compute_suitability(tiny_problem.solar)
-        config = ILPConfig(time_limit_s=20.0)
-        cold = ilp_floorplan(tiny_problem, suitability=suitability, config=config)
-        hint = WarmStart(
-            placement=greedy_floorplan(tiny_problem, suitability=suitability).placement
-        )
-        warm = ilp_floorplan(
-            tiny_problem, suitability=suitability, config=config, warm_start=hint
-        )
-        assert warm.warm_started
-        assert warm.objective_value >= cold.objective_value - 1e-6
-        assert warm.gap is not None
-        assert warm.gap <= 1e-6  # proven optimum on this tiny instance
-        assert warm.placement.metadata["gap"] == warm.gap
-
-    def test_self_hint_reproduces_cold_objective(self, tiny_problem):
-        """Warm-starting the ILP from its own cold solution is a fixed
-        point: same objective, still optimal."""
-        config = ILPConfig(time_limit_s=20.0)
-        cold = ilp_floorplan(tiny_problem, config=config)
-        warm = ilp_floorplan(
-            tiny_problem, config=config, warm_start=WarmStart(placement=cold.placement)
-        )
-        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-
-    def test_corrupt_hint_solves_cold(self, tiny_problem):
-        """A hint whose geometry does not fit this instance is rejected
-        and the ILP solves cold (no incumbent, no crash)."""
-        foreign = greedy_floorplan(tiny_problem).placement
-        mismatched = dataclasses.replace(foreign, grid_pitch=foreign.grid_pitch * 2)
-        cold = ilp_floorplan(tiny_problem, config=ILPConfig(time_limit_s=20.0))
-        warm = ilp_floorplan(
-            tiny_problem,
-            config=ILPConfig(time_limit_s=20.0),
-            warm_start=WarmStart(placement=mismatched),
-        )
-        assert not warm.warm_started
-        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # Scenario-level provenance and opt-out
 # ---------------------------------------------------------------------------
 
@@ -397,7 +328,7 @@ class TestBatchAndSweepWarmStart:
             specs,
             cache=tmp_path / "cache",
             jobs=1,
-            warm_hints={"wb-4": ("wb-2", True)},
+            warm_hints={"wb-4": "wb-2"},
         )
         by_name = batch.by_name()
         assert by_name["wb-4"].warm_started
@@ -417,17 +348,38 @@ class TestBatchAndSweepWarmStart:
         ordered, hints = plan.warm_execution()
         names = [point.name for point in ordered]
         assert names[0].endswith("n_modules=2")
-        for point_name, (neighbour_name, _) in hints.items():
+        for point_name, neighbour_name in hints.items():
             assert names.index(neighbour_name) < names.index(point_name)
-        greedy_mid = "wired@name=greedy+n_modules=4"
-        assert hints[greedy_mid] == ("wired@name=greedy+n_modules=2", True)
-        # Cross-solver step: heuristic wiring, never an exact prefix.
-        trad_origin = "wired@name=traditional+n_modules=2"
-        neighbour, exact = hints[trad_origin]
-        assert neighbour == "wired@name=greedy+n_modules=2"
-        assert not exact
-        # The all-axes-origin point runs cold.
-        assert "wired@name=greedy+n_modules=2" not in hints
+        assert hints == {
+            f"wired@name={solver}+n_modules={n}": f"wired@name={solver}+n_modules={below}"
+            for solver in ("greedy", "traditional")
+            for below, n in ((2, 4), (4, 6))
+        }
+
+    @pytest.mark.parametrize("mode", ["grid", "zip"])
+    def test_warm_execution_wires_only_exact_n_modules_steps(self, mode):
+        """Whatever the other axes, a hint joins two points that differ only
+        by one step of ``n_modules``: the greedy's exact-prefix pair."""
+        axes = (
+            SweepAxis("n_modules", (6, 2, 4)),
+            SweepAxis("solver.name", ("greedy", "ilp", "traditional")),
+            SweepAxis("weather.seed", (3, 1, 2)),
+        )
+        plan = SweepPlan(name="exact", base=tiny_spec("exact-base"), axes=axes, mode=mode)
+        by_name = {point.name: point for point in plan.points()}
+        _, hints = plan.warm_execution()
+        steps = {(2, 4), (4, 6)}
+        for point_name, neighbour_name in hints.items():
+            point, neighbour = by_name[point_name], by_name[neighbour_name]
+            assert {**point.overrides, "n_modules": None} == {
+                **neighbour.overrides,
+                "n_modules": None,
+            }
+            assert (neighbour.overrides["n_modules"], point.overrides["n_modules"]) in steps
+        if mode == "grid":
+            assert len(hints) == 2 * 3 * 3  # two steps per (solver, seed) ladder
+        else:
+            assert hints == {}  # every zip step changes all three axes
 
     def test_warm_sweep_table_matches_cold(self, tmp_path):
         plan = SweepPlan(
@@ -453,6 +405,26 @@ class TestBatchAndSweepWarmStart:
         assert warm.warm_started_count() == 1
         assert warm.summary()["n_warm_started"] == 1
 
+    def test_ilp_points_of_a_warm_sweep_solve_cold(self, tmp_path):
+        """The ILP takes no hint: a store-backed warm sweep wires its ladder,
+        yet every ILP point reports ``warm_started=False`` and fingerprints
+        like its cold solve."""
+        plan = SweepPlan(
+            name="ilp-ladder",
+            base=tiny_spec("ilp-base", solver="ilp"),
+            axes=(SweepAxis("n_modules", (2, 4)),),
+        )
+        _, hints = plan.warm_execution()
+        assert hints == {"ilp-ladder@n_modules=4": "ilp-ladder@n_modules=2"}
+        warm = run_sweep(
+            plan, cache=tmp_path / "cache", jobs=1, store=tmp_path / "s.sqlite", warm_start=True
+        )
+        assert [result.warm_started for result in warm.results()] == [False, False]
+        assert [result.fingerprint() for result in warm.results()] == [
+            run_scenario(point.spec, use_cache=False).fingerprint()
+            for point in plan.points()
+        ]
+
     def test_plan_serialises_warm_start_only_when_set(self):
         base = tiny_spec("ser-base")
         cold_plan = SweepPlan(name="p", base=base, axes=(SweepAxis("n_modules", (2,)),))
@@ -475,7 +447,7 @@ class TestStoreWarmHints:
         specs = [tiny_spec("sw-2", n_modules=2), tiny_spec("sw-4", n_modules=4)]
         with ResultStore(tmp_path / "store.sqlite") as store:
             records = store.enroll(
-                "camp", specs, warm_hints={"sw-4": ("sw-2", True)}
+                "camp", specs, warm_hints={"sw-4": "sw-2"}
             )
             by_name = {record.name: record for record in records}
             assert by_name["sw-4"].warm_hint_digest == by_name["sw-2"].digest
@@ -502,7 +474,7 @@ class TestStoreWarmHints:
                 store.enroll(
                     "camp",
                     [tiny_spec("solo")],
-                    warm_hints={"solo": ("not-enrolled", True)},
+                    warm_hints={"solo": "not-enrolled"},
                 )
 
     def test_v3_store_migrates_in_place_to_v4(self, tmp_path):
@@ -530,7 +502,7 @@ class TestStoreWarmHints:
         path = tmp_path / "fleet.sqlite"
         specs = [tiny_spec("fw-2", n_modules=2), tiny_spec("fw-4", n_modules=4)]
         with ResultStore(path) as store:
-            store.enroll("fleet", specs, warm_hints={"fw-4": ("fw-2", True)})
+            store.enroll("fleet", specs, warm_hints={"fw-4": "fw-2"})
         summary = run_worker(
             "fleet", store=path, serial=True, cache=tmp_path / "cache", poll_s=0.1
         )
@@ -540,11 +512,37 @@ class TestStoreWarmHints:
             assert by_name["fw-4"].result().warm_started
             assert not by_name["fw-2"].result().warm_started
 
+    @pytest.mark.parametrize("solver", ["greedy", "ilp"])
+    def test_row_without_exact_prefix_flag_drains_cold(self, tmp_path, solver):
+        """Older builds enrolled advisory hints with ``warm_exact_prefix = 0``.
+        Such a row still resolves a hint, which no solver consumes: the point
+        drains and solves cold."""
+        path = tmp_path / "fleet.sqlite"
+        specs = [
+            tiny_spec("adv-2", n_modules=2, solver=solver),
+            tiny_spec("adv-4", n_modules=4, solver=solver),
+        ]
+        with ResultStore(path) as store:
+            store.enroll("fleet", specs, warm_hints={"adv-4": "adv-2"})
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE points SET warm_exact_prefix=0 WHERE name='adv-4'")
+        summary = run_worker(
+            "fleet", store=path, serial=True, cache=tmp_path / "cache", poll_s=0.1
+        )
+        assert summary.done == 2 and not summary.failed
+        with ResultStore(path) as store:
+            (row,) = [record for record in store.points("fleet") if record.name == "adv-4"]
+            assert row.warm_hint_digest is not None and not row.warm_exact_prefix
+            assert store.warm_hint(row)["exact_prefix"] is False
+            result = row.result()
+        assert not result.warm_started
+        assert result.fingerprint() == run_scenario(specs[1], use_cache=False).fingerprint()
+
     def test_worker_opt_out_solves_cold(self, tmp_path):
         path = tmp_path / "fleet.sqlite"
         specs = [tiny_spec("fc-2", n_modules=2), tiny_spec("fc-4", n_modules=4)]
         with ResultStore(path) as store:
-            store.enroll("fleet", specs, warm_hints={"fc-4": ("fc-2", True)})
+            store.enroll("fleet", specs, warm_hints={"fc-4": "fc-2"})
         summary = run_worker(
             "fleet",
             store=path,
