@@ -85,7 +85,7 @@ from .constants import (
 )
 from .errors import ReproError
 from .runner.cache import StageCache, default_cache_dir
-from .runner.solvers import available_solvers
+from .runner.solvers import available_solvers, check_solvable
 from .runner.stages import PIPELINE_STAGES, run_scenario
 from .scenario.catalog import builtin_scenarios
 from .scenario.spec import ScenarioSpec
@@ -305,6 +305,8 @@ def _cmd_campaign_enroll(args: argparse.Namespace) -> int:
         specs = [_load_scenario(name) for name in args.scenarios]
     else:
         specs = list(builtin_scenarios().values())
+    for spec in specs:
+        check_solvable(spec)
     store = _store_from_args(args)
     if store is None:
         raise ReproError("campaign enroll needs a result store (--store cannot be 'none')")

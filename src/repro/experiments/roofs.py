@@ -404,13 +404,12 @@ def prepare_case_study(
         STAGE_SCENE,
         STAGE_SOLAR,
         STAGE_WEATHER,
-        PipelineSources,
         run_pipeline,
     )
 
     cfg = config if config is not None else CaseStudyConfig()
     scenario = cfg.scenario(spec)
-    values = run_pipeline(PipelineSources.from_scenario(scenario), STAGE_SOLAR, cache, {}, {})
+    values = run_pipeline(scenario, STAGE_SOLAR, cache, {}, {})
     solar = values[STAGE_SOLAR]
     # A cached field leaves the weather unbuilt; the study still carries it.
     if STAGE_WEATHER in values:

@@ -18,7 +18,7 @@ from ..core import build_problem
 from ..errors import ConfigurationError
 from ..gis import simple_residential_roof
 from ..runner.solvers import solve
-from ..runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
+from ..runner.stages import STAGE_SOLAR, run_pipeline
 from ..scenario.spec import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec
 
 
@@ -75,8 +75,7 @@ def runtime_sweep(
             solar=SolarSpec(n_horizon_sectors=16, horizon_max_distance_m=30.0),
         )
         pipeline_start = time.perf_counter()
-        sources = PipelineSources.from_scenario(scenario)
-        solar = run_pipeline(sources, STAGE_SOLAR, None, {}, {})[STAGE_SOLAR]
+        solar = run_pipeline(scenario, STAGE_SOLAR, None, {}, {})[STAGE_SOLAR]
         pipeline_runtime = time.perf_counter() - pipeline_start
 
         for n_modules in module_counts:

@@ -55,7 +55,6 @@ _EXPORTS: Dict[str, str] = {
         ),
         ".stages": (
             "PIPELINE_STAGES",
-            "PipelineSources",
             "ScenarioResult",
             "run_pipeline",
             "run_scenario",

@@ -3,8 +3,9 @@
 The irradiance simulation dominates the pipeline's runtime, and many
 workloads (fleet variants sharing a roof, solver sweeps, repeated CLI runs)
 recompute identical intermediate state.  The :class:`StageCache` memoises
-stage outputs on disk, keyed by a SHA-256 digest of a *content payload*: the
-canonical JSON form of every input that influences the stage's result.  Two
+stage outputs on disk, keyed by a SHA-256 digest of a *content payload*.  The
+pipeline's payload is a node's key (:func:`repro.runner.stages.node_keys`),
+itself a digest of every input that influences the stage's result.  Two
 runs -- in the same process, in parallel worker processes, or days apart --
 that hash to the same payload share the cached artefact; any change to the
 roof, weather, time base or model options changes the digest and invalidates
@@ -118,7 +119,9 @@ QUARANTINE_DIR = "_quarantine"
 #: Version 3: per-entry ``.sum.json`` integrity manifests.
 #: Version 4: solar fields with one irradiance column per DSM cell plus a
 #: per-cell column index.
-CACHE_FORMAT_VERSION = 4
+#: Version 5: entries keyed by the node table's chained keys
+#: (:func:`repro.runner.stages.node_keys`).
+CACHE_FORMAT_VERSION = 5
 
 #: Most entries the process-wide memo of verified reads keeps.
 MEMO_MAX_ENTRIES = 64

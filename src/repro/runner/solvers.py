@@ -36,18 +36,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .. import faults
 from ..core.exhaustive import ExhaustiveConfig, exhaustive_floorplan
 from ..core.greedy import GreedyConfig, greedy_floorplan
 from ..core.ilp import ILPConfig, ilp_floorplan
 from ..core.placement import Placement
-from ..core.problem import FloorplanProblem
+from ..core.problem import FloorplanProblem, default_topology
 from ..core.suitability import SuitabilityMap
 from ..core.traditional import traditional_floorplan
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError, TopologyError
 from ..telemetry import span, trace_event
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..scenario.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -328,9 +331,16 @@ def solve_with_fallback(
 
 
 def _build_config(config_cls, options: Mapping[str, Any], solver: str):
+    """The solver's config built from ``options`` (``config_cls=None``: it takes none)."""
+    if config_cls is None:
+        if options:
+            raise ConfigurationError(
+                f"invalid options for solver {solver!r}: it takes none, got {sorted(options)}"
+            )
+        return None
     try:
         return config_cls(**dict(options))
-    except TypeError as exc:
+    except (TypeError, ReproError) as exc:
         raise ConfigurationError(f"invalid options for solver {solver!r}: {exc}") from exc
 
 
@@ -362,10 +372,7 @@ def _traditional(
     options: Mapping[str, Any],
     suitability: Optional[SuitabilityMap],
 ) -> SolverOutcome:
-    if options:
-        raise ConfigurationError(
-            f"invalid options for solver 'traditional': it takes none, got {sorted(options)}"
-        )
+    _build_config(None, options, "traditional")
     result = traditional_floorplan(problem, suitability=suitability)
     return SolverOutcome(
         solver="traditional",
@@ -414,6 +421,36 @@ def _exhaustive(
         },
         gap=0.0,
     )
+
+
+#: The config each built-in adapter builds from its options (None: it takes
+#: none).  A solver registered with another adapter parses its own.
+_OPTION_CONFIGS = {
+    _greedy: GreedyConfig,
+    _traditional: None,
+    _ilp: ILPConfig,
+    _exhaustive: ExhaustiveConfig,
+}
+
+
+def check_solvable(spec: "ScenarioSpec") -> None:
+    """Raise :class:`ConfigurationError` for a document whose solve can only fail.
+
+    Resolves the solver and every fallback name, builds the solver's config
+    from ``solver.options`` (fallback entries run without options) and the
+    string topology of ``n_modules`` -- no stage needed, so a service
+    admission, an enrollment or a run rejects such a document before any
+    work is queued or done.
+    """
+    entry = get_solver_entry(spec.solver.name)
+    for name in spec.solver.fallback:
+        get_solver_entry(name)
+    if entry.fn in _OPTION_CONFIGS:
+        _build_config(_OPTION_CONFIGS[entry.fn], spec.solver.options, entry.name)
+    try:
+        default_topology(spec.n_modules, spec.series_length())
+    except TopologyError as exc:
+        raise ConfigurationError(f"invalid string topology: {exc}") from exc
 
 
 register_solver("greedy", _greedy, supports_warm_start=True)

@@ -18,11 +18,11 @@ The pipeline is the paper's chain of stages --
 one from their arguments.  :func:`execute_scenario` is the one copy of the
 sequence after the field (suitability, solve with baseline, compare) that
 both :func:`run_scenario` and :func:`repro.plan_roof` run.  The expensive
-nodes are memoised in a :class:`~repro.runner.cache.StageCache` keyed by
-the spec's content payloads, so every entry point that describes the same
-roof/weather/time base shares the cached stages, variants skip straight to
-the placement stage, and a warm run never builds the weather or the horizon
-at all.
+nodes are memoised in a :class:`~repro.runner.cache.StageCache` under keys
+from the table alone (:func:`node_keys`), so every entry point that
+describes the same roof/weather/time base shares the cached stages,
+variants skip straight to the placement stage, and a warm run never builds
+the weather or the horizon at all.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..gis.gridding import RoofGrid, make_roof_grid
 from ..gis.suitable_area import suitable_grid_for_scene
 from ..gis.synthetic import RoofScene, build_roof_scene
 from ..io.placement_json import placement_to_dict
-from ..pv.datasheet import ModuleDatasheet
 from ..pv.module import EmpiricalModuleModel
 from ..scenario.spec import ScenarioSpec
 from ..solar.irradiance_map import RoofSolarField, compute_roof_solar_field, roof_horizon_map
@@ -49,7 +48,14 @@ from ..solar.shading import HorizonMap
 from ..telemetry import span
 from ..weather.records import WeatherSeries
 from .cache import StageCache, content_digest, resolve_cache
-from .solvers import FallbackOutcome, SolverOutcome, WarmStart, solve, solve_with_fallback
+from .solvers import (
+    FallbackOutcome,
+    SolverOutcome,
+    WarmStart,
+    check_solvable,
+    solve,
+    solve_with_fallback,
+)
 
 #: Stage names: the keys of ``stage_times_s``, and for the cached nodes also
 #: their cache sub-directories and the keys of ``stage_cached``.
@@ -85,68 +91,28 @@ def scenario_content_digest(spec: ScenarioSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineSources:
-    """Everything the pipeline's nodes read that is not another node.
-
-    Built from one :class:`ScenarioSpec` by :meth:`from_scenario`.  The
-    cached nodes' content keys are the spec's payloads, computed once up
-    front; the weather and the solar configuration are built from the
-    spec's parts only when a node that needs them misses the cache.
-    """
-
-    spec: ScenarioSpec
-    scene_key: dict
-    grid_key: dict
-    solar_key: dict
-    #: Module of the suitability metric.
-    datasheet: ModuleDatasheet
-
-    @classmethod
-    def from_scenario(cls, spec: ScenarioSpec) -> "PipelineSources":
-        return cls(
-            spec=spec,
-            scene_key=spec.scene_payload(),
-            grid_key=spec.grid_payload(),
-            solar_key=spec.solar_payload(),
-            datasheet=spec.datasheet(),
-        )
+# Compute functions of the nodes: each takes the spec, of which it reads only
+# its node's ``reads``, and then its inputs' values in the node's order.
 
 
-def _suitability_key(src: PipelineSources) -> dict:
-    # The full datasheet participates in the key (not just the module name):
-    # the metric's temperature correction depends on the module's electrical
-    # parameters, and inline scenario modules may share a name.
-    return {
-        "stage": STAGE_SUITABILITY,
-        "solar": src.solar_key,
-        "module": dataclasses.asdict(src.datasheet),
-        "percentile": DEFAULT_SUITABILITY_PERCENTILE,
-    }
+def _build_scene(spec: ScenarioSpec) -> RoofScene:
+    return build_roof_scene(spec.roof, dsm_pitch=spec.dsm_pitch)
 
 
-# Compute functions of the nodes: each takes the sources and then its
-# inputs' values, in the order the node lists them.
+def _build_grid(spec: ScenarioSpec, scene: RoofScene) -> RoofGrid:
+    return suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=spec.grid_pitch))
 
 
-def _build_scene(src: PipelineSources) -> RoofScene:
-    return build_roof_scene(src.spec.roof, dsm_pitch=src.spec.dsm_pitch)
+def _build_weather(spec: ScenarioSpec) -> WeatherSeries:
+    return spec.weather.build(spec.time.build())
 
 
-def _build_grid(src: PipelineSources, scene: RoofScene) -> RoofGrid:
-    return suitable_grid_for_scene(scene, make_roof_grid(scene, pitch=src.spec.grid_pitch))
-
-
-def _build_weather(src: PipelineSources) -> WeatherSeries:
-    return src.spec.weather.build(src.spec.time.build())
-
-
-def _build_horizon(src: PipelineSources, scene: RoofScene, grid: RoofGrid) -> HorizonMap:
-    return roof_horizon_map(scene, grid, src.spec.solar.build())
+def _build_horizon(spec: ScenarioSpec, scene: RoofScene, grid: RoofGrid) -> HorizonMap:
+    return roof_horizon_map(scene, grid, spec.solar.build())
 
 
 def _build_solar(
-    src: PipelineSources,
+    spec: ScenarioSpec,
     scene: RoofScene,
     grid: RoofGrid,
     weather: WeatherSeries,
@@ -154,41 +120,69 @@ def _build_solar(
 ) -> RoofSolarField:
     # ``compute_roof_solar_field`` is looked up at call time, so tests can
     # swap the dense oracle in for it.
-    return compute_roof_solar_field(scene, grid, weather, src.spec.solar.build(), horizon)
+    return compute_roof_solar_field(scene, grid, weather, spec.solar.build(), horizon)
 
 
-def _build_suitability(src: PipelineSources, solar: RoofSolarField) -> SuitabilityMap:
+def _build_suitability(spec: ScenarioSpec, solar: RoofSolarField) -> SuitabilityMap:
     return compute_suitability(
         solar,
         SuitabilityConfig(percentile=DEFAULT_SUITABILITY_PERCENTILE),
-        EmpiricalModuleModel(datasheet=src.datasheet),
+        EmpiricalModuleModel(datasheet=spec.datasheet()),
     )
 
 
 @dataclass(frozen=True)
 class Node:
-    """One pipeline stage, cached when it has a ``key`` function."""
+    """One pipeline stage: the document paths it ``reads`` (``module`` is the
+    resolved datasheet), its ``inputs``, and whether the stage cache keeps it."""
 
     name: str
+    reads: Tuple[str, ...]
     inputs: Tuple[str, ...]
     compute: Callable[..., Any]
-    key: Optional[Callable[[PipelineSources], Any]] = None
+    cached: bool = True
 
 
 #: The data-extraction stages, in execution order.
 NODES: Tuple[Node, ...] = (
-    Node(STAGE_SCENE, (), _build_scene, lambda src: src.scene_key),
-    Node(STAGE_GRID, (STAGE_SCENE,), _build_grid, lambda src: src.grid_key),
-    Node(STAGE_WEATHER, (), _build_weather),
-    Node(STAGE_HORIZON, (STAGE_SCENE, STAGE_GRID), _build_horizon),
+    Node(STAGE_SCENE, ("roof", "dsm_pitch"), (), _build_scene),
+    Node(STAGE_GRID, ("grid_pitch",), (STAGE_SCENE,), _build_grid),
+    Node(STAGE_WEATHER, ("time", "weather"), (), _build_weather, cached=False),
+    Node(
+        STAGE_HORIZON,
+        ("solar.n_horizon_sectors", "solar.horizon_max_distance_m"),
+        (STAGE_SCENE, STAGE_GRID),
+        _build_horizon,
+        cached=False,
+    ),
     Node(
         STAGE_SOLAR,
+        ("solar.albedo",),
         (STAGE_SCENE, STAGE_GRID, STAGE_WEATHER, STAGE_HORIZON),
         _build_solar,
-        lambda src: src.solar_key,
     ),
-    Node(STAGE_SUITABILITY, (STAGE_SOLAR,), _build_suitability, _suitability_key),
+    Node(STAGE_SUITABILITY, ("module.gamma_p_per_k",), (STAGE_SOLAR,), _build_suitability),
 )
+
+
+def node_keys(spec: ScenarioSpec) -> Dict[str, str]:
+    """Each node's cache key: the digest of its name, the values at its
+    ``reads`` and its inputs' keys, so only what is upstream changes it."""
+    document = spec.to_dict()
+    document["module"] = dataclasses.asdict(spec.datasheet())
+    keys: Dict[str, str] = {}
+    for node in NODES:
+        reads = {}
+        for path in node.reads:
+            value = document
+            for part in path.split("."):
+                value = value[part]
+            reads[path] = value
+        keys[node.name] = content_digest(
+            {"node": node.name, "reads": reads, "inputs": [keys[name] for name in node.inputs]}
+        )
+    return keys
+
 
 #: Every stage of one scenario run, in execution order: the nodes, then
 #: placement and evaluation.  The keys of
@@ -197,7 +191,7 @@ PIPELINE_STAGES = tuple(node.name for node in NODES) + (STAGE_SOLVE, STAGE_EVALU
 
 #: The uncached nodes (weather, horizon).  They run only when a cached node
 #: that needs them misses, so their seconds are recompute time.
-UNCACHED_STAGES = tuple(node.name for node in NODES if node.key is None)
+UNCACHED_STAGES = tuple(node.name for node in NODES if not node.cached)
 
 
 @contextlib.contextmanager
@@ -222,7 +216,7 @@ def _stage(name: str, stage_times: Dict[str, float]) -> Iterator[Any]:
 
 
 def run_pipeline(
-    sources: PipelineSources,
+    spec: ScenarioSpec,
     target: str,
     cache: Optional[StageCache],
     stage_cached: Dict[str, bool],
@@ -230,18 +224,20 @@ def run_pipeline(
 ) -> Dict[str, Any]:
     """Run the nodes ``target`` depends on; return their values by name.
 
-    Every cached node among them is looked up, in table order, and its hit
-    recorded in ``stage_cached``.  A node's inputs are built only when the
-    node misses, so on a warm run the uncached nodes (weather, horizon)
-    never run.  Each node that runs gets one span and one exclusive
-    ``stage_times`` entry.  With ``cache=None`` the run is uncached: every
-    node is computed and every cached node records a miss.
+    Every cached node among them is looked up under its :func:`node_keys`
+    key, in table order, and its hit recorded in ``stage_cached``.  A
+    node's inputs are built only when the node misses, so on a warm run the
+    uncached nodes (weather, horizon) never run.  Each node that runs gets
+    one span and one exclusive ``stage_times`` entry.  With ``cache=None``
+    the run is uncached: every node is computed and every cached node
+    records a miss.
     """
     by_name = {node.name: node for node in NODES}
     needed = {target}
     for node in reversed(NODES):
         if node.name in needed:
             needed.update(node.inputs)
+    keys = node_keys(spec) if cache is not None else {}
     values: Dict[str, Any] = {}
 
     def resolve(node: Node) -> Any:
@@ -249,22 +245,21 @@ def run_pipeline(
             return values[node.name]
         with _stage(node.name, stage_times) as stage_span:
             hit = False
-            cached = node.key is not None and cache is not None
-            if cached:
-                payload = node.key(sources)
-                value, hit = cache.get(node.name, payload)
-            if node.key is not None:
+            stored = node.cached and cache is not None
+            if stored:
+                value, hit = cache.get(node.name, keys[node.name])
+            if node.cached:
                 stage_cached[node.name] = hit
                 stage_span.set(cached=hit)
             if not hit:
-                value = node.compute(sources, *(resolve(by_name[name]) for name in node.inputs))
-                if cached:
-                    cache.put(node.name, payload, value)
+                value = node.compute(spec, *(resolve(by_name[name]) for name in node.inputs))
+                if stored:
+                    cache.put(node.name, keys[node.name], value)
         values[node.name] = value
         return value
 
     for node in NODES:
-        if node.name in needed and node.key is not None:
+        if node.name in needed and node.cached:
             resolve(node)
     return values
 
@@ -438,8 +433,12 @@ def execute_scenario(
     ``cache=None`` runs uncached.  ``warm_start`` is forwarded to the
     solver chain unless the spec opts out.  The baseline is the solver
     chain's own answer when that is the plain traditional placement, and a
-    separate traditional solve otherwise; one evaluator scores both.
+    separate traditional solve otherwise; one evaluator scores both.  A
+    document whose solve can only fail raises
+    :class:`~repro.errors.ConfigurationError` before any node runs
+    (:func:`~repro.runner.solvers.check_solvable`).
     """
+    check_solvable(spec)
     start = time.perf_counter()
     stage_cached: Dict[str, bool] = {}
     stage_times: Dict[str, float] = {}
@@ -450,14 +449,13 @@ def execute_scenario(
         solver=spec.solver.name,
         n_modules=spec.n_modules,
     ) as scenario_span:
-        sources = PipelineSources.from_scenario(spec)
-        values = run_pipeline(sources, STAGE_SUITABILITY, cache, stage_cached, stage_times)
+        values = run_pipeline(spec, STAGE_SUITABILITY, cache, stage_cached, stage_times)
         suitability = values[STAGE_SUITABILITY]
         problem = build_problem(
             values[STAGE_SOLAR],
             spec.n_modules,
             spec.series_length(),
-            sources.datasheet,
+            spec.datasheet(),
             allow_rotation=spec.allow_rotation,
             label=spec.name,
         )

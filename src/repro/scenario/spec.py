@@ -13,10 +13,9 @@ their arguments.  The declarative form serves three purposes:
   pvlib-style "site spec" idiom);
 * the batch runner can ship scenarios to worker processes without pickling
   heavyweight simulation objects;
-* every pipeline stage derives a *content key* from the relevant slice of
-  the specification, which is what makes the disk cache of
-  :mod:`repro.runner` correct: two runs sharing a roof, weather and time
-  base -- whichever entry point described them -- hash to the same
+* every pipeline stage keys its cache entry on the document paths it reads
+  (:func:`repro.runner.stages.node_keys`): two runs sharing a roof, weather
+  and time base -- whichever entry point described them -- hash to the same
   solar-field key and reuse each other's expensive intermediate results.
 """
 
@@ -459,14 +458,15 @@ class ScenarioSpec:
     Example
     -------
     Scenarios are JSON-round-trippable documents; the dictionary/JSON form
-    is the storage, transport *and* cache-key format:
+    is the storage and transport format, and what the stages' keys read:
 
     >>> from repro.scenario import ScenarioSpec, builtin_scenarios
     >>> spec = builtin_scenarios()["residential-south"]
     >>> ScenarioSpec.from_json(spec.to_json()).to_dict() == spec.to_dict()
     True
-    >>> sorted(spec.solar_payload())   # the solar-stage cache key inputs
-    ['grid', 'solar', 'stage', 'time', 'weather']
+    >>> from repro.runner.stages import node_keys
+    >>> node_keys(spec) == node_keys(spec.with_solver("ilp"))   # one per node
+    True
     >>> spec.with_solver("ilp", time_limit_s=5.0).solver.name
     'ilp'
     """
@@ -546,10 +546,10 @@ class ScenarioSpec:
             data["name"] = name
         return ScenarioSpec.from_dict(data)
 
-    # -- content keys for the stage cache ----------------------------------------
+    # -- nested payloads; the stage cache keys on stages.node_keys instead --------
 
     def scene_payload(self) -> dict:
-        """Content key of the rasterised scene (roof geometry + DSM pitch)."""
+        """Nested payload of the rasterised scene (not a pipeline cache key)."""
         return {
             "stage": "scene",
             "roof": roof_spec_to_dict(self.roof),
@@ -557,11 +557,11 @@ class ScenarioSpec:
         }
 
     def grid_payload(self) -> dict:
-        """Content key of the suitable-area virtual grid."""
+        """Nested payload of the suitable-area virtual grid (not a pipeline cache key)."""
         return {"stage": "grid", "scene": self.scene_payload(), "grid_pitch": self.grid_pitch}
 
     def solar_payload(self) -> dict:
-        """Content key of the spatio-temporal solar field (dominant cost)."""
+        """Nested payload of the spatio-temporal solar field (not a pipeline cache key)."""
         return {
             "stage": "solar",
             "grid": self.grid_payload(),

@@ -4,7 +4,9 @@ The service puts an HTTP face on the campaign store's content-digest memo:
 ``POST /v1/plan`` normalises the submitted scenario document, computes its
 :func:`~repro.runner.stages.scenario_content_digest`, and answers ``200``
 immediately when *any* campaign already holds a ``done`` row for that
-digest -- a pure store read, the pipeline is never touched.  A miss
+digest -- a pure store read, the pipeline is never touched.  A miss whose
+solver choice can only fail (an unknown solver, a bad option, an
+impossible string topology) answers ``400``; any other miss
 enrolls the point into a serve campaign and answers ``202`` with a request
 id (the digest itself: identical scenarios share one request).  Execution
 is deliberately **not** in-process: any ``repro campaign worker`` fleet
@@ -33,6 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..constants import DEFAULT_HOST, DEFAULT_MAX_QUEUE, DEFAULT_PORT, DEFAULT_SERVE_CAMPAIGN
 from ..errors import ConfigurationError, ReproError
+from ..runner.solvers import check_solvable
 from ..runner.stages import scenario_content_digest
 from ..runner.store import (
     STATUS_DONE,
@@ -185,6 +188,11 @@ class ServeApp:
                 payload["poll"] = f"/v1/requests/{digest}"
                 return 202, payload, {}
 
+            # A document a worker can only fail takes no queue slot.
+            try:
+                check_solvable(spec)
+            except ConfigurationError as exc:
+                raise BadRequestError(str(exc)) from exc
             depth = self.store.queue_depth(self.campaign)
             decision = self.admission.admit(depth, priority)
             if not decision.admitted:

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..runner.solvers import get_solver_entry
 from ..scenario.spec import ScenarioSpec
 
 PathLike = Union[str, Path]
@@ -125,6 +126,14 @@ class SweepPoint:
     overrides: Mapping[str, Any]
     labels: Mapping[str, str]
     spec: ScenarioSpec
+
+
+def _takes_warm_start(spec: ScenarioSpec) -> bool:
+    """Whether ``spec``'s solver uses a warm-start hint (an unknown one does not)."""
+    try:
+        return get_solver_entry(spec.solver.name).supports_warm_start
+    except ConfigurationError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,8 @@ class SweepPlan:
         whose greedy solution is an exact prefix of the point's.  In
         ``grid`` mode that is the point one rank lower on that axis; in
         ``zip`` mode it is the previous point in rank order, when only
-        ``n_modules`` differs between the two.  Every other point, the
+        ``n_modules`` differs between the two.  Only points whose solver
+        registers ``supports_warm_start`` are wired.  Every other point, the
         ladder's first rung included, runs cold.  Hints are best-effort
         routing, not dependencies: a missing or failed neighbour just means
         that point solves cold.
@@ -327,6 +337,7 @@ class SweepPlan:
             points[p].name: points[n].name
             for n, p in pairs
             if self._exact_prefix_pair(points[n], points[p])
+            and _takes_warm_start(points[p].spec)
         }
         return [points[p] for p in order], warm_hints
 

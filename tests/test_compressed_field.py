@@ -31,7 +31,7 @@ from repro.errors import SolarModelError
 from repro.pv.datasheet import PV_MF165EB3
 from repro.runner import StageCache, run_batch
 from repro.runner.batch import _task_context, _worker_payload
-from repro.runner.stages import STAGE_SOLAR, PipelineSources, run_pipeline
+from repro.runner.stages import STAGE_SOLAR, run_pipeline
 from repro.scenario import ScenarioSpec, SolarSpec, TimeSpec, WeatherSpec, builtin_scenarios
 from repro.solar import (
     CompressedTimeGrid,
@@ -368,9 +368,8 @@ class TestMemmapCache:
             weather=WeatherSpec(seed=3),
             solar=SolarSpec(n_horizon_sectors=16, horizon_max_distance_m=25.0),
         )
-        sources = PipelineSources.from_scenario(spec)
         stage_cached: dict = {}
-        solar = run_pipeline(sources, STAGE_SOLAR, cache, stage_cached, {})[STAGE_SOLAR]
+        solar = run_pipeline(spec, STAGE_SOLAR, cache, stage_cached, {})[STAGE_SOLAR]
         return solar, stage_cached[STAGE_SOLAR]
 
     def test_round_trip_is_memmapped_and_exact(self, small_roof_spec, tmp_path):
@@ -419,13 +418,14 @@ class TestMemmapCache:
         assert not hit
 
     def test_format_3_cache_is_a_clean_miss(self, tmp_path, monkeypatch):
-        # Format 4 stores one irradiance column per DSM cell.  A cache
-        # directory filled under format 3 is neither read nor an error: every
-        # stage recomputes next to the old entries, to the same answer.
+        # Format 4 stores one irradiance column per DSM cell, and format 5
+        # keys entries by the node table.  A cache directory filled under
+        # format 3 is neither read nor an error: every stage recomputes next
+        # to the old entries, to the same answer.
         from repro.runner import cache as cache_module
         from repro.runner.stages import run_scenario
 
-        assert cache_module.CACHE_FORMAT_VERSION == 4
+        assert cache_module.CACHE_FORMAT_VERSION == 5
         spec = builtin_scenarios()["residential-south"]
         root = tmp_path / "cache"
         with monkeypatch.context() as patch:

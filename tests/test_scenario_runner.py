@@ -16,11 +16,11 @@ from repro.runner import (
     ScenarioResult,
     StageCache,
     available_solvers,
-    content_digest,
     run_batch,
     run_scenario,
     solve,
 )
+from repro.runner.stages import node_keys
 from repro.scenario import (
     ScenarioSpec,
     WeatherSpec,
@@ -95,14 +95,10 @@ class TestScenarioSpec:
         wider = replace(
             fast_scenario, roof=replace(fast_scenario.roof, width_m=13.0)
         )
-        assert content_digest(fast_scenario.scene_payload()) != content_digest(
-            wider.scene_payload()
-        )
+        assert node_keys(fast_scenario)["scene"] != node_keys(wider)["scene"]
         # The solver choice must NOT affect the expensive-stage keys.
         other_solver = fast_scenario.with_solver("traditional")
-        assert content_digest(fast_scenario.solar_payload()) == content_digest(
-            other_solver.solar_payload()
-        )
+        assert node_keys(fast_scenario) == node_keys(other_solver)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ as a :class:`~repro.scenario.ScenarioSpec` and run the stages through
 :func:`repro.runner.stages.run_pipeline`.  These tests pin what that
 executor promises:
 
-* the cache keys it files entries under are byte-identical to the spec
-  payloads every cache so far was written with, so an existing cache stays
-  warm -- whichever entry point fills or reads it;
+* the cache keys it files entries under are the node table's own keys
+  (:func:`repro.runner.stages.node_keys`), pinned literally, so an existing
+  cache stays warm -- whichever entry point fills or reads it;
 * a warm run never builds the weather, the solar configuration or the
   horizon (the inputs of a cached field);
 * a cold run records every node exactly once, with exclusive wall times;
@@ -39,11 +39,10 @@ from repro.experiments import (
 )
 from repro.gis import RoofSpec
 from repro.runner import PIPELINE_STAGES, ResultStore, StageCache, run_batch, run_scenario
-from repro.runner.cache import content_digest
-from repro.runner.stages import PipelineSources, _suitability_key
+from repro.runner.stages import node_keys
 from repro.runner.store import METRIC_KIND_STAGE_RECOMPUTE_TIME
 from repro.scenario import ScenarioSpec, SolverSpec, TimeSpec, builtin_scenarios
-from repro.scenario.spec import SolarSpec, WeatherSpec, roof_spec_to_dict
+from repro.scenario.spec import SolarSpec, WeatherSpec
 from repro.solar import LinkeTurbidityProfile, TimeGrid
 from repro.telemetry import merge_trace, read_trace
 
@@ -68,60 +67,46 @@ def _spec(name: str) -> ScenarioSpec:
 
 
 def _record_puts(cache: StageCache, monkeypatch) -> list:
-    """Record ``(stage, payload digest)`` of every entry the cache writes."""
+    """Record ``(stage, payload)`` of every entry the cache writes."""
     puts: list = []
     real_put = cache.put
 
     def put(stage, payload, value):
-        puts.append((stage, content_digest(payload)))
+        puts.append((stage, payload))
         real_put(stage, payload, value)
 
     monkeypatch.setattr(cache, "put", put)
     return puts
 
 
-def _spec_keys(spec: ScenarioSpec) -> list:
-    """``(stage, digest)`` of the four cached entries of ``spec``, in table order."""
-    suitability = {
-        "stage": "suitability",
-        "solar": spec.solar_payload(),
-        "module": dataclasses.asdict(spec.datasheet()),
-        "percentile": 75.0,
-    }
-    return [
-        ("scene", content_digest(spec.scene_payload())),
-        ("grid", content_digest(spec.grid_payload())),
-        ("solar", content_digest(spec.solar_payload())),
-        ("suitability", content_digest(suitability)),
-    ]
+def _cached_keys(spec: ScenarioSpec) -> list:
+    """``(stage, key)`` of the four cached entries of ``spec``, in table order."""
+    keys = node_keys(spec)
+    return [(stage, keys[stage]) for stage in CACHED_STAGES]
 
 
 class TestCacheKeysArePinned:
-    def test_scenario_keys_are_the_spec_payloads(self, tmp_path, monkeypatch):
+    #: ``node_keys`` of the catalog's ``residential-south``.  A change here
+    #: orphans every cache entry written so far: bump ``CACHE_FORMAT_VERSION``
+    #: with it.
+    RESIDENTIAL_SOUTH = {
+        "scene": "6de57e87872255b7d90ea9caa5ac45b58e5fb3c5734556c739645cca6a7d6e4a",
+        "grid": "3f8887bcbe335ccc8642ef82b02262fe750c5635b45ac70ad22c69dd89b505f4",
+        "weather": "35872e2430fde4fbc80bf65bfc24b194f351a7394f336612bf98e0b965fd6927",
+        "horizon": "88a0c20c0bfdd0f729d7641f63d1d90e788f115c76f87daad59989c1c4a8d5d2",
+        "solar": "e4ef76ef356f208329da0d22a4ffd1400f3e4e09dc2fe759ba314ea1a1212456",
+        "suitability": "635aee3e1f4569dd0cb57b2ad22c9ea48fb77616b69c745f6ddc6abc251b23a3",
+    }
+
+    def test_scenario_keys_are_the_node_keys(self, tmp_path, monkeypatch):
         spec = builtin_scenarios()["residential-south"]
+        assert node_keys(spec) == self.RESIDENTIAL_SOUTH
         cache = StageCache(root=tmp_path / "cache")
         puts = _record_puts(cache, monkeypatch)
         run_scenario(spec, cache=cache)
-        assert puts == _spec_keys(spec)
-        # The spec payloads themselves: the literal layout every cache
-        # written so far was keyed on.
-        assert spec.solar_payload() == {
-            "stage": "solar",
-            "grid": {
-                "stage": "grid",
-                "scene": {
-                    "stage": "scene",
-                    "roof": roof_spec_to_dict(spec.roof),
-                    "dsm_pitch": spec.dsm_pitch,
-                },
-                "grid_pitch": spec.grid_pitch,
-            },
-            "time": spec.time.to_dict(),
-            "weather": spec.weather.to_dict(),
-            "solar": spec.solar.to_dict(),
-        }
+        assert puts == _cached_keys(spec)
 
-    def test_plan_roof_keys_are_the_spec_payloads(self, tmp_path, monkeypatch):
+    def test_plan_roof_keys_are_the_node_keys(self, tmp_path, monkeypatch):
         spec = _spec("keyed")
         cache = StageCache(root=tmp_path / "cache")
         puts = _record_puts(cache, monkeypatch)
@@ -129,7 +114,7 @@ class TestCacheKeysArePinned:
             spec.roof, n_modules=2, n_series=2, grid_pitch=0.4, time_grid=COARSE_TIME,
             cache=cache,
         )
-        assert puts == _spec_keys(spec)
+        assert puts == _cached_keys(spec)
 
 
 class TestWarmRunsAreLazy:
@@ -293,12 +278,7 @@ class TestEntriesAreShared:
         )
         for spec in (run_spec, spelled):
             assert spec.to_dict() == table_spec.to_dict()
-            assert content_digest(spec.solar_payload()) == content_digest(
-                table_spec.solar_payload()
-            )
-            assert content_digest(_suitability_key(PipelineSources.from_scenario(spec))) == (
-                content_digest(_suitability_key(PipelineSources.from_scenario(table_spec)))
-            )
+            assert node_keys(spec) == node_keys(table_spec)
         cache = StageCache(root=tmp_path / "cache")
         first = run_scenario(table_spec, cache=cache)
         second = run_scenario(run_spec, cache=cache)

@@ -350,9 +350,9 @@ class TestBatchAndSweepWarmStart:
         assert names[0].endswith("n_modules=2")
         for point_name, neighbour_name in hints.items():
             assert names.index(neighbour_name) < names.index(point_name)
+        # Only the greedy takes a hint, so only its ladder is wired.
         assert hints == {
-            f"wired@name={solver}+n_modules={n}": f"wired@name={solver}+n_modules={below}"
-            for solver in ("greedy", "traditional")
+            f"wired@name=greedy+n_modules={n}": f"wired@name=greedy+n_modules={below}"
             for below, n in ((2, 4), (4, 6))
         }
 
@@ -376,8 +376,9 @@ class TestBatchAndSweepWarmStart:
                 "n_modules": None,
             }
             assert (neighbour.overrides["n_modules"], point.overrides["n_modules"]) in steps
+        assert all(by_name[name].spec.solver.name == "greedy" for name in hints)
         if mode == "grid":
-            assert len(hints) == 2 * 3 * 3  # two steps per (solver, seed) ladder
+            assert len(hints) == 2 * 3  # two steps per greedy seed ladder
         else:
             assert hints == {}  # every zip step changes all three axes
 
@@ -406,20 +407,46 @@ class TestBatchAndSweepWarmStart:
         assert warm.summary()["n_warm_started"] == 1
 
     def test_ilp_points_of_a_warm_sweep_solve_cold(self, tmp_path):
-        """The ILP takes no hint: a store-backed warm sweep wires its ladder,
-        yet every ILP point reports ``warm_started=False`` and fingerprints
-        like its cold solve."""
+        """The ILP takes no hint: a store-backed warm sweep leaves its ladder
+        unwired, every ILP point reports ``warm_started=False`` and
+        fingerprints like its cold solve."""
         plan = SweepPlan(
             name="ilp-ladder",
             base=tiny_spec("ilp-base", solver="ilp"),
             axes=(SweepAxis("n_modules", (2, 4)),),
         )
         _, hints = plan.warm_execution()
-        assert hints == {"ilp-ladder@n_modules=4": "ilp-ladder@n_modules=2"}
+        assert hints == {}
         warm = run_sweep(
             plan, cache=tmp_path / "cache", jobs=1, store=tmp_path / "s.sqlite", warm_start=True
         )
         assert [result.warm_started for result in warm.results()] == [False, False]
+        assert [result.fingerprint() for result in warm.results()] == [
+            run_scenario(point.spec, use_cache=False).fingerprint()
+            for point in plan.points()
+        ]
+
+    def test_store_backed_warm_sweep_wires_only_greedy_rows(self, tmp_path):
+        plan = SweepPlan(
+            name="mixed-ladder",
+            base=tiny_spec("mixed-base"),
+            axes=(
+                SweepAxis("solver.name", ("greedy", "ilp")),
+                SweepAxis("n_modules", (2, 4)),
+            ),
+        )
+        store = tmp_path / "s.sqlite"
+        warm = run_sweep(plan, cache=tmp_path / "cache", jobs=1, store=store, warm_start=True)
+        with ResultStore(store) as opened:
+            rows = {record.name: record for record in opened.points(plan.campaign_name)}
+            hints = {name: opened.warm_hint(record) for name, record in rows.items()}
+        greedy_4 = "mixed-ladder@name=greedy+n_modules=4"
+        assert rows[greedy_4].warm_hint_digest == rows[
+            "mixed-ladder@name=greedy+n_modules=2"
+        ].digest
+        assert hints[greedy_4] is not None
+        assert {name for name, row in rows.items() if row.warm_hint_digest} == {greedy_4}
+        assert {name for name, hint in hints.items() if hint} == {greedy_4}
         assert [result.fingerprint() for result in warm.results()] == [
             run_scenario(point.spec, use_cache=False).fingerprint()
             for point in plan.points()
