@@ -6,7 +6,8 @@ Subcommands
     Show the built-in scenario catalog (name, solver, size, description).
 ``run``
     Execute one scenario -- built-in by name or loaded from a JSON file --
-    through the cached staged pipeline and print its report.
+    through the cached staged pipeline and print its report.  A document
+    run before is answered from its stage-cache entry.
 ``compare``
     Run several solvers on the same scenario (sharing every cached stage)
     and print a side-by-side table.
@@ -70,8 +71,9 @@ import json
 import os
 import signal
 import sys
+import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 from . import telemetry
 from .constants import (
@@ -85,8 +87,7 @@ from .constants import (
 )
 from .errors import ReproError
 from .runner.cache import StageCache, default_cache_dir
-from .runner.solvers import available_solvers, check_solvable
-from .runner.stages import PIPELINE_STAGES, run_scenario
+from .runner.result import CACHED_STAGES, ScenarioResult, scenario_content_digest
 from .scenario.catalog import builtin_scenarios
 from .scenario.spec import ScenarioSpec
 from .telemetry import emit_diagnostic, emit_err, emit_error, emit_out
@@ -95,9 +96,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .runner.store import ResultStore
     from .sweep import SweepAxis, SweepPlan
 
-# The handlers below import the subsystem they drive (batch driver, result
-# store, fleet worker, HTTP service, sweep engine) when they run, so a
-# process pays only for the modules its command executes.
+# The handlers below import the subsystem they drive (the pipeline and its
+# solvers, batch driver, result store, fleet worker, HTTP service, sweep
+# engine) when they run, so a process pays only for the modules its command
+# executes: a ``repro run`` answered from the stage cache imports no numpy.
+
+#: Stage-cache sub-directory of the results ``repro run`` computed, keyed by
+#: the scenario's point digest.
+STAGE_RESULT = "result"
 
 
 def _cache_from_args(args: argparse.Namespace) -> StageCache:
@@ -217,6 +223,8 @@ def _load_scenario(name_or_path: str) -> ScenarioSpec:
 
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
+    from .runner.solvers import available_solvers
+
     catalog = builtin_scenarios()
     if args.json:
         records = [
@@ -242,12 +250,42 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_document(spec: ScenarioSpec, cache: StageCache, use_cache: bool) -> ScenarioResult:
+    """The result of ``repro run``: from its stage-cache entry when known.
+
+    The entry, ``result/<point digest>``, holds the JSON document that
+    ``--output`` writes, so reading it imports no simulation code.  A hit
+    reports the lookup's wall time, no stage times and every cached stage
+    hit; a miss runs the pipeline and writes the entry.  Without
+    ``use_cache`` the entry is neither read nor written.
+    """
+    if use_cache:
+        key = scenario_content_digest(spec)
+        started = time.perf_counter()
+        document, hit = cache.get(STAGE_RESULT, key)
+        if hit:
+            result = ScenarioResult.from_dict(json.loads(document))
+            result.runtime_s = time.perf_counter() - started
+            result.stage_times_s = {}
+            result.stage_cached = dict.fromkeys(CACHED_STAGES, True)
+            return result
+    from .runner.stages import run_scenario
+
+    result = run_scenario(spec, cache=cache, use_cache=use_cache)
+    if use_cache:
+        cache.put(STAGE_RESULT, key, _result_json(result))
+    return result
+
+
+def _result_json(result: ScenarioResult) -> str:
+    return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_scenario(args.scenario)
     if args.solver:
         spec = spec.with_solver(args.solver)
-    cache = _cache_from_args(args)
-    result = run_scenario(spec, cache=cache, use_cache=not args.no_cache)
+    result = _run_document(spec, _cache_from_args(args), use_cache=not args.no_cache)
     emit_out(result.report())
     emit_diagnostic(
         "stage wall times: "
@@ -257,10 +295,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     )
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.output).write_text(_result_json(result), encoding="utf-8")
         emit_out(f"result written to {args.output}")
     return 0
 
@@ -299,6 +334,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_enroll(args: argparse.Namespace) -> int:
+    from .runner.solvers import check_solvable
     from .runner.store import resolve_store
 
     if args.scenarios:
@@ -417,6 +453,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _print_stage_latencies(store: ResultStore, campaign: str) -> None:
     """The per-stage latency table of the campaign's latest metrics run."""
+    from .runner.stages import PIPELINE_STAGES
     from .runner.store import METRIC_KIND_STAGE_TIME
 
     rows = store.metrics(campaign)
@@ -597,6 +634,8 @@ def _cmd_campaign_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .runner.stages import run_scenario
+
     spec = _load_scenario(args.scenario)
     solvers = [name.strip() for name in args.solvers.split(",") if name.strip()]
     if not solvers:
@@ -799,24 +838,35 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _ReportPresets(collections.abc.Sequence):
-    """The ``report --preset`` choices, read from the preset registry on use.
+class _ChoicesOnUse(collections.abc.Sequence):
+    """Option choices read from a registry on use, not when the parser is built.
 
     Building the parser must not import the sweep package that owns the
-    registry.  With an explicit ``metavar``, argparse reads ``choices`` only
-    to check a value or to print help.
+    report presets, nor the solver registry and the placement code behind
+    it.  With an explicit ``metavar``, argparse reads ``choices`` only to
+    check a value or to print help.
     """
 
-    def _names(self) -> List[str]:
-        from .sweep.report import available_presets
-
-        return available_presets()
+    def __init__(self, names: Callable[[], List[str]]) -> None:
+        self._names = names
 
     def __getitem__(self, index):
         return self._names()[index]
 
     def __len__(self) -> int:
         return len(self._names())
+
+
+def _report_presets() -> List[str]:
+    from .sweep.report import available_presets
+
+    return available_presets()
+
+
+def _solver_names() -> List[str]:
+    from .runner.solvers import available_solvers
+
+    return available_solvers()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -840,8 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--solver",
         default=None,
-        choices=available_solvers(),
-        help="override the scenario's solver",
+        choices=_ChoicesOnUse(_solver_names),
+        metavar="SOLVER",
+        help="override the scenario's solver (%(choices)s)",
     )
     run_parser.add_argument("--output", default=None, help="write the result JSON here")
     _add_cache_arguments(run_parser)
@@ -1118,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--preset",
         required=True,
-        choices=_ReportPresets(),
+        choices=_ChoicesOnUse(_report_presets),
         metavar="PRESET",
         help="which artifact to generate (%(choices)s)",
     )
@@ -1164,8 +1215,9 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--solver",
         default="greedy",
-        choices=available_solvers(),
-        help="[table1] proposed-placement solver (default: greedy)",
+        choices=_ChoicesOnUse(_solver_names),
+        metavar="SOLVER",
+        help="[table1] proposed-placement solver (%(choices)s; default: greedy)",
     )
     report_parser.add_argument("--jobs", type=int, default=None, help=f"[table1] {_JOBS_HELP}")
     _add_cache_arguments(report_parser)

@@ -131,6 +131,10 @@ TURIN_LATITUDE = 45.07
 #: Longitude of the experimental site (Turin, Italy) [deg east].
 TURIN_LONGITUDE = 7.69
 
+#: Monthly Linke turbidity climatology of the site, January to December:
+#: representative of the Po valley (hazier summers).
+TURIN_LINKE_TURBIDITY = (2.6, 2.9, 3.2, 3.4, 3.6, 3.8, 3.9, 3.8, 3.4, 3.0, 2.8, 2.6)
+
 #: Roof tilt used by all three case-study roofs [deg] (paper: 26 deg).
 CASE_STUDY_TILT = 26.0
 

@@ -1,20 +1,21 @@
 """Geometry kernel: points, polygons, rasters, and coordinate frames.
 
 This subpackage replaces the subset of ``shapely`` / ``rasterio``
-functionality the reproduction needs, implemented on top of numpy.
+functionality the reproduction needs, implemented on top of numpy.  The
+names below load on first use (PEP 562); points, polygons and frames
+import numpy only where they compute on arrays.
 """
 
-from .point import Point2D, Point3D
-from .polygon import BoundingBox, Polygon
-from .raster import Raster, RasterSpec
-from .transform import RoofPlaneFrame
+from __future__ import annotations
 
-__all__ = [
-    "Point2D",
-    "Point3D",
-    "BoundingBox",
-    "Polygon",
-    "Raster",
-    "RasterSpec",
-    "RoofPlaneFrame",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".point": ("Point2D", "Point3D"),
+        ".polygon": ("BoundingBox", "Polygon"),
+        ".raster": ("Raster", "RasterSpec"),
+        ".transform": ("RoofPlaneFrame",),
+    },
+)

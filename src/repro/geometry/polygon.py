@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..errors import GeometryError
 from .point import Point2D
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
+
+# numpy is imported by the two array methods only, so a roof description
+# (polygons of points) loads without it.
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,8 @@ class Polygon:
             Boolean array of shape ``(n_rows, n_cols)`` with ``True`` for
             covered cells.  Row 0 is the southernmost (lowest-y) row.
         """
+        import numpy as np
+
         if pitch <= 0:
             raise GeometryError("raster pitch must be positive")
         if mode not in ("center", "touch"):
@@ -244,6 +250,8 @@ class Polygon:
         position on the edge; elsewhere a near-horizontal edge's tiny ``dy``
         would overflow it.
         """
+        import numpy as np
+
         on_edge = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
         inside = np.zeros_like(on_edge)
         tol = _SEGMENT_TOL

@@ -1,53 +1,45 @@
-"""GIS substrate: DSM container, synthetic scenes, suitable area, gridding."""
+"""GIS substrate: DSM container, synthetic scenes, suitable area, gridding.
 
-from .dsm import DigitalSurfaceModel, ObstacleFootprint
-from .gridding import RoofGrid, make_roof_grid
-from .suitable_area import (
-    SuitableAreaConfig,
-    SuitableAreaResult,
-    apply_suitable_area,
-    compute_suitable_area,
-    suitable_grid_for_scene,
-)
-from .synthetic import (
-    AdjacentStructure,
-    RoofScene,
-    RoofSpec,
-    antenna,
-    build_roof_scene,
-    chimney,
-    dormer,
-    hvac_unit,
-    pipe_rack,
-    random_obstacle_set,
-    scattered_vents,
-    simple_residential_roof,
-    skylight_row,
-    vent,
-)
+The names below load on first use (PEP 562).  The roof description --
+:class:`RoofSpec`, its obstacles and neighbours, and the obstacle
+factories that draw no random numbers -- lives in :mod:`repro.gis.roof`,
+which imports no numpy.
+"""
 
-__all__ = [
-    "DigitalSurfaceModel",
-    "ObstacleFootprint",
-    "RoofGrid",
-    "make_roof_grid",
-    "SuitableAreaConfig",
-    "SuitableAreaResult",
-    "apply_suitable_area",
-    "compute_suitable_area",
-    "suitable_grid_for_scene",
-    "AdjacentStructure",
-    "RoofScene",
-    "RoofSpec",
-    "antenna",
-    "build_roof_scene",
-    "chimney",
-    "dormer",
-    "hvac_unit",
-    "pipe_rack",
-    "random_obstacle_set",
-    "scattered_vents",
-    "simple_residential_roof",
-    "skylight_row",
-    "vent",
-]
+from __future__ import annotations
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".dsm": ("DigitalSurfaceModel",),
+        ".gridding": ("RoofGrid", "make_roof_grid"),
+        ".roof": (
+            "AdjacentStructure",
+            "ObstacleFootprint",
+            "RoofSpec",
+            "antenna",
+            "chimney",
+            "dormer",
+            "hvac_unit",
+            "pipe_rack",
+            "skylight_row",
+            "vent",
+        ),
+        ".suitable_area": (
+            "SuitableAreaConfig",
+            "SuitableAreaResult",
+            "apply_suitable_area",
+            "compute_suitable_area",
+            "suitable_grid_for_scene",
+        ),
+        ".synthetic": (
+            "RoofScene",
+            "build_roof_scene",
+            "random_obstacle_set",
+            "scattered_vents",
+            "simple_residential_roof",
+        ),
+    },
+)

@@ -9,13 +9,21 @@ resolution; here the :class:`DigitalSurfaceModel` wraps the generic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from ..errors import GISError
-from ..geometry import Polygon, Raster
+from ..geometry.raster import Raster
+from .roof import ObstacleFootprint
+
+__all__ = ["DigitalSurfaceModel", "ObstacleFootprint"]
+
+# Cached scene pickles name the class ``repro.gis.dsm.ObstacleFootprint``.
+# Its ``__module__`` is this module's own ``__name__`` string, which the
+# pickler writes once and shares with ``DigitalSurfaceModel``, so scene
+# entries keep their bytes and checksums.
+ObstacleFootprint.__module__ = __name__
 
 
 class DigitalSurfaceModel:
@@ -53,32 +61,3 @@ class DigitalSurfaceModel:
     def copy(self) -> "DigitalSurfaceModel":
         """Deep copy."""
         return DigitalSurfaceModel(self._raster.copy())
-
-
-@dataclass(frozen=True)
-class ObstacleFootprint:
-    """A roof encumbrance: its footprint on the roof plane and its height.
-
-    Attributes
-    ----------
-    name:
-        Human-readable label ("chimney", "pipe rack", ...).
-    polygon:
-        Footprint polygon expressed in *roof-plane* coordinates (u, v) [m].
-    height_m:
-        Height of the obstacle above the roof surface [m].
-    clearance_m:
-        Additional keep-out margin around the footprint where modules must
-        not be placed (maintenance access, shadow penumbra).
-    """
-
-    name: str
-    polygon: Polygon
-    height_m: float
-    clearance_m: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.height_m <= 0:
-            raise GISError("obstacle height must be positive")
-        if self.clearance_m < 0:
-            raise GISError("obstacle clearance must be non-negative")

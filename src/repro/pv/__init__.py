@@ -1,45 +1,35 @@
-"""PV electrical substrate: cells, modules, arrays, thermal, wiring."""
+"""PV electrical substrate: cells, modules, arrays, thermal, wiring.
 
-from .array import PanelOperatingPoint, PVArray, SeriesParallelTopology
-from .cell import SingleDiodeCell, reference_cell_for_module
-from .datasheet import (
-    COMPACT_200W,
-    DATASHEETS,
-    GENERIC_300W,
-    PV_MF165EB3,
-    ModuleDatasheet,
-    get_datasheet,
-)
-from .module import EmpiricalModuleModel, paper_module_model
-from .thermal import CellTemperatureModel
-from .wiring import (
-    WiringOverheadReport,
-    WiringSpec,
-    annual_energy_loss_wh,
-    resistive_power_loss,
-    string_extra_length,
-    wiring_overhead_report,
-)
+The names below load on first use (PEP 562), so the datasheet registry
+(:mod:`repro.pv.datasheet`) imports without the numpy-backed models.
+"""
 
-__all__ = [
-    "PanelOperatingPoint",
-    "PVArray",
-    "SeriesParallelTopology",
-    "SingleDiodeCell",
-    "reference_cell_for_module",
-    "COMPACT_200W",
-    "DATASHEETS",
-    "GENERIC_300W",
-    "PV_MF165EB3",
-    "ModuleDatasheet",
-    "get_datasheet",
-    "EmpiricalModuleModel",
-    "paper_module_model",
-    "CellTemperatureModel",
-    "WiringOverheadReport",
-    "WiringSpec",
-    "annual_energy_loss_wh",
-    "resistive_power_loss",
-    "string_extra_length",
-    "wiring_overhead_report",
-]
+from __future__ import annotations
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".array": ("PanelOperatingPoint", "PVArray", "SeriesParallelTopology"),
+        ".cell": ("SingleDiodeCell", "reference_cell_for_module"),
+        ".datasheet": (
+            "COMPACT_200W",
+            "DATASHEETS",
+            "GENERIC_300W",
+            "PV_MF165EB3",
+            "ModuleDatasheet",
+            "get_datasheet",
+        ),
+        ".module": ("EmpiricalModuleModel", "paper_module_model"),
+        ".thermal": ("CellTemperatureModel",),
+        ".wiring": (
+            "WiringOverheadReport",
+            "WiringSpec",
+            "annual_energy_loss_wh",
+            "resistive_power_loss",
+            "string_extra_length",
+            "wiring_overhead_report",
+        ),
+    },
+)

@@ -9,13 +9,11 @@ not also load the batch driver, the SQLite store and the fleet worker, nor
 
 from __future__ import annotations
 
-import importlib
-from typing import Any, Dict, List
+from .._lazy import lazy_exports
 
-#: Defining module of every public name, relative to this package.
-_EXPORTS: Dict[str, str] = {
-    name: module
-    for module, names in {
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
         "..constants": ("DEFAULT_HEARTBEAT_S", "DEFAULT_POLL_S", "DEFAULT_STALE_AFTER_S"),
         ".batch": (
             "BatchResult",
@@ -53,29 +51,8 @@ _EXPORTS: Dict[str, str] = {
             "solve",
             "solve_with_fallback",
         ),
-        ".stages": (
-            "PIPELINE_STAGES",
-            "ScenarioResult",
-            "run_pipeline",
-            "run_scenario",
-            "scenario_content_digest",
-        ),
+        ".result": ("ScenarioResult", "scenario_content_digest"),
+        ".stages": ("PIPELINE_STAGES", "run_pipeline", "run_scenario"),
         ".worker": ("WorkerSummary", "run_worker"),
-    }.items()
-    for name in names
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+    },
+)

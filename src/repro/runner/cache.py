@@ -85,6 +85,7 @@ import json
 import os
 import pickle
 import shutil
+import sys
 import tempfile
 import threading
 import time
@@ -93,8 +94,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
 
 from .. import faults
 from ..errors import ConfigurationError
@@ -237,14 +236,19 @@ def _stat_key(path: Path) -> Tuple[int, int, int]:
 
 
 def _freeze_arrays(value: Any) -> None:
-    """Mark every ndarray reachable through ``value``'s attributes read-only."""
+    """Mark every ndarray reachable through ``value``'s attributes read-only.
+
+    This module imports numpy only to read or write ``.npy`` sidecars, so a
+    process that has not imported it holds no array to freeze.
+    """
+    np = sys.modules.get("numpy")
     pending, seen = [value], set()
     while pending:
         item = pending.pop()
         if id(item) in seen:
             continue
         seen.add(id(item))
-        if isinstance(item, np.ndarray):
+        if np is not None and isinstance(item, np.ndarray):
             item.flags.writeable = False
         elif isinstance(item, (list, tuple)):
             pending.extend(item)
@@ -575,6 +579,8 @@ class StageCache:
         nbytes = len(raw)
         sidecar_s = 0.0
         if isinstance(value, _SidecarStub):
+            import numpy as np
+
             stub = value.value
             fields = value.fields
             sidecar_started = time.perf_counter()
@@ -622,6 +628,8 @@ class StageCache:
             started = time.perf_counter()
             manifest_files: Dict[str, Dict[str, Any]] = {}
             if sidecar_fields:
+                import numpy as np
+
                 stored = copy.copy(value)
                 sidecar_started = time.perf_counter()
                 for name in sidecar_fields:

@@ -28,10 +28,9 @@ the weather or the horizon at all.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..constants import DEFAULT_SUITABILITY_PERCENTILE
 from ..core.problem import FloorplanProblem, build_problem
@@ -48,6 +47,8 @@ from ..solar.shading import HorizonMap
 from ..telemetry import span
 from ..weather.records import WeatherSeries
 from .cache import StageCache, content_digest, resolve_cache
+from .result import CACHED_STAGES, ScenarioResult
+from .result import POINT_DIGEST_VERSION, scenario_content_digest  # noqa: F401 - re-exported
 from .solvers import (
     FallbackOutcome,
     SolverOutcome,
@@ -67,23 +68,6 @@ STAGE_SOLAR = "solar"
 STAGE_SUITABILITY = "suitability"
 STAGE_SOLVE = "solve"
 STAGE_EVALUATE = "evaluate"
-
-
-#: Version stamp of every campaign point's digest.  Not the stage cache's
-#: format: a point's identity depends on its inputs, not on the cache layout.
-POINT_DIGEST_VERSION = 4
-
-
-def scenario_content_digest(spec: ScenarioSpec) -> str:
-    """Content digest identifying one scenario as a campaign point.
-
-    The digest covers the scenario's full declarative dictionary under the
-    same canonical-JSON hashing the stage cache uses for its entries, so a
-    campaign point's identity changes exactly when any input that could
-    change its result changes.  The durable result store
-    (:mod:`repro.runner.store`) keys its rows on this digest.
-    """
-    return content_digest({"format": POINT_DIGEST_VERSION, "scenario": spec.to_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +118,29 @@ def _build_suitability(spec: ScenarioSpec, solar: RoofSolarField) -> Suitability
 @dataclass(frozen=True)
 class Node:
     """One pipeline stage: the document paths it ``reads`` (``module`` is the
-    resolved datasheet), its ``inputs``, and whether the stage cache keeps it."""
+    resolved datasheet) and its ``inputs``."""
 
     name: str
     reads: Tuple[str, ...]
     inputs: Tuple[str, ...]
     compute: Callable[..., Any]
-    cached: bool = True
+
+    @property
+    def cached(self) -> bool:
+        """Whether the stage cache keeps the node (:data:`CACHED_STAGES`)."""
+        return self.name in CACHED_STAGES
 
 
 #: The data-extraction stages, in execution order.
 NODES: Tuple[Node, ...] = (
     Node(STAGE_SCENE, ("roof", "dsm_pitch"), (), _build_scene),
     Node(STAGE_GRID, ("grid_pitch",), (STAGE_SCENE,), _build_grid),
-    Node(STAGE_WEATHER, ("time", "weather"), (), _build_weather, cached=False),
+    Node(STAGE_WEATHER, ("time", "weather"), (), _build_weather),
     Node(
         STAGE_HORIZON,
         ("solar.n_horizon_sectors", "solar.horizon_max_distance_m"),
         (STAGE_SCENE, STAGE_GRID),
         _build_horizon,
-        cached=False,
     ),
     Node(
         STAGE_SOLAR,
@@ -167,13 +154,18 @@ NODES: Tuple[Node, ...] = (
 
 def node_keys(spec: ScenarioSpec) -> Dict[str, str]:
     """Each node's cache key: the digest of its name, the values at its
-    ``reads`` and its inputs' keys, so only what is upstream changes it."""
+    ``reads`` and its inputs' keys, so only what is upstream changes it.
+    A ``module.<field>`` read is that attribute of the resolved datasheet."""
     document = spec.to_dict()
-    document["module"] = dataclasses.asdict(spec.datasheet())
+    datasheet = spec.datasheet()
     keys: Dict[str, str] = {}
     for node in NODES:
         reads = {}
         for path in node.reads:
+            head, _, rest = path.partition(".")
+            if head == "module":
+                reads[path] = getattr(datasheet, rest)
+                continue
             value = document
             for part in path.split("."):
                 value = value[part]
@@ -267,141 +259,6 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScenarioResult:
-    """Flat, JSONL-serialisable outcome of one scenario run."""
-
-    scenario: str
-    solver: str
-    n_modules: int
-    n_valid_cells: int
-    grid_cols: int
-    grid_rows: int
-    annual_energy_mwh: float
-    baseline_energy_mwh: float
-    improvement_percent: float
-    wiring_extra_length_m: float
-    capacity_factor: float
-    runtime_s: float
-    stage_cached: Dict[str, bool] = field(default_factory=dict)
-    #: Exclusive wall-clock seconds per stage that ran (keys of
-    #: :data:`PIPELINE_STAGES`): a cold run has all eight, a warm one skips
-    #: ``weather`` and ``horizon``, which only a missed solar field builds.
-    #: The entries never overlap, so their sum is at most ``runtime_s``.
-    #: Like ``runtime_s`` this is provenance, not part of the fingerprint.
-    stage_times_s: Dict[str, float] = field(default_factory=dict)
-    solver_info: Dict[str, Any] = field(default_factory=dict)
-    placement: Dict[str, Any] = field(default_factory=dict)
-    tags: Tuple[str, ...] = ()
-    #: Degradation provenance: True when the configured solver failed (or
-    #: blew its budget) and ``fallback_solver`` produced this best-effort
-    #: answer instead; ``degradation_reason`` records why, one line per
-    #: abandoned chain entry.  ``solver`` always names the *configured*
-    #: solver so report joins stay stable.
-    degraded: bool = False
-    fallback_solver: Optional[str] = None
-    degradation_reason: Optional[str] = None
-    #: Warm-start provenance: True when a neighbour's placement actually
-    #: contributed to the solve.  Like ``runtime_s`` this is provenance,
-    #: not part of the fingerprint -- warm and cold runs of the same
-    #: scenario are interchangeable by construction.
-    warm_started: bool = False
-    #: Solver-reported relative optimality gap (None = not reported).
-    gap: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable record (one JSONL line)."""
-        return {
-            "scenario": self.scenario,
-            "solver": self.solver,
-            "n_modules": self.n_modules,
-            "n_valid_cells": self.n_valid_cells,
-            "grid_cols": self.grid_cols,
-            "grid_rows": self.grid_rows,
-            "annual_energy_mwh": self.annual_energy_mwh,
-            "baseline_energy_mwh": self.baseline_energy_mwh,
-            "improvement_percent": self.improvement_percent,
-            "wiring_extra_length_m": self.wiring_extra_length_m,
-            "capacity_factor": self.capacity_factor,
-            "runtime_s": self.runtime_s,
-            "stage_cached": dict(self.stage_cached),
-            "stage_times_s": dict(self.stage_times_s),
-            "solver_info": dict(self.solver_info),
-            "placement": dict(self.placement),
-            "tags": list(self.tags),
-            "degraded": self.degraded,
-            "fallback_solver": self.fallback_solver,
-            "degradation_reason": self.degradation_reason,
-            "warm_started": self.warm_started,
-            "gap": self.gap,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        return cls(
-            scenario=str(data["scenario"]),
-            solver=str(data["solver"]),
-            n_modules=int(data["n_modules"]),
-            n_valid_cells=int(data["n_valid_cells"]),
-            grid_cols=int(data.get("grid_cols", 0)),
-            grid_rows=int(data.get("grid_rows", 0)),
-            annual_energy_mwh=float(data["annual_energy_mwh"]),
-            baseline_energy_mwh=float(data["baseline_energy_mwh"]),
-            improvement_percent=float(data["improvement_percent"]),
-            wiring_extra_length_m=float(data["wiring_extra_length_m"]),
-            capacity_factor=float(data["capacity_factor"]),
-            runtime_s=float(data["runtime_s"]),
-            stage_cached=dict(data.get("stage_cached", {})),
-            stage_times_s={
-                str(name): float(seconds)
-                for name, seconds in dict(data.get("stage_times_s", {})).items()
-            },
-            solver_info=dict(data.get("solver_info", {})),
-            placement=dict(data.get("placement", {})),
-            tags=tuple(data.get("tags", [])),
-            degraded=bool(data.get("degraded", False)),
-            fallback_solver=data.get("fallback_solver"),
-            degradation_reason=data.get("degradation_reason"),
-            warm_started=bool(data.get("warm_started", False)),
-            gap=None if data.get("gap") is None else float(data["gap"]),
-        )
-
-    def fingerprint(self) -> dict:
-        """Deterministic subset of the result (no runtimes, no cache state).
-
-        Two runs of the same scenario -- serial or parallel, cold or warm
-        cache -- must produce identical fingerprints; the determinism tests
-        and the batch runner's integrity checks rely on this.
-        """
-        placement = dict(self.placement)
-        placement.pop("metadata", None)
-        return {
-            "scenario": self.scenario,
-            "solver": self.solver,
-            "n_modules": self.n_modules,
-            "n_valid_cells": self.n_valid_cells,
-            "annual_energy_mwh": self.annual_energy_mwh,
-            "baseline_energy_mwh": self.baseline_energy_mwh,
-            "improvement_percent": self.improvement_percent,
-            "wiring_extra_length_m": self.wiring_extra_length_m,
-            "placement": placement,
-        }
-
-    def report(self) -> str:
-        """Short human-readable summary line."""
-        cached = [name for name, hit in self.stage_cached.items() if hit]
-        cache_note = f" [cached: {', '.join(cached)}]" if cached else ""
-        degraded_note = (
-            f" [degraded -> {self.fallback_solver}]" if self.degraded else ""
-        )
-        return (
-            f"{self.scenario}: solver={self.solver}{degraded_note} N={self.n_modules} "
-            f"Ng={self.n_valid_cells} energy={self.annual_energy_mwh:.3f} MWh/y "
-            f"(baseline {self.baseline_energy_mwh:.3f}, "
-            f"{self.improvement_percent:+.2f} %) in {self.runtime_s:.2f}s{cache_note}"
-        )
 
 
 @dataclass

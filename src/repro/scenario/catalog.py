@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict
 
 from ..errors import ConfigurationError
-from ..gis.synthetic import (
+from ..geometry.polygon import Polygon
+from ..gis.roof import (
     AdjacentStructure,
     RoofSpec,
     antenna,
@@ -27,10 +28,9 @@ from ..gis.synthetic import (
     dormer,
     hvac_unit,
     pipe_rack,
-    scattered_vents,
     skylight_row,
+    vent,
 )
-from ..geometry import Polygon
 from .spec import ScenarioSpec, SolarSpec, SolverSpec, TimeSpec, WeatherSpec
 
 #: Temporal sampling shared by the catalog: two-hourly samples of every 30th
@@ -44,6 +44,48 @@ _CATALOG_SOLAR = SolarSpec(n_horizon_sectors=24, horizon_max_distance_m=40.0)
 #: Virtual-grid pitch of the catalog scenarios: 0.4 m puts the paper module
 #: on a 4 x 2 cell footprint and keeps the grids small.
 _CATALOG_PITCH = 0.4
+
+#: The industrial roofs' vent field: ``scattered_vents(18.0, 8.0, n_vents=6,
+#: seed=9)`` written out, so loading the catalog draws no random numbers
+#: (a test pins the two equal).
+_INDUSTRIAL_VENTS = (
+    vent(
+        3.8885980895282035,
+        2.1162709763575998,
+        side_m=0.45550681658403575,
+        height_m=0.8618888900309372,
+    ),
+    vent(
+        7.518579111048557,
+        3.247684216882914,
+        side_m=0.48364752580975245,
+        height_m=1.0162361895097307,
+    ),
+    vent(
+        9.863810562722234,
+        2.3870464002331158,
+        side_m=0.3130308394740215,
+        height_m=0.7909665961863729,
+    ),
+    vent(
+        13.813502521630543,
+        3.0951185865482627,
+        side_m=0.4569219705345359,
+        height_m=1.0899813465717054,
+    ),
+    vent(
+        2.557448375947856,
+        5.869600668261017,
+        side_m=0.4481496965751497,
+        height_m=0.679508643918948,
+    ),
+    vent(
+        6.471393327395889,
+        6.008663647590637,
+        side_m=0.4972477098560477,
+        height_m=1.092644448136746,
+    ),
+)
 
 
 def _residential_roof(
@@ -88,7 +130,7 @@ def _industrial_roof(name: str, with_pipes: bool) -> RoofSpec:
         azimuth_deg=10.0,
         eave_height_m=7.0,
         edge_setback_m=0.4,
-        obstacles=obstacles + scattered_vents(18.0, 8.0, n_vents=6, seed=9),
+        obstacles=obstacles + _INDUSTRIAL_VENTS,
         surface_roughness_m=0.10,
         roughness_correlation_m=1.2,
         roughness_seed=42,

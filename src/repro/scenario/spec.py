@@ -25,24 +25,28 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..constants import DEFAULT_GRID_PITCH, TURIN_LATITUDE, TURIN_LONGITUDE
-from ..errors import ConfigurationError
-from ..geometry import Point2D, Polygon
-from ..gis.dsm import ObstacleFootprint
-from ..gis.synthetic import AdjacentStructure, RoofSpec
-from ..pv.datasheet import DATASHEETS, ModuleDatasheet, get_datasheet
-from ..solar.irradiance_map import SolarSimulationConfig
-from ..solar.linke import LinkeTurbidityProfile
-from ..solar.time_series import TimeGrid
-from ..weather.records import StationMetadata, WeatherSeries
-from ..weather.synthetic import (
-    SyntheticWeatherConfig,
-    generate_clearsky_weather,
-    generate_weather,
-    scale_weather,
+from ..constants import (
+    DEFAULT_GRID_PITCH,
+    TURIN_LATITUDE,
+    TURIN_LINKE_TURBIDITY,
+    TURIN_LONGITUDE,
 )
+from ..errors import ConfigurationError
+from ..geometry.point import Point2D
+from ..geometry.polygon import Polygon
+from ..gis.roof import AdjacentStructure, ObstacleFootprint, RoofSpec
+from ..pv.datasheet import DATASHEETS, ModuleDatasheet, get_datasheet
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..solar.irradiance_map import SolarSimulationConfig
+    from ..solar.time_series import TimeGrid
+    from ..weather.records import StationMetadata, WeatherSeries
+
+# The simulation objects a spec builds (time grid, station, weather, solar
+# configuration) are imported by the methods that build them, so a document
+# loads, validates and digests without numpy.
 
 PathLike = Union[str, Path]
 
@@ -146,6 +150,8 @@ class TimeSpec:
 
     def build(self) -> TimeGrid:
         """Materialise the :class:`TimeGrid`."""
+        from ..solar.time_series import TimeGrid
+
         return TimeGrid(step_minutes=self.step_minutes, day_stride=self.day_stride)
 
     def to_dict(self) -> dict:
@@ -185,6 +191,8 @@ class WeatherSpec:
 
     def station(self) -> StationMetadata:
         """The station metadata implied by the specification."""
+        from ..weather.records import StationMetadata
+
         return StationMetadata(
             name=self.station_name,
             latitude_deg=self.latitude_deg,
@@ -194,6 +202,13 @@ class WeatherSpec:
 
     def build(self, time_grid: TimeGrid) -> WeatherSeries:
         """Generate the weather series on the given time grid."""
+        from ..weather.synthetic import (
+            SyntheticWeatherConfig,
+            generate_clearsky_weather,
+            generate_weather,
+            scale_weather,
+        )
+
         config = SyntheticWeatherConfig(station=self.station(), seed=self.seed)
         if self.kind == "clearsky":
             series = generate_clearsky_weather(time_grid, config)
@@ -254,6 +269,8 @@ class SolarSpec:
 
     def build(self) -> SolarSimulationConfig:
         """Materialise the :class:`SolarSimulationConfig`."""
+        from ..solar.irradiance_map import SolarSimulationConfig
+
         return SolarSimulationConfig(
             albedo=self.albedo,
             n_horizon_sectors=self.n_horizon_sectors,
@@ -281,7 +298,7 @@ class SolarSpec:
         if turbidity is not None and not _is_turin_climatology(turbidity):
             raise ConfigurationError(
                 "solar.linke_turbidity must be null or the Turin monthly "
-                f"climatology {list(LinkeTurbidityProfile.turin_default().monthly_values)}; "
+                f"climatology {list(TURIN_LINKE_TURBIDITY)}; "
                 f"got {turbidity!r}"
             )
         return cls(
@@ -296,7 +313,7 @@ def _is_turin_climatology(values: Any) -> bool:
         monthly = tuple(float(v) for v in values)
     except (TypeError, ValueError):
         return False
-    return monthly == LinkeTurbidityProfile.turin_default().monthly_values
+    return monthly == TURIN_LINKE_TURBIDITY
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..constants import DAYS_PER_YEAR
+from ..constants import DAYS_PER_YEAR, TURIN_LINKE_TURBIDITY
 from ..errors import SolarModelError
 
 #: Mid-month day-of-year anchors used for interpolation.
@@ -39,9 +39,7 @@ class LinkeTurbidityProfile:
     @classmethod
     def turin_default(cls) -> "LinkeTurbidityProfile":
         """Representative monthly climatology for the Po valley (hazier summers)."""
-        return cls(
-            (2.6, 2.9, 3.2, 3.4, 3.6, 3.8, 3.9, 3.8, 3.4, 3.0, 2.8, 2.6)
-        )
+        return cls(TURIN_LINKE_TURBIDITY)
 
     def value_for_day(self, day_of_year: np.ndarray) -> np.ndarray:
         """Interpolated turbidity for each day of year (periodic)."""

@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.runner import ResultStore
+from repro.cli import STAGE_RESULT, main
+from repro.gis.synthetic import scattered_vents
+from repro.runner import ResultStore, StageCache, run_batch, run_scenario
+from repro.runner.result import CACHED_STAGES, ScenarioResult, scenario_content_digest
+from repro.runner.stages import NODES
 from repro.scenario import builtin_scenarios
+from repro.scenario.catalog import _INDUSTRIAL_VENTS
 from repro.telemetry import read_trace
 
 
@@ -56,6 +60,102 @@ class TestRun:
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["run", "no-such-scenario"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _run(argv, output) -> ScenarioResult:
+    """``repro run`` in this process; the result it wrote to ``output``."""
+    assert main([*argv, "--output", str(output)]) == 0
+    return ScenarioResult.from_dict(json.loads(Path(output).read_text()))
+
+
+def _fingerprint(result: ScenarioResult) -> str:
+    return json.dumps(result.fingerprint(), sort_keys=True)
+
+
+def _result_entries(cache_dir) -> list:
+    return sorted((Path(cache_dir) / STAGE_RESULT).glob("*.pkl"))
+
+
+class TestRunMemo:
+    """A repeated ``repro run`` answers from its ``result/<point digest>`` entry."""
+
+    def test_every_catalog_hit_matches_an_uncached_run(self, cache_dir, tmp_path, capsys):
+        for name, spec in builtin_scenarios().items():
+            computed = _run(["run", name, "--cache-dir", cache_dir], tmp_path / "a.json")
+            capsys.readouterr()
+            hit = _run(["run", name, "--cache-dir", cache_dir], tmp_path / "b.json")
+            assert computed.stage_times_s and hit.stage_times_s == {}
+            assert hit.stage_cached == dict.fromkeys(CACHED_STAGES, True)
+            assert f"[cached: {', '.join(CACHED_STAGES)}]" in capsys.readouterr().out
+            uncached = run_scenario(spec, use_cache=False)
+            assert _fingerprint(hit) == _fingerprint(uncached), name
+        assert len(_result_entries(cache_dir)) == len(builtin_scenarios())
+
+    def test_cached_stages_are_nodes_in_execution_order(self):
+        assert CACHED_STAGES == tuple(node.name for node in NODES if node.cached)
+        assert [node.name for node in NODES if not node.cached] == ["weather", "horizon"]
+
+    def test_entry_holds_the_document_output_writes(self, cache_dir, tmp_path, capsys):
+        output = tmp_path / "a.json"
+        _run(["run", "residential-south", "--cache-dir", cache_dir], output)
+        key = scenario_content_digest(builtin_scenarios()["residential-south"])
+        stored, hit = StageCache(root=cache_dir).get(STAGE_RESULT, key)
+        assert hit and stored == output.read_text()
+
+    def test_no_cache_neither_reads_nor_writes_the_entry(self, cache_dir, tmp_path, capsys):
+        argv = ["run", "residential-south", "--cache-dir", cache_dir]
+        bypassed = _run([*argv, "--no-cache"], tmp_path / "a.json")
+        assert bypassed.stage_times_s and not Path(cache_dir).exists()
+        _run(argv, tmp_path / "b.json")
+        (entry,) = _result_entries(cache_dir)
+        written = entry.stat().st_mtime_ns
+        again = _run([*argv, "--no-cache"], tmp_path / "c.json")
+        assert again.stage_times_s and not any(again.stage_cached.values())
+        assert _result_entries(cache_dir) == [entry]
+        assert entry.stat().st_mtime_ns == written
+
+    def test_solver_override_has_its_own_entry(self, cache_dir, tmp_path, capsys):
+        argv = ["run", "residential-south", "--cache-dir", cache_dir]
+        _run(argv, tmp_path / "a.json")
+        override = [*argv, "--solver", "traditional"]
+        missed = _run(override, tmp_path / "b.json")
+        hit = _run(override, tmp_path / "c.json")
+        assert missed.stage_times_s and hit.stage_times_s == {}
+        assert hit.solver == missed.solver == "traditional"
+        assert _fingerprint(hit) == _fingerprint(missed)
+        assert len(_result_entries(cache_dir)) == 2
+
+    def test_truncated_entry_is_quarantined_and_recomputed(self, cache_dir, tmp_path, capsys):
+        argv = ["run", "residential-south", "--cache-dir", cache_dir]
+        computed = _run(argv, tmp_path / "a.json")
+        (entry,) = _result_entries(cache_dir)
+        entry.write_bytes(entry.read_bytes()[:10])
+        recomputed = _run(argv, tmp_path / "b.json")
+        assert recomputed.stage_times_s
+        assert list((Path(cache_dir) / "_quarantine" / STAGE_RESULT).iterdir())
+        assert _fingerprint(recomputed) == _fingerprint(computed)
+        hit = _run(argv, tmp_path / "c.json")
+        assert hit.stage_times_s == {} and _fingerprint(hit) == _fingerprint(computed)
+
+    def test_only_repro_run_writes_the_entry(self, tmp_path):
+        spec = builtin_scenarios()["residential-south"]
+        cache = StageCache(root=tmp_path / "cache")
+        run_scenario(spec, cache=cache)
+        assert cache.stats.writes == 4
+        run_batch([spec.with_solver("traditional")], cache=cache, jobs=1)
+        assert not _result_entries(cache.root)
+
+    def test_catalog_vents_are_the_seeded_field(self):
+        def plain(obstacles):
+            return [
+                (o.name, [(p.x, p.y) for p in o.polygon.vertices], o.height_m, o.clearance_m)
+                for o in obstacles
+            ]
+
+        seeded = plain(scattered_vents(18.0, 8.0, n_vents=6, seed=9))
+        assert plain(_INDUSTRIAL_VENTS) == seeded
+        for name in ("industrial-pipes", "industrial-clean"):
+            assert plain(builtin_scenarios()[name].roof.obstacles[-6:]) == seeded
 
 
 class TestBatch:

@@ -18,8 +18,8 @@ import doctest
 
 import pytest
 
-import repro
 import repro.core.evaluation
+import repro.plan
 import repro.runner.batch
 import repro.runner.cache
 import repro.runner.store
@@ -29,7 +29,7 @@ import repro.sweep.report
 
 #: module -> docstrings expected to carry at least one example.
 AUDITED_MODULES = {
-    repro: ["plan_roof"],
+    repro.plan: ["plan_roof"],
     repro.core.evaluation: ["PlacementEvaluator"],
     repro.runner.batch: ["run_batch"],
     repro.runner.cache: ["StageCache"],

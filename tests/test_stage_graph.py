@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 import repro
-import repro.scenario.spec
 import repro.weather.synthetic
 from repro import plan_roof, telemetry
 from repro.experiments import (
@@ -228,7 +227,6 @@ class TestEntriesAreShared:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(repro.weather.synthetic, "generate_weather", counting)
-        monkeypatch.setattr(repro.scenario.spec, "generate_weather", counting)
         cache = StageCache(root=tmp_path / "cache")
         kwargs = dict(n_modules=2, grid_pitch=0.4, time_grid=COARSE_TIME, cache=cache)
         plan_roof(_roof("warm-roof"), **kwargs)

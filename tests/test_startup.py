@@ -102,7 +102,59 @@ def test_ilp_scenario_imports_scipy_on_demand_and_matches_in_process(tmp_path):
     assert spawned.fingerprint() == in_process.fingerprint()
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.runner", "repro.core"])
+def test_the_document_layer_loads_no_numpy(tmp_path):
+    document = tmp_path / "scenario.json"
+    builtin_scenarios()["industrial-clean"].save(document)
+    code = (
+        "import json, sys\n"
+        "import repro.cli\n"
+        "from repro.runner import scenario_content_digest\n"
+        "from repro.scenario import ScenarioSpec, builtin_scenarios\n"
+        "catalog = builtin_scenarios()\n"
+        f"spec = ScenarioSpec.load({str(document)!r})\n"
+        "digests = [scenario_content_digest(s) for s in (*catalog.values(), spec)]\n"
+        f"{loaded(['numpy'])}"
+    )
+    assert fresh(code, tmp_path) == []
+
+
+def test_a_known_document_runs_without_numpy(tmp_path):
+    """The second ``repro run`` of a document answers from the stage cache."""
+    document = tmp_path / "scenario.json"
+    builtin_scenarios()["residential-south"].save(document)
+    cache = str(tmp_path / "cache")
+    outputs = [tmp_path / "first.json", tmp_path / "second.json"]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['run', {str(document)!r}, '--cache-dir', {cache!r},\n"
+        "                 '--output', OUTPUT]) == 0\n"
+        f"{loaded(['numpy'])}"
+    )
+    computed, known = (probe.replace("OUTPUT", repr(str(output))) for output in outputs)
+    assert fresh(computed, tmp_path) == ["numpy"]
+    assert fresh(known, tmp_path) == []
+    first, second = (
+        ScenarioResult.from_dict(json.loads(output.read_text())) for output in outputs
+    )
+    assert second.stage_times_s == {}
+    assert json.dumps(second.fingerprint(), sort_keys=True) == json.dumps(
+        first.fingerprint(), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["repro", "repro.pv", "repro.geometry", "repro.gis", "repro.runner", "repro.scenario"],
+)
+def test_importing_a_package_loads_no_numpy(package, tmp_path):
+    assert fresh(f"import json, sys\nimport {package}\n{loaded(['numpy'])}", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.runner", "repro.core", "repro.pv", "repro.geometry", "repro.gis"]
+)
 def test_every_public_name_resolves_from_a_fresh_import(package, tmp_path):
     code = (
         "import importlib, json\n"
@@ -133,3 +185,34 @@ def test_lazy_runner_names_are_the_defining_objects():
     assert runner.DEFAULT_POLL_S == worker.DEFAULT_POLL_S
     with pytest.raises(AttributeError, match="no_such_name"):
         runner.no_such_name
+
+
+def test_lazy_package_names_are_the_defining_objects():
+    import repro
+    import repro.geometry as geometry
+    import repro.gis as gis
+    import repro.pv as pv
+    from repro import plan
+    from repro.geometry import polygon
+    from repro.gis import roof, synthetic
+    from repro.pv import datasheet, module
+    from repro.runner import result, stages
+    from repro.solar import time_series
+
+    assert repro.plan_roof is plan.plan_roof
+    assert repro.RoofPlanResult is plan.RoofPlanResult
+    assert repro.TimeGrid is time_series.TimeGrid
+    assert pv.ModuleDatasheet is datasheet.ModuleDatasheet
+    assert pv.EmpiricalModuleModel is module.EmpiricalModuleModel
+    assert geometry.Polygon is polygon.Polygon
+    assert gis.RoofSpec is roof.RoofSpec is synthetic.RoofSpec
+    assert gis.chimney is roof.chimney is synthetic.chimney
+    assert gis.scattered_vents is synthetic.scattered_vents
+    assert stages.ScenarioResult is result.ScenarioResult
+    assert stages.scenario_content_digest is result.scenario_content_digest
+    assert {"plan_roof", "RoofSpec", "Polygon"} <= set(dir(repro)) | set(dir(gis)) | set(
+        dir(geometry)
+    )
+    for package in (repro, pv, geometry, gis):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
