@@ -496,10 +496,14 @@ class PlacementEvaluator:
     def compare(
         self, baseline: Placement, candidate: Placement
     ) -> "PlacementComparison":
-        """Evaluate two placements through the shared context and compare."""
-        return PlacementComparison(
-            baseline=self.evaluate(baseline), candidate=self.evaluate(candidate)
-        )
+        """Evaluate two placements through the shared context and compare.
+
+        When the candidate *is* the baseline (a plain ``traditional`` run
+        compared with itself), the deterministic evaluation runs once.
+        """
+        first = self.evaluate(baseline)
+        second = first if candidate is baseline else self.evaluate(candidate)
+        return PlacementComparison(baseline=first, candidate=second)
 
 
 # ---------------------------------------------------------------------------

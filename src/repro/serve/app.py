@@ -61,6 +61,16 @@ SERVE_MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
 #: this guards the service against accidental uploads, not adversaries.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a keep-alive connection may idle before the server closes it, so
+#: an idle client does not pin a request thread for as long as it stays.
+KEEPALIVE_TIMEOUT_S = 5.0
+
+#: Requests one keep-alive connection carries before the server closes it.
+#: Each connection has its own thread, made when it opened; the bound lets
+#: thread settings the process took on since (a CPU affinity, say) reach a
+#: client that never hangs up.
+KEEPALIVE_MAX_REQUESTS = 100
+
 Headers = Dict[str, str]
 Response = Tuple[int, Dict[str, Any], Headers]
 
@@ -299,11 +309,20 @@ class _Handler(BaseHTTPRequestHandler):
     # Headers and body go out in two writes; with Nagle's algorithm on, a
     # keep-alive client would wait for the delayed ACK before the body.
     disable_nagle_algorithm = True
+    # A read that waits longer ends the connection (quietly, see log_message).
+    timeout = KEEPALIVE_TIMEOUT_S
+    # Responses this connection may still send before it closes.
+    requests_left = KEEPALIVE_MAX_REQUESTS
 
     # The owning server attaches the app here (see create_server).
     app: ServeApp
 
-    def _respond(self, status: int, payload: Dict[str, Any], headers: Headers) -> None:
+    def _respond(
+        self, status: int, payload: Dict[str, Any], headers: Headers, close: bool = False
+    ) -> None:
+        self.requests_left -= 1
+        if close or self.requests_left <= 0:
+            headers = {**headers, "Connection": "close"}  # send_header ends the connection
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -314,13 +333,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _handle(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            self._respond(
-                413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}, {}
-            )
+        length = self.headers.get("Content-Length", "0")
+        refusal = None
+        if "Transfer-Encoding" in self.headers:
+            refusal = 400, "Transfer-Encoding is not supported; send a Content-Length"
+        elif not (length.isascii() and length.isdigit()):
+            refusal = 400, f"malformed Content-Length {length!r}"
+        elif int(length) > MAX_BODY_BYTES:
+            refusal = 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
+        if refusal is not None:
+            # The body stays unread, so it must not be parsed as a next request.
+            self._respond(refusal[0], {"error": refusal[1]}, {}, close=True)
             return
-        raw_body = self.rfile.read(length) if length else b""
+        raw_body = self.rfile.read(int(length))
         try:
             status, payload, headers = self.app.dispatch(method, self.path, raw_body)
         except Exception as exc:  # noqa: BLE001 -- the service must keep serving
@@ -367,6 +392,8 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_SERVE_CAMPAIGN",
+    "KEEPALIVE_MAX_REQUESTS",
+    "KEEPALIVE_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "SERVE_MAX_QUEUE_ENV",
     "SERVE_PORT_ENV",

@@ -1,20 +1,22 @@
 """Thin stdlib client for the ``repro serve`` HTTP API.
 
-A deliberately small urllib wrapper used by the test suite, the benchmark
-traffic generator and example scripts.  Every call returns a
-:class:`ServeResponse` -- status code, parsed JSON payload, selected
-headers -- and **never raises on HTTP error statuses**: a ``429`` or
-``400`` is a first-class protocol answer the caller inspects, not an
-exception.  Only transport-level failures (connection refused, timeout)
-propagate, as :class:`~urllib.error.URLError`.
+An :mod:`http.client` wrapper for the tests, benchmarks and examples.  Each
+client keeps one persistent connection (guarded by a lock; parallel callers
+hold one client each), drops it after a transport error or a closing
+response, and retries once on a new connection a request whose *reused*
+connection the server had closed while idle -- never one that timed out.
+Every call returns a :class:`ServeResponse` and **never raises on HTTP error
+statuses**; transport failures raise :class:`OSError` (refused, reset, timed
+out) or :class:`http.client.HTTPException`.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
 from typing import Any, Dict, Mapping, Optional
+from urllib.parse import urlsplit
 
 
 #: Default per-request socket timeout (seconds).
@@ -49,39 +51,53 @@ class ServeClient:
     def __init__(self, base_url: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        self._connection: Optional[http.client.HTTPConnection] = None
+        self._lock = threading.RLock()  # close() runs inside _exchange
 
-    # -- plumbing -----------------------------------------------------------------
+    def close(self) -> None:
+        """Close the kept connection; the next call reconnects."""
+        with self._lock:
+            if self._connection is not None:
+                self._connection.close()
+                self._connection = None
 
     def _request(
         self, method: str, path: str, body: Optional[Mapping[str, Any]] = None
     ) -> ServeResponse:
-        url = f"{self.base_url}{path}"
         data = None if body is None else json.dumps(dict(body)).encode("utf-8")
-        request = urllib.request.Request(
-            url,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+        return self._exchange(method, path, data)
+
+    def _exchange(self, method: str, path: str, data: Optional[bytes]) -> ServeResponse:
+        headers = {"Content-Type": "application/json"} if data is not None else {}
+        with self._lock:
+            try:
+                while True:  # at most twice: the retry runs on a new connection
+                    reused = self._connection is not None
+                    if not reused:
+                        self._connection = http.client.HTTPConnection(
+                            urlsplit(self.base_url).netloc, timeout=self.timeout_s
+                        )
+                    try:
+                        self._connection.request(method, path, data, headers)
+                        response = self._connection.getresponse()
+                        break
+                    except (ConnectionResetError, BrokenPipeError):  # or RemoteDisconnected
+                        if not reused:
+                            raise
+                        self.close()  # the server hung up an idle connection: retry
                 raw = response.read()
-                status = response.status
-                headers = dict(response.headers.items())
-        except urllib.error.HTTPError as exc:
-            # 4xx/5xx: still a JSON protocol answer -- hand it back.
-            raw = exc.read()
-            status = exc.code
-            headers = dict(exc.headers.items()) if exc.headers else {}
+                if response.will_close:
+                    self.close()
+            except BaseException:
+                self.close()
+                raise
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError):
             payload = {"error": f"non-JSON response body ({len(raw)} bytes)"}
         if not isinstance(payload, dict):
             payload = {"value": payload}
-        return ServeResponse(status, payload, headers)
-
-    # -- endpoints ----------------------------------------------------------------
+        return ServeResponse(response.status, payload, dict(response.headers.items()))
 
     def plan(
         self, scenario: Mapping[str, Any], priority: Optional[str] = None
@@ -94,26 +110,7 @@ class ServeClient:
 
     def plan_raw(self, body: bytes) -> ServeResponse:
         """``POST /v1/plan`` an arbitrary (possibly malformed) body."""
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/plan",
-            data=body,
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                raw = response.read()
-                status = response.status
-                headers = dict(response.headers.items())
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            status = exc.code
-            headers = dict(exc.headers.items()) if exc.headers else {}
-        try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            payload = {"error": "non-JSON response body"}
-        return ServeResponse(status, payload, headers)
+        return self._exchange("POST", "/v1/plan", body)
 
     def request_status(self, request_id: str) -> ServeResponse:
         """``GET /v1/requests/<id>``."""

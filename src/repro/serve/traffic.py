@@ -74,10 +74,11 @@ def run_traffic(
     """Run a closed-loop traffic session and collect the latency distribution.
 
     Each of the ``n_clients`` threads issues ``requests_per_client`` plan
-    requests back to back, cycling through ``scenarios`` (dict documents)
-    starting at a per-client offset so concurrent clients spread across the
-    catalog.  Transport errors propagate -- a refused connection should
-    fail the benchmark, not vanish into the statistics.
+    requests back to back on its own client (one kept connection), cycling
+    through ``scenarios`` (dict documents) starting at a per-client offset
+    so concurrent clients spread across the catalog.  Transport errors
+    propagate -- a refused connection should fail the benchmark, not vanish
+    into the statistics.
     """
     if not scenarios:
         raise ConfigurationError("traffic needs at least one scenario document")
@@ -102,6 +103,8 @@ def run_traffic(
         except BaseException as exc:  # noqa: BLE001 -- surfaced to the caller
             with lock:
                 errors.append(exc)
+        finally:
+            client.close()
 
     threads = [
         threading.Thread(target=client_loop, args=(index,), daemon=True)

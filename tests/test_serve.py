@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -47,6 +48,7 @@ from repro.serve import (
     open_serve_store,
     run_traffic,
 )
+from repro.serve.app import KEEPALIVE_TIMEOUT_S
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,10 +114,36 @@ def make_service(tmp_path):
 
     yield factory
     for stack in stacks:
+        stack.client.close()
         stack.server.shutdown()
         stack.thread.join(timeout=10.0)
         stack.server.server_close()
         stack.store.close()
+
+
+def count_connections(server) -> list:
+    """Wrap ``server.process_request`` to record each accepted connection."""
+    accepted = []
+    process_request = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = counting
+    return accepted
+
+
+def raw_exchange(server, head: bytes, deadline_s: float = 5.0) -> bytes:
+    """Send ``head`` over one raw socket and read until the server closes it."""
+    with socket.create_connection(server.server_address[:2], timeout=deadline_s) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)  # a socket.timeout here fails the test
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 def plan_body(spec: ScenarioSpec, priority: str = None) -> bytes:
@@ -413,6 +441,94 @@ class TestAdmissionOverHTTP:
         assert statistics.median(durations) < 0.015, durations
 
 
+class TestPersistentConnections:
+    def test_one_client_reuses_one_connection(self, make_service):
+        service = make_service()
+        spec = tiny_spec("reused")
+        complete_point(service.store, "warm", spec)
+        accepted = count_connections(service.server)
+        for index in range(20):
+            if index % 2:
+                response = service.client.plan(spec.to_dict())
+            else:
+                response = service.client.plan_raw(plan_body(spec))
+            assert response.status == 200 and response.payload["cached"] is True
+        assert len(accepted) == 1
+
+    def test_connection_closes_after_max_requests(self, make_service, monkeypatch):
+        """The server ends a connection after its request budget with
+        ``Connection: close``; the client opens a new one for the next call."""
+        service = make_service()
+        monkeypatch.setattr(service.server.RequestHandlerClass, "requests_left", 3)
+        accepted = count_connections(service.server)
+        responses = [service.client.healthz() for _ in range(7)]
+        assert [r.status for r in responses] == [200] * 7
+        closing = [r.headers.get("Connection") == "close" for r in responses]
+        assert closing == [False, False, True, False, False, True, False]
+        assert len(accepted) == 3
+
+    def test_idle_connection_closed_by_server_is_retried_once(
+        self, make_service, monkeypatch
+    ):
+        """The server ends a connection idle past its timeout; the client's
+        next call fails on the dead connection, reconnects and re-sends --
+        and the re-sent miss is admitted once, not enrolled twice."""
+        service = make_service()
+        monkeypatch.setattr(service.server.RequestHandlerClass, "timeout", 0.2)
+        accepted = count_connections(service.server)
+        spec = tiny_spec("idle")
+        first = service.client.plan(spec.to_dict())
+        assert first.status == 202
+        assert service.client.healthz().payload["queue_depth"] == 1
+        time.sleep(0.6)
+        again = service.client.plan(spec.to_dict())
+        assert again.status == 202
+        assert again.payload["request_id"] == first.payload["request_id"]
+        assert len(accepted) == 2  # three requests, one reconnect
+        counts = service.store.status_counts("serve")
+        assert sum(counts.values()) == 1 and counts[STATUS_PENDING] == 1
+
+    def test_timeout_is_never_retried(self):
+        """A server that accepts but never answers: the call times out once."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()[:2]
+            client = ServeClient(f"http://{host}:{port}", timeout_s=0.2)
+            with pytest.raises(TimeoutError):
+                client.healthz()
+            listener.settimeout(0.5)
+            first, _ = listener.accept()
+            first.close()
+            with pytest.raises(TimeoutError):
+                listener.accept()  # no second connection was attempted
+            client.close()
+
+    @pytest.mark.parametrize(
+        "headers, status",
+        [
+            (f"Content-Length: {(1 << 20) + 1}", 413),
+            ("Content-Length: abc", 400),
+            ("Content-Length: -1", 400),
+            ("Transfer-Encoding: chunked", 400),
+        ],
+        ids=["oversized", "non-numeric", "negative", "chunked"],
+    )
+    def test_unread_body_answers_and_closes(self, make_service, headers, status):
+        """A body the server will not read gets its status and then EOF --
+        never a silent drop, a hang, or a keep-alive that would parse the
+        leftover body as the next request."""
+        service = make_service()
+        head = (
+            f"POST /v1/plan HTTP/1.1\r\nHost: test\r\n{headers}\r\n"
+            "Content-Type: application/json\r\n\r\n{}"
+        ).encode("ascii")
+        answer = raw_exchange(service.server, head)
+        status_line, _, rest = answer.partition(b"\r\n")
+        assert status_line.split()[1] == str(status).encode("ascii"), answer
+        head_block, _, body = rest.partition(b"\r\n\r\n")
+        assert b"connection: close" in head_block.lower()
+        assert "error" in json.loads(body)
+
+
 class TestPriorityTiers:
     def test_interactive_claimed_before_earlier_batch_points(self, make_service):
         """Batch points enrolled *first* must still lose the claim race to
@@ -509,9 +625,14 @@ class TestServeCli:
             assert client.healthz().payload["status"] == "ok"
             hit = client.plan(tiny_spec("cli-warm").to_dict())
             assert hit.status == 200 and hit.payload["cached"] is True
+            # The client's connection stays open across the signal: an idle
+            # keep-alive connection must not hold the exit up.
+            started = time.monotonic()
             process.send_signal(signal.SIGTERM)
             code = process.wait(timeout=30)
             assert code == 0
+            assert time.monotonic() - started < KEEPALIVE_TIMEOUT_S
+            client.close()
         finally:
             if process.poll() is None:
                 process.kill()
