@@ -65,12 +65,6 @@ MAX_BODY_BYTES = 1 << 20
 #: an idle client does not pin a request thread for as long as it stays.
 KEEPALIVE_TIMEOUT_S = 5.0
 
-#: Requests one keep-alive connection carries before the server closes it.
-#: Each connection has its own thread, made when it opened; the bound lets
-#: thread settings the process took on since (a CPU affinity, say) reach a
-#: client that never hangs up.
-KEEPALIVE_MAX_REQUESTS = 100
-
 Headers = Dict[str, str]
 Response = Tuple[int, Dict[str, Any], Headers]
 
@@ -311,8 +305,6 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     # A read that waits longer ends the connection (quietly, see log_message).
     timeout = KEEPALIVE_TIMEOUT_S
-    # Responses this connection may still send before it closes.
-    requests_left = KEEPALIVE_MAX_REQUESTS
 
     # The owning server attaches the app here (see create_server).
     app: ServeApp
@@ -320,8 +312,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(
         self, status: int, payload: Dict[str, Any], headers: Headers, close: bool = False
     ) -> None:
-        self.requests_left -= 1
-        if close or self.requests_left <= 0:
+        if close:
             headers = {**headers, "Connection": "close"}  # send_header ends the connection
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
@@ -333,7 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _handle(self, method: str) -> None:
-        length = self.headers.get("Content-Length", "0")
+        length = self.headers.get("Content-Length", "0").strip()
         refusal = None
         if "Transfer-Encoding" in self.headers:
             refusal = 400, "Transfer-Encoding is not supported; send a Content-Length"
@@ -392,7 +383,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_SERVE_CAMPAIGN",
-    "KEEPALIVE_MAX_REQUESTS",
     "KEEPALIVE_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "SERVE_MAX_QUEUE_ENV",
