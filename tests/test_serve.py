@@ -538,22 +538,6 @@ class TestPersistentConnections:
         assert b"connection: close" in head_block.lower()
         assert "error" in json.loads(body)
 
-    def test_content_length_with_surrounding_whitespace_is_read(self, make_service):
-        """A field value is read without its surrounding whitespace, so a
-        trailing space after the length is still a valid request."""
-        service = make_service()
-        spec = tiny_spec("spaced")
-        complete_point(service.store, "warm", spec)
-        body = plan_body(spec)
-        head = (
-            f"POST /v1/plan HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)} \r\n"
-            "Content-Type: application/json\r\nConnection: close\r\n\r\n"
-        ).encode("ascii")
-        answer = raw_exchange(service.server, head + body)
-        status_line, _, rest = answer.partition(b"\r\n")
-        assert status_line.split()[1] == b"200", answer
-        assert json.loads(rest.partition(b"\r\n\r\n")[2])["cached"] is True
-
 
 class TestPriorityTiers:
     def test_interactive_claimed_before_earlier_batch_points(self, make_service):
